@@ -439,7 +439,9 @@ pub fn run_rma(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let mut slab = s.decode_slab(&slab_bytes);
     s.fft_z(ctx, &mut slab);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    let time_ns = ctx.now() - t0;
+    win.free(ctx);
+    FftResult { time_ns, local_out: slab }
 }
 
 // -------------------------------------------------------------------- UPC

@@ -105,7 +105,8 @@ fn count_local(read: impl Fn(usize, &mut [u8]), cfg: &HtConfig) -> usize {
 
 /// RMA backend: CAS insert, FAA overflow claim, CAS list push.
 pub fn run_rma(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
-    let (res, _win) = run_rma_keep_window(ctx, cfg);
+    let (res, win) = run_rma_keep_window(ctx, cfg);
+    win.free(ctx);
     res
 }
 

@@ -51,6 +51,32 @@ mod tests {
         assert_ne!(a & 0xFFFF, b & 0xFFFF);
     }
 
+    /// The RMA kernels allocate their window per call, so they must free
+    /// it: each leaves the fabric's registry the size it found it.
+    #[test]
+    fn rma_kernels_free_their_windows() {
+        use fompi_runtime::Universe;
+        let ht = hashtable::HtConfig { inserts_per_rank: 64, ..Default::default() };
+        let cg = milc::MilcConfig { local: [2, 2, 2, 4], iters: 2, seed: 3 };
+        let fft3 = fft::FftConfig { n: 8, seed: 3 };
+        Universe::new(2).node_size(1).run(|ctx| {
+            // Read between two barriers: nobody allocates or frees meanwhile.
+            let registered = || {
+                ctx.barrier();
+                let n = ctx.fabric().registered_segments();
+                ctx.barrier();
+                n
+            };
+            let found = registered();
+            hashtable::run_rma(ctx, &ht);
+            assert_eq!(registered(), found, "hashtable::run_rma left segments registered");
+            milc::run_rma(ctx, &cg);
+            assert_eq!(registered(), found, "milc::run_rma left segments registered");
+            fft::run_rma(ctx, &fft3);
+            assert_eq!(registered(), found, "fft::run_rma left segments registered");
+        });
+    }
+
     #[test]
     fn max_time_of_empty_is_zero() {
         assert_eq!(max_time(&[]), 0.0);

@@ -264,6 +264,20 @@ pub trait HaloExchange {
     ) -> [[Vec<f64>; 2]; 4];
 }
 
+/// Lend a halo to [`run_cg`] and keep it, for a backend that has to tear
+/// it down afterwards.
+impl<H: HaloExchange> HaloExchange for &mut H {
+    fn exchange(
+        &mut self,
+        ctx: &RankCtx,
+        lat: &Lattice,
+        field: &[f64],
+        iter: usize,
+    ) -> [[Vec<f64>; 2]; 4] {
+        (**self).exchange(ctx, lat, field, iter)
+    }
+}
+
 /// MPI-1 backend: 8 isend/irecv pairs + waitall.
 pub struct Mpi1Halo<'c> {
     /// The communicator.
@@ -339,9 +353,10 @@ impl RmaHalo {
         off + side * self.face_bytes[d]
     }
 
-    /// Release the epoch (call before dropping).
-    pub fn finish(self) {
+    /// Release the epoch and free the window (collective).
+    pub fn finish(self, ctx: &RankCtx) {
         self.win.unlock_all().expect("milc unlock_all");
+        self.win.free(ctx);
     }
 }
 
@@ -887,11 +902,12 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &MilcConfig) -> MilcResult {
 
 /// foMPI backend entry point.
 pub fn run_rma(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let halo = RmaHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, halo, |ctx, v| {
+    let mut halo = RmaHalo::new(ctx, cfg);
+    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
         ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
     });
     ctx.barrier();
+    halo.finish(ctx);
     res
 }
 

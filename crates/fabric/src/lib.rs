@@ -409,6 +409,12 @@ impl Fabric {
             Transport::Dmapp
         }
     }
+
+    /// How many segments are registered right now, over all ranks: a
+    /// window that is never freed shows here.
+    pub fn registered_segments(&self) -> usize {
+        self.segs.read().len()
+    }
 }
 
 /// `FOMPI_BATCH` switch: `1`/`true`/`on` arms issue-side batching for every

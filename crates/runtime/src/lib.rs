@@ -9,10 +9,11 @@
 //! The collectives here are the *internal* ones an MPI-RMA implementation
 //! itself needs (window creation uses two allgathers, allocated windows use
 //! an allreduce-driven retry loop, fence needs a barrier — §2.2/§2.3 of the
-//! paper). They are implemented with shared-memory exchange for
-//! correctness, and charged virtual time according to the scalable
-//! algorithms the paper assumes: dissemination barrier, Bruck allgather,
-//! binomial broadcast, recursive-doubling allreduce — all `O(log p)` rounds.
+//! paper). They are implemented as one load/store barrier crossing over
+//! shared slots (see [`coll`]), and charged virtual time according to the
+//! scalable algorithms the paper assumes: dissemination barrier, Bruck
+//! allgather, binomial broadcast, recursive-doubling allreduce — all
+//! `O(log p)` rounds.
 
 pub mod coll;
 pub mod group;
@@ -256,6 +257,9 @@ impl Universe {
                             })) {
                                 Ok(v) => *slot = Some(v),
                                 Err(payload) => {
+                                    // This rank will never arrive again:
+                                    // peers in a collective must not wait.
+                                    ctx.coll().abort(ctx.rank());
                                     ctx.ep().flight_dump("rank thread panicked");
                                     std::panic::resume_unwind(payload);
                                 }
@@ -528,6 +532,26 @@ mod tests {
         let (_out, fabric) =
             Universe::new(2).node_size(1).racecheck(RacecheckMode::Off).launch(|ctx| ctx.barrier());
         assert!(!fabric.shadow().active());
+    }
+
+    /// A rank that dies must not leave its peers asleep in a collective:
+    /// `launch` has to come back with the panic, promptly.
+    #[test]
+    fn panicking_rank_does_not_hang_its_peers() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                Universe::new(2).node_size(1).run(|ctx| {
+                    if ctx.rank() == 1 {
+                        panic!("rank 1 dies before the barrier");
+                    }
+                    ctx.barrier();
+                })
+            });
+            tx.send(run.is_err()).ok();
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(1));
+        assert_eq!(panicked, Ok(true), "launch must return the panic within 1 s");
     }
 
     #[test]

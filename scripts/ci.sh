@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint → test → determinism → perfgate → fleet → mc
+#   scripts/ci.sh             # the full gate: lint (fmt, clippy, bench) → test → determinism → perfgate → fleet → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare
 #   scripts/ci.sh perfgate    # virtual-time perf-regression gate
 #   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
-#   scripts/ci.sh nightly     # chaos fleet sweep + long soak (SOAK_SECONDS, default 600)
+#   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
 #
 # Exit-code contract for the perf gates (perfgate and fleet --gate):
@@ -69,6 +69,14 @@ stage_fmt() {
 
 stage_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_bench() {
+    # benchmark/ is a package of its own (outside the workspace) that calls
+    # public functions of crates/: fmt, clippy -D warnings and its unit
+    # tests against the current crates/, so a signature change that breaks
+    # its pinned surface fails here and not in the benchmark pipeline.
+    bash benchmark/run.sh --lint
 }
 
 stage_tests() {
@@ -216,7 +224,9 @@ stage_sanitize() {
     #     local dev-dependency; the workspace is dependency-free, so they
     #     run on developer machines, not here. Current models: the notify
     #     ring/stripes (fompi-fabric) and the mesh batched credit return
-    #     (fompi-rmc, `cargo test -p fompi-rmc ... loom_`).
+    #     (fompi-rmc, `cargo test -p fompi-rmc ... loom_`), and the
+    #     collectives' arrive / release / park rendezvous (fompi-runtime;
+    #     written for PR 14 without loom at hand — not yet run once).
     if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
         echo "sanitize: no nightly toolchain installed; skipping (rustup toolchain install nightly)"
         return 0
@@ -249,6 +259,11 @@ stage_nightly() {
     echo "== fleet chaos sweep =="
     "${SCRUB[@]}" target/release/fleet --chaos
 
+    # The oversubscribed long counts of the collective engine's tests (a
+    # futex sleep per round: too slow for the test tier's debug build).
+    echo "== runtime collectives, long counts =="
+    cargo test --offline --release -q -p fompi-runtime -- --ignored
+
     # Long soak: keep feeding fresh seed batches until the deadline.
     # Protocol::ALL now includes rmc_channel — the ring-shaped credit
     # protocol soaks under every fault plan alongside the older nine.
@@ -278,6 +293,7 @@ quick)
 lint)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage bench stage_bench
     ;;
 test)
     run_stage tests stage_tests
@@ -304,6 +320,7 @@ nightly)
 all)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage bench stage_bench
     run_stage tests stage_tests
     run_stage determinism stage_determinism
     run_stage perfgate stage_perfgate

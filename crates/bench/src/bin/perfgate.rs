@@ -114,6 +114,18 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(EXIT_REGRESSED);
     }
+    // `msg::channel` and one-producer `rmc::fanin` are façades over the same
+    // lanes (`fompi::lane`), so their rounds are equal to the bit, not just
+    // each within tolerance: an edit that makes one façade issue an extra
+    // op fails here by name instead of as two unrelated drifts.
+    let (chan, fanin) = (metrics["channel_round_64_ns"], metrics["rmc_fanin_round_64_ns"]);
+    if chan.to_bits() != fanin.to_bits() {
+        eprintln!(
+            "perfgate: channel_round_64_ns ({chan}) != rmc_fanin_round_64_ns ({fanin}): \
+             the two façades over fompi::lane no longer issue the same ops (exit 2)"
+        );
+        return ExitCode::from(EXIT_REGRESSED);
+    }
     println!("perfgate: all {} metrics within tolerance.", report.checked);
     ExitCode::SUCCESS
 }

@@ -45,6 +45,7 @@ pub mod comm;
 pub mod dtype;
 pub mod dynamic;
 pub mod error;
+pub mod lane;
 pub mod meta;
 pub mod op;
 pub mod perf;

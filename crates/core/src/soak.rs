@@ -27,9 +27,11 @@
 //!   notifications exact).
 
 use crate::error::Result;
+use crate::lane::{self, Geometry, RxLane, TxLane};
 use crate::meta::{self, off, WinConfig};
 use crate::op::{MpiOp, NumKind};
 use crate::win::{LockType, Win};
+use crate::Notification;
 use fompi_fabric::rng::splitmix64;
 use fompi_fabric::FaultPlan;
 use fompi_runtime::{Group, RankCtx, Universe};
@@ -718,17 +720,16 @@ fn txn_transfer(
     Ok(())
 }
 
-/// The `fompi-rmc` channel wire protocol soaked under faults: every rank
-/// streams `epochs` messages to its right neighbour over a slotted ring
-/// in the receiver's window copy (notified puts), the receiver hands one
-/// notified credit AMO back per drained slot, and slot reuse is fenced
-/// with one flush per ring lap — exactly the producer/consumer loop the
-/// `fompi-rmc` ends run, minus the crate dependency. Each slot region has
-/// a single writer and each credit pad a single incrementer, so whatever
-/// latencies, delayed completions or transient rejections the fault layer
-/// injects, every payload must land exactly once, in order, and the
-/// notification ring must drain to empty (the channel's bufferless rest
-/// state).
+/// The credit-ring wire protocol ([`crate::lane`]) soaked under faults:
+/// every rank streams `epochs` messages to its right neighbour over a
+/// two-slot ring in the receiver's window copy and consumes its left
+/// neighbour's — the lanes every `fompi-msg` / `fompi-rmc` end runs, with
+/// a serve-while-starved credit intake so the cycle of ranks cannot
+/// deadlock. Each slot region has a single writer and each credit pad a
+/// single incrementer, so whatever latencies, delayed completions or
+/// transient rejections the fault layer injects, every payload must land
+/// exactly once, in order, and the notification ring must drain to empty
+/// (the channel's bufferless rest state).
 fn rmc_channel(
     ctx: &RankCtx,
     p: usize,
@@ -736,83 +737,59 @@ fn rmc_channel(
     seed: u64,
     v: &mut Vec<String>,
 ) -> Result<()> {
-    const SLOTS: u64 = 2;
+    const SLOTS: usize = 2;
     const DATA_TAG: u32 = 0x00D0;
     const CREDIT_TAG: u32 = 0x00C0;
-    // Layout: 8-byte credit-AMO pad at 0, then SLOTS cells for the left
-    // neighbour's payloads.
-    let win = Win::allocate(ctx, 8 + SLOTS as usize * 8, 1)?;
+    // Layout: 8-byte credit-AMO pad at 0, then the left neighbour's ring.
+    let geom = Geometry::new(SLOTS, 8)?;
+    let win = lane::open(ctx, 8 + geom.ring_bytes())?;
     let me = ctx.rank();
     let (left, right) = neighbors(me, p);
-    win.lock_all()?;
     ctx.barrier();
-    let (mut credits, mut head, mut flushed_at) = (SLOTS, 0u64, 0u64);
-    let (mut tail, mut drained) = (0u64, 0usize);
-    let check_slot = |win: &Win, tail: u64, v: &mut Vec<String>| {
+    let mut tx = TxLane::new(right, 8, geom);
+    let mut rx = RxLane::new(left, 8, geom);
+    // Consumer step: check the payload, recycle its slot.
+    let serve = |rx: &mut RxLane, rec: &Notification, v: &mut Vec<String>| {
+        let n = rx.tail();
         let mut b = [0u8; 8];
-        win.read_local(8 + (tail % SLOTS) as usize * 8, &mut b);
-        let (got, want) = (u64::from_le_bytes(b), payload(seed, tail as usize, left));
+        rx.take(&win, rec, &mut b);
+        let (got, want) = (u64::from_le_bytes(b), payload(seed, n as usize, left));
         if got != want {
             v.push(violation(
                 "rmc_channel",
                 seed,
                 me,
-                format!("message {tail} from rank {left} = {got:#x}, want {want:#x}"),
+                format!("message {n} from rank {left} = {got:#x}, want {want:#x}"),
             ));
         }
+        rx.credit(&win, CREDIT_TAG)
     };
     for e in 0..epochs {
         // Service the consumer side first so a blocked neighbour always
-        // makes progress: drain every arrived payload, recycle its slot
-        // with a credit AMO.
-        while win.test_notify(left, DATA_TAG)?.is_some() {
-            check_slot(&win, tail, v);
-            tail += 1;
-            drained += 1;
-            win.accumulate_notify(1, MpiOp::Sum, left, 0, CREDIT_TAG)?;
+        // makes progress: drain every arrived payload.
+        while let Some(rec) = win.test_notify(left, DATA_TAG)? {
+            serve(&mut rx, &rec, v)?;
         }
-        // Producer side: absorb credits (keep draining while starved —
-        // the ring would deadlock if every rank just waited), fence slot
-        // reuse once per lap, send.
-        while credits == 0 {
-            if win.test_notify(right, CREDIT_TAG)?.is_some() {
-                credits += 1;
-            } else if win.test_notify(left, DATA_TAG)?.is_some() {
-                check_slot(&win, tail, v);
-                tail += 1;
-                drained += 1;
-                win.accumulate_notify(1, MpiOp::Sum, left, 0, CREDIT_TAG)?;
-            } else {
-                std::thread::yield_now();
+        // Producer side: absorb credits, and keep draining while starved
+        // — the ring would deadlock if every rank just waited.
+        while tx.credits() == 0 && !tx.try_credit(&win, CREDIT_TAG)? {
+            match win.test_notify(left, DATA_TAG)? {
+                Some(rec) => serve(&mut rx, &rec, v)?,
+                None => std::thread::yield_now(),
             }
         }
-        if head >= flushed_at + SLOTS {
-            win.flush(right)?;
-            flushed_at = head;
-        }
-        win.put_notify(
-            &payload(seed, e, me).to_le_bytes(),
-            right,
-            8 + (head % SLOTS) as usize * 8,
-            DATA_TAG,
-        )?;
-        head += 1;
-        credits -= 1;
+        tx.put(&win, &payload(seed, e, me).to_le_bytes(), DATA_TAG)?;
     }
     // Drain the remainder of the left neighbour's stream...
-    while drained < epochs {
-        win.wait_notify(left, DATA_TAG)?;
-        check_slot(&win, tail, v);
-        tail += 1;
-        drained += 1;
-        win.accumulate_notify(1, MpiOp::Sum, left, 0, CREDIT_TAG)?;
+    while (rx.tail() as usize) < epochs {
+        let rec = win.wait_notify(left, DATA_TAG)?;
+        serve(&mut rx, &rec, v)?;
     }
     // ...and absorb the returning credits: one per message sent, so the
     // ring ends exactly as full as it started. A short count here is a
     // lost credit notification.
-    while credits < SLOTS {
-        win.wait_notify(right, CREDIT_TAG)?;
-        credits += 1;
+    while tx.credits() < SLOTS as u64 {
+        tx.wait_credit(&win, CREDIT_TAG)?;
     }
     win.flush_all()?;
     ctx.barrier();

@@ -7,29 +7,18 @@
 //! [`Sender::send`] is one `put_notify` (data + arrival notification,
 //! ordered), and the consumer's [`Receiver::recv`] returns credits with
 //! one `accumulate_notify` (slot-free AMO + notification). No two-sided
-//! message, no tag-matching engine, no polling AMOs over the wire — the
-//! only remote operations are the notified put and the notified credit
-//! return.
+//! message, no tag-matching engine, no polling AMOs over the wire.
 //!
-//! Layout of the ring window (lives in the *consumer*'s window memory;
-//! `slots × slot_bytes` data cells):
-//!
-//! ```text
-//! | slot 0 | slot 1 | ... | slot n-1 |
-//! ```
-//!
-//! Flow control is credit-based: the producer starts with `slots` credits,
-//! spends one per send, and blocks in [`Sender::send`] on the consumer's
-//! credit notifications ([`CREDIT_TAG`]) when it runs out. Slot indices
-//! advance monotonically mod `slots` on both sides, so no cursor ever
-//! travels over the wire; the payload length rides in the notification
-//! record's `bytes` field.
-//!
-//! Both endpoints are built collectively by [`channel`] over one window;
-//! the channel is SPSC (one producer rank, one consumer rank), the
-//! degenerate but dominant case of the paper's halo/pipeline patterns.
+//! The channel is SPSC (one producer rank, one consumer rank), the
+//! degenerate but dominant case of the paper's halo/pipeline patterns:
+//! one credit ring ([`fompi::lane`]; DESIGN.md, "Remote-memory rings") at
+//! offset 0 of the consumer's window copy. A producer out of credits
+//! blocks in [`Sender::send`] for exactly one credit notification
+//! ([`CREDIT_TAG`]). Both endpoints are built collectively by [`channel`]
+//! over one window.
 
-use fompi::{FompiError, MpiOp, Notification, Result, Win};
+use fompi::lane::{self, Geometry, RxLane, TxLane};
+use fompi::{FompiError, Result, Win};
 use fompi_runtime::RankCtx;
 
 /// Tag carried by data notifications (producer → consumer).
@@ -41,23 +30,13 @@ pub const CREDIT_TAG: u32 = 0x00C4_07CE;
 /// Producer half of a notified-access channel.
 pub struct Sender {
     win: Win,
-    peer: u32,
-    slots: usize,
-    slot_bytes: usize,
-    head: u64,
-    credits: u64,
-    /// Head value at the last flush toward the consumer (slot-reuse
-    /// fence, see [`Sender::send`]).
-    flushed_at: u64,
+    tx: TxLane,
 }
 
 /// Consumer half of a notified-access channel.
 pub struct Receiver {
     win: Win,
-    peer: u32,
-    slots: usize,
-    slot_bytes: usize,
-    tail: u64,
+    rx: RxLane,
 }
 
 /// Collectively build an SPSC channel from `producer` to `consumer` with
@@ -68,9 +47,7 @@ pub struct Receiver {
 /// lifetime — drop via [`Sender::close`] / [`Receiver::close`].
 ///
 /// A zero-capacity configuration (`slots == 0` or `slot_bytes == 0`) is
-/// rejected with a typed error rather than a panic: every rank takes the
-/// same branch before any collective allocation, so the rejection is
-/// itself collective and no window leaks.
+/// rejected with a typed error rather than a panic ([`Geometry::new`]).
 pub fn channel(
     ctx: &RankCtx,
     producer: u32,
@@ -78,30 +55,18 @@ pub fn channel(
     slots: usize,
     slot_bytes: usize,
 ) -> Result<Option<ChannelEnd>> {
-    if slots == 0 || slot_bytes == 0 {
-        return Err(FompiError::InvalidEpoch("channel needs at least one non-empty slot"));
-    }
+    let geom = Geometry::new(slots, slot_bytes)?;
     assert_ne!(producer, consumer, "SPSC channel endpoints must differ");
     // Symmetric-heap window: every rank exposes the same size (only the
     // consumer's copy holds ring data; the producer's doubles as the
     // credit-AMO landing pad at offset 0).
-    let win = Win::allocate(ctx, slots * slot_bytes, 1)?;
-    win.lock_all()?;
+    let win = lane::open(ctx, geom.ring_bytes())?;
     if ctx.rank() == producer {
-        Ok(Some(ChannelEnd::Sender(Sender {
-            win,
-            peer: consumer,
-            slots,
-            slot_bytes,
-            head: 0,
-            credits: slots as u64,
-            flushed_at: 0,
-        })))
+        Ok(Some(ChannelEnd::Sender(Sender { win, tx: TxLane::new(consumer, 0, geom) })))
     } else if ctx.rank() == consumer {
-        Ok(Some(ChannelEnd::Receiver(Receiver { win, peer: producer, slots, slot_bytes, tail: 0 })))
+        Ok(Some(ChannelEnd::Receiver(Receiver { win, rx: RxLane::new(producer, 0, geom) })))
     } else {
-        win.unlock_all()?;
-        win.free(ctx);
+        lane::close(win, ctx)?;
         Ok(None)
     }
 }
@@ -114,111 +79,50 @@ pub enum ChannelEnd {
     Receiver(Receiver),
 }
 
-impl ChannelEnd {
-    /// Unwrap the producer half.
-    pub fn into_sender(self) -> Sender {
-        match self {
-            ChannelEnd::Sender(s) => s,
-            ChannelEnd::Receiver(_) => panic!("this rank is the consumer"),
-        }
-    }
-
-    /// Unwrap the consumer half.
-    pub fn into_receiver(self) -> Receiver {
-        match self {
-            ChannelEnd::Receiver(r) => r,
-            ChannelEnd::Sender(_) => panic!("this rank is the producer"),
-        }
-    }
-}
-
 impl Sender {
     /// Send `msg` (at most `slot_bytes`). Blocks on credit notifications
     /// when the ring is full — backpressure is the consumer's pace, felt
     /// through returned credits, not through ring overflow.
     pub fn send(&mut self, msg: &[u8]) -> Result<()> {
-        assert!(msg.len() <= self.slot_bytes, "message exceeds the channel slot size");
-        if self.credits == 0 {
-            // One credit notification per freed slot; its stamp joins our
-            // clock, so waiting here *is* the flow-control time.
-            self.win.wait_notify(self.peer, CREDIT_TAG)?;
-            self.add_credit()?;
+        if self.tx.credits() == 0 {
+            self.tx.wait_credit(&self.win, CREDIT_TAG)?;
         }
-        // Slot-reuse fence: put N+slots lands where put N did, and two
-        // same-origin puts in one passive epoch are unordered in MPI
-        // even though the returned credit proves the consumer drained
-        // the old payload. One flush covers a whole window of slots
-        // (the same rule as the RMC mesh; found by the fompi-mc model
-        // checker on a one-slot channel).
-        if self.head >= self.flushed_at + self.slots as u64 {
-            self.win.flush(self.peer)?;
-            self.flushed_at = self.head;
-        }
-        let slot = (self.head % self.slots as u64) as usize;
-        self.win.put_notify(msg, self.peer, slot * self.slot_bytes, DATA_TAG)?;
-        self.head += 1;
-        self.credits -= 1;
-        Ok(())
+        self.tx.put(&self.win, msg, DATA_TAG)
     }
 
     /// Credits currently in hand (free slots known to this side).
     pub fn credits(&self) -> u64 {
-        self.credits
+        self.tx.credits()
     }
 
     /// Absorb any credit notifications that already arrived (nonblocking).
     pub fn poll_credits(&mut self) -> Result<u64> {
-        while self.win.test_notify(self.peer, CREDIT_TAG)?.is_some() {
-            self.add_credit()?;
-        }
-        Ok(self.credits)
-    }
-
-    /// Book one returned credit, failing loudly on underflow of the
-    /// outstanding-message count: a credit beyond `slots` means the
-    /// consumer freed a slot this producer never filled (a stray or
-    /// duplicated credit notification), and silently absorbing it would
-    /// let a later burst overrun the ring.
-    fn add_credit(&mut self) -> Result<()> {
-        if self.credits >= self.slots as u64 {
-            return Err(FompiError::InvalidEpoch(
-                "channel credit underflow: consumer returned more slots than were ever filled",
-            ));
-        }
-        self.credits += 1;
-        Ok(())
+        self.tx.poll_credits(&self.win, CREDIT_TAG)
     }
 
     /// Tear down this half (collective with [`Receiver::close`]).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 
 impl Receiver {
     /// Receive the next message into `buf`, returning the payload length.
-    /// Blocks on the producer's data notification; the matched record's
-    /// stamp fences the ring read (the data is visible). The slot is
-    /// recycled immediately after the copy with a notified credit AMO.
+    /// Blocks on the producer's data notification; the slot is recycled
+    /// immediately after the copy with a notified credit AMO.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize> {
-        let rec: Notification = self.win.wait_notify(self.peer, DATA_TAG)?;
-        let len = rec.bytes as usize;
-        assert!(len <= self.slot_bytes && len <= buf.len(), "slot payload exceeds recv buffer");
-        let slot = (self.tail % self.slots as u64) as usize;
-        self.win.read_local(slot * self.slot_bytes, &mut buf[..len]);
-        self.tail += 1;
-        // Return the credit: a notified AMO (the operand is informational
-        // — flow control rides the notification itself).
-        self.win.accumulate_notify(1, MpiOp::Sum, self.peer, 0, CREDIT_TAG)?;
+        let rec = self.win.wait_notify(self.rx.peer(), DATA_TAG)?;
+        let len = self.rx.take(&self.win, &rec, buf);
+        self.rx.credit(&self.win, CREDIT_TAG)?;
         Ok(len)
     }
 
-    /// Nonblocking probe: `Some(len)` if a message is ready (not consumed).
-    pub fn try_peek(&self) -> Result<Option<usize>> {
-        // A peek must not consume the notification: probe the pending set.
-        Ok(if self.win.notify_pending() > 0 { Some(self.slot_bytes) } else { None })
+    /// Notification records queued for this rank and not yet matched.
+    /// Approximate under a concurrent producer, and it counts *every*
+    /// queued record of this rank — credits and other windows' records
+    /// parked in the shared ring included — so only `0` is exact.
+    pub fn pending(&self) -> usize {
+        self.win.notify_pending()
     }
 
     /// Tear down this half (collective with [`Sender::close`]).
@@ -234,9 +138,8 @@ impl Receiver {
     /// producer are benign, they only mean the producer never needed the
     /// freed slots.
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        let undrained = self.win.notify_pending();
-        self.win.unlock_all()?;
-        self.win.free(ctx);
+        let undrained = self.pending();
+        lane::close(self.win, ctx)?;
         if undrained != 0 {
             return Err(FompiError::InvalidEpoch(
                 "receiver closed with undrained messages in the ring",
@@ -316,21 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_rejected_with_a_typed_error() {
-        // Both degenerate shapes, rejected on every rank before any
-        // collective allocation — the universe still tears down cleanly.
-        Universe::new(2).node_size(1).run(|ctx| {
-            for (slots, slot_bytes) in [(0usize, 64usize), (4, 0), (0, 0)] {
-                match channel(ctx, 0, 1, slots, slot_bytes) {
-                    Err(FompiError::InvalidEpoch(msg)) => assert!(msg.contains("slot")),
-                    Err(e) => panic!("wrong rejection for ({slots},{slot_bytes}): {e}"),
-                    Ok(_) => panic!("zero-capacity channel ({slots},{slot_bytes}) was accepted"),
-                }
-            }
-        });
-    }
-
-    #[test]
     fn receiver_close_before_drain_is_a_typed_error() {
         let got = Universe::new(2).node_size(1).run(|ctx| {
             let end = channel(ctx, 0, 1, 4, 8).unwrap().unwrap();
@@ -346,7 +234,7 @@ mod tests {
                     ctx.barrier();
                     // The ring still holds the undelivered message: the
                     // close must refuse rather than drop it on the floor.
-                    assert_eq!(rx.try_peek().unwrap(), Some(8));
+                    assert_eq!(rx.pending(), 1);
                     let err = rx.close(ctx).unwrap_err();
                     assert!(
                         matches!(err, FompiError::InvalidEpoch(m) if m.contains("undrained")),
@@ -358,39 +246,6 @@ mod tests {
             }
         });
         assert_eq!(got, vec![0, 1]);
-    }
-
-    #[test]
-    fn stray_credit_is_a_loud_underflow_error() {
-        // A consumer that returns more credits than the producer ever
-        // spent (here: one real + one forged) must trip the producer's
-        // underflow check instead of silently inflating the window.
-        let got = Universe::new(2).node_size(1).run(|ctx| {
-            let end = channel(ctx, 0, 1, 1, 8).unwrap().unwrap();
-            match end {
-                ChannelEnd::Sender(mut tx) => {
-                    tx.send(b"one-----").unwrap();
-                    ctx.barrier(); // consumer drained + forged by now
-                    let err = tx.poll_credits().unwrap_err();
-                    assert!(
-                        matches!(err, FompiError::InvalidEpoch(m) if m.contains("underflow")),
-                        "expected a credit-underflow error, got {err:?}"
-                    );
-                    tx.close(ctx).unwrap();
-                    1
-                }
-                ChannelEnd::Receiver(mut rx) => {
-                    let mut buf = [0u8; 8];
-                    rx.recv(&mut buf).unwrap(); // returns the legitimate credit
-                                                // Forge a second credit for a slot that was never filled.
-                    rx.win.accumulate_notify(1, MpiOp::Sum, rx.peer, 0, CREDIT_TAG).unwrap();
-                    ctx.barrier();
-                    rx.close(ctx).unwrap();
-                    2
-                }
-            }
-        });
-        assert_eq!(got, vec![1, 2]);
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! MPMC fan-in channel: N producers, one consumer, FAA-free data path.
 //!
-//! The consumer's window copy holds one private slot *region* per
-//! producer:
+//! The consumer's window copy holds one private credit ring
+//! ([`fompi::lane`]; DESIGN.md, "Remote-memory rings") per producer:
 //!
 //! ```text
 //! | producer 0: slot 0..slots | producer 1: slot 0..slots | ...
 //! ```
 //!
-//! Each producer appends into its own region with `put_notify`, so no
-//! shared cursor exists and nothing is fetch-and-added on the data path —
-//! the notification record's `source` field tells the consumer whose
-//! region (and, via that producer's tail, which slot) a message landed in,
-//! exactly like the notified DSDE port. Backpressure is per-producer: the
-//! consumer recycles a slot with one notified credit AMO aimed at the
-//! producer that owns it, and a producer out of credits blocks in
-//! [`FaninProducer::send`].
+//! Each producer appends into its own ring, so no shared cursor exists and
+//! nothing is fetch-and-added on the data path — the notification record's
+//! `source` field tells the consumer whose ring a message landed in,
+//! exactly like the notified DSDE port. Backpressure is per-producer: a
+//! producer out of credits blocks in [`FaninProducer::send`] for exactly
+//! one credit from the consumer.
 //!
 //! The consumer drains until dry: [`FaninConsumer::try_recv`] is one
 //! nonblocking matching pass, so `while let Some(..) = q.try_recv(..)?`
 //! consumes exactly the messages whose notifications have arrived.
 
-use fompi::{FompiError, MpiOp, Result, Win, ANY_SOURCE};
+use crate::{check_spokes, put_in_flow};
+use fompi::lane::{self, Geometry, RxLane, TxLane};
+use fompi::{FompiError, Notification, Result, Win, ANY_SOURCE};
 use fompi_fabric::telemetry::EventKind;
-use fompi_fabric::{Endpoint, NotifyRecord};
 use fompi_runtime::RankCtx;
-use std::rc::Rc;
 
 /// Tag carried by fan-in data notifications (producer → consumer).
 pub const FANIN_DATA_TAG: u32 = 0x00F1_00DA;
@@ -35,28 +33,14 @@ pub const FANIN_CREDIT_TAG: u32 = 0x00F1_00CE;
 /// Producer half of a fan-in channel.
 pub struct FaninProducer {
     win: Win,
-    ep: Rc<Endpoint>,
-    consumer: u32,
-    /// Byte offset of this producer's region in the consumer's window.
-    region: usize,
-    slots: usize,
-    slot_bytes: usize,
-    head: u64,
-    credits: u64,
-    /// Head value at the last flush toward the consumer (the slot-reuse
-    /// fence — see [`FaninProducer::send`]).
-    flushed_at: u64,
+    tx: TxLane,
 }
 
 /// Consumer half of a fan-in channel.
 pub struct FaninConsumer {
     win: Win,
-    ep: Rc<Endpoint>,
-    producers: Vec<u32>,
-    slots: usize,
-    slot_bytes: usize,
-    /// Per-producer consumption cursor (same order as `producers`).
-    tails: Vec<u64>,
+    /// One ring per producer, in the order the producers were listed.
+    rx: Vec<RxLane>,
 }
 
 /// What [`fanin`] hands each participating rank.
@@ -71,8 +55,9 @@ pub enum FaninEnd {
 /// with `slots` ring cells of `slot_bytes` each per producer. Every rank
 /// of the universe must call (window creation is collective); ranks that
 /// are neither producer nor consumer get `None`. Producers must be
-/// distinct and must not include the consumer. The slot regions live in
-/// the consumer's window copy; each producer's copy doubles as its
+/// distinct and must not include the consumer; a zero-capacity ring is a
+/// typed error on every rank ([`Geometry::new`]). The rings live in the
+/// consumer's window copy; each producer's copy doubles as its
 /// credit-AMO landing pad at offset 0. All ends hold a `lock_all` passive
 /// epoch for the channel's lifetime — drop via the ends' `close`.
 pub fn fanin(
@@ -82,129 +67,63 @@ pub fn fanin(
     slots: usize,
     slot_bytes: usize,
 ) -> Result<Option<FaninEnd>> {
-    assert!(slots > 0 && slot_bytes > 0, "fan-in needs at least one non-empty slot");
-    assert!(!producers.is_empty(), "fan-in needs at least one producer");
-    assert!(!producers.contains(&consumer), "the consumer cannot also produce");
-    assert!(
-        producers.iter().enumerate().all(|(i, p)| !producers[..i].contains(p)),
-        "fan-in producers must be distinct"
-    );
-    let win = Win::allocate(ctx, producers.len() * slots * slot_bytes, 1)?;
-    win.lock_all()?;
+    let geom = Geometry::new(slots, slot_bytes)?;
+    check_spokes(consumer, producers, "fan-in producer");
+    let win = lane::open(ctx, producers.len() * geom.ring_bytes())?;
     let me = ctx.rank();
     if me == consumer {
-        Ok(Some(FaninEnd::Consumer(FaninConsumer {
-            win,
-            ep: ctx.ep_rc(),
-            producers: producers.to_vec(),
-            slots,
-            slot_bytes,
-            tails: vec![0; producers.len()],
-        })))
+        let ring = |(i, &p)| RxLane::new(p, i * geom.ring_bytes(), geom);
+        let rx = producers.iter().enumerate().map(ring).collect();
+        Ok(Some(FaninEnd::Consumer(FaninConsumer { win, rx })))
     } else if let Some(i) = producers.iter().position(|&p| p == me) {
-        Ok(Some(FaninEnd::Producer(FaninProducer {
-            win,
-            ep: ctx.ep_rc(),
-            consumer,
-            region: i * slots * slot_bytes,
-            slots,
-            slot_bytes,
-            head: 0,
-            credits: slots as u64,
-            flushed_at: 0,
-        })))
+        let tx = TxLane::new(consumer, i * geom.ring_bytes(), geom);
+        Ok(Some(FaninEnd::Producer(FaninProducer { win, tx })))
     } else {
-        win.unlock_all()?;
-        win.free(ctx);
+        lane::close(win, ctx)?;
         Ok(None)
     }
 }
 
-impl FaninEnd {
-    /// Unwrap the producer half.
-    pub fn into_producer(self) -> FaninProducer {
-        match self {
-            FaninEnd::Producer(p) => p,
-            FaninEnd::Consumer(_) => panic!("this rank is the consumer"),
-        }
-    }
-
-    /// Unwrap the consumer half.
-    pub fn into_consumer(self) -> FaninConsumer {
-        match self {
-            FaninEnd::Consumer(c) => c,
-            FaninEnd::Producer(_) => panic!("this rank is a producer"),
-        }
-    }
-}
-
 impl FaninProducer {
-    /// Append `msg` (at most `slot_bytes`) to this producer's region.
-    /// Blocks on the consumer's credit notifications when the region is
+    /// Append `msg` (at most `slot_bytes`) to this producer's ring.
+    /// Blocks on the consumer's credit notifications when the ring is
     /// full. The send span (`rmc_send`) shares its flow id with the
     /// notified put, so the trace draws an arrow into the consumer's
     /// matching wait.
     pub fn send(&mut self, msg: &[u8]) -> Result<()> {
-        assert!(msg.len() <= self.slot_bytes, "message exceeds the fan-in slot size");
-        let t0 = self.ep.clock().now();
-        if self.credits == 0 {
-            self.win.wait_notify(self.consumer, FANIN_CREDIT_TAG)?;
-            self.credits += 1;
+        let t0 = self.win.endpoint().clock().now();
+        if self.tx.credits() == 0 {
+            self.tx.wait_credit(&self.win, FANIN_CREDIT_TAG)?;
         }
-        // Slot-reuse fence: the credit proves the consumer drained the old
-        // payload, but two same-origin puts in one epoch are unordered in
-        // MPI — a flush between them completes the old put before its slot
-        // is rewritten. One flush covers a whole window of slots.
-        if self.head >= self.flushed_at + self.slots as u64 {
-            self.win.flush(self.consumer)?;
-            self.flushed_at = self.head;
-        }
-        let slot = (self.head % self.slots as u64) as usize;
-        let prev = self.ep.flow_open();
-        let r = self.win.put_notify(
-            msg,
-            self.consumer,
-            self.region + slot * self.slot_bytes,
-            FANIN_DATA_TAG,
-        );
-        let flow = self.ep.current_flow();
-        self.ep.flow_close(prev);
-        r?;
-        self.head += 1;
-        self.credits -= 1;
-        self.ep.trace_flow_consume(EventKind::RmcSend, self.consumer, t0, flow, msg.len() as u64);
+        let (_, flow) = put_in_flow(&self.win, &mut self.tx, msg, FANIN_DATA_TAG)?;
+        let (ep, to) = (self.win.endpoint(), self.tx.peer());
+        ep.trace_flow_consume(EventKind::RmcSend, to, t0, flow, msg.len() as u64);
         Ok(())
     }
 
     /// Credits currently in hand (free slots known to this side).
     pub fn credits(&self) -> u64 {
-        self.credits
+        self.tx.credits()
     }
 
     /// Absorb any credit notifications that already arrived (nonblocking).
     pub fn poll_credits(&mut self) -> Result<u64> {
-        while self.win.test_notify(self.consumer, FANIN_CREDIT_TAG)?.is_some() {
-            self.credits += 1;
-        }
-        Ok(self.credits)
+        self.tx.poll_credits(&self.win, FANIN_CREDIT_TAG)
     }
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 
 impl FaninConsumer {
     /// Receive the next message from any producer into `buf`; returns the
     /// producing rank and payload length. Blocks until a data
-    /// notification arrives; the matched record's stamp fences the region
-    /// read. The slot is recycled immediately with a notified credit AMO
-    /// aimed at the producing rank.
+    /// notification arrives. The slot is recycled immediately with a
+    /// notified credit AMO aimed at the producing rank.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<(u32, usize)> {
-        let t0 = self.ep.clock().now();
+        let t0 = self.win.endpoint().clock().now();
         let rec = self.win.wait_notify(ANY_SOURCE, FANIN_DATA_TAG)?;
         self.consume(&rec, buf, t0)
     }
@@ -212,44 +131,35 @@ impl FaninConsumer {
     /// One nonblocking matching pass — the drain-until-dry primitive:
     /// `None` once every arrived message has been consumed.
     pub fn try_recv(&mut self, buf: &mut [u8]) -> Result<Option<(u32, usize)>> {
-        let t0 = self.ep.clock().now();
+        let t0 = self.win.endpoint().clock().now();
         match self.win.test_notify(ANY_SOURCE, FANIN_DATA_TAG)? {
             Some(rec) => self.consume(&rec, buf, t0).map(Some),
             None => Ok(None),
         }
     }
 
-    fn consume(&mut self, rec: &NotifyRecord, buf: &mut [u8], t0: f64) -> Result<(u32, usize)> {
-        let i = self
-            .producers
-            .iter()
-            .position(|&p| p == rec.source)
+    fn consume(&mut self, rec: &Notification, buf: &mut [u8], t0: f64) -> Result<(u32, usize)> {
+        let rx = self
+            .rx
+            .iter_mut()
+            .find(|rx| rx.peer() == rec.source)
             .ok_or(FompiError::InvalidEpoch("fan-in data record from a non-producer rank"))?;
-        let len = rec.bytes as usize;
-        assert!(len <= self.slot_bytes && len <= buf.len(), "slot payload exceeds recv buffer");
-        let slot = (self.tails[i] % self.slots as u64) as usize;
-        let region = i * self.slots * self.slot_bytes;
-        self.win.read_local(region + slot * self.slot_bytes, &mut buf[..len]);
-        self.tails[i] += 1;
-        // Recycle the slot: one notified credit AMO to the owning
-        // producer (the operand is informational — flow control rides the
-        // notification itself).
-        self.win.accumulate_notify(1, MpiOp::Sum, rec.source, 0, FANIN_CREDIT_TAG)?;
-        self.ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
+        let len = rx.take(&self.win, rec, buf);
+        rx.credit(&self.win, FANIN_CREDIT_TAG)?;
+        let ep = self.win.endpoint();
+        ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok((rec.source, len))
     }
 
     /// Data notifications queued and not yet consumed (approximate under
-    /// concurrent producers).
+    /// concurrent producers; counts every queued record of this rank).
     pub fn pending(&self) -> usize {
         self.win.notify_pending()
     }
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 

@@ -1,10 +1,11 @@
 //! Fan-out channel: one publisher multicasting to a subscriber set.
 //!
-//! Every subscriber's window copy holds its own `slots × slot_bytes`
-//! ring; the publisher keeps an independent head cursor and credit window
-//! per subscriber, so a publication is one notified put per subscriber —
-//! the injections serialise on the publisher's CPU while the wire
-//! latencies overlap (the `rmc_fanout_publish` model twin).
+//! Every subscriber's window copy holds its own credit ring
+//! ([`fompi::lane`]; DESIGN.md, "Remote-memory rings") at offset 0; the
+//! publisher keeps one producer lane per subscriber, so a publication is
+//! one notified put per subscriber — the injections serialise on the
+//! publisher's CPU while the wire latencies overlap (the
+//! `rmc_fanout_publish` model twin).
 //!
 //! When a subscriber runs out of credits the [`LaggingPolicy`] decides:
 //! `Block` waits for its credit (lossless — the slowest subscriber paces
@@ -12,12 +13,11 @@
 //! subscribers never wait; the subscriber's own cursor stays consistent
 //! because its head simply doesn't advance).
 
-use crate::LaggingPolicy;
-use fompi::{MpiOp, Result, Win};
+use crate::{check_spokes, LaggingPolicy};
+use fompi::lane::{self, Geometry, RxLane, TxLane};
+use fompi::{Result, Win};
 use fompi_fabric::telemetry::{EventKind, NO_TARGET};
-use fompi_fabric::Endpoint;
 use fompi_runtime::RankCtx;
-use std::rc::Rc;
 
 /// Tag carried by fan-out data notifications (publisher → subscriber).
 pub const FANOUT_DATA_TAG: u32 = 0x00F0_00DA;
@@ -28,18 +28,9 @@ pub const FANOUT_CREDIT_TAG: u32 = 0x00F0_00CE;
 /// Publishing half of a fan-out channel.
 pub struct Publisher {
     win: Win,
-    ep: Rc<Endpoint>,
-    subs: Vec<u32>,
-    slots: usize,
-    slot_bytes: usize,
     lagging: LaggingPolicy,
-    /// Per-subscriber publication cursor (same order as `subs`).
-    heads: Vec<u64>,
-    /// Per-subscriber credits in hand.
-    credits: Vec<u64>,
-    /// Per-subscriber head at the last flush (the slot-reuse fence — see
-    /// [`Publisher::publish`]).
-    flushed_at: Vec<u64>,
+    /// One lane per subscriber, in the order the subscribers were listed.
+    tx: Vec<TxLane>,
     /// Per-subscriber messages dropped under [`LaggingPolicy::Drop`].
     dropped: Vec<u64>,
 }
@@ -47,11 +38,7 @@ pub struct Publisher {
 /// Subscribing half of a fan-out channel.
 pub struct Subscriber {
     win: Win,
-    ep: Rc<Endpoint>,
-    publisher: u32,
-    slots: usize,
-    slot_bytes: usize,
-    tail: u64,
+    rx: RxLane,
 }
 
 /// What [`fanout`] hands each participating rank.
@@ -66,9 +53,10 @@ pub enum FanoutEnd {
 /// `subscribers`, each subscriber ring `slots` cells of `slot_bytes`.
 /// Every rank of the universe must call; ranks that are neither publisher
 /// nor subscriber get `None`. Subscribers must be distinct and must not
-/// include the publisher. Each subscriber's ring lives in its own window
-/// copy; the publisher's copy doubles as the credit-AMO landing pad at
-/// offset 0. All ends hold a `lock_all` passive epoch for the channel's
+/// include the publisher; a zero-capacity ring is a typed error on every
+/// rank ([`Geometry::new`]). Each subscriber's ring lives in its own
+/// window copy; the publisher's copy doubles as the credit-AMO landing pad
+/// at offset 0. All ends hold a `lock_all` passive epoch for the channel's
 /// lifetime — drop via the ends' `close`.
 pub fn fanout(
     ctx: &RankCtx,
@@ -78,61 +66,19 @@ pub fn fanout(
     slot_bytes: usize,
     lagging: LaggingPolicy,
 ) -> Result<Option<FanoutEnd>> {
-    assert!(slots > 0 && slot_bytes > 0, "fan-out needs at least one non-empty slot");
-    assert!(!subscribers.is_empty(), "fan-out needs at least one subscriber");
-    assert!(!subscribers.contains(&publisher), "the publisher cannot also subscribe");
-    assert!(
-        subscribers.iter().enumerate().all(|(i, s)| !subscribers[..i].contains(s)),
-        "fan-out subscribers must be distinct"
-    );
-    let win = Win::allocate(ctx, slots * slot_bytes, 1)?;
-    win.lock_all()?;
+    let geom = Geometry::new(slots, slot_bytes)?;
+    check_spokes(publisher, subscribers, "fan-out subscriber");
+    let win = lane::open(ctx, geom.ring_bytes())?;
     let me = ctx.rank();
     if me == publisher {
-        let n = subscribers.len();
-        Ok(Some(FanoutEnd::Publisher(Publisher {
-            win,
-            ep: ctx.ep_rc(),
-            subs: subscribers.to_vec(),
-            slots,
-            slot_bytes,
-            lagging,
-            heads: vec![0; n],
-            credits: vec![slots as u64; n],
-            flushed_at: vec![0; n],
-            dropped: vec![0; n],
-        })))
+        let tx = subscribers.iter().map(|&s| TxLane::new(s, 0, geom)).collect();
+        let dropped = vec![0; subscribers.len()];
+        Ok(Some(FanoutEnd::Publisher(Publisher { win, lagging, tx, dropped })))
     } else if subscribers.contains(&me) {
-        Ok(Some(FanoutEnd::Subscriber(Subscriber {
-            win,
-            ep: ctx.ep_rc(),
-            publisher,
-            slots,
-            slot_bytes,
-            tail: 0,
-        })))
+        Ok(Some(FanoutEnd::Subscriber(Subscriber { win, rx: RxLane::new(publisher, 0, geom) })))
     } else {
-        win.unlock_all()?;
-        win.free(ctx);
+        lane::close(win, ctx)?;
         Ok(None)
-    }
-}
-
-impl FanoutEnd {
-    /// Unwrap the publishing half.
-    pub fn into_publisher(self) -> Publisher {
-        match self {
-            FanoutEnd::Publisher(p) => p,
-            FanoutEnd::Subscriber(_) => panic!("this rank is a subscriber"),
-        }
-    }
-
-    /// Unwrap the subscribing half.
-    pub fn into_subscriber(self) -> Subscriber {
-        match self {
-            FanoutEnd::Subscriber(s) => s,
-            FanoutEnd::Publisher(_) => panic!("this rank is the publisher"),
-        }
     }
 }
 
@@ -143,57 +89,33 @@ impl Publisher {
     /// One causal flow covers the whole multicast, so the trace fans
     /// arrows from this `rmc_send` span into every subscriber's wait.
     pub fn publish(&mut self, msg: &[u8]) -> Result<usize> {
-        assert!(msg.len() <= self.slot_bytes, "message exceeds the fan-out slot size");
-        let t0 = self.ep.clock().now();
-        let prev = self.ep.flow_open();
+        let t0 = self.win.endpoint().clock().now();
+        let prev = self.win.endpoint().flow_open();
         let r = self.publish_inner(msg);
-        let flow = self.ep.current_flow();
-        self.ep.flow_close(prev);
+        let ep = self.win.endpoint();
+        let flow = ep.current_flow();
+        ep.flow_close(prev);
         let delivered = r?;
-        self.ep.trace_flow_consume(
-            EventKind::RmcSend,
-            NO_TARGET,
-            t0,
-            flow,
-            (delivered * msg.len()) as u64,
-        );
+        let bytes = (delivered * msg.len()) as u64;
+        ep.trace_flow_consume(EventKind::RmcSend, NO_TARGET, t0, flow, bytes);
         Ok(delivered)
     }
 
     fn publish_inner(&mut self, msg: &[u8]) -> Result<usize> {
         let mut delivered = 0;
-        for j in 0..self.subs.len() {
-            let sub = self.subs[j];
-            if self.credits[j] == 0 {
-                // Absorb any credits already queued before deciding the
-                // subscriber is lagging.
-                while self.win.test_notify(sub, FANOUT_CREDIT_TAG)?.is_some() {
-                    self.credits[j] += 1;
-                }
-            }
-            if self.credits[j] == 0 {
+        for (tx, dropped) in self.tx.iter_mut().zip(&mut self.dropped) {
+            // Absorb any credits already queued before deciding the
+            // subscriber is lagging.
+            if tx.credits() == 0 && tx.poll_credits(&self.win, FANOUT_CREDIT_TAG)? == 0 {
                 match self.lagging {
-                    LaggingPolicy::Block => {
-                        self.win.wait_notify(sub, FANOUT_CREDIT_TAG)?;
-                        self.credits[j] += 1;
-                    }
+                    LaggingPolicy::Block => tx.wait_credit(&self.win, FANOUT_CREDIT_TAG)?,
                     LaggingPolicy::Drop => {
-                        self.dropped[j] += 1;
+                        *dropped += 1;
                         continue;
                     }
                 }
             }
-            // Slot-reuse fence: two same-origin puts to one slot in the
-            // same epoch are unordered in MPI — flush between reuses (one
-            // flush covers a whole window of slots).
-            if self.heads[j] >= self.flushed_at[j] + self.slots as u64 {
-                self.win.flush(sub)?;
-                self.flushed_at[j] = self.heads[j];
-            }
-            let slot = (self.heads[j] % self.slots as u64) as usize;
-            self.win.put_notify(msg, sub, slot * self.slot_bytes, FANOUT_DATA_TAG)?;
-            self.heads[j] += 1;
-            self.credits[j] -= 1;
+            tx.put(&self.win, msg, FANOUT_DATA_TAG)?;
             delivered += 1;
         }
         Ok(delivered)
@@ -212,9 +134,7 @@ impl Publisher {
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 
@@ -223,28 +143,25 @@ impl Subscriber {
     /// length. Blocks on the publisher's data notification; the slot is
     /// recycled immediately with a notified credit AMO.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize> {
-        let t0 = self.ep.clock().now();
-        let rec = self.win.wait_notify(self.publisher, FANOUT_DATA_TAG)?;
-        let len = rec.bytes as usize;
-        assert!(len <= self.slot_bytes && len <= buf.len(), "slot payload exceeds recv buffer");
-        let slot = (self.tail % self.slots as u64) as usize;
-        self.win.read_local(slot * self.slot_bytes, &mut buf[..len]);
-        self.tail += 1;
-        self.win.accumulate_notify(1, MpiOp::Sum, self.publisher, 0, FANOUT_CREDIT_TAG)?;
-        self.ep.trace_flow_consume(EventKind::RmcRecv, self.publisher, t0, rec.flow, rec.bytes);
+        let ep = self.win.endpoint();
+        let t0 = ep.clock().now();
+        let rec = self.win.wait_notify(self.rx.peer(), FANOUT_DATA_TAG)?;
+        let len = self.rx.take(&self.win, &rec, buf);
+        self.rx.credit(&self.win, FANOUT_CREDIT_TAG)?;
+        ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok(len)
     }
 
-    /// Nonblocking probe: is a publication ready (not consumed)?
-    pub fn try_peek(&self) -> Result<Option<usize>> {
-        Ok(if self.win.notify_pending() > 0 { Some(self.slot_bytes) } else { None })
+    /// Notification records queued for this rank and not yet matched
+    /// (approximate under a concurrent publisher; counts every queued
+    /// record of this rank, so only `0` is exact).
+    pub fn pending(&self) -> usize {
+        self.win.notify_pending()
     }
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 
@@ -317,7 +234,7 @@ mod tests {
                         seq.push(u64::from_le_bytes(buf));
                     }
                     assert_eq!(seq, vec![0, 1], "drops keep a clean prefix");
-                    assert!(sx.try_peek().unwrap().is_none(), "dropped messages never arrive");
+                    assert_eq!(sx.pending(), 0, "dropped messages never arrive");
                     sx.close(ctx).unwrap();
                     2
                 }

@@ -48,7 +48,38 @@ pub use fanout::{fanout, FanoutEnd, Publisher, Subscriber};
 pub use mesh::{mesh, Mesh};
 pub use rpc::{rpc, RpcClient, RpcEnd, RpcRequest, RpcServer};
 
+use fompi::lane::TxLane;
+use fompi::{Result, Win};
 use fompi_runtime::RankCtx;
+
+/// The notified put of one `rmc_send` span, in a causal flow of its own so
+/// the trace draws an arrow from the span into the consumer's matching
+/// wait. Returns the span's start and the flow id. The lane is fenced
+/// first: span and flow cover the put alone, never a lap's flush.
+pub(crate) fn put_in_flow(
+    win: &Win,
+    tx: &mut TxLane,
+    msg: &[u8],
+    data_tag: u32,
+) -> Result<(f64, u64)> {
+    tx.fence(win)?;
+    let ep = win.endpoint();
+    let t0 = ep.clock().now();
+    let prev = ep.flow_open();
+    let r = tx.put(win, msg, data_tag);
+    let flow = ep.current_flow();
+    ep.flow_close(prev);
+    r.map(|()| (t0, flow))
+}
+
+/// Programming errors of a hub-and-spokes constructor, where `what` names
+/// the spokes: none listed, the hub among them, or one listed twice.
+pub(crate) fn check_spokes(hub: u32, spokes: &[u32], what: &str) {
+    assert!(!spokes.is_empty(), "needs at least one {what}");
+    assert!(!spokes.contains(&hub), "rank {hub} cannot also be a {what}");
+    let distinct = spokes.iter().enumerate().all(|(i, s)| !spokes[..i].contains(s));
+    assert!(distinct, "every {what} must be listed once");
+}
 
 /// What a publisher does when a subscriber has no free slots left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

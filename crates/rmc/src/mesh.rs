@@ -9,19 +9,19 @@
 //! record a rank ever polls belongs to this structure and stash-first
 //! matching stays lossless.
 //!
-//! Window layout on every rank's copy (`p` ranks, `S` slots of `B`
-//! bytes):
+//! Window layout on every rank's copy (`p` ranks, one credit ring —
+//! [`fompi::lane`]; DESIGN.md, "Remote-memory rings" — of `S` slots of
+//! `B` bytes per ordered pair):
 //!
 //! ```text
-//! | 8 B credit pad | region 0: S×B | region 1: S×B | ... | region p-1 |
+//! | 8 B credit pad | ring 0: S×B | ring 1: S×B | ... | ring p-1 |
 //! ```
 //!
-//! Region `s` on rank `c`'s copy is where rank `s`'s messages to `c`
-//! land, so the notification record's `source` field routes each record
-//! to its region — the FAA-free trick of the fan-in channel, now in both
+//! Ring `s` on rank `c`'s copy is where rank `s`'s messages to `c` land,
+//! so the notification record's `source` field routes each record to its
+//! ring — the FAA-free trick of the fan-in channel, now in both
 //! directions at once. Credit AMOs land in the shared pad (same-op `Sum`
-//! accumulates may overlap under the racecheck, per MPI-3.0 §11.7.1);
-//! the credit *count* is carried by the records themselves, one per slot.
+//! accumulates may overlap under the racecheck, per MPI-3.0 §11.7.1).
 //!
 //! Credits are returned **lazily**: [`Mesh::try_recv`] only records the
 //! debt, and [`Mesh::flush_credits`] pays it. Batching the returns off
@@ -31,12 +31,11 @@
 //! boundaries (after a drain, before the next send burst); a mesh used
 //! for continuous streaming should call it every few receives.
 
-use crate::RmcConfig;
-use fompi::{FompiError, MpiOp, Result, Win, ANY_SOURCE};
+use crate::{put_in_flow, RmcConfig};
+use fompi::lane::{self, Geometry, RxLane, TxLane};
+use fompi::{FompiError, Notification, Result, Win, ANY_SOURCE};
 use fompi_fabric::telemetry::EventKind;
-use fompi_fabric::{Endpoint, NotifyRecord};
 use fompi_runtime::RankCtx;
-use std::rc::Rc;
 
 /// Tag of mesh data notifications.
 pub const MESH_DATA_TAG: u32 = 0x00F2_00DA;
@@ -47,103 +46,55 @@ pub const MESH_CREDIT_TAG: u32 = 0x00F2_00CE;
 /// One rank's end of the all-to-all mesh (see the module docs).
 pub struct Mesh {
     win: Win,
-    ep: Rc<Endpoint>,
-    slots: usize,
-    slot_bytes: usize,
-    /// Per-target write cursor into *my* region on the target's copy.
-    heads: Vec<u64>,
-    /// Per-target send credits in hand.
-    credits: Vec<u64>,
-    /// Per-target head value at the last flush toward it (see
-    /// [`Mesh::send`]'s slot-reuse fence).
-    flushed_at: Vec<u64>,
-    /// Per-source read cursor into that source's region on my copy.
-    tails: Vec<u64>,
+    /// Per-target lane into *my* ring on the target's copy.
+    tx: Vec<TxLane>,
+    /// Per-source lane out of that source's ring on my copy.
+    rx: Vec<RxLane>,
     /// Per-source credits consumed but not yet returned.
     owed: Vec<u64>,
 }
 
 /// Collectively build a mesh over the whole universe. Every rank gets an
 /// end; geometry comes from `cfg` (`slots` per ordered pair, `slot_bytes`
-/// payload capacity).
+/// payload capacity; zero capacity is a typed error, [`Geometry::new`]).
 pub fn mesh(ctx: &RankCtx, cfg: &RmcConfig) -> Result<Mesh> {
-    assert!(cfg.slots > 0 && cfg.slot_bytes > 0, "mesh needs at least one non-empty slot");
-    let p = ctx.size();
-    let win = Win::allocate(ctx, 8 + p * cfg.slots * cfg.slot_bytes, 1)?;
-    win.lock_all()?;
+    let geom = Geometry::new(cfg.slots, cfg.slot_bytes)?;
+    let p = ctx.size() as u32;
+    let win = lane::open(ctx, 8 + p as usize * geom.ring_bytes())?;
+    let ring = |producer: u32| 8 + producer as usize * geom.ring_bytes();
     Ok(Mesh {
+        tx: (0..p).map(|t| TxLane::new(t, ring(ctx.rank()), geom)).collect(),
+        rx: (0..p).map(|s| RxLane::new(s, ring(s), geom)).collect(),
+        owed: vec![0; p as usize],
         win,
-        ep: ctx.ep_rc(),
-        slots: cfg.slots,
-        slot_bytes: cfg.slot_bytes,
-        heads: vec![0; p],
-        credits: vec![cfg.slots as u64; p],
-        flushed_at: vec![0; p],
-        tails: vec![0; p],
-        owed: vec![0; p],
     })
 }
 
 impl Mesh {
-    fn region(&self, producer: u32) -> usize {
-        8 + producer as usize * self.slots * self.slot_bytes
-    }
-
-    /// Append `msg` to `target`'s copy of my region (self-sends allowed —
+    /// Append `msg` to `target`'s copy of my ring (self-sends allowed —
     /// the record lands in my own ring). Blocks on the target's credit
     /// when my window of `slots` in-flight messages toward it is full.
     pub fn send(&mut self, target: u32, msg: &[u8]) -> Result<()> {
-        assert!(msg.len() <= self.slot_bytes, "message exceeds the mesh slot size");
-        let t = target as usize;
-        if self.credits[t] == 0 {
-            while self.win.test_notify(target, MESH_CREDIT_TAG)?.is_some() {
-                self.credits[t] += 1;
-            }
-            if self.credits[t] == 0 {
-                self.win.wait_notify(target, MESH_CREDIT_TAG)?;
-                self.credits[t] += 1;
-            }
+        let tx = &mut self.tx[target as usize];
+        if tx.credits() == 0 && tx.poll_credits(&self.win, MESH_CREDIT_TAG)? == 0 {
+            tx.wait_credit(&self.win, MESH_CREDIT_TAG)?;
         }
-        // Slot-reuse fence: put N+slots lands where put N did. The credit
-        // proves the consumer drained the old payload, but two same-origin
-        // puts in one epoch are unordered in MPI — a flush between them
-        // completes the old put before the slot is rewritten (and bumps
-        // the racecheck phase). One flush covers a whole window of slots.
-        if self.heads[t] >= self.flushed_at[t] + self.slots as u64 {
-            self.win.flush(target)?;
-            self.flushed_at[t] = self.heads[t];
-        }
-        let me = self.ep.rank();
-        let slot = (self.heads[t] % self.slots as u64) as usize;
-        let t0 = self.ep.clock().now();
-        let prev = self.ep.flow_open();
-        let r = self.win.put_notify(
-            msg,
-            target,
-            self.region(me) + slot * self.slot_bytes,
-            MESH_DATA_TAG,
-        );
-        let flow = self.ep.current_flow();
-        self.ep.flow_close(prev);
-        r?;
-        self.heads[t] += 1;
-        self.credits[t] -= 1;
-        self.ep.trace_flow_consume(EventKind::RmcSend, target, t0, flow, msg.len() as u64);
+        let (t0, flow) = put_in_flow(&self.win, tx, msg, MESH_DATA_TAG)?;
+        let ep = self.win.endpoint();
+        ep.trace_flow_consume(EventKind::RmcSend, target, t0, flow, msg.len() as u64);
         Ok(())
     }
 
-    fn consume(&mut self, rec: NotifyRecord, t0: f64, buf: &mut [u8]) -> Result<(u32, usize)> {
-        if rec.source as usize >= self.tails.len() {
-            return Err(FompiError::InvalidEpoch("mesh data record from outside the universe"));
-        }
-        let len = rec.bytes as usize;
-        assert!(len <= self.slot_bytes && len <= buf.len(), "mesh payload exceeds recv buffer");
+    fn consume(&mut self, rec: Notification, t0: f64, buf: &mut [u8]) -> Result<(u32, usize)> {
         let s = rec.source as usize;
-        let slot = (self.tails[s] % self.slots as u64) as usize;
-        self.win.read_local(self.region(rec.source) + slot * self.slot_bytes, &mut buf[..len]);
-        self.tails[s] += 1;
+        let rx = self
+            .rx
+            .get_mut(s)
+            .ok_or(FompiError::InvalidEpoch("mesh data record from outside the universe"))?;
+        let len = rx.take(&self.win, &rec, buf);
         self.owed[s] += 1;
-        self.ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
+        let ep = self.win.endpoint();
+        ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok((rec.source, len))
     }
 
@@ -152,7 +103,7 @@ impl Mesh {
     /// drain-until-dry primitive. The consumed slot's credit is *owed*,
     /// not sent; see [`Mesh::flush_credits`].
     pub fn try_recv(&mut self, buf: &mut [u8]) -> Result<Option<(u32, usize)>> {
-        let t0 = self.ep.clock().now();
+        let t0 = self.win.endpoint().clock().now();
         match self.win.test_notify(ANY_SOURCE, MESH_DATA_TAG)? {
             Some(rec) => self.consume(rec, t0, buf).map(Some),
             None => Ok(None),
@@ -161,7 +112,7 @@ impl Mesh {
 
     /// Blocking [`Mesh::try_recv`].
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<(u32, usize)> {
-        let t0 = self.ep.clock().now();
+        let t0 = self.win.endpoint().clock().now();
         let rec = self.win.wait_notify(ANY_SOURCE, MESH_DATA_TAG)?;
         self.consume(rec, t0, buf)
     }
@@ -170,10 +121,10 @@ impl Mesh {
     /// slot, so producers can count records). Senders blocked on a full
     /// pair window resume once these arrive.
     pub fn flush_credits(&mut self) -> Result<()> {
-        for s in 0..self.owed.len() {
-            while self.owed[s] > 0 {
-                self.win.accumulate_notify(1, MpiOp::Sum, s as u32, 0, MESH_CREDIT_TAG)?;
-                self.owed[s] -= 1;
+        for (rx, owed) in self.rx.iter().zip(&mut self.owed) {
+            while *owed > 0 {
+                rx.credit(&self.win, MESH_CREDIT_TAG)?;
+                *owed -= 1;
             }
         }
         Ok(())
@@ -187,9 +138,7 @@ impl Mesh {
     /// Tear down (collective across the universe). Unpaid credits are
     /// fine — the window dies with them.
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 

@@ -1,22 +1,29 @@
 //! One-sided RPC: request/response over remote memory channels.
 //!
 //! Requests fan in to the server exactly like [`crate::fanin`] — one
-//! private slot region per client on the server's window copy — and each
-//! client's own copy holds its reply ring. The *correlation id* rides in
-//! the notification record's tag (low 16 bits under [`REQ_TAG_BASE`] /
+//! private credit ring ([`fompi::lane`]; DESIGN.md, "Remote-memory
+//! rings") per client on the server's window copy — and each client's own
+//! copy holds its reply ring. The *correlation id* rides in the
+//! notification record's tag (low 16 bits under [`REQ_TAG_BASE`] /
 //! [`REP_TAG_BASE`]), so a client with several calls in flight matches
 //! exactly the reply it waits for, in any order, with no payload header.
 //!
 //! Window layout (symmetric; `C` clients, `S` slots of `B` bytes):
 //!
 //! ```text
-//! | 8 B credit pad | region 0: S×B | region 1: S×B | ... | region C-1 |
+//! | 8 B credit pad | ring 0: S×B | ring 1: S×B | ... | ring C-1 |
 //! ```
 //!
-//! On the server's copy region `i` is client `i`'s request ring; on a
-//! client's copy the first region is its reply ring. Credit AMOs land in
+//! On the server's copy ring `i` is client `i`'s request ring; on a
+//! client's copy the first ring is its reply ring. Credit AMOs land in
 //! the pad (same-op accumulates may overlap per MPI-3.0 §11.7.1, so one
 //! shared pad is racecheck-clean).
+//!
+//! The request ring is a pair of lanes: requests are issued and served in
+//! correlation order, so the lane cursors *are* the correlation ids. The
+//! reply ring is not: replies are written and awaited in any order, so
+//! its slot is chosen by the correlation id, not by a cursor, and the
+//! server keeps that ring's credits and slot-reuse fence itself.
 //!
 //! Two budgets bound the pipeline: each client may hold at most
 //! `rpc_budget` outstanding requests (and never more than a slot-window's
@@ -25,12 +32,12 @@
 //! `rpc_timeout_ns` of virtual time is dropped and surfaced as the same
 //! transient class — retry is always legal, like fabric backpressure.
 
-use crate::RmcConfig;
+use crate::{check_spokes, put_in_flow, RmcConfig};
+use fompi::lane::{self, Geometry, RxLane, TxLane};
 use fompi::{FompiError, MpiOp, Result, Win, ANY_SOURCE};
 use fompi_fabric::telemetry::EventKind;
-use fompi_fabric::{Endpoint, FabricError};
+use fompi_fabric::FabricError;
 use fompi_runtime::RankCtx;
-use std::rc::Rc;
 
 /// Request-tag base; the low 16 bits carry the correlation id.
 pub const REQ_TAG_BASE: u32 = 0x0052_0000;
@@ -49,6 +56,9 @@ pub const REP_CREDIT_TAG: u32 = 0x0054_0002;
 /// as an error rather than hang.
 const SPIN_LIMIT: u64 = 1 << 20;
 
+/// Byte offset of a client's reply ring on its own window copy.
+const REPLY_RING: usize = 8;
+
 fn transient(retry_after_ns: u64) -> FompiError {
     FompiError::Fabric(FabricError::Backpressure { retry_after_ns })
 }
@@ -56,19 +66,12 @@ fn transient(retry_after_ns: u64) -> FompiError {
 /// Client half of an RPC endpoint.
 pub struct RpcClient {
     win: Win,
-    ep: Rc<Endpoint>,
-    server: u32,
-    /// Byte offset of this client's request region on the server's copy.
-    region: usize,
-    slots: usize,
-    slot_bytes: usize,
+    /// This client's request ring on the server's copy; its head is the
+    /// next correlation id.
+    tx: TxLane,
+    geom: Geometry,
     budget: usize,
     timeout_ns: u64,
-    corr_next: u64,
-    req_credits: u64,
-    /// `corr_next` at the last flush toward the server (the request-slot
-    /// reuse fence — see [`RpcClient::call_async`]).
-    flushed_at: u64,
     /// In-flight calls: `(corr, virtual issue time)`, oldest first.
     outstanding: Vec<(u64, f64)>,
 }
@@ -76,12 +79,10 @@ pub struct RpcClient {
 /// Server half of an RPC endpoint.
 pub struct RpcServer {
     win: Win,
-    ep: Rc<Endpoint>,
-    clients: Vec<u32>,
-    slots: usize,
-    slot_bytes: usize,
-    /// Per-client next expected correlation id (clients issue in order).
-    next_corr: Vec<u64>,
+    /// Per-client request ring; a lane's tail is the next correlation id
+    /// that client will send (clients issue in order).
+    rx: Vec<RxLane>,
+    geom: Geometry,
     /// Per-client reply-slot credits in hand.
     rep_credits: Vec<u64>,
     /// Per-client reply corr at the last flush (the reply-slot reuse
@@ -111,66 +112,35 @@ pub enum RpcEnd {
 /// Collectively build an RPC endpoint: `clients` call into `server`.
 /// Every rank of the universe must call; ranks that are neither get
 /// `None`. Ring geometry and budgets come from `cfg`
-/// ([`RmcConfig::from_ctx`] honours `FOMPI_RMC`).
+/// ([`RmcConfig::from_ctx`] honours `FOMPI_RMC`); a zero-capacity ring is
+/// a typed error on every rank ([`Geometry::new`]).
 pub fn rpc(ctx: &RankCtx, server: u32, clients: &[u32], cfg: &RmcConfig) -> Result<Option<RpcEnd>> {
-    assert!(cfg.slots > 0 && cfg.slot_bytes > 0, "rpc needs at least one non-empty slot");
-    assert!(!clients.is_empty(), "rpc needs at least one client");
-    assert!(!clients.contains(&server), "the server cannot also call");
-    assert!(
-        clients.iter().enumerate().all(|(i, c)| !clients[..i].contains(c)),
-        "rpc clients must be distinct"
-    );
-    let win = Win::allocate(ctx, 8 + clients.len() * cfg.slots * cfg.slot_bytes, 1)?;
-    win.lock_all()?;
+    let geom = Geometry::new(cfg.slots, cfg.slot_bytes)?;
+    check_spokes(server, clients, "rpc client");
+    let win = lane::open(ctx, 8 + clients.len() * geom.ring_bytes())?;
     let me = ctx.rank();
+    let request_ring = |i: usize| 8 + i * geom.ring_bytes();
     if me == server {
+        let lane = |(i, &c)| RxLane::new(c, request_ring(i), geom);
         Ok(Some(RpcEnd::Server(RpcServer {
             win,
-            ep: ctx.ep_rc(),
-            clients: clients.to_vec(),
-            slots: cfg.slots,
-            slot_bytes: cfg.slot_bytes,
-            next_corr: vec![0; clients.len()],
-            rep_credits: vec![cfg.slots as u64; clients.len()],
+            rx: clients.iter().enumerate().map(lane).collect(),
+            geom,
+            rep_credits: vec![geom.slots() as u64; clients.len()],
             flushed_at: vec![0; clients.len()],
         })))
     } else if let Some(i) = clients.iter().position(|&c| c == me) {
         Ok(Some(RpcEnd::Client(RpcClient {
             win,
-            ep: ctx.ep_rc(),
-            server,
-            region: 8 + i * cfg.slots * cfg.slot_bytes,
-            slots: cfg.slots,
-            slot_bytes: cfg.slot_bytes,
+            tx: TxLane::new(server, request_ring(i), geom),
+            geom,
             budget: cfg.rpc_budget,
             timeout_ns: cfg.rpc_timeout_ns,
-            corr_next: 0,
-            req_credits: cfg.slots as u64,
-            flushed_at: 0,
             outstanding: Vec::new(),
         })))
     } else {
-        win.unlock_all()?;
-        win.free(ctx);
+        lane::close(win, ctx)?;
         Ok(None)
-    }
-}
-
-impl RpcEnd {
-    /// Unwrap the server half.
-    pub fn into_server(self) -> RpcServer {
-        match self {
-            RpcEnd::Server(s) => s,
-            RpcEnd::Client(_) => panic!("this rank is a client"),
-        }
-    }
-
-    /// Unwrap the client half.
-    pub fn into_client(self) -> RpcClient {
-        match self {
-            RpcEnd::Client(c) => c,
-            RpcEnd::Server(_) => panic!("this rank is the server"),
-        }
     }
 }
 
@@ -180,49 +150,24 @@ impl RpcClient {
     /// outstanding budget (or the reply ring's slot window) surfaces as a
     /// transient error — drain a reply, then retry.
     pub fn call_async(&mut self, req: &[u8]) -> Result<u64> {
-        assert!(req.len() <= self.slot_bytes, "request exceeds the rpc slot size");
         if self.outstanding.len() >= self.budget {
             return Err(transient(self.timeout_ns));
         }
+        let corr = self.tx.head();
         if let Some(&(oldest, _)) = self.outstanding.first() {
-            if self.corr_next - oldest >= self.slots as u64 {
+            if corr - oldest >= self.geom.slots() as u64 {
                 // A fresh corr would alias an unconsumed reply slot.
                 return Err(transient(self.timeout_ns));
             }
         }
-        if self.req_credits == 0 {
-            while self.win.test_notify(self.server, REQ_CREDIT_TAG)?.is_some() {
-                self.req_credits += 1;
-            }
-            if self.req_credits == 0 {
-                self.win.wait_notify(self.server, REQ_CREDIT_TAG)?;
-                self.req_credits += 1;
-            }
+        if self.tx.credits() == 0 && self.tx.poll_credits(&self.win, REQ_CREDIT_TAG)? == 0 {
+            self.tx.wait_credit(&self.win, REQ_CREDIT_TAG)?;
         }
-        let corr = self.corr_next;
-        // Slot-reuse fence: request corr and corr−slots share a slot, and
-        // two same-origin puts in one epoch are unordered in MPI — flush
-        // between reuses (one flush covers a whole window of slots).
-        if corr >= self.flushed_at + self.slots as u64 {
-            self.win.flush(self.server)?;
-            self.flushed_at = corr;
-        }
-        let slot = (corr % self.slots as u64) as usize;
-        let t0 = self.ep.clock().now();
-        let prev = self.ep.flow_open();
-        let r = self.win.put_notify(
-            req,
-            self.server,
-            self.region + slot * self.slot_bytes,
-            REQ_TAG_BASE | (corr as u32 & 0xFFFF),
-        );
-        let flow = self.ep.current_flow();
-        self.ep.flow_close(prev);
-        r?;
-        self.req_credits -= 1;
-        self.corr_next += 1;
+        let tag = REQ_TAG_BASE | (corr as u32 & 0xFFFF);
+        let (t0, flow) = put_in_flow(&self.win, &mut self.tx, req, tag)?;
         self.outstanding.push((corr, t0));
-        self.ep.trace_flow_consume(EventKind::RmcSend, self.server, t0, flow, req.len() as u64);
+        let (ep, server) = (self.win.endpoint(), self.tx.peer());
+        ep.trace_flow_consume(EventKind::RmcSend, server, t0, flow, req.len() as u64);
         Ok(corr)
     }
 
@@ -241,31 +186,30 @@ impl RpcClient {
             .ok_or(FompiError::InvalidEpoch("unknown rpc correlation id"))?;
         let issued = self.outstanding[at].1;
         let deadline = issued + self.timeout_ns as f64;
+        let server = self.tx.peer();
         let tag = REP_TAG_BASE | (corr as u32 & 0xFFFF);
         let mut spins = 0u64;
         loop {
-            if let Some(rec) = self.win.test_notify(self.server, tag)? {
+            if let Some(rec) = self.win.test_notify(server, tag)? {
                 let len = rec.bytes as usize;
                 assert!(
-                    len <= self.slot_bytes && len <= buf.len(),
+                    len <= self.geom.slot_bytes() && len <= buf.len(),
                     "reply payload exceeds recv buffer"
                 );
-                let slot = (corr % self.slots as u64) as usize;
-                self.win.read_local(8 + slot * self.slot_bytes, &mut buf[..len]);
+                self.win.read_local(self.geom.cell(REPLY_RING, corr), &mut buf[..len]);
                 // Recycle the reply slot whether or not we keep the data.
-                self.win.accumulate_notify(1, MpiOp::Sum, self.server, 0, REP_CREDIT_TAG)?;
+                self.win.accumulate_notify(1, MpiOp::Sum, server, 0, REP_CREDIT_TAG)?;
                 self.outstanding.remove(at);
                 if rec.stamp > deadline {
                     return Err(transient(self.timeout_ns));
                 }
-                self.ep.trace_flow_consume(EventKind::RpcCall, self.server, issued, rec.flow, {
-                    rec.bytes
-                });
+                let ep = self.win.endpoint();
+                ep.trace_flow_consume(EventKind::RpcCall, server, issued, rec.flow, rec.bytes);
                 return Ok(len);
             }
             // Model checker: park until a notification arrives instead of
             // spinning, so a waiting client is disabled, not busy.
-            if self.ep.mc_poll_my_ring("rpc-wait-reply") {
+            if self.win.endpoint().mc_poll_my_ring("rpc-wait-reply") {
                 continue;
             }
             spins += 1;
@@ -289,46 +233,41 @@ impl RpcClient {
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 
 impl RpcServer {
     fn client_index(&self, rank: u32) -> Result<usize> {
-        self.clients
+        self.rx
             .iter()
-            .position(|&c| c == rank)
+            .position(|rx| rx.peer() == rank)
             .ok_or(FompiError::InvalidEpoch("rpc record from a rank that is not a client"))
     }
 
     /// One nonblocking pass: absorb reply credits, then probe each client
     /// for its next in-order request. Returns the first request found.
     pub fn try_recv(&mut self) -> Result<Option<RpcRequest>> {
-        let t0 = self.ep.clock().now();
+        let t0 = self.win.endpoint().clock().now();
         while let Some(rec) = self.win.test_notify(ANY_SOURCE, REP_CREDIT_TAG)? {
             let i = self.client_index(rec.source)?;
             self.rep_credits[i] += 1;
         }
-        for i in 0..self.clients.len() {
-            let client = self.clients[i];
+        for rx in &mut self.rx {
             // Clients issue correlation ids in order, so the next request
-            // from client i can only carry next_corr[i] — an exact-tag
-            // match, no wildcard needed.
-            let corr = self.next_corr[i];
+            // from this client can only carry its lane's tail — an
+            // exact-tag match, no wildcard needed.
+            let (client, corr) = (rx.peer(), rx.tail());
             let tag = REQ_TAG_BASE | (corr as u32 & 0xFFFF);
             if let Some(rec) = self.win.test_notify(client, tag)? {
-                let len = rec.bytes as usize;
-                assert!(len <= self.slot_bytes, "request exceeds the rpc slot size");
-                let slot = (corr % self.slots as u64) as usize;
-                let region = 8 + i * self.slots * self.slot_bytes;
-                let mut data = vec![0u8; len];
-                self.win.read_local(region + slot * self.slot_bytes, &mut data);
-                self.next_corr[i] += 1;
+                // Sized from the record but never beyond a slot; `take`
+                // rejects a record that claims more.
+                let mut data = vec![0u8; (rec.bytes as usize).min(self.geom.slot_bytes())];
+                rx.take(&self.win, &rec, &mut data);
                 // The payload is copied out: recycle the request slot.
-                self.win.accumulate_notify(1, MpiOp::Sum, client, 0, REQ_CREDIT_TAG)?;
-                self.ep.trace_flow_consume(EventKind::RmcRecv, client, t0, rec.flow, rec.bytes);
+                rx.credit(&self.win, REQ_CREDIT_TAG)?;
+                let ep = self.win.endpoint();
+                ep.trace_flow_consume(EventKind::RmcRecv, client, t0, rec.flow, rec.bytes);
                 return Ok(Some(RpcRequest { client, corr, data }));
             }
         }
@@ -345,7 +284,7 @@ impl RpcServer {
             }
             // Model checker: a server with an empty ring is blocked, not
             // spinning — park until a client posts something.
-            if self.ep.mc_poll_my_ring("rpc-recv") {
+            if self.win.endpoint().mc_poll_my_ring("rpc-recv") {
                 continue;
             }
             spins += 1;
@@ -357,7 +296,7 @@ impl RpcServer {
     /// Send `rep` as the reply to `req`. Blocks on the client's
     /// reply-slot credits when its ring is full.
     pub fn reply(&mut self, req: &RpcRequest, rep: &[u8]) -> Result<()> {
-        assert!(rep.len() <= self.slot_bytes, "reply exceeds the rpc slot size");
+        assert!(rep.len() <= self.geom.slot_bytes(), "reply exceeds the rpc slot size");
         let i = self.client_index(req.client)?;
         if self.rep_credits[i] == 0 {
             while self.win.test_notify(req.client, REP_CREDIT_TAG)?.is_some() {
@@ -368,34 +307,32 @@ impl RpcServer {
                 self.rep_credits[i] += 1;
             }
         }
-        // Slot-reuse fence for the reply ring (same rule as the client's
-        // request ring).
-        if req.corr >= self.flushed_at[i] + self.slots as u64 {
+        // Slot-reuse fence for the reply ring: the rule of
+        // `TxLane::fence`, keyed by the correlation id.
+        if req.corr >= self.flushed_at[i] + self.geom.slots() as u64 {
             self.win.flush(req.client)?;
             self.flushed_at[i] = req.corr;
         }
-        let t0 = self.ep.clock().now();
-        let slot = (req.corr % self.slots as u64) as usize;
-        let prev = self.ep.flow_open();
+        let ep = self.win.endpoint();
+        let t0 = ep.clock().now();
+        let prev = ep.flow_open();
         let r = self.win.put_notify(
             rep,
             req.client,
-            8 + slot * self.slot_bytes,
+            self.geom.cell(REPLY_RING, req.corr),
             REP_TAG_BASE | (req.corr as u32 & 0xFFFF),
         );
-        let flow = self.ep.current_flow();
-        self.ep.flow_close(prev);
+        let flow = ep.current_flow();
+        ep.flow_close(prev);
         r?;
         self.rep_credits[i] -= 1;
-        self.ep.trace_flow_consume(EventKind::RmcSend, req.client, t0, flow, rep.len() as u64);
+        ep.trace_flow_consume(EventKind::RmcSend, req.client, t0, flow, rep.len() as u64);
         Ok(())
     }
 
     /// Tear down this end (collective with every other end's `close`).
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
-        self.win.unlock_all()?;
-        self.win.free(ctx);
-        Ok(())
+        lane::close(self.win, ctx)
     }
 }
 

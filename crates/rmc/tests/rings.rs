@@ -1,0 +1,193 @@
+//! One behaviour, every ring constructor. `msg::channel` and the four
+//! `fompi-rmc` shapes are façades over the same lanes (`fompi::lane`), so
+//! the misuse contract and the fabric-op bill are checked once per
+//! behaviour with the constructor as an input, not once per file.
+
+use fompi::{lane, FompiError, MpiOp};
+use fompi_msg::channel::{channel, ChannelEnd, CREDIT_TAG};
+use fompi_rmc::fanin::FANIN_CREDIT_TAG;
+use fompi_rmc::fanout::FANOUT_CREDIT_TAG;
+use fompi_rmc::mesh::MESH_CREDIT_TAG;
+use fompi_rmc::rpc::REQ_CREDIT_TAG;
+use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
+use fompi_runtime::{RankCtx, Universe};
+
+/// Rank 0 produces (publishes, calls), rank 1 consumes (subscribes, serves).
+const PRODUCER: u32 = 0;
+const CONSUMER: u32 = 1;
+
+fn cfg(slots: usize, slot_bytes: usize) -> RmcConfig {
+    RmcConfig { slots, slot_bytes, ..RmcConfig::default() }
+}
+
+#[test]
+fn zero_capacity_is_rejected_with_a_typed_error() {
+    type Build = fn(&RankCtx, usize, usize) -> Option<FompiError>;
+    let shapes: [(&str, Build); 5] = [
+        ("channel", |ctx, s, b| channel(ctx, PRODUCER, CONSUMER, s, b).err()),
+        ("fanin", |ctx, s, b| fanin(ctx, CONSUMER, &[PRODUCER], s, b).err()),
+        ("fanout", |ctx, s, b| {
+            fanout(ctx, PRODUCER, &[CONSUMER], s, b, LaggingPolicy::Block).err()
+        }),
+        ("mesh", |ctx, s, b| mesh(ctx, &cfg(s, b)).err()),
+        ("rpc", |ctx, s, b| rpc(ctx, CONSUMER, &[PRODUCER], &cfg(s, b)).err()),
+    ];
+    // Both degenerate shapes, rejected on every rank before any
+    // collective allocation — the universe still tears down cleanly.
+    Universe::new(2).node_size(1).run(move |ctx| {
+        for (name, build) in shapes {
+            for (slots, slot_bytes) in [(0usize, 64usize), (4, 0), (0, 0)] {
+                match build(ctx, slots, slot_bytes) {
+                    Some(FompiError::InvalidEpoch(msg)) => assert!(msg.contains("slot")),
+                    Some(e) => panic!("{name}: wrong rejection for ({slots},{slot_bytes}): {e}"),
+                    None => panic!("{name}: zero-capacity ({slots},{slot_bytes}) was accepted"),
+                }
+            }
+        }
+    });
+}
+
+/// A one-slot ring of the shape under test, driven through one message
+/// and one forged credit. The consumer receives the message (returning
+/// the legitimate credit), calls `forge` and meets the producer at the
+/// barrier; the producer sends, waits at the barrier, then absorbs credits
+/// and returns what that absorbing call said.
+type StrayCredit = fn(&RankCtx, &dyn Fn()) -> fompi::Result<()>;
+
+const STRAY_CREDIT: [(&str, u32, StrayCredit); 5] = [
+    ("channel", CREDIT_TAG, |ctx, forge| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
+        ChannelEnd::Sender(mut tx) => {
+            tx.send(b"one-----")?;
+            ctx.barrier();
+            let absorbed = tx.poll_credits().map(drop);
+            tx.close(ctx).and(absorbed)
+        }
+        ChannelEnd::Receiver(mut rx) => {
+            rx.recv(&mut [0u8; 8])?;
+            forge();
+            ctx.barrier();
+            rx.close(ctx)
+        }
+    }),
+    ("fanin", FANIN_CREDIT_TAG, |ctx, forge| {
+        match fanin(ctx, CONSUMER, &[PRODUCER], 1, 8)?.unwrap() {
+            FaninEnd::Producer(mut tx) => {
+                tx.send(b"one-----")?;
+                ctx.barrier();
+                let absorbed = tx.poll_credits().map(drop);
+                tx.close(ctx).and(absorbed)
+            }
+            FaninEnd::Consumer(mut rx) => {
+                rx.recv(&mut [0u8; 8])?;
+                forge();
+                ctx.barrier();
+                rx.close(ctx)
+            }
+        }
+    }),
+    ("fanout", FANOUT_CREDIT_TAG, |ctx, forge| {
+        match fanout(ctx, PRODUCER, &[CONSUMER], 1, 8, LaggingPolicy::Block)?.unwrap() {
+            FanoutEnd::Publisher(mut px) => {
+                px.publish(b"one-----")?;
+                ctx.barrier();
+                // Out of credits: the next publish absorbs what arrived.
+                let absorbed = px.publish(b"two-----").map(drop);
+                px.close(ctx).and(absorbed)
+            }
+            FanoutEnd::Subscriber(mut sx) => {
+                sx.recv(&mut [0u8; 8])?;
+                forge();
+                ctx.barrier();
+                sx.close(ctx)
+            }
+        }
+    }),
+    ("mesh", MESH_CREDIT_TAG, |ctx, forge| {
+        let mut m = mesh(ctx, &cfg(1, 8))?;
+        let absorbed = if ctx.rank() == PRODUCER {
+            m.send(CONSUMER, b"one-----")?;
+            ctx.barrier();
+            m.send(CONSUMER, b"two-----")
+        } else {
+            m.recv(&mut [0u8; 8])?;
+            m.flush_credits()?;
+            forge();
+            ctx.barrier();
+            Ok(())
+        };
+        m.close(ctx).and(absorbed)
+    }),
+    ("rpc", REQ_CREDIT_TAG, |ctx, forge| {
+        match rpc(ctx, CONSUMER, &[PRODUCER], &cfg(1, 8))?.unwrap() {
+            RpcEnd::Client(mut cl) => {
+                cl.call(b"one-----", &mut [0u8; 8])?;
+                ctx.barrier();
+                let absorbed = cl.call_async(b"two-----").map(drop);
+                cl.close(ctx).and(absorbed)
+            }
+            RpcEnd::Server(mut srv) => {
+                let req = srv.recv()?;
+                srv.reply(&req, b"pong----")?;
+                forge();
+                ctx.barrier();
+                srv.close(ctx)
+            }
+        }
+    }),
+];
+
+#[test]
+fn stray_credit_is_a_loud_underflow_error() {
+    // A consumer that returns more credits than the producer ever spent
+    // (here: one real + one forged) must trip the producer's underflow
+    // check instead of silently inflating the window.
+    for (name, credit_tag, shape) in STRAY_CREDIT {
+        let got = Universe::new(2).node_size(1).run(move |ctx| {
+            // The forgery comes from another window: a rank's records
+            // share one ring and match by (source, tag) alone.
+            let forger = lane::open(ctx, 8).unwrap();
+            let forge =
+                || forger.accumulate_notify(1, MpiOp::Sum, PRODUCER, 0, credit_tag).unwrap();
+            let said = shape(ctx, &forge);
+            lane::close(forger, ctx).unwrap();
+            said.map_err(|e| e.to_string())
+        });
+        let producer = got[PRODUCER as usize].as_ref().expect_err("the stray credit was absorbed");
+        assert!(producer.contains("underflow"), "{name}: wrong error: {producer}");
+        assert_eq!(got[CONSUMER as usize], Ok(()), "{name}");
+    }
+}
+
+#[test]
+fn channel_and_one_producer_fanin_issue_the_same_fabric_ops() {
+    // perfgate's `channel_round_64_ns == rmc_fanin_round_64_ns` as an
+    // assertion on counts: SPSC is fan-in with P = 1. Each structure gets a
+    // fabric of its own, so the totals cover its whole life.
+    const SLOTS: usize = 4;
+    const N: usize = 3 * SLOTS + 1;
+    fn ops(life: impl Fn(&mut RankCtx) + Send + Sync) -> [u64; 4] {
+        let c = Universe::new(2).node_size(1).launch(life).1.counters().snapshot();
+        [c.puts, c.amos, c.notify_posts, c.flushes]
+    }
+    let chan = ops(|ctx| match channel(ctx, PRODUCER, CONSUMER, SLOTS, 64).unwrap().unwrap() {
+        ChannelEnd::Sender(mut tx) => {
+            (0..N).for_each(|_| tx.send(&[7; 64]).unwrap());
+            tx.close(ctx).unwrap();
+        }
+        ChannelEnd::Receiver(mut rx) => {
+            (0..N).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
+            rx.close(ctx).unwrap();
+        }
+    });
+    let fan = ops(|ctx| match fanin(ctx, CONSUMER, &[PRODUCER], SLOTS, 64).unwrap().unwrap() {
+        FaninEnd::Producer(mut tx) => {
+            (0..N).for_each(|_| tx.send(&[7; 64]).unwrap());
+            tx.close(ctx).unwrap();
+        }
+        FaninEnd::Consumer(mut rx) => {
+            (0..N).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
+            rx.close(ctx).unwrap();
+        }
+    });
+    assert_eq!(chan, fan, "[puts, amos, notify_posts, flushes] of {N} messages");
+}

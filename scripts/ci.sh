@@ -10,6 +10,7 @@
 #   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
+#   scripts/ci.sh loc [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]
 #   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
 #
@@ -207,6 +208,33 @@ stage_mc() {
     git diff --exit-code -- results/mc_summary.csv
 }
 
+stage_loc() { # stage_loc [file…] — a scoreboard, not a gate
+    # Each file is split at its first `#[cfg(test)]` / `#[cfg(loom)]`
+    # attribute (`#[cfg(all(test, loom))]` too): code above, tests below;
+    # files under tests/ or benches/ are tests throughout. Without
+    # arguments: every crate, one row each. With files: one row per file.
+    local by=crate
+    [[ $# -gt 0 ]] && by=file
+    { if [[ $# -gt 0 ]]; then printf '%s\n' "$@"; else find crates -name '*.rs' | sort; fi; } |
+        xargs awk -v by="$by" '
+            FNR == 1 {
+                split(FILENAME, part, "/")
+                unit = (by == "crate") ? part[2] : FILENAME
+                if (!(unit in code)) { order[++n] = unit; code[unit] = 0; test[unit] = 0 }
+                in_test = FILENAME ~ /\/(tests|benches)\//
+            }
+            /^[[:space:]]*#\[cfg\((all\()?(test|loom)/ { in_test = 1 }
+            { if (in_test) test[unit]++; else code[unit]++ }
+            END {
+                printf "  %-28s %7s %7s %7s\n", by, "code", "tests", "lines"
+                for (i = 1; i <= n; i++) {
+                    u = order[i]; c += code[u]; t += test[u]
+                    printf "  %-28s %7d %7d %7d\n", u, code[u], test[u], code[u] + test[u]
+                }
+                printf "  %-28s %7d %7d %7d\n", "total", c, t, c + t
+            }'
+}
+
 stage_sanitize() {
     # Opt-in because it needs a nightly toolchain; each tool degrades to a
     # loud skip when unavailable so the stage is safe to run anywhere.
@@ -274,7 +302,7 @@ stage_nightly() {
 
 # ---------------------------------------------------------------- driver
 usage() {
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 mode="${1:-all}"
@@ -288,6 +316,9 @@ quick)
     run_stage clippy stage_clippy
     run_stage tests stage_tests
     timing_summary
+    echo
+    echo "== lines of code (scripts/ci.sh loc) =="
+    stage_loc
     echo "quick tier passed."
     ;;
 lint)
@@ -312,6 +343,9 @@ mc)
     ;;
 sanitize)
     run_stage sanitize stage_sanitize
+    ;;
+loc)
+    stage_loc "${@:2}"
     ;;
 nightly)
     run_stage nightly stage_nightly

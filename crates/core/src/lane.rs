@@ -165,9 +165,13 @@ impl TxLane {
     /// Send `msg` (at most `slot_bytes`) into the next slot and spend a
     /// credit. The caller takes the credit first ([`TxLane::poll_credits`]
     /// / [`TxLane::wait_credit`]): backpressure is the consumer's pace,
-    /// felt through returned credits, never through ring overflow.
+    /// felt through returned credits, never through ring overflow. An
+    /// oversize message is refused like a missing credit: a typed error,
+    /// nothing sent, no cursor moved.
     pub fn put(&mut self, win: &Win, msg: &[u8], data_tag: u32) -> Result<()> {
-        assert!(msg.len() <= self.geom.slot_bytes, "message exceeds the ring's slot size");
+        if msg.len() > self.geom.slot_bytes {
+            return Err(FompiError::InvalidEpoch("message exceeds the ring's slot size"));
+        }
         if self.credits == 0 {
             return Err(FompiError::InvalidEpoch("ring put without a credit in hand"));
         }
@@ -208,15 +212,36 @@ impl RxLane {
     /// the next slot into `buf`; returns its length. The record's stamp
     /// has joined our clock, which fences the ring read: the payload is
     /// visible. The slot stays the consumer's until [`RxLane::credit`].
-    pub fn take(&mut self, win: &Win, rec: &Notification, buf: &mut [u8]) -> usize {
+    ///
+    /// A payload longer than `buf` (or than a slot: a forged record) is a
+    /// typed error with MPI's truncation semantics: the record is matched,
+    /// so its message is consumed and lost, the cursor moves past it, and
+    /// the caller owes the slot's credit exactly as after a success.
+    pub fn take(&mut self, win: &Win, rec: &Notification, buf: &mut [u8]) -> Result<usize> {
         let len = rec.bytes as usize;
-        assert!(
-            len <= self.geom.slot_bytes && len <= buf.len(),
-            "slot payload exceeds recv buffer"
-        );
-        win.read_local(self.geom.cell(self.base, self.tail), &mut buf[..len]);
+        let cell = self.geom.cell(self.base, self.tail);
         self.tail += 1;
-        len
+        if len > self.geom.slot_bytes || len > buf.len() {
+            return Err(FompiError::InvalidEpoch("slot payload exceeds the recv buffer"));
+        }
+        win.read_local(cell, &mut buf[..len]);
+        Ok(len)
+    }
+
+    /// [`RxLane::take`], then [`RxLane::credit`] whether or not the payload
+    /// fitted — a refused message still frees its slot, or a one-slot
+    /// ring would never move again. For consumers that return each credit
+    /// at once.
+    pub fn take_and_credit(
+        &mut self,
+        win: &Win,
+        rec: &Notification,
+        buf: &mut [u8],
+        credit_tag: u32,
+    ) -> Result<usize> {
+        let taken = self.take(win, rec, buf);
+        self.credit(win, credit_tag)?;
+        taken
     }
 
     /// Hand one taken slot back: a notified AMO on the producer's credit
@@ -297,7 +322,7 @@ mod tests {
                         continue;
                     };
                     let want = message(seed, rx.tail());
-                    let len = rx.take(&win, &rec, &mut buf);
+                    let len = rx.take(&win, &rec, &mut buf).unwrap();
                     assert_eq!(buf[..len], want[..], "message {} torn or reordered", rx.tail() - 1);
                     owed += 1;
                 }

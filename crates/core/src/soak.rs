@@ -752,7 +752,7 @@ fn rmc_channel(
     let serve = |rx: &mut RxLane, rec: &Notification, v: &mut Vec<String>| {
         let n = rx.tail();
         let mut b = [0u8; 8];
-        rx.take(&win, rec, &mut b);
+        rx.take(&win, rec, &mut b)?;
         let (got, want) = (u64::from_le_bytes(b), payload(seed, n as usize, left));
         if got != want {
             v.push(violation(

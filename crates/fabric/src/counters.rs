@@ -7,7 +7,21 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters of fabric activity.
+///
+/// One instance is shared by every rank of the job, so each increment is a
+/// read-modify-write on a line the other ranks write too, and the layout
+/// decides how many such lines an operation touches. It is pinned
+/// (`repr(C)`, line-aligned): the eight operation counts fill the first
+/// cache line and the byte counts start the second, so a put, get or AMO
+/// costs exactly one increment on each of two lines and nothing that an
+/// operation only *reads* (topology, cost model, registry generation) can
+/// land on either. Left to the compiler, `puts` shared its line with
+/// read-mostly fields of [`crate::Fabric`]: an operation then took two or
+/// three line transfers depending on how the ranks interleaved, and the
+/// rate of a contended put spread half again as widely from one second
+/// to the next (EXPERIMENTS.md, "Translate once, not per op").
 #[derive(Debug, Default)]
+#[repr(C, align(64))]
 pub struct Counters {
     /// Number of put operations issued.
     pub puts: AtomicU64,
@@ -15,12 +29,6 @@ pub struct Counters {
     pub gets: AtomicU64,
     /// Number of AMOs issued.
     pub amos: AtomicU64,
-    /// Total bytes moved by puts.
-    pub bytes_put: AtomicU64,
-    /// Total bytes moved by gets.
-    pub bytes_get: AtomicU64,
-    /// Total bytes moved by AMOs (8 per operation).
-    pub bytes_amo: AtomicU64,
     /// Number of gsync (bulk completion) calls.
     pub gsyncs: AtomicU64,
     /// Number of per-target flushes (`flush_target` at the fabric layer —
@@ -32,6 +40,12 @@ pub struct Counters {
     pub locks: AtomicU64,
     /// Number of lock releases (`MPI_Win_unlock` / `unlock_all`).
     pub unlocks: AtomicU64,
+    /// Total bytes moved by puts.
+    pub bytes_put: AtomicU64,
+    /// Total bytes moved by gets.
+    pub bytes_get: AtomicU64,
+    /// Total bytes moved by AMOs (8 per operation).
+    pub bytes_amo: AtomicU64,
     /// Operations issued through the batching layer (members of bursts,
     /// including each burst's first op — see [`crate::batch`]).
     pub batched_ops: AtomicU64,
@@ -94,6 +108,17 @@ pub struct CounterSnapshot {
 }
 
 impl Counters {
+    /// Ask for the operation-count line ahead of the increment. An
+    /// operation calls this first and counts itself last; the line's
+    /// transfer from the rank that counted last then overlaps the
+    /// translation and cost arithmetic in between instead of stalling the
+    /// increment for its whole length.
+    #[inline]
+    pub(crate) fn touch(&self) {
+        // `black_box`: the compiler may delete a relaxed load nobody reads.
+        std::hint::black_box(self.puts.load(Ordering::Relaxed));
+    }
+
     /// Take a snapshot.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -159,6 +184,26 @@ impl CounterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The layout the type's comment promises: an operation's count and
+    /// its byte count sit on two different lines, each in a fixed place.
+    #[test]
+    fn counts_and_bytes_are_on_separate_lines() {
+        use std::mem::{align_of, offset_of};
+        assert_eq!(align_of::<Counters>(), 64);
+        for count in
+            [offset_of!(Counters, puts), offset_of!(Counters, gets), offset_of!(Counters, amos)]
+        {
+            assert_eq!(count / 64, 0);
+        }
+        for bytes in [
+            offset_of!(Counters, bytes_put),
+            offset_of!(Counters, bytes_get),
+            offset_of!(Counters, bytes_amo),
+        ] {
+            assert_eq!(bytes / 64, 1);
+        }
+    }
 
     #[test]
     fn snapshot_and_diff() {

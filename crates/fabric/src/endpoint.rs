@@ -32,8 +32,9 @@ use crate::segment::SegKey;
 use crate::shadow::AccessKind;
 use crate::stripes::StripedHorizon;
 use crate::telemetry::{flow_id, Event, EventKind, Flavor, NO_FLOW, NO_TARGET};
+use crate::translate::Translations;
 use crate::Fabric;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -61,6 +62,8 @@ pub struct Endpoint {
     rank: u32,
     clock: Clock,
     pending: StripedHorizon,
+    /// Resolved registration keys (see [`crate::translate`]).
+    translations: Translations,
     /// Open injection bursts, one per target. A BTree so drains walk
     /// targets in a deterministic order.
     bursts: RefCell<BTreeMap<u32, Burst>>,
@@ -86,6 +89,7 @@ impl Endpoint {
             rank,
             clock: Clock::new(),
             pending: StripedHorizon::new(),
+            translations: Translations::new(),
             bursts: RefCell::new(BTreeMap::new()),
             batch: Cell::new(batch),
             trace_win: Cell::new(0),
@@ -358,17 +362,31 @@ impl Endpoint {
         Ok(())
     }
 
+    /// Translate `key` and bounds-check `[off, off + len)`: the segment is
+    /// borrowed from this endpoint's translation cache, so the borrow must
+    /// end before the next operation (every caller drops it on return).
+    /// Every operation body starts here, so this is also where the shared
+    /// counter line is asked for (see [`crate::Counters::touch`]).
     fn bounds(
         &self,
         key: SegKey,
         off: usize,
         len: usize,
-    ) -> Result<Arc<crate::Segment>, FabricError> {
-        let seg = self.fabric.resolve(key)?;
+    ) -> Result<Ref<'_, crate::Segment>, FabricError> {
+        self.fabric.counters().touch();
+        let seg = self.translations.lookup(&self.fabric, key)?;
         if !seg.check(off, len) {
             return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
         }
         Ok(seg)
+    }
+
+    /// How many of this endpoint's translations went to the fabric-wide
+    /// registry ([`Fabric::resolve`]) instead of its private cache: one per
+    /// key in steady state, one more per key after any deregistration.
+    /// Rank-private, so reading it perturbs nothing.
+    pub fn translation_misses(&self) -> u64 {
+        self.translations.misses()
     }
 
     fn note_pending(&self, target: u32, t: f64) {
@@ -1352,7 +1370,9 @@ impl Endpoint {
         if !self.fabric.mc_armed() {
             return false;
         }
-        let Ok(seg) = self.bounds(key, off, 8) else {
+        // The predicate outlives this call, so it owns the segment: a cold
+        // registry lookup, not a borrow from the translation cache.
+        let Some(seg) = self.fabric.resolve(key).ok().filter(|seg| seg.check(off, 8)) else {
             return false;
         };
         self.mc_poll(McObj::Seg { owner: key.rank, id: key.id }, label, move || {
@@ -1816,6 +1836,140 @@ mod tests {
         let c = f.counters().snapshot();
         assert_eq!(c.notify_dropped, 2);
         assert_eq!(c.notify_consumed, 0, "dropped records are not consumed");
+    }
+
+    // ------------------------------------------------ translation cache
+
+    fn word_at(seg: &Segment, off: usize) -> u64 {
+        seg.word(off).load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn one_key_translates_once() {
+        let (_f, ep0, _ep1, key) = setup();
+        for i in 0..10_000usize {
+            ep0.put_implicit(key, (i % 512) * 8, &[i as u8; 8]).unwrap();
+        }
+        assert_eq!(ep0.translation_misses(), 1);
+    }
+
+    #[test]
+    fn any_deregister_costs_one_remiss_and_a_stale_key_is_unknown() {
+        // The warm-cache version of `deregister_invalidates`.
+        let (f, ep0, _ep1, key) = setup();
+        let other = f.register(0, Segment::new(8));
+        ep0.put(key, 0, &[1u8; 8]).unwrap();
+        ep0.amo(key, 8, AmoOp::Add, 1, 0).unwrap();
+        assert_eq!(ep0.translation_misses(), 1);
+        f.deregister(other); // not a key this endpoint ever used
+        ep0.put(key, 0, &[2u8; 8]).unwrap();
+        ep0.get(key, 0, &mut [0u8; 8]).unwrap();
+        assert_eq!(ep0.translation_misses(), 2, "one re-miss, then warm again");
+        f.deregister(key);
+        assert!(matches!(ep0.put(key, 0, &[3u8; 8]), Err(FabricError::UnknownKey(k)) if k == key));
+        assert!(matches!(ep0.read_sync(key, 0), Err(FabricError::UnknownKey(_))));
+    }
+
+    #[test]
+    fn reregistered_key_reaches_the_new_segment() {
+        let f = Fabric::new(2, 1, CostModel::default());
+        let ep0 = Endpoint::new(f.clone(), 0);
+        let id = f.propose_id();
+        let (old, new) = (Segment::new(64), Segment::new(64));
+        let key = f.register_symmetric(1, id, old.clone()).unwrap();
+        ep0.put(key, 0, &7u64.to_le_bytes()).unwrap();
+        f.deregister(key);
+        assert_eq!(f.register_symmetric(1, id, new.clone()).unwrap(), key);
+        ep0.put(key, 0, &9u64.to_le_bytes()).unwrap();
+        assert_eq!((word_at(&old, 0), word_at(&new, 0)), (7, 9));
+    }
+
+    #[test]
+    fn mapping_replaced_by_an_id_collision_is_seen() {
+        // A caller-chosen symmetric id that the id counter later reaches:
+        // `register` replaces the mapping without a deregister in between.
+        let f = Fabric::new(2, 1, CostModel::default());
+        let ep0 = Endpoint::new(f.clone(), 0);
+        let (old, new) = (Segment::new(64), Segment::new(64));
+        let key = f.register_symmetric(1, f.propose_id() + 1, old.clone()).unwrap();
+        ep0.put(key, 0, &7u64.to_le_bytes()).unwrap();
+        assert_eq!(f.register(1, new.clone()), key);
+        ep0.put(key, 0, &9u64.to_le_bytes()).unwrap();
+        assert_eq!((word_at(&old, 0), word_at(&new, 0)), (7, 9));
+    }
+
+    #[test]
+    fn working_set_beyond_capacity_stays_correct_and_bounded() {
+        use crate::translate::CAPACITY;
+        let f = Fabric::new(2, 1, CostModel::default());
+        let ep0 = Endpoint::new(f.clone(), 0);
+        let segs: Vec<_> = (0..4 * CAPACITY).map(|_| Segment::new(16)).collect();
+        let keys: Vec<_> = segs.iter().map(|s| f.register(1, s.clone())).collect();
+        for round in 1..=3u64 {
+            for (i, &key) in keys.iter().enumerate() {
+                ep0.put(key, 8, &(round * 1000 + i as u64).to_le_bytes()).unwrap();
+                assert!(ep0.translations.len() <= CAPACITY);
+            }
+        }
+        for (i, seg) in segs.iter().enumerate() {
+            assert_eq!(word_at(seg, 8), 3000 + i as u64, "put {i} landed in the wrong segment");
+        }
+        // Round-robin over 4x capacity defeats any replacement order: every
+        // lookup went to the registry, none was answered wrongly.
+        assert_eq!(ep0.translation_misses(), 3 * keys.len() as u64);
+    }
+
+    #[test]
+    fn op_after_an_observed_deregister_fails_on_another_thread() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        for _ in 0..200 {
+            let (f, _ep0, _ep1, key) = setup();
+            let (warm, gone) = (Barrier::new(2), AtomicBool::new(false));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let ep = Endpoint::new(f.clone(), 0);
+                    ep.put_implicit(key, 0, &[1u8; 8]).unwrap();
+                    warm.wait(); // the translation is cached before the deregister
+                    let mut raced = 0u64;
+                    while !gone.load(Ordering::Acquire) {
+                        // Racing the deregister: either outcome is legal.
+                        raced += ep.amo(key, 8, AmoOp::Add, 1, 0).is_ok() as u64;
+                    }
+                    // deregister → Release flag → Acquire: it happens-before this op.
+                    assert!(
+                        matches!(
+                            ep.put_implicit(key, 0, &[2u8; 8]),
+                            Err(FabricError::UnknownKey(_))
+                        ),
+                        "cached translation outlived an observed deregister ({raced} racing ops)"
+                    );
+                });
+                warm.wait();
+                f.deregister(key);
+                gone.store(true, Ordering::Release);
+            });
+        }
+    }
+
+    #[test]
+    fn freed_segment_memory_is_dropped_by_the_next_op_or_endpoint_drop() {
+        let (f, ep0, ep1, key) = setup();
+        let seg = f.resolve(key).unwrap();
+        let idle = Endpoint::new(f.clone(), 0);
+        let bystander = f.register(0, Segment::new(8));
+        for ep in [&ep0, &ep1, &idle] {
+            ep.put(key, 0, &[1u8; 8]).unwrap();
+        }
+        assert_eq!(Arc::strong_count(&seg), 5, "registry + three caches + this test");
+        f.deregister(key);
+        assert_eq!(Arc::strong_count(&seg), 4, "caches hold it until their next operation");
+        // One further operation of any kind, on any key, failed or not.
+        assert!(ep0.get(key, 0, &mut [0u8; 8]).is_err());
+        ep1.amo(bystander, 0, AmoOp::Add, 1, 0).unwrap();
+        assert_eq!(Arc::strong_count(&seg), 2);
+        drop(idle);
+        assert_eq!(Arc::strong_count(&seg), 1);
     }
 
     #[test]

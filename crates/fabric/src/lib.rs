@@ -54,6 +54,7 @@ pub mod shim;
 pub mod stripes;
 pub mod telemetry;
 pub mod topology;
+mod translate;
 pub mod xpmem;
 
 pub use amo::AmoOp;
@@ -92,6 +93,7 @@ pub struct Fabric {
     model: CostModel,
     topo: Topology,
     segs: RwLock<HashMap<SegKey, Arc<Segment>>>,
+    seg_generation: RegistryGeneration,
     next_id: AtomicU64,
     counters: Counters,
     telemetry: Telemetry,
@@ -106,6 +108,13 @@ pub struct Fabric {
     mc: RwLock<Option<Arc<dyn mc::McGate>>>,
     mc_armed: AtomicBool,
 }
+
+/// The registry generation word, alone on its cache lines: every endpoint
+/// reads it on every operation, and the only writes are deregistrations, so
+/// it must not share a line with anything an operation writes.
+#[repr(align(128))]
+#[derive(Default)]
+struct RegistryGeneration(AtomicU64);
 
 impl Fabric {
     /// Create a fabric for `p` ranks grouped `node_size` per node with the
@@ -173,6 +182,7 @@ impl Fabric {
             model,
             topo: Topology::new(p, node_size),
             segs: RwLock::new(HashMap::new()),
+            seg_generation: RegistryGeneration::default(),
             next_id: AtomicU64::new(1),
             counters: Counters::default(),
             telemetry,
@@ -345,7 +355,11 @@ impl Fabric {
     pub fn register(&self, rank: u32, seg: Arc<Segment>) -> SegKey {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let key = SegKey { rank, id };
-        self.segs.write().insert(key, seg);
+        if self.segs.write().insert(key, seg).is_some() {
+            // The id collided with a caller-chosen symmetric id and the
+            // mapping was replaced: cached translations of it are stale.
+            self.seg_generation.0.fetch_add(1, Ordering::Release);
+        }
         key
     }
 
@@ -389,9 +403,24 @@ impl Fabric {
     /// Deregister a segment. Remote accesses after this fail.
     pub fn deregister(&self, key: SegKey) {
         self.segs.write().remove(&key);
+        // After the removal, and Release: an endpoint whose Acquire load in
+        // `registry_generation` sees this bump also sees the key gone.
+        self.seg_generation.0.fetch_add(1, Ordering::Release);
     }
 
-    /// Resolve a key to its segment (what the NIC does on every request).
+    /// How many times a key has been removed from (or replaced in) the
+    /// registry: the word endpoints validate their cached translations
+    /// against (see `translate`). Acquire, pairing with the Release bump
+    /// that follows each removal.
+    #[inline]
+    pub(crate) fn registry_generation(&self) -> u64 {
+        self.seg_generation.0.load(Ordering::Acquire)
+    }
+
+    /// Resolve a key to its segment in the registry — the NIC translation
+    /// table. Endpoints come here once per key and registry generation
+    /// (their operations borrow from a rank-private cache afterwards);
+    /// other callers are cold (XPMEM attach, model-checker polls, tests).
     pub fn resolve(&self, key: SegKey) -> Result<Arc<Segment>, FabricError> {
         self.segs.read().get(&key).cloned().ok_or(FabricError::UnknownKey(key))
     }

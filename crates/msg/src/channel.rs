@@ -109,12 +109,11 @@ impl Sender {
 impl Receiver {
     /// Receive the next message into `buf`, returning the payload length.
     /// Blocks on the producer's data notification; the slot is recycled
-    /// immediately after the copy with a notified credit AMO.
+    /// immediately after the copy with a notified credit AMO — also when
+    /// `buf` is too short, which loses the message (a typed error).
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize> {
         let rec = self.win.wait_notify(self.rx.peer(), DATA_TAG)?;
-        let len = self.rx.take(&self.win, &rec, buf);
-        self.rx.credit(&self.win, CREDIT_TAG)?;
-        Ok(len)
+        self.rx.take_and_credit(&self.win, &rec, buf, CREDIT_TAG)
     }
 
     /// Notification records queued for this rank and not yet matched.

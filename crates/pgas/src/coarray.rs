@@ -16,6 +16,9 @@ pub struct Coarray {
     ep: Rc<fompi_fabric::Endpoint>,
     coll: Arc<fompi_runtime::CollEngine>,
     id: u64,
+    /// This image's own memory, kept from allocation so local accesses
+    /// never go through the fabric's registry.
+    local: Arc<Segment>,
     costs: PgasCosts,
     len: usize,
 }
@@ -44,6 +47,7 @@ impl Coarray {
             ep: ctx.ep_rc(),
             coll: ctx.coll_arc(),
             id,
+            local: seg,
             costs: PgasCosts::default(),
             len: len.max(8),
         }
@@ -93,12 +97,12 @@ impl Coarray {
 
     /// Local read.
     pub fn read_local(&self, off: usize, dst: &mut [u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own image").read(off, dst);
+        self.local.read(off, dst);
     }
 
     /// Local write.
     pub fn write_local(&self, off: usize, src: &[u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own image").write(off, src);
+        self.local.write(off, src);
     }
 }
 

@@ -21,6 +21,9 @@ pub struct SharedArray {
     ep: Rc<fompi_fabric::Endpoint>,
     coll: Arc<fompi_runtime::CollEngine>,
     id: u64,
+    /// This thread's own chunk, kept from allocation so local accesses
+    /// never go through the fabric's registry.
+    local: Arc<Segment>,
     costs: PgasCosts,
     chunk_bytes: usize,
 }
@@ -50,6 +53,7 @@ impl SharedArray {
             ep: ctx.ep_rc(),
             coll: ctx.coll_arc(),
             id,
+            local: seg,
             costs: PgasCosts::default(),
             chunk_bytes: chunk_bytes.max(8),
         }
@@ -115,14 +119,12 @@ impl SharedArray {
 
     /// Local chunk read.
     pub fn read_local(&self, off: usize, dst: &mut [u8]) {
-        let mut tmp = dst.to_vec();
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own chunk").read(off, &mut tmp);
-        dst.copy_from_slice(&tmp);
+        self.local.read(off, dst);
     }
 
     /// Local chunk write.
     pub fn write_local(&self, off: usize, src: &[u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own chunk").write(off, src);
+        self.local.write(off, src);
     }
 
     /// The endpoint (clock access for benchmarks).

@@ -144,8 +144,7 @@ impl FaninConsumer {
             .iter_mut()
             .find(|rx| rx.peer() == rec.source)
             .ok_or(FompiError::InvalidEpoch("fan-in data record from a non-producer rank"))?;
-        let len = rx.take(&self.win, rec, buf);
-        rx.credit(&self.win, FANIN_CREDIT_TAG)?;
+        let len = rx.take_and_credit(&self.win, rec, buf, FANIN_CREDIT_TAG)?;
         let ep = self.win.endpoint();
         ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok((rec.source, len))

@@ -146,8 +146,7 @@ impl Subscriber {
         let ep = self.win.endpoint();
         let t0 = ep.clock().now();
         let rec = self.win.wait_notify(self.rx.peer(), FANOUT_DATA_TAG)?;
-        let len = self.rx.take(&self.win, &rec, buf);
-        self.rx.credit(&self.win, FANOUT_CREDIT_TAG)?;
+        let len = self.rx.take_and_credit(&self.win, &rec, buf, FANOUT_CREDIT_TAG)?;
         ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok(len)
     }

@@ -91,8 +91,10 @@ impl Mesh {
             .rx
             .get_mut(s)
             .ok_or(FompiError::InvalidEpoch("mesh data record from outside the universe"))?;
-        let len = rx.take(&self.win, &rec, buf);
+        // A refused (oversize) payload still frees its slot.
+        let taken = rx.take(&self.win, &rec, buf);
         self.owed[s] += 1;
+        let len = taken?;
         let ep = self.win.endpoint();
         ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok((rec.source, len))

@@ -192,14 +192,16 @@ impl RpcClient {
         loop {
             if let Some(rec) = self.win.test_notify(server, tag)? {
                 let len = rec.bytes as usize;
-                assert!(
-                    len <= self.geom.slot_bytes() && len <= buf.len(),
-                    "reply payload exceeds recv buffer"
-                );
-                self.win.read_local(self.geom.cell(REPLY_RING, corr), &mut buf[..len]);
+                let fits = len <= self.geom.slot_bytes() && len <= buf.len();
+                if fits {
+                    self.win.read_local(self.geom.cell(REPLY_RING, corr), &mut buf[..len]);
+                }
                 // Recycle the reply slot whether or not we keep the data.
                 self.win.accumulate_notify(1, MpiOp::Sum, server, 0, REP_CREDIT_TAG)?;
                 self.outstanding.remove(at);
+                if !fits {
+                    return Err(FompiError::InvalidEpoch("reply payload exceeds the recv buffer"));
+                }
                 if rec.stamp > deadline {
                     return Err(transient(self.timeout_ns));
                 }
@@ -263,9 +265,8 @@ impl RpcServer {
                 // Sized from the record but never beyond a slot; `take`
                 // rejects a record that claims more.
                 let mut data = vec![0u8; (rec.bytes as usize).min(self.geom.slot_bytes())];
-                rx.take(&self.win, &rec, &mut data);
-                // The payload is copied out: recycle the request slot.
-                rx.credit(&self.win, REQ_CREDIT_TAG)?;
+                // Copy the payload out and recycle the request slot.
+                rx.take_and_credit(&self.win, &rec, &mut data, REQ_CREDIT_TAG)?;
                 let ep = self.win.endpoint();
                 ep.trace_flow_consume(EventKind::RmcRecv, client, t0, rec.flow, rec.bytes);
                 return Ok(Some(RpcRequest { client, corr, data }));
@@ -296,7 +297,9 @@ impl RpcServer {
     /// Send `rep` as the reply to `req`. Blocks on the client's
     /// reply-slot credits when its ring is full.
     pub fn reply(&mut self, req: &RpcRequest, rep: &[u8]) -> Result<()> {
-        assert!(rep.len() <= self.geom.slot_bytes(), "reply exceeds the rpc slot size");
+        if rep.len() > self.geom.slot_bytes() {
+            return Err(FompiError::InvalidEpoch("reply exceeds the rpc slot size"));
+        }
         let i = self.client_index(req.client)?;
         if self.rep_credits[i] == 0 {
             while self.win.test_notify(req.client, REP_CREDIT_TAG)?.is_some() {

@@ -191,3 +191,114 @@ fn channel_and_one_producer_fanin_issue_the_same_fabric_ops() {
     });
     assert_eq!(chan, fan, "[puts, amos, notify_posts, flushes] of {N} messages");
 }
+
+/// A one-slot, 8-byte ring of the shape under test, misused twice: the
+/// producer sends 9 bytes (refused: nothing goes out), then 8 bytes that the
+/// consumer receives into 4 (refused: the message is lost, its slot is
+/// not). A third, well-sized message must then cross the same slot, which
+/// on one slot proves the short receive returned its credit. Each rank
+/// returns the misuse errors it saw.
+type Missized = fn(&RankCtx) -> fompi::Result<Vec<FompiError>>;
+
+const LONG: &[u8; 8] = b"long----";
+const FITS: &[u8; 8] = b"fits----";
+
+const MISSIZED: [(&str, Missized); 5] = [
+    ("channel", |ctx| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
+        ChannelEnd::Sender(mut tx) => {
+            let over = tx.send(&[0; 9]).unwrap_err();
+            tx.send(LONG)?;
+            tx.send(FITS)?;
+            tx.close(ctx).map(|()| vec![over])
+        }
+        ChannelEnd::Receiver(mut rx) => {
+            let mut buf = [0u8; 8];
+            let short = rx.recv(&mut buf[..4]).unwrap_err();
+            assert_eq!((rx.recv(&mut buf)?, &buf), (8, FITS));
+            rx.close(ctx).map(|()| vec![short])
+        }
+    }),
+    ("fanin", |ctx| match fanin(ctx, CONSUMER, &[PRODUCER], 1, 8)?.unwrap() {
+        FaninEnd::Producer(mut tx) => {
+            let over = tx.send(&[0; 9]).unwrap_err();
+            tx.send(LONG)?;
+            tx.send(FITS)?;
+            tx.close(ctx).map(|()| vec![over])
+        }
+        FaninEnd::Consumer(mut rx) => {
+            let mut buf = [0u8; 8];
+            let short = rx.recv(&mut buf[..4]).unwrap_err();
+            assert_eq!((rx.recv(&mut buf)?, &buf), ((PRODUCER, 8), FITS));
+            rx.close(ctx).map(|()| vec![short])
+        }
+    }),
+    ("fanout", |ctx| {
+        match fanout(ctx, PRODUCER, &[CONSUMER], 1, 8, LaggingPolicy::Block)?.unwrap() {
+            FanoutEnd::Publisher(mut px) => {
+                let over = px.publish(&[0; 9]).unwrap_err();
+                px.publish(LONG)?;
+                px.publish(FITS)?;
+                px.close(ctx).map(|()| vec![over])
+            }
+            FanoutEnd::Subscriber(mut sx) => {
+                let mut buf = [0u8; 8];
+                let short = sx.recv(&mut buf[..4]).unwrap_err();
+                assert_eq!((sx.recv(&mut buf)?, &buf), (8, FITS));
+                sx.close(ctx).map(|()| vec![short])
+            }
+        }
+    }),
+    ("mesh", |ctx| {
+        let mut m = mesh(ctx, &cfg(1, 8))?;
+        let seen = if ctx.rank() == PRODUCER {
+            let over = m.send(CONSUMER, &[0; 9]).unwrap_err();
+            m.send(CONSUMER, LONG)?;
+            m.send(CONSUMER, FITS)?;
+            over
+        } else {
+            let mut buf = [0u8; 8];
+            let short = m.recv(&mut buf[..4]).unwrap_err();
+            m.flush_credits()?;
+            assert_eq!((m.recv(&mut buf)?, &buf), ((PRODUCER, 8), FITS));
+            short
+        };
+        m.close(ctx).map(|()| vec![seen])
+    }),
+    // The short receive of an RPC is the client's reply buffer, and the
+    // server can oversize a reply as the client can a request.
+    ("rpc", |ctx| match rpc(ctx, CONSUMER, &[PRODUCER], &cfg(1, 8))?.unwrap() {
+        RpcEnd::Client(mut cl) => {
+            let mut buf = [0u8; 8];
+            let over = cl.call(&[0; 9], &mut buf).unwrap_err();
+            let short = cl.call(LONG, &mut buf[..4]).unwrap_err();
+            assert_eq!((cl.call(FITS, &mut buf)?, &buf), (8, FITS));
+            assert_eq!(cl.outstanding(), 0);
+            cl.close(ctx).map(|()| vec![over, short])
+        }
+        RpcEnd::Server(mut srv) => {
+            let req = srv.recv()?;
+            let over = srv.reply(&req, &[0; 9]).unwrap_err();
+            srv.reply(&req, &req.data)?; // echo
+            let req = srv.recv()?;
+            srv.reply(&req, &req.data)?;
+            srv.close(ctx).map(|()| vec![over])
+        }
+    }),
+];
+
+#[test]
+fn oversize_send_and_short_recv_are_typed_errors_and_the_ring_survives() {
+    for (name, shape) in MISSIZED {
+        let got = Universe::new(2).node_size(1).run(move |ctx| {
+            shape(ctx).map(|seen| seen.iter().map(|e| e.to_string()).collect::<Vec<_>>())
+        });
+        let seen = |rank: u32| got[rank as usize].clone().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (sent, received) = (seen(PRODUCER), seen(CONSUMER));
+        assert!(sent[0].contains("slot size"), "{name}: oversize send said {sent:?}");
+        let short = if name == "rpc" { &sent[1] } else { &received[0] };
+        assert!(short.contains("recv buffer"), "{name}: short recv said {short}");
+        if name == "rpc" {
+            assert!(received[0].contains("slot size"), "{name}: oversize reply said {received:?}");
+        }
+    }
+}

@@ -11,6 +11,7 @@
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh loc [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]
+#   scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]  # alternating benchmark runs → results/BENCH_history.jsonl
 #   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
 #
@@ -235,6 +236,108 @@ stage_loc() { # stage_loc [file…] — a scoreboard, not a gate
             }'
 }
 
+stage_pairs() { # stage_pairs <parent-checkout> <change-checkout> [N=10] [workload…]
+    # The paired comparison a perf claim rests on (choosing-metrics §8):
+    # N pairs of `benchmark/run.sh --workload W --seed 1 --trace 0`, one run
+    # in each checkout, the side that goes first alternating; one line per
+    # (workload, end-to-end metric) appended to results/BENCH_history.jsonl
+    # and a median [q1, q3] table printed, with the change's quartile
+    # distance as a share of its bound (over 100 %: the runs spread too
+    # widely to tell, exit 1). Workloads, metrics and bounds are read
+    # from the change's BENCHMARK.json. Give the two checkouts paths of the
+    # same length (PR 14: the build directory alone moves put_duplex) and
+    # leave both CPUs alone meanwhile: ~15 s a run, 35 min for the default.
+    # SEED=2 repeats the campaign on another seed.
+    if [[ $# -lt 2 || ! -f $1/benchmark/run.sh || ! -f $2/benchmark/run.sh ]]; then
+        echo "usage: scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]" >&2
+        return 1
+    fi
+    local parent change n seed=${SEED:-1} history=$PWD/results/BENCH_history.jsonl
+    parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd) n=${3:-10}
+    shift $(($# < 3 ? $# : 3))
+    local -a workloads=("$@")
+    if [[ ${#workloads[@]} -eq 0 ]]; then
+        mapfile -t workloads < <(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' "$change/BENCHMARK.json")
+    fi
+    local pr commit raw w i side first second
+    pr=$(sed -n '1s/^# ISSUE \([0-9]*\).*/\1/p' "$change/ISSUE.md")
+    commit=$(git -C "$parent" rev-parse --short HEAD)+1
+    raw=$(mktemp -d)
+    # Build both sides before the first timed run.
+    for side in "$parent" "$change"; do (cd "$side" && bash benchmark/run.sh --list >/dev/null); done
+    for w in "${workloads[@]}"; do
+        for ((i = 0; i < n; i++)); do
+            if ((i % 2 == 0)); then first=parent second=change; else first=change second=parent; fi
+            for side in $first $second; do
+                (cd "${!side}" && bash benchmark/run.sh --workload "$w" --seed "$seed" --trace 0 2>/dev/null) |
+                    tail -n 1 | sed "s/^/$w $i $side /" >>"$raw/runs"
+            done
+            echo "pairs: $w $((i + 1))/$n"
+        done
+    done
+    echo "pairs: every run's result line is in $raw/runs"
+    # "name unit better bound" of every end-to-end metric (the lines with a bound).
+    sed -n 's/.*{"name": "\([^"]*\)", "unit": "\([^"]*\)", "better": "\([^"]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3 \4/p' \
+        "$change/BENCHMARK.json" >"$raw/metrics"
+    awk -v pr="${pr:-0}" -v commit="$commit" -v seed="$seed" -v history="$history" '
+        function num(x,   s) { s = sprintf("%.6f", x); sub(/0+$/, "", s); sub(/\.$/, "", s); return s }
+        function quantile(side, q,   m, pos, lo) { # linear interpolation over sorted v[side, 1..cnt]
+            m = cnt[side]; pos = 1 + (m - 1) * q; lo = int(pos)
+            return lo >= m ? v[side, m] : v[side, lo] + (pos - lo) * (v[side, lo + 1] - v[side, lo])
+        }
+        function sorted(side,   i, j, t) {
+            for (i = 2; i <= cnt[side]; i++)
+                for (j = i; j > 1 && v[side, j - 1] > v[side, j]; j--) {
+                    t = v[side, j]; v[side, j] = v[side, j - 1]; v[side, j - 1] = t
+                }
+        }
+        FNR == NR { unit[$1] = $2; better[$1] = $3; bound[$1] = $4; order[++nm] = $1; next }
+        {
+            w = $1; pair = $2; side = $3
+            if (!(w in seen)) { seen[w] = 1; worder[++nw] = w }
+            if ($0 !~ /"correct": true/ || $0 !~ /"failed": 0[,}]/) bad[w]++
+            for (k = 1; k <= nm; k++) {
+                m = order[k]
+                if (match($0, "\"" m "\": \\{\"value\": [-0-9.eE+]+")) {
+                    x = substr($0, RSTART, RLENGTH); sub(/.*: /, "", x)
+                    val[w, m, side, pair] = x + 0; if (pair + 1 > pairs[w]) pairs[w] = pair + 1
+                }
+            }
+        }
+        END {
+            printf "  %-10s %-20s %36s %36s %8s %6s %7s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "wins", "spread"
+            for (a = 1; a <= nw; a++) for (k = 1; k <= nm; k++) {
+                w = worder[a]; m = order[k]; wins = 0; cnt["parent"] = cnt["change"] = 0
+                for (p = 0; p < pairs[w]; p++) {
+                    if (!((w, m, "parent", p) in val) || !((w, m, "change", p) in val)) continue
+                    pv = val[w, m, "parent", p]; cv = val[w, m, "change", p]
+                    v["parent", ++cnt["parent"]] = pv; v["change", ++cnt["change"]] = cv
+                    if (better[m] == "lower" ? cv < pv : cv > pv) wins++
+                }
+                if (!cnt["parent"]) continue
+                sorted("parent"); sorted("change")
+                pm = quantile("parent", 0.5); cm = quantile("change", 0.5)
+                # The steadiness rule: the quartile distance of the change
+                # as a share of what the bound allows, which is bound x the
+                # PARENT median. ops_per_s of a change that got k times
+                # faster must therefore be k times steadier, relatively,
+                # than the bound reads.
+                spread = pm ? (quantile("change", 0.75) - quantile("change", 0.25)) / (bound[m] * pm) : 0
+                if (spread > 1) wide[w] = 1
+                printf "  %-10s %-20s %12.5g [%10.5g, %10.5g] %12.5g [%10.5g, %10.5g] %+7.1f%% %3d/%d %6.0f%%%s%s\n", w, m, \
+                    pm, quantile("parent", 0.25), quantile("parent", 0.75), \
+                    cm, quantile("change", 0.25), quantile("change", 0.75), \
+                    pm ? 100 * (cm - pm) / pm : 0, wins, cnt["parent"], 100 * spread, \
+                    (spread > 1 ? "  RUNS SPREAD PAST THE BOUND" : ""), (bad[w] ? "  FAILED OPS OR WRONG RESULT" : "")
+                printf "{\"pr\": %d, \"commit\": \"%s\", \"workload\": \"%s\", \"seed\": %d, \"metric\": \"%s\", \"unit\": \"%s\", \"pairs\": %d, \"parent_median\": %s, \"change_median\": %s, \"change_wins\": %d}\n", \
+                    pr, commit, w, seed, m, unit[m], cnt["parent"], num(pm), num(cm), wins >>history
+            }
+            for (w in bad) failed = 1
+            for (w in wide) failed = 1
+            exit failed
+        }' "$raw/metrics" "$raw/runs"
+}
+
 stage_sanitize() {
     # Opt-in because it needs a nightly toolchain; each tool degrades to a
     # loud skip when unavailable so the stage is safe to run anywhere.
@@ -302,7 +405,7 @@ stage_nightly() {
 
 # ---------------------------------------------------------------- driver
 usage() {
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 mode="${1:-all}"
@@ -346,6 +449,9 @@ sanitize)
     ;;
 loc)
     stage_loc "${@:2}"
+    ;;
+pairs)
+    stage_pairs "${@:2}"
     ;;
 nightly)
     run_stage nightly stage_nightly

@@ -572,9 +572,10 @@ impl RmaTypedHalo {
         off + side * self.face_bytes[d]
     }
 
-    /// Release the epoch.
-    pub fn finish(self) {
+    /// Release the epoch and free the window (collective).
+    pub fn finish(self, ctx: &RankCtx) {
         self.win.unlock_all().expect("milc typed unlock_all");
+        self.win.free(ctx);
     }
 }
 
@@ -651,11 +652,12 @@ impl HaloExchange for RmaTypedHalo {
 /// foMPI backend with zero-copy datatype halos (§4.4's suggested
 /// optimisation).
 pub fn run_rma_typed(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let halo = RmaTypedHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, halo, |ctx, v| {
+    let mut halo = RmaTypedHalo::new(ctx, cfg);
+    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
         ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
     });
     ctx.barrier();
+    halo.finish(ctx);
     res
 }
 
@@ -691,9 +693,10 @@ impl NotifyHalo {
         off + side * self.face_bytes[d]
     }
 
-    /// Release the epoch.
-    pub fn finish(self) {
+    /// Release the epoch and free the window (collective).
+    pub fn finish(self, ctx: &RankCtx) {
         self.win.unlock_all().expect("milc notify unlock_all");
+        self.win.free(ctx);
     }
 }
 
@@ -735,11 +738,12 @@ impl HaloExchange for NotifyHalo {
 
 /// foMPI backend with notified access (the foMPI-NA extension direction).
 pub fn run_rma_notify(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let halo = NotifyHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, halo, |ctx, v| {
+    let mut halo = NotifyHalo::new(ctx, cfg);
+    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
         ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
     });
     ctx.barrier();
+    halo.finish(ctx);
     res
 }
 
@@ -826,11 +830,12 @@ impl HaloExchange for RmcHalo {
 
 /// foMPI backend with the halo exchange on remote memory channels.
 pub fn run_rma_rmc(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let halo = RmcHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, halo, |ctx, v| {
+    let mut halo = RmcHalo::new(ctx, cfg);
+    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
         ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
     });
     ctx.barrier();
+    halo.finish(ctx);
     res
 }
 

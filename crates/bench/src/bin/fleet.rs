@@ -144,22 +144,6 @@ const REGISTRY: &[AgentSpec] = &[
     },
 ];
 
-/// Env knobs scrubbed from every agent so the summary only depends on
-/// what the fleet passes explicitly.
-const SCRUBBED: &[&str] = &[
-    "FOMPI_SEED",
-    "FOMPI_FAULTS",
-    "FOMPI_BATCH",
-    "FOMPI_TELEMETRY",
-    "FOMPI_TELEMETRY_RING",
-    "FOMPI_NOTIFY_DEPTH",
-    "FOMPI_RACECHECK",
-    "FOMPI_PROFILE",
-    "FOMPI_METRICS",
-    "FOMPI_TXN_RETRY",
-    "FOMPI_RMC",
-];
-
 /// The chaos sweep's fault plan (seeded: deterministic injections).
 const CHAOS_PLAN: &str = "heavy,seed=5";
 
@@ -259,7 +243,9 @@ fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
                 let argv = expand_argv(spec, ranks, node_size, SEED)?;
                 let mut cmd = Command::new(&bin);
                 cmd.args(&argv);
-                for knob in SCRUBBED {
+                // Scrub every knob, so the summary only depends on what the
+                // fleet passes explicitly.
+                for knob in fompi_fabric::Config::VARS {
                     cmd.env_remove(knob);
                 }
                 if chaos {

@@ -1329,16 +1329,11 @@ impl Endpoint {
     where
         F: Fn() -> bool + Send + Sync + 'static,
     {
-        if !self.fabric.mc_armed() {
+        let Some(gate) = self.fabric.mc_gate() else {
             return false;
-        }
-        match self.fabric.mc_gate() {
-            Some(g) => {
-                g.poll(self.rank, obj, label, Box::new(pred));
-                true
-            }
-            None => false,
-        }
+        };
+        gate.poll(self.rank, obj, label, Box::new(pred));
+        true
     }
 
     /// Park until this rank's own notification ring is non-empty — the
@@ -1383,9 +1378,6 @@ impl Endpoint {
     /// Enter a job-wide collective through the gate; `Some(is_leader)`
     /// when armed, `None` otherwise (caller runs its real barrier).
     pub fn mc_collective(&self, label: &'static str) -> Option<bool> {
-        if !self.fabric.mc_armed() {
-            return None;
-        }
         self.fabric.mc_gate().map(|g| g.collective(self.rank, label))
     }
 }
@@ -1395,6 +1387,13 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::segment::Segment;
+    use crate::Config;
+
+    /// A two-rank, two-node fabric configured by `config` alone (the
+    /// environment is not consulted).
+    fn fabric_with(config: Config) -> Arc<Fabric> {
+        Fabric::with_config(2, 1, CostModel::default(), config)
+    }
 
     fn setup() -> (Arc<Fabric>, Endpoint, Endpoint, SegKey) {
         // Ranks 0 and 1 on different nodes → DMAPP path.
@@ -1515,8 +1514,7 @@ mod tests {
     fn faults_perturb_latency_deterministically() {
         use crate::faults::FaultPlan;
         let mk = || {
-            let f =
-                Fabric::with_config(2, 1, CostModel::default(), None, Some(FaultPlan::heavy(77)));
+            let f = fabric_with(Config { faults: FaultPlan::heavy(77), ..Config::default() });
             let ep = Endpoint::new(f.clone(), 0);
             let key = f.register(1, Segment::new(4096));
             (f, ep, key)
@@ -1544,7 +1542,7 @@ mod tests {
     fn rejected_nb_issue_moves_no_data() {
         use crate::faults::FaultPlan;
         let plan = FaultPlan { bp_reject_prob: 1.0, ..FaultPlan::heavy(5) };
-        let f = Fabric::with_config(2, 1, CostModel::default(), None, Some(plan));
+        let f = fabric_with(Config { faults: plan, ..Config::default() });
         let ep = Endpoint::new(f.clone(), 0);
         let key = f.register(1, Segment::new(64));
         match ep.put_nb(key, 0, &[9u8; 8]) {
@@ -1560,7 +1558,7 @@ mod tests {
     #[test]
     fn ordered_release_stays_ordered_under_faults() {
         use crate::faults::FaultPlan;
-        let f = Fabric::with_config(2, 1, CostModel::default(), None, Some(FaultPlan::heavy(31)));
+        let f = fabric_with(Config { faults: FaultPlan::heavy(31), ..Config::default() });
         let ep0 = Endpoint::new(f.clone(), 0);
         let ep1 = Endpoint::new(f.clone(), 1);
         let key = f.register(1, Segment::new(4096));
@@ -1677,7 +1675,7 @@ mod tests {
         let run = || {
             // Delay + backpressure heavy: the PR 2 plans the soak uses.
             let plan = FaultPlan { delay_prob: 0.5, bp_prob: 0.3, ..FaultPlan::heavy(123) };
-            let f = Fabric::with_config(2, 1, CostModel::default(), None, Some(plan));
+            let f = fabric_with(Config { faults: plan, ..Config::default() });
             let ep = Endpoint::new(f.clone(), 0);
             ep.set_batching(true);
             let key = f.register(1, Segment::new(8192));
@@ -1756,8 +1754,7 @@ mod tests {
 
     #[test]
     fn notify_overflow_accounts_backpressure_and_errors() {
-        let f = Fabric::new(2, 1, CostModel::default());
-        f.set_notify_depth(2);
+        let f = fabric_with(Config { notify_depth: 2, ..Config::default() });
         let ep0 = Endpoint::new(f.clone(), 0);
         let _key = f.register(1, Segment::new(64));
         ep0.notify_append(1, 1, 8).unwrap();
@@ -1779,8 +1776,7 @@ mod tests {
 
     #[test]
     fn notify_overflow_recovers_when_consumer_drains() {
-        let f = Fabric::new(2, 1, CostModel::default());
-        f.set_notify_depth(2);
+        let f = fabric_with(Config { notify_depth: 2, ..Config::default() });
         let ep0 = Endpoint::new(f.clone(), 0);
         let ep1 = Endpoint::new(f.clone(), 1);
         ep0.notify_append(1, 1, 0).unwrap();
@@ -1799,7 +1795,7 @@ mod tests {
         use crate::faults::FaultPlan;
         let run = || {
             let plan = FaultPlan { delay_prob: 0.5, bp_prob: 0.3, ..FaultPlan::heavy(99) };
-            let f = Fabric::with_config(2, 1, CostModel::default(), None, Some(plan));
+            let f = fabric_with(Config { faults: plan, ..Config::default() });
             let ep0 = Endpoint::new(f.clone(), 0);
             let ep1 = Endpoint::new(f.clone(), 1);
             ep0.set_batching(true);
@@ -1836,6 +1832,55 @@ mod tests {
         let c = f.counters().snapshot();
         assert_eq!(c.notify_dropped, 2);
         assert_eq!(c.notify_consumed, 0, "dropped records are not consumed");
+    }
+
+    /// The hub's rings sit side by side and are borrowed, not locked: two
+    /// of them run flat out at once — `p − 1` producers each, the owner
+    /// popping — and every record must arrive once, on the ring it was
+    /// sent to, in its source's order. (Endpoints are per thread here; with
+    /// every plane disarmed a rank's endpoints share only atomics.)
+    #[test]
+    fn two_rings_under_concurrent_appends_deliver_once_in_source_order() {
+        const P: u32 = 4;
+        const PER: u32 = 300;
+        let config = Config { notify_depth: 8, ..Config::default() };
+        let f = Fabric::with_config(P as usize, 1, CostModel::default(), config);
+        let start = std::sync::Barrier::new(2 * P as usize);
+        std::thread::scope(|s| {
+            for ring in 0..2u32 {
+                let (f, start) = (&f, &start);
+                for source in (0..P).filter(|&r| r != ring) {
+                    s.spawn(move || {
+                        let ep = Endpoint::new(f.clone(), source);
+                        start.wait();
+                        for tag in 0..PER {
+                            ep.notify_append(ring, tag, (ring * P + source) as u64).unwrap();
+                        }
+                    });
+                }
+                s.spawn(move || {
+                    let ep = Endpoint::new(f.clone(), ring);
+                    start.wait();
+                    let mut next = [0u32; P as usize];
+                    for _ in 0..(P - 1) * PER {
+                        let rec = loop {
+                            match ep.notify_pop() {
+                                Some(rec) => break rec,
+                                None => std::thread::yield_now(),
+                            }
+                        };
+                        assert_eq!(rec.bytes, (ring * P + rec.source) as u64, "wrong ring");
+                        assert_eq!(rec.tag, next[rec.source as usize], "per-source order");
+                        next[rec.source as usize] += 1;
+                    }
+                    assert_eq!(next[ring as usize], 0);
+                });
+            }
+        });
+        let c = f.counters().snapshot();
+        assert_eq!(c.notify_posts, (2 * (P - 1) * PER) as u64);
+        assert_eq!(c.notify_consumed, c.notify_posts, "every record arrived exactly once");
+        assert!((0..P).all(|r| f.notify().queue(r).is_empty()));
     }
 
     // ------------------------------------------------ translation cache

@@ -34,7 +34,7 @@
 //! The disabled path is one relaxed atomic load, mirroring
 //! [`crate::telemetry::Telemetry::enabled`].
 
-use crate::rng::{splitmix64, Rng};
+use crate::rng::{parse_u64, splitmix64, Rng};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -210,17 +210,6 @@ impl FaultPlan {
             || self.busy_prob > 0.0
     }
 
-    /// Read a plan from `FOMPI_FAULTS` (see [`FaultPlan::parse`]);
-    /// `Ok(None)` when unset, empty or `0`; `Err` on a malformed spec (the
-    /// error names the offending clause — callers must surface it, never
-    /// swallow it as "disabled").
-    pub fn from_env() -> Result<Option<Self>, FaultParseError> {
-        match std::env::var("FOMPI_FAULTS") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Ok(None),
-        }
-    }
-
     /// Parse a `FOMPI_FAULTS` spec. Grammar (see EXPERIMENTS.md):
     ///
     /// * `0` / empty — disabled (`Ok(None)`);
@@ -232,10 +221,12 @@ impl FaultPlan {
     ///   e.g. `FOMPI_FAULTS=seed=42,jitter=0.3,busy=0.2`. The shorthands
     ///   may also prefix the list: `heavy,seed=7`.
     ///
-    /// The seed, unless given, comes from `FOMPI_SEED` (default 1).
-    /// Malformed clauses are an error naming the clause, not a silent
-    /// disable: a typo in a chaos spec must never quietly run clean.
-    pub fn parse(spec: &str) -> Result<Option<Self>, FaultParseError> {
+    /// The seed, unless given, is `default_seed` (the root seed,
+    /// `FOMPI_SEED`). Malformed clauses are an error naming the clause,
+    /// which callers must surface and never swallow as "disabled": nothing
+    /// is worse than believing a soak ran under chaos when a typo turned
+    /// it off.
+    pub fn parse(spec: &str, default_seed: u64) -> Result<Option<Self>, FaultParseError> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "0" {
             return Ok(None);
@@ -244,7 +235,6 @@ impl FaultPlan {
             clause: clause.to_string(),
             reason: reason.to_string(),
         };
-        let default_seed = crate::rng::root_seed_from_env(1);
         let mut plan = FaultPlan::light(default_seed);
         for part in spec.split(',') {
             let part = part.trim();
@@ -303,15 +293,6 @@ impl std::fmt::Display for FaultParseError {
 
 impl std::error::Error for FaultParseError {}
 
-/// Parse a decimal or `0x`-prefixed u64.
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
 /// What one issue-side draw decided to inject. All fields are virtual ns;
 /// zero means "not injected".
 #[derive(Debug, Clone, Copy, Default)]
@@ -358,16 +339,6 @@ impl Faults {
             })
             .collect();
         Faults { active: AtomicBool::new(plan.any()), plan, ranks, injected: Default::default() }
-    }
-
-    /// Hub configured from `FOMPI_FAULTS` (inert when unset). A malformed
-    /// spec is a *startup error*, not a silent disable: nothing is worse
-    /// than believing a soak ran under chaos when a typo turned it off.
-    pub fn from_env(p: usize) -> Self {
-        match FaultPlan::from_env() {
-            Ok(plan) => Self::new(p, plan.unwrap_or_else(FaultPlan::disabled)),
-            Err(e) => panic!("invalid FOMPI_FAULTS: {e}"),
-        }
     }
 
     /// Is any fault injection armed? One relaxed load.
@@ -547,14 +518,14 @@ mod tests {
 
     #[test]
     fn parse_shorthands_and_overrides() {
-        assert_eq!(FaultPlan::parse("0"), Ok(None));
-        assert_eq!(FaultPlan::parse(""), Ok(None));
-        let light = FaultPlan::parse("1").unwrap().unwrap();
-        assert_eq!(light.jitter_frac, FaultPlan::light(light.seed).jitter_frac);
-        let h = FaultPlan::parse("heavy,seed=0x2A").unwrap().unwrap();
+        assert_eq!(FaultPlan::parse("0", 1), Ok(None));
+        assert_eq!(FaultPlan::parse("", 1), Ok(None));
+        let light = FaultPlan::parse("1", 5).unwrap().unwrap();
+        assert_eq!(light, FaultPlan::light(5), "no seed clause: the default seed");
+        let h = FaultPlan::parse("heavy,seed=0x2A", 1).unwrap().unwrap();
         assert_eq!(h.seed, 42);
         assert_eq!(h.busy_prob, FaultPlan::heavy(0).busy_prob);
-        let c = FaultPlan::parse("seed=9,jitter=0.3,busy=0.2,busy_ns=500").unwrap().unwrap();
+        let c = FaultPlan::parse("seed=9,jitter=0.3,busy=0.2,busy_ns=500", 1).unwrap().unwrap();
         assert_eq!(c.seed, 9);
         assert_eq!(c.jitter_frac, 0.3);
         assert_eq!(c.busy_prob, 0.2);
@@ -564,21 +535,24 @@ mod tests {
     #[test]
     fn parse_errors_name_the_offending_clause() {
         // A bare word that is not a shorthand is an error, not "disabled".
-        let e = FaultPlan::parse("nonsense").unwrap_err();
+        let e = FaultPlan::parse("nonsense", 1).unwrap_err();
         assert_eq!(e.clause, "nonsense");
         // A non-numeric value names its clause.
-        let e = FaultPlan::parse("heavy,jitter=abc,busy=0.2").unwrap_err();
+        let e = FaultPlan::parse("heavy,jitter=abc,busy=0.2", 1).unwrap_err();
         assert_eq!(e.clause, "jitter=abc");
         assert!(e.to_string().contains("jitter=abc"), "{e}");
         // Unknown keys are errors too (typo'd chaos must not run clean).
-        let e = FaultPlan::parse("jittr=0.3").unwrap_err();
+        let e = FaultPlan::parse("jittr=0.3", 1).unwrap_err();
         assert_eq!(e.clause, "jittr=0.3");
         assert!(e.reason.contains("unknown key"));
         // Bad seeds are caught.
-        let e = FaultPlan::parse("seed=0xZZ").unwrap_err();
+        let e = FaultPlan::parse("seed=0xZZ", 1).unwrap_err();
         assert_eq!(e.clause, "seed=0xZZ");
         // Display carries enough to act on.
-        assert!(FaultPlan::parse("busy_ns=").unwrap_err().to_string().contains("must be a number"));
+        assert!(FaultPlan::parse("busy_ns=", 1)
+            .unwrap_err()
+            .to_string()
+            .contains("must be a number"));
     }
 
     #[test]

@@ -38,6 +38,7 @@
 pub mod amo;
 pub mod batch;
 pub mod clock;
+pub mod config;
 pub mod cost;
 pub mod counters;
 pub mod endpoint;
@@ -60,6 +61,7 @@ pub mod xpmem;
 pub use amo::AmoOp;
 pub use batch::{Burst, BurstKind};
 pub use clock::{Clock, StampCell};
+pub use config::{Config, ConfigError};
 pub use cost::{CostModel, Transport};
 pub use counters::{CounterSnapshot, Counters};
 pub use endpoint::{Endpoint, NbHandle};
@@ -80,7 +82,7 @@ pub use topology::Topology;
 
 use shim::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The fabric: the shared "network + NIC registry" that all ranks attach to.
@@ -98,15 +100,14 @@ pub struct Fabric {
     counters: Counters,
     telemetry: Telemetry,
     faults: Faults,
-    batch_default: AtomicBool,
+    batch_default: bool,
     notify: NotifyHub,
     shadow: Shadow,
     profiler: Profiler,
-    metrics_on: AtomicBool,
-    txn_retry: RwLock<Option<String>>,
-    rmc: RwLock<Option<String>>,
-    mc: RwLock<Option<Arc<dyn mc::McGate>>>,
-    mc_armed: AtomicBool,
+    metrics_on: bool,
+    txn_retry: Option<String>,
+    rmc: Option<String>,
+    mc: Option<Arc<dyn mc::McGate>>,
 }
 
 /// The registry generation word, alone on its cache lines: every endpoint
@@ -118,64 +119,29 @@ struct RegistryGeneration(AtomicU64);
 
 impl Fabric {
     /// Create a fabric for `p` ranks grouped `node_size` per node with the
-    /// given cost model. Telemetry is configured from the environment
-    /// (`FOMPI_TELEMETRY`, off by default — see [`telemetry`]); fault
-    /// injection likewise (`FOMPI_FAULTS`, off by default — see [`faults`]).
+    /// given cost model, configured from the environment
+    /// ([`Config::from_env`]). A malformed variable panics with the
+    /// [`ConfigError`] text: a loud start-up error, never a silent default.
     pub fn new(p: usize, node_size: usize, model: CostModel) -> Arc<Self> {
-        Self::build(p, node_size, model, Telemetry::from_env(p), Faults::from_env(p))
+        let config = Config::from_env().unwrap_or_else(|e| panic!("{e}"));
+        Self::with_config(p, node_size, model, config)
     }
 
-    /// Like [`Fabric::new`], but with tracing telemetry enabled
-    /// programmatically: `ring_cap` events retained per rank.
-    pub fn new_traced(p: usize, node_size: usize, model: CostModel, ring_cap: usize) -> Arc<Self> {
-        Self::build(
+    /// The constructor: every plane is built in its final state from
+    /// `config`, and nothing here is reconfigured afterwards (see
+    /// [`config`]). The runtime's `Universe` builder funnels through here.
+    pub fn with_config(p: usize, node_size: usize, model: CostModel, config: Config) -> Arc<Self> {
+        // The metrics plane needs the telemetry aggregates (histograms
+        // feed the quantiles), so arming it also enables them — the event
+        // rings stay at whatever capacity was chosen.
+        let telemetry = Telemetry::with_capacity(
             p,
-            node_size,
-            model,
-            Telemetry::with_capacity(p, true, ring_cap),
-            Faults::from_env(p),
-        )
-    }
-
-    /// Fully-configured constructor: programmatic fault plan, optional
-    /// tracing (`ring_cap` events per rank when `Some`). The runtime's
-    /// `Universe` builder funnels through here.
-    pub fn with_config(
-        p: usize,
-        node_size: usize,
-        model: CostModel,
-        ring_cap: Option<usize>,
-        plan: Option<FaultPlan>,
-    ) -> Arc<Self> {
-        let telemetry = match ring_cap {
-            Some(cap) => Telemetry::with_capacity(p, true, cap),
-            None => Telemetry::from_env(p),
-        };
-        let faults = match plan {
-            Some(plan) => Faults::new(p, plan),
-            None => Faults::from_env(p),
-        };
-        Self::build(p, node_size, model, telemetry, faults)
-    }
-
-    fn build(
-        p: usize,
-        node_size: usize,
-        model: CostModel,
-        telemetry: Telemetry,
-        faults: Faults,
-    ) -> Arc<Self> {
-        // `FOMPI_METRICS` arms the metrics plane; it needs the telemetry
-        // aggregates (histograms feed the quantiles), so it also enables
-        // them — the event rings stay at whatever capacity was chosen.
-        let metrics_on = metrics_from_env();
-        if metrics_on {
-            telemetry.set_enabled(true);
-        }
+            config.telemetry_ring.is_some() || config.metrics,
+            config.telemetry_ring.unwrap_or(0),
+        );
         // A profiling run arms the flight recorder: a crash mid-profile
         // should dump its last-N window.
-        let profiler = Profiler::from_env();
-        if profiler.mode() != ProfileMode::Off {
+        if config.profile != ProfileMode::Off {
             telemetry.set_flight(true);
         }
         Arc::new(Self {
@@ -186,16 +152,15 @@ impl Fabric {
             next_id: AtomicU64::new(1),
             counters: Counters::default(),
             telemetry,
-            faults,
-            batch_default: AtomicBool::new(batch_from_env()),
-            notify: NotifyHub::new(p, notify::depth_from_env()),
-            shadow: Shadow::from_env(p),
-            profiler,
-            metrics_on: AtomicBool::new(metrics_on),
-            txn_retry: RwLock::new(txn_retry_from_env()),
-            rmc: RwLock::new(rmc_from_env()),
-            mc: RwLock::new(None),
-            mc_armed: AtomicBool::new(false),
+            faults: Faults::new(p, config.faults),
+            batch_default: config.batch,
+            notify: NotifyHub::new(p, config.notify_depth),
+            shadow: Shadow::new(p, config.racecheck),
+            profiler: Profiler::new(config.profile),
+            metrics_on: config.metrics,
+            txn_retry: config.txn_retry,
+            rmc: config.rmc,
+            mc: config.mc,
         })
     }
 
@@ -225,128 +190,62 @@ impl Fabric {
     }
 
     /// The wall-clock profiler (inert — one relaxed load per op — unless
-    /// `FOMPI_PROFILE` or [`Fabric::set_profile`] arms it).
+    /// [`Config::profile`] arms it, which also arms the telemetry flight
+    /// recorder).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
 
-    /// Set the profiling mode programmatically. Launch-time configuration
-    /// only — the runtime's `Universe::profile` funnels through here,
-    /// mirroring [`Fabric::set_batch_default`]. Arming also arms the
-    /// telemetry flight recorder.
-    pub fn set_profile(&self, mode: ProfileMode) {
-        self.profiler.set_mode(mode);
-        if mode != ProfileMode::Off {
-            self.telemetry.set_flight(true);
-        }
-    }
-
-    /// Is the metrics plane armed (`FOMPI_METRICS` /
-    /// [`Fabric::set_metrics`])? Advisory: [`metrics::snapshot`] works
-    /// regardless, but only an armed run has populated histograms.
+    /// Is the metrics plane armed ([`Config::metrics`])? Advisory:
+    /// [`metrics::snapshot`] works regardless, but only an armed run has
+    /// populated histograms.
     pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on.load(Ordering::Relaxed)
+        self.metrics_on
     }
 
-    /// Arm the metrics plane programmatically (enables the telemetry
-    /// aggregates it feeds on). Launch-time configuration only — the
-    /// runtime's `Universe::metrics` funnels through here.
-    pub fn set_metrics(&self, on: bool) {
-        self.metrics_on.store(on, Ordering::Relaxed);
-        if on {
-            self.telemetry.set_enabled(true);
-        }
-    }
-
-    /// Whether endpoints created from now on start with issue-side batching
-    /// enabled (see [`batch`]). Defaults to `FOMPI_BATCH` (off when unset);
-    /// each [`Endpoint`] snapshots this at creation and can still toggle
-    /// itself with [`Endpoint::set_batching`].
+    /// Whether endpoints start with issue-side batching enabled (see
+    /// [`batch`]; [`Config::batch`]). Each [`Endpoint`] snapshots this at
+    /// creation and can still toggle itself with
+    /// [`Endpoint::set_batching`].
     pub fn batch_default(&self) -> bool {
-        self.batch_default.load(Ordering::Relaxed)
-    }
-
-    /// Set the batching default for endpoints created after this call.
-    pub fn set_batch_default(&self, on: bool) {
-        self.batch_default.store(on, Ordering::Relaxed);
+        self.batch_default
     }
 
     /// The notification hub: per-rank queues of notified-access records
-    /// (see [`notify`]). Depth defaults to `FOMPI_NOTIFY_DEPTH`.
+    /// (see [`notify`]), [`Config::notify_depth`] deep.
     pub fn notify(&self) -> &NotifyHub {
         &self.notify
     }
 
-    /// Replace every notification ring with fresh ones of `depth` records.
-    /// Launch-time configuration only (queued records are dropped) — the
-    /// runtime's `Universe::notify_depth` funnels through here, mirroring
-    /// [`Fabric::set_batch_default`].
-    pub fn set_notify_depth(&self, depth: usize) {
-        self.notify.set_depth(depth);
-    }
-
     /// The racecheck hub (see [`shadow`]): inert — one relaxed load per
-    /// op — unless `FOMPI_RACECHECK` or [`Fabric::set_racecheck`] arms it.
+    /// op — unless [`Config::racecheck`] arms it.
     pub fn shadow(&self) -> &Shadow {
         &self.shadow
     }
 
-    /// Set the racecheck mode programmatically. Launch-time configuration
-    /// only — the runtime's `Universe::racecheck` funnels through here,
-    /// mirroring [`Fabric::set_batch_default`].
-    pub fn set_racecheck(&self, mode: RacecheckMode) {
-        self.shadow.set_mode(mode);
+    /// The transaction retry-policy spec in force
+    /// ([`Config::txn_retry`]), if any.
+    pub fn txn_retry(&self) -> Option<&str> {
+        self.txn_retry.as_deref()
     }
 
-    /// The transaction retry-policy spec in force (`FOMPI_TXN_RETRY` /
-    /// [`Fabric::set_txn_retry`]), if any. The fabric only carries the
-    /// string — the `fompi-txn` layer owns the grammar and parses it at
-    /// policy-construction time.
-    pub fn txn_retry(&self) -> Option<String> {
-        self.txn_retry.read().clone()
+    /// The remote-memory-channel tuning spec in force ([`Config::rmc`]),
+    /// if any.
+    pub fn rmc(&self) -> Option<&str> {
+        self.rmc.as_deref()
     }
 
-    /// Set the transaction retry-policy spec programmatically. Launch-time
-    /// configuration only — the runtime's `Universe::txn_retry` funnels
-    /// through here, mirroring [`Fabric::set_batch_default`].
-    pub fn set_txn_retry(&self, spec: &str) {
-        *self.txn_retry.write() = Some(spec.to_string());
-    }
-
-    /// The remote-memory-channel tuning spec in force (`FOMPI_RMC` /
-    /// [`Fabric::set_rmc`]), if any. The fabric only carries the string —
-    /// the `fompi-rmc` layer owns the grammar and parses it at
-    /// channel-construction time.
-    pub fn rmc(&self) -> Option<String> {
-        self.rmc.read().clone()
-    }
-
-    /// Set the remote-memory-channel tuning spec programmatically.
-    /// Launch-time configuration only — the runtime's `Universe::rmc`
-    /// funnels through here, mirroring [`Fabric::set_txn_retry`].
-    pub fn set_rmc(&self, spec: &str) {
-        *self.rmc.write() = Some(spec.to_string());
-    }
-
-    /// Is a model-checker gate installed? One relaxed load — the entire
-    /// ungated hot path (mirrors [`Shadow::active`]).
+    /// Is a model-checker gate installed? The entire ungated hot path.
     #[inline]
     pub fn mc_armed(&self) -> bool {
-        self.mc_armed.load(Ordering::Relaxed)
+        self.mc.is_some()
     }
 
-    /// The installed model-checker gate, if any (see [`mc`]).
-    pub fn mc_gate(&self) -> Option<Arc<dyn mc::McGate>> {
-        self.mc.read().clone()
-    }
-
-    /// Install a model-checker gate. Launch-time configuration only —
-    /// the runtime's `Universe::mc_gate` funnels through here, mirroring
-    /// [`Fabric::set_racecheck`]. Once armed, every endpoint serializes
-    /// its shared-state operations through the gate.
-    pub fn set_mc_gate(&self, gate: Arc<dyn mc::McGate>) {
-        *self.mc.write() = Some(gate);
-        self.mc_armed.store(true, Ordering::Relaxed);
+    /// The installed model-checker gate ([`Config::mc`]), if any: once
+    /// armed, every endpoint serializes its shared-state operations
+    /// through it (see [`mc`]).
+    pub fn mc_gate(&self) -> Option<&Arc<dyn mc::McGate>> {
+        self.mc.as_ref()
     }
 
     /// Register `seg` for remote access by rank `rank`. Returns the key
@@ -446,41 +345,6 @@ impl Fabric {
     }
 }
 
-/// `FOMPI_BATCH` switch: `1`/`true`/`on` arms issue-side batching for every
-/// endpoint of fabrics built afterwards.
-fn batch_from_env() -> bool {
-    matches!(
-        std::env::var("FOMPI_BATCH").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
-/// `FOMPI_TXN_RETRY` carrier: the raw retry-policy spec for the
-/// `fompi-txn` layer (grammar documented there; e.g. `immediate:16` or
-/// `backoff:64:400:100000`). Parsed lazily by the consumer so the fabric
-/// stays ignorant of transaction semantics.
-fn txn_retry_from_env() -> Option<String> {
-    std::env::var("FOMPI_TXN_RETRY").ok().map(|s| s.trim().to_string()).filter(|s| !s.is_empty())
-}
-
-/// `FOMPI_RMC` carrier: the raw remote-memory-channel tuning spec for the
-/// `fompi-rmc` layer (grammar documented there; e.g.
-/// `slots=8,slot_bytes=256,lagging=drop,rpc_budget=4,rpc_timeout_ns=2000000`).
-/// Parsed lazily by the consumer so the fabric stays ignorant of channel
-/// semantics.
-fn rmc_from_env() -> Option<String> {
-    std::env::var("FOMPI_RMC").ok().map(|s| s.trim().to_string()).filter(|s| !s.is_empty())
-}
-
-/// `FOMPI_METRICS` switch: `1`/`true`/`on` arms the metrics plane (and the
-/// telemetry aggregates it is computed from).
-fn metrics_from_env() -> bool {
-    matches!(
-        std::env::var("FOMPI_METRICS").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,7 +389,12 @@ mod tests {
     #[test]
     fn try_register_surfaces_transient_busy() {
         let plan = FaultPlan { busy_prob: 1.0, ..FaultPlan::heavy(13) };
-        let f = Fabric::with_config(2, 1, CostModel::default(), None, Some(plan));
+        let f = Fabric::with_config(
+            2,
+            1,
+            CostModel::default(),
+            Config { faults: plan, ..Config::default() },
+        );
         match f.try_register(0, Segment::new(8)) {
             Err(FabricError::SegmentBusy { retry_after_ns }) => assert!(retry_after_ns > 0),
             other => panic!("expected SegmentBusy, got {other:?}"),

@@ -11,9 +11,10 @@
 //! in `fompi-mc`, which implements the trait.
 //!
 //! Gating follows the racecheck/faults idiom: no gate installed means
-//! one relaxed load per op ([`crate::Fabric::mc_armed`]) and zero
-//! behaviour change. A gate is launch-time configuration
-//! (`Universe::mc_gate`), never mutated mid-run.
+//! one load per op ([`crate::Fabric::mc_armed`]) and zero behaviour
+//! change. A gate is configuration ([`crate::Config::mc`],
+//! `Universe::mc_gate`): installed before the fabric exists, never
+//! mutated.
 //!
 //! # The conflict relation
 //!
@@ -111,7 +112,7 @@ pub fn ops_conflict(a: &McOp, b: &McOp) -> bool {
 }
 
 /// The scheduling gate a model checker installs via
-/// [`crate::Fabric::set_mc_gate`]. Every method blocks the calling rank
+/// [`crate::Config::mc`]. Every method blocks the calling rank
 /// until the checker grants it the execution token; the operation (or
 /// poll re-check, or collective exit) then runs on the caller's thread.
 ///

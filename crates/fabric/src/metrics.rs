@@ -409,7 +409,8 @@ mod tests {
     }
 
     fn traced_fabric() -> std::sync::Arc<Fabric> {
-        let f = Fabric::new_traced(2, 1, CostModel::default(), 64);
+        let config = crate::Config { telemetry_ring: Some(64), ..Default::default() };
+        let f = Fabric::with_config(2, 1, CostModel::default(), config);
         f.telemetry().record(put_ev(0, 1, 7, 100, 0.0, 1500.0));
         f.telemetry().record(put_ev(0, 1, 7, 8, 1500.0, 2000.0));
         f.telemetry().record(Event {

@@ -33,9 +33,8 @@
 //! once per append — never inside the retry loop — preserving the
 //! bit-determinism contract of [`crate::faults`].
 //!
-//! Depth comes from `FOMPI_NOTIFY_DEPTH` (default [`DEFAULT_NOTIFY_DEPTH`],
-//! rounded up to a power of two); a malformed value is a loud startup
-//! error, mirroring `FOMPI_FAULTS`.
+//! Depth is [`crate::Config::notify_depth`] (`FOMPI_NOTIFY_DEPTH`, default
+//! [`DEFAULT_NOTIFY_DEPTH`], rounded up to a power of two).
 
 use crate::clock::{bits_to_stamp, stamp_to_bits};
 // Under `--cfg loom` the ring runs on loom's model-checked atomics so the
@@ -44,10 +43,9 @@ use crate::clock::{bits_to_stamp, stamp_to_bits};
 // (do not commit) and run
 // `RUSTFLAGS="--cfg loom" cargo test -p fompi-fabric --release loom_`.
 #[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wildcard for [`notify_match`]: matches any source or any tag.
 pub const NOTIFY_ANY: u32 = u32::MAX;
@@ -85,25 +83,6 @@ pub fn notify_match(want_source: u32, want_tag: u32, source: u32, tag: u32) -> b
         && (want_tag == NOTIFY_ANY || tag == want_tag)
 }
 
-/// Queue depth from `FOMPI_NOTIFY_DEPTH`. Unset/empty → the default;
-/// malformed or zero → a loud panic (a typo'd depth must never silently
-/// run at the default, mirroring the `FOMPI_FAULTS` policy).
-pub fn depth_from_env() -> usize {
-    match std::env::var("FOMPI_NOTIFY_DEPTH") {
-        Ok(s) => {
-            let s = s.trim().to_string();
-            if s.is_empty() {
-                return DEFAULT_NOTIFY_DEPTH;
-            }
-            match s.parse::<usize>() {
-                Ok(d) if d >= 1 => d,
-                _ => panic!("invalid FOMPI_NOTIFY_DEPTH `{s}`: want an integer >= 1"),
-            }
-        }
-        Err(_) => DEFAULT_NOTIFY_DEPTH,
-    }
-}
-
 /// One cell of the ring. `seq` is the Vyukov sequence word; the payload
 /// words are published before the `seq` release-store and read after the
 /// consumer's acquire-load, so they need no ordering of their own.
@@ -121,6 +100,11 @@ struct Cell {
 /// the consumer is normally the owning rank's `wait_notify`/`test_notify`
 /// loop. Full is a *normal* condition ([`NotifyQueue::try_push`] returns
 /// `false`) — the endpoint turns it into modelled backpressure.
+///
+/// A line of its own: the hub keeps the rings side by side, and two ranks'
+/// cursors on one line would make every append to one ring invalidate the
+/// other's (measured on the benchmark's `stream`, see EXPERIMENTS.md).
+#[repr(align(64))]
 pub struct NotifyQueue {
     cells: Box<[Cell]>,
     mask: u64,
@@ -247,41 +231,29 @@ impl std::fmt::Debug for NotifyQueue {
     }
 }
 
-/// Per-rank notification queues, owned by [`crate::Fabric`]. The registry
-/// sits behind an `RwLock` only so [`NotifyHub::set_depth`] can swap the
-/// rings before traffic starts ([`crate::Fabric::set_notify_depth`], the
-/// `Universe` launch path); every hot-path access is a read lock plus the
-/// lock-free ring.
+/// Per-rank notification queues, owned by [`crate::Fabric`] and sized
+/// once, at construction: a rank's ring is a plain borrow, so an append or
+/// a poll touches no word the other ranks' rings share.
 pub struct NotifyHub {
-    queues: RwLock<Vec<Arc<NotifyQueue>>>,
-    depth: AtomicUsize,
+    queues: Box<[NotifyQueue]>,
+    depth: usize,
 }
 
 impl NotifyHub {
     /// Build `p` rings of `depth` records each.
     pub fn new(p: usize, depth: usize) -> Self {
-        let queues = (0..p).map(|_| Arc::new(NotifyQueue::new(depth))).collect();
-        NotifyHub { queues: RwLock::new(queues), depth: AtomicUsize::new(depth) }
+        NotifyHub { queues: (0..p).map(|_| NotifyQueue::new(depth)).collect(), depth }
     }
 
     /// The ring of notifications *destined for* `rank`.
-    pub fn queue(&self, rank: u32) -> Arc<NotifyQueue> {
-        self.queues.read().expect("notify registry poisoned")[rank as usize].clone()
+    #[inline]
+    pub fn queue(&self, rank: u32) -> &NotifyQueue {
+        &self.queues[rank as usize]
     }
 
     /// Configured depth (pre-rounding).
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Replace every ring with fresh ones of `depth` records. Intended for
-    /// launch-time configuration only: records still queued are dropped.
-    pub fn set_depth(&self, depth: usize) {
-        let mut q = self.queues.write().expect("notify registry poisoned");
-        for slot in q.iter_mut() {
-            *slot = Arc::new(NotifyQueue::new(depth));
-        }
-        self.depth.store(depth, Ordering::Relaxed);
+        self.depth
     }
 }
 
@@ -295,6 +267,7 @@ impl std::fmt::Debug for NotifyHub {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     fn rec(tag: u32, source: u32, bytes: u64, stamp: f64) -> NotifyRecord {
         NotifyRecord { tag, source, bytes, stamp, flow: tag as u64 + 1 }
@@ -404,14 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn hub_set_depth_swaps_rings() {
+    fn hub_rings_are_sized_at_construction_and_independent() {
         let hub = NotifyHub::new(3, 4);
-        assert_eq!(hub.queue(1).capacity(), 4);
-        hub.queue(1).try_push(rec(9, 0, 0, 0.0));
-        hub.set_depth(32);
-        assert_eq!(hub.depth(), 32);
-        assert_eq!(hub.queue(1).capacity(), 32);
-        assert_eq!(hub.queue(1).try_pop(), None, "set_depth drops queued records");
+        assert_eq!(hub.depth(), 4);
+        assert!((0..3).all(|r| hub.queue(r).capacity() == 4));
+        assert!(hub.queue(1).try_push(rec(9, 0, 0, 0.0)));
+        assert!(hub.queue(0).is_empty() && hub.queue(2).is_empty());
+        assert_eq!(hub.queue(1).try_pop().unwrap().tag, 9);
     }
 
     #[test]

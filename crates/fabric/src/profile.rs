@@ -16,9 +16,6 @@
 //! * `sample` — every [`SAMPLE_PERIOD`]'th operation is timed; the rest
 //!   pay one relaxed load plus one relaxed `fetch_add`.
 //! * `full` — every operation is timed (two `Instant::now()` calls each).
-//!
-//! A malformed `FOMPI_PROFILE` value is a startup panic, not a silent
-//! `off` — same contract as `FOMPI_FAULTS`.
 
 use crate::telemetry::{EventKind, Histogram};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -50,26 +47,13 @@ impl ProfileMode {
         }
     }
 
-    /// Parse a `FOMPI_PROFILE` value. `Err` carries the offending value.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    /// Parse a `FOMPI_PROFILE` value. `Err` says what was expected.
+    pub fn parse(s: &str) -> Result<Self, &'static str> {
         match s.trim() {
             "" | "0" | "off" => Ok(ProfileMode::Off),
             "sample" => Ok(ProfileMode::Sample),
             "1" | "full" => Ok(ProfileMode::Full),
-            other => Err(format!("invalid FOMPI_PROFILE `{other}` (expected off|sample|full)")),
-        }
-    }
-
-    /// Mode from the environment; unset means [`ProfileMode::Off`]. A
-    /// malformed value panics loudly — a typo'd profiling run must never
-    /// quietly report nothing.
-    pub fn from_env() -> Self {
-        match std::env::var("FOMPI_PROFILE") {
-            Ok(v) => match Self::parse(&v) {
-                Ok(m) => m,
-                Err(e) => panic!("{e}"),
-            },
-            Err(_) => ProfileMode::Off,
+            _ => Err("expected off|sample|full"),
         }
     }
 }
@@ -126,11 +110,6 @@ impl Profiler {
         }
     }
 
-    /// A profiler configured from `FOMPI_PROFILE`.
-    pub fn from_env() -> Self {
-        Self::new(ProfileMode::from_env())
-    }
-
     /// The mode in force.
     #[inline]
     pub fn mode(&self) -> ProfileMode {
@@ -141,8 +120,7 @@ impl Profiler {
         }
     }
 
-    /// Switch modes at runtime (launch-time configuration; mirrors
-    /// [`crate::Fabric::set_batch_default`]).
+    /// Switch modes.
     pub fn set_mode(&self, mode: ProfileMode) {
         self.mode.store(mode as u8, Ordering::Relaxed);
     }
@@ -243,8 +221,7 @@ mod tests {
         assert_eq!(ProfileMode::parse("full"), Ok(ProfileMode::Full));
         assert_eq!(ProfileMode::parse("1"), Ok(ProfileMode::Full));
         assert_eq!(ProfileMode::parse(" full "), Ok(ProfileMode::Full));
-        let e = ProfileMode::parse("fll").unwrap_err();
-        assert!(e.contains("fll"), "{e}");
+        assert_eq!(ProfileMode::parse("fll").unwrap_err(), "expected off|sample|full");
     }
 
     #[test]

@@ -16,23 +16,23 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Read the workspace root seed from `FOMPI_SEED` (decimal or
-/// `0x`-prefixed hex), falling back to `default`. Every randomized
-/// component (fault plans, soak, proptests) derives its streams from this
-/// one value so a failure log prints a single reproducing seed.
-pub fn root_seed_from_env(default: u64) -> u64 {
-    match std::env::var("FOMPI_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            let parsed = if let Some(h) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                u64::from_str_radix(h, 16).ok()
-            } else {
-                s.parse().ok()
-            };
-            parsed.unwrap_or(default)
-        }
-        Err(_) => default,
+/// Parse a decimal or `0x`-prefixed u64 — the spelling of every seed.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
+}
+
+/// Read the workspace root seed from `FOMPI_SEED` (decimal or
+/// `0x`-prefixed hex), falling back to `default` when unset or empty.
+/// Every randomized component (fault plans, soak, proptests) derives its
+/// streams from this one value so a failure log prints a single
+/// reproducing seed — hence an unparsable value panics: running the
+/// default instead would "reproduce" at another seed.
+pub fn root_seed_from_env(default: u64) -> u64 {
+    crate::config::root_seed(&|var| std::env::var(var).ok(), default)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Deterministic xorshift64* generator seeded through SplitMix64.

@@ -72,20 +72,14 @@ pub enum RacecheckMode {
 }
 
 impl RacecheckMode {
-    /// Parse `FOMPI_RACECHECK`. Unset, empty, `off` and `0` disable;
-    /// `report` and `panic` enable. Anything else is a loud error — a
-    /// typo must never silently disable the checker.
-    pub fn from_env() -> RacecheckMode {
-        match std::env::var("FOMPI_RACECHECK") {
-            Err(_) => RacecheckMode::Off,
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "off" | "0" => RacecheckMode::Off,
-                "report" | "1" | "on" => RacecheckMode::Report,
-                "panic" => RacecheckMode::Panic,
-                other => {
-                    panic!("invalid FOMPI_RACECHECK: {other:?} (expected report, panic, or off)")
-                }
-            },
+    /// Parse a `FOMPI_RACECHECK` value: `off` and `0` disable; `report`
+    /// (or `1`, `on`) and `panic` enable. `Err` says what was expected.
+    pub fn parse(s: &str) -> Result<RacecheckMode, &'static str> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "" | "off" | "0" => Ok(RacecheckMode::Off),
+            "report" | "1" | "on" => Ok(RacecheckMode::Report),
+            "panic" => Ok(RacecheckMode::Panic),
+            _ => Err("expected report, panic or off"),
         }
     }
 
@@ -429,11 +423,6 @@ impl Shadow {
         }
     }
 
-    /// Hub configured from `FOMPI_RACECHECK` (panics on a malformed value).
-    pub fn from_env(p: usize) -> Shadow {
-        Shadow::new(p, RacecheckMode::from_env())
-    }
-
     /// Is the checker recording? One relaxed load — the entire disabled
     /// hot path.
     #[inline]
@@ -446,7 +435,7 @@ impl Shadow {
         RacecheckMode::from_u8(self.mode.load(Ordering::Relaxed))
     }
 
-    /// Switch mode (launch-time plumbing; overrides the env gate).
+    /// Switch mode.
     pub fn set_mode(&self, mode: RacecheckMode) {
         self.mode.store(mode as u8, Ordering::Relaxed);
         self.active.store(mode != RacecheckMode::Off, Ordering::Relaxed);

@@ -22,10 +22,8 @@
 //! ## Enabling
 //!
 //! * environment: `FOMPI_TELEMETRY=1` (ring size via
-//!   `FOMPI_TELEMETRY_RING`, default 65536 events/rank), read at
-//!   [`crate::Fabric::new`];
-//! * programmatic: [`crate::Fabric::new_traced`], or
-//!   [`Telemetry::set_enabled`] on a fabric built with ring capacity.
+//!   `FOMPI_TELEMETRY_RING`, default 65536 events/rank);
+//! * programmatic: [`crate::Config::telemetry_ring`] (`Universe::trace`).
 //!
 //! Aggregates work whenever `enabled` is set; retaining the raw event
 //! stream additionally needs a non-zero ring capacity at construction.
@@ -211,37 +209,11 @@ impl Telemetry {
         }
     }
 
-    /// Telemetry configured from the environment: enabled iff
-    /// `FOMPI_TELEMETRY` is set to anything but `0`; ring capacity from
-    /// `FOMPI_TELEMETRY_RING` (default [`DEFAULT_RING_CAP`]).
-    pub fn from_env(p: usize) -> Self {
-        let enabled = std::env::var("FOMPI_TELEMETRY").map(|v| v != "0").unwrap_or(false);
-        let cap = if enabled {
-            std::env::var("FOMPI_TELEMETRY_RING")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_RING_CAP)
-        } else {
-            0
-        };
-        Telemetry::with_capacity(p, enabled, cap)
-    }
-
     /// Is recording on? This is the whole disabled hot path: one relaxed
     /// load and a branch at every call site.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.state.load(Ordering::Relaxed) & STATE_AGGR != 0
-    }
-
-    /// Toggle recording. Enabling on a fabric built without ring capacity
-    /// records aggregates only.
-    pub fn set_enabled(&self, on: bool) {
-        if on {
-            self.state.fetch_or(STATE_AGGR, Ordering::Relaxed);
-        } else {
-            self.state.fetch_and(!STATE_AGGR, Ordering::Relaxed);
-        }
     }
 
     /// Is *any* recording armed (aggregates or flight)? The gate event

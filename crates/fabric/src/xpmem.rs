@@ -109,7 +109,8 @@ mod tests {
     fn attach_surfaces_transient_busy_under_faults() {
         use crate::faults::FaultPlan;
         let plan = FaultPlan { busy_prob: 1.0, ..FaultPlan::heavy(3) };
-        let f = Fabric::with_config(2, 2, CostModel::default(), None, Some(plan));
+        let config = crate::Config { faults: plan, ..Default::default() };
+        let f = Fabric::with_config(2, 2, CostModel::default(), config);
         let key = f.register(1, Segment::new(8));
         match MappedView::attach(&f, 0, key) {
             Err(e @ FabricError::SegmentBusy { .. }) => assert!(e.is_transient()),

@@ -5,15 +5,15 @@
 //! the fleet summary's tails would silently drift from the truth.
 
 use fompi_fabric::telemetry::HistSnapshot;
-use fompi_fabric::{metrics, CostModel, Endpoint, Fabric, FaultPlan, Segment};
+use fompi_fabric::{metrics, Config, CostModel, Endpoint, Fabric, Segment};
 use fompi_fleet::{merge_classes, parse_agent_json, ConfigResult, Usage};
 
 /// Drive a deterministic single-rank workload on a fresh fabric and
 /// return its armed metrics snapshot. `reps` scales the op mix so two
 /// calls produce *different* distributions worth merging.
 fn snapshot(reps: usize) -> metrics::MetricsSnapshot {
-    let fabric = Fabric::with_config(2, 1, CostModel::default(), None, Some(FaultPlan::disabled()));
-    fabric.set_metrics(true);
+    let config = Config { metrics: true, ..Config::default() };
+    let fabric = Fabric::with_config(2, 1, CostModel::default(), config);
     let ep = Endpoint::new(fabric.clone(), 0);
     let key = fabric.register(1, Segment::new(1 << 16));
     let mut buf = [0u8; 512];

@@ -167,7 +167,7 @@ impl RmcConfig {
     /// malformed spec (configuration errors are programmer errors).
     pub fn from_ctx(ctx: &RankCtx) -> RmcConfig {
         match ctx.fabric().rmc() {
-            Some(spec) => match RmcConfig::parse(&spec) {
+            Some(spec) => match RmcConfig::parse(spec) {
                 Ok(cfg) => cfg,
                 Err(e) => panic!("invalid FOMPI_RMC spec: {e}"),
             },

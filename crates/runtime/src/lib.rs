@@ -21,52 +21,37 @@ pub mod group;
 pub use coll::CollEngine;
 pub use group::Group;
 
-use fompi_fabric::rng::{root_seed_from_env, splitmix64};
-use fompi_fabric::{CostModel, Endpoint, Fabric, FaultPlan, McGate, ProfileMode, RacecheckMode};
+use fompi_fabric::rng::splitmix64;
+use fompi_fabric::{
+    Config, CostModel, Endpoint, Fabric, FaultPlan, McGate, ProfileMode, RacecheckMode,
+};
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// A parallel job description: `p` ranks, `node_size` ranks per simulated
-/// node, and the fabric cost model.
+/// node, the fabric cost model, and the [`Config`] its fabric is built
+/// from — the environment's, overwritten knob by knob by the builder
+/// methods (precedence: builder > environment > default).
 pub struct Universe {
     p: usize,
     node_size: usize,
     model: CostModel,
-    trace: Option<usize>,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    batch: Option<bool>,
-    notify_depth: Option<usize>,
-    racecheck: Option<RacecheckMode>,
-    profile: Option<ProfileMode>,
-    metrics: Option<bool>,
-    txn_retry: Option<String>,
-    rmc: Option<String>,
-    mc_gate: Option<Arc<dyn McGate>>,
+    config: Config,
 }
 
 impl Universe {
-    /// A job of `p` ranks, 32 per node (the Blue Waters XE6 layout). The
-    /// root seed defaults to `FOMPI_SEED` (or 1): one value that every
-    /// randomized component (fault plans, soak workloads) derives from,
-    /// so a failure log prints a single reproducing seed.
+    /// A job of `p` ranks, 32 per node (the Blue Waters XE6 layout),
+    /// configured from the environment ([`Config::from_env`]; a malformed
+    /// variable panics naming it). The root seed defaults to `FOMPI_SEED`
+    /// (or 1): one value that every randomized component (fault plans,
+    /// soak workloads) derives from, so a failure log prints a single
+    /// reproducing seed.
     pub fn new(p: usize) -> Self {
-        Self {
-            p,
-            node_size: 32,
-            model: CostModel::default(),
-            trace: None,
-            seed: root_seed_from_env(1),
-            faults: None,
-            batch: None,
-            notify_depth: None,
-            racecheck: None,
-            profile: None,
-            metrics: None,
-            txn_retry: None,
-            rmc: None,
-            mc_gate: None,
-        }
+        Self::with_config(p, Config::from_env().unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    fn with_config(p: usize, config: Config) -> Self {
+        Self { p, node_size: 32, model: CostModel::default(), config }
     }
 
     /// Override ranks per node.
@@ -87,21 +72,21 @@ impl Universe {
     /// [`Universe::launch`] (e.g. `fabric.telemetry().report()` or the
     /// Perfetto exporter).
     pub fn trace(mut self, ring_cap: usize) -> Self {
-        self.trace = Some(ring_cap);
+        self.config.telemetry_ring = Some(ring_cap);
         self
     }
 
     /// Override the root seed (also the default seed of a fault plan
     /// installed with a zero seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Arm a fault plan, overriding `FOMPI_FAULTS`. A plan with `seed == 0`
     /// inherits a seed derived from the universe's root seed.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.config.faults = plan;
         self
     }
 
@@ -110,7 +95,7 @@ impl Universe {
     /// `fompi_fabric::batch`). Leaving this unset defers to the
     /// environment, which defaults to off.
     pub fn batch(mut self, on: bool) -> Self {
-        self.batch = Some(on);
+        self.config.batch = on;
         self
     }
 
@@ -119,7 +104,7 @@ impl Universe {
     /// unset defers to the environment (default 64).
     pub fn notify_depth(mut self, depth: usize) -> Self {
         assert!(depth > 0);
-        self.notify_depth = Some(depth);
+        self.config.notify_depth = depth;
         self
     }
 
@@ -129,7 +114,7 @@ impl Universe {
     /// on the first one; `Off` forces the checker off regardless of the
     /// environment.
     pub fn racecheck(mut self, mode: RacecheckMode) -> Self {
-        self.racecheck = Some(mode);
+        self.config.racecheck = mode;
         self
     }
 
@@ -138,7 +123,7 @@ impl Universe {
     /// [`ProfileMode::Off`] also arms the flight recorder, so a crashing
     /// run keeps its last-events black box. Never touches virtual time.
     pub fn profile(mut self, mode: ProfileMode) -> Self {
-        self.profile = Some(mode);
+        self.config.profile = mode;
         self
     }
 
@@ -148,7 +133,7 @@ impl Universe {
     /// `fompi_fabric::metrics_snapshot` on the fabric returned by
     /// [`Universe::launch`].
     pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = Some(on);
+        self.config.metrics = on;
         self
     }
 
@@ -158,7 +143,7 @@ impl Universe {
     /// `backoff[:budget[:base_ns[:cap_ns]]]`) and parses it when a policy
     /// is constructed.
     pub fn txn_retry(mut self, spec: &str) -> Self {
-        self.txn_retry = Some(spec.to_string());
+        self.config.txn_retry = Some(spec.to_string());
         self
     }
 
@@ -168,7 +153,7 @@ impl Universe {
     /// `slots=8,lagging=drop,rpc_budget=4`) and parses it when a channel
     /// or RPC endpoint is constructed.
     pub fn rmc(mut self, spec: &str) -> Self {
-        self.rmc = Some(spec.to_string());
+        self.config.rmc = Some(spec.to_string());
         self
     }
 
@@ -178,13 +163,13 @@ impl Universe {
     /// the gate's collective. Used by `fompi-mc`; regular runs never set
     /// this.
     pub fn mc_gate(mut self, gate: Arc<dyn McGate>) -> Self {
-        self.mc_gate = Some(gate);
+        self.config.mc = Some(gate);
         self
     }
 
     /// The root seed in force.
     pub fn root_seed(&self) -> u64 {
-        self.seed
+        self.config.seed
     }
 
     /// Number of ranks.
@@ -200,40 +185,13 @@ impl Universe {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
-        let plan = self.faults.clone().map(|plan| {
-            if plan.seed == 0 {
-                let seed = splitmix64(self.seed);
-                plan.with_seed(if seed == 0 { 1 } else { seed })
-            } else {
-                plan
-            }
-        });
-        let fabric =
-            Fabric::with_config(self.p, self.node_size, self.model.clone(), self.trace, plan);
-        if let Some(on) = self.batch {
-            fabric.set_batch_default(on);
+        let mut config = self.config.clone();
+        // A plan that names no seed runs at one derived from the root seed.
+        if config.faults.seed == 0 {
+            let seed = splitmix64(config.seed);
+            config.faults.seed = if seed == 0 { 1 } else { seed };
         }
-        if let Some(depth) = self.notify_depth {
-            fabric.set_notify_depth(depth);
-        }
-        if let Some(mode) = self.racecheck {
-            fabric.set_racecheck(mode);
-        }
-        if let Some(mode) = self.profile {
-            fabric.set_profile(mode);
-        }
-        if let Some(on) = self.metrics {
-            fabric.set_metrics(on);
-        }
-        if let Some(spec) = &self.txn_retry {
-            fabric.set_txn_retry(spec);
-        }
-        if let Some(spec) = &self.rmc {
-            fabric.set_rmc(spec);
-        }
-        if let Some(gate) = &self.mc_gate {
-            fabric.set_mc_gate(gate.clone());
-        }
+        let fabric = Fabric::with_config(self.p, self.node_size, self.model.clone(), config);
         let coll = Arc::new(CollEngine::new(self.p, fabric.clone()));
         let mut results: Vec<Option<T>> = (0..self.p).map(|_| None).collect();
         let fref = &f;
@@ -496,28 +454,33 @@ mod tests {
         assert!(snap.to_prometheus().contains("fompi_ranks 2"));
     }
 
+    /// Precedence, knob by knob: the builder overwrites what the
+    /// environment (here a stand-in variable source) asked for, and a
+    /// silent builder leaves it in force.
     #[test]
-    fn txn_retry_builder_lands_on_the_fabric() {
-        let (_out, fabric) = Universe::new(2)
-            .node_size(1)
-            .txn_retry("backoff:8:200:50000")
-            .launch(|ctx| ctx.barrier());
-        assert_eq!(fabric.txn_retry().as_deref(), Some("backoff:8:200:50000"));
-        if std::env::var("FOMPI_TXN_RETRY").is_err() {
-            let (_out, fabric) = Universe::new(2).node_size(1).launch(|ctx| ctx.barrier());
-            assert!(fabric.txn_retry().is_none(), "unset means the txn layer's default policy");
-        }
-    }
-
-    #[test]
-    fn rmc_builder_lands_on_the_fabric() {
-        let (_out, fabric) =
-            Universe::new(2).node_size(1).rmc("slots=4,lagging=drop").launch(|ctx| ctx.barrier());
-        assert_eq!(fabric.rmc().as_deref(), Some("slots=4,lagging=drop"));
-        if std::env::var("FOMPI_RMC").is_err() {
-            let (_out, fabric) = Universe::new(2).node_size(1).launch(|ctx| ctx.barrier());
-            assert!(fabric.rmc().is_none(), "unset means the rmc layer's defaults");
-        }
+    fn builder_beats_environment_beats_default() {
+        let env = || {
+            Config::from_vars(|var| match var {
+                "FOMPI_BATCH" => Some("on".to_string()),
+                "FOMPI_TXN_RETRY" => Some("immediate:4".to_string()),
+                _ => None,
+            })
+            .unwrap()
+        };
+        let launch = |u: Universe| u.node_size(1).launch(|ctx| ctx.ep().batching());
+        let (batching, fabric) = launch(Universe::with_config(2, env()));
+        assert_eq!(batching, [true, true], "builder silent: the environment's batch=on");
+        assert_eq!(fabric.txn_retry(), Some("immediate:4"));
+        assert_eq!(fabric.rmc(), None, "unset everywhere means the rmc layer's defaults");
+        let (batching, fabric) = launch(
+            Universe::with_config(2, env())
+                .batch(false)
+                .txn_retry("backoff:8:200:50000")
+                .rmc("slots=4,lagging=drop"),
+        );
+        assert_eq!(batching, [false, false], "the builder's batch(false) wins");
+        assert_eq!(fabric.txn_retry(), Some("backoff:8:200:50000"));
+        assert_eq!(fabric.rmc(), Some("slots=4,lagging=drop"));
     }
 
     #[test]

@@ -19,15 +19,8 @@ pub struct LogGP {
     pub l_get: f64,
     /// Per-byte cost (G).
     pub g: f64,
-    /// Issue gap (g) between members of a coalesced injection burst: with
-    /// issue-side batching, successive small ops to adjacent offsets pay
-    /// `g_gap` instead of a full `o` (see `fompi_fabric::batch`).
-    pub g_gap: f64,
     /// Remote-AMO latency.
     pub amo: f64,
-    /// Per-byte cost of the accelerated accumulate stream (the paper's
-    /// Pacc,sum slope; feeds the txn twins' atomic payload legs).
-    pub g_amo: f64,
     /// Intra-node injection overhead.
     pub o_intra: f64,
     /// Intra-node latency.
@@ -53,9 +46,7 @@ impl Default for LogGP {
             l_put: 1_000.0,
             l_get: 1_900.0,
             g: 0.16,
-            g_gap: 50.0,
             amo: 2_400.0,
-            g_amo: 28.0,
             o_intra: 80.0,
             l_intra: 250.0,
             sw_fompi: 75.0,
@@ -87,99 +78,6 @@ impl LogGP {
     /// An MPI-1 small-message half-round-trip (send → matched receive).
     pub fn mpi1_msg(&self, bytes: usize) -> f64 {
         self.o + self.sw_mpi1 + self.put(bytes + 32)
-    }
-
-    /// A burst of `n` contiguous `bytes`-sized puts with issue-side
-    /// batching: one injection `o`, `n-1` issue gaps, one wire message of
-    /// the combined size. The closed-form twin of the live fabric's
-    /// batching layer, used for model-drift coverage of `batch_*` spans.
-    pub fn put_batched(&self, n: usize, bytes: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.o + (n - 1) as f64 * self.g_gap + self.put(n * bytes)
-    }
-
-    /// The same `n` puts issued individually (each pays `o` and a full
-    /// wire message) — the ablation baseline.
-    pub fn put_unbatched(&self, n: usize, bytes: usize) -> f64 {
-        n as f64 * (self.o + self.put(bytes))
-    }
-
-    /// One notified put of `bytes` (foMPI-NA style): the data put and its
-    /// trailing notification AMO share the DMAPP ordered class, so the
-    /// origin pays two injections and the consumer sees the record once
-    /// the slower of the two wire legs lands —
-    /// `2o + max(Pput(s), amo)`. Twin of `fompi::perf` `put_notified`.
-    pub fn put_notified(&self, bytes: usize) -> f64 {
-        2.0 * self.o + self.put(bytes).max(self.amo)
-    }
-
-    /// The pre-notified idiom: put the data, flush, then update a flag
-    /// AMO the consumer polls. The flush serialises the put's wire
-    /// latency before the flag even starts —
-    /// `2o + Pflush + Pput(s) + amo` (`sw_fompi` stands in for the
-    /// ≈76 ns foMPI flush). Twin of `fompi::perf` `put_polled`.
-    pub fn put_polled(&self, bytes: usize) -> f64 {
-        2.0 * self.o + self.sw_fompi + self.put(bytes) + self.amo
-    }
-
-    /// A bare notified AMO (credit returns, counters): two injections,
-    /// one AMO latency. Twin of `fompi::perf` `notified_amo`.
-    pub fn notified_amo(&self) -> f64 {
-        2.0 * self.o + self.amo
-    }
-
-    /// One producer-consumer channel round over notified access: the
-    /// notified payload put plus the notified credit AMO flowing back.
-    /// Twin of `fompi::perf` `channel_round`.
-    pub fn channel_round(&self, bytes: usize) -> f64 {
-        self.put_notified(bytes) + self.notified_amo()
-    }
-
-    /// An atomic accumulate-stream access of `bytes` (the paper's
-    /// Pacc,sum(s) = amo + g_amo·s) — the payload leg of the txn twins.
-    pub fn acc(&self, bytes: usize) -> f64 {
-        self.amo + self.g_amo * bytes as f64
-    }
-
-    /// One uncontended versioned read: version fetch AMO + atomic payload
-    /// read + version re-check AMO. Twin of `fompi::perf` `txn_read`.
-    pub fn txn_read(&self, bytes: usize) -> f64 {
-        2.0 * self.amo + self.acc(bytes)
-    }
-
-    /// One uncontended optimistic commit over `nkeys` cells of `bytes`
-    /// payload each: a lock CAS and an unlock CAS per key, an atomic
-    /// payload write per key, and the two flushes fencing the write and
-    /// publication phases (`sw_fompi` stands in for the ≈76 ns foMPI
-    /// flush, as in [`LogGP::put_polled`]). Twin of `fompi::perf`
-    /// `txn_commit`.
-    pub fn txn_commit(&self, nkeys: usize, bytes: usize) -> f64 {
-        let k = nkeys as f64;
-        2.0 * k * self.amo + k * self.acc(bytes) + 2.0 * self.sw_fompi
-    }
-
-    /// One fan-in message round over a remote-memory channel: per-producer
-    /// slot regions make the MPMC data path exactly the SPSC channel round
-    /// (no shared cursor, no FAA). Twin of `fompi::perf` `rmc_fanin_round`.
-    pub fn rmc_fanin_round(&self, bytes: usize) -> f64 {
-        self.channel_round(bytes)
-    }
-
-    /// One fan-out publication to `m` subscribers: the publisher
-    /// serializes `m` notified-put injections (2·o each) while the wire
-    /// legs overlap, so one `max(Pput(s), amo)` covers the set. Twin of
-    /// `fompi::perf` `rmc_fanout_publish`.
-    pub fn rmc_fanout_publish(&self, m: usize, bytes: usize) -> f64 {
-        2.0 * m as f64 * self.o + self.put(bytes).max(self.amo)
-    }
-
-    /// One RPC round trip: a channel round carrying the request to the
-    /// server plus a channel round carrying the reply back. Twin of
-    /// `fompi::perf` `rpc_round`.
-    pub fn rpc_round(&self, req: usize, rep: usize) -> f64 {
-        self.channel_round(req) + self.channel_round(rep)
     }
 }
 
@@ -404,86 +302,6 @@ mod tests {
         let m = LogGP::default();
         assert!(m.put(8) < m.get(8));
         assert!(m.barrier_round() > 1_000.0);
-    }
-
-    #[test]
-    fn batched_series_beats_unbatched_for_bursts() {
-        let m = LogGP::default();
-        // n = 1: identical by construction.
-        assert!((m.put_batched(1, 8) - m.put_unbatched(1, 8)).abs() < 1e-9);
-        // The advantage grows monotonically with burst length.
-        let mut prev_gain = 0.0;
-        for n in [2, 4, 8, 16, 32] {
-            let gain = m.put_unbatched(n, 8) - m.put_batched(n, 8);
-            assert!(gain > prev_gain, "n={n}");
-            prev_gain = gain;
-        }
-        // And matches the closed form (n-1)·(o + L - g_gap).
-        let n = 8;
-        let expect = (n - 1) as f64 * (m.o + m.l_put - m.g_gap);
-        assert!((m.put_unbatched(n, 8) - m.put_batched(n, 8) - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn notified_twins_mirror_the_live_model() {
-        let m = LogGP::default();
-        // The notified put always beats the flush + polled-flag idiom, and
-        // the win is exactly flush + the overlapped (smaller) leg.
-        for s in [8usize, 64, 512, 4096, 1 << 16] {
-            let gain = m.put_polled(s) - m.put_notified(s);
-            let expect = m.sw_fompi + m.put(s).min(m.amo);
-            assert!(gain > 0.0, "s={s}");
-            assert!((gain - expect).abs() < 1e-9, "s={s}");
-        }
-        // Channel round = notified put + notified credit AMO.
-        assert!((m.channel_round(256) - (m.put_notified(256) + m.notified_amo())).abs() < 1e-9);
-        // Once the put's wire time dominates the AMO leg, growing the
-        // payload grows the notified put at exactly G per byte.
-        let big = 1 << 20;
-        let d = m.put_notified(2 * big) - m.put_notified(big);
-        assert!((d - m.g * big as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn txn_twins_mirror_the_live_model() {
-        let m = LogGP::default();
-        // Same structure as `fompi::perf`: a read is two version AMOs plus
-        // the atomic payload leg…
-        for s in [8usize, 16, 64, 256] {
-            assert!((m.txn_read(s) - (2.0 * m.amo + m.acc(s))).abs() < 1e-9, "s={s}");
-            assert!(m.txn_read(s) > m.acc(s));
-        }
-        // …and each extra committed key costs exactly lock CAS + payload
-        // write + unlock CAS.
-        let s = 16;
-        let per_key = m.txn_commit(2, s) - m.txn_commit(1, s);
-        assert!((per_key - (2.0 * m.amo + m.acc(s))).abs() < 1e-9);
-        // A 2-key commit amortizes the flush pair over both keys.
-        assert!(m.txn_commit(2, s) < 2.0 * m.txn_commit(1, s));
-    }
-
-    #[test]
-    fn rmc_twins_mirror_the_live_model() {
-        let m = LogGP::default();
-        let live = fompi::perf::PaperModel::default();
-        // Fan-in adds nothing over the SPSC channel round in either model.
-        for s in [8usize, 256, 4096] {
-            assert!((m.rmc_fanin_round(s) - m.channel_round(s)).abs() < 1e-9, "s={s}");
-            assert!((live.rmc_fanin_round(s) - live.channel_round(s)).abs() < 1e-9, "s={s}");
-        }
-        // Fan-out: one subscriber degenerates to a notified put, and every
-        // extra subscriber costs exactly two injections — in both models.
-        assert!((m.rmc_fanout_publish(1, 512) - m.put_notified(512)).abs() < 1e-9);
-        let slope = m.rmc_fanout_publish(5, 512) - m.rmc_fanout_publish(4, 512);
-        assert!((slope - 2.0 * m.o).abs() < 1e-9);
-        let live_slope = live.rmc_fanout_publish(5, 512) - live.rmc_fanout_publish(4, 512);
-        assert!((live_slope - 2.0 * live.inject).abs() < 1e-9);
-        // RPC is two channel rounds in both models.
-        assert!((m.rpc_round(64, 256) - (m.channel_round(64) + m.channel_round(256))).abs() < 1e-9);
-        assert!(
-            (live.rpc_round(64, 256) - (live.channel_round(64) + live.channel_round(256))).abs()
-                < 1e-9
-        );
     }
 
     #[test]

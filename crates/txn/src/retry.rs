@@ -125,7 +125,7 @@ impl RetryPolicy {
     pub fn for_fabric(fabric: &Fabric) -> RetryPolicy {
         match fabric.txn_retry() {
             None => RetryPolicy::default(),
-            Some(spec) => match RetryPolicy::from_spec(&spec) {
+            Some(spec) => match RetryPolicy::from_spec(spec) {
                 Ok(p) => p,
                 Err(e) => panic!("{e}"),
             },

@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh             # the full gate: lint (fmt, clippy, bench) → test → determinism → perfgate → fleet → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + the benchmark's own lint
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare
 #   scripts/ci.sh perfgate    # virtual-time perf-regression gate
@@ -26,9 +26,9 @@ cd "$(dirname "$0")/.."
 # Pinned environment for every determinism-gated run: scrub the runtime
 # knobs so ambient shell state can't perturb a byte-diffed file, then pin
 # the seed explicitly where the bin wants one.
-SCRUB=(env -u FOMPI_SEED -u FOMPI_FAULTS -u FOMPI_BATCH -u FOMPI_TELEMETRY
-    -u FOMPI_RACECHECK -u FOMPI_PROFILE -u FOMPI_METRICS -u FOMPI_TXN_RETRY
-    -u FOMPI_RMC -u FOMPI_MC_REPLAY)
+SCRUB=(env -u FOMPI_SEED -u FOMPI_FAULTS -u FOMPI_BATCH -u FOMPI_NOTIFY_DEPTH
+    -u FOMPI_RACECHECK -u FOMPI_PROFILE -u FOMPI_METRICS -u FOMPI_TELEMETRY
+    -u FOMPI_TELEMETRY_RING -u FOMPI_TXN_RETRY -u FOMPI_RMC -u FOMPI_MC_REPLAY)
 
 # ---------------------------------------------------------------- timing
 STAGE_NAMES=()
@@ -71,6 +71,25 @@ stage_fmt() {
 
 stage_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_knobs() {
+    # The knob list exists once, as `Config::VARS` (plus the model checker's
+    # replay variable): SCRUB above and README's knob table must name the
+    # same set, or an ambient variable reaches a byte-diffed run.
+    local vars scrub readme
+    vars=$({
+        sed -n '/pub const VARS/,/];/s/.*"\(FOMPI_[A-Z_]*\)".*/\1/p' crates/fabric/src/config.rs
+        echo FOMPI_MC_REPLAY
+    } | sort)
+    scrub=$(printf '%s\n' "${SCRUB[@]}" | grep '^FOMPI_' | sort)
+    readme=$(sed -n 's/^| `\(FOMPI_[A-Z_]*\)` .*/\1/p' README.md | sort)
+    if [[ $vars != "$scrub" || $vars != "$readme" ]]; then
+        echo "knobs: Config::VARS, scripts/ci.sh SCRUB and README's knob table differ:" >&2
+        diff <(echo "$vars") <(echo "$scrub") >&2 || true
+        diff <(echo "$vars") <(echo "$readme") >&2 || true
+        return 1
+    fi
 }
 
 stage_bench() {
@@ -427,6 +446,7 @@ quick)
 lint)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage knobs stage_knobs
     run_stage bench stage_bench
     ;;
 test)
@@ -460,6 +480,7 @@ nightly)
 all)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage knobs stage_knobs
     run_stage bench stage_bench
     run_stage tests stage_tests
     run_stage determinism stage_determinism

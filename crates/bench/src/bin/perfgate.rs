@@ -1,8 +1,8 @@
 //! Deterministic virtual-time perf-regression gate.
 //!
 //! ```text
-//! cargo run --release -p fompi-bench --bin perfgate                  # write BENCH_PR9.json
-//! cargo run --release -p fompi-bench --bin perfgate -- --check results/BENCH_PR9_baseline.json
+//! cargo run --release -p fompi-bench --bin perfgate                  # rewrite results/perfgate_baseline.json
+//! cargo run --release -p fompi-bench --bin perfgate -- --check results/perfgate_baseline.json
 //! ```
 //!
 //! The fabric charges *virtual* time from a fixed cost model, so every
@@ -11,12 +11,10 @@
 //! gate workable in CI — there is no measurement noise to absorb, only
 //! genuine model/protocol changes. A regression means a code change made a
 //! protocol charge more virtual time; an improvement means the baseline is
-//! stale and should be regenerated deliberately:
-//!
-//! ```text
-//! cargo run --release -p fompi-bench --bin perfgate
-//! cp BENCH_PR9.json results/BENCH_PR9_baseline.json
-//! ```
+//! stale and should be regenerated deliberately: run without `--check`,
+//! which rewrites the baseline in place (from the repository root), and
+//! review `git diff`. `--check` writes nothing. The history of the wall
+//! clock lives in `results/BENCH_history.jsonl`; this file has none.
 //!
 //! Metrics cover the §3 primitives at small and large sizes, with the
 //! issue-side batching layer both off and on (put bursts and
@@ -45,6 +43,9 @@ use std::process::ExitCode;
 /// only exists to forgive float formatting round-trips, not noise.
 const TOLERANCE: f64 = 0.01;
 
+/// The one copy of the baseline, relative to the repository root.
+const BASELINE: &str = "results/perfgate_baseline.json";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline_path = match args.as_slice() {
@@ -57,15 +58,13 @@ fn main() -> ExitCode {
     };
 
     let metrics = collect();
-    let json = render_json(&metrics);
-    std::fs::write("BENCH_PR9.json", &json).expect("write BENCH_PR9.json");
     println!("== perfgate: virtual-time metrics (ns) ==");
     for (k, v) in &metrics {
         println!("  {k:<28} {v:>12.1}");
     }
-    println!("-> BENCH_PR9.json");
-
     let Some(path) = baseline_path else {
+        std::fs::write(BASELINE, render_json(&metrics)).expect("write the baseline");
+        println!("-> {BASELINE} (review `git diff` before committing)");
         return ExitCode::SUCCESS;
     };
     // The comparison itself is `fompi_fleet::gate` — one implementation

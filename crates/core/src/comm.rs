@@ -305,13 +305,11 @@ impl Win {
         }
         let rc = self.rc_start();
         let (key, base) = self.target_span(target, target_disp, result.len())?;
-        // Single 8-byte element: one hardware AMO, exactly like
-        // fetch_and_op (MPI defines fetch_and_op AS this case, so the two
-        // must share a path and a cost). This also matters for
-        // determinism: the locked fallback serialises through the
-        // per-target ACC_LOCK word, so two origins reading *different*
-        // cells on the same target contend and their retry backoff charges
-        // schedule-dependent virtual time.
+        // Single 8-byte element — all of `fetch_and_op` — is one hardware
+        // AMO. This also matters for determinism: the locked fallback
+        // serialises through the per-target ACC_LOCK word, so two origins
+        // reading *different* cells on the same target contend and their
+        // retry backoff charges schedule-dependent virtual time.
         if self.shared.cfg.hw_amo && es == 8 && result.len() == 8 && base % 8 == 0 {
             if let Some(amo) = op.hw_amo(kind) {
                 let v = if op == MpiOp::NoOp {
@@ -346,9 +344,10 @@ impl Win {
         Ok(())
     }
 
-    /// MPI_Fetch_and_op: single-element get_accumulate, the
-    /// latency-critical fine-grained call. Uses one hardware AMO whenever
-    /// possible (Sum/bitwise/Replace/NoOp on 8-byte integers).
+    /// MPI_Fetch_and_op: [`Win::get_accumulate`] on one element, the
+    /// latency-critical fine-grained call — MPI defines it as that case, so
+    /// it shares the path and the cost: one hardware AMO whenever possible
+    /// (Sum/bitwise/Replace/NoOp on 8-byte integers).
     pub fn fetch_and_op(
         &self,
         origin: &[u8],
@@ -358,44 +357,10 @@ impl Win {
         target: u32,
         target_disp: usize,
     ) -> Result<()> {
-        self.check_access(target)?;
-        let es = kind.size();
-        if result.len() != es {
+        if result.len() != kind.size() {
             return Err(FompiError::BadAccumulate("fetch_and_op result must be one element"));
         }
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, es)?;
-        if self.shared.cfg.hw_amo && es == 8 && base % 8 == 0 {
-            if let Some(amo) = op.hw_amo(kind) {
-                let v = if op == MpiOp::NoOp {
-                    0
-                } else {
-                    u64::from_le_bytes(origin.try_into().unwrap())
-                };
-                let old = self.ep.amo(key, base, amo, v, 0)?;
-                result.copy_from_slice(&old.to_le_bytes());
-                if let Some(t0) = rc {
-                    let lo = self.rc_base(target_disp, base);
-                    self.rc_remote(t0, target, lo, es, AccessKind::Acc(acc_tag(op)));
-                }
-                return Ok(());
-            }
-        }
-        let mut res = vec![0u8; es];
-        let old = self.acc_locked(target, key, base, es, |cur| {
-            if op == MpiOp::NoOp {
-                cur.to_vec()
-            } else {
-                op.apply(kind, cur, origin)
-            }
-        })?;
-        res.copy_from_slice(&old);
-        result.copy_from_slice(&res);
-        if let Some(t0) = rc {
-            let lo = self.rc_base(target_disp, base);
-            self.rc_remote(t0, target, lo, es, AccessKind::Acc(acc_tag(op)));
-        }
-        Ok(())
+        self.get_accumulate(origin, result, kind, op, target, target_disp)
     }
 
     /// Request-based accumulate (MPI_Raccumulate): like
@@ -467,7 +432,7 @@ impl Win {
         let mkey = self.meta_key(target);
         let mut spins = 0u64;
         loop {
-            let (old, _) = self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Cas, 1, 0)?;
+            let old = self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Cas, 1, 0)?;
             if old == 0 {
                 break;
             }

@@ -7,13 +7,14 @@
 //! the accumulate lock), which legitimately race by design. Every public
 //! communication call records one logical access per target byte
 //! interval; the sync layer reports its epoch transitions. All helpers
-//! gate on [`Shadow::active`] — one relaxed load — so the disabled cost
-//! matches the fault-injection bar (PR 2).
+//! gate on the endpoint's own [`Hooks`] byte, so the disabled cost matches
+//! the fault-injection bar (PR 2).
 
 use crate::op::MpiOp;
 use crate::win::{AccessEpoch, LockType, Win, WinKind};
 use fompi_fabric::shadow::{AccessKind, LockCtx, RaceViolation, Shadow, ACC_NOOP};
 use fompi_fabric::telemetry::{Event, EventKind, Flavor};
+use fompi_fabric::Hooks;
 
 /// Accumulate tag for compare-and-swap (never equal to an [`MpiOp`]
 /// discriminant, and not the [`ACC_NOOP`] carve-out).
@@ -32,7 +33,7 @@ impl Win {
     /// Checker arming probe: the entire disabled hot path.
     #[inline]
     pub(crate) fn rc_on(&self) -> bool {
-        self.ep.fabric().shadow().active()
+        self.ep.hooks().has(Hooks::RACECHECK)
     }
 
     /// Virtual timestamp for the start of a recorded access span, taken

@@ -31,7 +31,7 @@ impl Win {
             }
             let elem = self.ep.read_sync(mkey, cfg.pool_off(idx))?;
             let (_, next) = meta::unpack_elem(elem);
-            let (old, _) = self.ep.amo_sync(
+            let old = self.ep.amo_sync(
                 mkey,
                 off::FREE_HEAD,
                 AmoOp::Cas,
@@ -62,7 +62,7 @@ impl Win {
             let mh = self.ep.read_sync(mkey, head_off)?;
             let (tag, head_idx) = meta::unpack_head(mh);
             self.ep.write_sync(mkey, cfg.pool_off(idx), meta::pack_elem(origin, head_idx))?;
-            let (old, _) = self.ep.amo_sync(
+            let old = self.ep.amo_sync(
                 mkey,
                 head_off,
                 AmoOp::Cas,
@@ -86,7 +86,7 @@ impl Win {
             let fh = self.ep.read_sync(mkey, off::FREE_HEAD)?;
             let (tag, head) = meta::unpack_head(fh);
             self.ep.write_sync(mkey, cfg.pool_off(idx), meta::pack_elem(0, head))?;
-            let (old, _) = self.ep.amo_sync(
+            let old = self.ep.amo_sync(
                 mkey,
                 off::FREE_HEAD,
                 AmoOp::Cas,
@@ -115,7 +115,7 @@ impl Win {
             if idx == meta::NIL {
                 return Ok(Vec::new());
             }
-            let (old, _) = self.ep.amo_sync(
+            let old = self.ep.amo_sync(
                 mkey,
                 head_off,
                 AmoOp::Cas,

@@ -160,7 +160,7 @@ impl Win {
         let gkey = self.meta_key(self.shared.master);
         let mut spins = 0u64;
         loop {
-            let (old, _) = self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, 1, 0)?;
+            let old = self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, 1, 0)?;
             let (excl, _shared) = split_global(old);
             if excl == 0 {
                 break;
@@ -214,7 +214,7 @@ impl Win {
         let lkey = self.meta_key(target);
         let mut spins = 0u64;
         loop {
-            let (old, _) = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Add, 1, 0)?;
+            let old = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Add, 1, 0)?;
             if old & WRITER_BIT == 0 {
                 return Ok(());
             }
@@ -250,7 +250,7 @@ impl Win {
             let registered_here = if self.held_excl.get() == 0 {
                 // Invariant 1: no lock_all holders.
                 loop {
-                    let (old, _) =
+                    let old =
                         self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, GLOBAL_EXCL_ONE, 0)?;
                     let (_excl, shared) = split_global(old);
                     if shared == 0 {
@@ -278,7 +278,7 @@ impl Win {
                 false
             };
             // Invariant 2: acquire the local writer bit.
-            let (old, _) = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Cas, WRITER_BIT, 0)?;
+            let old = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Cas, WRITER_BIT, 0)?;
             if old == 0 {
                 self.held_excl.set(self.held_excl.get() + 1);
                 return Ok(());

@@ -36,7 +36,7 @@ impl Win {
         self.ep.write_sync(my, off::MCS_NEXT, 0)?;
         self.ep.mfence();
         let master = self.meta_key(self.shared.master);
-        let (old, _) = self.ep.amo_sync(master, off::MCS_TAIL, AmoOp::Swap, me as u64 + 1, 0)?;
+        let old = self.ep.amo_sync(master, off::MCS_TAIL, AmoOp::Swap, me as u64 + 1, 0)?;
         if old != 0 {
             // Link behind the predecessor, then spin locally.
             let prev = (old - 1) as u32;
@@ -77,7 +77,7 @@ impl Win {
         let mut next = self.ep.read_sync(my, off::MCS_NEXT)?;
         if next == 0 {
             // Nobody visible behind us: try to clear the tail.
-            let (old, _) = self.ep.amo_sync(master, off::MCS_TAIL, AmoOp::Cas, 0, me as u64 + 1)?;
+            let old = self.ep.amo_sync(master, off::MCS_TAIL, AmoOp::Cas, 0, me as u64 + 1)?;
             if old == me as u64 + 1 {
                 self.state.borrow_mut().access = AccessEpoch::None;
                 return Ok(());

@@ -50,7 +50,7 @@ impl Win {
             let pool = self.shared.cfg.pscw_pool as u64;
             for target in group.iter() {
                 let mkey = self.meta_key(target);
-                let (ticket, _) = self.ep.amo_sync(mkey, off::MATCH_HEAD, AmoOp::Add, 1, 0)?;
+                let ticket = self.ep.amo_sync(mkey, off::MATCH_HEAD, AmoOp::Add, 1, 0)?;
                 let slot = (ticket % pool) as u32;
                 let soff = self.shared.cfg.pool_off(slot);
                 // Wait for the slot to be free (only when lapped).
@@ -268,7 +268,7 @@ impl Win {
                         }
                         None => {
                             // Head unlink: CAS against concurrent pushes.
-                            let (old, _) = self.ep.amo_sync(
+                            let old = self.ep.amo_sync(
                                 mkey,
                                 off::MATCH_HEAD,
                                 AmoOp::Cas,

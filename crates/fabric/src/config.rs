@@ -78,6 +78,49 @@ impl Default for Config {
     }
 }
 
+/// Which diagnostic planes a job armed: a plain byte that
+/// [`crate::Fabric::with_config`] computes once, from the planes it built
+/// out of the [`Config`], and every [`crate::Endpoint`] copies — so an op
+/// finds out with one load of rank-private memory and nothing can change
+/// the answer after launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Hooks(u8);
+
+impl Hooks {
+    /// The wall-clock profiler times ops ([`Config::profile`]).
+    pub const PROFILE: Hooks = Hooks(1 << 0);
+    /// A model-checker gate schedules every shared access ([`Config::mc`]).
+    pub const MC: Hooks = Hooks(1 << 1);
+    /// The fault plan injects something ([`Config::faults`]).
+    pub const FAULTS: Hooks = Hooks(1 << 2);
+    /// Events are recorded: telemetry aggregates (tracing or metrics) or
+    /// the flight recorder (profiling).
+    pub const TRACE: Hooks = Hooks(1 << 3);
+    /// The race checker records accesses ([`Config::racecheck`]).
+    pub const RACECHECK: Hooks = Hooks(1 << 4);
+
+    /// Is any plane of `planes` armed?
+    #[inline]
+    pub const fn has(self, planes: Hooks) -> bool {
+        self.0 & planes.0 != 0
+    }
+
+    pub(crate) fn when(self, armed: bool) -> Hooks {
+        if armed {
+            self
+        } else {
+            Hooks::default()
+        }
+    }
+}
+
+impl std::ops::BitOr for Hooks {
+    type Output = Hooks;
+    fn bitor(self, other: Hooks) -> Hooks {
+        Hooks(self.0 | other.0)
+    }
+}
+
 /// A malformed `FOMPI_*` value: which variable, what it held, what its
 /// grammar accepts.
 #[derive(Debug, Clone, PartialEq, Eq)]

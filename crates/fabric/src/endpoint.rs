@@ -14,21 +14,38 @@
 //! at the memory level); the flavours differ in how *virtual time* is
 //! accounted, which is what the paper's figures measure.
 //!
+//! Every op body is the same steps (`begin`, `price`, the memory effect,
+//! its disposition, `finish`) and every diagnostic plane sits behind a bit
+//! of the endpoint's own [`Hooks`] byte: DESIGN.md, "Anatomy of a fabric op".
+//!
 //! ## Stamped sync variables
 //!
 //! Protocol words that other ranks block on (completion counters, lock
 //! words, matching-list heads) are 16-byte cells: a value word followed by a
 //! timestamp word. The `*_sync` operations update/read both so that causal
 //! virtual time flows through synchronisation.
+//!
+//! **A stamp is published before the value it dates.** A writer raises the
+//! stamp (`fetch_max`, AcqRel) and only then applies the value effect (an
+//! AcqRel AMO or a Release store); [`Endpoint::read_sync`] loads the value
+//! (Acquire), then the stamp. A reader that sees the new value synchronises
+//! with that write, hence with the raise sequenced before it, so the stamp
+//! it loads is at least the write's completion time. A reader that sees the
+//! new stamp with the old value only joins a time it was going to wait for
+//! anyway (`join` is a `max`). Value first lets a reader land between the
+//! two and leave with the new value dated by the old stamp: an early join,
+//! on some schedules only.
 
 use crate::amo::AmoOp;
 use crate::batch::{Burst, BurstKind};
 use crate::clock::{bits_to_stamp, stamp_to_bits, Clock};
-use crate::cost::Transport;
+use crate::config::Hooks;
+use crate::cost::{CostModel, Transport};
+use crate::counters::Counters;
 use crate::error::FabricError;
 use crate::mc::{McObj, McOp};
 use crate::notify::NotifyRecord;
-use crate::segment::SegKey;
+use crate::segment::{SegKey, Segment};
 use crate::shadow::AccessKind;
 use crate::stripes::StripedHorizon;
 use crate::telemetry::{flow_id, Event, EventKind, Flavor, NO_FLOW, NO_TARGET};
@@ -38,12 +55,91 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Completion handle for an explicit-nonblocking operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NbHandle {
     /// Virtual time at which the operation is remotely complete.
     pub t_complete: f64,
+}
+
+/// What an op body issues, in the one vocabulary the cost model, the
+/// counters, the trace and the model checker are each asked in.
+#[derive(Clone, Copy)]
+enum Op {
+    Put,
+    Get,
+    /// An 8-byte AMO, and whether the origin observes the old value.
+    Amo(AmoOp, bool),
+    /// A notification record: priced as an AMO, counted and traced as a post.
+    Notify,
+}
+
+impl Op {
+    /// Unperturbed wire latency of `len` bytes over `t`.
+    #[inline]
+    fn latency(self, m: &CostModel, t: Transport, len: usize) -> f64 {
+        match self {
+            Op::Put => m.put_latency(t, len),
+            Op::Get => m.get_latency(t, len),
+            Op::Amo(..) | Op::Notify => m.amo_latency(t),
+        }
+    }
+
+    #[inline]
+    fn kind(self) -> EventKind {
+        match self {
+            Op::Put => EventKind::Put,
+            Op::Get => EventKind::Get,
+            Op::Amo(..) => EventKind::Amo,
+            Op::Notify => EventKind::NotifyPost,
+        }
+    }
+
+    /// Count one operation and, where the class keeps a volume, its
+    /// payload (`None` from a stamped put or read: they count none).
+    #[inline]
+    fn count(self, c: &Counters, payload: Option<u64>) {
+        let (ops, volume) = match self {
+            Op::Put => (&c.puts, Some(&c.bytes_put)),
+            Op::Get => (&c.gets, Some(&c.bytes_get)),
+            Op::Amo(..) => (&c.amos, Some(&c.bytes_amo)),
+            Op::Notify => (&c.notify_posts, None),
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
+        if let (Some(volume), Some(bytes)) = (volume, payload) {
+            volume.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Model-checker vocabulary: the access kind plus whether the op must
+    /// be treated as order-observing. For an AMO that is the reduction tag
+    /// and the fetch bit: same-op `Add`/`And`/`Or`/`Xor` commute; `Swap`
+    /// and `Cas` never commute with themselves, so they always carry the
+    /// fetch bit; a pure `Fetch` is the atomic-read carve-out.
+    fn access(self) -> (AccessKind, bool) {
+        match self {
+            Op::Put | Op::Notify => (AccessKind::Put, false),
+            Op::Get => (AccessKind::Get, false),
+            Op::Amo(AmoOp::Add, fetch) => (AccessKind::Acc(0), fetch),
+            Op::Amo(AmoOp::And, fetch) => (AccessKind::Acc(1), fetch),
+            Op::Amo(AmoOp::Or, fetch) => (AccessKind::Acc(2), fetch),
+            Op::Amo(AmoOp::Xor, fetch) => (AccessKind::Acc(3), fetch),
+            Op::Amo(AmoOp::Swap, _) => (AccessKind::Acc(4), true),
+            Op::Amo(AmoOp::Cas, _) => (AccessKind::Acc(5), true),
+            Op::Amo(AmoOp::Fetch, fetch) => (AccessKind::Acc(crate::shadow::ACC_NOOP), fetch),
+        }
+    }
+}
+
+/// What [`Endpoint::price`] decided: the clock before the injection
+/// charge, the remote completion time, and the wire latency plus fault
+/// extra a blocking op waits out after issue.
+struct Priced {
+    t_start: f64,
+    t_complete: f64,
+    wire: f64,
 }
 
 /// Per-rank endpoint. Owns the rank's virtual [`Clock`]; deliberately not
@@ -60,6 +156,9 @@ pub struct NbHandle {
 pub struct Endpoint {
     fabric: Arc<Fabric>,
     rank: u32,
+    /// The fabric's [`Hooks`], copied: a hook site tests this rank-private
+    /// byte, so a disarmed op reads nothing shared to find that out.
+    hooks: Hooks,
     clock: Clock,
     pending: StripedHorizon,
     /// Resolved registration keys (see [`crate::translate`]).
@@ -83,10 +182,11 @@ pub struct Endpoint {
 impl Endpoint {
     /// Create the endpoint for `rank` on `fabric`.
     pub fn new(fabric: Arc<Fabric>, rank: u32) -> Self {
-        let batch = fabric.batch_default();
+        let (hooks, batch) = (fabric.hooks(), fabric.batch_default());
         Self {
             fabric,
             rank,
+            hooks,
             clock: Clock::new(),
             pending: StripedHorizon::new(),
             translations: Translations::new(),
@@ -106,6 +206,13 @@ impl Endpoint {
     /// The shared fabric.
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
+    }
+
+    /// Which diagnostic planes are armed: this endpoint's copy of
+    /// [`Fabric::hooks`], fixed at launch.
+    #[inline]
+    pub fn hooks(&self) -> Hooks {
+        self.hooks
     }
 
     /// This rank's virtual clock.
@@ -145,6 +252,55 @@ impl Endpoint {
         self.trace_win.get()
     }
 
+    /// The one [`Event`] constructor: a span of this rank's about `target`,
+    /// against the current window scope; `via` is the peer whose transport
+    /// it is attributed to ([`NO_TARGET`]: none).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn trace(
+        &self,
+        kind: EventKind,
+        flavor: Flavor,
+        target: u32,
+        via: u32,
+        bytes: u64,
+        flow: u64,
+        t_start: f64,
+        t_end: f64,
+    ) {
+        if !self.hooks.has(Hooks::TRACE) {
+            return;
+        }
+        self.fabric.telemetry().record(Event {
+            kind,
+            flavor,
+            transport: (via != NO_TARGET).then(|| self.transport_to(via)),
+            origin: self.rank,
+            target,
+            win: self.trace_win.get(),
+            bytes,
+            flow,
+            t_start,
+            t_end,
+        });
+    }
+
+    /// A flowless, payload-free span about `target` (sync events, injected
+    /// perturbations).
+    #[inline]
+    fn trace_span(&self, kind: EventKind, target: u32, t_start: f64, t_end: f64) {
+        self.trace(kind, Flavor::NotApplicable, target, target, 0, NO_FLOW, t_start, t_end);
+    }
+
+    /// Record a synchronisation event spanning `t_start..now` against the
+    /// current window scope. `target` is the peer involved, or
+    /// [`NO_TARGET`] for collective/epoch-wide actions. Upper layers (fence,
+    /// PSCW, lock, flush) call this at epoch entry/exit.
+    #[inline]
+    pub fn trace_sync(&self, kind: EventKind, target: u32, t_start: f64) {
+        self.trace_span(kind, target, t_start, self.clock.now());
+    }
+
     // ------------------------------------------------------- causal flows
 
     /// Open a causal flow scope: operations issued until the matching
@@ -152,12 +308,12 @@ impl Endpoint {
     /// primitive (notified put = data put + notification post) shows up in
     /// the trace as a single origin→target flow arrow. Returns the
     /// previous scope for the caller to restore; an already-open scope is
-    /// reused (nested callers join the outer flow). When tracing is off
-    /// this is one relaxed load — no id is allocated and ops carry 0.
+    /// reused (nested callers join the outer flow). When tracing is off no
+    /// id is allocated and ops carry 0.
     #[inline]
     pub fn flow_open(&self) -> u64 {
         let prev = self.cur_flow.get();
-        if prev == NO_FLOW && self.fabric.telemetry().tracing() {
+        if prev == NO_FLOW && self.hooks.has(Hooks::TRACE) {
             let seq = self.flow_seq.get();
             self.flow_seq.set(seq + 1);
             self.cur_flow.set(flow_id(self.rank, seq));
@@ -195,152 +351,48 @@ impl Endpoint {
         flow: u64,
         bytes: u64,
     ) {
-        let tel = self.fabric.telemetry();
-        if !tel.tracing() {
-            return;
-        }
-        tel.record(Event {
-            kind,
-            flavor: Flavor::NotApplicable,
-            transport: (source != NO_TARGET && source != self.rank)
-                .then(|| self.transport_to(source)),
-            origin: self.rank,
-            target: source,
-            win: self.trace_win.get(),
-            bytes,
-            flow,
-            t_start,
-            t_end: self.clock.now(),
-        });
-    }
-
-    /// Record an RMA data operation (called by the op implementations).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn trace_op(
-        &self,
-        kind: EventKind,
-        flavor: Flavor,
-        transport: Transport,
-        target: u32,
-        bytes: u64,
-        flow: u64,
-        t_start: f64,
-        t_end: f64,
-    ) {
-        let tel = self.fabric.telemetry();
-        if !tel.tracing() {
-            return;
-        }
-        tel.record(Event {
-            kind,
-            flavor,
-            transport: Some(transport),
-            origin: self.rank,
-            target,
-            win: self.trace_win.get(),
-            bytes,
-            flow,
-            t_start,
-            t_end,
-        });
-    }
-
-    /// Record a synchronisation event spanning `t_start..now` against the
-    /// current window scope. `target` is the peer involved, or
-    /// [`NO_TARGET`] for collective/epoch-wide actions. Upper layers (fence,
-    /// PSCW, lock, flush) call this at epoch entry/exit; the disabled path
-    /// is one atomic load and a branch.
-    #[inline]
-    pub fn trace_sync(&self, kind: EventKind, target: u32, t_start: f64) {
-        let tel = self.fabric.telemetry();
-        if !tel.tracing() {
-            return;
-        }
-        tel.record(Event {
-            kind,
-            flavor: Flavor::NotApplicable,
-            transport: (target != NO_TARGET).then(|| self.transport_to(target)),
-            origin: self.rank,
-            target,
-            win: self.trace_win.get(),
-            bytes: 0,
-            flow: NO_FLOW,
-            t_start,
-            t_end: self.clock.now(),
-        });
+        // A record this rank sent itself crossed no transport.
+        let via = if source == self.rank { NO_TARGET } else { source };
+        let now = self.clock.now();
+        self.trace(kind, Flavor::NotApplicable, source, via, bytes, flow, t_start, now);
     }
 
     // -------------------------------------------------------------- faults
-    //
-    // Fault draws happen only at issue-side call sites executed a
-    // deterministic number of times (put/get/AMO issue, releases, gsync) —
-    // never inside polling primitives (`read_sync`, `amo_sync` retry
-    // loops), whose call counts depend on thread scheduling. See
-    // [`crate::faults`] for the determinism contract.
-
-    /// Record an injected perturbation against the current window scope.
-    #[inline]
-    fn trace_fault(&self, kind: EventKind, target: u32, t_start: f64, t_end: f64) {
-        let tel = self.fabric.telemetry();
-        if !tel.tracing() {
-            return;
-        }
-        tel.record(Event {
-            kind,
-            flavor: Flavor::NotApplicable,
-            transport: (target != NO_TARGET).then(|| self.transport_to(target)),
-            origin: self.rank,
-            target,
-            win: self.trace_win.get(),
-            bytes: 0,
-            flow: NO_FLOW,
-            t_start,
-            t_end,
-        });
-    }
 
     /// Draw and apply issue-side faults for one operation toward `target`
     /// whose unperturbed wire latency is `base_lat`. Rank pauses and
     /// injection-queue stalls are charged to the clock here, at issue;
     /// the return value is extra *completion* latency (jitter + spike,
     /// plus a retirement delay when `delayable`) for the caller to fold
-    /// into the op's completion time. One relaxed load when disabled.
+    /// into the op's completion time.
     #[inline]
     fn apply_faults(&self, target: u32, base_lat: f64, delayable: bool) -> f64 {
-        let faults = self.fabric.faults();
-        if !faults.active() {
+        if !self.hooks.has(Hooks::FAULTS) {
             return 0.0;
         }
-        self.apply_faults_slow(faults, target, base_lat, delayable)
+        self.apply_faults_slow(target, base_lat, delayable)
     }
 
     #[inline(never)]
-    fn apply_faults_slow(
-        &self,
-        faults: &crate::faults::Faults,
-        target: u32,
-        base_lat: f64,
-        delayable: bool,
-    ) -> f64 {
-        let d = faults.draw_op(self.rank, base_lat, delayable);
+    fn apply_faults_slow(&self, target: u32, base_lat: f64, delayable: bool) -> f64 {
+        let d = self.fabric.faults().draw_op(self.rank, base_lat, delayable);
         if d.pause_ns > 0.0 {
             let t0 = self.clock.now();
             self.clock.advance(d.pause_ns);
-            self.trace_fault(EventKind::FaultPause, target, t0, self.clock.now());
+            self.trace_span(EventKind::FaultPause, target, t0, self.clock.now());
         }
         if d.stall_ns > 0.0 {
             let t0 = self.clock.now();
             self.clock.advance(d.stall_ns);
-            self.trace_fault(EventKind::FaultBackpressure, target, t0, self.clock.now());
+            self.trace_span(EventKind::FaultBackpressure, target, t0, self.clock.now());
         }
         if d.extra_ns > 0.0 {
             let t0 = self.clock.now();
-            self.trace_fault(EventKind::FaultJitter, target, t0, t0 + d.extra_ns);
+            self.trace_span(EventKind::FaultJitter, target, t0, t0 + d.extra_ns);
         }
         if d.delay_ns > 0.0 {
             let t0 = self.clock.now();
-            self.trace_fault(EventKind::FaultDelay, target, t0, t0 + d.delay_ns);
+            self.trace_span(EventKind::FaultDelay, target, t0, t0 + d.delay_ns);
         }
         d.extra_ns + d.delay_ns
     }
@@ -350,35 +402,115 @@ impl Endpoint {
     /// issued and the caller must retry after the hinted delay.
     #[inline]
     fn check_reject(&self, target: u32) -> Result<(), FabricError> {
-        let faults = self.fabric.faults();
-        if !faults.active() {
+        if !self.hooks.has(Hooks::FAULTS) {
             return Ok(());
         }
-        if let Some(retry_after_ns) = faults.draw_reject(self.rank) {
+        if let Some(retry_after_ns) = self.fabric.faults().draw_reject(self.rank) {
             let t0 = self.clock.now();
-            self.trace_fault(EventKind::FaultBackpressure, target, t0, t0);
+            self.trace_span(EventKind::FaultBackpressure, target, t0, t0);
             return Err(FabricError::Backpressure { retry_after_ns });
         }
         Ok(())
     }
 
-    /// Translate `key` and bounds-check `[off, off + len)`: the segment is
-    /// borrowed from this endpoint's translation cache, so the borrow must
-    /// end before the next operation (every caller drops it on return).
-    /// Every operation body starts here, so this is also where the shared
-    /// counter line is asked for (see [`crate::Counters::touch`]).
-    fn bounds(
+    // ------------------------------------------------- the steps of an op
+
+    /// Open a wall-clock scope for [`crate::Profiler::finish`] to close
+    /// (`None` unless the profiler is armed and samples this op).
+    #[inline]
+    fn profile_start(&self) -> Option<Instant> {
+        if self.hooks.has(Hooks::PROFILE) {
+            self.fabric.profiler().start()
+        } else {
+            None
+        }
+    }
+
+    /// Every op body on a segment starts here: translate `key`,
+    /// bounds-check `[off, off + len)` and announce the access to the model
+    /// checker. The segment is borrowed from this endpoint's translation
+    /// cache, so the borrow must end before the next operation (every
+    /// caller drops it on return).
+    #[inline(always)] // a call here costs every op its `Result<Ref>` through memory
+    fn begin(
         &self,
         key: SegKey,
         off: usize,
         len: usize,
-    ) -> Result<Ref<'_, crate::Segment>, FabricError> {
+        op: Op,
+        label: &'static str,
+    ) -> Result<Ref<'_, Segment>, FabricError> {
+        // First thing an op does, so the counter line's transfer overlaps
+        // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
         self.fabric.counters().touch();
         let seg = self.translations.lookup(&self.fabric, key)?;
         if !seg.check(off, len) {
             return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
         }
+        if self.hooks.has(Hooks::MC) {
+            let (kind, fetch) = op.access();
+            let obj = McObj::Seg { owner: key.rank, id: key.id };
+            self.mc_announce(McOp { obj, lo: off, hi: off + len, kind, fetch, label });
+        }
         Ok(seg)
+    }
+
+    /// Price one op of `len` bytes toward `target`: the one fault draw, the
+    /// one injection charge, and the completion time — which an ordered op
+    /// floors at the horizon it must trail (`floor`; `None` for the rest).
+    ///
+    /// `issued` is the flavour the fault plane draws for (a blocking
+    /// completion may be perturbed but cannot retire late), `None` for a
+    /// poll. Draws happen only at issue-side call sites executed a
+    /// deterministic number of times (put/get/AMO issue, releases, gsync)
+    /// — never inside polling primitives (`read_sync`, `amo_sync` retry
+    /// loops), whose call counts depend on thread scheduling. See
+    /// [`crate::faults`] for the determinism contract.
+    #[inline]
+    fn price(
+        &self,
+        op: Op,
+        target: u32,
+        len: usize,
+        issued: Option<Flavor>,
+        floor: Option<f64>,
+    ) -> Priced {
+        let t = self.transport_to(target);
+        let m = self.fabric.model();
+        let lat = op.latency(m, t, len);
+        let extra = match issued {
+            Some(flavor) => self.apply_faults(target, lat, flavor != Flavor::Blocking),
+            None => 0.0,
+        };
+        let t_start = self.clock.now();
+        self.clock.advance(m.inject(t));
+        let own = self.clock.now() + lat + extra;
+        Priced { t_start, t_complete: floor.map_or(own, |f| own.max(f)), wire: lat + extra }
+    }
+
+    /// Close an observable op: count it, trace its span in the flow in
+    /// scope, close its profiling scope.
+    #[inline]
+    fn finish(
+        &self,
+        op: Op,
+        flavor: Flavor,
+        target: u32,
+        bytes: u64,
+        (t_start, t_end): (f64, f64),
+        wall: Option<Instant>,
+    ) {
+        op.count(self.fabric.counters(), Some(bytes));
+        self.trace(op.kind(), flavor, target, target, bytes, self.cur_flow.get(), t_start, t_end);
+        self.fabric.profiler().finish(op.kind(), wall);
+    }
+
+    /// Write a stamped cell: raise the stamp to `t_complete`, *then* apply
+    /// the value effect (the module docs say why in that order).
+    #[inline]
+    fn publish<R>(seg: &Segment, off: usize, t_complete: f64, effect: impl FnOnce() -> R) -> R {
+        seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        effect()
     }
 
     /// How many of this endpoint's translations went to the fabric-wide
@@ -387,10 +519,6 @@ impl Endpoint {
     /// Rank-private, so reading it perturbs nothing.
     pub fn translation_misses(&self) -> u64 {
         self.translations.misses()
-    }
-
-    fn note_pending(&self, target: u32, t: f64) {
-        self.pending.note(target, t);
     }
 
     // ------------------------------------------------ issue-side batching
@@ -466,79 +594,48 @@ impl Endpoint {
     /// behind the first AMO at gap spacing. The slowest member's fault
     /// extra delays the whole burst.
     fn retire(&self, b: Burst, how: EventKind) {
-        let t = self.transport_to(b.key.rank);
+        let target = b.key.rank;
+        let t = self.transport_to(target);
         let m = self.fabric.model();
-        let wire = match b.kind {
-            BurstKind::Put => m.put_latency(t, b.len),
-            BurstKind::Amo => m.amo_latency(t) + (b.ops - 1) as f64 * m.gap(t),
+        let (kind, wire) = match b.kind {
+            BurstKind::Put => (EventKind::Put, m.put_latency(t, b.len)),
+            BurstKind::Amo => (EventKind::Amo, m.amo_latency(t) + (b.ops - 1) as f64 * m.gap(t)),
         };
         let t_complete = self.clock.now() + wire + b.extra_ns;
-        self.pending.note(b.key.rank, t_complete);
+        self.pending.note(target, t_complete);
         let c = self.fabric.counters();
         c.batch_flushes.fetch_add(1, Ordering::Relaxed);
         if how == EventKind::BatchSplit {
             c.batch_splits.fetch_add(1, Ordering::Relaxed);
         }
-        let kind = match b.kind {
-            BurstKind::Put => EventKind::Put,
-            BurstKind::Amo => EventKind::Amo,
-        };
         // One RMA span for the whole burst (bytes = combined payload) plus
         // the batch_* span covering its issue window. The burst carries its
         // first member's flow — one wire message, one flow.
-        self.trace_op(
-            kind,
-            Flavor::Implicit,
-            t,
-            b.key.rank,
-            b.len as u64,
-            b.flow,
-            b.t_open,
-            t_complete,
-        );
-        self.trace_sync(how, b.key.rank, b.t_open);
+        let bytes = b.len as u64;
+        self.trace(kind, Flavor::Implicit, target, target, bytes, b.flow, b.t_open, t_complete);
+        self.trace_sync(how, target, b.t_open);
     }
 
-    /// Batched implicit put: data moves eagerly, the completion horizon is
-    /// accounted when the burst retires. Faults are still drawn per op.
-    fn put_batched(&self, key: SegKey, off: usize, src: &[u8]) -> Result<(), FabricError> {
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, src.len())?;
-        self.mc_seg(key, off, src.len(), AccessKind::Put, false, "put");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.put_latency(t, src.len()), true);
-        seg.write(off, src);
-        let c = self.fabric.counters();
-        c.puts.fetch_add(1, Ordering::Relaxed);
-        c.bytes_put.fetch_add(src.len() as u64, Ordering::Relaxed);
-        c.batched_ops.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(key, BurstKind::Put, off, src.len(), extra);
-        self.fabric.profiler().finish(EventKind::Put, wall);
-        Ok(())
-    }
-
-    /// Batched implicit non-fetching AMO (memory effect applied eagerly).
-    fn amo_batched(
+    /// Disposition of a batched implicit op (its data has moved, eagerly):
+    /// the completion horizon is accounted, and the span traced, when the
+    /// burst retires. Faults are still drawn per op.
+    #[inline(always)] // one call (`enqueue`) per batched op, not two
+    fn batched(
         &self,
+        op: Op,
+        kind: BurstKind,
         key: SegKey,
         off: usize,
-        op: AmoOp,
-        operand: u64,
-    ) -> Result<(), FabricError> {
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, 8)?;
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
-        seg.amo(off, op, operand, 0);
+        len: usize,
+        wall: Option<Instant>,
+    ) {
+        let lat = op.latency(self.fabric.model(), self.transport_to(key.rank), len);
+        let extra = self.apply_faults(key.rank, lat, true);
         let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
+        op.count(c, Some(len as u64));
         c.batched_ops.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(key, BurstKind::Amo, off, 8, extra);
-        self.fabric.profiler().finish(EventKind::Amo, wall);
-        Ok(())
+        self.enqueue(key, kind, off, len, extra);
+        self.fabric.profiler().finish(op.kind(), wall);
     }
 
     // ----------------------------------------------------------------- put
@@ -550,32 +647,12 @@ impl Endpoint {
         src: &[u8],
         flavor: Flavor,
     ) -> Result<f64, FabricError> {
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, src.len())?;
-        self.mc_seg(key, off, src.len(), AccessKind::Put, false, "put");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra =
-            self.apply_faults(key.rank, m.put_latency(t, src.len()), flavor != Flavor::Blocking);
-        let t_start = self.clock.now();
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.put_latency(t, src.len()) + extra;
+        let wall = self.profile_start();
+        let seg = self.begin(key, off, src.len(), Op::Put, "put")?;
+        let p = self.price(Op::Put, key.rank, src.len(), Some(flavor), None);
         seg.write(off, src);
-        let c = self.fabric.counters();
-        c.puts.fetch_add(1, Ordering::Relaxed);
-        c.bytes_put.fetch_add(src.len() as u64, Ordering::Relaxed);
-        self.trace_op(
-            EventKind::Put,
-            flavor,
-            t,
-            key.rank,
-            src.len() as u64,
-            self.cur_flow.get(),
-            t_start,
-            t_complete,
-        );
-        self.fabric.profiler().finish(EventKind::Put, wall);
-        Ok(t_complete)
+        self.finish(Op::Put, flavor, key.rank, src.len() as u64, (p.t_start, p.t_complete), wall);
+        Ok(p.t_complete)
     }
 
     /// Blocking put: returns when remotely complete.
@@ -600,10 +677,13 @@ impl Endpoint {
     /// the rendezvous-style unbatched path.
     pub fn put_implicit(&self, key: SegKey, off: usize, src: &[u8]) -> Result<(), FabricError> {
         if self.batch.get() && src.len() < self.fabric.model().dmapp_proto_change_bytes {
-            return self.put_batched(key, off, src);
+            let wall = self.profile_start();
+            self.begin(key, off, src.len(), Op::Put, "put")?.write(off, src);
+            self.batched(Op::Put, BurstKind::Put, key, off, src.len(), wall);
+            return Ok(());
         }
         let t = self.put_raw(key, off, src, Flavor::Implicit)?;
-        self.note_pending(key.rank, t);
+        self.pending.note(key.rank, t);
         Ok(())
     }
 
@@ -616,32 +696,12 @@ impl Endpoint {
         dst: &mut [u8],
         flavor: Flavor,
     ) -> Result<f64, FabricError> {
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, dst.len())?;
-        self.mc_seg(key, off, dst.len(), AccessKind::Get, false, "get");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra =
-            self.apply_faults(key.rank, m.get_latency(t, dst.len()), flavor != Flavor::Blocking);
-        let t_start = self.clock.now();
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.get_latency(t, dst.len()) + extra;
+        let wall = self.profile_start();
+        let seg = self.begin(key, off, dst.len(), Op::Get, "get")?;
+        let p = self.price(Op::Get, key.rank, dst.len(), Some(flavor), None);
         seg.read(off, dst);
-        let c = self.fabric.counters();
-        c.gets.fetch_add(1, Ordering::Relaxed);
-        c.bytes_get.fetch_add(dst.len() as u64, Ordering::Relaxed);
-        self.trace_op(
-            EventKind::Get,
-            flavor,
-            t,
-            key.rank,
-            dst.len() as u64,
-            self.cur_flow.get(),
-            t_start,
-            t_complete,
-        );
-        self.fabric.profiler().finish(EventKind::Get, wall);
-        Ok(t_complete)
+        self.finish(Op::Get, flavor, key.rank, dst.len() as u64, (p.t_start, p.t_complete), wall);
+        Ok(p.t_complete)
     }
 
     /// Blocking get.
@@ -663,7 +723,7 @@ impl Endpoint {
     /// Implicit-nonblocking get, completed by [`Endpoint::gsync`].
     pub fn get_implicit(&self, key: SegKey, off: usize, dst: &mut [u8]) -> Result<(), FabricError> {
         let t = self.get_raw(key, off, dst, Flavor::Implicit)?;
-        self.note_pending(key.rank, t);
+        self.pending.note(key.rank, t);
         Ok(())
     }
 
@@ -678,31 +738,15 @@ impl Endpoint {
         operand: u64,
         compare: u64,
     ) -> Result<u64, FabricError> {
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, 8)?;
-        let (mc_kind, mc_fetch) = Self::mc_amo(op, true);
-        self.mc_seg(key, off, 8, mc_kind, mc_fetch, "amo");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.amo_latency(t), false);
-        let t_start = self.clock.now();
-        self.clock.advance(m.inject(t));
+        let class = Op::Amo(op, true);
+        let wall = self.profile_start();
+        let seg = self.begin(key, off, 8, class, "amo")?;
+        let p = self.price(class, key.rank, 8, Some(Flavor::Blocking), None);
         let old = seg.amo(off, op, operand, compare);
-        self.clock.advance(m.amo_latency(t) + extra);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
-        self.trace_op(
-            EventKind::Amo,
-            Flavor::Blocking,
-            t,
-            key.rank,
-            8,
-            self.cur_flow.get(),
-            t_start,
-            self.clock.now(),
-        );
-        self.fabric.profiler().finish(EventKind::Amo, wall);
+        // Not `join(t_complete)`: `now + (lat + extra)` and `now + lat +
+        // extra` are the same bits only while `extra` is 0 (no faults).
+        self.clock.advance(p.wire);
+        self.finish(class, Flavor::Blocking, key.rank, 8, (p.t_start, self.clock.now()), wall);
         Ok(old)
     }
 
@@ -716,51 +760,37 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
     ) -> Result<(), FabricError> {
-        // One announce covers both the batched and unbatched paths (the
-        // memory effect is eager either way).
-        let (mc_kind, mc_fetch) = Self::mc_amo(op, false);
-        self.mc_seg(key, off, 8, mc_kind, mc_fetch, "amo");
+        let class = Op::Amo(op, false);
+        let wall = self.profile_start();
+        // Before the batching branch: one `begin`, so one announce, covers
+        // both paths (the memory effect is eager either way).
+        let seg = self.begin(key, off, 8, class, "amo")?;
         if self.batch.get() {
-            return self.amo_batched(key, off, op, operand);
+            seg.amo(off, op, operand, 0);
+            self.batched(class, BurstKind::Amo, key, off, 8, wall);
+            return Ok(());
         }
-        let wall = self.fabric.profiler().start();
-        let seg = self.bounds(key, off, 8)?;
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
-        let t_start = self.clock.now();
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.amo_latency(t) + extra;
+        let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), None);
         seg.amo(off, op, operand, 0);
-        self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
-        self.trace_op(
-            EventKind::Amo,
-            Flavor::Implicit,
-            t,
-            key.rank,
-            8,
-            self.cur_flow.get(),
-            t_start,
-            t_complete,
-        );
-        self.fabric.profiler().finish(EventKind::Amo, wall);
+        self.pending.note(key.rank, p.t_complete);
+        self.finish(class, Flavor::Implicit, key.rank, 8, (p.t_start, p.t_complete), wall);
         Ok(())
     }
 
     // ----------------------------------------------- stamped sync variables
+    //
+    // Counted, but neither traced nor profiled: the sync layer's spans
+    // cover them. Each announces the full 16-byte cell (the stamp word is
+    // part of it), so sync AMOs conflict with `read_sync`/`write_sync`.
 
-    /// AMO on a 16-byte sync variable (`[value][stamp]`): performs the AMO
-    /// on the value word, then raises the stamp to this op's completion
-    /// time, so a peer observing the new value inherits our causal time.
-    /// Returns `(old value, old stamp)`.
+    /// AMO on a 16-byte sync variable (`[value][stamp]`): raises the stamp
+    /// to this op's completion time and performs the AMO on the value word,
+    /// so a peer observing the new value inherits our causal time. Returns
+    /// the old value.
     ///
-    /// Deliberately exempt from fault injection: this is the fetching
-    /// acquire/poll primitive behind CAS retry loops, whose call count is
-    /// schedule-dependent — drawing faults here would break per-seed
-    /// determinism (see [`crate::faults`]).
+    /// Exempt from fault draws: this is the fetching acquire/poll
+    /// primitive behind CAS retry loops, whose call count depends on the
+    /// schedule (see `price`).
     pub fn amo_sync(
         &self,
         key: SegKey,
@@ -768,23 +798,14 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
         compare: u64,
-    ) -> Result<(u64, f64), FabricError> {
-        let seg = self.bounds(key, off, 16)?;
-        // The stamp word is part of the cell: announce the full 16 bytes
-        // so sync AMOs conflict with `read_sync`/`write_sync` spans.
-        let (mc_kind, mc_fetch) = Self::mc_amo(op, true);
-        self.mc_seg(key, off, 16, mc_kind, mc_fetch, "amo_sync");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.amo_latency(t);
-        let old = seg.amo(off, op, operand, compare);
-        let old_stamp = seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
-        self.clock.join(t_complete);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
-        Ok((old, bits_to_stamp(old_stamp)))
+    ) -> Result<u64, FabricError> {
+        let class = Op::Amo(op, true);
+        let seg = self.begin(key, off, 16, class, "amo_sync")?;
+        let p = self.price(class, key.rank, 8, None, None);
+        let old = Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, compare));
+        self.clock.join(p.t_complete);
+        class.count(self.fabric.counters(), Some(8));
+        Ok(old)
     }
 
     /// Fire-and-forget AMO on a sync variable: like [`Endpoint::amo_sync`]
@@ -800,21 +821,7 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
     ) -> Result<(), FabricError> {
-        let seg = self.bounds(key, off, 16)?;
-        let (mc_kind, mc_fetch) = Self::mc_amo(op, false);
-        self.mc_seg(key, off, 16, mc_kind, mc_fetch, "amo_release");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.amo_latency(t) + extra;
-        seg.amo(off, op, operand, 0);
-        seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
-        self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
-        Ok(())
+        self.release(key, off, op, operand, "amo_release", None)
     }
 
     /// Like [`Endpoint::amo_sync_release`], but the notification is
@@ -835,20 +842,11 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
     ) -> Result<(), FabricError> {
-        let seg = self.bounds(key, off, 16)?;
-        let (mc_kind, mc_fetch) = Self::mc_amo(op, false);
-        self.mc_seg(key, off, 16, mc_kind, mc_fetch, "amo_release_ord");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
         // Ordered-class fencing covers the target's open burst too: retire
         // it so its horizon is part of what the release orders behind.
         self.drain_target(key.rank);
-        let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
-        self.clock.advance(m.inject(t));
-        let pending = self.pending.horizon(key.rank);
-        let t_complete = (self.clock.now() + m.amo_latency(t) + extra).max(pending);
-        seg.amo(off, op, operand, 0);
-        seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        let behind = Some(self.pending.horizon(key.rank));
+        self.release(key, off, op, operand, "amo_release_ord", behind)?;
         // Hand the in-scope flow to the signalled rank: a waiter that
         // observes this release picks it up via `take_signal_flow`, joining
         // the consumer's trace span to this producer's flow arrow.
@@ -856,28 +854,44 @@ impl Endpoint {
         if flow != NO_FLOW {
             self.fabric.telemetry().publish_signal_flow(key.rank, flow);
         }
-        self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(8, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The non-fetching stamped AMO both releases are, complete no
+    /// earlier than `floor` if one is given.
+    fn release(
+        &self,
+        key: SegKey,
+        off: usize,
+        op: AmoOp,
+        operand: u64,
+        label: &'static str,
+        floor: Option<f64>,
+    ) -> Result<(), FabricError> {
+        let class = Op::Amo(op, false);
+        let seg = self.begin(key, off, 16, class, label)?;
+        let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), floor);
+        Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, 0));
+        self.pending.note(key.rank, p.t_complete);
+        class.count(self.fabric.counters(), Some(8));
         Ok(())
     }
 
     /// Read a 16-byte sync variable; joins the clock with `stamp +
-    /// latency` so waiting loops accrue honest time. Returns the value.
+    /// latency` so waiting loops accrue honest time. Returns the value. A
+    /// local read is free and uncounted; no read draws faults (it polls).
     pub fn read_sync(&self, key: SegKey, off: usize) -> Result<u64, FabricError> {
-        let seg = self.bounds(key, off, 16)?;
-        self.mc_seg(key, off, 16, AccessKind::Get, false, "read_sync");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let local = key.rank == self.rank;
-        let lat = if local { 0.0 } else { m.get_latency(t, 8) };
-        if !local {
-            self.clock.advance(m.inject(t));
-            self.fabric.counters().gets.fetch_add(1, Ordering::Relaxed);
-        }
+        let seg = self.begin(key, off, 16, Op::Get, "read_sync")?;
+        let lat = if key.rank == self.rank {
+            0.0
+        } else {
+            Op::Get.count(self.fabric.counters(), None);
+            self.price(Op::Get, key.rank, 8, None, None).wire
+        };
         let v = seg.word(off).load(Ordering::Acquire);
         let s = bits_to_stamp(seg.word(off + 8).load(Ordering::Acquire));
+        // Both joins: the writer's time as seen from here, then the read's
+        // own round trip on top of wherever that left the clock.
         self.clock.join(s + lat);
         self.clock.join(self.clock.now() + lat);
         Ok(v)
@@ -885,17 +899,11 @@ impl Endpoint {
 
     /// Write a 16-byte sync variable (value + stamp = our completion time).
     pub fn write_sync(&self, key: SegKey, off: usize, value: u64) -> Result<(), FabricError> {
-        let seg = self.bounds(key, off, 16)?;
-        self.mc_seg(key, off, 16, AccessKind::Put, false, "write_sync");
-        let t = self.transport_to(key.rank);
-        let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.put_latency(t, 8), true);
-        self.clock.advance(m.inject(t));
-        let t_complete = self.clock.now() + m.put_latency(t, 8) + extra;
-        seg.word(off).store(value, Ordering::Release);
-        seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
-        self.note_pending(key.rank, t_complete);
-        self.fabric.counters().puts.fetch_add(1, Ordering::Relaxed);
+        let seg = self.begin(key, off, 16, Op::Put, "write_sync")?;
+        let p = self.price(Op::Put, key.rank, 8, Some(Flavor::Implicit), None);
+        Self::publish(&seg, off, p.t_complete, || seg.word(off).store(value, Ordering::Release));
+        self.pending.note(key.rank, p.t_complete);
+        Op::Put.count(self.fabric.counters(), None);
         Ok(())
     }
 
@@ -921,20 +929,16 @@ impl Endpoint {
     /// Fault draws happen once per append, never inside the retry loop,
     /// preserving the per-seed determinism contract of [`crate::faults`].
     pub fn notify_append(&self, target: u32, tag: u32, bytes: u64) -> Result<(), FabricError> {
-        let wall = self.fabric.profiler().start();
-        let t = self.transport_to(target);
-        let m = self.fabric.model();
+        let wall = self.profile_start();
         // Ordered-class fencing: the notification trails the open burst.
         self.drain_target(target);
-        let extra = self.apply_faults(target, m.amo_latency(t), true);
-        let t_start = self.clock.now();
-        self.clock.advance(m.inject(t));
-        let pending = self.pending.horizon(target);
-        let mut t_complete = (self.clock.now() + m.amo_latency(t) + extra).max(pending);
+        let behind = Some(self.pending.horizon(target));
+        let p = self.price(Op::Notify, target, 8, Some(Flavor::Implicit), behind);
+        let mut t_complete = p.t_complete;
         let q = self.fabric.notify().queue(target);
         let flow = self.cur_flow.get();
         let mut rec = NotifyRecord { tag, source: self.rank, bytes, stamp: t_complete, flow };
-        self.mc_op(McObj::Ring(target), 0, 0, AccessKind::Put, false, "notify-push");
+        self.mc_ring(target, AccessKind::Put, "notify-push");
         if !q.try_push(rec) {
             if self.mc_armed() {
                 // Under the model checker a full ring is a legal blocking
@@ -947,59 +951,45 @@ impl Endpoint {
                         let q = fab.notify().queue(target);
                         q.len() < q.capacity()
                     });
-                    self.mc_op(McObj::Ring(target), 0, 0, AccessKind::Put, false, "notify-push");
+                    self.mc_ring(target, AccessKind::Put, "notify-push");
                     if q.try_push(rec) {
                         break;
                     }
                 }
-                self.note_pending(target, t_complete);
-                self.fabric.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
-                self.fabric.profiler().finish(EventKind::NotifyPost, wall);
-                return Ok(());
-            }
-            // Overflow → backpressure. Charge the stall once (no extra RNG
-            // draws: the magnitude comes straight from the armed plan), then
-            // retry while the consumer drains.
-            let c = self.fabric.counters();
-            c.notify_overflows.fetch_add(1, Ordering::Relaxed);
-            let plan = self.fabric.faults().plan();
-            let stall = if plan.bp_ns > 0.0 { plan.bp_ns } else { Self::NOTIFY_BP_NS };
-            let t0 = self.clock.now();
-            self.clock.advance(stall);
-            self.trace_fault(EventKind::FaultBackpressure, target, t0, self.clock.now());
-            // The stalled append re-issues after the stall.
-            t_complete = (self.clock.now() + m.amo_latency(t)).max(t_complete);
-            rec.stamp = t_complete;
-            let mut pushed = false;
-            for _ in 0..Self::NOTIFY_RETRY_LIMIT {
-                if q.try_push(rec) {
-                    pushed = true;
-                    break;
+            } else {
+                // Overflow → backpressure. Charge the stall once (no extra RNG
+                // draws: the magnitude comes straight from the armed plan), then
+                // retry while the consumer drains.
+                self.fabric.counters().notify_overflows.fetch_add(1, Ordering::Relaxed);
+                let plan = self.fabric.faults().plan();
+                let stall = if plan.bp_ns > 0.0 { plan.bp_ns } else { Self::NOTIFY_BP_NS };
+                let t0 = self.clock.now();
+                self.clock.advance(stall);
+                self.trace_span(EventKind::FaultBackpressure, target, t0, self.clock.now());
+                // The stalled append re-issues after the stall.
+                let lat = self.fabric.model().amo_latency(self.transport_to(target));
+                t_complete = (self.clock.now() + lat).max(t_complete);
+                rec.stamp = t_complete;
+                let mut pushed = false;
+                for _ in 0..Self::NOTIFY_RETRY_LIMIT {
+                    if q.try_push(rec) {
+                        pushed = true;
+                        break;
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
-            }
-            if !pushed {
-                // The retry budget is exhausted — the peer never drained.
-                // This is the fatal-backpressure path: dump the flight
-                // recorder so the last window of events survives the abort
-                // most callers turn this error into.
-                self.flight_dump("notify ring backpressure retry budget exhausted");
-                return Err(FabricError::Backpressure { retry_after_ns: stall as u64 });
+                if !pushed {
+                    // The retry budget is exhausted — the peer never drained.
+                    // This is the fatal-backpressure path: dump the flight
+                    // recorder so the last window of events survives the abort
+                    // most callers turn this error into.
+                    self.flight_dump("notify ring backpressure retry budget exhausted");
+                    return Err(FabricError::Backpressure { retry_after_ns: stall as u64 });
+                }
             }
         }
-        self.note_pending(target, t_complete);
-        self.fabric.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
-        self.trace_op(
-            EventKind::NotifyPost,
-            Flavor::Implicit,
-            t,
-            target,
-            bytes,
-            flow,
-            t_start,
-            t_complete,
-        );
-        self.fabric.profiler().finish(EventKind::NotifyPost, wall);
+        self.pending.note(target, t_complete);
+        self.finish(Op::Notify, Flavor::Implicit, target, bytes, (p.t_start, t_complete), wall);
         Ok(())
     }
 
@@ -1010,6 +1000,21 @@ impl Endpoint {
     /// Bounded retry attempts after an overflowed append before the
     /// backpressure error surfaces to the caller.
     pub const NOTIFY_RETRY_LIMIT: u32 = 100_000;
+
+    /// A data op and its ordered notification `(tag, bytes)` in one causal
+    /// flow: the consumer's matching wait joins this flow in the trace.
+    fn notified(
+        &self,
+        target: u32,
+        tag: u32,
+        bytes: u64,
+        data: impl FnOnce() -> Result<(), FabricError>,
+    ) -> Result<(), FabricError> {
+        let prev = self.flow_open();
+        let r = data().and_then(|()| self.notify_append(target, tag, bytes));
+        self.flow_close(prev);
+        r
+    }
 
     /// Notified put: the data moves like [`Endpoint::put_implicit`] (so it
     /// composes with issue-side batching), then an ordered notification
@@ -1023,14 +1028,7 @@ impl Endpoint {
         src: &[u8],
         tag: u32,
     ) -> Result<(), FabricError> {
-        // One causal flow covers the data put and its notification: the
-        // consumer's matching wait joins this flow in the trace.
-        let prev = self.flow_open();
-        let r = self
-            .put_implicit(key, off, src)
-            .and_then(|()| self.notify_append(key.rank, tag, src.len() as u64));
-        self.flow_close(prev);
-        r
+        self.notified(key.rank, tag, src.len() as u64, || self.put_implicit(key, off, src))
     }
 
     /// Notified get: fetch like [`Endpoint::get_implicit`], then notify the
@@ -1044,12 +1042,7 @@ impl Endpoint {
         dst: &mut [u8],
         tag: u32,
     ) -> Result<(), FabricError> {
-        let prev = self.flow_open();
-        let len = dst.len() as u64;
-        let r =
-            self.get_implicit(key, off, dst).and_then(|()| self.notify_append(key.rank, tag, len));
-        self.flow_close(prev);
-        r
+        self.notified(key.rank, tag, dst.len() as u64, || self.get_implicit(key, off, dst))
     }
 
     /// Notified non-fetching AMO: apply like [`Endpoint::amo_implicit`],
@@ -1063,12 +1056,7 @@ impl Endpoint {
         operand: u64,
         tag: u32,
     ) -> Result<(), FabricError> {
-        let prev = self.flow_open();
-        let r = self
-            .amo_implicit(key, off, op, operand)
-            .and_then(|()| self.notify_append(key.rank, tag, 8));
-        self.flow_close(prev);
-        r
+        self.notified(key.rank, tag, 8, || self.amo_implicit(key, off, op, operand))
     }
 
     /// Pop the oldest notification destined for this rank, if any. Local
@@ -1093,7 +1081,7 @@ impl Endpoint {
     pub fn notify_poll(&self) -> Option<NotifyRecord> {
         // Announce even when the ring turns out to be empty: observing
         // emptiness is itself order-sensitive (it decides a retry).
-        self.mc_op(McObj::Ring(self.rank), 0, 0, AccessKind::Get, false, "notify-poll");
+        self.mc_ring(self.rank, AccessKind::Get, "notify-poll");
         let rec = self.fabric.notify().queue(self.rank).try_pop()?;
         self.fabric.counters().notify_consumed.fetch_add(1, Ordering::Relaxed);
         Some(rec)
@@ -1116,19 +1104,19 @@ impl Endpoint {
     /// free): each dropped record is counted and traced. Returns how many
     /// were dropped.
     pub fn notify_drop_all(&self) -> u64 {
-        self.mc_op(McObj::Ring(self.rank), 0, 0, AccessKind::Put, false, "notify-drain");
+        self.mc_ring(self.rank, AccessKind::Put, "notify-drain");
         let q = self.fabric.notify().queue(self.rank);
         let mut n = 0u64;
         while let Some(rec) = q.try_pop() {
             n += 1;
-            let t0 = self.clock.now();
             // The drop carries the record's flow so an unconsumed
             // notification still terminates its arrow (visibly as a drop).
-            self.trace_op(
+            let (t0, from) = (self.clock.now(), rec.source);
+            self.trace(
                 EventKind::NotifyDrop,
                 Flavor::NotApplicable,
-                self.transport_to(rec.source),
-                rec.source,
+                from,
+                from,
                 rec.bytes,
                 rec.flow,
                 t0,
@@ -1153,7 +1141,7 @@ impl Endpoint {
     /// NIC's completion queue lags): the extra delay is charged after the
     /// pending horizon is joined.
     pub fn gsync(&self) {
-        let wall = self.fabric.profiler().start();
+        let wall = self.profile_start();
         let t_start = self.clock.now();
         self.drain_all();
         self.clock.join(self.pending.global());
@@ -1180,7 +1168,7 @@ impl Endpoint {
     /// remote completion, the substrate of `MPI_Win_flush(target)`).
     /// Retires the target's open burst, then joins its striped horizon.
     pub fn flush_target(&self, target: u32) {
-        let wall = self.fabric.profiler().start();
+        let wall = self.profile_start();
         let t_start = self.clock.now();
         self.drain_target(target);
         self.clock.join(self.pending.horizon(target));
@@ -1235,9 +1223,8 @@ impl Endpoint {
     // ------------------------------------------------------- model checking
     //
     // Announce points for the interleaving model checker ([`crate::mc`]).
-    // The unarmed cost is one relaxed load per site — the faults/racecheck
-    // bar. Announcements cover every shared-state touch the endpoint
-    // performs: segment data movement, stamped sync variables, and
+    // Announcements cover every shared-state touch the endpoint performs:
+    // segment data movement (in `begin`), stamped sync variables, and
     // notification-ring traffic. Rank-local state (clock, open bursts,
     // striped horizons, counters) is never announced: other ranks cannot
     // observe it, so reordering it cannot change any rank-visible value.
@@ -1245,79 +1232,32 @@ impl Endpoint {
     /// Is a model-checker gate armed on the fabric?
     #[inline]
     pub fn mc_armed(&self) -> bool {
-        self.fabric.mc_armed()
+        self.hooks.has(Hooks::MC)
     }
 
-    /// Announce one operation on an explicit conflict object and park
-    /// until the gate schedules this rank; the caller must then perform
-    /// exactly the announced operation. No-op unless armed.
+    /// Announce a touch of `rank`'s notification ring — one conflict
+    /// object, whatever the touch (see [`crate::mc`]).
     #[inline]
-    pub fn mc_op(
-        &self,
-        obj: McObj,
-        lo: usize,
-        hi: usize,
-        kind: AccessKind,
-        fetch: bool,
-        label: &'static str,
-    ) {
-        if self.fabric.mc_armed() {
-            self.mc_op_slow(obj, lo, hi, kind, fetch, label);
-        }
-    }
-
-    #[cold]
-    fn mc_op_slow(
-        &self,
-        obj: McObj,
-        lo: usize,
-        hi: usize,
-        kind: AccessKind,
-        fetch: bool,
-        label: &'static str,
-    ) {
-        if let Some(g) = self.fabric.mc_gate() {
-            g.op(self.rank, McOp { obj, lo, hi, kind, fetch, label });
-        }
-    }
-
-    /// Announce a segment access `[off, off + len)` by registration key.
-    #[inline]
-    fn mc_seg(
-        &self,
-        key: SegKey,
-        off: usize,
-        len: usize,
-        kind: AccessKind,
-        fetch: bool,
-        label: &'static str,
-    ) {
-        if self.fabric.mc_armed() {
-            self.mc_op_slow(
-                McObj::Seg { owner: key.rank, id: key.id },
-                off,
-                off + len,
+    fn mc_ring(&self, rank: u32, kind: AccessKind, label: &'static str) {
+        if self.mc_armed() {
+            self.mc_announce(McOp {
+                obj: McObj::Ring(rank),
+                lo: 0,
+                hi: 0,
                 kind,
-                fetch,
+                fetch: false,
                 label,
-            );
+            });
         }
     }
 
-    /// Announce vocabulary for an AMO: the reduction tag plus whether the
-    /// op must be treated as order-observing even when non-fetching.
-    /// Same-op `Add`/`And`/`Or`/`Xor` commute; `Swap` and `Cas` never
-    /// commute with themselves, so they always carry the fetch bit; a
-    /// pure `Fetch` is the atomic-read carve-out.
-    fn mc_amo(op: AmoOp, fetch: bool) -> (AccessKind, bool) {
-        match op {
-            AmoOp::Add => (AccessKind::Acc(0), fetch),
-            AmoOp::And => (AccessKind::Acc(1), fetch),
-            AmoOp::Or => (AccessKind::Acc(2), fetch),
-            AmoOp::Xor => (AccessKind::Acc(3), fetch),
-            AmoOp::Swap => (AccessKind::Acc(4), true),
-            AmoOp::Cas => (AccessKind::Acc(5), true),
-            AmoOp::Fetch => (AccessKind::Acc(crate::shadow::ACC_NOOP), fetch),
+    /// Announce one operation and park until the gate schedules this rank;
+    /// the caller must then perform exactly the announced operation.
+    #[cold]
+    #[inline(never)]
+    fn mc_announce(&self, op: McOp) {
+        if let Some(g) = self.fabric.mc_gate() {
+            g.op(self.rank, op);
         }
     }
 
@@ -1340,7 +1280,7 @@ impl Endpoint {
     /// gate-mediated form of every "spin until a notification arrives"
     /// loop. Returns `false` when no gate is armed.
     pub fn mc_poll_my_ring(&self, label: &'static str) -> bool {
-        if !self.fabric.mc_armed() {
+        if !self.mc_armed() {
             return false;
         }
         let fab = self.fabric.clone();
@@ -1362,7 +1302,7 @@ impl Endpoint {
         label: &'static str,
         pred: fn(u64) -> bool,
     ) -> bool {
-        if !self.fabric.mc_armed() {
+        if !self.mc_armed() {
             return false;
         }
         // The predicate outlives this call, so it owns the segment: a cold
@@ -1387,7 +1327,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::segment::Segment;
-    use crate::Config;
+    use crate::{Config, CounterSnapshot};
 
     /// A two-rank, two-node fabric configured by `config` alone (the
     /// environment is not consulted).
@@ -1463,6 +1403,43 @@ mod tests {
         let v = ep1.read_sync(key, 0).unwrap();
         assert_eq!(v, 1);
         assert!(ep1.clock().now() > 1_000_000.0);
+    }
+
+    /// The stamp-before-value invariant, on two threads: whoever reads the
+    /// `k`-th value has joined the `k`-th write's time. Under the free cost
+    /// model the `k`-th write completes at exactly `k` µs, so a reader that
+    /// saw a value ahead of its stamp is a reader whose clock is short.
+    #[test]
+    fn a_reader_of_the_kth_value_has_joined_the_kth_stamp() {
+        const WRITES: u64 = 300_000;
+        let f = Fabric::with_config(2, 1, CostModel::free(), Config::default());
+        let key = f.register(1, Segment::new(16));
+        let late = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let ep = Endpoint::new(f.clone(), 1);
+                let mut late = 0u64;
+                loop {
+                    let v = ep.read_sync(key, 0).unwrap();
+                    late += (ep.clock().now() < v as f64 * 1000.0) as u64;
+                    if v == WRITES {
+                        break late;
+                    }
+                }
+            });
+            let ep = Endpoint::new(f.clone(), 0);
+            for k in 1..=WRITES {
+                ep.charge(1000.0);
+                // Every stamped writer in rotation; the cell reads `k` after
+                // the `k`-th of them.
+                match k % 3 {
+                    0 => ep.amo_sync_release(key, 0, AmoOp::Add, 1).unwrap(),
+                    1 => drop(ep.amo_sync(key, 0, AmoOp::Add, 1, 0).unwrap()),
+                    _ => ep.write_sync(key, 0, k).unwrap(),
+                }
+            }
+            reader.join().unwrap()
+        });
+        assert_eq!(late, 0, "reads that saw a value before the stamp that dates it");
     }
 
     #[test]
@@ -2015,6 +1992,363 @@ mod tests {
         assert_eq!(Arc::strong_count(&seg), 2);
         drop(idle);
         assert_eq!(Arc::strong_count(&seg), 1);
+    }
+
+    // ------------------------------------------------ the op skeleton, pinned
+
+    /// What one public entry point does to the origin's clock, its pending
+    /// horizon toward the target, the fabric counters and the trace.
+    struct Pinned {
+        clock: f64,
+        pending: f64,
+        counters: CounterSnapshot,
+        /// `(kind, flavor, bytes, carries a flow, t_start, t_end)`.
+        events: Vec<(EventKind, Flavor, u64, bool, f64, f64)>,
+    }
+
+    /// The cost-model terms the closed forms below are written in, for one
+    /// transport and an origin whose clock reads `t0` when the op starts.
+    struct Terms<'a> {
+        m: &'a CostModel,
+        t: Transport,
+        t0: f64,
+    }
+
+    impl Terms<'_> {
+        fn o(&self) -> f64 {
+            self.m.inject(self.t)
+        }
+        fn g(&self) -> f64 {
+            self.m.gap(self.t)
+        }
+        fn put(&self, n: usize) -> f64 {
+            self.m.put_latency(self.t, n)
+        }
+        fn get(&self, n: usize) -> f64 {
+            self.m.get_latency(self.t, n)
+        }
+        fn amo(&self) -> f64 {
+            self.m.amo_latency(self.t)
+        }
+    }
+
+    /// Stamp planted at `CELL` of both segments before each case.
+    const PLANTED: f64 = 1.0e6;
+    const CELL: usize = 512;
+
+    type Run = fn(&Endpoint, SegKey, SegKey);
+    type Want = fn(&Terms) -> Pinned;
+
+    fn counted(f: impl FnOnce(&mut CounterSnapshot)) -> CounterSnapshot {
+        let mut c = CounterSnapshot::default();
+        f(&mut c);
+        c
+    }
+
+    /// One data op of `bytes` in flavour `fl` issued at `t0`: what it costs
+    /// the origin (`blocks` = the clock joins the completion) and leaves
+    /// pending (implicit flavours only), from its wire latency `lat`.
+    fn data_op(x: &Terms, kind: EventKind, fl: Flavor, bytes: u64, lat: f64) -> Pinned {
+        let done = x.t0 + x.o() + lat;
+        Pinned {
+            clock: if fl == Flavor::Blocking { done } else { x.t0 + x.o() },
+            pending: if fl == Flavor::Implicit { done } else { 0.0 },
+            counters: counted(|c| match kind {
+                EventKind::Put => (c.puts, c.bytes_put) = (1, bytes),
+                EventKind::Get => (c.gets, c.bytes_get) = (1, bytes),
+                _ => (c.amos, c.bytes_amo) = (1, bytes),
+            }),
+            events: vec![(kind, fl, bytes, false, x.t0, done)],
+        }
+    }
+
+    /// A notified op: the data part of `data_op(.., Implicit, ..)` followed
+    /// by the ordered notification, both in one flow.
+    fn notified(x: &Terms, kind: EventKind, lat: f64) -> Pinned {
+        let mut p = data_op(x, kind, Flavor::Implicit, 8, lat);
+        let t1 = x.t0 + x.o();
+        let posted = (t1 + x.o() + x.amo()).max(p.pending);
+        p.clock = t1 + x.o();
+        p.pending = posted;
+        p.counters.notify_posts = 1;
+        p.events[0].3 = true;
+        p.events.push((EventKind::NotifyPost, Flavor::Implicit, 8, true, t1, posted));
+        p
+    }
+
+    /// Every public op entry × {Dmapp, Xpmem}: clock, pending horizon,
+    /// counters and the exact events equal the closed form from the cost
+    /// model — the unit-level twin of "every artifact byte-identical".
+    #[test]
+    fn every_entry_point_matches_its_closed_form() {
+        use EventKind::{Amo, BatchFlush, Get, NotifyPost, Put};
+        use Flavor::{Blocking, Implicit, Nonblocking, NotApplicable};
+        let table: &[(&str, Run, Want)] = &[
+            (
+                "put",
+                |ep, k, _| ep.put(k, 0, &[1; 8]).unwrap(),
+                |x| data_op(x, Put, Blocking, 8, x.put(8)),
+            ),
+            (
+                "put_nb",
+                |ep, k, _| {
+                    let h = ep.put_nb(k, 0, &[1; 8]).unwrap();
+                    assert_eq!(
+                        h.t_complete,
+                        ep.clock().now() + ep.fabric().model().put_latency(ep.transport_to(1), 8)
+                    );
+                },
+                |x| data_op(x, Put, Nonblocking, 8, x.put(8)),
+            ),
+            (
+                "put_implicit",
+                |ep, k, _| ep.put_implicit(k, 0, &[1; 8]).unwrap(),
+                |x| data_op(x, Put, Implicit, 8, x.put(8)),
+            ),
+            (
+                "put_implicit batched x2",
+                |ep, k, _| {
+                    ep.set_batching(true);
+                    ep.put_implicit(k, 0, &[1; 8]).unwrap();
+                    ep.put_implicit(k, 8, &[2; 8]).unwrap();
+                },
+                |x| {
+                    // o + g at issue; one 16-byte wire message at retire.
+                    let issued = x.t0 + x.o() + x.g();
+                    let done = issued + x.put(16);
+                    Pinned {
+                        clock: issued,
+                        pending: done,
+                        counters: counted(|c| {
+                            (c.puts, c.bytes_put, c.batched_ops, c.batch_flushes) = (2, 16, 2, 1)
+                        }),
+                        events: vec![
+                            (Put, Implicit, 16, false, x.t0, done),
+                            (BatchFlush, NotApplicable, 0, false, x.t0, issued),
+                        ],
+                    }
+                },
+            ),
+            (
+                "get",
+                |ep, k, _| ep.get(k, 0, &mut [0; 8]).unwrap(),
+                |x| data_op(x, Get, Blocking, 8, x.get(8)),
+            ),
+            (
+                "get_nb",
+                |ep, k, _| {
+                    let h = ep.get_nb(k, 0, &mut [0; 64]).unwrap();
+                    assert_eq!(
+                        h.t_complete,
+                        ep.clock().now() + ep.fabric().model().get_latency(ep.transport_to(1), 64)
+                    );
+                },
+                |x| data_op(x, Get, Nonblocking, 64, x.get(64)),
+            ),
+            (
+                "get_implicit",
+                |ep, k, _| ep.get_implicit(k, 0, &mut [0; 8]).unwrap(),
+                |x| data_op(x, Get, Implicit, 8, x.get(8)),
+            ),
+            (
+                "amo",
+                |ep, k, _| assert_eq!(ep.amo(k, CELL, AmoOp::Add, 1, 0).unwrap(), 7),
+                |x| data_op(x, Amo, Blocking, 8, x.amo()),
+            ),
+            (
+                "amo_implicit",
+                |ep, k, _| ep.amo_implicit(k, 0, AmoOp::Add, 1).unwrap(),
+                |x| data_op(x, Amo, Implicit, 8, x.amo()),
+            ),
+            (
+                "amo_implicit batched x2",
+                |ep, k, _| {
+                    ep.set_batching(true);
+                    ep.amo_implicit(k, 0, AmoOp::Add, 1).unwrap();
+                    ep.amo_implicit(k, 8, AmoOp::Add, 1).unwrap();
+                },
+                |x| {
+                    // The chain pipelines behind its first AMO at gap spacing.
+                    let issued = x.t0 + x.o() + x.g();
+                    let done = issued + (x.amo() + 1.0 * x.g());
+                    Pinned {
+                        clock: issued,
+                        pending: done,
+                        counters: counted(|c| {
+                            (c.amos, c.bytes_amo, c.batched_ops, c.batch_flushes) = (2, 16, 2, 1)
+                        }),
+                        events: vec![
+                            (Amo, Implicit, 16, false, x.t0, done),
+                            (BatchFlush, NotApplicable, 0, false, x.t0, issued),
+                        ],
+                    }
+                },
+            ),
+            (
+                "amo_sync",
+                |ep, k, _| {
+                    ep.amo_sync(k, 0, AmoOp::Add, 5, 0).unwrap();
+                },
+                |x| Pinned { events: vec![], ..data_op(x, Amo, Blocking, 8, x.amo()) },
+            ),
+            (
+                "amo_sync_release",
+                |ep, k, _| ep.amo_sync_release(k, 0, AmoOp::Add, 5).unwrap(),
+                |x| Pinned { events: vec![], ..data_op(x, Amo, Implicit, 8, x.amo()) },
+            ),
+            (
+                "amo_sync_release_ordered behind a 2 KiB put",
+                |ep, k, _| {
+                    ep.put_implicit(k, 1024, &[3; 2048]).unwrap();
+                    ep.amo_sync_release_ordered(k, 0, AmoOp::Add, 5).unwrap();
+                },
+                |x| {
+                    let mut p = data_op(x, Put, Implicit, 2048, x.put(2048));
+                    let t1 = x.t0 + x.o();
+                    p.clock = t1 + x.o();
+                    p.pending = (t1 + x.o() + x.amo()).max(p.pending);
+                    (p.counters.amos, p.counters.bytes_amo) = (1, 8);
+                    p
+                },
+            ),
+            (
+                "read_sync remote",
+                |ep, k, _| assert_eq!(ep.read_sync(k, CELL).unwrap(), 7),
+                |x| Pinned {
+                    // Both joins: the planted stamp plus the read's latency,
+                    // then the read's own round trip on top.
+                    clock: (x.t0 + x.o()).max(PLANTED + x.get(8)) + x.get(8),
+                    pending: 0.0,
+                    counters: counted(|c| c.gets = 1),
+                    events: vec![],
+                },
+            ),
+            (
+                "read_sync local",
+                |ep, _, local| assert_eq!(ep.read_sync(local, CELL).unwrap(), 7),
+                |_| Pinned {
+                    clock: PLANTED,
+                    pending: 0.0,
+                    counters: CounterSnapshot::default(),
+                    events: vec![],
+                },
+            ),
+            (
+                "write_sync",
+                |ep, k, _| ep.write_sync(k, 0, 9).unwrap(),
+                |x| Pinned {
+                    counters: counted(|c| c.puts = 1),
+                    events: vec![],
+                    ..data_op(x, Put, Implicit, 8, x.put(8))
+                },
+            ),
+            (
+                "notify_append",
+                |ep, _, _| ep.notify_append(1, 3, 24).unwrap(),
+                |x| {
+                    let posted = x.t0 + x.o() + x.amo();
+                    Pinned {
+                        clock: x.t0 + x.o(),
+                        pending: posted,
+                        counters: counted(|c| c.notify_posts = 1),
+                        events: vec![(NotifyPost, Implicit, 24, false, x.t0, posted)],
+                    }
+                },
+            ),
+            (
+                "put_notified",
+                |ep, k, _| ep.put_notified(k, 0, &[1; 8], 3).unwrap(),
+                |x| notified(x, Put, x.put(8)),
+            ),
+            (
+                "get_notified",
+                |ep, k, _| ep.get_notified(k, 0, &mut [0; 8], 3).unwrap(),
+                |x| notified(x, Get, x.get(8)),
+            ),
+            (
+                "amo_notified",
+                |ep, k, _| ep.amo_notified(k, 0, AmoOp::Add, 1, 3).unwrap(),
+                |x| notified(x, Amo, x.amo()),
+            ),
+        ];
+        for (node_size, t) in [(1, Transport::Dmapp), (2, Transport::Xpmem)] {
+            for (name, run, want) in table {
+                let config = Config { telemetry_ring: Some(64), ..Config::default() };
+                let f = Fabric::with_config(2, node_size, CostModel::default(), config);
+                let ep = Endpoint::new(f.clone(), 0);
+                assert_eq!(ep.transport_to(1), t);
+                let (remote, local) = (Segment::new(4096), Segment::new(4096));
+                for seg in [&remote, &local] {
+                    seg.word(CELL).store(7, Ordering::Relaxed);
+                    seg.word(CELL + 8).store(stamp_to_bits(PLANTED), Ordering::Relaxed);
+                }
+                let (key, local_key) = (f.register(1, remote), f.register(0, local));
+                ep.charge(1234.5);
+                run(&ep, key, local_key);
+                let want = want(&Terms { m: f.model(), t, t0: 1234.5 });
+                let ctx = format!("{name} over {t:?}");
+                assert_eq!(ep.clock().now(), want.clock, "{ctx}: clock");
+                // Retires an open burst: its counters and events are part
+                // of what the batched cases pin.
+                assert_eq!(ep.pending_for(1), want.pending, "{ctx}: pending horizon");
+                assert_eq!(f.counters().snapshot(), want.counters, "{ctx}: counters");
+                let got: Vec<_> = f
+                    .telemetry()
+                    .events()
+                    .iter()
+                    .map(|e| {
+                        assert_eq!((e.origin, e.target, e.transport), (0, 1, Some(t)), "{ctx}");
+                        (e.kind, e.flavor, e.bytes, e.flow != NO_FLOW, e.t_start, e.t_end)
+                    })
+                    .collect();
+                assert_eq!(got, want.events, "{ctx}: events");
+            }
+        }
+    }
+
+    /// `Config` → `Fabric` → `Endpoint`: each knob arms exactly its planes,
+    /// the default arms none, and the endpoint holds what the fabric computed.
+    #[test]
+    fn each_knob_arms_exactly_its_hooks() {
+        use crate::faults::FaultPlan;
+        use crate::mc::{McGate, McObj, McOp};
+        use crate::{ProfileMode, RacecheckMode};
+        struct NoGate;
+        impl McGate for NoGate {
+            fn op(&self, _: u32, _: McOp) {}
+            fn poll(
+                &self,
+                _: u32,
+                _: McObj,
+                _: &'static str,
+                _: Box<dyn Fn() -> bool + Send + Sync>,
+            ) {
+            }
+            fn collective(&self, _: u32, _: &'static str) -> bool {
+                true
+            }
+        }
+        let d = Config::default;
+        let table = [
+            (d(), Hooks::default()),
+            (Config { faults: FaultPlan::light(3), ..d() }, Hooks::FAULTS),
+            // Profiling arms the flight recorder, which records events.
+            (Config { profile: ProfileMode::Sample, ..d() }, Hooks::PROFILE | Hooks::TRACE),
+            (Config { telemetry_ring: Some(8), ..d() }, Hooks::TRACE),
+            (Config { metrics: true, ..d() }, Hooks::TRACE),
+            (Config { racecheck: RacecheckMode::Report, ..d() }, Hooks::RACECHECK),
+            (Config { mc: Some(Arc::new(NoGate)), ..d() }, Hooks::MC),
+        ];
+        for (config, want) in table {
+            let f = fabric_with(config);
+            assert_eq!((f.hooks(), Endpoint::new(f.clone(), 0).hooks()), (want, want));
+            // The byte says what the planes themselves were built as.
+            assert_eq!(want.has(Hooks::FAULTS), f.faults().active());
+            assert_eq!(want.has(Hooks::TRACE), f.telemetry().tracing());
+            assert_eq!(want.has(Hooks::PROFILE), f.profiler().mode() != ProfileMode::Off);
+            assert_eq!(want.has(Hooks::RACECHECK), f.shadow().active());
+            assert_eq!(want.has(Hooks::MC), f.mc_gate().is_some());
+        }
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //! plain releases) may retire arbitrarily late relative to each other,
 //! which is what the soak harness stresses.
 //!
-//! The disabled path is one relaxed atomic load, mirroring
-//! [`crate::telemetry::Telemetry::enabled`].
+//! The disabled path is a bit of the endpoint's own [`crate::Hooks`] byte,
+//! fixed at launch.
 
 use crate::rng::{parse_u64, splitmix64, Rng};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Rank-salt stride for deriving per-rank RNG streams from the root seed.
 const RANK_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -318,11 +318,11 @@ struct RankFaults {
 // per-rank rings.
 unsafe impl Sync for RankFaults {}
 
-/// The fault hub, owned by [`crate::Fabric`]. [`Faults::active`] is one
-/// relaxed load on the disabled path — the fig4a latency path stays
-/// unperturbed when no plan is armed.
+/// The fault hub, owned by [`crate::Fabric`]. Whether it is armed is
+/// decided when it is built and never changes — the fig4a latency path
+/// stays unperturbed when no plan is armed.
 pub struct Faults {
-    active: AtomicBool,
+    active: bool,
     plan: FaultPlan,
     ranks: Box<[RankFaults]>,
     injected: [AtomicU64; FaultKind::COUNT],
@@ -338,13 +338,13 @@ impl Faults {
                 ))),
             })
             .collect();
-        Faults { active: AtomicBool::new(plan.any()), plan, ranks, injected: Default::default() }
+        Faults { active: plan.any(), plan, ranks, injected: Default::default() }
     }
 
-    /// Is any fault injection armed? One relaxed load.
+    /// Is any fault injection armed?
     #[inline]
     pub fn active(&self) -> bool {
-        self.active.load(Ordering::Relaxed)
+        self.active
     }
 
     /// The plan in force.

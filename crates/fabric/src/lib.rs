@@ -61,7 +61,7 @@ pub mod xpmem;
 pub use amo::AmoOp;
 pub use batch::{Burst, BurstKind};
 pub use clock::{Clock, StampCell};
-pub use config::{Config, ConfigError};
+pub use config::{Config, ConfigError, Hooks};
 pub use cost::{CostModel, Transport};
 pub use counters::{CounterSnapshot, Counters};
 pub use endpoint::{Endpoint, NbHandle};
@@ -94,6 +94,7 @@ use std::sync::Arc;
 pub struct Fabric {
     model: CostModel,
     topo: Topology,
+    hooks: Hooks,
     segs: RwLock<HashMap<SegKey, Arc<Segment>>>,
     seg_generation: RegistryGeneration,
     next_id: AtomicU64,
@@ -133,29 +134,36 @@ impl Fabric {
     pub fn with_config(p: usize, node_size: usize, model: CostModel, config: Config) -> Arc<Self> {
         // The metrics plane needs the telemetry aggregates (histograms
         // feed the quantiles), so arming it also enables them — the event
-        // rings stay at whatever capacity was chosen.
+        // rings stay at whatever capacity was chosen. A profiling run arms
+        // the flight recorder: a crash mid-profile should dump its last-N
+        // window.
         let telemetry = Telemetry::with_capacity(
             p,
             config.telemetry_ring.is_some() || config.metrics,
+            config.profile != ProfileMode::Off,
             config.telemetry_ring.unwrap_or(0),
         );
-        // A profiling run arms the flight recorder: a crash mid-profile
-        // should dump its last-N window.
-        if config.profile != ProfileMode::Off {
-            telemetry.set_flight(true);
-        }
+        let faults = Faults::new(p, config.faults);
+        let shadow = Shadow::new(p, config.racecheck);
         Arc::new(Self {
             model,
             topo: Topology::new(p, node_size),
+            // Read off the planes as built, so the byte cannot disagree
+            // with them.
+            hooks: Hooks::PROFILE.when(config.profile != ProfileMode::Off)
+                | Hooks::MC.when(config.mc.is_some())
+                | Hooks::FAULTS.when(faults.active())
+                | Hooks::TRACE.when(telemetry.tracing())
+                | Hooks::RACECHECK.when(shadow.active()),
             segs: RwLock::new(HashMap::new()),
             seg_generation: RegistryGeneration::default(),
             next_id: AtomicU64::new(1),
             counters: Counters::default(),
             telemetry,
-            faults: Faults::new(p, config.faults),
+            faults,
             batch_default: config.batch,
             notify: NotifyHub::new(p, config.notify_depth),
-            shadow: Shadow::new(p, config.racecheck),
+            shadow,
             profiler: Profiler::new(config.profile),
             metrics_on: config.metrics,
             txn_retry: config.txn_retry,
@@ -174,6 +182,12 @@ impl Fabric {
         &self.topo
     }
 
+    /// Which diagnostic planes [`Fabric::with_config`] armed. Fixed for the
+    /// fabric's life; every [`Endpoint`] keeps a copy and tests that.
+    pub fn hooks(&self) -> Hooks {
+        self.hooks
+    }
+
     /// Global operation counters (for scalability assertions in tests).
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -189,9 +203,8 @@ impl Fabric {
         &self.faults
     }
 
-    /// The wall-clock profiler (inert — one relaxed load per op — unless
-    /// [`Config::profile`] arms it, which also arms the telemetry flight
-    /// recorder).
+    /// The wall-clock profiler (inert unless [`Config::profile`] arms it,
+    /// which also arms the telemetry flight recorder).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
@@ -217,8 +230,8 @@ impl Fabric {
         &self.notify
     }
 
-    /// The racecheck hub (see [`shadow`]): inert — one relaxed load per
-    /// op — unless [`Config::racecheck`] arms it.
+    /// The racecheck hub (see [`shadow`]): inert unless
+    /// [`Config::racecheck`] arms it.
     pub fn shadow(&self) -> &Shadow {
         &self.shadow
     }
@@ -233,12 +246,6 @@ impl Fabric {
     /// if any.
     pub fn rmc(&self) -> Option<&str> {
         self.rmc.as_deref()
-    }
-
-    /// Is a model-checker gate installed? The entire ungated hot path.
-    #[inline]
-    pub fn mc_armed(&self) -> bool {
-        self.mc.is_some()
     }
 
     /// The installed model-checker gate ([`Config::mc`]), if any: once

@@ -10,8 +10,8 @@
 //! scheduler, partial-order reduction and counterexample machinery live
 //! in `fompi-mc`, which implements the trait.
 //!
-//! Gating follows the racecheck/faults idiom: no gate installed means
-//! one load per op ([`crate::Fabric::mc_armed`]) and zero behaviour
+//! Gating follows the racecheck/faults idiom: no gate installed means a
+//! clear bit in the endpoint's own [`crate::Hooks`] byte and zero behaviour
 //! change. A gate is configuration ([`crate::Config::mc`],
 //! `Universe::mc_gate`): installed before the fabric exists, never
 //! mutated.

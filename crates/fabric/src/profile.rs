@@ -11,14 +11,15 @@
 //!
 //! ## Modes (`FOMPI_PROFILE`)
 //!
-//! * `off` (default) — the disabled path is a single relaxed load and a
-//!   branch; no `Instant::now()` call, zero virtual-time charge.
+//! * `off` (default) — the disabled path is a bit of the endpoint's own
+//!   [`crate::Hooks`] byte, fixed at launch; no `Instant::now()` call,
+//!   zero virtual-time charge.
 //! * `sample` — every [`SAMPLE_PERIOD`]'th operation is timed; the rest
-//!   pay one relaxed load plus one relaxed `fetch_add`.
+//!   pay one relaxed `fetch_add`.
 //! * `full` — every operation is timed (two `Instant::now()` calls each).
 
 use crate::telemetry::{EventKind, Histogram};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// In `sample` mode, one in this many operations is timed.
@@ -26,9 +27,8 @@ pub const SAMPLE_PERIOD: u64 = 64;
 
 /// Profiling intensity (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
 pub enum ProfileMode {
-    /// No wall-clock timing at all (one relaxed load per op).
+    /// No wall-clock timing at all.
     #[default]
     Off,
     /// Time one in [`SAMPLE_PERIOD`] operations.
@@ -92,7 +92,7 @@ impl WallStats {
 /// The wall-clock profiler hub: one per [`crate::Fabric`].
 #[derive(Debug)]
 pub struct Profiler {
-    mode: AtomicU8,
+    mode: ProfileMode,
     /// Global sampling tick (`sample` mode). Deliberately schedule-
     /// dependent — it only decides which wall-clock samples are taken and
     /// never feeds back into virtual time.
@@ -104,7 +104,7 @@ impl Profiler {
     /// A profiler in `mode`.
     pub fn new(mode: ProfileMode) -> Self {
         Profiler {
-            mode: AtomicU8::new(mode as u8),
+            mode,
             tick: AtomicU64::new(0),
             slots: (0..EventKind::COUNT).map(|_| WallStats::default()).collect(),
         }
@@ -113,33 +113,21 @@ impl Profiler {
     /// The mode in force.
     #[inline]
     pub fn mode(&self) -> ProfileMode {
-        match self.mode.load(Ordering::Relaxed) {
-            0 => ProfileMode::Off,
-            1 => ProfileMode::Sample,
-            _ => ProfileMode::Full,
-        }
+        self.mode
     }
 
-    /// Switch modes.
-    pub fn set_mode(&self, mode: ProfileMode) {
-        self.mode.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// Open a timing scope. `None` (the common case when off or not
-    /// sampled) costs one relaxed load, plus one relaxed `fetch_add` in
-    /// `sample` mode. Never touches virtual time.
+    /// Open a timing scope: `None` when off or not sampled (one relaxed
+    /// `fetch_add` in `sample` mode). Never touches virtual time.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
-        match self.mode.load(Ordering::Relaxed) {
-            0 => None,
-            1 => {
-                if self.tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(SAMPLE_PERIOD) {
-                    Some(Instant::now())
-                } else {
-                    None
-                }
-            }
-            _ => Some(Instant::now()),
+        match self.mode {
+            ProfileMode::Off => None,
+            ProfileMode::Sample => self
+                .tick
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(SAMPLE_PERIOD)
+                .then(Instant::now),
+            ProfileMode::Full => Some(Instant::now()),
         }
     }
 
@@ -270,12 +258,11 @@ mod tests {
 
     #[test]
     fn mode_switches() {
-        let p = Profiler::new(ProfileMode::Off);
-        assert_eq!(p.mode(), ProfileMode::Off);
-        p.set_mode(ProfileMode::Full);
-        assert_eq!(p.mode(), ProfileMode::Full);
-        assert!(p.start().is_some());
-        p.set_mode(ProfileMode::Off);
-        assert!(p.start().is_none());
+        // A mode is chosen at construction and cannot change afterwards.
+        let (off, full) = (Profiler::new(ProfileMode::Off), Profiler::new(ProfileMode::Full));
+        assert_eq!(off.mode(), ProfileMode::Off);
+        assert_eq!(full.mode(), ProfileMode::Full);
+        assert!(full.start().is_some());
+        assert!(off.start().is_none());
     }
 }

@@ -51,19 +51,19 @@
 //! schedule or the byte-determinism gates.
 //!
 //! Gating follows [`crate::faults`]: `FOMPI_RACECHECK=report|panic|off`,
-//! and the disabled hot path is a single relaxed load ([`Shadow::active`]).
+//! and the disabled hot path is a bit of the endpoint's own
+//! [`crate::Hooks`] byte, fixed at launch.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::shim::Mutex;
 
 /// Checker mode, parsed from `FOMPI_RACECHECK`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum RacecheckMode {
-    /// Disabled (default): one relaxed load per op, nothing recorded.
+    /// Disabled (default): nothing recorded.
     Off,
     /// Record and report violations (stderr + telemetry + counters).
     Report,
@@ -80,14 +80,6 @@ impl RacecheckMode {
             "report" | "1" | "on" => Ok(RacecheckMode::Report),
             "panic" => Ok(RacecheckMode::Panic),
             _ => Err("expected report, panic or off"),
-        }
-    }
-
-    fn from_u8(v: u8) -> RacecheckMode {
-        match v {
-            1 => RacecheckMode::Report,
-            2 => RacecheckMode::Panic,
-            _ => RacecheckMode::Off,
         }
     }
 }
@@ -370,10 +362,8 @@ const REPORT_CAP: usize = 1024;
 /// The checker hub: one per [`crate::Fabric`], shared by all rank threads.
 #[derive(Debug)]
 pub struct Shadow {
-    /// Fast-path gate: one relaxed load when the checker is off.
-    active: AtomicBool,
-    /// Current [`RacecheckMode`] as a u8.
-    mode: AtomicU8,
+    /// The mode the checker was built in; never changes.
+    mode: RacecheckMode,
     /// World size.
     p: usize,
     /// Per-window shadow maps and epoch clocks.
@@ -410,8 +400,7 @@ impl Shadow {
     /// Hub for `p` ranks in `mode`.
     pub fn new(p: usize, mode: RacecheckMode) -> Shadow {
         Shadow {
-            active: AtomicBool::new(mode != RacecheckMode::Off),
-            mode: AtomicU8::new(mode as u8),
+            mode,
             p,
             windows: Mutex::new(HashMap::new()),
             freed: Mutex::new(HashMap::new()),
@@ -423,22 +412,15 @@ impl Shadow {
         }
     }
 
-    /// Is the checker recording? One relaxed load — the entire disabled
-    /// hot path.
+    /// Is the checker recording?
     #[inline]
     pub fn active(&self) -> bool {
-        self.active.load(Ordering::Relaxed)
+        self.mode != RacecheckMode::Off
     }
 
-    /// Current mode.
+    /// The mode in force.
     pub fn mode(&self) -> RacecheckMode {
-        RacecheckMode::from_u8(self.mode.load(Ordering::Relaxed))
-    }
-
-    /// Switch mode.
-    pub fn set_mode(&self, mode: RacecheckMode) {
-        self.mode.store(mode as u8, Ordering::Relaxed);
-        self.active.store(mode != RacecheckMode::Off, Ordering::Relaxed);
+        self.mode
     }
 
     // --------------------------------------------------------- recording
@@ -885,12 +867,9 @@ mod tests {
 
     #[test]
     fn mode_gates_active_flag() {
-        let sh = Shadow::new(2, RacecheckMode::Off);
-        assert!(!sh.active());
-        sh.set_mode(RacecheckMode::Report);
-        assert!(sh.active());
-        sh.set_mode(RacecheckMode::Off);
-        assert!(!sh.active());
+        assert!(!Shadow::new(2, RacecheckMode::Off).active());
+        assert!(Shadow::new(2, RacecheckMode::Report).active());
+        assert!(Shadow::new(2, RacecheckMode::Panic).active());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! ## Cost discipline
 //!
-//! Telemetry is **off by default**. The disabled hot path is a single
-//! relaxed atomic load and a branch — no allocation, no locks. When enabled,
+//! Telemetry is **off by default**. The disabled hot path is a bit of the
+//! endpoint's own [`crate::Hooks`] byte, fixed at launch — no allocation,
+//! no locks. When enabled,
 //! recording is wait-free: atomic adds into the class aggregates plus a
 //! single-producer ring/array write into the origin rank's private area
 //! (ranks are threads, so "my rank's area" is single-writer by
@@ -39,7 +40,7 @@ pub use ring::EventRing;
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-rank ring capacity when tracing is enabled.
 pub const DEFAULT_RING_CAP: usize = 1 << 16;
@@ -178,8 +179,8 @@ unsafe impl Sync for RankLocal {}
 
 /// The telemetry hub: one per [`crate::Fabric`].
 pub struct Telemetry {
-    /// Bitmask of `STATE_*`: one relaxed load decides the whole hot path.
-    state: AtomicU8,
+    /// Bitmask of `STATE_*`, fixed at construction.
+    state: u8,
     ranks: Box<[RankLocal]>,
     stats: Box<[OpStats]>,
     /// Per-target mailbox carrying the flow id of the most recent signal
@@ -191,11 +192,14 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Telemetry for `p` ranks with explicit state: `enabled` switches
-    /// aggregate recording on; `ring_cap` slots per rank retain the raw
-    /// event stream (0 = aggregates only).
-    pub fn with_capacity(p: usize, enabled: bool, ring_cap: usize) -> Self {
+    /// aggregate recording on; `flight` arms the flight recorder, which is
+    /// independent of it — it keeps only the per-rank last-N window and
+    /// touches no aggregates, so the profiler can arm it without paying for
+    /// full telemetry; `ring_cap` slots per rank retain the raw event
+    /// stream (0 = aggregates only).
+    pub fn with_capacity(p: usize, enabled: bool, flight: bool, ring_cap: usize) -> Self {
         Telemetry {
-            state: AtomicU8::new(if enabled { STATE_AGGR } else { 0 }),
+            state: (u8::from(enabled) * STATE_AGGR) | (u8::from(flight) * STATE_FLIGHT),
             ranks: (0..p)
                 .map(|_| RankLocal {
                     ring: EventRing::new(ring_cap),
@@ -209,38 +213,23 @@ impl Telemetry {
         }
     }
 
-    /// Is recording on? This is the whole disabled hot path: one relaxed
-    /// load and a branch at every call site.
+    /// Is aggregate recording on?
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.state.load(Ordering::Relaxed) & STATE_AGGR != 0
+        self.state & STATE_AGGR != 0
     }
 
-    /// Is *any* recording armed (aggregates or flight)? The gate event
-    /// producers check before building an [`Event`]: one relaxed load.
+    /// Is *any* recording armed (aggregates or flight)? What
+    /// [`crate::Hooks::TRACE`] is read off, and event producers test there.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.state.load(Ordering::Relaxed) != 0
+        self.state != 0
     }
 
     /// Is the flight recorder armed (see [`FLIGHT_CAP`])?
     #[inline]
     pub fn flight_enabled(&self) -> bool {
-        self.state.load(Ordering::Relaxed) & STATE_FLIGHT != 0
-    }
-
-    /// Arm or disarm the flight recorder. Independent of [`enabled`]:
-    /// flight recording keeps only the per-rank last-N window and touches
-    /// no aggregates, so the profiler can arm it without paying for full
-    /// telemetry.
-    ///
-    /// [`enabled`]: Telemetry::enabled
-    pub fn set_flight(&self, on: bool) {
-        if on {
-            self.state.fetch_or(STATE_FLIGHT, Ordering::Relaxed);
-        } else {
-            self.state.fetch_and(!STATE_FLIGHT, Ordering::Relaxed);
-        }
+        self.state & STATE_FLIGHT != 0
     }
 
     /// Rank count this hub was built for.
@@ -249,20 +238,18 @@ impl Telemetry {
     }
 
     /// Record one event. Must be called on `ev.origin`'s thread (the rank's
-    /// private areas are single-writer). No-op when disabled. The disabled
-    /// path is the same single relaxed load it always was — aggregate and
-    /// flight recording share one state word.
+    /// private areas are single-writer). No-op when disabled — aggregate
+    /// and flight recording share one state word.
     #[inline]
     pub fn record(&self, ev: Event) {
-        let state = self.state.load(Ordering::Relaxed);
-        if state == 0 {
-            return;
+        if self.state != 0 {
+            self.record_armed(ev);
         }
-        self.record_armed(state, ev);
     }
 
     #[inline(never)]
-    fn record_armed(&self, state: u8, ev: Event) {
+    fn record_armed(&self, ev: Event) {
+        let state = self.state;
         if state & STATE_FLIGHT != 0 {
             if let Some(rl) = self.ranks.get(ev.origin as usize) {
                 rl.flight.push(ev);
@@ -487,7 +474,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let t = Telemetry::with_capacity(2, false, 16);
+        let t = Telemetry::with_capacity(2, false, false, 16);
         t.record(put_ev(0, 1, 7, 100, 0.0, 50.0));
         assert_eq!(t.stats(EventKind::Put).count(), 0);
         assert!(t.events().is_empty());
@@ -496,7 +483,7 @@ mod tests {
 
     #[test]
     fn aggregates_and_events_flow() {
-        let t = Telemetry::with_capacity(2, true, 16);
+        let t = Telemetry::with_capacity(2, true, false, 16);
         t.record(put_ev(0, 1, 7, 100, 0.0, 50.0));
         t.record(put_ev(0, 1, 7, 300, 60.0, 160.0));
         let s = t.stats(EventKind::Put);
@@ -512,7 +499,7 @@ mod tests {
 
     #[test]
     fn window_and_peer_attribution() {
-        let t = Telemetry::with_capacity(3, true, 16);
+        let t = Telemetry::with_capacity(3, true, false, 16);
         t.record(put_ev(0, 1, 7, 100, 0.0, 10.0));
         t.record(put_ev(0, 2, 7, 50, 10.0, 30.0));
         t.record(put_ev(0, 1, 9, 8, 30.0, 31.0));
@@ -533,7 +520,7 @@ mod tests {
 
     #[test]
     fn sync_events_count_as_syncs() {
-        let t = Telemetry::with_capacity(1, true, 16);
+        let t = Telemetry::with_capacity(1, true, false, 16);
         t.record(Event {
             kind: EventKind::Fence,
             origin: 0,
@@ -550,7 +537,7 @@ mod tests {
 
     #[test]
     fn multi_threaded_ranks_record_concurrently() {
-        let t = std::sync::Arc::new(Telemetry::with_capacity(4, true, 1024));
+        let t = std::sync::Arc::new(Telemetry::with_capacity(4, true, false, 1024));
         std::thread::scope(|s| {
             for rank in 0..4u32 {
                 let t = t.clone();
@@ -572,7 +559,7 @@ mod tests {
 
     #[test]
     fn report_is_renderable() {
-        let t = Telemetry::with_capacity(2, true, 16);
+        let t = Telemetry::with_capacity(2, true, false, 16);
         t.record(put_ev(0, 1, 7, 100, 0.0, 50.0));
         let r = t.report();
         assert!(r.contains("op classes"));
@@ -584,7 +571,7 @@ mod tests {
 
     #[test]
     fn report_warns_loudly_on_ring_overflow() {
-        let t = Telemetry::with_capacity(1, true, 2);
+        let t = Telemetry::with_capacity(1, true, false, 2);
         for i in 0..5 {
             t.record(put_ev(0, 0, 7, i, i as f64, i as f64 + 1.0));
         }
@@ -597,8 +584,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_is_independent_of_aggregates() {
-        let t = Telemetry::with_capacity(2, false, 0);
-        t.set_flight(true);
+        let t = Telemetry::with_capacity(2, false, true, 0);
         assert!(t.flight_enabled());
         assert!(!t.enabled());
         t.record(put_ev(0, 1, 7, 100, 0.0, 50.0));
@@ -610,15 +596,15 @@ mod tests {
         assert_eq!(fl.len(), 2);
         assert_eq!(fl[1].bytes, 200);
         assert!(t.flight_events(1).is_empty());
-        t.set_flight(false);
-        t.record(put_ev(0, 1, 7, 300, 90.0, 95.0));
-        assert_eq!(t.flight_events(0).len(), 2, "disarmed flight records nothing");
+        let off = Telemetry::with_capacity(2, false, false, 0);
+        assert!(!off.flight_enabled() && !off.tracing());
+        off.record(put_ev(0, 1, 7, 300, 90.0, 95.0));
+        assert!(off.flight_events(0).is_empty(), "disarmed flight records nothing");
     }
 
     #[test]
     fn flight_keeps_only_the_last_window() {
-        let t = Telemetry::with_capacity(1, true, 0);
-        t.set_flight(true);
+        let t = Telemetry::with_capacity(1, true, true, 0);
         let n = (FLIGHT_CAP + 10) as u64;
         for i in 0..n {
             t.record(put_ev(0, 0, 7, i, i as f64, i as f64 + 1.0));
@@ -631,7 +617,7 @@ mod tests {
 
     #[test]
     fn signal_flow_mailbox_roundtrip() {
-        let t = Telemetry::with_capacity(2, true, 0);
+        let t = Telemetry::with_capacity(2, true, false, 0);
         assert_eq!(t.take_signal_flow(1), NO_FLOW);
         let f = flow_id(0, 42);
         t.publish_signal_flow(1, f);

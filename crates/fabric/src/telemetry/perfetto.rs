@@ -613,7 +613,7 @@ mod tests {
     fn export_writes_file() {
         let dir = std::env::temp_dir().join("fompi-telemetry-test");
         let path = dir.join("trace.json");
-        let tel = Telemetry::with_capacity(2, true, 16);
+        let tel = Telemetry::with_capacity(2, true, false, 16);
         for ev in sample_events() {
             tel.record(ev);
         }
@@ -628,7 +628,7 @@ mod tests {
     fn export_surfaces_drops() {
         let dir = std::env::temp_dir().join("fompi-telemetry-drop-test");
         let path = dir.join("trace.json");
-        let tel = Telemetry::with_capacity(1, true, 2);
+        let tel = Telemetry::with_capacity(1, true, false, 2);
         for i in 0..6u64 {
             tel.record(Event {
                 kind: EventKind::Put,

@@ -11,8 +11,9 @@
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh loc [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]
+#   scripts/ci.sh flake [N=40] # the root suite N times: failures per test name, exit 1 on any
 #   scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]  # alternating benchmark runs → results/BENCH_history.jsonl
-#   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + long soak (SOAK_SECONDS, default 600)
+#   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + flake 40 + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
 #
 # Exit-code contract for the perf gates (perfgate and fleet --gate):
@@ -170,14 +171,13 @@ stage_perfgate() {
     # The fabric charges *virtual* time from a fixed cost model, so the
     # perfgate metrics are bit-reproducible on any machine — a >1% delta
     # is a genuine protocol/model change, never noise. On an intentional
-    # change, refresh the baseline:
+    # change, refresh the baseline in place and review `git diff`:
     #   cargo run --release -p fompi-bench --bin perfgate
-    #   cp BENCH_PR9.json results/BENCH_PR9_baseline.json
     echo "== perfgate: virtual-time regression check (tolerance 1%) =="
     local rc=0
     "${SCRUB[@]}" FOMPI_SEED=1 \
         cargo run --offline --release -q -p fompi-bench --bin perfgate -- \
-        --check results/BENCH_PR9_baseline.json || rc=$?
+        --check results/perfgate_baseline.json || rc=$?
     explain_gate perfgate "$rc"
 }
 
@@ -253,6 +253,27 @@ stage_loc() { # stage_loc [file…] — a scoreboard, not a gate
                 }
                 printf "  %-28s %7d %7d %7d\n", "total", c, t, c + t
             }'
+}
+
+stage_flake() { # stage_flake [N=40]
+    # The Tier-1 flake rate as a command: `cargo test -q` at the root N
+    # times (every test binary each time, not just up to the first that
+    # fails), the failures tallied by test name. A schedule-dependent test
+    # shows as a rate here long before it shows as a red CI run.
+    local n=${1:-40} i bad=0 out names
+    names=$(mktemp)
+    cargo test --offline -q --no-run
+    for ((i = 1; i <= n; i++)); do
+        if ! out=$(cargo test --offline -q --no-fail-fast 2>&1); then
+            bad=$((bad + 1))
+            sed -n 's/^---- \(.*\) stdout ----$/\1/p' <<<"$out" | grep . >>"$names" ||
+                echo "(a run failed without naming a test)" >>"$names"
+        fi
+    done
+    echo "flake: $bad of $n runs of the root suite failed"
+    sort "$names" | uniq -c | sort -rn | sed 's/^/  /'
+    rm -f "$names"
+    [[ $bad -eq 0 ]]
 }
 
 stage_pairs() { # stage_pairs <parent-checkout> <change-checkout> [N=10] [workload…]
@@ -414,6 +435,10 @@ stage_nightly() {
     echo "== runtime collectives, long counts =="
     cargo test --offline --release -q -p fompi-runtime -- --ignored
 
+    # Tier-1 must not flip a coin: any failure in 40 runs is a finding.
+    echo "== root suite flake rate =="
+    stage_flake
+
     # Long soak: keep feeding fresh seed batches until the deadline.
     # Protocol::ALL now includes rmc_channel — the ring-shaped credit
     # protocol soaks under every fault plan alongside the older nine.
@@ -424,7 +449,7 @@ stage_nightly() {
 
 # ---------------------------------------------------------------- driver
 usage() {
-    sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 mode="${1:-all}"
@@ -469,6 +494,9 @@ sanitize)
     ;;
 loc)
     stage_loc "${@:2}"
+    ;;
+flake)
+    stage_flake "${@:2}"
     ;;
 pairs)
     stage_pairs "${@:2}"

@@ -213,8 +213,15 @@ fn bad_accumulate_inputs_rejected() {
         );
         // CAS on an unaligned displacement.
         let c = matches!(win.compare_and_swap(1, 0, other, 3), Err(FompiError::BadAccumulate(_)));
+        // fetch_and_op with an origin shorter than the element: an error,
+        // as from get_accumulate, not a panic.
+        let mut one = [0u8; 8];
+        let d = matches!(
+            win.fetch_and_op(&[0u8; 4], &mut one, NumKind::U64, MpiOp::Sum, other, 0),
+            Err(FompiError::BadAccumulate(_))
+        );
         win.unlock(other).unwrap();
-        a && b && c
+        a && b && c && d
     });
     assert!(got.iter().all(|&b| b));
 }

@@ -202,11 +202,11 @@ impl Win {
         let (key, base) = self.target_span(target, target_disp, origin.len())?;
         if self.shared.cfg.hw_amo && base % 8 == 0 {
             if let Some(amo) = op.hw_amo(kind) {
-                // DMAPP-accelerated path: one non-fetching AMO per element.
-                for (i, chunk) in origin.chunks_exact(8).enumerate() {
-                    let v = u64::from_le_bytes(chunk.try_into().unwrap());
-                    self.ep.amo_implicit(key, base + i * 8, amo, v)?;
-                }
+                // DMAPP-accelerated path: one non-fetching AMO per element,
+                // the whole span through one fabric op body.
+                let elements =
+                    origin.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap()));
+                self.ep.amo_implicit_span(key, base, amo, elements)?;
                 if let Some(t0) = rc {
                     let lo = self.rc_base(target_disp, base);
                     self.rc_remote(t0, target, lo, origin.len(), AccessKind::Acc(acc_tag(op)));
@@ -216,13 +216,7 @@ impl Win {
         }
         // Fallback: lock the remote window, get, accumulate locally, put
         // back — no receiver involvement (true passive mode).
-        self.acc_locked(target, key, base, origin.len(), |cur| {
-            let mut out = Vec::with_capacity(cur.len());
-            for (t, o) in cur.chunks_exact(es).zip(origin.chunks_exact(es)) {
-                out.extend_from_slice(&op.apply(kind, t, o));
-            }
-            out
-        })?;
+        self.acc_locked(target, key, base, origin.len(), |cur| apply_each(op, kind, cur, origin))?;
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
             self.rc_remote(t0, target, lo, origin.len(), AccessKind::Acc(acc_tag(op)));
@@ -262,20 +256,17 @@ impl Win {
         // One locked read-modify-write covering the target extent; only
         // typemap bytes are rewritten.
         self.acc_locked(target, key, base, span, |cur| {
-            let mut out = cur.to_vec();
             let mut consumed = 0usize;
             for &(toff, tlen) in &tb {
                 let mut o = 0;
                 while o < tlen {
                     let t0 = toff + o;
-                    let new = op.apply(kind, &cur[t0..t0 + es], &packed[consumed..consumed + es]);
-                    out[t0..t0 + es].copy_from_slice(&new);
+                    op.apply(kind, &mut cur[t0..t0 + es], &packed[consumed..consumed + es]);
                     consumed += es;
                     o += es;
                 }
             }
             debug_assert_eq!(consumed, packed.len());
-            out
         })?;
         // The fallback rewrites the whole extent (holes included), so the
         // shadow record covers it all.
@@ -326,17 +317,12 @@ impl Win {
                 return Ok(());
             }
         }
-        let old = self.acc_locked(target, key, base, result.len(), |cur| {
-            if op == MpiOp::NoOp {
-                return cur.to_vec();
+        self.acc_locked(target, key, base, result.len(), |cur| {
+            result.copy_from_slice(cur);
+            if op != MpiOp::NoOp {
+                apply_each(op, kind, cur, origin);
             }
-            let mut out = Vec::with_capacity(cur.len());
-            for (t, o) in cur.chunks_exact(es).zip(origin.chunks_exact(es)) {
-                out.extend_from_slice(&op.apply(kind, t, o));
-            }
-            out
         })?;
-        result.copy_from_slice(&old);
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
             self.rc_remote(t0, target, lo, result.len(), AccessKind::Acc(acc_tag(op)));
@@ -419,16 +405,17 @@ impl Win {
     }
 
     /// The bufferless fallback protocol (§2.4): lock the target's
-    /// accumulate lock, get the current data, apply `f`, put the result
-    /// back, unlock. Returns the *previous* contents.
+    /// accumulate lock, get the current data, let `f` turn it into the new
+    /// contents in place, put that back, unlock. The fetched span is the
+    /// call's one allocation.
     fn acc_locked(
         &self,
         target: u32,
         key: fompi_fabric::SegKey,
         base: usize,
         len: usize,
-        f: impl FnOnce(&[u8]) -> Vec<u8>,
-    ) -> Result<Vec<u8>> {
+        f: impl FnOnce(&mut [u8]),
+    ) -> Result<()> {
         let mkey = self.meta_key(target);
         let mut spins = 0u64;
         loop {
@@ -449,16 +436,23 @@ impl Win {
         // trace (the lock CAS/unlock swap are schedule-dependent polls and
         // stay out of it).
         let prev = self.ep.flow_open();
-        let r = (|| -> Result<Vec<u8>> {
+        let r = (|| -> Result<()> {
             let mut cur = vec![0u8; len];
             self.ep.get(key, base, &mut cur)?;
-            let new = f(&cur);
-            debug_assert_eq!(new.len(), len);
-            self.ep.put(key, base, &new)?;
-            Ok(cur)
+            f(&mut cur);
+            self.ep.put(key, base, &cur)?;
+            Ok(())
         })();
         self.ep.flow_close(prev);
         self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Swap, 0, 0)?;
         r
+    }
+}
+
+/// `cur[i] := cur[i] ⊕ origin[i]` over the whole elements of `kind`.
+fn apply_each(op: MpiOp, kind: NumKind, cur: &mut [u8], origin: &[u8]) {
+    let es = kind.size();
+    for (t, o) in cur.chunks_exact_mut(es).zip(origin.chunks_exact(es)) {
+        op.apply(kind, t, o);
     }
 }

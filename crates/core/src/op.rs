@@ -78,15 +78,15 @@ impl MpiOp {
         }
     }
 
-    /// Combine one element: `target := target ⊕ origin`, returning the new
-    /// target value. Operands are the raw little-endian bytes of the
-    /// element, interpreted per `kind`.
-    pub fn apply(self, kind: NumKind, target: &[u8], origin: &[u8]) -> Vec<u8> {
+    /// Combine one element in place: `target := target ⊕ origin`. Operands
+    /// are the raw little-endian bytes of the element, interpreted per
+    /// `kind`.
+    pub fn apply(self, kind: NumKind, target: &mut [u8], origin: &[u8]) {
         debug_assert_eq!(target.len(), kind.size());
         debug_assert_eq!(origin.len(), kind.size());
         macro_rules! num {
             ($t:ty) => {{
-                let a = <$t>::from_le_bytes(target.try_into().unwrap());
+                let a = <$t>::from_le_bytes((&*target).try_into().unwrap());
                 let b = <$t>::from_le_bytes(origin.try_into().unwrap());
                 let r: $t = match self {
                     MpiOp::Sum => a.wrapping_add_compat(b),
@@ -111,12 +111,12 @@ impl MpiOp {
                     MpiOp::Replace => b,
                     MpiOp::NoOp => a,
                 };
-                r.to_le_bytes().to_vec()
+                target.copy_from_slice(&r.to_le_bytes())
             }};
         }
         macro_rules! int {
             ($t:ty) => {{
-                let a = <$t>::from_le_bytes(target.try_into().unwrap());
+                let a = <$t>::from_le_bytes((&*target).try_into().unwrap());
                 let b = <$t>::from_le_bytes(origin.try_into().unwrap());
                 let r: $t = match self {
                     MpiOp::Sum => a.wrapping_add(b),
@@ -129,7 +129,7 @@ impl MpiOp {
                     MpiOp::Replace => b,
                     MpiOp::NoOp => a,
                 };
-                r.to_le_bytes().to_vec()
+                target.copy_from_slice(&r.to_le_bytes())
             }};
         }
         match kind {
@@ -180,41 +180,40 @@ mod tests {
         assert_eq!(MpiOp::Replace.hw_amo(NumKind::U64), Some(AmoOp::Swap));
     }
 
+    /// `target ⊕ origin` on one `$t` element, through the in-place API.
+    macro_rules! applied {
+        ($op:ident, $kind:ident, $t:expr, $o:expr) => {{
+            let mut target = $t.to_le_bytes();
+            MpiOp::$op.apply(NumKind::$kind, &mut target, &$o.to_le_bytes());
+            target
+        }};
+    }
+
     #[test]
     fn apply_i64() {
-        let t = 10i64.to_le_bytes();
-        let o = 3i64.to_le_bytes();
-        assert_eq!(MpiOp::Sum.apply(NumKind::I64, &t, &o), 13i64.to_le_bytes());
-        assert_eq!(MpiOp::Min.apply(NumKind::I64, &t, &o), 3i64.to_le_bytes());
-        assert_eq!(MpiOp::Max.apply(NumKind::I64, &t, &o), 10i64.to_le_bytes());
-        assert_eq!(MpiOp::Prod.apply(NumKind::I64, &t, &o), 30i64.to_le_bytes());
-        assert_eq!(MpiOp::Replace.apply(NumKind::I64, &t, &o), 3i64.to_le_bytes());
-        assert_eq!(MpiOp::NoOp.apply(NumKind::I64, &t, &o), 10i64.to_le_bytes());
+        assert_eq!(applied!(Sum, I64, 10i64, 3i64), 13i64.to_le_bytes());
+        assert_eq!(applied!(Min, I64, 10i64, 3i64), 3i64.to_le_bytes());
+        assert_eq!(applied!(Max, I64, 10i64, 3i64), 10i64.to_le_bytes());
+        assert_eq!(applied!(Prod, I64, 10i64, 3i64), 30i64.to_le_bytes());
+        assert_eq!(applied!(Replace, I64, 10i64, 3i64), 3i64.to_le_bytes());
+        assert_eq!(applied!(NoOp, I64, 10i64, 3i64), 10i64.to_le_bytes());
     }
 
     #[test]
     fn apply_f64_and_f32() {
-        let t = 1.5f64.to_le_bytes();
-        let o = 2.25f64.to_le_bytes();
-        assert_eq!(MpiOp::Sum.apply(NumKind::F64, &t, &o), 3.75f64.to_le_bytes());
-        assert_eq!(MpiOp::Min.apply(NumKind::F64, &t, &o), 1.5f64.to_le_bytes());
-        let t = 2.0f32.to_le_bytes();
-        let o = 4.0f32.to_le_bytes();
-        assert_eq!(MpiOp::Prod.apply(NumKind::F32, &t, &o), 8.0f32.to_le_bytes());
+        assert_eq!(applied!(Sum, F64, 1.5f64, 2.25f64), 3.75f64.to_le_bytes());
+        assert_eq!(applied!(Min, F64, 1.5f64, 2.25f64), 1.5f64.to_le_bytes());
+        assert_eq!(applied!(Prod, F32, 2.0f32, 4.0f32), 8.0f32.to_le_bytes());
     }
 
     #[test]
     fn apply_bitwise_u64() {
-        let t = 0b1100u64.to_le_bytes();
-        let o = 0b1010u64.to_le_bytes();
-        assert_eq!(MpiOp::Band.apply(NumKind::U64, &t, &o), 0b1000u64.to_le_bytes());
-        assert_eq!(MpiOp::Bxor.apply(NumKind::U64, &t, &o), 0b0110u64.to_le_bytes());
+        assert_eq!(applied!(Band, U64, 0b1100u64, 0b1010u64), 0b1000u64.to_le_bytes());
+        assert_eq!(applied!(Bxor, U64, 0b1100u64, 0b1010u64), 0b0110u64.to_le_bytes());
     }
 
     #[test]
     fn sum_wraps_like_hardware() {
-        let t = u64::MAX.to_le_bytes();
-        let o = 2u64.to_le_bytes();
-        assert_eq!(MpiOp::Sum.apply(NumKind::U64, &t, &o), 1u64.to_le_bytes());
+        assert_eq!(applied!(Sum, U64, u64::MAX, 2u64), 1u64.to_le_bytes());
     }
 }

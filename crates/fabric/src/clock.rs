@@ -41,11 +41,6 @@ impl Clock {
             self.t.set(t);
         }
     }
-
-    /// Reset to zero (between benchmark repetitions).
-    pub fn reset(&self) {
-        self.t.set(0.0);
-    }
 }
 
 /// A shared, monotonically increasing timestamp (f64 ns stored as ordered
@@ -70,12 +65,6 @@ impl StampCell {
     /// Read the current stamp.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    /// Reset to zero. Only safe when no concurrent raisers exist
-    /// (e.g. between benchmark repetitions, after a barrier).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Release);
     }
 }
 
@@ -105,8 +94,6 @@ mod tests {
         assert_eq!(c.now(), 5.0);
         c.join(9.5);
         assert_eq!(c.now(), 9.5);
-        c.reset();
-        assert_eq!(c.now(), 0.0);
     }
 
     #[test]

@@ -12,10 +12,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// read-modify-write on a line the other ranks write too, and the layout
 /// decides how many such lines an operation touches. It is pinned
 /// (`repr(C)`, line-aligned): the eight operation counts fill the first
-/// cache line and the byte counts start the second, so a put, get or AMO
-/// costs exactly one increment on each of two lines and nothing that an
-/// operation only *reads* (topology, cost model, registry generation) can
-/// land on either. Left to the compiler, `puts` shared its line with
+/// cache line and the byte counts start the second, so a put or get costs
+/// exactly one increment on each of two lines, an AMO one increment in all
+/// (its volume is not stored: every AMO moves 8 bytes, so
+/// [`CounterSnapshot::bytes_amo`] is `8 × amos` when the snapshot is
+/// taken), and nothing that an operation only *reads* (topology, cost
+/// model, registry generation) can land on either. Left to the compiler,
+/// `puts` shared its line with
 /// read-mostly fields of [`crate::Fabric`]: an operation then took two or
 /// three line transfers depending on how the ranks interleaved, and the
 /// rate of a contended put spread half again as widely from one second
@@ -44,8 +47,6 @@ pub struct Counters {
     pub bytes_put: AtomicU64,
     /// Total bytes moved by gets.
     pub bytes_get: AtomicU64,
-    /// Total bytes moved by AMOs (8 per operation).
-    pub bytes_amo: AtomicU64,
     /// Operations issued through the batching layer (members of bursts,
     /// including each burst's first op — see [`crate::batch`]).
     pub batched_ops: AtomicU64,
@@ -79,7 +80,8 @@ pub struct CounterSnapshot {
     pub bytes_put: u64,
     /// Bytes moved by gets.
     pub bytes_get: u64,
-    /// Bytes moved by AMOs.
+    /// Bytes moved by AMOs: 8 per AMO, derived from `amos` at snapshot
+    /// time (there is no such counter to increment).
     pub bytes_amo: u64,
     /// gsync calls.
     pub gsyncs: u64,
@@ -121,13 +123,14 @@ impl Counters {
 
     /// Take a snapshot.
     pub fn snapshot(&self) -> CounterSnapshot {
+        let amos = self.amos.load(Ordering::Relaxed);
         CounterSnapshot {
             puts: self.puts.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
-            amos: self.amos.load(Ordering::Relaxed),
+            amos,
             bytes_put: self.bytes_put.load(Ordering::Relaxed),
             bytes_get: self.bytes_get.load(Ordering::Relaxed),
-            bytes_amo: self.bytes_amo.load(Ordering::Relaxed),
+            bytes_amo: 8 * amos,
             gsyncs: self.gsyncs.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             fences: self.fences.load(Ordering::Relaxed),
@@ -196,11 +199,7 @@ mod tests {
         {
             assert_eq!(count / 64, 0);
         }
-        for bytes in [
-            offset_of!(Counters, bytes_put),
-            offset_of!(Counters, bytes_get),
-            offset_of!(Counters, bytes_amo),
-        ] {
+        for bytes in [offset_of!(Counters, bytes_put), offset_of!(Counters, bytes_get)] {
             assert_eq!(bytes / 64, 1);
         }
     }
@@ -239,9 +238,12 @@ mod tests {
         c.locks.fetch_add(4, Ordering::Relaxed);
         c.unlocks.fetch_add(4, Ordering::Relaxed);
         c.flushes.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(16, Ordering::Relaxed);
+        // A lock is one or two AMOs; their volume is derived, not stored.
+        c.amos.fetch_add(2, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!((s.fences, s.locks, s.unlocks, s.flushes), (2, 4, 4, 1));
-        assert_eq!(s.total_bytes(), 16);
+        assert_eq!((s.bytes_amo, s.total_bytes()), (16, 16));
+        c.amos.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(c.snapshot().since(&s).bytes_amo, 8);
     }
 }

@@ -98,13 +98,15 @@ impl Op {
     }
 
     /// Count one operation and, where the class keeps a volume, its
-    /// payload (`None` from a stamped put or read: they count none).
+    /// payload (`None` from a stamped put or read: they count none). An
+    /// AMO's volume is derived (8 bytes each, [`Counters::snapshot`]), so
+    /// it writes the shared counters once, not twice.
     #[inline]
     fn count(self, c: &Counters, payload: Option<u64>) {
         let (ops, volume) = match self {
             Op::Put => (&c.puts, Some(&c.bytes_put)),
             Op::Get => (&c.gets, Some(&c.bytes_get)),
-            Op::Amo(..) => (&c.amos, Some(&c.bytes_amo)),
+            Op::Amo(..) => (&c.amos, None),
             Op::Notify => (&c.notify_posts, None),
         };
         ops.fetch_add(1, Ordering::Relaxed);
@@ -142,13 +144,28 @@ struct Priced {
     wire: f64,
 }
 
-/// Per-rank endpoint. Owns the rank's virtual [`Clock`]; deliberately not
-/// `Send`: it lives on its rank's thread.
+/// Per-rank endpoint. Owns the rank's virtual [`Clock`]; deliberately
+/// neither `Send` nor `Sync`: it lives on its rank's thread, and a
+/// reference to it cannot leave that thread —
+///
+/// ```compile_fail,E0277
+/// use fompi_fabric::{CostModel, Endpoint, Fabric};
+/// let ep = Endpoint::new(Fabric::new(2, 1, CostModel::default()), 0);
+/// std::thread::scope(|s| {
+///     s.spawn(|| ep.rank()); // `&Endpoint` is not `Send`: `Endpoint` is `!Sync`
+/// });
+/// ```
+///
+/// — so the state an op keeps here (clock, completion horizons, open
+/// bursts, translations) is plain `Cell`s and `RefCell`s that no other core
+/// can observe. Only what another rank really reads is atomic: segment
+/// words, stamps, notification rings and the fabric's [`Counters`].
 ///
 /// Implicit-nonblocking completion horizons are tracked by a
-/// [`StripedHorizon`]: lock-free striped `fetch_max` counters that
-/// `flush_target`/`gsync` read without a hash lookup, a dynamic borrow, or
-/// cross-peer contention. When issue-side batching is enabled
+/// [`StripedHorizon`]: rank-private striped maxima that
+/// `flush_target`/`gsync` read without a hash lookup or a dynamic borrow,
+/// and that an op raises with a compare and a plain store. When issue-side
+/// batching is enabled
 /// ([`Endpoint::set_batching`], or `FOMPI_BATCH`/the fabric default), small
 /// implicit puts and non-fetching AMOs are write-combined into per-target
 /// injection bursts (see [`crate::batch`]) that retire at the next
@@ -188,7 +205,7 @@ impl Endpoint {
             rank,
             hooks,
             clock: Clock::new(),
-            pending: StripedHorizon::new(),
+            pending: StripedHorizon::default(),
             translations: Translations::new(),
             bursts: RefCell::new(BTreeMap::new()),
             batch: Cell::new(batch),
@@ -426,12 +443,47 @@ impl Endpoint {
         }
     }
 
-    /// Every op body on a segment starts here: translate `key`,
-    /// bounds-check `[off, off + len)` and announce the access to the model
-    /// checker. The segment is borrowed from this endpoint's translation
-    /// cache, so the borrow must end before the next operation (every
-    /// caller drops it on return).
+    /// Every op body on a segment starts here: translate `key` and check
+    /// the span `[off, off + len)` — in bounds, and word-aligned for an
+    /// AMO, which is refused here as an error before anything is priced,
+    /// counted, announced or written ([`Segment::word`]'s assert stays as
+    /// the internal invariant). The segment is borrowed from this
+    /// endpoint's translation cache, so the borrow must end before the next
+    /// operation (every caller drops it on return).
     #[inline(always)] // a call here costs every op its `Result<Ref>` through memory
+    fn locate(
+        &self,
+        key: SegKey,
+        off: usize,
+        len: usize,
+        op: Op,
+    ) -> Result<Ref<'_, Segment>, FabricError> {
+        // First thing an op does, so the counter line's transfer overlaps
+        // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
+        self.fabric.counters().touch();
+        if matches!(op, Op::Amo(..)) && !off.is_multiple_of(8) {
+            return Err(FabricError::Misaligned { key, offset: off });
+        }
+        let seg = self.translations.lookup(&self.fabric, key)?;
+        if !seg.check(off, len) {
+            return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
+        }
+        Ok(seg)
+    }
+
+    /// Announce the access `[off, off + len)` to the model checker.
+    #[inline]
+    fn announce(&self, key: SegKey, off: usize, len: usize, op: Op, label: &'static str) {
+        if self.hooks.has(Hooks::MC) {
+            let (kind, fetch) = op.access();
+            let obj = McObj::Seg { owner: key.rank, id: key.id };
+            self.mc_announce(McOp { obj, lo: off, hi: off + len, kind, fetch, label });
+        }
+    }
+
+    /// [`Endpoint::locate`] a span and [`Endpoint::announce`] it as one
+    /// access: the prologue of every op that is one access.
+    #[inline(always)]
     fn begin(
         &self,
         key: SegKey,
@@ -440,18 +492,8 @@ impl Endpoint {
         op: Op,
         label: &'static str,
     ) -> Result<Ref<'_, Segment>, FabricError> {
-        // First thing an op does, so the counter line's transfer overlaps
-        // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
-        self.fabric.counters().touch();
-        let seg = self.translations.lookup(&self.fabric, key)?;
-        if !seg.check(off, len) {
-            return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
-        }
-        if self.hooks.has(Hooks::MC) {
-            let (kind, fetch) = op.access();
-            let obj = McObj::Seg { owner: key.rank, id: key.id };
-            self.mc_announce(McOp { obj, lo: off, hi: off + len, kind, fetch, label });
-        }
+        let seg = self.locate(key, off, len, op)?;
+        self.announce(key, off, len, op, label);
         Ok(seg)
     }
 
@@ -488,10 +530,25 @@ impl Endpoint {
         Priced { t_start, t_complete: floor.map_or(own, |f| own.max(f)), wire: lat + extra }
     }
 
-    /// Close an observable op: count it, trace its span in the flow in
-    /// scope, close its profiling scope.
+    /// Close an observable op: count it and [`Endpoint::observe`] it.
     #[inline]
     fn finish(
+        &self,
+        op: Op,
+        flavor: Flavor,
+        target: u32,
+        bytes: u64,
+        span: (f64, f64),
+        wall: Option<Instant>,
+    ) {
+        op.count(self.fabric.counters(), Some(bytes));
+        self.observe(op, flavor, target, bytes, span, wall);
+    }
+
+    /// Trace an op's span in the flow in scope and close its profiling
+    /// scope.
+    #[inline]
+    fn observe(
         &self,
         op: Op,
         flavor: Flavor,
@@ -500,7 +557,6 @@ impl Endpoint {
         (t_start, t_end): (f64, f64),
         wall: Option<Instant>,
     ) {
-        op.count(self.fabric.counters(), Some(bytes));
         self.trace(op.kind(), flavor, target, target, bytes, self.cur_flow.get(), t_start, t_end);
         self.fabric.profiler().finish(op.kind(), wall);
     }
@@ -618,7 +674,7 @@ impl Endpoint {
 
     /// Disposition of a batched implicit op (its data has moved, eagerly):
     /// the completion horizon is accounted, and the span traced, when the
-    /// burst retires. Faults are still drawn per op.
+    /// burst retires. Faults are still drawn per op; the caller counts.
     #[inline(always)] // one call (`enqueue`) per batched op, not two
     fn batched(
         &self,
@@ -631,9 +687,6 @@ impl Endpoint {
     ) {
         let lat = op.latency(self.fabric.model(), self.transport_to(key.rank), len);
         let extra = self.apply_faults(key.rank, lat, true);
-        let c = self.fabric.counters();
-        op.count(c, Some(len as u64));
-        c.batched_ops.fetch_add(1, Ordering::Relaxed);
         self.enqueue(key, kind, off, len, extra);
         self.fabric.profiler().finish(op.kind(), wall);
     }
@@ -679,6 +732,9 @@ impl Endpoint {
         if self.batch.get() && src.len() < self.fabric.model().dmapp_proto_change_bytes {
             let wall = self.profile_start();
             self.begin(key, off, src.len(), Op::Put, "put")?.write(off, src);
+            let c = self.fabric.counters();
+            Op::Put.count(c, Some(src.len() as u64));
+            c.batched_ops.fetch_add(1, Ordering::Relaxed);
             self.batched(Op::Put, BurstKind::Put, key, off, src.len(), wall);
             return Ok(());
         }
@@ -760,20 +816,54 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
     ) -> Result<(), FabricError> {
+        self.amo_implicit_span(key, off, op, std::iter::once(operand))
+    }
+
+    /// Implicit-nonblocking AMOs (results discarded) on consecutive words:
+    /// the `i`-th operand is applied at `off + 8 * i` — the hardware path of
+    /// an accumulate, one DMAPP AMO per 8-byte element (§2.4, Fig. 6a).
+    ///
+    /// The span is translated, checked (aligned, wholly in bounds — or
+    /// nothing is applied), counted and noted on the completion horizon
+    /// **once**. Each element is still its own wire operation: priced,
+    /// fault-drawn, announced to the model checker, traced and profiled on
+    /// its own, in the order that many [`Endpoint::amo_implicit`] calls
+    /// take them, so virtual time and every armed plane read the same to
+    /// the bit; with batching on each element is enqueued on the burst.
+    pub fn amo_implicit_span(
+        &self,
+        key: SegKey,
+        off: usize,
+        op: AmoOp,
+        operands: impl ExactSizeIterator<Item = u64>,
+    ) -> Result<(), FabricError> {
         let class = Op::Amo(op, false);
-        let wall = self.profile_start();
-        // Before the batching branch: one `begin`, so one announce, covers
-        // both paths (the memory effect is eager either way).
-        let seg = self.begin(key, off, 8, class, "amo")?;
-        if self.batch.get() {
-            seg.amo(off, op, operand, 0);
-            self.batched(class, BurstKind::Amo, key, off, 8, wall);
-            return Ok(());
+        let n = operands.len();
+        let seg = self.locate(key, off, n.saturating_mul(8), class)?;
+        let batch = self.batch.get();
+        // The latest completion of the span: what `n` notes would leave.
+        let mut horizon = 0.0f64;
+        for (i, operand) in operands.enumerate() {
+            let at = off + 8 * i;
+            let wall = self.profile_start();
+            self.announce(key, at, 8, class, "amo");
+            // The memory effect is eager on both paths.
+            seg.amo(at, op, operand, 0);
+            if batch {
+                self.batched(class, BurstKind::Amo, key, at, 8, wall);
+            } else {
+                let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), None);
+                horizon = horizon.max(p.t_complete);
+                let span = (p.t_start, p.t_complete);
+                self.observe(class, Flavor::Implicit, key.rank, 8, span, wall);
+            }
         }
-        let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), None);
-        seg.amo(off, op, operand, 0);
-        self.pending.note(key.rank, p.t_complete);
-        self.finish(class, Flavor::Implicit, key.rank, 8, (p.t_start, p.t_complete), wall);
+        self.pending.note(key.rank, horizon);
+        let c = self.fabric.counters();
+        c.amos.fetch_add(n as u64, Ordering::Relaxed);
+        if batch {
+            c.batched_ops.fetch_add(n as u64, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -804,7 +894,7 @@ impl Endpoint {
         let p = self.price(class, key.rank, 8, None, None);
         let old = Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, compare));
         self.clock.join(p.t_complete);
-        class.count(self.fabric.counters(), Some(8));
+        class.count(self.fabric.counters(), None);
         Ok(old)
     }
 
@@ -873,7 +963,7 @@ impl Endpoint {
         let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), floor);
         Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, 0));
         self.pending.note(key.rank, p.t_complete);
-        class.count(self.fabric.counters(), Some(8));
+        class.count(self.fabric.counters(), None);
         Ok(())
     }
 
@@ -2086,7 +2176,10 @@ mod tests {
         let table: &[(&str, Run, Want)] = &[
             (
                 "put",
-                |ep, k, _| ep.put(k, 0, &[1; 8]).unwrap(),
+                |ep, k, _| {
+                    ep.put(k, 0, &[1; 8]).unwrap();
+                    assert_eq!(word_at(&ep.fabric().resolve(k).unwrap(), 0), ONES);
+                },
                 |x| data_op(x, Put, Blocking, 8, x.put(8)),
             ),
             (
@@ -2102,7 +2195,10 @@ mod tests {
             ),
             (
                 "put_implicit",
-                |ep, k, _| ep.put_implicit(k, 0, &[1; 8]).unwrap(),
+                |ep, k, _| {
+                    ep.put_implicit(k, 0, &[1; 8]).unwrap();
+                    assert_eq!(word_at(&ep.fabric().resolve(k).unwrap(), 0), ONES);
+                },
                 |x| data_op(x, Put, Implicit, 8, x.put(8)),
             ),
             (
@@ -2131,7 +2227,11 @@ mod tests {
             ),
             (
                 "get",
-                |ep, k, _| ep.get(k, 0, &mut [0; 8]).unwrap(),
+                |ep, k, _| {
+                    let mut word = [0; 8];
+                    ep.get(k, CELL, &mut word).unwrap();
+                    assert_eq!(u64::from_le_bytes(word), 7);
+                },
                 |x| data_op(x, Get, Blocking, 8, x.get(8)),
             ),
             (
@@ -2147,7 +2247,11 @@ mod tests {
             ),
             (
                 "get_implicit",
-                |ep, k, _| ep.get_implicit(k, 0, &mut [0; 8]).unwrap(),
+                |ep, k, _| {
+                    let mut word = [0; 8];
+                    ep.get_implicit(k, CELL, &mut word).unwrap();
+                    assert_eq!(u64::from_le_bytes(word), 7);
+                },
                 |x| data_op(x, Get, Implicit, 8, x.get(8)),
             ),
             (
@@ -2271,37 +2375,260 @@ mod tests {
                 |x| notified(x, Amo, x.amo()),
             ),
         ];
-        for (node_size, t) in [(1, Transport::Dmapp), (2, Transport::Xpmem)] {
+        for (node_size, t) in TRANSPORTS {
             for (name, run, want) in table {
-                let config = Config { telemetry_ring: Some(64), ..Config::default() };
-                let f = Fabric::with_config(2, node_size, CostModel::default(), config);
-                let ep = Endpoint::new(f.clone(), 0);
-                assert_eq!(ep.transport_to(1), t);
-                let (remote, local) = (Segment::new(4096), Segment::new(4096));
-                for seg in [&remote, &local] {
-                    seg.word(CELL).store(7, Ordering::Relaxed);
-                    seg.word(CELL + 8).store(stamp_to_bits(PLANTED), Ordering::Relaxed);
+                pin(name, node_size, t, run, want);
+            }
+            // The multi-element body: a span of `n` leaves what `n`
+            // one-element calls leave, batching off and on.
+            for n in SPANS {
+                for batch in [false, true] {
+                    pin(
+                        &format!("amo_implicit_span of {n}, batching {batch}"),
+                        node_size,
+                        t,
+                        &|ep, k, _| {
+                            ep.set_batching(batch);
+                            ep.amo_implicit_span(k, 0, AmoOp::Add, span_operands(n)).unwrap();
+                            let seg = ep.fabric().resolve(k).unwrap();
+                            assert!((0..n).all(|i| word_at(&seg, 8 * i) == i as u64 + 1));
+                        },
+                        &|x| span_bill(x, n, batch),
+                    );
                 }
-                let (key, local_key) = (f.register(1, remote), f.register(0, local));
-                ep.charge(1234.5);
-                run(&ep, key, local_key);
-                let want = want(&Terms { m: f.model(), t, t0: 1234.5 });
-                let ctx = format!("{name} over {t:?}");
-                assert_eq!(ep.clock().now(), want.clock, "{ctx}: clock");
-                // Retires an open burst: its counters and events are part
-                // of what the batched cases pin.
-                assert_eq!(ep.pending_for(1), want.pending, "{ctx}: pending horizon");
-                assert_eq!(f.counters().snapshot(), want.counters, "{ctx}: counters");
-                let got: Vec<_> = f
-                    .telemetry()
-                    .events()
-                    .iter()
-                    .map(|e| {
-                        assert_eq!((e.origin, e.target, e.transport), (0, 1, Some(t)), "{ctx}");
-                        (e.kind, e.flavor, e.bytes, e.flow != NO_FLOW, e.t_start, e.t_end)
-                    })
+            }
+        }
+    }
+
+    const TRANSPORTS: [(usize, Transport); 2] = [(1, Transport::Dmapp), (2, Transport::Xpmem)];
+    /// Element counts the multi-element body is pinned at (64 fills a burst).
+    const SPANS: [usize; 4] = [1, 2, 8, 64];
+    const ONES: u64 = 0x0101_0101_0101_0101;
+
+    fn span_operands(n: usize) -> impl ExactSizeIterator<Item = u64> {
+        (0..n).map(|i| i as u64 + 1)
+    }
+
+    /// Run one case on a fresh two-rank fabric whose origin clock reads
+    /// 1234.5 and compare everything it left behind with `want`.
+    fn pin(
+        name: &str,
+        node_size: usize,
+        t: Transport,
+        run: &dyn Fn(&Endpoint, SegKey, SegKey),
+        want: &dyn Fn(&Terms) -> Pinned,
+    ) {
+        let config = Config { telemetry_ring: Some(128), ..Config::default() };
+        let f = Fabric::with_config(2, node_size, CostModel::default(), config);
+        let ep = Endpoint::new(f.clone(), 0);
+        assert_eq!(ep.transport_to(1), t);
+        let (remote, local) = (Segment::new(4096), Segment::new(4096));
+        for seg in [&remote, &local] {
+            seg.word(CELL).store(7, Ordering::Relaxed);
+            seg.word(CELL + 8).store(stamp_to_bits(PLANTED), Ordering::Relaxed);
+        }
+        let (key, local_key) = (f.register(1, remote), f.register(0, local));
+        ep.charge(1234.5);
+        run(&ep, key, local_key);
+        let want = want(&Terms { m: f.model(), t, t0: 1234.5 });
+        let ctx = format!("{name} over {t:?}");
+        assert_eq!(ep.clock().now(), want.clock, "{ctx}: clock");
+        // Retires an open burst: its counters and events are part
+        // of what the batched cases pin.
+        assert_eq!(ep.pending_for(1), want.pending, "{ctx}: pending horizon");
+        let counters = f.counters().snapshot();
+        assert_eq!(counters, want.counters, "{ctx}: counters");
+        assert_eq!(counters.bytes_amo, 8 * counters.amos, "{ctx}: AMO volume is derived");
+        let got: Vec<_> = f
+            .telemetry()
+            .events()
+            .iter()
+            .map(|e| {
+                assert_eq!((e.origin, e.target, e.transport), (0, 1, Some(t)), "{ctx}");
+                (e.kind, e.flavor, e.bytes, e.flow != NO_FLOW, e.t_start, e.t_end)
+            })
+            .collect();
+        assert_eq!(got, want.events, "{ctx}: events");
+    }
+
+    /// What `n` one-element `amo_implicit` calls issued from `t0` leave, in
+    /// the arithmetic (and its association) that each call performs.
+    fn span_bill(x: &Terms, n: usize, batch: bool) -> Pinned {
+        use EventKind::{Amo, BatchFlush};
+        use Flavor::{Implicit, NotApplicable};
+        let (mut now, mut pending, mut events) = (x.t0, 0.0f64, vec![]);
+        if batch {
+            // One chain: o, then g per further member, retired as a whole.
+            for i in 0..n {
+                now += if i == 0 { x.o() } else { x.g() };
+            }
+            pending = now + (x.amo() + (n - 1) as f64 * x.g());
+            events.push((Amo, Implicit, 8 * n as u64, false, x.t0, pending));
+            events.push((BatchFlush, NotApplicable, 0, false, x.t0, now));
+        } else {
+            for _ in 0..n {
+                let t_start = now;
+                now += x.o();
+                let done = now + x.amo();
+                pending = pending.max(done);
+                events.push((Amo, Implicit, 8, false, t_start, done));
+            }
+        }
+        let n = n as u64;
+        let counters = counted(|c| {
+            (c.amos, c.bytes_amo) = (n, 8 * n);
+            if batch {
+                (c.batched_ops, c.batch_flushes) = (n, 1);
+            }
+        });
+        Pinned { clock: now, pending, counters, events }
+    }
+
+    /// Under a seeded fault plan a span draws once per element, in order:
+    /// the faulted clock and horizon are, to the bit, what the per-element
+    /// arithmetic gives on the draws of an identically seeded plane.
+    #[test]
+    fn a_faulted_span_bills_like_its_elements_one_by_one() {
+        use crate::faults::{FaultPlan, Faults};
+        for (node_size, t) in TRANSPORTS {
+            for n in SPANS {
+                for batch in [false, true] {
+                    let plan = FaultPlan::heavy(0xFA17 + n as u64);
+                    let config = Config { faults: plan.clone(), ..Config::default() };
+                    let f = Fabric::with_config(2, node_size, CostModel::default(), config);
+                    let ep = Endpoint::new(f.clone(), 0);
+                    let key = f.register(1, Segment::new(4096));
+                    ep.set_batching(batch);
+                    ep.charge(1234.5);
+                    ep.amo_implicit_span(key, 0, AmoOp::Add, span_operands(n)).unwrap();
+
+                    let twin = Faults::new(2, plan);
+                    let m = f.model();
+                    let (o, g, lat) = (m.inject(t), m.gap(t), m.amo_latency(t));
+                    let (mut now, mut pending, mut slowest) = (1234.5, 0.0f64, 0.0f64);
+                    for i in 0..n {
+                        let d = twin.draw_op(0, lat, true);
+                        now += d.pause_ns;
+                        now += d.stall_ns;
+                        let extra = d.extra_ns + d.delay_ns;
+                        if batch {
+                            now += if i == 0 { o } else { g };
+                            slowest = slowest.max(extra);
+                        } else {
+                            now += o;
+                            pending = pending.max(now + lat + extra);
+                        }
+                    }
+                    if batch {
+                        pending = now + (lat + (n - 1) as f64 * g) + slowest;
+                    }
+                    let ctx = format!("span of {n} over {t:?}, batching {batch}");
+                    assert_eq!(ep.clock().now().to_bits(), now.to_bits(), "{ctx}: clock");
+                    assert_eq!(ep.pending_for(1).to_bits(), pending.to_bits(), "{ctx}: horizon");
+                    assert_eq!(f.faults().total_injected(), twin.total_injected(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    type Announced = (McObj, usize, usize, AccessKind, bool, &'static str);
+
+    /// A model-checker gate that schedules at once and keeps what rank 0
+    /// announced.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<Announced>>);
+
+    impl crate::mc::McGate for Recorder {
+        fn op(&self, rank: u32, op: McOp) {
+            assert_eq!(rank, 0);
+            self.0.lock().unwrap().push((op.obj, op.lo, op.hi, op.kind, op.fetch, op.label));
+        }
+        fn poll(&self, _: u32, _: McObj, _: &'static str, _: Box<dyn Fn() -> bool + Send + Sync>) {}
+        fn collective(&self, _: u32, _: &'static str) -> bool {
+            true
+        }
+    }
+
+    /// Under a model-checker gate a span announces each element on its own,
+    /// in order: the `n` tuples that `n` one-element calls announce.
+    #[test]
+    fn a_span_announces_each_element_to_the_model_checker() {
+        for n in SPANS {
+            for batch in [false, true] {
+                let gate = Arc::new(Recorder::default());
+                let f = fabric_with(Config { mc: Some(gate.clone()), ..Config::default() });
+                let ep = Endpoint::new(f.clone(), 0);
+                let key = f.register(1, Segment::new(4096));
+                ep.set_batching(batch);
+                ep.amo_implicit_span(key, 16, AmoOp::Xor, span_operands(n)).unwrap();
+                let obj = McObj::Seg { owner: 1, id: key.id };
+                let want: Vec<Announced> = (0..n)
+                    .map(|i| (obj, 16 + 8 * i, 24 + 8 * i, AccessKind::Acc(3), false, "amo"))
                     .collect();
-                assert_eq!(got, want.events, "{ctx}: events");
+                assert_eq!(*gate.0.lock().unwrap(), want, "span of {n}, batching {batch}");
+            }
+        }
+    }
+
+    /// A misaligned AMO — through any entry point — and a span that does
+    /// not fit are errors raised before anything is priced, counted,
+    /// announced or written: clock, counters, horizon, bursts, the target's
+    /// ring and its memory read as before.
+    #[test]
+    fn a_misaligned_or_overlong_amo_is_refused_before_anything_moves() {
+        type Try = fn(&Endpoint, SegKey) -> Result<(), FabricError>;
+        type Refusal = fn(SegKey) -> FabricError;
+        const LEN: usize = 256;
+        let refused: &[(&str, Try, Refusal)] = &[
+            ("amo", |ep, k| ep.amo(k, 12, AmoOp::Add, 1, 0).map(drop), misaligned_at_12),
+            ("amo_implicit", |ep, k| ep.amo_implicit(k, 12, AmoOp::Add, 1), misaligned_at_12),
+            ("amo_sync", |ep, k| ep.amo_sync(k, 12, AmoOp::Add, 1, 0).map(drop), misaligned_at_12),
+            (
+                "amo_sync_release",
+                |ep, k| ep.amo_sync_release(k, 12, AmoOp::Add, 1),
+                misaligned_at_12,
+            ),
+            (
+                "amo_sync_release_ordered",
+                |ep, k| ep.amo_sync_release_ordered(k, 12, AmoOp::Add, 1),
+                misaligned_at_12,
+            ),
+            ("amo_notified", |ep, k| ep.amo_notified(k, 12, AmoOp::Add, 1, 3), misaligned_at_12),
+            (
+                "amo_implicit_span, misaligned base",
+                |ep, k| ep.amo_implicit_span(k, 12, AmoOp::Add, span_operands(3)),
+                misaligned_at_12,
+            ),
+            (
+                "amo_implicit_span, last element out of bounds",
+                |ep, k| ep.amo_implicit_span(k, LEN - 16, AmoOp::Add, span_operands(3)),
+                |key| FabricError::OutOfBounds { key, offset: LEN - 16, len: 24, seg_len: LEN },
+            ),
+        ];
+        fn misaligned_at_12(key: SegKey) -> FabricError {
+            FabricError::Misaligned { key, offset: 12 }
+        }
+        for (name, attempt, want) in refused {
+            for batch in [false, true] {
+                let f = fabric_with(Config { telemetry_ring: Some(8), ..Config::default() });
+                let (ep0, ep1) = (Endpoint::new(f.clone(), 0), Endpoint::new(f.clone(), 1));
+                let seg = Segment::new(LEN);
+                let planted: Vec<u8> = (0..LEN).map(|i| i as u8 | 1).collect();
+                seg.write(0, &planted);
+                let key = f.register(1, seg.clone());
+                ep0.set_batching(batch);
+                ep0.charge(99.5);
+                let before = f.counters().snapshot();
+                assert_eq!(attempt(&ep0, key), Err(want(key)), "{name}");
+                let ctx = format!("{name}, batching {batch}");
+                assert_eq!(ep0.clock().now().to_bits(), 99.5f64.to_bits(), "{ctx}: clock");
+                assert_eq!(f.counters().snapshot(), before, "{ctx}: counters");
+                assert_eq!((ep0.open_bursts(), ep0.pending_for(1)), (0, 0.0), "{ctx}: horizon");
+                assert_eq!(ep1.notify_backlog(), 0, "{ctx}: nothing was posted");
+                assert!(f.telemetry().events().is_empty(), "{ctx}: nothing was traced");
+                let mut now = vec![0u8; LEN];
+                seg.read(0, &mut now);
+                assert_eq!(now, planted, "{ctx}: target memory");
             }
         }
     }
@@ -2311,23 +2638,7 @@ mod tests {
     #[test]
     fn each_knob_arms_exactly_its_hooks() {
         use crate::faults::FaultPlan;
-        use crate::mc::{McGate, McObj, McOp};
         use crate::{ProfileMode, RacecheckMode};
-        struct NoGate;
-        impl McGate for NoGate {
-            fn op(&self, _: u32, _: McOp) {}
-            fn poll(
-                &self,
-                _: u32,
-                _: McObj,
-                _: &'static str,
-                _: Box<dyn Fn() -> bool + Send + Sync>,
-            ) {
-            }
-            fn collective(&self, _: u32, _: &'static str) -> bool {
-                true
-            }
-        }
         let d = Config::default;
         let table = [
             (d(), Hooks::default()),
@@ -2337,7 +2648,7 @@ mod tests {
             (Config { telemetry_ring: Some(8), ..d() }, Hooks::TRACE),
             (Config { metrics: true, ..d() }, Hooks::TRACE),
             (Config { racecheck: RacecheckMode::Report, ..d() }, Hooks::RACECHECK),
-            (Config { mc: Some(Arc::new(NoGate)), ..d() }, Hooks::MC),
+            (Config { mc: Some(Arc::new(Recorder::default())), ..d() }, Hooks::MC),
         ];
         for (config, want) in table {
             let f = fabric_with(config);

@@ -26,6 +26,14 @@ pub enum FabricError {
         /// Segment length.
         seg_len: usize,
     },
+    /// An 8-byte AMO at an offset that is not a multiple of 8 (the NIC's
+    /// atomics act on aligned words only). Nothing was issued.
+    Misaligned {
+        /// Offending key.
+        key: SegKey,
+        /// Requested offset.
+        offset: usize,
+    },
     /// Transient registration failure: the NIC's registration resources
     /// are momentarily exhausted. Retry after the hinted delay.
     SegmentBusy {
@@ -65,6 +73,9 @@ impl std::fmt::Display for FabricError {
                 "access [{offset}, {}) out of bounds of segment {key:?} (len {seg_len})",
                 offset + len
             ),
+            FabricError::Misaligned { key, offset } => {
+                write!(f, "AMO at offset {offset} of segment {key:?} is not 8-byte aligned")
+            }
             FabricError::SegmentBusy { retry_after_ns } => {
                 write!(f, "segment registration transiently busy (retry after {retry_after_ns} ns)")
             }
@@ -106,6 +117,9 @@ mod tests {
         assert!(FabricError::SegmentBusy { retry_after_ns: 10 }.is_transient());
         assert!(FabricError::Backpressure { retry_after_ns: 10 }.is_transient());
         assert!(!FabricError::UnknownKey(SegKey { rank: 0, id: 1 }).is_transient());
+        assert!(
+            !FabricError::Misaligned { key: SegKey { rank: 0, id: 1 }, offset: 3 }.is_transient()
+        );
         assert!(!FabricError::CrossNodeAttach { origin: 0, target: 5 }.is_transient());
     }
 

@@ -52,7 +52,7 @@ pub mod rng;
 pub mod segment;
 pub mod shadow;
 pub mod shim;
-pub mod stripes;
+mod stripes;
 pub mod telemetry;
 pub mod topology;
 mod translate;
@@ -76,7 +76,6 @@ pub use shadow::{
     kinds_commute, AccessKind, AccessRecord, LockCtx, RaceClass, RaceViolation, RacecheckMode,
     Shadow, ACC_NOOP,
 };
-pub use stripes::{StripedHorizon, STRIPE_COUNT};
 pub use telemetry::Telemetry;
 pub use topology::Topology;
 

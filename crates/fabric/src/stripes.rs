@@ -1,19 +1,17 @@
-//! Striped lock-free completion horizons.
+//! Striped completion horizons.
 //!
 //! DMAPP tracks implicit-nonblocking completions in bulk: `gsync` waits for
 //! *everything* outstanding, `flush_target` for everything toward one peer.
-//! The endpoint used to keep that state as a single scalar plus a
-//! `RefCell<HashMap<target, horizon>>` — a hash lookup and a dynamic borrow
-//! on every issue, and one shared cell that every peer's completions funnel
-//! through. [`StripedHorizon`] replaces both with a small fixed array of
-//! atomic maxima: targets hash onto stripes, each stripe holds the latest
-//! completion time (virtual ns) of any operation routed to it, and updates
-//! are a single `fetch_max` — lock-free, allocation-free, and contention-free
-//! across peers that land on different stripes.
+//! [`StripedHorizon`] keeps that state as a small fixed array of maxima:
+//! targets hash onto stripes, each stripe holds the latest completion time
+//! (virtual ns) of any operation routed to it, and an update is a compare
+//! and a store — no hash lookup, no dynamic borrow, no allocation.
 //!
-//! Horizons are non-negative `f64`s stored as raw bits: for non-negative
-//! IEEE-754 doubles the unsigned bit pattern is order-isomorphic to the
-//! numeric value, so `AtomicU64::fetch_max` on the bits *is* a numeric max.
+//! The maxima are plain [`Cell`]s. A horizon belongs to one
+//! [`Endpoint`](crate::Endpoint), an endpoint lives on its rank's thread
+//! (it is `!Sync`: `&Endpoint` cannot cross a `thread::spawn`, see the
+//! doctest there), so no other core can ever look at a stripe and a
+//! `lock`-prefixed read-modify-write would order it against nobody.
 //!
 //! Per-target reads are conservative: [`StripedHorizon::horizon`] returns
 //! the stripe's maximum, which may include a stripe-mate's later completion.
@@ -22,77 +20,47 @@
 //! preserved, and with [`STRIPE_COUNT`] stripes the collision rate is the
 //! usual birthday bound on active peers per epoch.
 
-use crate::clock::{bits_to_stamp, stamp_to_bits};
-// Model-checked atomics under `--cfg loom` (loom is not a workspace
-// dependency — add it locally as a dev-dependency, do not commit, and run
-// `RUSTFLAGS="--cfg loom" cargo test -p fompi-fabric --release loom_`).
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Number of stripes. A power of two so routing is a mask; 16 keeps the
 /// array within two cache lines while giving typical epoch working sets
 /// (a handful of distinct targets) collision-free per-target flushes.
-pub const STRIPE_COUNT: usize = 16;
+pub(crate) const STRIPE_COUNT: usize = 16;
 
 /// Striped monotonic completion horizons, indexed by target rank.
-#[derive(Debug)]
-pub struct StripedHorizon {
-    stripes: [AtomicU64; STRIPE_COUNT],
-}
-
-impl Default for StripedHorizon {
-    fn default() -> Self {
-        Self::new()
-    }
+#[derive(Debug, Default)]
+pub(crate) struct StripedHorizon {
+    stripes: [Cell<f64>; STRIPE_COUNT],
 }
 
 impl StripedHorizon {
-    /// All-zero horizons. (Explicit construction rather than a derived
-    /// `Default`: loom's `AtomicU64` has no `Default` impl.)
-    pub fn new() -> Self {
-        Self { stripes: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-
-    /// Which stripe tracks `target`.
     #[inline]
-    pub fn stripe_of(target: u32) -> usize {
-        target as usize & (STRIPE_COUNT - 1)
+    fn stripe(&self, target: u32) -> &Cell<f64> {
+        &self.stripes[target as usize & (STRIPE_COUNT - 1)]
     }
 
     /// Record that an operation toward `target` completes at virtual time
     /// `t`. Monotonic: earlier times never lower a stripe.
     #[inline]
-    pub fn note(&self, target: u32, t: f64) {
+    pub(crate) fn note(&self, target: u32, t: f64) {
         debug_assert!(t >= 0.0, "completion horizons are non-negative");
-        self.stripes[Self::stripe_of(target)].fetch_max(stamp_to_bits(t), Ordering::AcqRel);
+        let stripe = self.stripe(target);
+        if t > stripe.get() {
+            stripe.set(t);
+        }
     }
 
     /// The completion horizon of operations toward `target` (conservative:
     /// the maximum over `target`'s stripe).
     #[inline]
-    pub fn horizon(&self, target: u32) -> f64 {
-        bits_to_stamp(self.stripes[Self::stripe_of(target)].load(Ordering::Acquire))
+    pub(crate) fn horizon(&self, target: u32) -> f64 {
+        self.stripe(target).get()
     }
 
     /// The global horizon — what `gsync` waits for.
     #[inline]
-    pub fn global(&self) -> f64 {
-        self.stripes
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .max()
-            .map(bits_to_stamp)
-            .unwrap_or(0.0)
-    }
-
-    /// Reset every stripe to zero. Only safe with no concurrent noters
-    /// (between benchmark repetitions, after a barrier).
-    pub fn reset(&self) {
-        for s in &self.stripes {
-            s.store(0, Ordering::Release);
-        }
+    pub(crate) fn global(&self) -> f64 {
+        self.stripes.iter().map(Cell::get).fold(0.0, f64::max)
     }
 }
 
@@ -102,7 +70,7 @@ mod tests {
 
     #[test]
     fn note_is_monotonic_max() {
-        let h = StripedHorizon::new();
+        let h = StripedHorizon::default();
         h.note(3, 100.0);
         h.note(3, 50.0);
         assert_eq!(h.horizon(3), 100.0);
@@ -112,7 +80,7 @@ mod tests {
 
     #[test]
     fn distinct_stripes_are_independent() {
-        let h = StripedHorizon::new();
+        let h = StripedHorizon::default();
         h.note(1, 1000.0);
         h.note(2, 9.0);
         assert_eq!(h.horizon(1), 1000.0);
@@ -122,7 +90,7 @@ mod tests {
 
     #[test]
     fn stripe_mates_are_conservative() {
-        let h = StripedHorizon::new();
+        let h = StripedHorizon::default();
         // 0 and STRIPE_COUNT share a stripe: reads may over-report, never
         // under-report.
         h.note(0, 7.0);
@@ -131,156 +99,21 @@ mod tests {
         assert_eq!(h.horizon(STRIPE_COUNT as u32), 99.0);
     }
 
+    /// The plain maximum is, bit for bit, the maximum of the IEEE-754
+    /// patterns as unsigned integers (what the stripes held while they were
+    /// shared words): for non-negative doubles the two orders agree.
     #[test]
-    fn bit_max_matches_numeric_max_for_nonnegative() {
-        // The fetch_max-on-bits trick requires bit order == numeric order
-        // for every non-negative pair.
+    fn numeric_max_is_the_bit_pattern_max_for_nonnegative() {
         let samples = [0.0, 1e-300, 0.5, 1.0, 416.0, 1e9, 1e300];
         for &a in &samples {
             for &b in &samples {
-                let bits = stamp_to_bits(a).max(stamp_to_bits(b));
-                assert_eq!(bits_to_stamp(bits), a.max(b));
+                let h = StripedHorizon::default();
+                h.note(5, a);
+                h.note(5, b);
+                let bits = a.to_bits().max(b.to_bits());
+                assert_eq!(h.horizon(5).to_bits(), bits);
+                assert_eq!(h.global().to_bits(), bits);
             }
         }
-    }
-
-    #[test]
-    fn concurrent_fetch_max_storm_converges_to_true_max() {
-        // 8 writer threads × 4096 notes each, interleaved with readers:
-        // after the storm every stripe must hold exactly the max of the
-        // values routed to it, and the global horizon the overall max —
-        // fetch_max must never lose an update under contention.
-        use std::sync::Arc;
-        let h = Arc::new(StripedHorizon::new());
-        const WRITERS: u32 = 8;
-        const NOTES: u32 = 4096;
-        let expect_global = ((WRITERS - 1) * NOTES + (NOTES - 1)) as f64 + 0.5;
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let h = Arc::clone(&h);
-                s.spawn(move || {
-                    for i in 0..NOTES {
-                        // Target cycles over all stripes; values are unique
-                        // per (writer, i) so the true max is known.
-                        let target = (w * NOTES + i) % (STRIPE_COUNT as u32 * 3);
-                        h.note(target, (w * NOTES + i) as f64 + 0.5);
-                    }
-                });
-            }
-            // Concurrent readers: horizons must be monotone while noted.
-            let h2 = Arc::clone(&h);
-            s.spawn(move || {
-                let mut last = 0.0f64;
-                for _ in 0..2000 {
-                    let g = h2.global();
-                    assert!(g >= last, "global horizon went backwards: {g} < {last}");
-                    last = g;
-                }
-            });
-        });
-        assert_eq!(h.global(), expect_global);
-        // Recompute each stripe's expected max sequentially and compare.
-        let mut expect = [0.0f64; STRIPE_COUNT];
-        for w in 0..WRITERS {
-            for i in 0..NOTES {
-                let target = (w * NOTES + i) % (STRIPE_COUNT as u32 * 3);
-                let s = StripedHorizon::stripe_of(target);
-                let v = (w * NOTES + i) as f64 + 0.5;
-                if v > expect[s] {
-                    expect[s] = v;
-                }
-            }
-        }
-        for (s, &want) in expect.iter().enumerate() {
-            // Probe via a target routed to stripe `s`.
-            assert_eq!(h.horizon(s as u32), want, "stripe {s} lost an update");
-        }
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let h = StripedHorizon::new();
-        for t in 0..64 {
-            h.note(t, t as f64 + 1.0);
-        }
-        h.reset();
-        assert_eq!(h.global(), 0.0);
-    }
-
-    /// Regression pin for `note`'s release half pairing with `horizon`'s
-    /// Acquire load: a payload written (Relaxed) before `note(i)` must be
-    /// visible to any thread that observes horizon >= i. Weakening the
-    /// `fetch_max` to Relaxed breaks this.
-    #[test]
-    fn note_release_pairs_with_horizon_acquire() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
-        let h = Arc::new(StripedHorizon::new());
-        let data = Arc::new(AtomicU32::new(0));
-        const ROUNDS: u32 = 20_000;
-        std::thread::scope(|s| {
-            {
-                let h = Arc::clone(&h);
-                let data = Arc::clone(&data);
-                s.spawn(move || {
-                    for i in 1..=ROUNDS {
-                        data.store(i, Ordering::Relaxed);
-                        h.note(5, i as f64);
-                    }
-                });
-            }
-            let h = Arc::clone(&h);
-            let data = Arc::clone(&data);
-            s.spawn(move || loop {
-                let t = h.horizon(5) as u32;
-                if t > 0 {
-                    assert!(
-                        data.load(Ordering::Relaxed) >= t,
-                        "horizon advanced before its payload was visible"
-                    );
-                }
-                if t >= ROUNDS {
-                    break;
-                }
-                std::thread::yield_now();
-            });
-        });
-    }
-}
-
-/// Exhaustive interleaving checks under loom (see the import note at the
-/// top of the module for how to run them).
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-    use loom::thread;
-    use std::sync::Arc;
-
-    /// Concurrent `fetch_max` storms from two threads must never lose the
-    /// maximum, per stripe and globally, in any interleaving.
-    #[test]
-    fn loom_concurrent_fetch_max_never_loses_the_max() {
-        loom::model(|| {
-            let h = Arc::new(StripedHorizon::new());
-            let a = {
-                let h = Arc::clone(&h);
-                thread::spawn(move || {
-                    h.note(0, 10.0);
-                    h.note(1, 5.0);
-                })
-            };
-            let b = {
-                let h = Arc::clone(&h);
-                thread::spawn(move || {
-                    h.note(0, 7.0);
-                    h.note(1, 20.0);
-                })
-            };
-            a.join().unwrap();
-            b.join().unwrap();
-            assert_eq!(h.horizon(0), 10.0);
-            assert_eq!(h.horizon(1), 20.0);
-            assert_eq!(h.global(), 20.0);
-        });
     }
 }

@@ -383,18 +383,23 @@ stage_sanitize() {
     # loud skip when unavailable so the stage is safe to run anywhere.
     #
     # Documented skip-list (why not the whole workspace):
-    #   - TSan runs the fompi-fabric unit tests only: the notify ring,
-    #     striped horizons, batch counters, and shim locks are where the
-    #     hand-rolled atomics live. Full-workspace soak under TSan is ~50x
-    #     and times out CI.
-    #   - Miri runs fompi-fabric too (raw segment pointers, Vyukov ring);
-    #     the upper crates are safe Rust over these primitives — including
+    #   - TSan runs the fompi-fabric unit tests and its segment integration
+    #     test only: the notify ring, stamped cells, batch counters, and
+    #     shim locks are where the hand-rolled atomics live (the completion
+    #     horizons are no longer among them: plain rank-private cells on a
+    #     `!Sync` endpoint). Full-workspace soak under TSan is ~50x and
+    #     times out CI.
+    #   - Miri runs the same two targets (raw segment pointers, Vyukov
+    #     ring). `--test proptest_segment` is there for the byte-view
+    #     `unsafe` in segment.rs: only ragged edges reach it, which the
+    #     alignment sweep hits at every offset and the lib tests barely do.
+    #     The upper crates are safe Rust over these primitives — including
     #     fompi-mc, whose scheduler gate is std Mutex/Condvar only (its
     #     interleaving coverage comes from the mc stage, not sanitizers).
     #   - Loom models are cfg-gated (`--cfg loom`) and need loom as a
     #     local dev-dependency; the workspace is dependency-free, so they
     #     run on developer machines, not here. Current models: the notify
-    #     ring/stripes (fompi-fabric) and the mesh batched credit return
+    #     ring (fompi-fabric), the mesh batched credit return
     #     (fompi-rmc, `cargo test -p fompi-rmc ... loom_`), and the
     #     collectives' arrive / release / park rendezvous (fompi-runtime;
     #     written for PR 14 without loom at hand — not yet run once).
@@ -404,18 +409,18 @@ stage_sanitize() {
     fi
     local host
     host=$(rustc -vV | sed -n 's/^host: //p')
-    echo "== ThreadSanitizer: fompi-fabric unit tests =="
+    echo "== ThreadSanitizer: fompi-fabric unit tests + segment integration test =="
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src (installed)'; then
         RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test --offline -Zbuild-std --target "$host" \
-            -p fompi-fabric --lib -q
+            -p fompi-fabric --lib --test proptest_segment -q
     else
         echo "sanitize: nightly rust-src missing; skipping TSan (rustup component add rust-src --toolchain nightly)"
     fi
-    echo "== Miri: fompi-fabric unit tests =="
+    echo "== Miri: fompi-fabric unit tests + segment integration test =="
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri (installed)'; then
         # Seeded PRNG + virtual clock means Miri needs no -Zmiri-disable flags.
-        cargo +nightly miri test --offline -p fompi-fabric --lib -q
+        cargo +nightly miri test --offline -p fompi-fabric --lib --test proptest_segment -q
     else
         echo "sanitize: nightly miri missing; skipping (rustup component add miri --toolchain nightly)"
     fi

@@ -49,7 +49,8 @@ pub struct KvConfig {
     pub read_pct: u32,
     /// Out of 100: transfers per 100 ops.
     pub transfer_pct: u32,
-    /// Probe-chain cap before an insert declares the table full.
+    /// Probe-chain cap: a key whose chain holds this many other keys is
+    /// refused with [`TxnError::Full`].
     pub max_probe: usize,
     /// Workload seed (key streams, op mix, jitter).
     pub seed: u64,
@@ -137,13 +138,16 @@ impl KvStore {
     /// Walk `key`'s probe chain inside `txn` until the key or an empty
     /// cell turns up. Every probed cell joins the read set, so a commit
     /// certifies the whole chain — a racing insert into a probed slot
-    /// aborts us instead of corrupting the chain.
+    /// aborts us instead of corrupting the chain. A chain of
+    /// `max_probe` cells holding other keys is [`TxnError::Full`]: the
+    /// table was sized too small for its keys, and no retry helps.
     fn probe(&self, txn: &mut Txn, key: u64) -> Result<Slot, TxnError> {
         assert!(key != 0, "key 0 is the empty sentinel");
         let owner = self.owner_of(key);
         let home = (splitmix64(key ^ 0x5107) % self.cfg.buckets_per_rank as u64) as usize;
         let mut buf = [0u8; PAYLOAD];
-        for i in 0..self.cfg.max_probe.min(self.cfg.buckets_per_rank) {
+        let chain = self.cfg.max_probe.min(self.cfg.buckets_per_rank);
+        for i in 0..chain {
             let cell = self.cell(owner, (home + i) % self.cfg.buckets_per_rank);
             txn.read(cell, &mut buf)?;
             let k = u64::from_le_bytes(buf[..8].try_into().unwrap());
@@ -154,10 +158,7 @@ impl KvStore {
                 return Ok(Slot::Empty(cell));
             }
         }
-        panic!(
-            "kv probe chain for key {key} exceeded {} cells: table too full",
-            self.cfg.max_probe
-        );
+        Err(TxnError::Full { target: owner, probed: chain })
     }
 
     fn stage(txn: &mut Txn, cell: VersionedCell, key: u64, value: u64) -> Result<(), TxnError> {
@@ -464,6 +465,42 @@ mod tests {
         let (a, b) = (digest(100), digest(200));
         assert_eq!(a.0, 0);
         assert_eq!(a, b, "committed table contents must not depend on the schedule");
+    }
+
+    /// More keys than a probe chain can hold: the overflow is refused as
+    /// an error the caller can tell from contention, and what was stored
+    /// stays readable.
+    #[test]
+    fn a_full_probe_chain_is_an_error_not_a_panic() {
+        let cfg = KvConfig { buckets_per_rank: 4, max_probe: 2, ..small_cfg() };
+        Universe::new(2).node_size(1).seed(3).faults(FaultPlan::disabled()).launch(move |ctx| {
+            let store = KvStore::allocate(ctx, cfg);
+            let policy = RetryPolicy::default();
+            let mut rng = Rng::seed_from_u64(9);
+            store.win.lock_all().unwrap();
+            if ctx.rank() == 0 {
+                let mut stored = Vec::new();
+                for key in 1..=24u64 {
+                    match store.upsert(&policy, &mut rng, key, key) {
+                        Ok(_) => stored.push(key),
+                        Err(e) => {
+                            let owner = store.owner_of(key);
+                            assert!(
+                                matches!(e, TxnError::Full { target, probed: 2 } if target == owner),
+                                "key {key}: {e:?}"
+                            );
+                            assert!(!e.is_transient(), "a retry would walk the same cells");
+                        }
+                    }
+                }
+                assert!((1..=8).contains(&stored.len()), "8 cells took {} keys", stored.len());
+                for key in stored {
+                    assert_eq!(store.get(&policy, &mut rng, key).unwrap(), Some(key));
+                }
+            }
+            store.win.unlock_all().unwrap();
+            ctx.barrier();
+        });
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //!   contiguous block (one op total on the tuned contiguous fast path,
 //!   adding only the paper's 173-instruction overhead), completed by the
 //!   next flush/fence/complete;
-//! * [`Win::accumulate`] uses per-element hardware AMOs when DMAPP
-//!   accelerates the (op, type) pair, otherwise the bufferless
-//!   lock-get-accumulate-put fallback that avoids any receiver involvement
-//!   in true passive mode;
+//! * [`Win::accumulate`] and [`Win::get_accumulate`] use per-element
+//!   hardware AMOs when DMAPP accelerates the (op, type) pair on an aligned
+//!   span, otherwise the bufferless lock-get-accumulate-put fallback that
+//!   avoids any receiver involvement in true passive mode. Which of the
+//!   two is a function of `(op, kind, target alignment)` alone — never of
+//!   the element count or the entry point — because the two protocols do
+//!   not exclude each other on one location (DESIGN.md, "Accumulate
+//!   routing");
 //! * [`Win::fetch_and_op`]/[`Win::compare_and_swap`] are the fine-grained
 //!   single-element specialisations.
 
@@ -200,23 +204,17 @@ impl Win {
         }
         let rc = self.rc_start();
         let (key, base) = self.target_span(target, target_disp, origin.len())?;
-        if self.shared.cfg.hw_amo && base % 8 == 0 {
-            if let Some(amo) = op.hw_amo(kind) {
-                // DMAPP-accelerated path: one non-fetching AMO per element,
-                // the whole span through one fabric op body.
-                let elements =
-                    origin.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap()));
-                self.ep.amo_implicit_span(key, base, amo, elements)?;
-                if let Some(t0) = rc {
-                    let lo = self.rc_base(target_disp, base);
-                    self.rc_remote(t0, target, lo, origin.len(), AccessKind::Acc(acc_tag(op)));
-                }
-                return Ok(());
-            }
+        if let Some(amo) = self.hw_route(op, kind, base) {
+            // DMAPP-accelerated path: one non-fetching AMO per element,
+            // the whole span through one fabric op body.
+            self.ep.amo_implicit_span(key, base, amo, origin.chunks_exact(8).map(le_word))?;
+        } else {
+            // Fallback: lock the remote window, get, accumulate locally,
+            // put back — no receiver involvement (true passive mode).
+            self.acc_locked(target, key, base, origin.len(), op != MpiOp::NoOp, |cur| {
+                apply_each(op, kind, cur, origin)
+            })?;
         }
-        // Fallback: lock the remote window, get, accumulate locally, put
-        // back — no receiver involvement (true passive mode).
-        self.acc_locked(target, key, base, origin.len(), |cur| apply_each(op, kind, cur, origin))?;
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
             self.rc_remote(t0, target, lo, origin.len(), AccessKind::Acc(acc_tag(op)));
@@ -255,7 +253,7 @@ impl Win {
         let (key, base) = self.target_span(target, target_disp, span.max(1))?;
         // One locked read-modify-write covering the target extent; only
         // typemap bytes are rewritten.
-        self.acc_locked(target, key, base, span, |cur| {
+        self.acc_locked(target, key, base, span, op != MpiOp::NoOp, |cur| {
             let mut consumed = 0usize;
             for &(toff, tlen) in &tb {
                 let mut o = 0;
@@ -278,8 +276,10 @@ impl Win {
     }
 
     /// MPI_Get_accumulate: fetches the previous target contents into
-    /// `result` and applies `op` with `origin`. With [`MpiOp::NoOp`] this
-    /// is an atomic read.
+    /// `result` and applies `op` with `origin`, element-wise atomically
+    /// with respect to other accumulates of the same kind. With
+    /// [`MpiOp::NoOp`] this is an atomic read: nothing is stored, on
+    /// either protocol.
     pub fn get_accumulate(
         &self,
         origin: &[u8],
@@ -296,33 +296,30 @@ impl Win {
         }
         let rc = self.rc_start();
         let (key, base) = self.target_span(target, target_disp, result.len())?;
-        // Single 8-byte element — all of `fetch_and_op` — is one hardware
-        // AMO. This also matters for determinism: the locked fallback
-        // serialises through the per-target ACC_LOCK word, so two origins
-        // reading *different* cells on the same target contend and their
-        // retry backoff charges schedule-dependent virtual time.
-        if self.shared.cfg.hw_amo && es == 8 && result.len() == 8 && base % 8 == 0 {
-            if let Some(amo) = op.hw_amo(kind) {
-                let v = if op == MpiOp::NoOp {
-                    0
-                } else {
-                    u64::from_le_bytes(origin.try_into().unwrap())
-                };
-                let old = self.ep.amo(key, base, amo, v, 0)?;
+        if let Some(amo) = self.hw_route(op, kind, base) {
+            // `NoOp` carries no origin data: its operand is ignored.
+            let operand = |i: usize| match op {
+                MpiOp::NoOp => 0,
+                _ => le_word(&origin[8 * i..8 * i + 8]),
+            };
+            // One element — all of `fetch_and_op` — is one blocking AMO; a
+            // longer span pipelines its elements and waits once.
+            if result.len() == 8 {
+                let old = self.ep.amo(key, base, amo, operand(0), 0)?;
                 result.copy_from_slice(&old.to_le_bytes());
-                if let Some(t0) = rc {
-                    let lo = self.rc_base(target_disp, base);
-                    self.rc_remote(t0, target, lo, es, AccessKind::Acc(acc_tag(op)));
+            } else {
+                let operands = (0..result.len() / 8).map(operand);
+                self.ep.amo_fetch_span(key, base, amo, operands, result)?;
+            }
+        } else {
+            let stores = op != MpiOp::NoOp;
+            self.acc_locked(target, key, base, result.len(), stores, |cur| {
+                result.copy_from_slice(cur);
+                if stores {
+                    apply_each(op, kind, cur, origin);
                 }
-                return Ok(());
-            }
+            })?;
         }
-        self.acc_locked(target, key, base, result.len(), |cur| {
-            result.copy_from_slice(cur);
-            if op != MpiOp::NoOp {
-                apply_each(op, kind, cur, origin);
-            }
-        })?;
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
             self.rc_remote(t0, target, lo, result.len(), AccessKind::Acc(acc_tag(op)));
@@ -404,16 +401,33 @@ impl Win {
         Ok(old)
     }
 
+    /// The accumulate protocol of an `(op, kind, target alignment)` class
+    /// (§2.4) — and of nothing else, so that every accumulate-family call
+    /// on one location is served by the protocol its class has: the DMAPP
+    /// AMO when the NIC accelerates the pair on an aligned 8-byte element,
+    /// `None` for the locked fallback. Two protocols on one location do not
+    /// exclude each other; neither the element count nor the entry point
+    /// may pick.
+    fn hw_route(&self, op: MpiOp, kind: NumKind, base: usize) -> Option<AmoOp> {
+        if self.shared.cfg.hw_amo && base.is_multiple_of(8) {
+            op.hw_amo(kind)
+        } else {
+            None
+        }
+    }
+
     /// The bufferless fallback protocol (§2.4): lock the target's
     /// accumulate lock, get the current data, let `f` turn it into the new
-    /// contents in place, put that back, unlock. The fetched span is the
-    /// call's one allocation.
+    /// contents in place, put that back if the op `stores` (`NoOp` is a
+    /// read: it must leave the target alone), unlock. The fetched span is
+    /// the call's one allocation.
     fn acc_locked(
         &self,
         target: u32,
         key: fompi_fabric::SegKey,
         base: usize,
         len: usize,
+        stores: bool,
         f: impl FnOnce(&mut [u8]),
     ) -> Result<()> {
         let mkey = self.meta_key(target);
@@ -440,13 +454,20 @@ impl Win {
             let mut cur = vec![0u8; len];
             self.ep.get(key, base, &mut cur)?;
             f(&mut cur);
-            self.ep.put(key, base, &cur)?;
+            if stores {
+                self.ep.put(key, base, &cur)?;
+            }
             Ok(())
         })();
         self.ep.flow_close(prev);
         self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Swap, 0, 0)?;
         r
     }
+}
+
+/// One 8-byte little-endian element.
+fn le_word(element: &[u8]) -> u64 {
+    u64::from_le_bytes(element.try_into().expect("an 8-byte element"))
 }
 
 /// `cur[i] := cur[i] ⊕ origin[i]` over the whole elements of `kind`.

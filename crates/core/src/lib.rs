@@ -568,4 +568,85 @@ mod tests {
         });
         assert_eq!(got, vec![99, 99]);
     }
+
+    /// ROADMAP 2a: an atomic read of a span another rank is accumulating
+    /// into is served by the same protocol as the accumulates, so it loses
+    /// none of them (a locked read that wrote its bytes back used to erase
+    /// the hardware increments that landed in between).
+    #[test]
+    fn a_noop_read_racing_hardware_accumulates_loses_no_update() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const N: u64 = 20_000;
+        let (reading, done) = (AtomicU64::new(0), AtomicBool::new(false));
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let win = Win::allocate(ctx, 16, 1).unwrap();
+            win.lock_all().unwrap();
+            if ctx.rank() == 0 {
+                // Start once the reader is looping.
+                while reading.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                let ones = [1u64.to_le_bytes(), 1u64.to_le_bytes()].concat();
+                for _ in 0..N {
+                    win.accumulate(&ones, NumKind::U64, MpiOp::Sum, 0, 0).unwrap();
+                }
+                win.flush_all().unwrap();
+                done.store(true, Ordering::Release);
+            } else {
+                let (mut seen, mut pair) = ([0u64; 2], [0u8; 16]);
+                while !done.load(Ordering::Acquire) {
+                    win.get_accumulate(&[], &mut pair, NumKind::U64, MpiOp::NoOp, 0, 0).unwrap();
+                    reading.fetch_add(1, Ordering::Release);
+                    let now =
+                        [0, 8].map(|at| u64::from_le_bytes(pair[at..at + 8].try_into().unwrap()));
+                    // Values the writer produced: each word counts up to N,
+                    // and the second trails the first by at most the one
+                    // accumulate in flight.
+                    assert!(now[0] >= seen[0] && now[1] >= seen[1], "{now:?} after {seen:?}");
+                    assert!(now[0] <= N && now[1] <= N && now[1] + 1 >= now[0], "{now:?}");
+                    seen = now;
+                }
+            }
+            win.unlock_all().unwrap();
+            ctx.barrier();
+            let mut b = [0u8; 16];
+            win.read_local(0, &mut b);
+            [0, 8].map(|at| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()))
+        });
+        assert_eq!(got[0], [N, N], "increments were erased");
+    }
+
+    /// `NoOp` never stores, on the locked fallback either: no put is
+    /// issued and the target bytes stay as they were.
+    #[test]
+    fn a_noop_read_on_the_locked_fallback_issues_no_put() {
+        let software = WinConfig { hw_amo: false, ..WinConfig::default() };
+        for (kind, cfg) in [(NumKind::F64, WinConfig::default()), (NumKind::U64, software)] {
+            let planted = [1.5f64.to_le_bytes(), 2.5f64.to_le_bytes()].concat();
+            Universe::new(2).node_size(1).run(|ctx| {
+                let win = Win::allocate_cfg(ctx, 16, 1, cfg.clone()).unwrap();
+                win.write_local(0, &planted);
+                win.lock_all().unwrap();
+                // Rank 1 issues nothing while rank 0 reads the counters.
+                ctx.barrier();
+                if ctx.rank() == 0 {
+                    let counters = ctx.fabric().counters();
+                    let before = counters.snapshot();
+                    let mut out = [0u8; 16];
+                    win.get_accumulate(&[], &mut out, kind, MpiOp::NoOp, 1, 0).unwrap();
+                    assert_eq!(out[..], planted[..]);
+                    let d = counters.snapshot().since(&before);
+                    assert_eq!((d.puts, d.bytes_put), (0, 0), "{kind:?}: a read stored");
+                    // The fallback it is: lock CAS, get, unlock swap.
+                    assert_eq!((d.gets, d.amos), (1, 2), "{kind:?}");
+                }
+                ctx.barrier();
+                win.unlock_all().unwrap();
+                ctx.barrier();
+                let mut now = [0u8; 16];
+                win.read_local(0, &mut now);
+                assert_eq!(now[..], planted[..], "{kind:?}: target bytes moved");
+            });
+        }
+    }
 }

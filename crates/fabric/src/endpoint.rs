@@ -806,6 +806,49 @@ impl Endpoint {
         Ok(old)
     }
 
+    /// Blocking fetching AMOs on consecutive words: the `i`-th operand is
+    /// applied at `off + 8 * i` and that word's old value lands, little
+    /// endian, in `old[8 * i..]` (`old` is 8 bytes per operand) — the
+    /// hardware path of a multi-element get_accumulate (§2.4).
+    ///
+    /// The span is translated, checked (aligned, wholly in bounds — or
+    /// nothing is applied) and counted **once**. Each element is still its
+    /// own wire operation, priced, fault-drawn, announced to the model
+    /// checker, traced and profiled as [`Endpoint::amo`] does one; but the
+    /// elements pipeline at the injection rate and the origin waits once,
+    /// for the last of them (and, under faults, for an earlier one that
+    /// retires later still). One element costs what [`Endpoint::amo`] costs.
+    pub fn amo_fetch_span(
+        &self,
+        key: SegKey,
+        off: usize,
+        op: AmoOp,
+        operands: impl ExactSizeIterator<Item = u64>,
+        old: &mut [u8],
+    ) -> Result<(), FabricError> {
+        let class = Op::Amo(op, true);
+        let n = operands.len();
+        assert_eq!(old.len(), 8 * n, "one fetched word per operand");
+        let seg = self.locate(key, off, old.len(), class)?;
+        // Completion of the elements before the last, then the last's own.
+        let (mut earlier, mut done, mut wire) = (0.0f64, 0.0f64, 0.0f64);
+        for (i, (operand, out)) in operands.zip(old.chunks_exact_mut(8)).enumerate() {
+            let at = off + 8 * i;
+            let wall = self.profile_start();
+            self.announce(key, at, 8, class, "amo");
+            earlier = earlier.max(done);
+            let p = self.price(class, key.rank, 8, Some(Flavor::Blocking), None);
+            (done, wire) = (p.t_complete, p.wire);
+            out.copy_from_slice(&seg.amo(at, op, operand, 0).to_le_bytes());
+            self.observe(class, Flavor::Blocking, key.rank, 8, (p.t_start, p.t_complete), wall);
+        }
+        // `advance(wire)`, not `join(done)`: see `amo`.
+        self.clock.advance(wire);
+        self.clock.join(earlier);
+        self.fabric.counters().amos.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Implicit-nonblocking AMO (result discarded), completed by gsync —
     /// DMAPP's non-fetching AMO flavour. With batching enabled, adjacent
     /// AMOs to the same target coalesce into one injection chain.
@@ -2397,12 +2440,39 @@ mod tests {
                     );
                 }
             }
+            // The fetching multi-element body: the elements pipeline, the
+            // origin waits for the last; one element is `amo`, to the bit.
+            for n in FETCH_SPANS {
+                pin(
+                    &format!("amo_fetch_span of {n}"),
+                    node_size,
+                    t,
+                    &|ep, k, _| {
+                        let seg = ep.fabric().resolve(k).unwrap();
+                        (0..n)
+                            .for_each(|i| seg.word(8 * i).store(10 * i as u64, Ordering::Relaxed));
+                        let mut old = vec![0u8; 8 * n];
+                        ep.amo_fetch_span(k, 0, AmoOp::Add, span_operands(n), &mut old).unwrap();
+                        // Old values in element order; every operand applied.
+                        let old =
+                            old.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+                        assert!(old.eq((0..n).map(|i| 10 * i as u64)));
+                        assert!((0..n).all(|i| word_at(&seg, 8 * i) == 11 * i as u64 + 1));
+                    },
+                    &|x| match n {
+                        1 => data_op(x, Amo, Blocking, 8, x.amo()),
+                        _ => fetch_span_bill(x, n),
+                    },
+                );
+            }
         }
     }
 
     const TRANSPORTS: [(usize, Transport); 2] = [(1, Transport::Dmapp), (2, Transport::Xpmem)];
     /// Element counts the multi-element body is pinned at (64 fills a burst).
     const SPANS: [usize; 4] = [1, 2, 8, 64];
+    /// Element counts the fetching multi-element body is pinned at.
+    const FETCH_SPANS: [usize; 3] = [1, 2, 8];
     const ONES: u64 = 0x0101_0101_0101_0101;
 
     fn span_operands(n: usize) -> impl ExactSizeIterator<Item = u64> {
@@ -2484,6 +2554,24 @@ mod tests {
         Pinned { clock: now, pending, counters, events }
     }
 
+    /// What `amo_fetch_span` of `n` issued from `t0` leaves: an injection
+    /// per element, then the wire latency of the last; nothing pending.
+    fn fetch_span_bill(x: &Terms, n: usize) -> Pinned {
+        let (mut now, mut events) = (x.t0, vec![]);
+        for _ in 0..n {
+            let t_start = now;
+            now += x.o();
+            events.push((EventKind::Amo, Flavor::Blocking, 8, false, t_start, now + x.amo()));
+        }
+        let n = n as u64;
+        Pinned {
+            clock: now + x.amo(),
+            pending: 0.0,
+            counters: counted(|c| (c.amos, c.bytes_amo) = (n, 8 * n)),
+            events,
+        }
+    }
+
     /// Under a seeded fault plan a span draws once per element, in order:
     /// the faulted clock and horizon are, to the bit, what the per-element
     /// arithmetic gives on the draws of an identically seeded plane.
@@ -2531,6 +2619,56 @@ mod tests {
         }
     }
 
+    /// The fetching span under the same plan: one blocking draw per element
+    /// (a fetch cannot retire late), the wait covers the last element and
+    /// any earlier one a fault kept out longer, and the faults injected are
+    /// those of that many one-element `amo` calls on a plane seeded alike.
+    #[test]
+    fn a_faulted_fetch_span_bills_like_its_elements_one_by_one() {
+        use crate::faults::{FaultPlan, Faults};
+        for (node_size, t) in TRANSPORTS {
+            for n in FETCH_SPANS {
+                let plan = FaultPlan::heavy(0xFA17 + n as u64);
+                let fabric = || {
+                    let config = Config { faults: plan.clone(), ..Config::default() };
+                    let f = Fabric::with_config(2, node_size, CostModel::default(), config);
+                    let ep = Endpoint::new(f.clone(), 0);
+                    ep.charge(1234.5);
+                    (f.register(1, Segment::new(4096)), f, ep)
+                };
+                let (key, f, ep) = fabric();
+                ep.amo_fetch_span(key, 0, AmoOp::Add, span_operands(n), &mut vec![0; 8 * n])
+                    .unwrap();
+
+                let twin = Faults::new(2, plan.clone());
+                let m = f.model();
+                let (o, lat) = (m.inject(t), m.amo_latency(t));
+                let (mut now, mut earlier, mut done, mut wire) = (1234.5, 0.0f64, 0.0f64, 0.0);
+                for _ in 0..n {
+                    let d = twin.draw_op(0, lat, false);
+                    now += d.pause_ns;
+                    now += d.stall_ns;
+                    let extra = d.extra_ns + d.delay_ns;
+                    earlier = earlier.max(done);
+                    now += o;
+                    (done, wire) = (now + lat + extra, lat + extra);
+                }
+                now = (now + wire).max(earlier);
+                let ctx = format!("fetch span of {n} over {t:?}");
+                assert_eq!(ep.clock().now().to_bits(), now.to_bits(), "{ctx}: clock");
+                assert_eq!(ep.pending_for(1), 0.0, "{ctx}: nothing left pending");
+                assert_eq!(f.faults().total_injected(), twin.total_injected(), "{ctx}");
+
+                let (key, singles, ep) = fabric();
+                for (i, operand) in span_operands(n).enumerate() {
+                    ep.amo(key, 8 * i, AmoOp::Add, operand, 0).unwrap();
+                }
+                assert_eq!(singles.faults().total_injected(), twin.total_injected(), "{ctx}");
+                assert_eq!(singles.counters().snapshot(), f.counters().snapshot(), "{ctx}");
+            }
+        }
+    }
+
     type Announced = (McObj, usize, usize, AccessKind, bool, &'static str);
 
     /// A model-checker gate that schedules at once and keeps what rank 0
@@ -2568,6 +2706,19 @@ mod tests {
                 assert_eq!(*gate.0.lock().unwrap(), want, "span of {n}, batching {batch}");
             }
         }
+        // The fetching span likewise, each element order-observing.
+        for n in FETCH_SPANS {
+            let gate = Arc::new(Recorder::default());
+            let f = fabric_with(Config { mc: Some(gate.clone()), ..Config::default() });
+            let ep = Endpoint::new(f.clone(), 0);
+            let key = f.register(1, Segment::new(4096));
+            ep.amo_fetch_span(key, 16, AmoOp::Xor, span_operands(n), &mut vec![0; 8 * n]).unwrap();
+            let obj = McObj::Seg { owner: 1, id: key.id };
+            let want: Vec<Announced> = (0..n)
+                .map(|i| (obj, 16 + 8 * i, 24 + 8 * i, AccessKind::Acc(3), true, "amo"))
+                .collect();
+            assert_eq!(*gate.0.lock().unwrap(), want, "fetch span of {n}");
+        }
     }
 
     /// A misaligned AMO — through any entry point — and a span that does
@@ -2602,6 +2753,16 @@ mod tests {
             (
                 "amo_implicit_span, last element out of bounds",
                 |ep, k| ep.amo_implicit_span(k, LEN - 16, AmoOp::Add, span_operands(3)),
+                |key| FabricError::OutOfBounds { key, offset: LEN - 16, len: 24, seg_len: LEN },
+            ),
+            (
+                "amo_fetch_span, misaligned base",
+                |ep, k| ep.amo_fetch_span(k, 12, AmoOp::Add, span_operands(3), &mut [0; 24]),
+                misaligned_at_12,
+            ),
+            (
+                "amo_fetch_span, last element out of bounds",
+                |ep, k| ep.amo_fetch_span(k, LEN - 16, AmoOp::Add, span_operands(3), &mut [0; 24]),
                 |key| FabricError::OutOfBounds { key, offset: LEN - 16, len: 24, seg_len: LEN },
             ),
         ];

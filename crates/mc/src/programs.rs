@@ -16,7 +16,7 @@ use fompi::Win;
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
 use fompi_runtime::RankCtx;
-use fompi_txn::{RetryPolicy, VersionedCell};
+use fompi_txn::{RetryPolicy, Txn, VersionedCell};
 
 /// One checkable program: a name for reports, a rank count, and the
 /// per-rank body returning that rank's declared-stable digest.
@@ -47,7 +47,7 @@ fn le(buf: &[u8]) -> u64 {
     u64::from_le_bytes(buf[..8].try_into().expect("8-byte payload"))
 }
 
-/// The six well-formed protocol kernels.
+/// The seven well-formed protocol kernels.
 pub fn all_models() -> Vec<Model> {
     vec![
         Model { name: "msg-channel", p: 2, prog: msg_channel },
@@ -56,6 +56,7 @@ pub fn all_models() -> Vec<Model> {
         Model { name: "rmc-mesh", p: 2, prog: rmc_mesh },
         Model { name: "rpc-timeout", p: 2, prog: rpc_timeout },
         Model { name: "txn-commit", p: 2, prog: txn_commit },
+        Model { name: "txn-readonly", p: 2, prog: txn_readonly },
     ]
 }
 
@@ -64,6 +65,7 @@ pub fn mutants() -> Vec<Model> {
     vec![
         Model { name: "mesh-credit-leak", p: 2, prog: mesh_credit_leak },
         Model { name: "txn-lost-publish", p: 2, prog: txn_lost_publish },
+        Model { name: "txn-skip-first-validate", p: 2, prog: txn_skip_first_validate },
     ]
 }
 
@@ -284,4 +286,84 @@ fn txn_lost_publish(ctx: &mut RankCtx) -> u64 {
     win.unlock_all().unwrap();
     win.free(ctx);
     0
+}
+
+/// A cell with a two-word payload `[value | !value]`: its versioned read
+/// is a multi-element `get_accumulate`, so the fetching AMO span is on the
+/// explored path.
+const WIDE: usize = 24;
+const WIDE_PAYLOAD: usize = 16;
+/// What cells A and B hold between them, before and after the transfer.
+const HELD: (u64, u64) = (60, 40);
+const MOVED: u64 = 7;
+
+fn wide(value: u64) -> [u8; WIDE_PAYLOAD] {
+    let mut payload = [0u8; WIDE_PAYLOAD];
+    payload[..8].copy_from_slice(&value.to_le_bytes());
+    payload[8..].copy_from_slice(&(!value).to_le_bytes());
+    payload
+}
+
+fn read_wide(txn: &mut Txn, cell: VersionedCell) -> fompi_txn::Result<u64> {
+    let mut payload = [0u8; WIDE_PAYLOAD];
+    txn.read(cell, &mut payload)?;
+    let value = le(&payload);
+    assert_eq!(le(&payload[8..]), !value, "torn payload passed the version check");
+    Ok(value)
+}
+
+/// Rank 1 moves value from cell A to cell B in one two-key transaction
+/// while rank 0 reads A, then B, in a read-only one. A snapshot that
+/// `commit` (or, in the mutant, nothing) accepted must show the conserved
+/// sum; one it refused is dropped, as a retry would. Both ranks then
+/// digest the final cells.
+fn readonly_against_transfer(ctx: &mut RankCtx, validated: bool) -> u64 {
+    let win = Win::allocate(ctx, 2 * WIDE, 1).unwrap();
+    VersionedCell::init_local(&win, 0, &wide(HELD.0));
+    VersionedCell::init_local(&win, WIDE, &wide(HELD.1));
+    ctx.barrier();
+    win.lock_all().unwrap();
+    let a = VersionedCell::new(0, 0, WIDE_PAYLOAD);
+    let b = VersionedCell::new(0, WIDE, WIDE_PAYLOAD);
+    if ctx.rank() == 1 {
+        let mut rng = fompi_fabric::rng::Rng::seed_from_u64(7);
+        fompi_txn::run(&win, &RetryPolicy::for_win(&win), &mut rng, |txn| {
+            let (from, to) = (read_wide(txn, a)?, read_wide(txn, b)?);
+            txn.write(a, &wide(from - MOVED))?;
+            txn.write(b, &wide(to + MOVED))
+        })
+        .unwrap();
+    } else {
+        let mut txn = Txn::begin(&win);
+        let seen = read_wide(&mut txn, a).and_then(|x| Ok((x, read_wide(&mut txn, b)?)));
+        let accepted = !validated || txn.commit().is_ok();
+        if let (Ok((x, y)), true) = (seen, accepted) {
+            assert!(
+                x + y == HELD.0 + HELD.1,
+                "accepted a snapshot that never existed: A={x} B={y}"
+            );
+        }
+    }
+    ctx.barrier();
+    let mut h = 0u64;
+    for cell in [a, b] {
+        let mut payload = [0u8; WIDE_PAYLOAD];
+        cell.read(&win, &mut payload).unwrap();
+        h = mix(h, le(&payload));
+    }
+    win.unlock_all().unwrap();
+    win.free(ctx);
+    h
+}
+
+/// The read-only commit rule: validate every cell but the one read last.
+fn txn_readonly(ctx: &mut RankCtx) -> u64 {
+    readonly_against_transfer(ctx, true)
+}
+
+/// MUTANT of [`txn_readonly`]: the read-only commit validates nothing.
+/// With the whole transfer between the reader's two reads, A is old and B
+/// is new — the schedule the checker must find.
+fn txn_skip_first_validate(ctx: &mut RankCtx) -> u64 {
+    readonly_against_transfer(ctx, false)
 }

@@ -1,5 +1,5 @@
-//! End-to-end model-checking gates: the six protocol kernels must pass
-//! exhaustively with zero violations, both mutants must produce
+//! End-to-end model-checking gates: the seven protocol kernels must pass
+//! exhaustively with zero violations, the three mutants must produce
 //! replayable counterexamples, and replay — in-process and through the
 //! `FOMPI_MC_REPLAY` environment knob — must reproduce the violation
 //! *and* the per-rank virtual clocks bit-for-bit.
@@ -56,6 +56,11 @@ fn txn_commit_is_exhaustively_clean() {
 }
 
 #[test]
+fn txn_readonly_is_exhaustively_clean() {
+    assert_clean("txn-readonly");
+}
+
+#[test]
 fn mesh_credit_leak_deadlocks_with_replayable_counterexample() {
     let m = model("mesh-credit-leak");
     let cx = check(&m, &McConfig::default())
@@ -82,6 +87,25 @@ fn txn_lost_publish_panics_with_replayable_counterexample() {
         Found::Panic { rank, msg } => {
             assert_eq!(*rank, 0);
             assert!(msg.contains("lost publish CAS"), "{msg}");
+        }
+        other => panic!("expected a panic violation, got {other}"),
+    }
+    let rep = replay(&m, &cx.schedule);
+    let rcx = rep.counterexample.expect("replay must reproduce the panic");
+    assert_eq!(rcx.violation, cx.violation);
+    assert_eq!(rep.clocks, cx.clocks, "replayed per-rank virtual clocks must match exactly");
+}
+
+#[test]
+fn txn_skip_first_validate_panics_with_replayable_counterexample() {
+    let m = model("txn-skip-first-validate");
+    let cx = check(&m, &McConfig::default())
+        .counterexample
+        .expect("an unvalidated read-only commit must produce a counterexample");
+    match &cx.violation {
+        Found::Panic { rank, msg } => {
+            assert_eq!(*rank, 0);
+            assert!(msg.contains("snapshot that never existed"), "{msg}");
         }
         other => panic!("expected a panic violation, got {other}"),
     }

@@ -25,6 +25,9 @@
 //!   `v+1 → v+2` and a final flush.
 //! * On a lock conflict the already-locked prefix is rolled back
 //!   (`v+1 → v`) and the attempt aborts with [`TxnError::Conflict`].
+//! * A transaction that staged no write commits by re-checking the
+//!   version of every cell it read except the last, and flushes nothing:
+//!   it serialises at its last read ([`txn`] has the argument).
 //!
 //! All remote accesses are accumulate-class ops (CAS, `MPI_NO_OP` reads,
 //! `MPI_REPLACE` writes), so the racecheck shadow model sees only
@@ -84,6 +87,15 @@ pub enum TxnError {
         /// Displacement of the cell's version word.
         disp: usize,
     },
+    /// A structure built on cells has no room where the caller needs it:
+    /// `probed` cells on rank `target` examined, none free. Not transient —
+    /// a retry walks the same cells; the structure was sized too small.
+    Full {
+        /// Rank owning the exhausted cells.
+        target: u32,
+        /// Cells examined before giving up.
+        probed: usize,
+    },
     /// An underlying RMA error (epoch misuse, bounds, fabric faults).
     Fompi(FompiError),
 }
@@ -103,7 +115,7 @@ impl TxnError {
             TxnError::Conflict { .. }
             | TxnError::TornRead { .. }
             | TxnError::RetriesExhausted { .. } => true,
-            TxnError::BlindWrite { .. } => false,
+            TxnError::BlindWrite { .. } | TxnError::Full { .. } => false,
             TxnError::Fompi(e) => e.is_transient(),
         }
     }
@@ -123,6 +135,9 @@ impl std::fmt::Display for TxnError {
             }
             TxnError::BlindWrite { target, disp } => {
                 write!(f, "write staged for unread cell rank={target} disp={disp}")
+            }
+            TxnError::Full { target, probed } => {
+                write!(f, "no free cell among the {probed} probed on rank={target}: structure full")
             }
             TxnError::Fompi(e) => write!(f, "rma error in transaction: {e}"),
         }

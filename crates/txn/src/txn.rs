@@ -11,10 +11,24 @@
 //!    CAS *is* the validation; a miss rolls back the locked prefix and
 //!    aborts with [`TxnError::Conflict`].
 //! 2. **validate reads** — read-only cells are re-fetched and must still
-//!    hold their observed version.
+//!    hold their observed version. A transaction with an **empty write
+//!    set** skips the cell it read last (see below).
 //! 3. **write** — staged payloads land via `accumulate(MPI_REPLACE)`,
 //!    fenced by one flush.
 //! 4. **publish** — per cell CAS `v+1 → v+2`, fenced by a final flush.
+//!
+//! A read-only transaction runs phase 2 alone — it has nothing in flight,
+//! so it issues no flush — and serialises at `t`, the second version fetch
+//! of its last [`Txn::read`]:
+//!
+//! * the cell read last held its observed version at `t` — that fetch is
+//!   the seqlock's own check;
+//! * every other cell was read before `t` and is validated after it, and a
+//!   payload only changes under a version that never comes back (a rolled
+//!   back lock `v → v+1 → v` wrote nothing), so it held its observed
+//!   payload at `t` too;
+//! * hence the values returned are the table as it stood at `t`, inside
+//!   the transaction. A one-cell read is exactly one versioned read.
 //!
 //! The sorted lock order makes symmetric conflicts deadlock-free: two
 //! transactions contending for the same pair always collide on the
@@ -58,6 +72,9 @@ pub struct Txn<'w> {
     win: &'w Win,
     reads: Vec<ReadEntry>,
     writes: Vec<WriteEntry>,
+    /// Index in `reads` of the cell the latest [`Txn::read`] read: where a
+    /// read-only transaction serialises (module docs, phase 2).
+    last_read: usize,
 }
 
 impl<'w> Txn<'w> {
@@ -65,7 +82,14 @@ impl<'w> Txn<'w> {
     /// [`commit`](Txn::commit) aborts for free — no remote state is
     /// touched before the commit phases.
     pub fn begin(win: &'w Win) -> Txn<'w> {
-        Txn { win, reads: Vec::new(), writes: Vec::new() }
+        Txn { win, reads: Vec::new(), writes: Vec::new(), last_read: 0 }
+    }
+
+    /// Forget both sets, keeping their storage: the next attempt of
+    /// [`run`] starts from an empty transaction without reallocating.
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
     }
 
     /// Versioned read of `cell` into `buf`, recording the observed
@@ -73,17 +97,18 @@ impl<'w> Txn<'w> {
     /// (transient) — the retry driver re-runs the body.
     pub fn read(&mut self, cell: VersionedCell, buf: &mut [u8]) -> Result<u64> {
         let version = cell.read(self.win, buf)?;
-        match self.reads.iter_mut().find(|r| r.cell == cell) {
+        match self.reads.iter().position(|r| r.cell == cell) {
             // Re-reading a cell inside one attempt must see one snapshot.
-            Some(prev) if prev.version != version => {
-                Err(TxnError::TornRead { target: cell.target, disp: cell.disp })
+            Some(prev) if self.reads[prev].version != version => {
+                return Err(TxnError::TornRead { target: cell.target, disp: cell.disp });
             }
-            Some(_) => Ok(version),
+            Some(prev) => self.last_read = prev,
             None => {
+                self.last_read = self.reads.len();
                 self.reads.push(ReadEntry { cell, version });
-                Ok(version)
             }
         }
+        Ok(version)
     }
 
     /// Stage `payload` for `cell`. The cell must have been read by *this*
@@ -107,6 +132,12 @@ impl<'w> Txn<'w> {
     /// recorded; on conflict nothing is (the locked prefix was rolled
     /// back) and the error is transient.
     pub fn commit(mut self) -> Result<CommitStats> {
+        self.commit_attempt()
+    }
+
+    /// [`Txn::commit`] on a transaction that [`run`] keeps for the next
+    /// attempt.
+    fn commit_attempt(&mut self) -> Result<CommitStats> {
         let win = self.win;
         let ep = win.endpoint();
         let t0 = ep.clock().now();
@@ -123,9 +154,12 @@ impl<'w> Txn<'w> {
             }
         }
         // Phase 2: validate read-only cells against their observed
-        // versions (write-set cells were validated by the lock CAS).
-        for r in &self.reads {
-            if self.writes.iter().any(|w| w.cell == r.cell) {
+        // versions. Write-set cells were validated by the lock CAS, and a
+        // read-only transaction serialises at its last read, which needs
+        // no second look.
+        let read_only = self.writes.is_empty();
+        for (i, r) in self.reads.iter().enumerate() {
+            if self.writes.iter().any(|w| w.cell == r.cell) || (read_only && i == self.last_read) {
                 continue;
             }
             if r.cell.fetch_version(win)? != r.version {
@@ -133,25 +167,28 @@ impl<'w> Txn<'w> {
                 return Err(TxnError::Conflict { target: r.cell.target, disp: r.cell.disp });
             }
         }
-        // Phase 3: write payloads, fence before publication.
         let mut bytes = 0usize;
-        for w in &self.writes {
-            win.accumulate(
-                &w.payload,
-                NumKind::U64,
-                MpiOp::Replace,
-                w.cell.target,
-                w.cell.disp + 8,
-            )?;
-            bytes += w.payload.len();
+        // A read-only transaction has nothing in flight to fence.
+        if !read_only {
+            // Phase 3: write payloads, fence before publication.
+            for w in &self.writes {
+                win.accumulate(
+                    &w.payload,
+                    NumKind::U64,
+                    MpiOp::Replace,
+                    w.cell.target,
+                    w.cell.disp + 8,
+                )?;
+                bytes += w.payload.len();
+            }
+            win.flush_all()?;
+            // Phase 4: publish — the unlock CAS cannot miss (we hold v+1).
+            for w in &self.writes {
+                let prev = w.cell.cas_version(win, w.version + 2, w.version + 1)?;
+                debug_assert_eq!(prev, w.version + 1, "lock word stolen while held");
+            }
+            win.flush_all()?;
         }
-        win.flush_all()?;
-        // Phase 4: publish — the unlock CAS cannot miss (we hold v+1).
-        for w in &self.writes {
-            let prev = w.cell.cas_version(win, w.version + 2, w.version + 1)?;
-            debug_assert_eq!(prev, w.version + 1, "lock word stolen while held");
-        }
-        win.flush_all()?;
         let keys = self.writes.len();
         ep.trace_flow_consume(EventKind::TxnCommit, NO_TARGET, t0, NO_FLOW, bytes as u64);
         Ok(CommitStats { keys, bytes })
@@ -185,10 +222,11 @@ pub fn run<T>(
 ) -> Result<T> {
     let ep = win.endpoint();
     let mut attempts = 0u32;
+    let mut txn = Txn::begin(win);
     loop {
         let t0 = ep.clock().now();
-        let mut txn = Txn::begin(win);
-        let res = body(&mut txn).and_then(|v| txn.commit().map(|_| v));
+        txn.clear();
+        let res = body(&mut txn).and_then(|v| txn.commit_attempt().map(|_| v));
         match res {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => {
@@ -375,29 +413,79 @@ mod tests {
         assert_eq!(fabric.telemetry().stats(EventKind::TxnCommit).count(), 0);
     }
 
+    /// A read-only transaction serialises at its last read: commit looks
+    /// again at every cell but that one, and fences nothing.
     #[test]
     fn read_only_transactions_validate_their_snapshot() {
+        /// `cell += 1` in a transaction of its own.
+        fn bump(win: &fompi::Win, c: VersionedCell) {
+            let mut txn = Txn::begin(win);
+            let v = read_u64(&mut txn, c).unwrap();
+            txn.write(c, &(v + 1).to_le_bytes()).unwrap();
+            txn.commit().unwrap();
+        }
         Universe::new(2).node_size(1).seed(21).faults(FaultPlan::disabled()).launch(|ctx| {
-            let win = fompi::Win::allocate(ctx, CELL, 1).unwrap();
+            let win = fompi::Win::allocate(ctx, 2 * CELL, 1).unwrap();
             VersionedCell::init_local(&win, 0, &5u64.to_le_bytes());
+            VersionedCell::init_local(&win, CELL, &50u64.to_le_bytes());
             ctx.barrier();
             win.lock_all().unwrap();
+            // Rank 1 issues nothing while rank 0 reads the job's counters.
+            ctx.barrier();
             if ctx.rank() == 0 {
-                let c = cell(1, 0);
-                // Clean snapshot commits…
+                let (a, b) = (cell(1, 0), cell(1, 1));
+                let counters = ctx.fabric().counters();
+                // A clean two-cell snapshot commits with one AMO (the
+                // version of the cell read first), no flush and no gsync.
                 let mut txn = Txn::begin(&win);
-                assert_eq!(read_u64(&mut txn, c).unwrap(), 5);
+                assert_eq!(read_u64(&mut txn, a).unwrap(), 5);
+                assert_eq!(read_u64(&mut txn, b).unwrap(), 50);
+                let before = counters.snapshot();
                 assert_eq!(txn.commit().unwrap(), CommitStats { keys: 0, bytes: 0 });
-                // …but a snapshot invalidated by a later commit aborts.
+                let d = counters.snapshot().since(&before);
+                assert_eq!((d.amos, d.flushes, d.gsyncs), (1, 0, 0));
+                assert_eq!((d.puts, d.gets), (0, 0));
+                // A one-cell read is its own snapshot: nothing left to do.
+                let mut txn = Txn::begin(&win);
+                read_u64(&mut txn, a).unwrap();
+                let before = counters.snapshot();
+                txn.commit().unwrap();
+                assert_eq!(counters.snapshot().since(&before), Default::default());
+
+                // The cell read first moves before commit: at the last read
+                // the pair was no snapshot any more.
                 let mut stale = Txn::begin(&win);
-                read_u64(&mut stale, c).unwrap();
-                let mut bump = Txn::begin(&win);
-                let v = read_u64(&mut bump, c).unwrap();
-                bump.write(c, &(v + 1).to_le_bytes()).unwrap();
-                bump.commit().unwrap();
+                read_u64(&mut stale, a).unwrap();
+                read_u64(&mut stale, b).unwrap();
+                bump(&win, a);
                 let e = stale.commit().unwrap_err();
                 assert!(matches!(e, TxnError::Conflict { target: 1, disp: 0 }), "{e:?}");
+
+                // Only the cell read last moves: the values returned are the
+                // table as it stood at that read, and the commit says so.
+                let mut txn = Txn::begin(&win);
+                let seen = (read_u64(&mut txn, a).unwrap(), read_u64(&mut txn, b).unwrap());
+                bump(&win, b);
+                assert_eq!(seen, (6, 50));
+                txn.commit().unwrap();
+
+                // Reading the first cell again makes it the one read last,
+                // so the second is the one commit validates.
+                let mut txn = Txn::begin(&win);
+                read_u64(&mut txn, a).unwrap();
+                read_u64(&mut txn, b).unwrap();
+                read_u64(&mut txn, a).unwrap();
+                bump(&win, b);
+                let e = txn.commit().unwrap_err();
+                assert!(matches!(e, TxnError::Conflict { target: 1, disp: CELL }), "{e:?}");
+                let mut txn = Txn::begin(&win);
+                read_u64(&mut txn, a).unwrap();
+                read_u64(&mut txn, b).unwrap();
+                read_u64(&mut txn, a).unwrap();
+                bump(&win, a);
+                txn.commit().unwrap();
             }
+            ctx.barrier();
             win.unlock_all().unwrap();
             ctx.barrier();
         });

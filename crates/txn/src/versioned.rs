@@ -7,6 +7,13 @@
 //! atomically read the payload, re-fetch the version, and reject the read
 //! as *torn* if either fetch is odd or the two differ.
 //!
+//! A consistent read serialises at its second version fetch: the payload
+//! was read under an even version `v`, `v` still stood at that fetch, and
+//! no payload changes without the version moving on for good — so the
+//! bytes returned are the cell's contents at that instant. A read-only
+//! transaction is built on exactly this ([`crate::txn`]): its last read
+//! is its serialisation point, and commit re-checks only the others.
+//!
 //! Every remote access is an accumulate-class op — version fetches are
 //! `MPI_NO_OP` fetch-and-ops, payload reads `MPI_NO_OP` get-accumulates,
 //! payload writes `MPI_REPLACE` accumulates, version transitions CAS — so

@@ -11,7 +11,7 @@
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh loc [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]
-#   scripts/ci.sh flake [N=40] # the root suite N times: failures per test name, exit 1 on any
+#   scripts/ci.sh flake [N=40] [-- <cargo test args>]  # a suite N times (default: the root suite): failures per test name, exit 1 on any
 #   scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]  # alternating benchmark runs → results/BENCH_history.jsonl
 #   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + flake 40 + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
@@ -212,9 +212,9 @@ stage_mc() {
     # kernels. Three gates in one stage:
     #   1. the integration tests run every model program to exhaustion at
     #      the default bounds (zero violations, `complete=true`) and are
-    #      the *mutation* gate — the broken-credit-return and
-    #      dropped-publish-CAS mutants must each yield a replayable
-    #      counterexample;
+    #      the *mutation* gate — the broken-credit-return,
+    #      dropped-publish-CAS and unvalidated-read-only-commit mutants
+    #      must each yield a replayable counterexample;
     #   2. replay round-trip: FOMPI_MC_REPLAY must reproduce a violation
     #      and its per-rank virtual clocks bit-for-bit (in-process and
     #      out-of-process);
@@ -255,22 +255,29 @@ stage_loc() { # stage_loc [file…] — a scoreboard, not a gate
             }'
 }
 
-stage_flake() { # stage_flake [N=40]
+stage_flake() { # stage_flake [N=40] [-- <cargo test args>]
     # The Tier-1 flake rate as a command: `cargo test -q` at the root N
     # times (every test binary each time, not just up to the first that
     # fails), the failures tallied by test name. A schedule-dependent test
-    # shows as a rate here long before it shows as a red CI run.
-    local n=${1:-40} i bad=0 out names
+    # shows as a rate here long before it shows as a red CI run. Anything
+    # after `--` goes to `cargo test` and picks another suite:
+    # `flake 60 -- -p fompi-apps kv::` is "kv tests 60 of 60".
+    local n=40 i bad=0 out names
+    if [[ $# -gt 0 && $1 != -- ]]; then
+        n=$1
+        shift
+    fi
+    [[ ${1:-} == -- ]] && shift
     names=$(mktemp)
-    cargo test --offline -q --no-run
+    cargo test --offline -q --no-run "$@"
     for ((i = 1; i <= n; i++)); do
-        if ! out=$(cargo test --offline -q --no-fail-fast 2>&1); then
+        if ! out=$(cargo test --offline -q --no-fail-fast "$@" 2>&1); then
             bad=$((bad + 1))
             sed -n 's/^---- \(.*\) stdout ----$/\1/p' <<<"$out" | grep . >>"$names" ||
                 echo "(a run failed without naming a test)" >>"$names"
         fi
     done
-    echo "flake: $bad of $n runs of the root suite failed"
+    echo "flake: $bad of $n runs of ${*:-the root suite} failed"
     sort "$names" | uniq -c | sort -rn | sed 's/^/  /'
     rm -f "$names"
     [[ $bad -eq 0 ]]

@@ -110,8 +110,9 @@ pub struct KvStore {
 enum Slot {
     /// The key is present with this value.
     Found(VersionedCell, u64),
-    /// First empty cell on the key's probe chain.
-    Empty(VersionedCell),
+    /// The key is absent: the first empty cell of its probe chain, or
+    /// `None` if the chain holds `max_probe` other keys.
+    Absent(Option<VersionedCell>),
 }
 
 impl KvStore {
@@ -139,8 +140,8 @@ impl KvStore {
     /// cell turns up. Every probed cell joins the read set, so a commit
     /// certifies the whole chain — a racing insert into a probed slot
     /// aborts us instead of corrupting the chain. A chain of
-    /// `max_probe` cells holding other keys is [`TxnError::Full`]: the
-    /// table was sized too small for its keys, and no retry helps.
+    /// `max_probe` cells holding other keys proves the key absent, with
+    /// nowhere to put it.
     fn probe(&self, txn: &mut Txn, key: u64) -> Result<Slot, TxnError> {
         assert!(key != 0, "key 0 is the empty sentinel");
         let owner = self.owner_of(key);
@@ -155,10 +156,10 @@ impl KvStore {
                 return Ok(Slot::Found(cell, u64::from_le_bytes(buf[8..].try_into().unwrap())));
             }
             if k == 0 {
-                return Ok(Slot::Empty(cell));
+                return Ok(Slot::Absent(Some(cell)));
             }
         }
-        Err(TxnError::Full { target: owner, probed: chain })
+        Ok(Slot::Absent(None))
     }
 
     fn stage(txn: &mut Txn, cell: VersionedCell, key: u64, value: u64) -> Result<(), TxnError> {
@@ -179,13 +180,14 @@ impl KvStore {
         run(&self.win, policy, rng, |txn| {
             Ok(match self.probe(txn, key)? {
                 Slot::Found(_, v) => Some(v),
-                Slot::Empty(_) => None,
+                Slot::Absent(_) => None,
             })
         })
     }
 
     /// Additive upsert: `value += delta`, inserting at `delta` if the key
-    /// is absent. Returns the value the commit published. Additivity
+    /// is absent ([`TxnError::Full`] if its probe chain has no room for
+    /// it). Returns the value the commit published. Additivity
     /// makes concurrent upserts commute — the final table is the same for
     /// every schedule.
     pub fn upsert(
@@ -198,7 +200,12 @@ impl KvStore {
         run(&self.win, policy, rng, |txn| {
             let (cell, new) = match self.probe(txn, key)? {
                 Slot::Found(cell, v) => (cell, v.wrapping_add(delta)),
-                Slot::Empty(cell) => (cell, delta),
+                Slot::Absent(Some(cell)) => (cell, delta),
+                // The table was sized too small for its keys: no retry helps.
+                Slot::Absent(None) => {
+                    let probed = self.cfg.max_probe.min(self.cfg.buckets_per_rank);
+                    return Err(TxnError::Full { target: self.owner_of(key), probed });
+                }
             };
             Self::stage(txn, cell, key, new)?;
             Ok(new)
@@ -469,7 +476,8 @@ mod tests {
 
     /// More keys than a probe chain can hold: the overflow is refused as
     /// an error the caller can tell from contention, and what was stored
-    /// stays readable.
+    /// stays readable. A key that found no room is simply absent: reading
+    /// it or transferring from it is no error, its full chain proves it.
     #[test]
     fn a_full_probe_chain_is_an_error_not_a_panic() {
         let cfg = KvConfig { buckets_per_rank: 4, max_probe: 2, ..small_cfg() };
@@ -479,11 +487,12 @@ mod tests {
             let mut rng = Rng::seed_from_u64(9);
             store.win.lock_all().unwrap();
             if ctx.rank() == 0 {
-                let mut stored = Vec::new();
+                let (mut stored, mut refused) = (Vec::new(), Vec::new());
                 for key in 1..=24u64 {
                     match store.upsert(&policy, &mut rng, key, key) {
                         Ok(_) => stored.push(key),
                         Err(e) => {
+                            refused.push(key);
                             let owner = store.owner_of(key);
                             assert!(
                                 matches!(e, TxnError::Full { target, probed: 2 } if target == owner),
@@ -494,9 +503,15 @@ mod tests {
                     }
                 }
                 assert!((1..=8).contains(&stored.len()), "8 cells took {} keys", stored.len());
-                for key in stored {
+                for &key in &stored {
                     assert_eq!(store.get(&policy, &mut rng, key).unwrap(), Some(key));
                 }
+                for key in refused {
+                    assert_eq!(store.get(&policy, &mut rng, key).unwrap(), None);
+                    assert!(!store.transfer(&policy, &mut rng, key, stored[0], 1).unwrap());
+                    assert!(!store.transfer(&policy, &mut rng, stored[0], key, 1).unwrap());
+                }
+                assert_eq!(store.get(&policy, &mut rng, stored[0]).unwrap(), Some(stored[0]));
             }
             store.win.unlock_all().unwrap();
             ctx.barrier();

@@ -24,44 +24,94 @@ use crate::op::{MpiOp, NumKind};
 use crate::perf::overhead;
 use crate::racecheck::{acc_tag, ACC_CAS};
 use crate::request::Request;
-use crate::win::Win;
+use crate::sync::Spin;
+use crate::win::{AccessEpoch, Win};
 use fompi_fabric::shadow::AccessKind;
-use fompi_fabric::AmoOp;
+use fompi_fabric::{AmoOp, SegKey};
+
+/// Where a communication call lands — the fabric location its prologue
+/// resolved — and what its epilogue tells the race checker about it.
+pub(crate) struct Landing {
+    pub(crate) key: SegKey,
+    pub(crate) off: usize,
+    target: u32,
+    /// Armed only: when the call began and the shadow address of `off`.
+    rc: Option<(f64, usize)>,
+}
 
 impl Win {
+    // ------------------------------------------------- the steps of a call
+    //
+    // validate arguments → prologue → fabric op(s) → epilogue (DESIGN.md,
+    // "Anatomy of a window call").
+
+    /// First half of the prologue: an access epoch covers `target` — or the
+    /// call is refused before anything moves — and the put/get path pays
+    /// its software overhead (`charged` is a constant of the call site).
+    #[inline(always)]
+    pub(crate) fn admit(&self, target: u32, charged: bool) -> Result<()> {
+        self.trace_scope();
+        let st = self.state.borrow();
+        match &st.access {
+            AccessEpoch::Fence | AccessEpoch::LockAll => {}
+            AccessEpoch::Pscw(g) if g.contains(target) => {}
+            AccessEpoch::Lock if st.locks.contains_key(&target) => {}
+            _ => return Err(FompiError::NoAccessEpoch { target }),
+        }
+        if charged {
+            self.ep.charge(overhead::put_get_ns());
+        }
+        Ok(())
+    }
+
+    /// Second half: resolve `len` bytes at `target_disp` of `target`'s
+    /// window, noting for the race checker when that began.
+    #[inline(always)]
+    pub(crate) fn resolve(&self, target: u32, target_disp: usize, len: usize) -> Result<Landing> {
+        let t0 = self.rc_start();
+        let (key, off) = self.target_span(target, target_disp, len)?;
+        Ok(Landing { key, off, target, rc: t0.map(|t0| (t0, self.rc_base(target_disp, off))) })
+    }
+
+    /// The whole prologue, for a call that validates nothing in between.
+    #[inline(always)]
+    pub(crate) fn begin(
+        &self,
+        target: u32,
+        target_disp: usize,
+        len: usize,
+        charged: bool,
+    ) -> Result<Landing> {
+        self.admit(target, charged)?;
+        self.resolve(target, target_disp, len)
+    }
+
+    /// The epilogue: the call touched `[rel, rel + len)` of where it
+    /// landed, as `kind`. One hooks-byte test unless the checker is armed.
+    #[inline(always)]
+    pub(crate) fn landed(&self, at: &Landing, rel: usize, len: usize, kind: AccessKind) {
+        if let Some((t0, base)) = at.rc {
+            self.rc_remote(t0, at.target, base + rel, len, kind);
+        }
+    }
+
     // ------------------------------------------------------------- put/get
 
     /// MPI_Put of contiguous bytes. Completes at the next synchronisation
     /// (flush/unlock/fence/complete) — "bulk completion".
     pub fn put(&self, origin: &[u8], target: u32, target_disp: usize) -> Result<()> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, origin.len())?;
-        self.ep.put_implicit(key, off, origin)?;
-        if let Some(t0) = rc {
-            self.rc_remote(
-                t0,
-                target,
-                self.rc_base(target_disp, off),
-                origin.len(),
-                AccessKind::Put,
-            );
-        }
+        let at = self.begin(target, target_disp, origin.len(), true)?;
+        self.ep.put_implicit(at.key, at.off, origin)?;
+        self.landed(&at, 0, origin.len(), AccessKind::Put);
         Ok(())
     }
 
     /// MPI_Get of contiguous bytes. The destination holds valid data after
     /// the next synchronisation.
     pub fn get(&self, dst: &mut [u8], target: u32, target_disp: usize) -> Result<()> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, dst.len())?;
-        self.ep.get_implicit(key, off, dst)?;
-        if let Some(t0) = rc {
-            self.rc_remote(t0, target, self.rc_base(target_disp, off), dst.len(), AccessKind::Get);
-        }
+        let at = self.begin(target, target_disp, dst.len(), true)?;
+        self.ep.get_implicit(at.key, at.off, dst)?;
+        self.landed(&at, 0, dst.len(), AccessKind::Get);
         Ok(())
     }
 
@@ -71,57 +121,19 @@ impl Win {
     /// hinted backoff: MPI semantics permit it because an unissued op has
     /// no ordering footprint.
     pub fn rput(&self, origin: &[u8], target: u32, target_disp: usize) -> Result<Request> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, origin.len())?;
-        let h = self.retry_backpressure(|| self.ep.put_nb(key, off, origin))?;
-        if let Some(t0) = rc {
-            self.rc_remote(
-                t0,
-                target,
-                self.rc_base(target_disp, off),
-                origin.len(),
-                AccessKind::Put,
-            );
-        }
+        let at = self.begin(target, target_disp, origin.len(), true)?;
+        let h = self.retry_transient(|| self.ep.put_nb(at.key, at.off, origin))?;
+        self.landed(&at, 0, origin.len(), AccessKind::Put);
         Ok(Request::new(self.ep.clone(), h))
     }
 
     /// Request-based get (MPI_Rget). Backpressure is retried as in
     /// [`Win::rput`].
     pub fn rget(&self, dst: &mut [u8], target: u32, target_disp: usize) -> Result<Request> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, dst.len())?;
-        let h = self.retry_backpressure(|| self.ep.get_nb(key, off, &mut *dst))?;
-        if let Some(t0) = rc {
-            self.rc_remote(t0, target, self.rc_base(target_disp, off), dst.len(), AccessKind::Get);
-        }
+        let at = self.begin(target, target_disp, dst.len(), true)?;
+        let h = self.retry_transient(|| self.ep.get_nb(at.key, at.off, &mut *dst))?;
+        self.landed(&at, 0, dst.len(), AccessKind::Get);
         Ok(Request::new(self.ep.clone(), h))
-    }
-
-    /// Bounded retry around an explicit-nonblocking issue that may be
-    /// refused with [`fompi_fabric::FabricError::Backpressure`]. Each
-    /// retry charges the hinted backoff to virtual time.
-    fn retry_backpressure<T>(
-        &self,
-        mut issue: impl FnMut() -> std::result::Result<T, fompi_fabric::FabricError>,
-    ) -> Result<T> {
-        let mut attempt = 0u32;
-        loop {
-            match issue() {
-                Ok(v) => return Ok(v),
-                Err(fompi_fabric::FabricError::Backpressure { retry_after_ns })
-                    if attempt < crate::dynamic::ATTACH_RETRY_LIMIT =>
-                {
-                    attempt += 1;
-                    self.ep.charge(crate::dynamic::busy_backoff_ns(retry_after_ns, attempt));
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
     }
 
     /// Datatyped MPI_Put: origin laid out as `origin_count × origin_ty`
@@ -139,19 +151,12 @@ impl Win {
         target_count: usize,
         target_ty: &DataType,
     ) -> Result<()> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let ob = origin_ty.flatten(origin_count);
-        let tb = target_ty.flatten(target_count);
-        let span = target_ty.extent() * target_count;
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, span.max(1))?;
-        let rc_base = self.rc_base(target_disp, base);
+        let (ob, tb) = (origin_ty.flatten(origin_count), target_ty.flatten(target_count));
+        let extent = target_ty.extent() * target_count;
+        let at = self.begin(target, target_disp, extent.max(1), true)?;
         for (oo, to, len) in zip_blocks(&ob, &tb)? {
-            self.ep.put_implicit(key, base + to, &origin[oo..oo + len])?;
-            if let Some(t0) = rc {
-                self.rc_remote(t0, target, rc_base + to, len, AccessKind::Put);
-            }
+            self.ep.put_implicit(at.key, at.off + to, &origin[oo..oo + len])?;
+            self.landed(&at, to, len, AccessKind::Put);
         }
         Ok(())
     }
@@ -168,19 +173,12 @@ impl Win {
         target_count: usize,
         target_ty: &DataType,
     ) -> Result<()> {
-        self.check_access(target)?;
-        self.ep.charge(overhead::put_get_ns());
-        let ob = origin_ty.flatten(origin_count);
-        let tb = target_ty.flatten(target_count);
-        let span = target_ty.extent() * target_count;
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, span.max(1))?;
-        let rc_base = self.rc_base(target_disp, base);
+        let (ob, tb) = (origin_ty.flatten(origin_count), target_ty.flatten(target_count));
+        let extent = target_ty.extent() * target_count;
+        let at = self.begin(target, target_disp, extent.max(1), true)?;
         for (oo, to, len) in zip_blocks(&ob, &tb)? {
-            self.ep.get_implicit(key, base + to, &mut dst[oo..oo + len])?;
-            if let Some(t0) = rc {
-                self.rc_remote(t0, target, rc_base + to, len, AccessKind::Get);
-            }
+            self.ep.get_implicit(at.key, at.off + to, &mut dst[oo..oo + len])?;
+            self.landed(&at, to, len, AccessKind::Get);
         }
         Ok(())
     }
@@ -197,35 +195,23 @@ impl Win {
         target: u32,
         target_disp: usize,
     ) -> Result<()> {
-        self.check_access(target)?;
-        let es = kind.size();
-        if !origin.len().is_multiple_of(es) {
+        self.admit(target, false)?;
+        if !origin.len().is_multiple_of(kind.size()) {
             return Err(FompiError::BadAccumulate("origin not a whole number of elements"));
         }
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, origin.len())?;
-        if let Some(amo) = self.hw_route(op, kind, base) {
-            // DMAPP-accelerated path: one non-fetching AMO per element,
-            // the whole span through one fabric op body.
-            self.ep.amo_implicit_span(key, base, amo, origin.chunks_exact(8).map(le_word))?;
-        } else {
-            // Fallback: lock the remote window, get, accumulate locally,
-            // put back — no receiver involvement (true passive mode).
-            self.acc_locked(target, key, base, origin.len(), op != MpiOp::NoOp, |cur| {
-                apply_each(op, kind, cur, origin)
-            })?;
-        }
-        if let Some(t0) = rc {
-            let lo = self.rc_base(target_disp, base);
-            self.rc_remote(t0, target, lo, origin.len(), AccessKind::Acc(acc_tag(op)));
-        }
+        let at = self.resolve(target, target_disp, origin.len())?;
+        self.acc_block(&at, 0, origin, kind, op)?;
+        self.landed(&at, 0, origin.len(), AccessKind::Acc(acc_tag(op)));
         Ok(())
     }
 
     /// Datatyped MPI_Accumulate: `op` is applied element-wise through the
     /// origin and target typemaps (signatures must match in total
-    /// elements). Always uses the lock-fallback path — the atomicity unit
-    /// is the whole typed region, matching foMPI's fallback semantics.
+    /// elements). Each contiguous block of the target typemap is one
+    /// accumulate of its own, on the protocol its `(op, kind, alignment)`
+    /// class has — the one [`Win::accumulate`] would take there — so the
+    /// atomicity unit is the element, as MPI defines it, and holes between
+    /// blocks are never touched.
     #[allow(clippy::too_many_arguments)] // mirrors the MPI datatype signature
     pub fn accumulate_typed(
         &self,
@@ -239,40 +225,53 @@ impl Win {
         target_count: usize,
         target_ty: &DataType,
     ) -> Result<()> {
-        self.check_access(target)?;
+        self.admit(target, false)?;
         let es = kind.size();
-        let ob = origin_ty.flatten(origin_count);
+        let packed = origin_ty.pack(origin_count, origin);
         let tb = target_ty.flatten(target_count);
-        let packed: Vec<u8> =
-            ob.iter().flat_map(|&(o, l)| origin[o..o + l].iter().copied()).collect();
-        if !packed.len().is_multiple_of(es) {
+        if !packed.len().is_multiple_of(es) || tb.iter().any(|&(_, len)| !len.is_multiple_of(es)) {
             return Err(FompiError::BadAccumulate("typemap not a whole number of elements"));
         }
-        let span = target_ty.extent() * target_count;
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, span.max(1))?;
-        // One locked read-modify-write covering the target extent; only
-        // typemap bytes are rewritten.
-        self.acc_locked(target, key, base, span, op != MpiOp::NoOp, |cur| {
-            let mut consumed = 0usize;
-            for &(toff, tlen) in &tb {
-                let mut o = 0;
-                while o < tlen {
-                    let t0 = toff + o;
-                    op.apply(kind, &mut cur[t0..t0 + es], &packed[consumed..consumed + es]);
-                    consumed += es;
-                    o += es;
-                }
-            }
-            debug_assert_eq!(consumed, packed.len());
-        })?;
-        // The fallback rewrites the whole extent (holes included), so the
-        // shadow record covers it all.
-        if let Some(t0) = rc {
-            let lo = self.rc_base(target_disp, base);
-            self.rc_remote(t0, target, lo, span, AccessKind::Acc(acc_tag(op)));
+        let target_bytes = tb.iter().map(|&(_, len)| len).sum();
+        if packed.len() != target_bytes {
+            return Err(FompiError::TypeMismatch { origin_bytes: packed.len(), target_bytes });
+        }
+        let at = self.resolve(target, target_disp, (target_ty.extent() * target_count).max(1))?;
+        let mut rest = &packed[..];
+        for (to, len) in tb {
+            let block;
+            (block, rest) = rest.split_at(len);
+            self.acc_block(&at, to, block, kind, op)?;
+            self.landed(&at, to, len, AccessKind::Acc(acc_tag(op)));
         }
         Ok(())
+    }
+
+    /// `origin`'s elements accumulated into the contiguous block at `rel`
+    /// of where the call landed: the body [`Win::accumulate`] and each
+    /// block of [`Win::accumulate_typed`] share.
+    #[inline(always)] // `accumulate` is this and little else: a call costs it ~10 %
+    fn acc_block(
+        &self,
+        at: &Landing,
+        rel: usize,
+        origin: &[u8],
+        kind: NumKind,
+        op: MpiOp,
+    ) -> Result<()> {
+        let base = at.off + rel;
+        if let Some(amo) = self.hw_route(op, kind, base) {
+            // DMAPP-accelerated path: one non-fetching AMO per element,
+            // the whole span through one fabric op body.
+            self.ep.amo_implicit_span(at.key, base, amo, origin.chunks_exact(8).map(le_word))?;
+            Ok(())
+        } else {
+            // Fallback: lock the remote window, get, accumulate locally,
+            // put back — no receiver involvement (true passive mode).
+            self.acc_locked(at.target, at.key, base, origin.len(), op != MpiOp::NoOp, |cur| {
+                apply_each(op, kind, cur, origin)
+            })
+        }
     }
 
     /// MPI_Get_accumulate: fetches the previous target contents into
@@ -289,14 +288,13 @@ impl Win {
         target: u32,
         target_disp: usize,
     ) -> Result<()> {
-        self.check_access(target)?;
+        self.admit(target, false)?;
         let es = kind.size();
         if !result.len().is_multiple_of(es) || (op != MpiOp::NoOp && origin.len() != result.len()) {
             return Err(FompiError::BadAccumulate("origin/result element mismatch"));
         }
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, result.len())?;
-        if let Some(amo) = self.hw_route(op, kind, base) {
+        let at = self.resolve(target, target_disp, result.len())?;
+        if let Some(amo) = self.hw_route(op, kind, at.off) {
             // `NoOp` carries no origin data: its operand is ignored.
             let operand = |i: usize| match op {
                 MpiOp::NoOp => 0,
@@ -305,25 +303,22 @@ impl Win {
             // One element — all of `fetch_and_op` — is one blocking AMO; a
             // longer span pipelines its elements and waits once.
             if result.len() == 8 {
-                let old = self.ep.amo(key, base, amo, operand(0), 0)?;
+                let old = self.ep.amo(at.key, at.off, amo, operand(0), 0)?;
                 result.copy_from_slice(&old.to_le_bytes());
             } else {
                 let operands = (0..result.len() / 8).map(operand);
-                self.ep.amo_fetch_span(key, base, amo, operands, result)?;
+                self.ep.amo_fetch_span(at.key, at.off, amo, operands, result)?;
             }
         } else {
             let stores = op != MpiOp::NoOp;
-            self.acc_locked(target, key, base, result.len(), stores, |cur| {
+            self.acc_locked(target, at.key, at.off, result.len(), stores, |cur| {
                 result.copy_from_slice(cur);
                 if stores {
                     apply_each(op, kind, cur, origin);
                 }
             })?;
         }
-        if let Some(t0) = rc {
-            let lo = self.rc_base(target_disp, base);
-            self.rc_remote(t0, target, lo, result.len(), AccessKind::Acc(acc_tag(op)));
-        }
+        self.landed(&at, 0, result.len(), AccessKind::Acc(acc_tag(op)));
         Ok(())
     }
 
@@ -387,17 +382,12 @@ impl Win {
         target: u32,
         target_disp: usize,
     ) -> Result<u64> {
-        self.check_access(target)?;
-        let rc = self.rc_start();
-        let (key, base) = self.target_span(target, target_disp, 8)?;
-        if base % 8 != 0 {
+        let at = self.begin(target, target_disp, 8, false)?;
+        if at.off % 8 != 0 {
             return Err(FompiError::BadAccumulate("CAS target must be 8-byte aligned"));
         }
-        let old = self.ep.amo(key, base, AmoOp::Cas, desired, compare)?;
-        if let Some(t0) = rc {
-            let lo = self.rc_base(target_disp, base);
-            self.rc_remote(t0, target, lo, 8, AccessKind::Acc(ACC_CAS));
-        }
+        let old = self.ep.amo(at.key, at.off, AmoOp::Cas, desired, compare)?;
+        self.landed(&at, 0, 8, AccessKind::Acc(ACC_CAS));
         Ok(old)
     }
 
@@ -424,27 +414,18 @@ impl Win {
     fn acc_locked(
         &self,
         target: u32,
-        key: fompi_fabric::SegKey,
+        key: SegKey,
         base: usize,
         len: usize,
         stores: bool,
         f: impl FnOnce(&mut [u8]),
     ) -> Result<()> {
         let mkey = self.meta_key(target);
-        let mut spins = 0u64;
-        loop {
-            let old = self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Cas, 1, 0)?;
-            if old == 0 {
-                break;
-            }
-            // A failed CAS means another origin holds the lock: under the
-            // model checker, park until its release swap lands instead of
-            // free-spinning (each retry is an always-enabled step, so the
-            // explored spin would never terminate). Unarmed: backoff.
-            if !self.ep.mc_poll_word(mkey, off::ACC_LOCK, "acc-lock", |w| w == 0) {
-                spins += 1;
-                crate::sync::backoff_spin(&self.ep, spins);
-            }
+        let mut spin = Spin::new("the accumulate lock");
+        // A failed CAS means another origin holds the lock: wait for its
+        // release swap, retry.
+        while self.ep.amo_sync(mkey, off::ACC_LOCK, AmoOp::Cas, 1, 0)? != 0 {
+            spin.lost(&self.ep, mkey, off::ACC_LOCK, "acc-lock", |w| w == 0);
         }
         // One causal flow ties the protocol's get→put pair together in the
         // trace (the lock CAS/unlock swap are schedule-dependent polls and

@@ -22,21 +22,44 @@ use crate::meta::{off, DYN_ENTRY_BYTES};
 use crate::win::{LocalRegion, RemoteRegions, Win, WinKind};
 use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{FabricError, SegKey, Segment};
+use std::sync::Arc;
 
-/// How many transient `SegmentBusy` registration failures attach-side
-/// paths retry before surfacing the error. Under any plausible fault plan
-/// (busy probability < 1) the chance of this many consecutive failures is
-/// negligible, so hitting the limit means the plan is pathological — the
-/// error then carries the last retry hint.
-pub(crate) const ATTACH_RETRY_LIMIT: u32 = 64;
-
-/// Exponential backoff (charged to virtual time) for retry `attempt`
-/// after a transient registration failure with hint `retry_after_ns`.
-pub(crate) fn busy_backoff_ns(retry_after_ns: u64, attempt: u32) -> f64 {
-    retry_after_ns as f64 * (1u64 << attempt.min(6)) as f64 / 2.0
-}
+/// How many transient refusals ([`FabricError::is_transient`]) one issue
+/// is retried through before the error surfaces. Under any plausible fault
+/// plan (refusal probability < 1) the chance of this many consecutive
+/// failures is negligible, so hitting the limit means the plan is
+/// pathological — the error then carries the last retry hint.
+const RETRY_LIMIT: u32 = 64;
 
 impl Win {
+    /// Issue something the fabric may refuse transiently — nothing was
+    /// issued, so retrying has no ordering footprint — until it is accepted
+    /// or refused [`RETRY_LIMIT`] times over. Each retry charges the hinted
+    /// backoff, doubling up to 2⁶, to virtual time; a busy registration
+    /// resource also traces it as a `FaultRetry` span (the injection queue's
+    /// refusal was traced where it was drawn).
+    pub(crate) fn retry_transient<T>(
+        &self,
+        mut issue: impl FnMut() -> std::result::Result<T, FabricError>,
+    ) -> Result<T> {
+        let mut attempt = 0u32;
+        loop {
+            let (retry_after_ns, busy) = match issue() {
+                Ok(v) => return Ok(v),
+                Err(e) if attempt == RETRY_LIMIT => return Err(e.into()),
+                Err(FabricError::SegmentBusy { retry_after_ns }) => (retry_after_ns, true),
+                Err(FabricError::Backpressure { retry_after_ns }) => (retry_after_ns, false),
+                Err(e) => return Err(e.into()),
+            };
+            attempt += 1;
+            let t0 = self.ep.clock().now();
+            self.ep.charge(retry_after_ns as f64 * (1u64 << attempt.min(6)) as f64 / 2.0);
+            if busy {
+                self.ep.trace_sync(EventKind::FaultRetry, self.ep.rank(), t0);
+            }
+        }
+    }
+
     /// MPI_Win_attach: expose `size` bytes (library-allocated — ranks are
     /// threads, so "user memory" is handed out by the window). Returns the
     /// region's address in the target address space.
@@ -54,22 +77,8 @@ impl Win {
         // Retrying here is legal: the region is not yet visible to any
         // peer, so no MPI ordering guarantee is in force — attach is
         // local and non-collective (§2.2).
-        let mut attempt = 0u32;
-        let key = loop {
-            match self.ep.fabric().try_register(self.ep.rank(), seg.clone()) {
-                Ok(key) => break key,
-                Err(FabricError::SegmentBusy { retry_after_ns }) => {
-                    attempt += 1;
-                    if attempt > ATTACH_RETRY_LIMIT {
-                        return Err(FabricError::SegmentBusy { retry_after_ns }.into());
-                    }
-                    let t0 = self.ep.clock().now();
-                    self.ep.charge(busy_backoff_ns(retry_after_ns, attempt));
-                    self.ep.trace_sync(EventKind::FaultRetry, self.ep.rank(), t0);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let key =
+            self.retry_transient(|| self.ep.fabric().try_register(self.ep.rank(), seg.clone()))?;
         self.ep.charge(self.ep.fabric().model().register_ns);
         // Page-aligned bump allocation of the virtual RMA address space.
         let addr = self.dyn_next_addr.get();
@@ -129,24 +138,23 @@ impl Win {
     /// Local data of an attached region (for verification in examples and
     /// tests).
     pub fn region_read(&self, addr: u64, off_in: usize, dst: &mut [u8]) -> Result<()> {
-        let local = self.dyn_local.borrow();
-        let r = local
-            .iter()
-            .find(|r| r.addr == addr)
-            .ok_or(FompiError::NotAttached { target: self.ep.rank(), addr })?;
-        r.seg.read(off_in, dst);
+        self.region_seg(addr)?.read(off_in, dst);
         Ok(())
     }
 
     /// Write local data of an attached region.
     pub fn region_write(&self, addr: u64, off_in: usize, src: &[u8]) -> Result<()> {
-        let local = self.dyn_local.borrow();
-        let r = local
-            .iter()
-            .find(|r| r.addr == addr)
-            .ok_or(FompiError::NotAttached { target: self.ep.rank(), addr })?;
-        r.seg.write(off_in, src);
+        self.region_seg(addr)?.write(off_in, src);
         Ok(())
+    }
+
+    /// The memory of the region this rank attached at `addr`.
+    fn region_seg(&self, addr: u64) -> Result<Arc<Segment>> {
+        let local = self.dyn_local.borrow();
+        let region = local.iter().find(|r| r.addr == addr);
+        region
+            .map(|r| r.seg.clone())
+            .ok_or(FompiError::NotAttached { target: self.ep.rank(), addr })
     }
 
     /// Resolve `(target, addr, len)` against the cached remote region

@@ -649,4 +649,51 @@ mod tests {
             });
         }
     }
+
+    /// The typed entry point takes the protocol of its elements' class like
+    /// the other two: a strided `accumulate_typed(SUM)` racing contiguous
+    /// `accumulate(SUM)`s over the same words (and the hole between its
+    /// blocks) loses none of either rank's increments. While it was always
+    /// the locked fallback over the whole extent, its write-back erased the
+    /// hardware AMOs that landed between its get and its put.
+    #[test]
+    fn a_typed_accumulate_racing_hardware_accumulates_loses_no_update() {
+        const N: u64 = 20_000;
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let win = Win::allocate(ctx, 24, 1).unwrap();
+            win.lock_all().unwrap();
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let ones = [1u64.to_le_bytes(); 3].concat();
+                for _ in 0..N {
+                    win.accumulate(&ones, NumKind::U64, MpiOp::Sum, 0, 0).unwrap();
+                }
+            } else {
+                // Elements 0 and 2: blocks [0, 8) and [16, 24).
+                let ones = [1u64.to_le_bytes(); 2].concat();
+                let dense = DataType::contiguous(2, DataType::uint64());
+                let strided = DataType::vector(2, 1, 2, DataType::uint64());
+                for _ in 0..N {
+                    win.accumulate_typed(
+                        &ones,
+                        1,
+                        &dense,
+                        NumKind::U64,
+                        MpiOp::Sum,
+                        0,
+                        0,
+                        1,
+                        &strided,
+                    )
+                    .unwrap();
+                }
+            }
+            win.unlock_all().unwrap();
+            ctx.barrier();
+            let mut b = [0u8; 24];
+            win.read_local(0, &mut b);
+            [0, 8, 16].map(|at| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()))
+        });
+        assert_eq!(got[0], [2 * N, N, 2 * N], "increments were erased");
+    }
 }

@@ -5,10 +5,9 @@
 //! global completion. The asymptotic memory bound is O(1) and, assuming a
 //! good barrier implementation, the time bound is O(log p)."
 
-use crate::error::{FompiError, Result};
+use crate::error::Result;
 use crate::win::{AccessEpoch, ExposureEpoch, Win};
 use fompi_fabric::telemetry::{EventKind, NO_TARGET};
-use std::sync::atomic::Ordering;
 
 /// Fence assertion: no RMA epoch precedes this fence.
 pub const ASSERT_NOPRECEDE: u32 = 1;
@@ -30,20 +29,21 @@ impl Win {
     /// completion work (nothing to commit); the barrier is always needed
     /// to order the epochs.
     pub fn fence_assert(&self, assert: u32) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if matches!(st.access, AccessEpoch::Lock | AccessEpoch::LockAll) || !st.locks.is_empty()
-            {
-                return Err(FompiError::InvalidEpoch("fence during passive-target epoch"));
-            }
-            if matches!(st.access, AccessEpoch::Pscw(_))
-                || matches!(st.exposure, ExposureEpoch::Pscw(_))
-            {
-                return Err(FompiError::InvalidEpoch("fence during PSCW epoch"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.require(
+            |st| {
+                !matches!(st.access, AccessEpoch::Lock | AccessEpoch::LockAll)
+                    && st.locks.is_empty()
+            },
+            "fence during passive-target epoch",
+        )?;
+        self.require(
+            |st| {
+                !matches!(st.access, AccessEpoch::Pscw(_))
+                    && !matches!(st.exposure, ExposureEpoch::Pscw(_))
+            },
+            "fence during PSCW epoch",
+        )?;
+        let frame = self.enter();
         if assert & ASSERT_NOPRECEDE == 0 {
             // Commit all outstanding one-sided operations. `gsync` also
             // retires any open issue-side injection bursts first, so a
@@ -62,8 +62,7 @@ impl Win {
         }
         drop(st);
         self.rc_fence();
-        self.ep.fabric().counters().fences.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::Fence, NO_TARGET, t_start);
+        self.leave(frame, EventKind::Fence, NO_TARGET);
         Ok(())
     }
 }

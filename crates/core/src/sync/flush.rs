@@ -10,7 +10,6 @@ use crate::error::{FompiError, Result};
 use crate::perf::overhead;
 use crate::win::{AccessEpoch, Win};
 use fompi_fabric::telemetry::{EventKind, NO_TARGET};
-use std::sync::atomic::Ordering;
 
 impl Win {
     fn check_passive(&self, target: Option<u32>) -> Result<()> {
@@ -27,8 +26,8 @@ impl Win {
     /// at the target when this returns.
     pub fn flush(&self, target: u32) -> Result<()> {
         self.check_passive(Some(target))?;
-        // `flush_target` records the Flush telemetry event at the fabric
-        // layer; scope it to this window first.
+        // `flush_target` counts and traces the flush at the fabric layer —
+        // this call's one exit; scope it to this window first.
         self.trace_scope();
         self.ep.charge(overhead::flush_ns());
         self.ep.flush_target(target);
@@ -39,16 +38,7 @@ impl Win {
 
     /// MPI_Win_flush_all: remote completion at every target.
     pub fn flush_all(&self) -> Result<()> {
-        self.check_passive(None)?;
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
-        self.ep.charge(overhead::flush_ns());
-        self.ep.gsync();
-        self.ep.mfence();
-        self.rc_flush(None);
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::Flush, NO_TARGET, t_start);
-        Ok(())
+        self.flush_as(EventKind::Flush, None)
     }
 
     /// MPI_Win_flush_local: local completion only — origin buffers are
@@ -58,38 +48,40 @@ impl Win {
     /// doorbell write that hands the coalesced descriptor to the NIC —
     /// without waiting for remote completion.
     pub fn flush_local(&self, target: u32) -> Result<()> {
-        self.check_passive(Some(target))?;
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
-        self.ep.charge(overhead::flush_ns());
-        self.ep.drain_target(target);
-        self.rc_flush(Some(target));
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::FlushLocal, target, t_start);
-        Ok(())
+        self.flush_as(EventKind::FlushLocal, Some(target))
     }
 
     /// MPI_Win_flush_local_all.
     pub fn flush_local_all(&self) -> Result<()> {
-        self.check_passive(None)?;
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.flush_as(EventKind::FlushLocal, None)
+    }
+
+    /// The body the flushes that are counted and traced here share:
+    /// `kind` toward `target`, or toward every rank.
+    fn flush_as(&self, kind: EventKind, target: Option<u32>) -> Result<()> {
+        self.check_passive(target)?;
+        let frame = self.enter();
         self.ep.charge(overhead::flush_ns());
-        self.ep.drain_all();
-        self.rc_flush(None);
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::FlushLocal, NO_TARGET, t_start);
+        match (kind, target) {
+            (EventKind::FlushLocal, Some(target)) => self.ep.drain_target(target),
+            (EventKind::FlushLocal, None) => self.ep.drain_all(),
+            _ => {
+                self.ep.gsync();
+                self.ep.mfence();
+            }
+        }
+        self.rc_flush(target);
+        self.leave(frame, kind, target.unwrap_or(NO_TARGET));
         Ok(())
     }
 
     /// MPI_Win_sync: memory barrier separating private and public window
     /// copies (a no-op data-wise in the unified model; Psync = 17 ns).
     pub fn sync(&self) {
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        let frame = self.enter();
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         self.ep.charge(self.ep.fabric().model().sync_ns);
         self.rc_acquire_own();
-        self.ep.trace_sync(EventKind::WinSync, NO_TARGET, t_start);
+        self.leave(frame, EventKind::WinSync, NO_TARGET);
     }
 }

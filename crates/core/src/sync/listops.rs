@@ -6,6 +6,7 @@
 //! of tagged list heads that elements can be pushed onto with one-sided
 //! CAS sequences. Heads carry an ABA tag in the high 32 bits.
 
+use super::Spin;
 use crate::error::{FompiError, Result};
 use crate::meta::{self, off};
 use crate::win::Win;
@@ -17,16 +18,16 @@ impl Win {
     pub(crate) fn list_acquire_slot(&self, target: u32) -> Result<u32> {
         let mkey = self.meta_key(target);
         let cfg = &self.shared.cfg;
-        let mut spins = 0u64;
+        let mut spin = Spin::new("a free element of the matching pool");
         loop {
             let h = self.ep.read_sync(mkey, off::FREE_HEAD)?;
             let (tag, idx) = meta::unpack_head(h);
             if idx == meta::NIL {
-                spins += 1;
-                if spins > cfg.pool_retry_limit {
+                let misses = spin.miss();
+                if misses > cfg.pool_retry_limit {
                     return Err(FompiError::PoolExhausted { target });
                 }
-                super::backoff_spin(&self.ep, spins.min(10));
+                super::backoff_spin(&self.ep, misses);
                 continue;
             }
             let elem = self.ep.read_sync(mkey, cfg.pool_off(idx))?;
@@ -41,8 +42,7 @@ impl Win {
             if old == h {
                 return Ok(idx);
             }
-            spins += 1;
-            super::backoff_spin(&self.ep, spins.min(6));
+            super::backoff_spin(&self.ep, spin.miss().min(6));
         }
     }
 
@@ -57,7 +57,7 @@ impl Win {
     ) -> Result<()> {
         let mkey = self.meta_key(target);
         let cfg = &self.shared.cfg;
-        let mut spins = 0u64;
+        let mut spin = Spin::new("a list-head CAS to win");
         loop {
             let mh = self.ep.read_sync(mkey, head_off)?;
             let (tag, head_idx) = meta::unpack_head(mh);
@@ -72,33 +72,13 @@ impl Win {
             if old == mh {
                 return Ok(());
             }
-            spins += 1;
-            super::backoff_spin(&self.ep, spins.min(6));
+            super::backoff_spin(&self.ep, spin.miss().min(6));
         }
     }
 
-    /// Return pool element `idx` to the *local* free list.
+    /// Return pool element `idx` to the *local* free list: a push onto it.
     pub(crate) fn list_free_local(&self, idx: u32) -> Result<()> {
-        let mkey = self.meta_key(self.ep.rank());
-        let cfg = &self.shared.cfg;
-        let mut spins = 0u64;
-        loop {
-            let fh = self.ep.read_sync(mkey, off::FREE_HEAD)?;
-            let (tag, head) = meta::unpack_head(fh);
-            self.ep.write_sync(mkey, cfg.pool_off(idx), meta::pack_elem(0, head))?;
-            let old = self.ep.amo_sync(
-                mkey,
-                off::FREE_HEAD,
-                AmoOp::Cas,
-                meta::pack_head(tag.wrapping_add(1), idx),
-                fh,
-            )?;
-            if old == fh {
-                return Ok(());
-            }
-            spins += 1;
-            super::backoff_spin(&self.ep, spins.min(6));
-        }
+        self.list_push(self.ep.rank(), off::FREE_HEAD, idx, 0)
     }
 
     /// Atomically take the whole local list at `head_off`, returning the
@@ -108,7 +88,7 @@ impl Win {
         let me = self.ep.rank();
         let mkey = self.meta_key(me);
         let cfg = &self.shared.cfg;
-        let mut spins = 0u64;
+        let mut spin = Spin::new("a list-head CAS to win");
         loop {
             let h = self.ep.read_sync(mkey, head_off)?;
             let (tag, idx) = meta::unpack_head(h);
@@ -135,8 +115,7 @@ impl Win {
                 }
                 return Ok(origins);
             }
-            spins += 1;
-            super::backoff_spin(&self.ep, spins.min(6));
+            super::backoff_spin(&self.ep, spin.miss().min(6));
         }
     }
 }

@@ -15,12 +15,12 @@
 //! releases the global registration). All waiting uses exponential
 //! backoff.
 
+use super::Spin;
 use crate::error::{FompiError, Result};
 use crate::meta::{off, split_global, GLOBAL_EXCL_ONE, WRITER_BIT};
 use crate::win::{AccessEpoch, LockType, Win};
 use fompi_fabric::telemetry::{EventKind, NO_TARGET};
-use fompi_fabric::AmoOp;
-use std::sync::atomic::Ordering;
+use fompi_fabric::{AmoOp, SegKey};
 
 /// Lock assertion: the user guarantees no conflicting lock is held or
 /// attempted (MPI_MODE_NOCHECK) — the acquisition protocol is skipped
@@ -37,41 +37,32 @@ impl Win {
     /// messages are sent at all — the paper's zero-cost path for
     /// statically race-free programs.
     pub fn lock_assert(&self, lock_type: LockType, target: u32, assert: u32) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::None | AccessEpoch::Lock) {
-                return Err(FompiError::InvalidEpoch("lock during non-passive epoch"));
+        self.require(
+            |st| matches!(st.access, AccessEpoch::None | AccessEpoch::Lock),
+            "lock during non-passive epoch",
+        )?;
+        self.require(|st| !st.locks.contains_key(&target), "target already locked by this origin")?;
+        let frame = self.enter();
+        let nocheck = assert & ASSERT_NOCHECK != 0;
+        if !nocheck {
+            match lock_type {
+                LockType::Shared => self.lock_shared(target)?,
+                LockType::Exclusive => self.lock_exclusive(target)?,
             }
-            if st.locks.contains_key(&target) {
-                return Err(FompiError::InvalidEpoch("target already locked by this origin"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
-        if assert & ASSERT_NOCHECK != 0 {
-            let mut st = self.state.borrow_mut();
-            st.locks.insert(target, LockType::Shared); // unlock = 0 AMOs
-            st.access = AccessEpoch::Lock;
-            st.nocheck.insert(target);
-            drop(st);
-            self.rc_lock_acquired(Some(target));
-            self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
-            self.ep.trace_sync(EventKind::Lock, target, t_start);
-            return Ok(());
-        }
-        match lock_type {
-            LockType::Shared => self.lock_shared(target)?,
-            LockType::Exclusive => self.lock_exclusive(target)?,
         }
         let mut st = self.state.borrow_mut();
-        st.locks.insert(target, lock_type);
+        // A NOCHECK lock acquired nothing: it is recorded as shared (what
+        // the race checker takes it for) and as having nothing to release.
+        st.locks.insert(target, if nocheck { LockType::Shared } else { lock_type });
         st.access = AccessEpoch::Lock;
+        if nocheck {
+            st.nocheck.insert(target);
+        }
         drop(st);
         // Sample the racecheck session *after* the protocol succeeded, so
         // a blocked acquirer observes the releasing holder's epoch bump.
         self.rc_lock_acquired(Some(target));
-        self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::Lock, target, t_start);
+        self.leave(frame, EventKind::Lock, target);
         Ok(())
     }
 
@@ -82,8 +73,7 @@ impl Win {
             let st = self.state.borrow();
             *st.locks.get(&target).ok_or(FompiError::InvalidEpoch("unlock without lock"))?
         };
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        let frame = self.enter();
         // Unlock must guarantee completion at the target. `flush_target`
         // first retires any open injection burst to `target` (issue-side
         // batching), then joins that peer's completion horizon.
@@ -92,23 +82,27 @@ impl Win {
         // Racecheck release edge: bump *before* the release AMOs become
         // visible, so the next acquirer samples the advanced epoch.
         self.rc_unlock(Some(target));
-        if self.state.borrow_mut().nocheck.remove(&target) {
-            // MPI_MODE_NOCHECK: nothing was acquired, nothing to release.
-            let mut st = self.state.borrow_mut();
-            st.locks.remove(&target);
-            if st.locks.is_empty() {
-                st.access = AccessEpoch::None;
-            }
-            drop(st);
-            self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
-            self.ep.trace_sync(EventKind::Unlock, target, t_start);
-            return Ok(());
+        // MPI_MODE_NOCHECK: nothing was acquired, nothing to release.
+        if !self.state.borrow_mut().nocheck.remove(&target) {
+            self.release(lock_type, target)?;
         }
+        let mut st = self.state.borrow_mut();
+        st.locks.remove(&target);
+        if st.locks.is_empty() {
+            st.access = AccessEpoch::None;
+        }
+        drop(st);
+        self.leave(frame, EventKind::Unlock, target);
+        Ok(())
+    }
+
+    /// The release AMOs of a lock of `lock_type` held on `target`.
+    fn release(&self, lock_type: LockType, target: u32) -> Result<()> {
         let lkey = self.meta_key(target);
         match lock_type {
+            // Releases are non-fetching AMOs: one injection, completion
+            // in the background (Punlock = 0.4 µs, §3.2).
             LockType::Shared => {
-                // Releases are non-fetching AMOs: one injection, completion
-                // in the background (Punlock = 0.4 µs, §3.2).
                 self.ep.amo_sync_release(lkey, off::LOCAL_LOCK, AmoOp::Add, u64::MAX)?;
                 // -1
             }
@@ -134,14 +128,6 @@ impl Win {
                 }
             }
         }
-        let mut st = self.state.borrow_mut();
-        st.locks.remove(&target);
-        if st.locks.is_empty() {
-            st.access = AccessEpoch::None;
-        }
-        drop(st);
-        self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::Unlock, target, t_start);
         Ok(())
     }
 
@@ -149,92 +135,67 @@ impl Win {
     /// global lock (the MPI-3.0 specification does not allow an exclusive
     /// lock_all).
     pub fn lock_all(&self) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::None) {
-                return Err(FompiError::InvalidEpoch("lock_all during open epoch"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.require(|st| st.access == AccessEpoch::None, "lock_all during open epoch")?;
+        let frame = self.enter();
         let gkey = self.meta_key(self.shared.master);
-        let mut spins = 0u64;
-        loop {
-            let old = self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, 1, 0)?;
-            let (excl, _shared) = split_global(old);
-            if excl == 0 {
-                break;
-            }
-            // Back off: undo the registration and retry. Under the model
-            // checker, park until the exclusive half drains (a free retry
-            // would be an always-enabled step — unbounded exploration).
-            self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, u64::MAX, 0)?; // -1
-            if !self.ep.mc_poll_word(gkey, off::GLOBAL_LOCK, "lock-all", |w| split_global(w).0 == 0)
-            {
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("global lock free of exclusive holders");
-                }
-                super::backoff_spin(&self.ep, spins);
-            }
+        let no_excl: fn(u64) -> bool = |w| split_global(w).0 == 0;
+        let mut spin = Spin::new("global lock free of exclusive holders");
+        while !self.try_register(gkey, off::GLOBAL_LOCK, 1, no_excl)? {
+            spin.lost(&self.ep, gkey, off::GLOBAL_LOCK, "lock-all", no_excl);
         }
         self.state.borrow_mut().access = AccessEpoch::LockAll;
         self.rc_lock_acquired(None);
-        self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::LockAll, NO_TARGET, t_start);
+        self.leave(frame, EventKind::LockAll, NO_TARGET);
         Ok(())
     }
 
     /// MPI_Win_unlock_all.
     pub fn unlock_all(&self) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::LockAll) {
-                return Err(FompiError::InvalidEpoch("unlock_all without lock_all"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.require(|st| st.access == AccessEpoch::LockAll, "unlock_all without lock_all")?;
+        let frame = self.enter();
         self.ep.mfence();
         self.ep.gsync();
         self.rc_unlock(None);
         let gkey = self.meta_key(self.shared.master);
         self.ep.amo_sync_release(gkey, off::GLOBAL_LOCK, AmoOp::Add, u64::MAX)?; // -1
         self.state.borrow_mut().access = AccessEpoch::None;
-        self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
-        self.ep.trace_sync(EventKind::UnlockAll, NO_TARGET, t_start);
+        self.leave(frame, EventKind::UnlockAll, NO_TARGET);
         Ok(())
     }
 
     // ----------------------------------------------------------- internals
 
+    /// Register on a lock word: add `one` at `key`+`off` if the word found
+    /// there was `free`, else take it back (so whoever holds the other half
+    /// is not starved while we wait) and say so.
+    fn try_register(
+        &self,
+        key: SegKey,
+        off: usize,
+        one: u64,
+        free: fn(u64) -> bool,
+    ) -> Result<bool> {
+        let registered = free(self.ep.amo_sync(key, off, AmoOp::Add, one, 0)?);
+        if !registered {
+            self.ep.amo_sync(key, off, AmoOp::Add, one.wrapping_neg(), 0)?;
+        }
+        Ok(registered)
+    }
+
     /// Shared lock: one fetch-and-add on the target's local lock; if a
     /// writer holds it, back off and spin-read until the writer bit clears.
     fn lock_shared(&self, target: u32) -> Result<()> {
         let lkey = self.meta_key(target);
-        let mut spins = 0u64;
-        loop {
-            let old = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Add, 1, 0)?;
-            if old & WRITER_BIT == 0 {
-                return Ok(());
-            }
-            self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Add, u64::MAX, 0)?; // -1
-            if self.ep.mc_poll_word(lkey, off::LOCAL_LOCK, "lock-shared", |w| w & WRITER_BIT == 0) {
-                // Gate-mediated wait: the writer's release wakes us.
-                continue;
-            }
-            // Spin-read until the writer finishes.
-            loop {
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("exclusive lock release");
-                }
-                super::backoff_spin(&self.ep, spins.min(10));
-                if self.ep.read_sync(lkey, off::LOCAL_LOCK)? & WRITER_BIT == 0 {
-                    break;
-                }
-            }
+        let no_writer: fn(u64) -> bool = |w| w & WRITER_BIT == 0;
+        let mut spin = Spin::new("exclusive lock release");
+        while !self.try_register(lkey, off::LOCAL_LOCK, 1, no_writer)? {
+            // Under the model checker the writer's release wakes us, with
+            // nothing to re-read.
+            while !spin.lost(&self.ep, lkey, off::LOCAL_LOCK, "lock-shared", no_writer)
+                && !no_writer(self.ep.read_sync(lkey, off::LOCAL_LOCK)?)
+            {}
         }
+        Ok(())
     }
 
     /// Exclusive lock: invariant 1 registers on the global lock (skipped
@@ -245,38 +206,16 @@ impl Win {
     fn lock_exclusive(&self, target: u32) -> Result<()> {
         let gkey = self.meta_key(self.shared.master);
         let lkey = self.meta_key(target);
-        let mut spins = 0u64;
+        let no_lock_all: fn(u64) -> bool = |w| split_global(w).1 == 0;
+        let mut spin = Spin::new("the target's lock and the global lock free of other holders");
         loop {
-            let registered_here = if self.held_excl.get() == 0 {
-                // Invariant 1: no lock_all holders.
-                loop {
-                    let old =
-                        self.ep.amo_sync(gkey, off::GLOBAL_LOCK, AmoOp::Add, GLOBAL_EXCL_ONE, 0)?;
-                    let (_excl, shared) = split_global(old);
-                    if shared == 0 {
-                        break;
-                    }
-                    self.ep.amo_sync(
-                        gkey,
-                        off::GLOBAL_LOCK,
-                        AmoOp::Add,
-                        GLOBAL_EXCL_ONE.wrapping_neg(),
-                        0,
-                    )?;
-                    if !self.ep.mc_poll_word(gkey, off::GLOBAL_LOCK, "lock-excl-global", |w| {
-                        split_global(w).1 == 0
-                    }) {
-                        spins += 1;
-                        if spins > super::SPIN_LIMIT {
-                            super::spin_overflow("global lock free of lock_all holders");
-                        }
-                        super::backoff_spin(&self.ep, spins);
-                    }
-                }
-                true
-            } else {
-                false
-            };
+            // Invariant 1: no lock_all holders.
+            let registered_here = self.held_excl.get() == 0;
+            while registered_here
+                && !self.try_register(gkey, off::GLOBAL_LOCK, GLOBAL_EXCL_ONE, no_lock_all)?
+            {
+                spin.lost(&self.ep, gkey, off::GLOBAL_LOCK, "lock-excl-global", no_lock_all);
+            }
             // Invariant 2: acquire the local writer bit.
             let old = self.ep.amo_sync(lkey, off::LOCAL_LOCK, AmoOp::Cas, WRITER_BIT, 0)?;
             if old == 0 {
@@ -294,13 +233,7 @@ impl Win {
                     0,
                 )?;
             }
-            if !self.ep.mc_poll_word(lkey, off::LOCAL_LOCK, "lock-excl-local", |w| w == 0) {
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("local lock release");
-                }
-                super::backoff_spin(&self.ep, spins);
-            }
+            spin.lost(&self.ep, lkey, off::LOCAL_LOCK, "lock-excl-local", |w| w == 0);
         }
     }
 }

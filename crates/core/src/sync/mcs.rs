@@ -14,7 +14,7 @@
 //! (`MCS_TAIL` at the master, `MCS_FLAG`/`MCS_NEXT` per rank), so the
 //! memory cost is O(1) per process.
 
-use crate::error::{FompiError, Result};
+use crate::error::Result;
 use crate::meta::off;
 use crate::win::{AccessEpoch, Win};
 use fompi_fabric::AmoOp;
@@ -23,12 +23,7 @@ impl Win {
     /// Acquire the window-wide MCS lock. Exactly one remote swap plus (if
     /// contended) one remote put; all waiting is local spinning.
     pub fn mcs_lock(&self) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::None) {
-                return Err(FompiError::InvalidEpoch("mcs_lock during open epoch"));
-            }
-        }
+        self.require(|st| st.access == AccessEpoch::None, "mcs_lock during open epoch")?;
         let me = self.ep.rank();
         let my = self.meta_key(me);
         // Reset the local queue node before publishing ourselves.
@@ -41,14 +36,7 @@ impl Win {
             // Link behind the predecessor, then spin locally.
             let prev = (old - 1) as u32;
             self.ep.write_sync(self.meta_key(prev), off::MCS_NEXT, me as u64 + 1)?;
-            let mut spins = 0u64;
-            while self.ep.read_sync(my, off::MCS_FLAG)? == 0 {
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("MCS predecessor release");
-                }
-                std::thread::yield_now();
-            }
+            self.wait_word(my, off::MCS_FLAG, "MCS predecessor release", |flag| flag != 0)?;
         }
         self.state.borrow_mut().access = AccessEpoch::LockAll;
         // Racecheck: the MCS lock is a window-wide exclusive session;
@@ -60,12 +48,7 @@ impl Win {
     /// Release the window-wide MCS lock: complete all operations, then
     /// hand off to the successor (or clear the tail).
     pub fn mcs_unlock(&self) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::LockAll) {
-                return Err(FompiError::InvalidEpoch("mcs_unlock without mcs_lock"));
-            }
-        }
+        self.require(|st| st.access == AccessEpoch::LockAll, "mcs_unlock without mcs_lock")?;
         self.ep.mfence();
         self.ep.gsync();
         // Racecheck release edge: before the tail CAS / successor flag
@@ -78,26 +61,14 @@ impl Win {
         if next == 0 {
             // Nobody visible behind us: try to clear the tail.
             let old = self.ep.amo_sync(master, off::MCS_TAIL, AmoOp::Cas, 0, me as u64 + 1)?;
-            if old == me as u64 + 1 {
-                self.state.borrow_mut().access = AccessEpoch::None;
-                return Ok(());
-            }
-            // A successor is mid-enqueue: wait for its link to appear.
-            let mut spins = 0u64;
-            loop {
-                next = self.ep.read_sync(my, off::MCS_NEXT)?;
-                if next != 0 {
-                    break;
-                }
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("MCS successor link");
-                }
-                std::thread::yield_now();
+            if old != me as u64 + 1 {
+                // A successor is mid-enqueue: wait for its link to appear.
+                next = self.wait_word(my, off::MCS_NEXT, "MCS successor link", |next| next != 0)?;
             }
         }
-        let succ = (next - 1) as u32;
-        self.ep.write_sync(self.meta_key(succ), off::MCS_FLAG, 1)?;
+        if next != 0 {
+            self.ep.write_sync(self.meta_key((next - 1) as u32), off::MCS_FLAG, 1)?;
+        }
         self.state.borrow_mut().access = AccessEpoch::None;
         Ok(())
     }

@@ -31,6 +31,7 @@
 //! Un-consumed records (ring + stash) are discarded and counted when the
 //! window is freed.
 
+use super::Frame;
 use crate::error::{FompiError, Result};
 use crate::racecheck::acc_tag;
 use crate::win::Win;
@@ -57,39 +58,20 @@ impl Win {
         target_disp: usize,
         slot: usize,
     ) -> Result<()> {
-        if slot >= self.shared.cfg.notify_slots {
-            return Err(FompiError::InvalidEpoch("signal slot out of range"));
-        }
-        self.check_access(target)?;
-        self.ep.charge(crate::perf::overhead::put_get_ns());
+        let noff = self.signal_off(slot)?;
+        self.admit(target, true)?;
         // One causal flow covers the data put and its signal release; the
         // release hands the flow to the waiter via the signal mailbox.
         let prev = self.ep.flow_open();
         let r = (|| -> Result<()> {
-            let rc = self.rc_start();
-            let (key, off) = self.target_span(target, target_disp, origin.len())?;
-            self.ep.put_implicit(key, off, origin)?;
-            if let Some(t0) = rc {
-                // Only the data interval is shadowed; the signal AMO lands in
-                // window metadata, outside user-addressable bytes.
-                self.rc_remote(
-                    t0,
-                    target,
-                    self.rc_base(target_disp, off),
-                    origin.len(),
-                    AccessKind::Put,
-                );
-            }
+            let at = self.resolve(target, target_disp, origin.len())?;
+            self.ep.put_implicit(at.key, at.off, origin)?;
+            // Only the data interval is shadowed; the signal AMO lands in
+            // window metadata, outside user-addressable bytes.
+            self.landed(&at, 0, origin.len(), AccessKind::Put);
             // The signal is NIC-ordered after the data (no origin-side
             // blocking): one non-fetching AMO whose visibility trails the put.
-            let mkey = self.meta_key(target);
-            self.ep.amo_sync_release_ordered(
-                mkey,
-                self.shared.cfg.notify_off(slot),
-                AmoOp::Add,
-                1,
-            )?;
-            Ok(())
+            Ok(self.ep.amo_sync_release_ordered(self.meta_key(target), noff, AmoOp::Add, 1)?)
         })();
         self.ep.flow_close(prev);
         r
@@ -98,53 +80,39 @@ impl Win {
     /// Block until this rank's signal counter `slot` reaches `count`
     /// (absolute, monotonic). Purely local spinning.
     pub fn signal_wait(&self, slot: usize, count: u64) -> Result<()> {
-        if slot >= self.shared.cfg.notify_slots {
-            return Err(FompiError::InvalidEpoch("signal slot out of range"));
-        }
+        let noff = self.signal_off(slot)?;
         let mkey = self.meta_key(self.ep.rank());
-        let noff = self.shared.cfg.notify_off(slot);
         let t0 = self.ep.clock().now();
-        let mut spins = 0u64;
-        loop {
-            if self.ep.read_sync(mkey, noff)? >= count {
-                // Racecheck acquire edge: the signal is release-ordered
-                // after its data, so reads that follow are synchronized.
-                self.rc_acquire_own();
-                // Join the producer's flow (latest release wins the
-                // mailbox); the consume span closes its arrow.
-                let flow = self.ep.fabric().telemetry().take_signal_flow(self.ep.rank());
-                if flow != NO_FLOW {
-                    self.ep.trace_flow_consume(
-                        EventKind::NotifyWait,
-                        flow_origin(flow),
-                        t0,
-                        flow,
-                        0,
-                    );
-                }
-                return Ok(());
-            }
-            spins += 1;
-            if spins > super::SPIN_LIMIT {
-                super::spin_overflow("put_signal counters");
-            }
-            std::thread::yield_now();
+        self.wait_word(mkey, noff, "put_signal counters", move |v| v >= count)?;
+        // Racecheck acquire edge: the signal is release-ordered after its
+        // data, so reads that follow are synchronized.
+        self.rc_acquire_own();
+        // Join the producer's flow (latest release wins the mailbox); the
+        // consume span closes its arrow.
+        let flow = self.ep.fabric().telemetry().take_signal_flow(self.ep.rank());
+        if flow != NO_FLOW {
+            self.ep.trace_flow_consume(EventKind::NotifyWait, flow_origin(flow), t0, flow, 0);
         }
+        Ok(())
     }
 
     /// Nonblocking check of signal counter `slot`.
     pub fn signal_test(&self, slot: usize) -> Result<u64> {
-        if slot >= self.shared.cfg.notify_slots {
-            return Err(FompiError::InvalidEpoch("signal slot out of range"));
-        }
-        let mkey = self.meta_key(self.ep.rank());
-        let v = self.ep.read_sync(mkey, self.shared.cfg.notify_off(slot))?;
+        let v = self.ep.read_sync(self.meta_key(self.ep.rank()), self.signal_off(slot)?)?;
         if v > 0 {
             // A nonzero counter proves at least one producer's release was
             // observed — an acquire edge for the data behind it.
             self.rc_acquire_own();
         }
         Ok(v)
+    }
+
+    /// Where signal counter `slot` lies in a rank's window metadata.
+    fn signal_off(&self, slot: usize) -> Result<usize> {
+        if slot >= self.shared.cfg.notify_slots {
+            return Err(FompiError::InvalidEpoch("signal slot out of range"));
+        }
+        Ok(self.shared.cfg.notify_off(slot))
     }
 
     // ------------------------------------------- notifications (ring API)
@@ -163,20 +131,9 @@ impl Win {
         tag: u32,
     ) -> Result<()> {
         self.notify_tag_ok(tag)?;
-        self.check_access(target)?;
-        self.ep.charge(crate::perf::overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, origin.len())?;
-        self.ep.put_notified(key, off, origin, tag)?;
-        if let Some(t0) = rc {
-            self.rc_remote(
-                t0,
-                target,
-                self.rc_base(target_disp, off),
-                origin.len(),
-                AccessKind::Put,
-            );
-        }
+        let at = self.begin(target, target_disp, origin.len(), true)?;
+        self.ep.put_notified(at.key, at.off, origin, tag)?;
+        self.landed(&at, 0, origin.len(), AccessKind::Put);
         Ok(())
     }
 
@@ -192,15 +149,9 @@ impl Win {
         tag: u32,
     ) -> Result<()> {
         self.notify_tag_ok(tag)?;
-        self.check_access(target)?;
-        self.ep.charge(crate::perf::overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, dst.len())?;
-        let len = dst.len();
-        self.ep.get_notified(key, off, dst, tag)?;
-        if let Some(t0) = rc {
-            self.rc_remote(t0, target, self.rc_base(target_disp, off), len, AccessKind::Get);
-        }
+        let at = self.begin(target, target_disp, dst.len(), true)?;
+        self.ep.get_notified(at.key, at.off, dst, tag)?;
+        self.landed(&at, 0, dst.len(), AccessKind::Get);
         Ok(())
     }
 
@@ -221,20 +172,9 @@ impl Win {
         let amo = op
             .hw_amo(crate::NumKind::U64)
             .ok_or(FompiError::BadAccumulate("accumulate_notify needs a hardware AMO op"))?;
-        self.check_access(target)?;
-        self.ep.charge(crate::perf::overhead::put_get_ns());
-        let rc = self.rc_start();
-        let (key, off) = self.target_span(target, target_disp, 8)?;
-        self.ep.amo_notified(key, off, amo, operand, tag)?;
-        if let Some(t0) = rc {
-            self.rc_remote(
-                t0,
-                target,
-                self.rc_base(target_disp, off),
-                8,
-                AccessKind::Acc(acc_tag(op)),
-            );
-        }
+        let at = self.begin(target, target_disp, 8, true)?;
+        self.ep.amo_notified(at.key, at.off, amo, operand, tag)?;
+        self.landed(&at, 0, 8, AccessKind::Acc(acc_tag(op)));
         Ok(())
     }
 
@@ -246,51 +186,29 @@ impl Win {
     /// this rank's virtual clock: the notified operation's data is visible
     /// after the call. Spinning is free in virtual time (local ring poll).
     pub fn wait_notify(&self, source: u32, tag: u32) -> Result<NotifyRecord> {
-        self.trace_scope();
-        let t0 = self.ep.clock().now();
-        let mut spins = 0u64;
-        loop {
-            if let Some(rec) = self.notify_take(source, tag) {
-                self.ep.notify_join(&rec);
-                // Racecheck acquire edge: matching consumes the
-                // notification's ordering guarantee.
-                self.rc_acquire_own();
-                // The consume span carries the record's flow: the arrow
-                // from the producing put/post terminates here.
-                self.ep.trace_flow_consume(
-                    EventKind::NotifyWait,
-                    rec.source,
-                    t0,
-                    rec.flow,
-                    rec.bytes,
-                );
-                return Ok(rec);
-            }
-            // Under the model checker, park in the gate until the ring is
-            // non-empty instead of spinning: a blocked waiter with nothing
-            // to observe must be *disabled*, or exploration never
-            // terminates (and genuine deadlocks would look like spins).
-            if self.ep.mc_poll_my_ring("wait-notify") {
-                continue;
-            }
-            spins += 1;
-            if spins > super::SPIN_LIMIT {
-                super::spin_overflow("a matching notification");
-            }
-            std::thread::yield_now();
-        }
+        let frame = self.enter();
+        let rec = self.wait_ring("a matching notification", || self.notify_take(source, tag))?;
+        self.notify_matched(&rec, frame);
+        Ok(rec)
     }
 
     /// Nonblocking [`Win::wait_notify`]: one matching pass over the stash
     /// and ring; `None` if no queued notification matches `(source, tag)`.
     pub fn test_notify(&self, source: u32, tag: u32) -> Result<Option<NotifyRecord>> {
-        self.trace_scope();
-        let t0 = self.ep.clock().now();
-        Ok(self.notify_take(source, tag).inspect(|rec| {
-            self.ep.notify_join(rec);
-            self.rc_acquire_own();
-            self.ep.trace_flow_consume(EventKind::NotifyWait, rec.source, t0, rec.flow, rec.bytes);
-        }))
+        let frame = self.enter();
+        Ok(self.notify_take(source, tag).inspect(|rec| self.notify_matched(rec, frame)))
+    }
+
+    /// The exit of a consuming call that matched `rec`.
+    fn notify_matched(&self, rec: &NotifyRecord, frame: Frame) {
+        self.ep.notify_join(rec);
+        // Racecheck acquire edge: matching consumes the notification's
+        // ordering guarantee.
+        self.rc_acquire_own();
+        // The consume span carries the record's flow: the arrow from the
+        // producing put/post terminates here.
+        let t0 = frame.t_start;
+        self.ep.trace_flow_consume(EventKind::NotifyWait, rec.source, t0, rec.flow, rec.bytes);
     }
 
     /// Notifications queued for this rank and not yet matched (stash +

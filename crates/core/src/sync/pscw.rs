@@ -16,6 +16,7 @@
 //! in the high 32 bits; elements live in a fixed pool sized by
 //! `WinConfig::pscw_pool`, giving the O(k) memory bound.
 
+use super::{Frame, Spin};
 use crate::error::{FompiError, Result};
 use crate::meta::{self, off};
 use crate::win::{AccessEpoch, ExposureEpoch, Win};
@@ -29,14 +30,8 @@ impl Win {
     /// rank in every group member's matching list; never blocks on the
     /// peers' progress (only on pool space).
     pub fn post(&self, group: &Group) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.exposure, ExposureEpoch::None) {
-                return Err(FompiError::InvalidEpoch("post during open exposure epoch"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.require(|st| st.exposure == ExposureEpoch::None, "post during open exposure epoch")?;
+        let frame = self.enter();
         // Racecheck acquire edge for the new exposure epoch — bumped
         // *before* the announcement unblocks any starter, so their
         // accesses land in the new generation.
@@ -54,13 +49,13 @@ impl Win {
                 let slot = (ticket % pool) as u32;
                 let soff = self.shared.cfg.pool_off(slot);
                 // Wait for the slot to be free (only when lapped).
-                let mut spins = 0u64;
+                let mut spin = Spin::new("a free PSCW announcement slot");
                 while self.ep.read_sync(mkey, soff)? != 0 {
-                    spins += 1;
-                    if spins > self.shared.cfg.pool_retry_limit {
+                    let misses = spin.miss();
+                    if misses > self.shared.cfg.pool_retry_limit {
                         return Err(FompiError::PoolExhausted { target });
                     }
-                    super::backoff_spin(&self.ep, spins.min(10));
+                    super::backoff_spin(&self.ep, misses);
                 }
                 self.ep.write_sync(mkey, soff, me as u64 + 1)?;
             }
@@ -71,7 +66,7 @@ impl Win {
             }
         }
         self.state.borrow_mut().exposure = ExposureEpoch::Pscw(group.clone());
-        self.ep.trace_sync(EventKind::Post, NO_TARGET, t_start);
+        self.leave(frame, EventKind::Post, NO_TARGET);
         Ok(())
     }
 
@@ -79,32 +74,25 @@ impl Win {
     /// every member's post has arrived in the local matching list
     /// (§2.5 (b)). Purely local spinning — zero remote operations.
     pub fn start(&self, group: &Group) -> Result<()> {
-        {
-            let st = self.state.borrow();
-            if !matches!(st.access, AccessEpoch::None) {
-                return Err(FompiError::InvalidEpoch("start during open access epoch"));
-            }
-        }
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        self.require(|st| st.access == AccessEpoch::None, "start during open access epoch")?;
+        let frame = self.enter();
         let mut needed: HashSet<u32> = group.iter().collect();
-        let mut spins = 0u64;
-        while !needed.is_empty() {
+        // A scan of the matching list, not a word: nothing for the model
+        // checker to park on yet (ROADMAP 4 b).
+        let scan = || {
             if self.shared.cfg.pscw_fast {
                 self.reap_matches_fast(&mut needed)?;
             } else {
                 self.reap_matches(&mut needed)?;
             }
-            if !needed.is_empty() {
-                spins += 1;
-                if spins > super::SPIN_LIMIT {
-                    super::spin_overflow("matching MPI_Win_post calls");
-                }
-                std::thread::yield_now();
-            }
+            Ok(needed.is_empty().then_some(()))
+        };
+        // (An empty group has nothing to scan for, not even once.)
+        if !group.is_empty() {
+            self.spin_until("matching MPI_Win_post calls", scan, || false)?;
         }
         self.state.borrow_mut().access = AccessEpoch::Pscw(group.clone());
-        self.ep.trace_sync(EventKind::Start, NO_TARGET, t_start);
+        self.leave(frame, EventKind::Start, NO_TARGET);
         Ok(())
     }
 
@@ -119,8 +107,7 @@ impl Win {
                 _ => return Err(FompiError::InvalidEpoch("complete without start")),
             }
         };
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        let frame = self.enter();
         // `gsync` retires open injection bursts before joining the
         // completion horizon, so batched access epochs close correctly.
         self.ep.mfence();
@@ -135,7 +122,7 @@ impl Win {
             self.ep.amo_sync_release(self.meta_key(target), off::COMPLETION, AmoOp::Add, 1)?;
         }
         self.state.borrow_mut().access = AccessEpoch::None;
-        self.ep.trace_sync(EventKind::Complete, NO_TARGET, t_start);
+        self.leave(frame, EventKind::Complete, NO_TARGET);
         Ok(())
     }
 
@@ -143,32 +130,41 @@ impl Win {
     /// of the exposure group has called complete (§2.5 (c)). Local
     /// spinning on the completion counter — zero remote operations.
     pub fn wait(&self) -> Result<()> {
-        let group = {
-            let st = self.state.borrow();
-            match &st.exposure {
-                ExposureEpoch::Pscw(g) => g.clone(),
-                _ => return Err(FompiError::InvalidEpoch("wait without post")),
-            }
-        };
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
+        let want = self.exposed_to("wait without post")?;
+        let frame = self.enter();
         let mkey = self.meta_key(self.ep.rank());
-        let want = group.len() as u64;
-        let mut spins = 0u64;
-        loop {
-            let v = self.ep.read_sync(mkey, off::COMPLETION)?;
-            if v >= want {
-                break;
-            }
-            spins += 1;
-            if spins > super::SPIN_LIMIT {
-                super::spin_overflow("matching MPI_Win_complete calls");
-            }
-            std::thread::yield_now();
+        self.wait_word(mkey, off::COMPLETION, "matching MPI_Win_complete calls", move |v| {
+            v >= want
+        })?;
+        self.close_exposure(frame, want)
+    }
+
+    /// MPI_Win_test: nonblocking [`Win::wait`]. Returns `true` (and closes
+    /// the exposure epoch) if all completes arrived.
+    pub fn test(&self) -> Result<bool> {
+        let want = self.exposed_to("test without post")?;
+        let frame = self.enter();
+        if self.ep.read_sync(self.meta_key(self.ep.rank()), off::COMPLETION)? < want {
+            return Ok(false);
         }
+        self.close_exposure(frame, want).map(|()| true)
+    }
+
+    /// How many completes the open exposure epoch waits for, or `refusal`
+    /// when none is open.
+    fn exposed_to(&self, refusal: &'static str) -> Result<u64> {
+        match &self.state.borrow().exposure {
+            ExposureEpoch::Pscw(g) => Ok(g.len() as u64),
+            _ => Err(FompiError::InvalidEpoch(refusal)),
+        }
+    }
+
+    /// All `want` completes of the exposure epoch were seen: consume them
+    /// and close it.
+    fn close_exposure(&self, frame: Frame, want: u64) -> Result<()> {
         // Consume the counter (epochs may repeat).
         self.ep.amo_sync(
-            mkey,
+            self.meta_key(self.ep.rank()),
             off::COMPLETION,
             AmoOp::Add,
             (want as i64).wrapping_neg() as u64,
@@ -178,38 +174,8 @@ impl Win {
         // Racecheck acquire edge: every complete of this epoch has been
         // observed, so local reads that follow are ordered.
         self.rc_acquire_own();
-        self.ep.trace_sync(EventKind::WaitEpoch, NO_TARGET, t_start);
+        self.leave(frame, EventKind::WaitEpoch, NO_TARGET);
         Ok(())
-    }
-
-    /// MPI_Win_test: nonblocking [`Win::wait`]. Returns `true` (and closes
-    /// the exposure epoch) if all completes arrived.
-    pub fn test(&self) -> Result<bool> {
-        let group = {
-            let st = self.state.borrow();
-            match &st.exposure {
-                ExposureEpoch::Pscw(g) => g.clone(),
-                _ => return Err(FompiError::InvalidEpoch("test without post")),
-            }
-        };
-        self.trace_scope();
-        let t_start = self.ep.clock().now();
-        let mkey = self.meta_key(self.ep.rank());
-        let want = group.len() as u64;
-        if self.ep.read_sync(mkey, off::COMPLETION)? < want {
-            return Ok(false);
-        }
-        self.ep.amo_sync(
-            mkey,
-            off::COMPLETION,
-            AmoOp::Add,
-            (want as i64).wrapping_neg() as u64,
-            0,
-        )?;
-        self.state.borrow_mut().exposure = ExposureEpoch::None;
-        self.rc_acquire_own();
-        self.ep.trace_sync(EventKind::WaitEpoch, NO_TARGET, t_start);
-        Ok(true)
     }
 
     // ---------------------------------------------------- protocol pieces

@@ -219,17 +219,22 @@ impl Win {
         disp_unit: usize,
         cfg: WinConfig,
     ) -> Result<Win> {
+        Self::allocate_as(ctx, WinKind::Allocate, size, disp_unit, cfg)
+    }
+
+    /// A window of `kind` whose memory every rank registers under one
+    /// symmetric id.
+    fn allocate_as(
+        ctx: &RankCtx,
+        kind: WinKind,
+        size: usize,
+        disp_unit: usize,
+        cfg: WinConfig,
+    ) -> Result<Win> {
         let seg = Segment::new(size.max(8));
         let data_id = Self::claim_symmetric(ctx, seg.clone())?;
-        Self::finish(
-            ctx,
-            WinKind::Allocate,
-            cfg,
-            KeyTable::Sym(data_id),
-            Some(seg),
-            DispUnits::Uniform(disp_unit),
-            SizeInfo::Uniform(size),
-        )
+        let (keys, disp) = (KeyTable::Sym(data_id), DispUnits::Uniform(disp_unit));
+        Self::finish(ctx, kind, cfg, keys, Some(seg), disp, SizeInfo::Uniform(size))
     }
 
     /// MPI_Win_create: traditional window over "existing" memory of
@@ -299,17 +304,7 @@ impl Win {
         if !ctx.fabric().topology().single_node() {
             return Err(FompiError::NotShareable);
         }
-        let seg = Segment::new(size.max(8));
-        let data_id = Self::claim_symmetric(ctx, seg.clone())?;
-        Self::finish(
-            ctx,
-            WinKind::Shared,
-            WinConfig::default(),
-            KeyTable::Sym(data_id),
-            Some(seg),
-            DispUnits::Uniform(disp_unit),
-            SizeInfo::Uniform(size),
-        )
+        Self::allocate_as(ctx, WinKind::Shared, size, disp_unit, WinConfig::default())
     }
 
     /// The symmetric-heap claim loop of §2.2: leader proposes an id,
@@ -347,23 +342,7 @@ impl Win {
         // with O(1) storage regardless of window kind.
         let meta = Segment::new(cfg.meta_bytes());
         Self::init_meta(&meta, &cfg);
-        let meta_id;
-        loop {
-            let proposal = if ctx.rank() == 0 {
-                ctx.fabric().propose_id().to_le_bytes().to_vec()
-            } else {
-                vec![0u8; 8]
-            };
-            let id = u64::from_le_bytes(ctx.bcast(0, &proposal).try_into().unwrap());
-            let ok = ctx.fabric().register_symmetric(ctx.rank(), id, meta.clone()).is_ok();
-            if ctx.allreduce_u64(ok as u64, |a, b| a & b) == 1 {
-                meta_id = id;
-                break;
-            }
-            if ok {
-                ctx.fabric().deregister(SegKey { rank: ctx.rank(), id });
-            }
-        }
+        let meta_id = Self::claim_symmetric(ctx, meta.clone())?;
         ctx.ep().charge(ctx.fabric().model().register_ns);
         let shared =
             Arc::new(WinShared { kind, cfg, keys, meta_id, disp, sizes, master: 0, p: ctx.size() });
@@ -499,25 +478,9 @@ impl Win {
             return Err(FompiError::InvalidEpoch("shared_query needs a shared window"));
         }
         let key = self.data_key(rank)?;
-        let mut attempt = 0u32;
-        loop {
-            match fompi_fabric::xpmem::MappedView::attach(self.ep.fabric(), self.ep.rank(), key) {
-                Ok(view) => return Ok(view),
-                Err(fompi_fabric::FabricError::SegmentBusy { retry_after_ns })
-                    if attempt < crate::dynamic::ATTACH_RETRY_LIMIT =>
-                {
-                    attempt += 1;
-                    let t0 = self.ep.clock().now();
-                    self.ep.charge(crate::dynamic::busy_backoff_ns(retry_after_ns, attempt));
-                    self.ep.trace_sync(
-                        fompi_fabric::telemetry::EventKind::FaultRetry,
-                        self.ep.rank(),
-                        t0,
-                    );
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.retry_transient(|| {
+            fompi_fabric::xpmem::MappedView::attach(self.ep.fabric(), self.ep.rank(), key)
+        })
     }
 
     /// This window's displacement unit toward `target`.
@@ -582,10 +545,8 @@ impl Win {
                 .fetch_add(stashed, std::sync::atomic::Ordering::Relaxed);
         }
         self.ep.notify_drop_all();
-        if let KeyTable::Sym(id) = &self.shared.keys {
-            ctx.fabric().deregister(SegKey { rank: self.rank(), id: *id });
-        } else if let KeyTable::Table(t) = &self.shared.keys {
-            ctx.fabric().deregister(t[self.rank() as usize]);
+        if let Ok(key) = self.data_key(self.rank()) {
+            ctx.fabric().deregister(key);
         }
         for r in self.dyn_local.borrow().iter() {
             ctx.fabric().deregister(r.key);
@@ -615,20 +576,6 @@ impl Win {
     /// backoff time and record their own telemetry spans.
     pub fn endpoint(&self) -> &fompi_fabric::Endpoint {
         &self.ep
-    }
-
-    // -------------------------------------------------------- epoch checks
-
-    /// Verify an access epoch covering `target` is open.
-    pub(crate) fn check_access(&self, target: u32) -> Result<()> {
-        self.trace_scope();
-        let st = self.state.borrow();
-        match &st.access {
-            AccessEpoch::Fence | AccessEpoch::LockAll => Ok(()),
-            AccessEpoch::Pscw(g) if g.contains(target) => Ok(()),
-            AccessEpoch::Lock if st.locks.contains_key(&target) => Ok(()),
-            _ => Err(FompiError::NoAccessEpoch { target }),
-        }
     }
 }
 

@@ -461,14 +461,20 @@ impl Endpoint {
         // First thing an op does, so the counter line's transfer overlaps
         // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
         self.fabric.counters().touch();
-        if matches!(op, Op::Amo(..)) && !off.is_multiple_of(8) {
-            return Err(FabricError::Misaligned { key, offset: off });
+        if matches!(op, Op::Amo(..)) {
+            Self::word_aligned(key, off)?;
         }
         let seg = self.translations.lookup(&self.fabric, key)?;
         if !seg.check(off, len) {
             return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
         }
         Ok(seg)
+    }
+
+    /// A word operation at `off` names an 8-byte-aligned word, or is refused.
+    #[inline]
+    fn word_aligned(key: SegKey, off: usize) -> Result<(), FabricError> {
+        off.is_multiple_of(8).then_some(()).ok_or(FabricError::Misaligned { key, offset: off })
     }
 
     /// Announce the access `[off, off + len)` to the model checker.
@@ -1013,7 +1019,9 @@ impl Endpoint {
     /// Read a 16-byte sync variable; joins the clock with `stamp +
     /// latency` so waiting loops accrue honest time. Returns the value. A
     /// local read is free and uncounted; no read draws faults (it polls).
+    /// Like an AMO, refused ([`FabricError::Misaligned`]) off a word boundary.
     pub fn read_sync(&self, key: SegKey, off: usize) -> Result<u64, FabricError> {
+        Self::word_aligned(key, off)?;
         let seg = self.begin(key, off, 16, Op::Get, "read_sync")?;
         let lat = if key.rank == self.rank {
             0.0
@@ -1031,7 +1039,9 @@ impl Endpoint {
     }
 
     /// Write a 16-byte sync variable (value + stamp = our completion time).
+    /// Refused ([`FabricError::Misaligned`]) off a word boundary.
     pub fn write_sync(&self, key: SegKey, off: usize, value: u64) -> Result<(), FabricError> {
+        Self::word_aligned(key, off)?;
         let seg = self.begin(key, off, 16, Op::Put, "write_sync")?;
         let p = self.price(Op::Put, key.rank, 8, Some(Flavor::Implicit), None);
         Self::publish(&seg, off, p.t_complete, || seg.word(off).store(value, Ordering::Release));
@@ -1433,7 +1443,7 @@ impl Endpoint {
         key: SegKey,
         off: usize,
         label: &'static str,
-        pred: fn(u64) -> bool,
+        pred: impl Fn(u64) -> bool + Send + Sync + 'static,
     ) -> bool {
         if !self.mc_armed() {
             return false;
@@ -2721,10 +2731,10 @@ mod tests {
         }
     }
 
-    /// A misaligned AMO — through any entry point — and a span that does
-    /// not fit are errors raised before anything is priced, counted,
-    /// announced or written: clock, counters, horizon, bursts, the target's
-    /// ring and its memory read as before.
+    /// A misaligned AMO or sync-variable access — through any entry point —
+    /// and a span that does not fit are errors raised before anything is
+    /// priced, counted, announced or written: clock, counters, horizon,
+    /// bursts, the target's ring and its memory read as before.
     #[test]
     fn a_misaligned_or_overlong_amo_is_refused_before_anything_moves() {
         type Try = fn(&Endpoint, SegKey) -> Result<(), FabricError>;
@@ -2745,6 +2755,8 @@ mod tests {
                 misaligned_at_12,
             ),
             ("amo_notified", |ep, k| ep.amo_notified(k, 12, AmoOp::Add, 1, 3), misaligned_at_12),
+            ("read_sync", |ep, k| ep.read_sync(k, 12).map(drop), misaligned_at_12),
+            ("write_sync", |ep, k| ep.write_sync(k, 12, 9), misaligned_at_12),
             (
                 "amo_implicit_span, misaligned base",
                 |ep, k| ep.amo_implicit_span(k, 12, AmoOp::Add, span_operands(3)),

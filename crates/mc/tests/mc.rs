@@ -60,6 +60,43 @@ fn txn_readonly_is_exhaustively_clean() {
     assert_clean("txn-readonly");
 }
 
+/// A two-rank MCS hand-off: each rank takes the window-wide queue lock,
+/// increments a counter on rank 0 with a get and a put, and passes the lock
+/// on. Both waits of the protocol are single words in the waiter's own
+/// memory (the predecessor's release flag, the successor's link), so under
+/// the gate they park in `Win::wait_word` until the word changes — a free
+/// spin would be an always-enabled step and the exploration would never end.
+fn mcs_handoff(ctx: &mut fompi_runtime::RankCtx) -> u64 {
+    let win = fompi::Win::allocate(ctx, 8, 1).unwrap();
+    win.mcs_lock().unwrap();
+    let mut word = [0u8; 8];
+    win.get(&mut word, 0, 0).unwrap();
+    win.flush(0).unwrap();
+    win.put(&(u64::from_le_bytes(word) + 1).to_le_bytes(), 0, 0).unwrap();
+    win.mcs_unlock().unwrap();
+    ctx.barrier();
+    win.read_local(0, &mut word);
+    win.free(ctx);
+    u64::from_le_bytes(word)
+}
+
+/// Not a `mc_summary.csv` row: the MCS lock is the paper's own protocol
+/// family (ROADMAP 4 b adds those as models); this pins that its waits are
+/// gate-mediated now that every single-word wait goes through one site.
+#[test]
+fn mcs_handoff_is_exhaustively_mutually_exclusive() {
+    let m = Model { name: "mcs-handoff", p: 2, prog: mcs_handoff };
+    let r = check(&m, &McConfig::default());
+    assert!(r.complete, "exploration hit a bound: a wait is free-spinning");
+    assert!(r.counterexample.is_none(), "{}", r.counterexample.unwrap().violation);
+    // Rank 0 holds the counter: both increments landed on every schedule.
+    assert_eq!(r.digest, Some(vec![2, 0]));
+    println!(
+        "mcs-handoff: {} schedules, {} aborted, {} steps",
+        r.schedules, r.aborted, r.steps_total
+    );
+}
+
 #[test]
 fn mesh_credit_leak_deadlocks_with_replayable_counterexample() {
     let m = model("mesh-credit-leak");

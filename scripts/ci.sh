@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint (fmt, clippy, bench) → test → determinism → perfgate → fleet → mc
+#   scripts/ci.sh             # the full gate: lint (fmt, clippy, knobs, symbols, bench) → test → determinism → perfgate → fleet → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + the benchmark's own lint
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare
 #   scripts/ci.sh perfgate    # virtual-time perf-regression gate
 #   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
-#   scripts/ci.sh loc [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]
+#   scripts/ci.sh loc [--against <parent-checkout>] [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]; --against: the delta to another checkout
 #   scripts/ci.sh flake [N=40] [-- <cargo test args>]  # a suite N times (default: the root suite): failures per test name, exit 1 on any
 #   scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]  # alternating benchmark runs → results/BENCH_history.jsonl
 #   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + flake 40 + long soak (SOAK_SECONDS, default 600)
@@ -89,6 +89,22 @@ stage_knobs() {
         echo "knobs: Config::VARS, scripts/ci.sh SCRUB and README's knob table differ:" >&2
         diff <(echo "$vars") <(echo "$scrub") >&2 || true
         diff <(echo "$vars") <(echo "$readme") >&2 || true
+        return 1
+    fi
+}
+
+stage_symbols() {
+    # The steps an op body (fabric: begin / locate / price / finish) and a
+    # window call (core: the prologue, epilogue, epoch frame and wait loops)
+    # are composed of cost nothing only if they are inlined into it: no
+    # symbol of theirs may exist in a release binary that links both crates.
+    cargo build --offline --release -q -p fompi-bench --bin perfgate
+    local steps
+    steps=$(nm -C target/release/perfgate | grep -E \
+        'fompi_fabric::endpoint::Endpoint::(begin|locate|price|finish)(::|$)|fompi::.*Win>::(admit|resolve|begin|landed|require|enter|leave|spin_until|wait_word|wait_ring)(::|$)' || true)
+    if [[ -n $steps ]]; then
+        echo "symbols: these steps of an op body / window call are out of line in target/release/perfgate:" >&2
+        echo "$steps" >&2
         return 1
     fi
 }
@@ -228,7 +244,20 @@ stage_mc() {
     git diff --exit-code -- results/mc_summary.csv
 }
 
-stage_loc() { # stage_loc [file…] — a scoreboard, not a gate
+stage_loc() { # stage_loc [--against <parent-checkout>] [file…] — a scoreboard, not a gate
+    # `--against`: the same table for another checkout, and this one's
+    # delta to it, row by row (the table ROADMAP item 6 asks every PR for).
+    if [[ ${1:-} == --against ]]; then
+        [[ -d ${2:-}/crates ]] || { echo "usage: scripts/ci.sh loc --against <parent-checkout> [file…]" >&2; return 1; }
+        local parent=$2
+        shift 2
+        awk 'FNR == 1 { next }
+            FNR == NR { code[$1] = $2; test[$1] = $3; next }
+            FNR == 2 { printf "  %-28s %16s %16s %8s %8s\n", "'"$( [[ $# -gt 0 ]] && echo file || echo crate)"'", "code", "tests", "Δcode", "Δtests" }
+            { printf "  %-28s %7d -> %5d %7d -> %5d %+8d %+8d\n", $1, code[$1], $2, test[$1], $3, $2 - code[$1], $3 - test[$1] }' \
+            <(cd "$parent" && stage_loc "$@") <(stage_loc "$@")
+        return
+    fi
     # Each file is split at its first `#[cfg(test)]` / `#[cfg(loom)]`
     # attribute (`#[cfg(all(test, loom))]` too): code above, tests below;
     # files under tests/ or benches/ are tests throughout. Without
@@ -379,7 +408,7 @@ stage_pairs() { # stage_pairs <parent-checkout> <change-checkout> [N=10] [worklo
                 printf "{\"pr\": %d, \"commit\": \"%s\", \"workload\": \"%s\", \"seed\": %d, \"metric\": \"%s\", \"unit\": \"%s\", \"pairs\": %d, \"parent_median\": %s, \"change_median\": %s, \"change_wins\": %d}\n", \
                     pr, commit, w, seed, m, unit[m], cnt["parent"], num(pm), num(cm), wins >>history
             }
-            for (w in bad) failed = 1
+            for (w in bad) if (bad[w]) failed = 1 # the lookup in the table above creates empty entries
             for (w in wide) failed = 1
             exit failed
         }' "$raw/metrics" "$raw/runs"
@@ -484,6 +513,7 @@ lint)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
     run_stage knobs stage_knobs
+    run_stage symbols stage_symbols
     run_stage bench stage_bench
     ;;
 test)
@@ -521,6 +551,7 @@ all)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
     run_stage knobs stage_knobs
+    run_stage symbols stage_symbols
     run_stage bench stage_bench
     run_stage tests stage_tests
     run_stage determinism stage_determinism

@@ -310,10 +310,12 @@ const CALLS: &[Call] = &[
             w.accumulate_typed(&two_u64(), 1, &o, NumKind::U64, MpiOp::Sum, 1, at, 1, &t)
         },
         bill: |s| {
-            // Always the locked fallback, over the whole extent.
+            // Each block is an accumulate of its own, on its class's protocol.
             s.resolve();
-            s.locked(24, true);
-            s.shadowed(0, 24, acc(MpiOp::Sum));
+            for at in [0, 16] {
+                s.data(EventKind::Amo, Flavor::Implicit, 8);
+                s.shadowed(at, 8, acc(MpiOp::Sum));
+            }
         },
     },
     Call {
@@ -324,8 +326,10 @@ const CALLS: &[Call] = &[
         },
         bill: |s| {
             s.resolve();
-            s.locked(24, true);
-            s.shadowed(0, 24, acc(MpiOp::Max));
+            for at in [0, 16] {
+                s.locked(8, true);
+                s.shadowed(at, 8, acc(MpiOp::Max));
+            }
         },
     },
     Call {
@@ -451,6 +455,8 @@ fn observe(
             if epoch {
                 win.lock_all().unwrap();
             }
+            // The peer's lock_all is counted before rank 0 starts measuring.
+            ctx.barrier();
             let mut seen = None;
             if ctx.rank() == 0 {
                 if epoch && kind == Kind::Dynamic {

@@ -401,6 +401,53 @@ mod tests {
         assert_eq!(s.quantile_hi(1.0), bucket_hi(bucket_index(2_000_000)));
     }
 
+    /// The quantile against a sort: the answer is the upper edge of the
+    /// bucket holding the `⌈q·n⌉`-th smallest sample (capped at `n`; 0 when
+    /// no sample is asked for). Over the shapes that broke it before —
+    /// empty, all zeros, one sample, a saturated top bucket, a cheap spike
+    /// with a thin expensive tail — and 200 seeded random mixes.
+    #[test]
+    fn quantile_matches_a_sort_based_reference() {
+        fn reference(sorted: &[u64], q: f64) -> u64 {
+            let n = sorted.len() as u64;
+            let want = ((q * n as f64).ceil() as u64).min(n);
+            if want == 0 {
+                0
+            } else {
+                bucket_hi(bucket_index(sorted[want as usize - 1]))
+            }
+        }
+        let mut rng = crate::rng::Rng::seed_from_u64(0x51);
+        // A random magnitude: any bucket, zero included.
+        let sample = |rng: &mut crate::rng::Rng| {
+            let shift = rng.next_below(65) as u32;
+            rng.next_u64().checked_shr(shift).unwrap_or(0)
+        };
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0; 1000],
+            vec![sample(&mut rng)],
+            (0..1000).map(|_| (1 << 63) | rng.next_u64()).collect(),
+            [vec![300; 100_000], vec![2_000_000; 37]].concat(),
+        ];
+        for _ in 0..200 {
+            let n = rng.range(1, 2000);
+            cases.push((0..n).map(|_| sample(&mut rng)).collect());
+        }
+        for mut samples in cases {
+            let h = Histogram::new();
+            for &v in &samples {
+                h.record(v);
+            }
+            samples.sort_unstable();
+            let snap = h.snapshot();
+            for q in [0.0, 0.1, 0.5, 0.99, 0.999, 1.0] {
+                let n = samples.len();
+                assert_eq!(snap.quantile_hi(q), reference(&samples, q), "q={q}, n={n}");
+            }
+        }
+    }
+
     #[test]
     fn pairs_round_trip_through_the_wire_form() {
         let h = Histogram::new();

@@ -173,7 +173,8 @@ fn print_report(
     );
     for (label, kind) in [("txn_commit", EventKind::TxnCommit), ("txn_read", EventKind::TxnRead)] {
         if let Some(c) = class(kind) {
-            println!("  {label:<10} lat : p50 {} ns, p99 {} ns, p999 {} ns", c.p50, c.p99, c.p999);
+            let [p50, p99, p999] = c.tails();
+            println!("  {label:<10} lat : p50 {p50} ns, p99 {p99} ns, p999 {p999} ns");
         }
     }
     println!(

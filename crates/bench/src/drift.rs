@@ -10,6 +10,7 @@
 //! check that refactors do not silently bend the model.
 
 use fompi::{LockType, PaperModel, Win};
+use fompi_fabric::metrics::{snapshot, ClassMetrics, MetricsSnapshot};
 use fompi_fabric::telemetry::EventKind;
 use fompi_runtime::{Group, Universe};
 
@@ -38,6 +39,11 @@ impl DriftRow {
             (self.observed_ns / self.model_ns - 1.0) * 100.0
         }
     }
+}
+
+/// The run's frozen row of `kind`, if it recorded any.
+fn class(snap: &MetricsSnapshot, kind: EventKind) -> Option<&ClassMetrics> {
+    snap.classes.iter().find(|c| c.kind == kind)
 }
 
 /// Number of neighbours used by the calibration PSCW ring.
@@ -108,20 +114,16 @@ pub fn collect(p: usize) -> Vec<DriftRow> {
         ctx.barrier();
     });
     let m = PaperModel::default();
-    let tel = fabric.telemetry();
+    let snap = snapshot(&fabric);
     let mut rows = Vec::new();
     let mut push = |kind: EventKind, model_of: &dyn Fn(f64) -> f64| {
-        let st = tel.stats(kind);
-        let ops = st.count();
-        if ops == 0 {
-            return;
-        }
-        let mean_bytes = st.bytes() as f64 / ops as f64;
+        let Some(c) = class(&snap, kind) else { return };
+        let mean_bytes = c.bytes as f64 / c.count as f64;
         rows.push(DriftRow {
             class: kind.name(),
-            ops,
+            ops: c.count,
             mean_bytes,
-            observed_ns: st.mean_ns(),
+            observed_ns: c.mean_ns(),
             model_ns: model_of(mean_bytes),
         });
     };
@@ -185,23 +187,21 @@ pub fn collect_batched(p: usize) -> Vec<DriftRow> {
         let _ = me;
     });
     let m = PaperModel::default();
-    let tel = fabric.telemetry();
+    let snap = snapshot(&fabric);
     let mut rows = Vec::new();
-    let put = tel.stats(EventKind::Put);
-    if put.count() > 0 {
+    if let Some(put) = class(&snap, EventKind::Put) {
         rows.push(DriftRow {
             class: "put_batched",
-            ops: put.count(),
-            mean_bytes: put.bytes() as f64 / put.count() as f64,
+            ops: put.count,
+            mean_bytes: put.bytes as f64 / put.count as f64,
             observed_ns: put.mean_ns(),
             model_ns: m.put_batched(BATCH_N, BATCH_S),
         });
     }
-    let fl = tel.stats(EventKind::BatchFlush);
-    if fl.count() > 0 {
+    if let Some(fl) = class(&snap, EventKind::BatchFlush) {
         rows.push(DriftRow {
             class: "batch_flush",
-            ops: fl.count(),
+            ops: fl.count,
             mean_bytes: (BATCH_N * BATCH_S) as f64,
             observed_ns: fl.mean_ns(),
             model_ns: m.inject + (BATCH_N - 1) as f64 * m.gap,

@@ -12,11 +12,14 @@
 //! lock set — MPI has no exclusive lock_all). It opens an access epoch to
 //! every rank while held. Queue-node state lives in the window metadata
 //! (`MCS_TAIL` at the master, `MCS_FLAG`/`MCS_NEXT` per rank), so the
-//! memory cost is O(1) per process.
+//! memory cost is O(1) per process. Being window-wide, it counts and
+//! traces like `lock_all` / `unlock_all` (`locks` / `unlocks`, a
+//! `LockAll` / `UnlockAll` span with no target).
 
 use crate::error::Result;
 use crate::meta::off;
 use crate::win::{AccessEpoch, Win};
+use fompi_fabric::telemetry::{EventKind, NO_TARGET};
 use fompi_fabric::AmoOp;
 
 impl Win {
@@ -24,6 +27,7 @@ impl Win {
     /// contended) one remote put; all waiting is local spinning.
     pub fn mcs_lock(&self) -> Result<()> {
         self.require(|st| st.access == AccessEpoch::None, "mcs_lock during open epoch")?;
+        let frame = self.enter();
         let me = self.ep.rank();
         let my = self.meta_key(me);
         // Reset the local queue node before publishing ourselves.
@@ -42,6 +46,7 @@ impl Win {
         // Racecheck: the MCS lock is a window-wide exclusive session;
         // sample it only once the hand-off (or free tail) was observed.
         self.rc_lock_acquired(None);
+        self.leave(frame, EventKind::LockAll, NO_TARGET);
         Ok(())
     }
 
@@ -49,6 +54,7 @@ impl Win {
     /// hand off to the successor (or clear the tail).
     pub fn mcs_unlock(&self) -> Result<()> {
         self.require(|st| st.access == AccessEpoch::LockAll, "mcs_unlock without mcs_lock")?;
+        let frame = self.enter();
         self.ep.mfence();
         self.ep.gsync();
         // Racecheck release edge: before the tail CAS / successor flag
@@ -70,6 +76,7 @@ impl Win {
             self.ep.write_sync(self.meta_key((next - 1) as u32), off::MCS_FLAG, 1)?;
         }
         self.state.borrow_mut().access = AccessEpoch::None;
+        self.leave(frame, EventKind::UnlockAll, NO_TARGET);
         Ok(())
     }
 }

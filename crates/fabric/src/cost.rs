@@ -25,6 +25,16 @@ pub enum Transport {
     Xpmem,
 }
 
+impl Transport {
+    /// Stable lower-case name, as traces and the metrics plane print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Transport::Dmapp => "dmapp",
+            Transport::Xpmem => "xpmem",
+        }
+    }
+}
+
 /// LogGP-style cost parameters, all in nanoseconds (or ns/byte).
 #[derive(Debug, Clone)]
 pub struct CostModel {

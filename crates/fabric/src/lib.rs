@@ -104,7 +104,6 @@ pub struct Fabric {
     notify: NotifyHub,
     shadow: Shadow,
     profiler: Profiler,
-    metrics_on: bool,
     txn_retry: Option<String>,
     rmc: Option<String>,
     mc: Option<Arc<dyn mc::McGate>>,
@@ -164,7 +163,6 @@ impl Fabric {
             notify: NotifyHub::new(p, config.notify_depth),
             shadow,
             profiler: Profiler::new(config.profile),
-            metrics_on: config.metrics,
             txn_retry: config.txn_retry,
             rmc: config.rmc,
             mc: config.mc,
@@ -206,13 +204,6 @@ impl Fabric {
     /// which also arms the telemetry flight recorder).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// Is the metrics plane armed ([`Config::metrics`])? Advisory:
-    /// [`metrics::snapshot`] works regardless, but only an armed run has
-    /// populated histograms.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on
     }
 
     /// Whether endpoints start with issue-side batching enabled (see

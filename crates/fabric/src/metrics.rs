@@ -10,6 +10,11 @@
 //! ride along in the JSON form so downstream collectors can *merge*
 //! snapshots from many jobs ([`HistSnapshot::merge`] is associative).
 //!
+//! A per-class row is a [`ClassMetrics`] wherever it appears — this
+//! snapshot, [`panic_summary`], the telemetry and wall-clock text reports,
+//! the fleet's merged summary — built by `ClassMetrics::rows` from a live
+//! [`OpStats`] table and printed as text by `class_table`.
+//!
 //! ## Determinism contract
 //!
 //! Everything in a snapshot derives from **virtual time** and operation
@@ -28,7 +33,7 @@
 
 use crate::counters::CounterSnapshot;
 use crate::faults::FaultKind;
-use crate::telemetry::{EventKind, HistSnapshot, WindowStats};
+use crate::telemetry::{EventKind, HistSnapshot, OpStats, WindowStats};
 use crate::{Fabric, Transport};
 
 /// Counter names in render order, paired with their values.
@@ -55,7 +60,11 @@ fn counter_rows(c: &CounterSnapshot) -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// Frozen per-class telemetry: aggregates plus tail quantiles.
+/// The tail quantiles every rendering prints, with their Prometheus labels.
+const TAILS: [(&str, f64); 3] = [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)];
+
+/// One op class, frozen: the row of the metrics snapshot, the crash
+/// summary, both text reports and the fleet's merged summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassMetrics {
     /// The op class.
@@ -64,18 +73,104 @@ pub struct ClassMetrics {
     pub count: u64,
     /// Bytes moved.
     pub bytes: u64,
-    /// Total virtual ns.
+    /// Total ns: virtual from the telemetry hub, wall from the profiler.
     pub total_ns: u64,
-    /// Median virtual latency (log2-bucket upper bound).
-    pub p50: u64,
-    /// 99th-percentile virtual latency.
-    pub p99: u64,
-    /// 99.9th-percentile virtual latency.
-    pub p999: u64,
-    /// Mergeable latency distribution.
+    /// Mergeable latency distribution; the tails are read off it
+    /// ([`ClassMetrics::tails`]).
     pub lat: HistSnapshot,
     /// Mergeable size distribution (RMA classes; empty otherwise).
     pub size: HistSnapshot,
+}
+
+impl ClassMetrics {
+    /// Freeze every class of a live per-class table (the telemetry hub's
+    /// or the profiler's, in [`EventKind::ALL`] order) that saw at least
+    /// one op. The one place a row is built; reads atomics only.
+    pub(crate) fn rows(table: &[OpStats]) -> Vec<ClassMetrics> {
+        EventKind::ALL
+            .iter()
+            .zip(table)
+            .filter(|(_, s)| s.count() > 0)
+            .map(|(&kind, s)| ClassMetrics {
+                kind,
+                count: s.count(),
+                bytes: s.bytes(),
+                total_ns: s.total_ns(),
+                lat: s.lat.snapshot(),
+                size: if kind.is_rma() { s.size.snapshot() } else { HistSnapshot::new() },
+            })
+            .collect()
+    }
+
+    /// p50, p99 and p999 of the latency distribution (log2-bucket upper
+    /// bounds).
+    pub fn tails(&self) -> [u64; 3] {
+        TAILS.map(|(_, q)| self.lat.quantile_hi(q))
+    }
+
+    /// Mean ns per op (0 when empty).
+    pub fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.total_ns as f64 / self.count as f64
+        }
+    }
+
+    /// Fold another row of the same class into this one: totals add and
+    /// distributions merge bucket-wise, so the merged tails are those of
+    /// the union of the samples, not an average of quantiles.
+    pub fn merge(&mut self, other: &ClassMetrics) {
+        debug_assert_eq!(self.kind, other.kind);
+        self.count += other.count;
+        self.bytes += other.bytes;
+        self.total_ns += other.total_ns;
+        self.lat.merge(&other.lat);
+        self.size.merge(&other.size);
+    }
+
+    /// The row as one JSON object — the metrics line's and the fleet
+    /// summary's form. `with_size` adds the size distribution (the metrics
+    /// line does for RMA classes; the fleet summary never does).
+    pub fn to_json(&self, with_size: bool) -> String {
+        let [p50, p99, p999] = self.tails();
+        let mut out = format!(
+            "{{\"class\":\"{}\",\"count\":{},\"bytes\":{},\"virtual_ns\":{},\
+             \"p50\":{p50},\"p99\":{p99},\"p999\":{p999},\"lat\":{}",
+            self.kind.name(),
+            self.count,
+            self.bytes,
+            self.total_ns,
+            self.lat.to_json(),
+        );
+        if with_size {
+            out.push_str(&format!(",\"size\":{}", self.size.to_json()));
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// The per-class text table of every report — telemetry's, the
+/// wall-clock profile's and the crash summary's: a `== title ==` line, a
+/// header, one line per row.
+pub(crate) fn class_table(title: &str, rows: &[ClassMetrics]) -> String {
+    let mut out = format!(
+        "== {title} ==\n{:<12} {:>10} {:>14} {:>14} {:>12} {:>10} {:>10} {:>10}\n",
+        "class", "ops", "bytes", "total_ns", "mean_ns", "p50", "p99", "p999"
+    );
+    for c in rows {
+        let [p50, p99, p999] = c.tails();
+        out.push_str(&format!(
+            "{:<12} {:>10} {:>14} {:>14} {:>12.1} {p50:>10} {p99:>10} {p999:>10}\n",
+            c.kind.name(),
+            c.count,
+            c.bytes,
+            c.total_ns,
+            c.mean_ns()
+        ));
+    }
+    out
 }
 
 /// Per-rank issue-side traffic (peer-matrix row sum).
@@ -116,26 +211,6 @@ pub struct MetricsSnapshot {
 /// Freeze the fabric's metrics. Quiescent-point only (see module docs).
 pub fn snapshot(fabric: &Fabric) -> MetricsSnapshot {
     let tel = fabric.telemetry();
-    let classes = EventKind::ALL
-        .iter()
-        .filter_map(|&kind| {
-            let s = tel.stats(kind);
-            if s.count() == 0 {
-                return None;
-            }
-            Some(ClassMetrics {
-                kind,
-                count: s.count(),
-                bytes: s.bytes(),
-                total_ns: s.total_ns(),
-                p50: s.lat.quantile_hi(0.5),
-                p99: s.lat.quantile_hi(0.99),
-                p999: s.lat.quantile_hi(0.999),
-                lat: s.lat.snapshot(),
-                size: if kind.is_rma() { s.size.snapshot() } else { HistSnapshot::default() },
-            })
-        })
-        .collect();
     let peers = tel.peer_matrix();
     let mut rank_traffic = Vec::new();
     let mut by_transport = [(Transport::Xpmem, 0u64, 0u64), (Transport::Dmapp, 0u64, 0u64)];
@@ -155,17 +230,16 @@ pub fn snapshot(fabric: &Fabric) -> MetricsSnapshot {
             rank_traffic.push(RankTraffic { rank: origin as u32, ops, bytes });
         }
     }
-    let transport_traffic = by_transport
-        .iter()
-        .map(|&(t, ops, bytes)| (if t == Transport::Xpmem { "xpmem" } else { "dmapp" }, ops, bytes))
-        .collect();
     MetricsSnapshot {
         ranks: fabric.num_ranks(),
         counters: fabric.counters().snapshot(),
-        classes,
+        classes: ClassMetrics::rows(tel.table()),
         windows: tel.window_summaries(),
         rank_traffic,
-        transport_traffic,
+        transport_traffic: by_transport
+            .iter()
+            .map(|&(t, ops, bytes)| (t.name(), ops, bytes))
+            .collect(),
         faults: FaultKind::ALL.iter().map(|&k| (k.name(), fabric.faults().injected(k))).collect(),
         dropped: tel.dropped(),
     }
@@ -185,39 +259,29 @@ impl MetricsSnapshot {
             out.push_str(&format!("fompi_counter{{name=\"{name}\"}} {v}\n"));
         }
         if !self.classes.is_empty() {
-            out.push_str("# HELP fompi_op_count Operations recorded per class.\n");
-            out.push_str("# TYPE fompi_op_count counter\n");
-            for c in &self.classes {
-                out.push_str(&format!(
-                    "fompi_op_count{{class=\"{}\"}} {}\n",
-                    c.kind.name(),
-                    c.count
-                ));
-            }
-            out.push_str("# HELP fompi_op_bytes Bytes moved per class.\n");
-            out.push_str("# TYPE fompi_op_bytes counter\n");
-            for c in &self.classes {
-                out.push_str(&format!(
-                    "fompi_op_bytes{{class=\"{}\"}} {}\n",
-                    c.kind.name(),
-                    c.bytes
-                ));
-            }
-            out.push_str("# HELP fompi_op_virtual_ns_total Total virtual latency per class.\n");
-            out.push_str("# TYPE fompi_op_virtual_ns_total counter\n");
-            for c in &self.classes {
-                out.push_str(&format!(
-                    "fompi_op_virtual_ns_total{{class=\"{}\"}} {}\n",
-                    c.kind.name(),
-                    c.total_ns
-                ));
+            // Name, help text and value of each per-class counter family.
+            type Family = (&'static str, &'static str, fn(&ClassMetrics) -> u64);
+            let totals: [Family; 3] = [
+                ("fompi_op_count", "Operations recorded per class.", |c| c.count),
+                ("fompi_op_bytes", "Bytes moved per class.", |c| c.bytes),
+                ("fompi_op_virtual_ns_total", "Total virtual latency per class.", |c| c.total_ns),
+            ];
+            for (family, help, value) in totals {
+                out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} counter\n"));
+                for c in &self.classes {
+                    out.push_str(&format!(
+                        "{family}{{class=\"{}\"}} {}\n",
+                        c.kind.name(),
+                        value(c)
+                    ));
+                }
             }
             out.push_str(
                 "# HELP fompi_op_virtual_ns Virtual latency quantiles (log2-bucket upper bounds).\n",
             );
             out.push_str("# TYPE fompi_op_virtual_ns summary\n");
             for c in &self.classes {
-                for (q, v) in [("0.5", c.p50), ("0.99", c.p99), ("0.999", c.p999)] {
+                for ((q, _), v) in TAILS.iter().zip(c.tails()) {
                     out.push_str(&format!(
                         "fompi_op_virtual_ns{{class=\"{}\",quantile=\"{q}\"}} {v}\n",
                         c.kind.name()
@@ -264,90 +328,33 @@ impl MetricsSnapshot {
     /// bucket counts as `[bucket, count]` pairs, so merging snapshots is
     /// bucket-wise addition. Key order is fixed; output is deterministic.
     pub fn to_json_line(&self) -> String {
-        fn buckets_json(h: &HistSnapshot) -> String {
-            let mut out = String::from("[");
-            let mut first = true;
-            for i in 0..crate::telemetry::BUCKETS {
-                let n = h.count(i);
-                if n > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{i},{n}]"));
-                }
-            }
-            out.push(']');
-            out
+        fn join(items: impl Iterator<Item = String>) -> String {
+            items.collect::<Vec<_>>().join(",")
         }
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ranks\":{}", self.ranks));
-        out.push_str(",\"counters\":{");
-        for (i, (name, v)) in counter_rows(&self.counters).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"class\":\"{}\",\"count\":{},\"bytes\":{},\"virtual_ns\":{},\
-                 \"p50\":{},\"p99\":{},\"p999\":{},\"lat\":{}",
-                c.kind.name(),
-                c.count,
-                c.bytes,
-                c.total_ns,
-                c.p50,
-                c.p99,
-                c.p999,
-                buckets_json(&c.lat),
-            ));
-            if c.kind.is_rma() {
-                out.push_str(&format!(",\"size\":{}", buckets_json(&c.size)));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"rank_traffic\":[");
-        for (i, r) in self.rank_traffic.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rank\":{},\"ops\":{},\"bytes\":{}}}",
-                r.rank, r.ops, r.bytes
-            ));
-        }
-        out.push_str("],\"transports\":[");
-        for (i, (name, ops, bytes)) in self.transport_traffic.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"transport\":\"{name}\",\"ops\":{ops},\"bytes\":{bytes}}}"));
-        }
-        out.push_str("],\"windows\":[");
-        for (i, (id, w)) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+        let counters =
+            join(counter_rows(&self.counters).iter().map(|(k, v)| format!("\"{k}\":{v}")));
+        let classes = join(self.classes.iter().map(|c| c.to_json(c.kind.is_rma())));
+        let rank_traffic =
+            join(self.rank_traffic.iter().map(|r| {
+                format!("{{\"rank\":{},\"ops\":{},\"bytes\":{}}}", r.rank, r.ops, r.bytes)
+            }));
+        let transports = join(self.transport_traffic.iter().map(|(name, ops, bytes)| {
+            format!("{{\"transport\":\"{name}\",\"ops\":{ops},\"bytes\":{bytes}}}")
+        }));
+        let windows = join(self.windows.iter().map(|(id, w)| {
+            format!(
                 "{{\"win\":{id},\"puts\":{},\"gets\":{},\"amos\":{},\"syncs\":{},\
                  \"bytes\":{},\"busy_ns\":{}}}",
                 w.puts, w.gets, w.amos, w.syncs, w.bytes, w.busy_ns
-            ));
-        }
-        out.push_str("],\"faults\":{");
-        for (i, (name, v)) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str(&format!("}},\"dropped\":{}}}", self.dropped));
-        out
+            )
+        }));
+        let faults = join(self.faults.iter().map(|(k, v)| format!("\"{k}\":{v}")));
+        format!(
+            "{{\"ranks\":{},\"counters\":{{{counters}}},\"classes\":[{classes}],\
+             \"rank_traffic\":[{rank_traffic}],\"transports\":[{transports}],\
+             \"windows\":[{windows}],\"faults\":{{{faults}}},\"dropped\":{}}}",
+            self.ranks, self.dropped
+        )
     }
 }
 
@@ -364,25 +371,13 @@ pub fn panic_summary(fabric: &Fabric) -> String {
             out.push_str(&format!("  {name}: {v}\n"));
         }
     }
-    let tel = fabric.telemetry();
-    if tel.enabled() {
-        for kind in EventKind::ALL {
-            let s = tel.stats(kind);
-            if s.count() > 0 {
-                out.push_str(&format!(
-                    "  {}: {} ops, p50 {} ns, p99 {} ns, p999 {} ns\n",
-                    kind.name(),
-                    s.count(),
-                    s.lat.quantile_hi(0.5),
-                    s.lat.quantile_hi(0.99),
-                    s.lat.quantile_hi(0.999),
-                ));
-            }
-        }
-    }
     let injected = fabric.faults().total_injected();
     if injected > 0 {
         out.push_str(&format!("  faults injected: {injected}\n"));
+    }
+    let tel = fabric.telemetry();
+    if tel.enabled() {
+        out.push_str(&class_table("metrics: op classes", &ClassMetrics::rows(tel.table())));
     }
     out
 }
@@ -432,7 +427,8 @@ mod tests {
         let s = snapshot(&f);
         let put = s.classes.iter().find(|c| c.kind == EventKind::Put).unwrap();
         assert_eq!(put.count, 2);
-        assert!(put.p50 > 0 && put.p99 >= put.p50 && put.p999 >= put.p99);
+        let [p50, p99, p999] = put.tails();
+        assert!(p50 > 0 && p99 >= p50 && p999 >= p99);
         let prom = s.to_prometheus();
         assert!(prom.contains("fompi_op_virtual_ns{class=\"put\",quantile=\"0.5\"}"), "{prom}");
         assert!(prom.contains("quantile=\"0.99\""));
@@ -478,5 +474,6 @@ mod tests {
         let s = panic_summary(&f);
         assert!(s.contains("puts: 2"));
         assert!(s.contains("p999"));
+        assert!(s.lines().any(|l| l.starts_with("put ")), "{s}");
     }
 }

@@ -18,7 +18,8 @@
 //!   pay one relaxed `fetch_add`.
 //! * `full` — every operation is timed (two `Instant::now()` calls each).
 
-use crate::telemetry::{EventKind, Histogram};
+use crate::metrics::{class_table, ClassMetrics};
+use crate::telemetry::{EventKind, OpStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -58,37 +59,6 @@ impl ProfileMode {
     }
 }
 
-/// Wall-clock aggregate for one [`EventKind`].
-#[derive(Debug, Default)]
-pub struct WallStats {
-    count: AtomicU64,
-    ns: AtomicU64,
-    /// Wall-latency distribution (real ns).
-    pub hist: Histogram,
-}
-
-impl WallStats {
-    /// Timed operations recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Total wall ns across timed operations.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.load(Ordering::Relaxed)
-    }
-
-    /// Mean wall ns per timed operation (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / n as f64
-        }
-    }
-}
-
 /// The wall-clock profiler hub: one per [`crate::Fabric`].
 #[derive(Debug)]
 pub struct Profiler {
@@ -97,7 +67,10 @@ pub struct Profiler {
     /// dependent — it only decides which wall-clock samples are taken and
     /// never feeds back into virtual time.
     tick: AtomicU64,
-    slots: Box<[WallStats]>,
+    /// Per-class wall-clock aggregates (bytes stay 0), in
+    /// [`EventKind::ALL`] order; empty when off, so a disarmed profiler
+    /// allocates nothing.
+    slots: Box<[OpStats]>,
 }
 
 impl Profiler {
@@ -106,7 +79,10 @@ impl Profiler {
         Profiler {
             mode,
             tick: AtomicU64::new(0),
-            slots: (0..EventKind::COUNT).map(|_| WallStats::default()).collect(),
+            slots: match mode {
+                ProfileMode::Off => Box::default(),
+                _ => (0..EventKind::COUNT).map(|_| OpStats::default()).collect(),
+            },
         }
     }
 
@@ -143,15 +119,7 @@ impl Profiler {
     #[inline(never)]
     fn finish_slow(&self, kind: EventKind, t0: Instant) {
         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let s = &self.slots[kind.index()];
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.ns.fetch_add(ns, Ordering::Relaxed);
-        s.hist.record(ns);
-    }
-
-    /// Wall-clock aggregates for one op class.
-    pub fn stats(&self, kind: EventKind) -> &WallStats {
-        &self.slots[kind.index()]
+        self.slots[kind.index()].record(ns, 0);
     }
 
     /// Total timed operations across all classes.
@@ -162,37 +130,11 @@ impl Profiler {
     /// Human-readable wall-clock table (classes with at least one sample),
     /// with log2-quantile tails. Empty string when nothing was timed.
     pub fn report(&self) -> String {
-        let mut out = String::new();
-        for kind in EventKind::ALL {
-            let s = self.stats(kind);
-            if s.count() == 0 {
-                continue;
-            }
-            if out.is_empty() {
-                out.push_str(&format!(
-                    "== wall-clock profile ({} mode) ==\n{:<12} {:>10} {:>14} {:>12} {:>10} {:>10} {:>10}\n",
-                    self.mode().name(),
-                    "class",
-                    "samples",
-                    "total_ns",
-                    "mean_ns",
-                    "p50",
-                    "p99",
-                    "p999"
-                ));
-            }
-            out.push_str(&format!(
-                "{:<12} {:>10} {:>14} {:>12.1} {:>10} {:>10} {:>10}\n",
-                kind.name(),
-                s.count(),
-                s.total_ns(),
-                s.mean_ns(),
-                s.hist.quantile_hi(0.5),
-                s.hist.quantile_hi(0.99),
-                s.hist.quantile_hi(0.999),
-            ));
+        let rows = ClassMetrics::rows(&self.slots);
+        if rows.is_empty() {
+            return String::new();
         }
-        out
+        class_table(&format!("wall-clock profile ({} mode)", self.mode.name()), &rows)
     }
 }
 
@@ -221,6 +163,7 @@ mod tests {
             p.finish(EventKind::Put, t);
         }
         assert_eq!(p.total_count(), 0);
+        assert!(p.slots.is_empty(), "a disarmed profiler has no table");
         assert!(p.report().is_empty());
     }
 
@@ -232,9 +175,9 @@ mod tests {
             assert!(t.is_some());
             p.finish(EventKind::Put, t);
         }
-        let s = p.stats(EventKind::Put);
-        assert_eq!(s.count(), 10);
-        assert_eq!(p.stats(EventKind::Get).count(), 0);
+        let rows = ClassMetrics::rows(&p.slots);
+        assert_eq!(rows.len(), 1, "only put was timed");
+        assert_eq!((rows[0].kind, rows[0].count, rows[0].bytes), (EventKind::Put, 10, 0));
         let r = p.report();
         assert!(r.contains("wall-clock profile"));
         assert!(r.contains("put"));
@@ -253,7 +196,7 @@ mod tests {
             p.finish(EventKind::Amo, t);
         }
         assert_eq!(timed, 4);
-        assert_eq!(p.stats(EventKind::Amo).count(), 4);
+        assert_eq!(p.slots[EventKind::Amo.index()].count(), 4);
     }
 
     #[test]

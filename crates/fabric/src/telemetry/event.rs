@@ -301,15 +301,6 @@ impl Event {
     pub fn latency_ns(&self) -> f64 {
         (self.t_end - self.t_start).max(0.0)
     }
-
-    /// Transport name for reports ("dmapp" / "xpmem" / "-").
-    pub fn transport_name(&self) -> &'static str {
-        match self.transport {
-            Some(Transport::Dmapp) => "dmapp",
-            Some(Transport::Xpmem) => "xpmem",
-            None => "-",
-        }
-    }
 }
 
 impl Default for Event {

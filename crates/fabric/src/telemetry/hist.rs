@@ -4,6 +4,10 @@
 //! `[2^(i-1), 2^i)`. With 65 buckets the full `u64` range is covered, which
 //! comfortably spans both message sizes (1 B … GiBs) and virtual latencies
 //! (sub-ns … seconds). Recording is one relaxed `fetch_add`.
+//!
+//! Two types, one distribution: [`Histogram`] is the live, atomic form a
+//! recorder writes; [`HistSnapshot`] is the plain value every reader works
+//! on — quantiles, merging, the `[bucket,count]` wire form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,57 +76,10 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Point-in-time copy of all bucket counts.
-    pub fn counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Smallest bucket upper bound such that at least `q` (0..=1) of the
-    /// samples fall at or below it — a log2-resolution quantile. Returns 0
-    /// on an empty histogram.
-    ///
-    /// `q·total` is clamped to `total`: at large counts the f64 product can
-    /// round above the integer total, which would walk past every bucket
-    /// and report the `u64::MAX` fallback for mid quantiles — on an
-    /// abort-heavy histogram that made p999 jump over p50's bucket.
-    pub fn quantile_hi(&self, q: f64) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let want = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).min(total);
-        let mut seen = 0u64;
-        for i in 0..BUCKETS {
-            seen += self.count(i);
-            if seen >= want {
-                return bucket_hi(i);
-            }
-        }
-        u64::MAX
-    }
-
-    /// Point-in-time mergeable snapshot of the bucket counts.
+    /// Point-in-time mergeable snapshot of the bucket counts: what every
+    /// reader of the distribution (quantiles included) works on.
     pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot { counts: self.counts() }
-    }
-
-    /// One-line sparkline-style rendering of the non-empty range, for
-    /// text reports: `[lo..hi) count` per populated bucket.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for i in 0..BUCKETS {
-            let n = self.count(i);
-            if n > 0 {
-                if !out.is_empty() {
-                    out.push_str("  ");
-                }
-                out.push_str(&format!("[{}..{}]:{}", bucket_lo(i), bucket_hi(i), n));
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(empty)");
-        }
-        out
+        HistSnapshot { counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect() }
     }
 }
 
@@ -130,9 +87,15 @@ impl Histogram {
 /// plane ships across processes. Merging is bucket-wise addition, which is
 /// associative and commutative, so partial snapshots from any number of
 /// ranks/jobs combine in any order to the same distribution.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     counts: Vec<u64>,
+}
+
+impl Default for HistSnapshot {
+    fn default() -> Self {
+        HistSnapshot::new()
+    }
 }
 
 impl HistSnapshot {
@@ -141,9 +104,9 @@ impl HistSnapshot {
         HistSnapshot { counts: vec![0; BUCKETS] }
     }
 
-    /// Count in bucket `i` (0 beyond the stored range).
+    /// Count in bucket `i`.
     pub fn count(&self, i: usize) -> u64 {
-        self.counts.get(i).copied().unwrap_or(0)
+        self.counts[i]
     }
 
     /// Total samples.
@@ -171,24 +134,36 @@ impl HistSnapshot {
     }
 
     /// The populated buckets as `(bucket, count)` pairs, in bucket order —
-    /// the inverse of [`HistSnapshot::from_pairs`], used to re-render a
-    /// merged distribution in the same wire form it arrived in.
+    /// the inverse of [`HistSnapshot::from_pairs`].
     pub fn pairs(&self) -> Vec<(usize, u64)> {
         self.counts.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| (i, n)).collect()
     }
 
+    /// The wire form: [`HistSnapshot::pairs`] as a JSON array of
+    /// `[bucket,count]` pairs. The metrics line and the fleet summary both
+    /// write it, and the fleet reads it back with
+    /// [`HistSnapshot::from_pairs`].
+    pub fn to_json(&self) -> String {
+        let pairs: Vec<String> = self.pairs().iter().map(|(i, n)| format!("[{i},{n}]")).collect();
+        format!("[{}]", pairs.join(","))
+    }
+
     /// Fold `other` into `self` (bucket-wise sum).
     pub fn merge(&mut self, other: &HistSnapshot) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
     }
 
-    /// Same log2-resolution quantile as [`Histogram::quantile_hi`],
-    /// including the clamp of `q·total` to `total`.
+    /// Smallest bucket upper bound such that at least `q` (0..=1) of the
+    /// samples fall at or below it — a log2-resolution quantile, and the
+    /// only one: every p50 / p99 / p999 in a report comes from here.
+    /// Returns 0 on an empty snapshot.
+    ///
+    /// `q·total` is clamped to `total`: at large counts the f64 product can
+    /// round above the integer total, which would walk past every bucket
+    /// and report the `u64::MAX` fallback for mid quantiles — on an
+    /// abort-heavy histogram that made p999 jump over p50's bucket.
     pub fn quantile_hi(&self, q: f64) -> u64 {
         let total = self.total();
         if total == 0 {
@@ -260,70 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_walks_buckets() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 2, 4, 4, 4, 4, 4] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile_hi(0.1), 1);
-        // 8 samples: cum counts are 1 (≤1), 3 (≤3), 8 (≤7). The median
-        // (4th sample) lands in the [4, 7] bucket → hi = 7.
-        assert_eq!(h.quantile_hi(0.5), 7);
-        assert_eq!(h.quantile_hi(0.3), 3);
-        assert_eq!(h.quantile_hi(1.0), 7);
-        assert_eq!(Histogram::new().quantile_hi(0.5), 0);
-    }
-
-    #[test]
-    fn quantile_extremes_and_empty() {
-        // Empty histogram: every quantile is 0.
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.quantile_hi(q), 0);
-        }
-        // q = 0 asks for "at least 0 samples", satisfied by bucket 0.
-        h.record(100);
-        assert_eq!(h.quantile_hi(0.0), 0);
-        // q = 1 must cover the maximum sample, including the top bucket.
-        assert_eq!(h.quantile_hi(1.0), bucket_hi(bucket_index(100)));
-        h.record(u64::MAX);
-        assert_eq!(h.quantile_hi(1.0), u64::MAX);
-        // Out-of-range q clamps rather than walking off the end.
-        assert_eq!(h.quantile_hi(2.0), h.quantile_hi(1.0));
-        assert_eq!(h.quantile_hi(-1.0), h.quantile_hi(0.0));
-    }
-
-    #[test]
-    fn quantile_at_bucket_boundaries() {
-        // 4 samples at exact power-of-two boundaries: 1, 2, 4, 8 land in
-        // buckets 1, 2, 3, 4. Each cumulative fraction pins a bucket hi.
-        let h = Histogram::new();
-        for v in [1u64, 2, 4, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile_hi(0.25), bucket_hi(1)); // 1
-        assert_eq!(h.quantile_hi(0.5), bucket_hi(2)); // 3
-        assert_eq!(h.quantile_hi(0.75), bucket_hi(3)); // 7
-        assert_eq!(h.quantile_hi(1.0), bucket_hi(4)); // 15
-                                                      // Just past a boundary fraction, the next bucket answers.
-        assert_eq!(h.quantile_hi(0.251), bucket_hi(2));
-    }
-
-    #[test]
-    fn snapshot_matches_live_quantiles() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 2, 4, 4, 4, 4, 4] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        for q in [0.0, 0.1, 0.3, 0.5, 0.99, 0.999, 1.0] {
-            assert_eq!(s.quantile_hi(q), h.quantile_hi(q), "q={q}");
-        }
-        assert_eq!(s.total(), h.total());
-        assert_eq!(HistSnapshot::new().quantile_hi(0.5), 0);
-    }
-
-    #[test]
     fn snapshot_merge_is_associative_and_commutative() {
         let mk = |vals: &[u64]| {
             let h = Histogram::new();
@@ -356,49 +267,6 @@ mod tests {
         // The merged quantiles reflect the union of samples.
         assert_eq!(ab_c.total(), 9);
         assert_eq!(ab_c.quantile_hi(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn saturated_top_bucket_quantiles_are_the_upper_edge() {
-        // Every sample in bucket 64 (the u64::MAX overflow bucket): all
-        // quantiles must answer from the walk, not the fallback, and they
-        // must all be the bucket's upper edge.
-        let h = Histogram::new();
-        for _ in 0..1000 {
-            h.record(u64::MAX - 7);
-        }
-        for q in [0.5, 0.99, 0.999, 1.0] {
-            assert_eq!(h.quantile_hi(q), u64::MAX, "q={q}");
-        }
-        let s = h.snapshot();
-        for q in [0.5, 0.99, 0.999, 1.0] {
-            assert_eq!(s.quantile_hi(q), u64::MAX, "snapshot q={q}");
-        }
-    }
-
-    #[test]
-    fn quantiles_are_monotone_on_abort_heavy_distributions() {
-        // An abort-heavy latency shape: a huge spike of cheap aborts plus a
-        // thin expensive tail. The f64 product q·total can ceil above the
-        // integer total at large counts; with the clamp, p50 ≤ p99 ≤ p999
-        // must hold and p999 can never skip to the u64::MAX fallback.
-        let mut s = HistSnapshot::new();
-        let spike = Histogram::new();
-        for _ in 0..100_000 {
-            spike.record(300); // cheap abort path
-        }
-        let tail = Histogram::new();
-        for _ in 0..37 {
-            tail.record(2_000_000); // rare slow commit
-        }
-        s.merge(&spike.snapshot());
-        s.merge(&tail.snapshot());
-        let p50 = s.quantile_hi(0.5);
-        let p99 = s.quantile_hi(0.99);
-        let p999 = s.quantile_hi(0.999);
-        assert!(p50 <= p99 && p99 <= p999, "p50={p50} p99={p99} p999={p999}");
-        assert!(p999 < u64::MAX, "p999 fell through to the fallback");
-        assert_eq!(s.quantile_hi(1.0), bucket_hi(bucket_index(2_000_000)));
     }
 
     /// The quantile against a sort: the answer is the upper edge of the
@@ -459,6 +327,8 @@ mod tests {
         assert!(pairs.iter().all(|&(_, n)| n > 0));
         let back = HistSnapshot::from_pairs(&pairs).unwrap();
         assert_eq!(back, s);
+        assert_eq!(s.to_json(), "[[0,1],[1,1],[3,2],[13,1],[64,1]]");
+        assert_eq!(HistSnapshot::new().to_json(), "[]");
         // Duplicate buckets accumulate; out-of-range buckets are rejected.
         let dup = HistSnapshot::from_pairs(&[(3, 1), (3, 2)]).unwrap();
         assert_eq!(dup.count(3), 3);

@@ -38,6 +38,7 @@ pub use event::{flow_id, flow_origin, Event, EventKind, Flavor, NO_FLOW, NO_TARG
 pub use hist::{bucket_hi, bucket_index, bucket_lo, HistSnapshot, Histogram, BUCKETS};
 pub use ring::EventRing;
 
+use crate::metrics::{class_table, ClassMetrics};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,20 +54,33 @@ const STATE_AGGR: u8 = 1 << 0;
 /// State bit: flight recording ([`Telemetry::flight_enabled`]).
 const STATE_FLIGHT: u8 = 1 << 1;
 
-/// Aggregates for one [`EventKind`].
+/// The live aggregates of one [`EventKind`], on either clock: the
+/// telemetry hub keeps one per class in virtual ns, the wall-clock
+/// [`crate::Profiler`] one per class in real ns. Read as frozen
+/// [`crate::metrics::ClassMetrics`] rows.
 #[derive(Debug, Default)]
 pub struct OpStats {
     count: AtomicU64,
     bytes: AtomicU64,
-    /// Total virtual latency, in integer ns.
+    /// Total latency, in integer ns.
     ns: AtomicU64,
-    /// Latency distribution (virtual ns).
+    /// Latency distribution (ns).
     pub lat: Histogram,
-    /// Message-size distribution (bytes; RMA classes only).
+    /// Message-size distribution (bytes; frozen for RMA classes only).
     pub size: Histogram,
 }
 
 impl OpStats {
+    /// Record one operation that took `ns` and moved `bytes`.
+    #[inline]
+    pub fn record(&self, ns: u64, bytes: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.ns.fetch_add(ns, Ordering::Relaxed);
+        self.lat.record(ns);
+        self.size.record(bytes);
+    }
+
     /// Operations recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -77,19 +91,9 @@ impl OpStats {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Total virtual ns spent (sum of per-op latencies).
+    /// Total ns spent (sum of per-op latencies).
     pub fn total_ns(&self) -> u64 {
         self.ns.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in virtual ns (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / n as f64
-        }
     }
 }
 
@@ -144,21 +148,6 @@ impl WindowStats {
     pub fn ops(&self) -> u64 {
         self.puts + self.gets + self.amos + self.syncs
     }
-}
-
-/// One line of [`Telemetry::class_summary`].
-#[derive(Debug, Clone, Copy)]
-pub struct ClassSummary {
-    /// The op class.
-    pub kind: EventKind,
-    /// Operations recorded.
-    pub count: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Total virtual ns.
-    pub total_ns: u64,
-    /// Mean virtual ns per op.
-    pub mean_ns: f64,
 }
 
 /// The per-rank single-writer area: event ring plus non-atomic attribution
@@ -261,15 +250,7 @@ impl Telemetry {
     }
 
     fn record_enabled(&self, ev: Event) {
-        let s = &self.stats[ev.kind.index()];
-        let ns = ev.latency_ns() as u64;
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.bytes.fetch_add(ev.bytes, Ordering::Relaxed);
-        s.ns.fetch_add(ns, Ordering::Relaxed);
-        s.lat.record(ns);
-        if ev.kind.is_rma() {
-            s.size.record(ev.bytes);
-        }
+        self.stats[ev.kind.index()].record(ev.latency_ns() as u64, ev.bytes);
         let Some(rl) = self.ranks.get(ev.origin as usize) else {
             return;
         };
@@ -293,22 +274,9 @@ impl Telemetry {
         &self.stats[kind.index()]
     }
 
-    /// Summary rows for all classes with at least one event.
-    pub fn class_summary(&self) -> Vec<ClassSummary> {
-        EventKind::ALL
-            .iter()
-            .map(|&kind| {
-                let s = self.stats(kind);
-                ClassSummary {
-                    kind,
-                    count: s.count(),
-                    bytes: s.bytes(),
-                    total_ns: s.total_ns(),
-                    mean_ns: s.mean_ns(),
-                }
-            })
-            .filter(|c| c.count > 0)
-            .collect()
+    /// Every class's live aggregates, in [`EventKind::ALL`] order.
+    pub(crate) fn table(&self) -> &[OpStats] {
+        &self.stats
     }
 
     /// All retained events across ranks, sorted by start time.
@@ -387,22 +355,7 @@ impl Telemetry {
     ///
     /// Quiescent-point only.
     pub fn report(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== telemetry: op classes ==\n");
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>14} {:>14} {:>12}\n",
-            "class", "ops", "bytes", "total_ns", "mean_ns"
-        ));
-        for c in self.class_summary() {
-            out.push_str(&format!(
-                "{:<12} {:>10} {:>14} {:>14} {:>12.1}\n",
-                c.kind.name(),
-                c.count,
-                c.bytes,
-                c.total_ns,
-                c.mean_ns
-            ));
-        }
+        let mut out = class_table("telemetry: op classes", &ClassMetrics::rows(&self.stats));
         let wins = self.window_summaries();
         if !wins.is_empty() {
             out.push_str("== telemetry: windows ==\n");
@@ -478,7 +431,7 @@ mod tests {
         t.record(put_ev(0, 1, 7, 100, 0.0, 50.0));
         assert_eq!(t.stats(EventKind::Put).count(), 0);
         assert!(t.events().is_empty());
-        assert!(t.class_summary().is_empty());
+        assert!(ClassMetrics::rows(t.table()).is_empty());
     }
 
     #[test]
@@ -490,11 +443,11 @@ mod tests {
         assert_eq!(s.count(), 2);
         assert_eq!(s.bytes(), 400);
         assert_eq!(s.total_ns(), 150);
-        assert!((s.mean_ns() - 75.0).abs() < 1e-9);
+        assert!((ClassMetrics::rows(t.table())[0].mean_ns() - 75.0).abs() < 1e-9);
         assert_eq!(t.events().len(), 2);
-        let sum = t.class_summary();
-        assert_eq!(sum.len(), 1);
-        assert_eq!(sum[0].count, 2);
+        let rows = ClassMetrics::rows(t.table());
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].kind, rows[0].count), (EventKind::Put, 2));
     }
 
     #[test]

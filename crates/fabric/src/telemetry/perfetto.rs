@@ -150,8 +150,8 @@ fn write_event<W: Write>(w: &mut W, ev: &Event) -> io::Result<()> {
     if ev.win != NO_WIN {
         field(w, "win", ev.win.to_string())?;
     }
-    if ev.transport.is_some() {
-        field(w, "transport", json_str(ev.transport_name()))?;
+    if let Some(t) = ev.transport {
+        field(w, "transport", json_str(t.name()))?;
     }
     if ev.flow != NO_FLOW {
         field(w, "flow", ev.flow.to_string())?;

@@ -8,7 +8,8 @@
 //! one registry entry covers a whole (ranks × node_size) sweep grid.
 
 use crate::json::{parse, Json};
-use fompi_fabric::telemetry::HistSnapshot;
+use fompi_fabric::metrics::ClassMetrics;
+use fompi_fabric::telemetry::{EventKind, HistSnapshot};
 use std::collections::BTreeMap;
 
 /// One registered agent: a binary plus its argv template.
@@ -76,21 +77,6 @@ pub fn expand_argv(
     spec.args.iter().map(|a| expand_template(a, &vars)).collect()
 }
 
-/// One op class parsed from an agent's metrics line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentClass {
-    /// Class name (`put`, `fence`, `txn_commit`, …).
-    pub class: String,
-    /// Operations recorded.
-    pub count: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Total virtual ns.
-    pub virtual_ns: u64,
-    /// Merge-ready latency distribution (raw log2 buckets).
-    pub lat: HistSnapshot,
-}
-
 /// Everything the fleet keeps from one agent's JSON metrics line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentMetrics {
@@ -98,8 +84,9 @@ pub struct AgentMetrics {
     pub ranks: u64,
     /// Global fabric counters, in the agent's key order.
     pub counters: Vec<(String, u64)>,
-    /// Per-class aggregates, in the agent's order.
-    pub classes: Vec<AgentClass>,
+    /// Per-class aggregates, in the agent's order: the rows the agent's
+    /// [`fompi_fabric::metrics::MetricsSnapshot`] held, read back.
+    pub classes: Vec<ClassMetrics>,
     /// Fault injections per class (chaos sweeps), nonzero entries only.
     pub faults: Vec<(String, u64)>,
     /// Telemetry ring overwrites reported by the agent.
@@ -114,7 +101,7 @@ impl AgentMetrics {
 
     /// Total virtual ns across all classes.
     pub fn total_virtual_ns(&self) -> u64 {
-        self.classes.iter().map(|c| c.virtual_ns).sum()
+        self.classes.iter().map(|c| c.total_ns).sum()
     }
 
     /// Total fault injections.
@@ -136,6 +123,23 @@ fn field_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
 }
 
+/// The distribution written as `[bucket,count]` pairs under `key`, if the
+/// object has one.
+fn buckets(obj: &Json, key: &str, ctx: &str) -> Result<Option<HistSnapshot>, String> {
+    let Some(entries) = obj.get(key) else { return Ok(None) };
+    let mut pairs = Vec::new();
+    for pair in entries.as_arr().ok_or(format!("{ctx}: {key} is not an array"))? {
+        match pair.as_arr() {
+            Some([b, n]) => pairs.push((
+                b.as_u64().ok_or(format!("{ctx}: bad {key} bucket index"))? as usize,
+                n.as_u64().ok_or(format!("{ctx}: bad {key} bucket count"))?,
+            )),
+            _ => return Err(format!("{ctx}: {key} entry is not a [bucket,count] pair")),
+        }
+    }
+    HistSnapshot::from_pairs(&pairs).map(Some).map_err(|e| format!("{ctx}: {e}"))
+}
+
 fn parse_inner(line: &str) -> Result<AgentMetrics, String> {
     let line = line.trim();
     if line.is_empty() {
@@ -154,37 +158,28 @@ fn parse_inner(line: &str) -> Result<AgentMetrics, String> {
         root.get("classes").and_then(Json::as_arr).ok_or("root: missing \"classes\" array")?;
     let mut classes = Vec::with_capacity(classes_json.len());
     for c in classes_json {
-        let class = c
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or("class entry: missing \"class\" name")?
-            .to_string();
+        let class =
+            c.get("class").and_then(Json::as_str).ok_or("class entry: missing \"class\" name")?;
         let ctx = format!("class {class:?}");
-        let mut pairs = Vec::new();
-        for pair in c.get("lat").and_then(Json::as_arr).ok_or(format!("{ctx}: missing lat"))? {
-            let p = pair.as_arr().ok_or(format!("{ctx}: lat entry is not a pair"))?;
-            match p {
-                [b, n] => pairs.push((
-                    b.as_u64().ok_or(format!("{ctx}: bad lat bucket index"))? as usize,
-                    n.as_u64().ok_or(format!("{ctx}: bad lat bucket count"))?,
-                )),
-                _ => return Err(format!("{ctx}: lat entry is not a [bucket,count] pair")),
-            }
-        }
+        let kind = EventKind::ALL
+            .into_iter()
+            .find(|k| k.name() == class)
+            .ok_or(format!("{ctx}: unknown op class"))?;
         let count = field_u64(c, "count", &ctx)?;
-        let lat = HistSnapshot::from_pairs(&pairs).map_err(|e| format!("{ctx}: {e}"))?;
+        let lat = buckets(c, "lat", &ctx)?.ok_or(format!("{ctx}: missing lat"))?;
         if lat.total() != count {
             return Err(format!(
                 "{ctx}: lat buckets sum to {} but count says {count}",
                 lat.total()
             ));
         }
-        classes.push(AgentClass {
-            class,
+        classes.push(ClassMetrics {
+            kind,
             count,
             bytes: field_u64(c, "bytes", &ctx)?,
-            virtual_ns: field_u64(c, "virtual_ns", &ctx)?,
+            total_ns: field_u64(c, "virtual_ns", &ctx)?,
             lat,
+            size: buckets(c, "size", &ctx)?.unwrap_or_default(),
         });
     }
     let mut faults = Vec::new();
@@ -266,6 +261,7 @@ mod tests {
             r#"{"ranks":2,"classes":[{"count":1}],"dropped":0}"#, // class unnamed
             r#"{"ranks":2,"classes":[{"class":"put","count":2,"bytes":0,"virtual_ns":5,"lat":[[1,1]]}],"dropped":0}"#, // count/bucket mismatch
             r#"{"ranks":2,"classes":[{"class":"put","count":1,"bytes":0,"virtual_ns":5,"lat":[[999,1]]}],"dropped":0}"#, // bucket out of range
+            r#"{"ranks":2,"classes":[{"class":"teleport","count":1,"bytes":0,"virtual_ns":5,"lat":[[1,1]]}],"dropped":0}"#, // unknown class
         ] {
             let err = parse_agent_json("bench-rma-p4", bad).unwrap_err();
             assert!(
@@ -284,6 +280,7 @@ mod tests {
         assert_eq!(m.classes.len(), 1);
         assert_eq!(m.classes[0].count, 3);
         assert_eq!(m.classes[0].lat.total(), 3);
+        assert_eq!(m.classes[0].size.count(4), 3, "the size buckets are read too");
         assert_eq!(m.faults, vec![("spike".into(), 2)], "zero fault rows are elided");
         assert_eq!(m.total_ops(), 3);
         assert_eq!(m.total_virtual_ns(), 4500);

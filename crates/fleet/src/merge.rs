@@ -6,9 +6,9 @@
 //! * **per configuration** — one summary entry per (agent, ranks) sweep
 //!   point, with p50/p99/p999 recomputed from the raw buckets;
 //! * **merged** — one distribution per op class across *all*
-//!   configurations, exploiting that [`HistSnapshot::merge`] is
-//!   associative and commutative: the fleet-wide tail is exact, not an
-//!   average of quantiles.
+//!   configurations ([`ClassMetrics::merge`]), exploiting that histogram
+//!   merging is associative and commutative: the fleet-wide tail is exact,
+//!   not an average of quantiles.
 //!
 //! The rendered summary contains only virtual-time data, so it is
 //! byte-stable across machines and lives under the same CI byte-diff
@@ -16,7 +16,8 @@
 //! human sweep table instead.
 
 use crate::agent::AgentMetrics;
-use fompi_fabric::telemetry::HistSnapshot;
+use fompi_fabric::metrics::ClassMetrics;
+use fompi_fabric::telemetry::EventKind;
 use std::collections::BTreeMap;
 
 /// One completed sweep point: an agent run plus its parsed metrics.
@@ -42,134 +43,65 @@ pub struct ConfigResult {
     pub stable: bool,
 }
 
-/// A per-class distribution merged across configurations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedClass {
-    /// Op class name.
-    pub class: String,
-    /// Total ops.
-    pub count: u64,
-    /// Total bytes.
-    pub bytes: u64,
-    /// Total virtual ns.
-    pub virtual_ns: u64,
-    /// Merged latency distribution.
-    pub lat: HistSnapshot,
-}
-
-/// Merge every run's per-class histograms into one distribution per class
-/// (sorted by class name). Associativity makes the result independent of
-/// run order.
-pub fn merge_classes(runs: &[ConfigResult]) -> Vec<MergedClass> {
-    let mut by_class: BTreeMap<&str, MergedClass> = BTreeMap::new();
-    for run in runs.iter().filter(|r| r.stable) {
-        for c in &run.metrics.classes {
-            let entry = by_class.entry(&c.class).or_insert_with(|| MergedClass {
-                class: c.class.clone(),
-                count: 0,
-                bytes: 0,
-                virtual_ns: 0,
-                lat: HistSnapshot::new(),
-            });
-            entry.count += c.count;
-            entry.bytes += c.bytes;
-            entry.virtual_ns += c.virtual_ns;
-            entry.lat.merge(&c.lat);
-        }
+/// Merge every stable run's rows into one per class (sorted by class
+/// name) with [`ClassMetrics::merge`]. Associativity makes the result
+/// independent of run order.
+pub fn merge_classes(runs: &[ConfigResult]) -> Vec<ClassMetrics> {
+    let mut by_class: BTreeMap<&str, ClassMetrics> = BTreeMap::new();
+    for c in runs.iter().filter(|r| r.stable).flat_map(|r| &r.metrics.classes) {
+        by_class.entry(c.kind.name()).and_modify(|m| m.merge(c)).or_insert_with(|| c.clone());
     }
     by_class.into_values().collect()
 }
 
-fn buckets_json(h: &HistSnapshot) -> String {
-    let mut out = String::from("[");
-    for (i, (bucket, n)) in h.pairs().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{bucket},{n}]"));
+/// The runs `keep` selects, sorted by (backend, agent, ranks, node_size)
+/// so registry order doesn't leak into a rendering.
+fn in_config_order(runs: &[ConfigResult], keep: fn(&ConfigResult) -> bool) -> Vec<&ConfigResult> {
+    let mut sorted: Vec<&ConfigResult> = runs.iter().filter(|r| keep(r)).collect();
+    sorted.sort_by_key(|&r| (&r.backend, &r.agent, r.ranks, r.node_size));
+    sorted
+}
+
+/// `items` one per line, each after `indent`, comma-separated.
+fn lines(indent: &str, items: impl Iterator<Item = String>) -> String {
+    let mut out = items.map(|item| format!("{indent}{item}")).collect::<Vec<_>>().join(",\n");
+    if !out.is_empty() {
+        out.push('\n');
     }
-    out.push(']');
     out
 }
 
-fn class_json(class: &str, count: u64, bytes: u64, virtual_ns: u64, lat: &HistSnapshot) -> String {
-    format!(
-        "{{\"class\":\"{class}\",\"count\":{count},\"bytes\":{bytes},\"virtual_ns\":{virtual_ns},\
-         \"p50\":{},\"p99\":{},\"p999\":{},\"lat\":{}}}",
-        lat.quantile_hi(0.5),
-        lat.quantile_hi(0.99),
-        lat.quantile_hi(0.999),
-        buckets_json(lat),
-    )
-}
-
-/// Render the byte-stable fleet summary. `runs` are sorted internally by
-/// (backend, agent, ranks, node_size), so registry order doesn't leak
-/// into the file; schedule-dependent (unstable) runs are dropped, so the
-/// file stays byte-stable even when the sweep includes them.
+/// Render the byte-stable fleet summary, configurations in
+/// [`in_config_order`]; schedule-dependent (unstable) runs are dropped, so
+/// the file stays byte-stable even when the sweep includes them.
 pub fn render_summary(runs: &[ConfigResult]) -> String {
-    let mut sorted: Vec<&ConfigResult> = runs.iter().filter(|r| r.stable).collect();
-    sorted.sort_by(|a, b| {
-        (&a.backend, &a.agent, a.ranks, a.node_size).cmp(&(
-            &b.backend,
-            &b.agent,
-            b.ranks,
-            b.node_size,
-        ))
-    });
-    let mut out = String::from("{\n  \"configs\": [\n");
-    for (i, run) in sorted.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"agent\":\"{}\",\"backend\":\"{}\",\"ranks\":{},\"node_size\":{},\"seed\":{},\n",
-            run.agent, run.backend, run.ranks, run.node_size, run.seed
-        ));
-        out.push_str("     \"classes\":[\n");
-        for (j, c) in run.metrics.classes.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                class_json(&c.class, c.count, c.bytes, c.virtual_ns, &c.lat),
-                if j + 1 == run.metrics.classes.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("     ],\n");
-        out.push_str("     \"faults\":{");
-        for (j, (name, n)) in run.metrics.faults.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{n}"));
-        }
-        out.push_str(&format!(
-            "}},\"dropped\":{}}}{}\n",
+    let configs = in_config_order(runs, |r| r.stable).into_iter().map(|run| {
+        let faults: Vec<String> =
+            run.metrics.faults.iter().map(|(name, n)| format!("\"{name}\":{n}")).collect();
+        format!(
+            "    {{\"agent\":\"{}\",\"backend\":\"{}\",\"ranks\":{},\"node_size\":{},\"seed\":{},\n     \
+             \"classes\":[\n{}     ],\n     \"faults\":{{{}}},\"dropped\":{}}}",
+            run.agent,
+            run.backend,
+            run.ranks,
+            run.node_size,
+            run.seed,
+            lines("      ", run.metrics.classes.iter().map(|c| c.to_json(false))),
+            faults.join(","),
             run.metrics.dropped,
-            if i + 1 == sorted.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"merged\": [\n");
-    let merged = merge_classes(runs);
-    for (i, m) in merged.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            class_json(&m.class, m.count, m.bytes, m.virtual_ns, &m.lat),
-            if i + 1 == merged.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    format!(
+        "{{\n  \"configs\": [\n{}  ],\n  \"merged\": [\n{}  ]\n}}\n",
+        lines("", configs),
+        lines("    ", merge_classes(runs).iter().map(|m| m.to_json(false)))
+    )
 }
 
 /// Render the human sweep table (wall-clock columns included — this is
 /// the non-deterministic sibling of the summary).
 pub fn render_table(runs: &[ConfigResult]) -> String {
-    let mut sorted: Vec<&ConfigResult> = runs.iter().collect();
-    sorted.sort_by(|a, b| {
-        (&a.backend, &a.agent, a.ranks, a.node_size).cmp(&(
-            &b.backend,
-            &b.agent,
-            b.ranks,
-            b.node_size,
-        ))
-    });
+    let sorted = in_config_order(runs, |_| true);
     let mut out = String::new();
     out.push_str(&format!(
         "{:<14} {:>7} {:>5} {:>4} {:>5} {:>9} {:>12} {:>11} {:>8} {:>8} {:>7} {:>7}\n",
@@ -191,7 +123,7 @@ pub fn render_table(runs: &[ConfigResult]) -> String {
             .metrics
             .classes
             .iter()
-            .find(|c| c.class == "put")
+            .find(|c| c.kind == EventKind::Put)
             .map(|c| c.lat.quantile_hi(0.99).to_string())
             .unwrap_or_else(|| "-".into());
         let fmt_opt = |v: Option<f64>| v.map(|x| format!("{x:.1}")).unwrap_or_else(|| "-".into());
@@ -252,10 +184,12 @@ pub fn flatten_summary(root: &crate::json::Json) -> Result<BTreeMap<String, f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{parse_agent_json, AgentClass};
+    use crate::agent::{parse_agent_json, AgentMetrics};
     use crate::procstat::Usage;
+    use fompi_fabric::telemetry::{HistSnapshot, Histogram};
+    use EventKind::{Fence, Get, Put, TxnCommit};
 
-    fn run(agent: &str, backend: &str, ranks: usize, classes: Vec<AgentClass>) -> ConfigResult {
+    fn run(agent: &str, backend: &str, ranks: usize, classes: Vec<ClassMetrics>) -> ConfigResult {
         ConfigResult {
             agent: agent.into(),
             backend: backend.into(),
@@ -274,29 +208,28 @@ mod tests {
         }
     }
 
-    fn class(name: &str, samples: &[u64]) -> AgentClass {
-        let h = fompi_fabric::telemetry::Histogram::new();
+    fn class(kind: EventKind, samples: &[u64]) -> ClassMetrics {
+        let h = Histogram::new();
         for &s in samples {
             h.record(s);
         }
-        AgentClass {
-            class: name.into(),
+        ClassMetrics {
+            kind,
             count: samples.len() as u64,
             bytes: 8 * samples.len() as u64,
-            virtual_ns: samples.iter().sum(),
+            total_ns: samples.iter().sum(),
             lat: h.snapshot(),
+            size: HistSnapshot::new(),
         }
     }
-
-    use crate::agent::AgentMetrics;
 
     #[test]
     fn merged_tail_is_the_union_not_an_average() {
         // One fast config, one slow: the merged p99 must come from the
         // union distribution (the slow samples), which no averaging of
         // per-config quantiles would produce.
-        let fast = run("a", "rma", 2, vec![class("put", &[100; 90])]);
-        let slow = run("b", "msg", 2, vec![class("put", &[1_000_000; 10])]);
+        let fast = run("a", "rma", 2, vec![class(Put, &[100; 90])]);
+        let slow = run("b", "msg", 2, vec![class(Put, &[1_000_000; 10])]);
         let merged = merge_classes(&[fast, slow]);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].count, 100);
@@ -306,8 +239,8 @@ mod tests {
 
     #[test]
     fn summary_is_independent_of_run_order_and_parses_flat() {
-        let a = run("a", "rma", 2, vec![class("put", &[64, 128]), class("fence", &[500])]);
-        let b = run("b", "msg", 4, vec![class("put", &[256])]);
+        let a = run("a", "rma", 2, vec![class(Put, &[64, 128]), class(Fence, &[500])]);
+        let b = run("b", "msg", 4, vec![class(Put, &[256])]);
         let fwd = render_summary(&[a.clone(), b.clone()]);
         let rev = render_summary(&[b, a]);
         assert_eq!(fwd, rev, "summary must not depend on registry order");
@@ -325,8 +258,8 @@ mod tests {
         // Same agent, same ranks, different placement: the two sweep
         // points must survive as distinct configs with distinct gate keys
         // (a summary that collapsed them would silently gate only one).
-        let n1 = run("a", "rma", 4, vec![class("put", &[64])]);
-        let mut n2 = run("a", "rma", 4, vec![class("put", &[32])]);
+        let n1 = run("a", "rma", 4, vec![class(Put, &[64])]);
+        let mut n2 = run("a", "rma", 4, vec![class(Put, &[32])]);
         n2.node_size = 2;
         let text = render_summary(&[n2.clone(), n1.clone()]);
         let flat = flatten_summary(&crate::json::parse(&text).unwrap()).unwrap();
@@ -340,63 +273,21 @@ mod tests {
 
     #[test]
     fn summary_classes_round_trip_through_the_agent_parser() {
-        // The per-config class entries in the summary use the same shape
-        // as agent lines, so the agent-line histogram parser can read the
-        // buckets back and land on identical quantiles.
-        let a = run("a", "rma", 2, vec![class("put", &[64, 128, 4096])]);
+        // The summary's class entries use the agent line's shape, so the
+        // agent parser reads one back to the row it was written from.
+        let a = run("a", "rma", 2, vec![class(Put, &[64, 128, 4096])]);
         let text = render_summary(std::slice::from_ref(&a));
-        let parsed = crate::json::parse(&text).unwrap();
-        let cfg = &parsed.get("configs").unwrap().as_arr().unwrap()[0];
-        let line = format!(
-            "{{\"ranks\":2,\"classes\":{},\"dropped\":0}}",
-            // Re-render the classes array compactly via the original text
-            // slice: grab it from the parsed tree instead.
-            {
-                let classes = cfg.get("classes").unwrap().as_arr().unwrap();
-                let mut s = String::from("[");
-                for (i, c) in classes.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let lat = c.get("lat").unwrap().as_arr().unwrap();
-                    let mut lat_s = String::from("[");
-                    for (j, p) in lat.iter().enumerate() {
-                        if j > 0 {
-                            lat_s.push(',');
-                        }
-                        let p = p.as_arr().unwrap();
-                        lat_s.push_str(&format!(
-                            "[{},{}]",
-                            p[0].as_u64().unwrap(),
-                            p[1].as_u64().unwrap()
-                        ));
-                    }
-                    lat_s.push(']');
-                    s.push_str(&format!(
-                        "{{\"class\":\"{}\",\"count\":{},\"bytes\":{},\"virtual_ns\":{},\"lat\":{}}}",
-                        c.get("class").unwrap().as_str().unwrap(),
-                        c.get("count").unwrap().as_u64().unwrap(),
-                        c.get("bytes").unwrap().as_u64().unwrap(),
-                        c.get("virtual_ns").unwrap().as_u64().unwrap(),
-                        lat_s
-                    ));
-                }
-                s.push(']');
-                s
-            }
-        );
+        let entry = text.lines().map(str::trim).find(|l| l.starts_with("{\"class\"")).unwrap();
+        let line =
+            format!("{{\"ranks\":2,\"classes\":[{}],\"dropped\":0}}", entry.trim_end_matches(','));
         let back = parse_agent_json("round-trip", &line).unwrap();
-        assert_eq!(back.classes[0].lat, a.metrics.classes[0].lat);
-        assert_eq!(
-            back.classes[0].lat.quantile_hi(0.99),
-            a.metrics.classes[0].lat.quantile_hi(0.99)
-        );
+        assert_eq!(back.classes, a.metrics.classes);
     }
 
     #[test]
     fn unstable_runs_stay_in_the_table_but_out_of_the_summary() {
-        let stable = run("a", "rma", 2, vec![class("put", &[64])]);
-        let mut volatile = run("kv", "txn", 8, vec![class("txn_commit", &[900])]);
+        let stable = run("a", "rma", 2, vec![class(Put, &[64])]);
+        let mut volatile = run("kv", "txn", 8, vec![class(TxnCommit, &[900])]);
         volatile.stable = false;
         let runs = [stable, volatile];
         let summary = render_summary(&runs);
@@ -409,7 +300,7 @@ mod tests {
 
     #[test]
     fn table_renders_missing_proc_fields_as_dashes() {
-        let t = render_table(&[run("a", "rma", 2, vec![class("get", &[64])])]);
+        let t = render_table(&[run("a", "rma", 2, vec![class(Get, &[64])])]);
         assert!(t.contains("agent"));
         assert!(t.contains(" - "), "None usage fields render as '-': {t}");
     }

@@ -1,10 +1,11 @@
 //! The fleet's core soundness claim, proved end to end: merging agent
 //! metrics *through the wire form* (JSON line → parse → bucket merge)
-//! yields exactly what an in-process [`HistSnapshot::merge`] of the same
-//! snapshots yields. If the JSON round-trip lost or coarsened buckets,
-//! the fleet summary's tails would silently drift from the truth.
+//! yields exactly what an in-process [`ClassMetrics::merge`] of the same
+//! rows yields. If the JSON round-trip lost or coarsened buckets, the fleet
+//! summary's tails would silently drift from the truth.
 
-use fompi_fabric::telemetry::HistSnapshot;
+use fompi_fabric::metrics::ClassMetrics;
+use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{metrics, Config, CostModel, Endpoint, Fabric, Segment};
 use fompi_fleet::{merge_classes, parse_agent_json, ConfigResult, Usage};
 
@@ -44,6 +45,16 @@ fn to_config(agent: &str, snap: &metrics::MetricsSnapshot) -> ConfigResult {
 }
 
 #[test]
+fn the_agent_parser_inverts_the_metrics_line() {
+    // Every field of every row survives the wire: counts, bytes, virtual
+    // ns, and both distributions (the size buckets of the RMA classes too).
+    for snap in [snapshot(40), snapshot(17)] {
+        let parsed = parse_agent_json("agent", &snap.to_json_line()).unwrap();
+        assert_eq!(parsed.classes, snap.classes);
+    }
+}
+
+#[test]
 fn wire_merge_equals_in_process_merge() {
     let (a, b) = (snapshot(40), snapshot(17));
 
@@ -51,28 +62,20 @@ fn wire_merge_equals_in_process_merge() {
     let merged = merge_classes(&[to_config("agent-a", &a), to_config("agent-b", &b)]);
 
     for class in &merged {
-        // In process: merge the original snapshots' histograms directly.
-        let find = |s: &metrics::MetricsSnapshot| {
-            s.classes.iter().find(|c| c.kind.name() == class.class).cloned()
-        };
-        let mut lat = HistSnapshot::new();
-        let (mut count, mut bytes, mut ns) = (0u64, 0u64, 0u64);
+        // In process: merge the original snapshots' rows directly.
+        let find =
+            |s: &metrics::MetricsSnapshot| s.classes.iter().find(|c| c.kind == class.kind).cloned();
+        let mut want: Option<ClassMetrics> = None;
         for c in [find(&a), find(&b)].into_iter().flatten() {
-            lat.merge(&c.lat);
-            count += c.count;
-            bytes += c.bytes;
-            ns += c.total_ns;
+            match &mut want {
+                Some(w) => w.merge(&c),
+                None => want = Some(c),
+            }
         }
-        assert_eq!(class.count, count, "{}: count drifted through the wire", class.class);
-        assert_eq!(class.bytes, bytes, "{}: bytes drifted through the wire", class.class);
-        assert_eq!(class.virtual_ns, ns, "{}: virtual_ns drifted through the wire", class.class);
-        assert_eq!(class.lat, lat, "{}: bucket-exact histogram mismatch", class.class);
-        for q in [0.5, 0.99, 0.999] {
-            assert_eq!(class.lat.quantile_hi(q), lat.quantile_hi(q));
-        }
+        assert_eq!(Some(class), want.as_ref(), "{}: drifted through the wire", class.kind.name());
     }
 
     // The workloads differ, so the merge is a real union, not a no-op.
-    let put = merged.iter().find(|c| c.class == "put").expect("put class present");
+    let put = merged.iter().find(|c| c.kind == EventKind::Put).expect("put class present");
     assert_eq!(put.count, 57);
 }

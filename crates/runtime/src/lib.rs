@@ -448,7 +448,6 @@ mod tests {
         let (_out, fabric) = Universe::new(2).node_size(1).metrics(true).launch(|ctx| {
             ctx.barrier();
         });
-        assert!(fabric.metrics_enabled());
         assert!(fabric.telemetry().enabled(), "metrics ride the telemetry aggregates");
         let snap = fompi_fabric::metrics_snapshot(&fabric);
         assert!(snap.to_prometheus().contains("fompi_ranks 2"));

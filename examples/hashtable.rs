@@ -46,24 +46,22 @@ fn main() {
         .launch(|ctx| run_notified(ctx, &cfg));
     report("notified (owner-computes)", &notified);
 
-    // With FOMPI_TELEMETRY=1, dump the notified backend's event trace for
-    // Perfetto (ui.perfetto.dev) alongside the per-class summary: each
-    // insert reads as one flow arc from the origin's notified put to the
-    // owner's notify-consume span.
+    // With FOMPI_TELEMETRY=1 (or FOMPI_METRICS=1), dump the notified
+    // backend's event trace for Perfetto (ui.perfetto.dev) alongside the
+    // per-class summary and the metrics snapshot: each insert reads as one
+    // flow arc from the origin's notified put to the owner's notify-consume
+    // span.
     let tel = fabric.telemetry();
     if tel.enabled() {
         println!("\n{}", tel.report());
         let path = "results/hashtable_trace.json";
         fompi_fabric::telemetry::perfetto::export_trace(tel, path).expect("write trace");
         println!("Perfetto trace written to {path} (open in ui.perfetto.dev)");
-    }
-    // FOMPI_METRICS=1 adds the tail-quantile snapshot; FOMPI_PROFILE=sample
-    // (or full) adds the wall-clock per-op profile.
-    if fabric.metrics_enabled() {
         let snap = fompi_fabric::metrics_snapshot(&fabric);
         println!("\n{}", snap.to_prometheus());
         println!("metrics json: {}", snap.to_json_line());
     }
+    // FOMPI_PROFILE=sample (or full) adds the wall-clock per-op profile.
     if fabric.profiler().mode() != fompi_fabric::ProfileMode::Off {
         println!("\n{}", fabric.profiler().report());
     }

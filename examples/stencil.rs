@@ -131,22 +131,20 @@ fn main() {
     assert!(max_err < 1e-12, "distributed result diverged");
     println!("verified — OK");
 
-    // With FOMPI_TELEMETRY=1 the fabric records every RMA and sync event;
-    // dump the per-class summary and a Perfetto-loadable trace.
+    // With FOMPI_TELEMETRY=1 (or FOMPI_METRICS=1) the fabric records every
+    // RMA and sync event; dump the per-class summary, a Perfetto-loadable
+    // trace and the tail-quantile metrics snapshot.
     let tel = fabric.telemetry();
     if tel.enabled() {
         println!("\n{}", tel.report());
         let path = "results/stencil_trace.json";
         fompi_fabric::telemetry::perfetto::export_trace(tel, path).expect("write trace");
         println!("Perfetto trace written to {path} (open in ui.perfetto.dev)");
-    }
-    // FOMPI_METRICS=1 adds the tail-quantile snapshot; FOMPI_PROFILE=sample
-    // (or full) adds the wall-clock per-op profile.
-    if fabric.metrics_enabled() {
         let snap = fompi_fabric::metrics_snapshot(&fabric);
         println!("\n{}", snap.to_prometheus());
         println!("metrics json: {}", snap.to_json_line());
     }
+    // FOMPI_PROFILE=sample (or full) adds the wall-clock per-op profile.
     if fabric.profiler().mode() != fompi_fabric::ProfileMode::Off {
         println!("\n{}", fabric.profiler().report());
     }

@@ -121,66 +121,65 @@ stage_tests() {
     cargo test --offline --workspace -q
 }
 
+# The byte-diffed artifacts of the determinism stage, one row each:
+# `bin|args|files`. Every bin runs under the pinned environment at
+# FOMPI_SEED=1 and must rewrite its files byte-for-byte; a row with no
+# files is a bin that asserts its own invariant.
+#   drift.csv          deterministic classes only (post/start/wait go to
+#                      drift_sched.csv, which is restored, not diffed)
+#   notify_ablation    micro-handoff and channel rows are schedule-independent
+#   rmc_ablation       sender-side or single fixed pairings only; ANY_SOURCE
+#                      drain times stay out of the file
+#   txn_ablation       interleaved on one driver rank: a function of the seed
+#   kv_smoke.csv       schedule-independent outcomes of the KV store smoke
+#   scope_metrics.*    both exposition forms of the metrics snapshot
+#   scope --ablation   armed vs disarmed virtual clocks bit-identical
+DETERMINISM=(
+    "reproduce|drift|results/drift.csv"
+    "notify_ablation||results/notify_ablation.csv"
+    "rmc_ablation||results/rmc_ablation.csv"
+    "txn_ablation||results/txn_ablation.csv"
+    "kv_serve|--smoke|results/kv_smoke.csv"
+    "scope||results/scope_metrics.prom results/scope_metrics.json"
+    "scope|--ablation|"
+)
+
+unmoved() { # unmoved <what ran> <file>… — fail naming the first file that differs from its committed copy
+    local what=$1 f
+    shift
+    for f in "$@"; do
+        if ! git diff --quiet -- "$f"; then
+            echo "determinism: $f moved after $what" >&2
+            git diff --stat -- "$f" >&2
+            return 1
+        fi
+    done
+}
+
 stage_determinism() {
     # Chaos soak smoke: every protocol under seeded light/heavy fault
-    # plans; the pinned run rewrites results/soak.csv for the diff below.
-    echo "== soak smoke (2 seeds, all protocols) =="
+    # plans. The CSV depends on the seed count, so only the default
+    # two-seed run is compared.
+    echo "== soak smoke (${SOAK_SEEDS:-2} seeds, all protocols) =="
     "${SCRUB[@]}" SOAK_SEEDS="${SOAK_SEEDS:-2}" \
         cargo run --offline --release -q -p fompi-bench --bin soak
-
-    echo "== results determinism: drift.csv =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin reproduce -- drift >/dev/null
-    git diff --exit-code -- results/drift.csv
     if [[ "${SOAK_SEEDS:-2}" == "2" ]]; then
-        git diff --exit-code -- results/soak.csv
+        unmoved soak results/soak.csv
     fi
 
-    # Notified-access ablation: the micro-handoff and channel rows are
-    # schedule-independent, so the CSV must regenerate byte-identically.
-    echo "== results determinism: notify_ablation.csv =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin notify_ablation >/dev/null
-    git diff --exit-code -- results/notify_ablation.csv
-    # drift_sched.csv holds the schedule-dependent classes — not
-    # reproducible, so not diffed; restore the committed copy.
+    local row bin args files
+    for row in "${DETERMINISM[@]}"; do
+        IFS='|' read -r bin args files <<<"$row"
+        echo "== determinism: $bin${args:+ $args} =="
+        # shellcheck disable=SC2086 # args and files are word lists
+        "${SCRUB[@]}" FOMPI_SEED=1 \
+            cargo run --offline --release -q -p fompi-bench --bin "$bin" -- $args >/dev/null
+        # shellcheck disable=SC2086
+        unmoved "$bin${args:+ $args}" $files
+    done
+    # drift_sched.csv holds the schedule-dependent classes `reproduce
+    # drift` also writes: not reproducible, so restore the committed copy.
     git checkout -q -- results/drift_sched.csv
-
-    # Remote-memory-channel ablation: every gated row is sender-side or a
-    # single fixed pairing (1-slot fan-in alternation, credit-free
-    # fan-out publishes, exact Drop-policy counts, single-client RPC), so
-    # the CSV regenerates byte-identically; consumer ANY_SOURCE drain
-    # times are schedule-dependent and stay out of the file.
-    echo "== results determinism: rmc_ablation.csv =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin rmc_ablation >/dev/null
-    git diff --exit-code -- results/rmc_ablation.csv
-
-    # Transaction contention ablation: deterministically interleaved on
-    # one driver rank, so the CSV is an exact function of the seed.
-    echo "== results determinism: txn_ablation.csv =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin txn_ablation >/dev/null
-    git diff --exit-code -- results/txn_ablation.csv
-
-    # KV-store smoke: schedule-independent outcomes (commit count,
-    # occupancy, value sum, content hash, conservation violations) only.
-    echo "== kv_serve smoke: transactional KV store gate =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin kv_serve -- --smoke >/dev/null
-    git diff --exit-code -- results/kv_smoke.csv
-
-    # Metrics-snapshot determinism: both exposition forms byte-identical.
-    echo "== results determinism: scope_metrics.{prom,json} =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin scope >/dev/null
-    git diff --exit-code -- results/scope_metrics.prom results/scope_metrics.json
-
-    # Observability overhead gate: armed vs disarmed virtual clocks must
-    # be bit-identical.
-    echo "== scope ablation: armed/disarmed virtual-time bit-identity =="
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin scope -- --ablation
 }
 
 stage_perfgate() {

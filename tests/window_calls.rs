@@ -951,16 +951,22 @@ fn every_epoch_call_counts_and_traces_once() {
             |c| c.amos = 1,
             &[WaitEpoch],
         ),
-        // The MCS lock: neither counted nor traced as an epoch call (only
-        // the gsync inside its unlock shows) — the drift DESIGN.md names.
-        step(0, "mcs_lock", |w| outcome(w.mcs_lock()), |c| (c.puts, c.amos) = (2, 1), &[]),
+        // The MCS lock: a window-wide epoch, counted and traced like
+        // lock_all / unlock_all.
+        step(
+            0,
+            "mcs_lock",
+            |w| outcome(w.mcs_lock()),
+            |c| (c.locks, c.puts, c.amos) = (1, 2, 1),
+            &[LockAll],
+        ),
         refused(0, "mcs_lock twice", |w| outcome(w.mcs_lock())),
         step(
             0,
             "mcs_unlock",
             |w| outcome(w.mcs_unlock()),
-            |c| (c.gsyncs, c.amos) = (1, 1),
-            &[Gsync],
+            |c| (c.unlocks, c.gsyncs, c.amos) = (1, 1, 1),
+            &[UnlockAll, Gsync],
         ),
         // Notified access: a consumed record is one NotifyWait span.
         Step {

@@ -53,6 +53,22 @@ pub enum FompiError {
     RegionTableFull,
     /// Shared-memory window requested across node boundaries.
     NotShareable,
+    /// A ring end was handed a credit for a slot it never filled: `peer`
+    /// returned more credits than the ring has slots.
+    StrayCredit {
+        /// The rank the stray credit came from.
+        peer: u32,
+    },
+    /// A protocol metadata word was not in its rest state when every rank
+    /// had closed its epochs ([`crate::Win::metadata_residue`]).
+    NotAtRest {
+        /// Name of the word.
+        word: &'static str,
+        /// What it held.
+        got: u64,
+        /// Its rest value.
+        want: u64,
+    },
     /// Underlying fabric error.
     Fabric(FabricError),
 }
@@ -89,6 +105,13 @@ impl std::fmt::Display for FompiError {
             FompiError::RegionTableFull => write!(f, "dynamic window region table full"),
             FompiError::NotShareable => {
                 write!(f, "shared window requires all ranks on one node")
+            }
+            FompiError::StrayCredit { peer } => write!(
+                f,
+                "ring credit underflow: rank {peer} returned more slots than were ever filled"
+            ),
+            FompiError::NotAtRest { word, got, want } => {
+                write!(f, "metadata word {word} not quiescent: {got:#x} != {want:#x}")
             }
             FompiError::Fabric(e) => write!(f, "fabric: {e}"),
         }

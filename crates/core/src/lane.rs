@@ -1,6 +1,5 @@
 //! The credit ring: the one remote-memory ring protocol under
-//! `fompi-msg`'s channel, every `fompi-rmc` shape and the soak's
-//! `rmc_channel`.
+//! `fompi-msg`'s channel and every `fompi-rmc` shape.
 //!
 //! A ring is `slots` cells of `slot_bytes` at byte `base` of the
 //! *consumer's* window copy. The producer owns `head` and a credit count,
@@ -28,11 +27,15 @@ pub fn open(ctx: &RankCtx, bytes: usize) -> Result<Win> {
     Ok(win)
 }
 
-/// End the epoch of [`open`] and free the window (collective).
+/// End the epoch of [`open`] and free the window (collective). A
+/// metadata word left out of its rest state by then is a protocol bug the
+/// structure's teardown reports ([`FompiError::NotAtRest`]).
 pub fn close(win: Win, ctx: &RankCtx) -> Result<()> {
     win.unlock_all()?;
-    win.free(ctx);
-    Ok(())
+    match win.free(ctx).first() {
+        Some(&(word, got, want)) => Err(FompiError::NotAtRest { word, got, want }),
+        None => Ok(()),
+    }
 }
 
 /// Shape of one ring.
@@ -74,6 +77,18 @@ impl Geometry {
     pub fn cell(&self, base: usize, cursor: u64) -> usize {
         base + (cursor % self.slots as u64) as usize * self.slot_bytes
     }
+
+    /// Book one credit `peer` returned into `credits`, the free slots of
+    /// this ring a producer holds. Past `slots` it fails loudly: `peer`
+    /// freed a slot that was never filled (a stray or duplicated credit),
+    /// and absorbing it would let a later burst overrun the ring.
+    pub fn book_credit(&self, credits: &mut u64, peer: u32) -> Result<()> {
+        if *credits >= self.slots as u64 {
+            return Err(FompiError::StrayCredit { peer });
+        }
+        *credits += 1;
+        Ok(())
+    }
 }
 
 /// Producer end of one ring in `peer`'s window copy.
@@ -108,25 +123,10 @@ impl TxLane {
         self.credits
     }
 
-    /// Book one returned credit, failing loudly on underflow of the
-    /// outstanding-message count: a credit beyond `slots` means the
-    /// consumer freed a slot this producer never filled (a stray or
-    /// duplicated credit notification), and silently absorbing it would
-    /// let a later burst overrun the ring.
-    fn add_credit(&mut self) -> Result<()> {
-        if self.credits >= self.geom.slots as u64 {
-            return Err(FompiError::InvalidEpoch(
-                "ring credit underflow: consumer returned more slots than were ever filled",
-            ));
-        }
-        self.credits += 1;
-        Ok(())
-    }
-
     /// One nonblocking matching pass: absorb a credit if one has arrived.
     pub fn try_credit(&mut self, win: &Win, credit_tag: u32) -> Result<bool> {
         match win.test_notify(self.peer, credit_tag)? {
-            Some(_) => self.add_credit().map(|()| true),
+            Some(_) => self.geom.book_credit(&mut self.credits, self.peer).map(|()| true),
             None => Ok(false),
         }
     }
@@ -143,7 +143,7 @@ impl TxLane {
     /// flow-control time.
     pub fn wait_credit(&mut self, win: &Win, credit_tag: u32) -> Result<()> {
         win.wait_notify(self.peer, credit_tag)?;
-        self.add_credit()
+        self.geom.book_credit(&mut self.credits, self.peer)
     }
 
     /// Slot-reuse fence: put N+slots lands where put N did. The returned

@@ -51,7 +51,6 @@ pub mod op;
 pub mod perf;
 pub mod racecheck;
 pub mod request;
-pub mod soak;
 pub mod sync;
 pub mod win;
 

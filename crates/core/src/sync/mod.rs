@@ -19,6 +19,7 @@ use crate::error::{FompiError, Result};
 use crate::win::{EpochState, Win};
 use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{Endpoint, SegKey};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
 // ------------------------------------------------------- the epoch-call frame
@@ -176,6 +177,33 @@ impl Win {
             || Ok(Some(self.ep.read_sync(key, off)?).filter(|&v| pred(v))),
             || self.ep.mc_poll_word(key, off, what, pred),
         )
+    }
+
+    /// Spin until `scan` is done: a wait on a structure in this rank's own
+    /// memory that moves the sync word at `key`+`off` (a tagged list head)
+    /// whenever it changes. `scan` returns whether it is done and the word
+    /// it read; under the model checker the rank parks until the word moves
+    /// off *that* value — a fresh read would lose a change landing between
+    /// the scan and the park.
+    #[inline]
+    pub(crate) fn wait_scan(
+        &self,
+        key: SegKey,
+        off: usize,
+        what: &'static str,
+        mut scan: impl FnMut() -> Result<(bool, u64)>,
+    ) -> Result<()> {
+        let seen = Cell::new(0);
+        let poll = || {
+            let (done, word) = scan()?;
+            seen.set(word);
+            Ok(done.then_some(()))
+        };
+        let park = || {
+            let seen = seen.get();
+            self.ep.mc_poll_word(key, off, what, move |v| v != seen)
+        };
+        self.spin_until(what, poll, park)
     }
 
     /// Spin until `take` finds its record among those queued for this rank.

@@ -77,19 +77,24 @@ impl Win {
         self.require(|st| st.access == AccessEpoch::None, "start during open access epoch")?;
         let frame = self.enter();
         let mut needed: HashSet<u32> = group.iter().collect();
-        // A scan of the matching list, not a word: nothing for the model
-        // checker to park on yet (ROADMAP 4 b).
-        let scan = || {
-            if self.shared.cfg.pscw_fast {
-                self.reap_matches_fast(&mut needed)?;
-            } else {
-                self.reap_matches(&mut needed)?;
-            }
-            Ok(needed.is_empty().then_some(()))
-        };
         // (An empty group has nothing to scan for, not even once.)
         if !group.is_empty() {
-            self.spin_until("matching MPI_Win_post calls", scan, || false)?;
+            let what = "matching MPI_Win_post calls";
+            if self.shared.cfg.pscw_fast {
+                // Posts announce into slot words after their FAA ticket: no
+                // one word to park on yet (ROADMAP 4 b).
+                let scan = || {
+                    self.reap_matches_fast(&mut needed)?;
+                    Ok(needed.is_empty().then_some(()))
+                };
+                self.spin_until(what, scan, || false)?;
+            } else {
+                // Every post CASes (and re-tags) the match-list head.
+                self.wait_scan(self.meta_key(self.ep.rank()), off::MATCH_HEAD, what, || {
+                    let head = self.reap_matches(&mut needed)?;
+                    Ok((needed.is_empty(), head))
+                })?;
+            }
         }
         self.state.borrow_mut().access = AccessEpoch::Pscw(group.clone());
         self.leave(frame, EventKind::Start, NO_TARGET);
@@ -204,8 +209,8 @@ impl Win {
     /// Scan the local match list, unlinking and recycling every element
     /// whose origin is still `needed`. Only the owner unlinks, so interior
     /// updates are safe; head removal races only with new pushes and is
-    /// resolved by CAS.
-    fn reap_matches(&self, needed: &mut HashSet<u32>) -> Result<()> {
+    /// resolved by CAS. Returns the head word the final pass read.
+    fn reap_matches(&self, needed: &mut HashSet<u32>) -> Result<u64> {
         let me = self.ep.rank();
         let mkey = self.meta_key(me);
         let cfg = &self.shared.cfg;
@@ -253,7 +258,7 @@ impl Win {
                     cur = next;
                 }
             }
-            return Ok(());
+            return Ok(mh);
         }
     }
 }

@@ -518,17 +518,63 @@ impl Win {
         }
     }
 
+    /// This rank's protocol metadata words that are not in their rest
+    /// state, as `(word, got, want)`. The protocols are bufferless (§2.3):
+    /// once every rank has closed its epochs — after a barrier — the
+    /// completion counter, the lock words, the accumulate lock and (at the
+    /// master) the global lock and MCS tail are zero, and the PSCW match
+    /// list is empty with every pool element back on the free list (with
+    /// `pscw_fast`, every announcement slot consumed; `MATCH_HEAD` is then
+    /// the monotonic ticket cursor). Anything left is a lost release, a
+    /// leaked pool element or an unconsumed completion.
+    pub fn metadata_residue(&self) -> Vec<(&'static str, u64, u64)> {
+        let (seg, cfg) = (&self.my_meta, &self.shared.cfg);
+        let mut residue = Vec::new();
+        let mut check = |word, got, want| {
+            if got != want {
+                residue.push((word, got, want));
+            }
+        };
+        check("COMPLETION", seg.read_u64(off::COMPLETION), 0);
+        check("LOCAL_LOCK", seg.read_u64(off::LOCAL_LOCK), 0);
+        check("ACC_LOCK", seg.read_u64(off::ACC_LOCK), 0);
+        if self.rank() == self.shared.master {
+            check("GLOBAL_LOCK", seg.read_u64(off::GLOBAL_LOCK), 0);
+            check("MCS_TAIL", seg.read_u64(off::MCS_TAIL), 0);
+        }
+        if cfg.pscw_fast {
+            for slot in 0..cfg.pscw_pool as u32 {
+                check("pool slot", seg.read_u64(cfg.pool_off(slot)), 0);
+            }
+        } else {
+            let (_, idx) = meta::unpack_head(seg.read_u64(off::MATCH_HEAD));
+            check("MATCH_HEAD index", idx as u64, meta::NIL as u64);
+            // Walk the Figure-2c free list: all pool elements must be home.
+            let (_, mut cur) = meta::unpack_head(seg.read_u64(off::FREE_HEAD));
+            let mut n = 0;
+            while cur != meta::NIL && n <= cfg.pscw_pool {
+                n += 1;
+                cur = meta::unpack_elem(seg.read_u64(cfg.pool_off(cur))).1;
+            }
+            check("free-list length", n as u64, cfg.pscw_pool as u64);
+        }
+        residue
+    }
+
     /// Free the window (collective). Consumes the handle. Notifications
     /// still queued for this rank — stashed or in the ring — are dropped
     /// and counted ([`fompi_fabric::Counters::notify_dropped`]): like
     /// `MPI_Win_free` with unmatched foMPI-NA notifications, the records
-    /// do not outlive the window they synchronised.
-    pub fn free(self, ctx: &RankCtx) {
+    /// do not outlive the window they synchronised. Returns the
+    /// [`Win::metadata_residue`] read right after the collective's first
+    /// barrier, the one point where every rank's epochs are known closed.
+    pub fn free(self, ctx: &RankCtx) -> Vec<(&'static str, u64, u64)> {
         // Racecheck: probe epoch quiescence before the barrier (the state
         // is per-rank), but mark the id freed only after it — peers may
         // legitimately still be recording their last pre-free accesses.
         let rc_clean = if self.rc_on() { Some(self.rc_free_clean()) } else { None };
         ctx.barrier();
+        let residue = self.metadata_residue();
         if let Some(clean) = rc_clean {
             self.rc_freed(clean);
         }
@@ -553,6 +599,7 @@ impl Win {
         }
         ctx.fabric().deregister(SegKey { rank: self.rank(), id: self.shared.meta_id });
         ctx.barrier();
+        residue
     }
 
     // ----------------------------------------------------------- telemetry

@@ -1,10 +1,11 @@
-//! Model-checking summary: explores every model program and mutant and
-//! writes `results/mc_summary.csv` (byte-deterministic — CI diffs it
-//! against the committed copy). With `--model <name>` it checks just
-//! that model and prints one result line, which combined with
-//! `FOMPI_MC_REPLAY` gives an out-of-process replay entry point.
+//! Model-checking summary: explores every row of the protocol table that
+//! has a model-checked instance, then every mutant, and writes
+//! `results/mc_summary.csv` (byte-deterministic — CI diffs it against the
+//! committed copy). With `--model <name>` it checks just that row and
+//! prints one result line, which combined with `FOMPI_MC_REPLAY` gives an
+//! out-of-process replay entry point.
 
-use fompi_mc::{all_models, check, find_model, mutants, McConfig, McResult, Model};
+use fompi_mc::{check, find, McConfig, McResult, Program, MUTANTS, PROGRAMS};
 
 /// Collapse a violation message onto one CSV-safe line.
 fn csv_safe(s: &str) -> String {
@@ -15,25 +16,26 @@ fn hex_clocks(clocks: &[u64]) -> String {
     clocks.iter().map(|c| format!("{c:016x}")).collect::<Vec<_>>().join(".")
 }
 
-fn row(m: &Model, r: &McResult) -> String {
+fn row(prog: &Program, p: usize, r: &McResult) -> String {
     let (violation, schedule) = match &r.counterexample {
         Some(cx) => (csv_safe(&cx.violation.to_string()), cx.schedule.clone()),
         None => ("none".to_string(), String::new()),
     };
     format!(
-        "{},{},{},{},{},{},{},{}",
-        m.name, m.p, r.schedules, r.aborted, r.steps_total, r.complete, violation, schedule
+        "{},{p},{},{},{},{},{},{}",
+        prog.name, r.schedules, r.aborted, r.steps_total, r.complete, violation, schedule
     )
 }
 
 fn write_summary() {
     let cfg = McConfig::default();
     let mut csv = String::from("model,p,schedules,aborted,steps,complete,violation,schedule\n");
-    for m in all_models().iter().chain(mutants().iter()) {
-        let r = check(m, &cfg);
-        csv.push_str(&row(m, &r));
+    for prog in PROGRAMS.iter().chain(&MUTANTS) {
+        let Some((p, _)) = prog.mc else { continue };
+        let line = row(prog, p, &check(prog, &cfg));
+        println!("{} -> {}", prog.name, line.split(',').skip(2).collect::<Vec<_>>().join(","));
+        csv.push_str(&line);
         csv.push('\n');
-        println!("{} -> {}", m.name, row(m, &r).split(',').skip(2).collect::<Vec<_>>().join(","));
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/mc_summary.csv");
     std::fs::write(path, &csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -41,8 +43,8 @@ fn write_summary() {
 }
 
 fn run_one(name: &str) {
-    let model = find_model(name).unwrap_or_else(|| panic!("unknown model {name:?}"));
-    let r = check(&model, &McConfig::default());
+    let prog = find(name).unwrap_or_else(|| panic!("unknown program {name:?}"));
+    let r = check(&prog, &McConfig::default());
     match &r.counterexample {
         Some(cx) => println!(
             "model={name} violation={} schedule={} clocks={}",

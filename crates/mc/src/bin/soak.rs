@@ -1,29 +1,33 @@
-//! Protocol soak harness driver.
+//! Protocol soak binary: every row of the protocol table under
+//! deterministic fault plans.
 //!
 //! ```text
-//! cargo run --release -p fompi-bench --bin soak              # bounded smoke
-//! cargo run --release -p fompi-bench --bin soak lock mcs     # subset
-//! SOAK_SECONDS=300 cargo run --release -p fompi-bench --bin soak   # long soak
+//! cargo run --release -p fompi-mc --bin soak              # bounded smoke
+//! cargo run --release -p fompi-mc --bin soak lock mcs     # subset
+//! SOAK_SECONDS=300 cargo run --release -p fompi-mc --bin soak   # long soak
 //! ```
 //!
-//! Every synchronisation protocol runs for many epochs under deterministic
-//! fault plans (alternating light/heavy), across several rank counts and
-//! seeds, with the window's protocol invariants checked after each run
-//! (see `fompi::soak`). Environment knobs:
+//! Each program runs for many epochs under alternating light/heavy plans,
+//! across several rank counts and seeds, checking its own invariants and
+//! the window metadata rest state (see `fompi_mc::soak`). Environment
+//! knobs:
 //!
 //! * `FOMPI_SEED`    — root seed; the whole campaign derives from it.
-//! * `SOAK_SEEDS`    — seeds per (protocol, p) cell (default 8).
+//! * `SOAK_SEEDS`    — seeds per (program, p) cell (default 8).
 //! * `SOAK_SECONDS`  — long mode: keep drawing fresh seeds until the
 //!   wall-clock budget is spent (overrides `SOAK_SEEDS`).
 //! * `SOAK_P`        — comma-separated rank counts (default `4,6`).
 //! * `SOAK_EPOCHS`   — epochs per rank per run (default 6).
 //!
-//! Per-protocol pass counts land in `results/soak.csv`. Any violation
-//! prints the reproducing seed and the process exits nonzero.
+//! Per-program pass counts land in `results/soak.csv`; the `injected`
+//! fault count only for [`fompi_mc::Program::stable`] rows (`-`
+//! otherwise: a contended protocol's count depends on the schedule). Any
+//! violation prints the reproducing seed and the process exits nonzero.
 
-use fompi::soak::{run_case, seeds, Protocol};
 use fompi_fabric::rng::root_seed_from_env;
 use fompi_fabric::FaultPlan;
+use fompi_mc::soak::{run_case, seeds};
+use fompi_mc::PROGRAMS;
 use std::fmt::Write as _;
 use std::fs;
 use std::time::{Duration, Instant};
@@ -34,7 +38,6 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |p: Protocol| args.is_empty() || args.iter().any(|a| a == p.name());
     let root = root_seed_from_env(0xDEFA_17AB1E);
     let epochs = env_usize("SOAK_EPOCHS", 6);
     let ranks: Vec<usize> = std::env::var("SOAK_P")
@@ -54,28 +57,25 @@ fn main() {
         }
     );
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut csv = String::from("proto,p,seeds,epochs,passes,violations,injected\n");
     let mut failed = false;
-    for proto in Protocol::ALL {
-        if !want(proto) {
+    for (index, prog) in PROGRAMS.iter().enumerate() {
+        if !args.is_empty() && !args.iter().any(|a| a == prog.name) {
             continue;
         }
         for &p in &ranks {
-            let mut passes = 0usize;
-            let mut violations = 0usize;
-            let mut injected = 0u64;
-            let mut ran = 0usize;
-            // Cell-specific stream so adding protocols/rank counts never
+            let (mut passes, mut violations, mut injected, mut ran) = (0, 0, 0u64, 0);
+            // Cell-specific stream so adding programs/rank counts never
             // reshuffles another cell's seeds.
-            let cell_root = root ^ ((proto as u64 + 1) << 32) ^ (p as u64);
+            let cell_root = root ^ ((index as u64 + 1) << 32) ^ (p as u64);
             let mut batch = 0u64;
             loop {
-                let batch_seeds = seeds(cell_root.wrapping_add(batch), per_cell);
-                for (i, &seed) in batch_seeds.iter().enumerate() {
+                for (i, &seed) in seeds(cell_root.wrapping_add(batch), per_cell).iter().enumerate()
+                {
                     // Alternate plan severities; seed 0 defers to the root
                     // seed, keeping one number sufficient for replay.
                     let plan = if i % 2 == 0 { FaultPlan::light(0) } else { FaultPlan::heavy(0) };
-                    let out = run_case(proto, p, epochs, seed, plan);
+                    let out = run_case(prog, p, epochs, seed, plan);
                     ran += 1;
                     injected += out.injected;
                     if out.passed() {
@@ -93,22 +93,17 @@ fn main() {
                     _ => break,
                 }
             }
+            let injected = if prog.stable { injected.to_string() } else { "-".into() };
             println!(
-                "   {:<10} p={p}: {passes}/{ran} passed, {injected} faults injected",
-                proto.name()
+                "   {:<12} p={p}: {passes}/{ran} passed, {injected} faults injected",
+                prog.name
             );
-            rows.push(format!(
-                "{},{p},{ran},{epochs},{passes},{violations},{injected}",
-                proto.name()
-            ));
+            let _ =
+                writeln!(csv, "{},{p},{ran},{epochs},{passes},{violations},{injected}", prog.name);
         }
     }
 
     fs::create_dir_all("results").ok();
-    let mut csv = String::from("proto,p,seeds,epochs,passes,violations,injected\n");
-    for r in &rows {
-        let _ = writeln!(csv, "{r}");
-    }
     if let Err(e) = fs::write("results/soak.csv", csv) {
         eprintln!("failed to write results/soak.csv: {e}");
     }

@@ -1,17 +1,23 @@
-//! fompi-mc: exhaustive interleaving model checker for the one-sided
-//! protocols, with replayable counterexamples.
+//! fompi-mc: the protocol table and its two runners — an exhaustive
+//! interleaving model checker with replayable counterexamples, and the
+//! fault-plan soak.
 //!
-//! The checker runs small-rank model programs ([`programs`]) under a
-//! cooperative scheduler ([`gate::SchedGate`]) that serializes the job
-//! at every announced operation — remote puts/gets/AMOs, notification
-//! ring pushes/pops, wait-loop re-polls, runtime collectives (the hook
-//! surface is [`fompi_fabric::mc`]). A dynamic partial-order reduction
-//! ([`dpor`]) enumerates every non-equivalent interleaving, where
-//! equivalence is keyed on the same (window, target, byte-range,
-//! access-kind) conflict relation the dynamic race checker classifies.
+//! [`programs`] holds every protocol program once, as a row of
+//! [`PROGRAMS`] (the mutants in [`MUTANTS`]). [`soak`] runs a row at any
+//! rank count under seeded fault plans. [`check`] runs it at its smallest
+//! instance ([`Program::mc`]) under a cooperative scheduler
+//! ([`gate::SchedGate`]) that serializes the job at every announced
+//! operation — remote puts/gets/AMOs, notification ring pushes/pops,
+//! wait-loop re-polls, runtime collectives (the hook surface is
+//! [`fompi_fabric::mc`]). A dynamic partial-order reduction ([`dpor`])
+//! enumerates every non-equivalent interleaving, where equivalence is
+//! keyed on the same (window, target, byte-range, access-kind) conflict
+//! relation the dynamic race checker classifies.
 //!
 //! Every explored schedule is checked for:
 //!
+//! - **invariants** — a body's own checks (payloads, conservation, the
+//!   window metadata rest state); a violated one is reported like a panic;
 //! - **racecheck violations** — runs execute with the shadow armed in
 //!   panic mode, so an MPI-illegal overlap aborts the run with the full
 //!   race report (including both accesses' causal flow ids);
@@ -33,10 +39,11 @@
 pub mod dpor;
 pub mod gate;
 pub mod programs;
+pub mod soak;
 
 pub use dpor::Found;
 pub use gate::{McAbort, SchedGate, Stop};
-pub use programs::{all_models, find_model, mutants, Model};
+pub use programs::{find, Program, Shape, MUTANTS, PROGRAMS};
 
 use dpor::{Bounds, RunOutcome};
 use fompi_fabric::mc::{McGate, McOp};
@@ -49,8 +56,8 @@ use std::sync::Arc;
 /// that one schedule instead of exploring. Malformed values fail loudly.
 pub const REPLAY_ENV: &str = "FOMPI_MC_REPLAY";
 
-/// Fixed root seed for every model-checking universe: runs must be
-/// schedule-deterministic, so nothing else may vary.
+/// Fixed root seed for every model-checking universe and program shape:
+/// runs must be schedule-deterministic, so nothing else may vary.
 const MC_SEED: u64 = 0xF0;
 
 /// Exploration bounds.
@@ -150,19 +157,27 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Execute one schedule of `model`: forced grant prefix, sleep set for
+/// The rank count and shape `prog` is explored at.
+fn instance(prog: &Program) -> (usize, Shape) {
+    let (p, epochs) =
+        prog.mc.unwrap_or_else(|| panic!("{} has no model-checked instance", prog.name));
+    (p, Shape { epochs, seed: MC_SEED })
+}
+
+/// Execute one schedule of `prog`: forced grant prefix, sleep set for
 /// the branch step, step cap. Builds a fresh gate and universe — runs
 /// share nothing.
 fn run_once(
-    model: &Model,
+    prog: &Program,
     forced: &[u32],
     sleep_base: Vec<(u32, McOp)>,
     max_steps: usize,
 ) -> RunOutcome {
-    let gate = Arc::new(SchedGate::new(model.p, forced.to_vec(), sleep_base, max_steps));
+    let (p, shape) = instance(prog);
+    let gate = Arc::new(SchedGate::new(p, forced.to_vec(), sleep_base, max_steps));
     let g = gate.clone();
-    let prog = model.prog;
-    let (outs, fabric) = Universe::new(model.p)
+    let body = prog.body;
+    let (outs, fabric) = Universe::new(p)
         .node_size(1)
         .seed(MC_SEED)
         .faults(FaultPlan::disabled())
@@ -175,13 +190,18 @@ fn run_once(
             // depend on thread spawn order.
             let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 g.collective(r, "mc-begin");
-                prog(ctx)
+                body(ctx, &shape)
             }));
             let clock = ctx.ep().clock().now().to_bits();
             match res {
-                Ok(d) => {
+                Ok(Ok(d)) => {
                     g.finish(r);
                     (Some(d), clock)
+                }
+                // A violated invariant stops the run like a panic.
+                Ok(Err(msg)) => {
+                    g.report_panic(r, msg);
+                    (None, clock)
                 }
                 Err(payload) => {
                     if payload.downcast_ref::<McAbort>().is_none() {
@@ -191,7 +211,7 @@ fn run_once(
                 }
             }
         });
-    let quiescent = (0..model.p as u32).all(|q| fabric.notify().queue(q).is_empty());
+    let quiescent = (0..p as u32).all(|q| fabric.notify().queue(q).is_empty());
     RunOutcome {
         log: gate.take_log(),
         digests: outs.iter().map(|(d, _)| *d).collect(),
@@ -200,20 +220,20 @@ fn run_once(
     }
 }
 
-/// Model-check `model` under `cfg`. Honours `FOMPI_MC_REPLAY`: when
-/// set, replays that single schedule instead of exploring.
-pub fn check(model: &Model, cfg: &McConfig) -> McResult {
+/// Model-check `prog` at its [`Program::mc`] instance under `cfg`.
+/// Honours `FOMPI_MC_REPLAY`: when set, replays that single schedule
+/// instead of exploring.
+pub fn check(prog: &Program, cfg: &McConfig) -> McResult {
     if let Ok(sched) = std::env::var(REPLAY_ENV) {
-        return replay(model, &sched);
+        return replay(prog, &sched);
     }
     let bounds = Bounds {
         max_schedules: cfg.max_schedules,
         max_steps: cfg.max_steps,
         max_preemptions: cfg.max_preemptions,
     };
-    let ex = dpor::explore(&bounds, |forced, sleep, max_steps| {
-        run_once(model, forced, sleep, max_steps)
-    });
+    let ex =
+        dpor::explore(&bounds, |forced, sleep, max_steps| run_once(prog, forced, sleep, max_steps));
     McResult {
         schedules: ex.schedules,
         aborted: ex.aborted,
@@ -230,23 +250,23 @@ pub fn check(model: &Model, cfg: &McConfig) -> McResult {
     }
 }
 
-/// Replay one schedule of `model`. Panics loudly on a malformed or
+/// Replay one schedule of `prog`. Panics loudly on a malformed or
 /// divergent (stale) schedule — a replay that cannot follow its script
 /// must never look like a pass.
-pub fn replay(model: &Model, schedule: &str) -> McResult {
+pub fn replay(prog: &Program, schedule: &str) -> McResult {
     let grants = match parse_schedule(schedule) {
         Ok(g) => g,
         Err(e) => panic!("{REPLAY_ENV}: {e}"),
     };
+    let (p, _) = instance(prog);
     for &g in &grants {
         assert!(
-            (g as usize) < model.p,
-            "{REPLAY_ENV}: rank {g} out of range for {} (p = {})",
-            model.name,
-            model.p
+            (g as usize) < p,
+            "{REPLAY_ENV}: rank {g} out of range for {} (p = {p})",
+            prog.name
         );
     }
-    let o = run_once(model, &grants, Vec::new(), McConfig::default().max_steps);
+    let o = run_once(prog, &grants, Vec::new(), McConfig::default().max_steps);
     let ran: Vec<u32> = o.log.steps.iter().map(|s| s.rank).collect();
     let mut res = McResult {
         schedules: 0,

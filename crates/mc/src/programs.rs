@@ -1,198 +1,610 @@
-//! The model programs: small-rank protocol kernels the checker
-//! exhaustively interleaves, plus deliberately broken twins (mutants)
-//! proving the checker actually catches the bug classes it claims to.
+//! The protocol table: every program the soak ([`crate::soak`]) and the
+//! model checker ([`crate::check`]) run, written once over the real
+//! stacks — `fompi`'s synchronisation protocols, `fompi-msg`'s channel,
+//! the `fompi-rmc` shapes and `fompi-txn`'s commit.
 //!
-//! Sizing rule: every program is the *smallest* instance that still
-//! exercises the protocol's ordering decisions — one or two slots, one
-//! or two messages per edge — because exploration cost is exponential in
-//! announced conflicting operations. A program's return value is its
-//! **declared-stable digest**: the checker requires it to be byte-equal
-//! across every explored schedule, so digests must fold
-//! arrival-order-*insensitive* data (per-record hashes summed) wherever
-//! the protocol leaves arrival order unspecified, and may fold ordered
-//! data only where the protocol guarantees FIFO.
+//! A body runs on every rank of a universe of any `p ≥ 2` (the rank
+//! count is the universe's) for [`Shape::epochs`] epochs, with its data
+//! derived from [`Shape::seed`]. It returns its **declared-stable
+//! digest**, which the checker requires byte-equal across every explored
+//! schedule — so digests fold arrival-order-*insensitive* data (per-record
+//! hashes summed) wherever the protocol leaves arrival order unspecified,
+//! and ordered data only where it guarantees FIFO — or the first
+//! invariant it saw violated, as text.
+//!
+//! The protocols are bufferless (§2.3): all transient state lives in the
+//! window metadata words, so every body ends with the rest-state check of
+//! [`Win::metadata_residue`], after its final barrier — its own, or the
+//! first one of [`Win::free`] (`lane::close` makes a façade's teardown
+//! report it).
+//!
+//! [`Program::mc`] is the smallest instance that still exercises the
+//! protocol's ordering decisions: exploration cost is exponential in
+//! announced conflicting operations. [`MUTANTS`] are deliberately broken
+//! twins proving the checker catches the bug classes it claims to; only
+//! the checker runs them.
 
-use fompi::Win;
+use fompi::{FompiError, LockType, MpiOp, NumKind, Win, WinConfig};
+use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
-use fompi_runtime::RankCtx;
+use fompi_runtime::{Group, RankCtx};
 use fompi_txn::{RetryPolicy, Txn, VersionedCell};
+use std::fmt::Display;
 
-/// One checkable program: a name for reports, a rank count, and the
-/// per-rank body returning that rank's declared-stable digest.
+/// How large a runner makes a program.
+#[derive(Debug, Clone, Copy)]
+pub struct Shape {
+    /// Epochs per rank (rounds, messages per edge, transactions).
+    pub epochs: usize,
+    /// Root of the program's data (payloads, lock targets, pairings).
+    pub seed: u64,
+}
+
+/// A rank's digest, or the first invariant it saw violated.
+pub type Verdict = Result<u64, String>;
+
+/// One row of the table.
 #[derive(Clone, Copy)]
-pub struct Model {
-    /// Name used in schedules, CSV rows and test output.
+pub struct Program {
+    /// Name in `soak.csv`, `mc_summary.csv`, schedules and test output.
     pub name: &'static str,
-    /// Ranks the program runs on.
-    pub p: usize,
-    /// Per-rank body; the return value must be schedule-independent.
-    pub prog: fn(&mut RankCtx) -> u64,
+    /// The per-rank body.
+    pub body: fn(&mut RankCtx, &Shape) -> Verdict,
+    /// `(p, epochs)` the model checker explores exhaustively; `None` when
+    /// a wait of the program cannot park under the gate yet.
+    pub mc: Option<(usize, usize)>,
+    /// Are the virtual clocks and the fault count of a soak run a function
+    /// of (p, seed, fault plan)? Contended protocols (who wins a lock, which
+    /// producer's message lands first) are not.
+    pub stable: bool,
 }
 
-/// splitmix64 finalizer — the unit hash order-insensitive digests sum.
-fn h1(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+const fn row(
+    name: &'static str,
+    body: fn(&mut RankCtx, &Shape) -> Verdict,
+    mc: Option<(usize, usize)>,
+    stable: bool,
+) -> Program {
+    Program { name, body, mc, stable }
 }
 
-/// Order-*sensitive* fold for FIFO edges.
+/// The instance most rows are explored at.
+const P2E2: Option<(usize, usize)> = Some((2, 2));
+
+/// Every well-formed program, in soak order. The soak derives each cell's
+/// seeds from the row index: keep rows where they are, append new ones.
+pub const PROGRAMS: [Program; 16] = [
+    row("fence", fence, P2E2, true),
+    row("pscw", |ctx, s| pscw(ctx, s, false), P2E2, true),
+    // The fast protocol announces into slot words after its FAA ticket:
+    // no one word for `Win::start` to park on (ROADMAP 4 b).
+    row("pscw_fast", |ctx, s| pscw(ctx, s, true), None, true),
+    row("lock", lock, P2E2, false),
+    row("lock_all", |ctx, s| lock_all(ctx, s, false), P2E2, true),
+    row("mcs", mcs, P2E2, false),
+    row("notify", notify, P2E2, true),
+    row("flush", flush, P2E2, true),
+    row("txn_transfer", txn_transfer, P2E2, true),
+    row("msg_channel", msg_channel, P2E2, true),
+    row("rmc_fanin", rmc_fanin, Some((3, 1)), false),
+    row("rmc_fanout", rmc_fanout, Some((3, 2)), true),
+    row("rmc_mesh", |ctx, s| rmc_mesh(ctx, s, false), P2E2, true),
+    row("rpc_timeout", rpc_timeout, P2E2, false),
+    row("txn_commit", txn_commit, Some((2, 1)), true),
+    row("txn_readonly", |ctx, s| txn_readonly(ctx, s, true), Some((2, 1)), false),
+];
+
+/// The broken twins. Each must produce a replayable counterexample.
+pub const MUTANTS: [Program; 4] = [
+    row("mesh_credit_leak", |ctx, s| rmc_mesh(ctx, s, true), P2E2, false),
+    row("txn_lost_publish", txn_lost_publish, P2E2, false),
+    row("txn_skip_first_validate", |ctx, s| txn_readonly(ctx, s, false), Some((2, 1)), false),
+    row("unlock_all_skipped", |ctx, s| lock_all(ctx, s, true), P2E2, false),
+];
+
+/// Look a program up by name across both lists.
+pub fn find(name: &str) -> Option<Program> {
+    PROGRAMS.iter().chain(&MUTANTS).find(|p| p.name == name).copied()
+}
+
+// ------------------------------------------------------------------ helpers
+
+/// A layer's error is a violation, as text.
+trait Txt<T> {
+    fn txt(self) -> Result<T, String>;
+}
+
+impl<T, E: Display> Txt<T> for Result<T, E> {
+    fn txt(self) -> Result<T, String> {
+        self.map_err(|e| e.to_string())
+    }
+}
+
+fn ensure(holds: bool, violation: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(violation())
+    }
+}
+
+/// The bufferless rest state, from [`Win::metadata_residue`] or [`Win::free`].
+fn at_rest(residue: Vec<(&'static str, u64, u64)>) -> Result<(), String> {
+    match residue.first() {
+        Some(&(word, got, want)) => Err(FompiError::NotAtRest { word, got, want }.to_string()),
+        None => Ok(()),
+    }
+}
+
+/// Order-*sensitive* fold for FIFO edges; order-insensitive digests sum
+/// `splitmix64` of each record instead.
 fn mix(h: u64, v: u64) -> u64 {
-    h1(h ^ h1(v))
+    splitmix64(h ^ splitmix64(v))
 }
 
 fn le(buf: &[u8]) -> u64 {
     u64::from_le_bytes(buf[..8].try_into().expect("8-byte payload"))
 }
 
-/// The seven well-formed protocol kernels.
-pub fn all_models() -> Vec<Model> {
-    vec![
-        Model { name: "msg-channel", p: 2, prog: msg_channel },
-        Model { name: "rmc-fanin", p: 3, prog: rmc_fanin },
-        Model { name: "rmc-fanout", p: 3, prog: rmc_fanout },
-        Model { name: "rmc-mesh", p: 2, prog: rmc_mesh },
-        Model { name: "rpc-timeout", p: 2, prog: rpc_timeout },
-        Model { name: "txn-commit", p: 2, prog: txn_commit },
-        Model { name: "txn-readonly", p: 2, prog: txn_readonly },
-    ]
+fn read_u64(win: &Win, off: usize) -> u64 {
+    let mut b = [0u8; 8];
+    win.read_local(off, &mut b);
+    u64::from_le_bytes(b)
 }
 
-/// The broken twins. Each must produce a replayable counterexample.
-pub fn mutants() -> Vec<Model> {
-    vec![
-        Model { name: "mesh-credit-leak", p: 2, prog: mesh_credit_leak },
-        Model { name: "txn-lost-publish", p: 2, prog: txn_lost_publish },
-        Model { name: "txn-skip-first-validate", p: 2, prog: txn_skip_first_validate },
-    ]
+/// Deterministic epoch payload, nonzero so "slot never written" is
+/// distinguishable from "wrong value written".
+fn payload(seed: u64, epoch: usize, rank: u32) -> u64 {
+    splitmix64(seed ^ ((epoch as u64) << 20) ^ (rank as u64 + 1)) | 1
 }
 
-/// Look a model up by name across both sets.
-pub fn find_model(name: &str) -> Option<Model> {
-    all_models().into_iter().chain(mutants()).find(|m| m.name == name)
+/// Deterministic lock target for (epoch, rank): every rank can recompute
+/// everyone's picks, so counter conservation needs no extra collective.
+fn pick_target(seed: u64, epoch: usize, rank: u32, p: usize) -> u32 {
+    (splitmix64(seed ^ 0xC0FF_EE00 ^ ((epoch as u64) << 16) ^ (rank as u64)) % p as u64) as u32
 }
 
-/// SPSC channel, one slot, two messages: the second send must wait for
-/// the consumer's credit, so flow control is on the explored path. The
-/// edge is FIFO — the receiver folds in order.
-fn msg_channel(ctx: &mut RankCtx) -> u64 {
-    match channel(ctx, 0, 1, 1, 8).unwrap().unwrap() {
-        ChannelEnd::Sender(mut s) => {
-            s.send(&11u64.to_le_bytes()).unwrap();
-            s.send(&22u64.to_le_bytes()).unwrap();
-            s.close(ctx).unwrap();
-            0
+/// Increments every rank's picks land on `me`.
+fn picked(s: &Shape, p: usize, me: u32) -> u64 {
+    let picks = |r| (0..s.epochs).filter(|&e| pick_target(s.seed, e, r, p) == me).count();
+    (0..p as u32).map(picks).sum::<usize>() as u64
+}
+
+fn neighbors(me: u32, p: usize) -> (u32, u32) {
+    let p = p as u32;
+    ((me + p - 1) % p, (me + 1) % p)
+}
+
+/// The 8 bytes at `off` of this rank's window must be `from`'s payload
+/// of epoch `e`.
+fn landed(win: &Win, off: usize, s: &Shape, e: usize, from: u32) -> Verdict {
+    let (got, want) = (read_u64(win, off), payload(s.seed, e, from));
+    ensure(got == want, || format!("epoch {e}: slot from rank {from} = {got:#x}, want {want:#x}"))?;
+    Ok(got)
+}
+
+// ------------------------------------------------------- the paper's protocols
+
+/// Fence epochs, one put to the right neighbour each.
+fn fence(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, p * 8, 1).txt()?;
+    let me = ctx.rank();
+    let (left, right) = neighbors(me, p);
+    let mut h = 0;
+    win.fence().txt()?;
+    for e in 0..s.epochs {
+        win.put(&payload(s.seed, e, me).to_le_bytes(), right, me as usize * 8).txt()?;
+        win.fence().txt()?;
+        h = mix(h, landed(&win, left as usize * 8, s, e, left)?);
+        // Second fence: the local verification read above must not race
+        // with the left neighbour's next-epoch put into the same slot.
+        win.fence().txt()?;
+    }
+    win.fence_assert(fompi::ASSERT_NOSUCCEED).txt()?;
+    ctx.barrier();
+    at_rest(win.metadata_residue())?;
+    Ok(h)
+}
+
+/// A PSCW ring over the Figure-2 matching lists, or with `fast` over the
+/// FAA-ring fast path.
+fn pscw(ctx: &mut RankCtx, s: &Shape, fast: bool) -> Verdict {
+    let p = ctx.size();
+    let cfg = WinConfig { pscw_fast: fast, ..WinConfig::default() };
+    let win = Win::allocate_cfg(ctx, p * 8, 1, cfg).txt()?;
+    let me = ctx.rank();
+    let (left, right) = neighbors(me, p);
+    let (exposure, access) = (Group::new([left]), Group::new([right]));
+    let mut h = 0;
+    for e in 0..s.epochs {
+        win.post(&exposure).txt()?;
+        win.start(&access).txt()?;
+        win.put(&payload(s.seed, e, me).to_le_bytes(), right, me as usize * 8).txt()?;
+        win.complete().txt()?;
+        win.wait().txt()?;
+        h = mix(h, landed(&win, left as usize * 8, s, e, left)?);
+    }
+    ctx.barrier();
+    at_rest(win.metadata_residue())?;
+    Ok(h)
+}
+
+/// Exclusive per-target locks incrementing a counter: conservation.
+fn lock(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, 16, 1).txt()?;
+    let me = ctx.rank();
+    ctx.barrier();
+    for e in 0..s.epochs {
+        let t = pick_target(s.seed, e, me, p);
+        win.lock(LockType::Exclusive, t).txt()?;
+        let mut b = [0u8; 8];
+        win.get(&mut b, t, 0).txt()?;
+        win.flush(t).txt()?;
+        win.put(&(u64::from_le_bytes(b).wrapping_add(1)).to_le_bytes(), t, 0).txt()?;
+        win.unlock(t).txt()?;
+    }
+    ctx.barrier();
+    let (got, want) = (read_u64(&win, 0), picked(s, p, me));
+    ensure(got == want, || format!("counter = {got}, want {want}"))?;
+    at_rest(win.metadata_residue())?;
+    Ok(got)
+}
+
+/// lock_all epochs with hardware-AMO accumulates: conservation.
+///
+/// MUTANT (`skip_last_unlock`): the last rank skips its last `unlock_all`,
+/// so the master's global lock word keeps one lock_all holder. Every
+/// epoch error, racecheck and counter check passes; only the rest state,
+/// read before anything else after the final barrier, can see it.
+fn lock_all(ctx: &mut RankCtx, s: &Shape, skip_last_unlock: bool) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, 16, 1).txt()?;
+    let me = ctx.rank();
+    ctx.barrier();
+    for e in 0..s.epochs {
+        win.lock_all().txt()?;
+        let t = pick_target(s.seed, e, me, p);
+        win.accumulate(&1u64.to_le_bytes(), NumKind::U64, MpiOp::Sum, t, 0).txt()?;
+        win.flush_all().txt()?;
+        // BUG under test (mutant): the last epoch of the last rank stays open.
+        if !(skip_last_unlock && e + 1 == s.epochs && me as usize + 1 == p) {
+            win.unlock_all().txt()?;
         }
-        ChannelEnd::Receiver(mut r) => {
-            let mut h = 0u64;
-            let mut buf = [0u8; 8];
-            for _ in 0..2 {
-                r.recv(&mut buf).unwrap();
+    }
+    ctx.barrier();
+    at_rest(win.metadata_residue())?;
+    let (got, want) = (read_u64(&win, 0), picked(s, p, me));
+    ensure(got == want, || format!("counter = {got}, want {want}"))?;
+    Ok(got)
+}
+
+/// The MCS queue lock guarding a counter on rank 0.
+fn mcs(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, 16, 1).txt()?;
+    let me = ctx.rank();
+    ctx.barrier();
+    for _ in 0..s.epochs {
+        win.mcs_lock().txt()?;
+        let mut b = [0u8; 8];
+        win.get(&mut b, 0, 0).txt()?;
+        win.flush(0).txt()?;
+        win.put(&(u64::from_le_bytes(b).wrapping_add(1)).to_le_bytes(), 0, 0).txt()?;
+        win.mcs_unlock().txt()?;
+    }
+    ctx.barrier();
+    let got = read_u64(&win, 0);
+    if me == 0 {
+        let want = (p * s.epochs) as u64;
+        ensure(got == want, || format!("counter = {got}, want {want}"))?;
+    }
+    at_rest(win.metadata_residue())?;
+    Ok(got)
+}
+
+/// A notified-access ring: counter exactness and payloads.
+fn notify(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, p * s.epochs * 8, 1).txt()?;
+    let me = ctx.rank();
+    let (left, right) = neighbors(me, p);
+    win.lock_all().txt()?;
+    for e in 0..s.epochs {
+        let disp = (me as usize * s.epochs + e) * 8;
+        win.put_signal(&payload(s.seed, e, me).to_le_bytes(), right, disp, 0).txt()?;
+    }
+    win.signal_wait(0, s.epochs as u64).txt()?;
+    // Only the left neighbour targets slot 0 here, so the counter must be
+    // *exactly* its epoch count — a lost or duplicated notification is a
+    // violation even though signal_wait already returned.
+    let n = win.signal_test(0).txt()?;
+    ensure(n == s.epochs as u64, || format!("counter = {n}, want {}", s.epochs))?;
+    let mut h = 0;
+    for e in 0..s.epochs {
+        h = mix(h, landed(&win, (left as usize * s.epochs + e) * 8, s, e, left)?);
+    }
+    win.unlock_all().txt()?;
+    ctx.barrier();
+    at_rest(win.metadata_residue())?;
+    Ok(h)
+}
+
+/// Passive target: put + flush, read-back verification per epoch.
+fn flush(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, p * 8, 1).txt()?;
+    let me = ctx.rank();
+    let (_, right) = neighbors(me, p);
+    let disp = me as usize * 8;
+    win.lock_all().txt()?;
+    for e in 0..s.epochs {
+        let val = payload(s.seed, e, me);
+        // Alternate the implicit and the request-based paths: rput/rget
+        // exercise the backpressure-rejection retry in `Win::rput`.
+        if e % 2 == 0 {
+            win.put(&val.to_le_bytes(), right, disp).txt()?;
+        } else {
+            win.rput(&val.to_le_bytes(), right, disp).txt()?.wait();
+        }
+        win.flush(right).txt()?;
+        let mut b = [0u8; 8];
+        if e % 2 == 0 {
+            win.get(&mut b, right, disp).txt()?;
+        } else {
+            win.rget(&mut b, right, disp).txt()?.wait();
+        }
+        win.flush(right).txt()?;
+        // We are the only writer of that slot and our put completed at the
+        // flush, so the read-back must match exactly.
+        let got = u64::from_le_bytes(b);
+        ensure(got == val, || format!("epoch {e}: read-back = {got:#x}, want {val:#x}"))?;
+    }
+    win.unlock_all().txt()?;
+    ctx.barrier();
+    at_rest(win.metadata_residue())?;
+    Ok(0)
+}
+
+/// Versioned cell: version word + one u64 payload.
+const CELL: usize = 16;
+
+/// Initial balance of global cell `c` — nonzero and seed-dependent, so a
+/// never-written cell is distinguishable from a zero balance.
+fn txn_init_balance(seed: u64, c: usize) -> u64 {
+    splitmix64(seed ^ 0xBA1A_4CE5 ^ (c as u64 + 1)) | 1
+}
+
+/// Seed-derived pairing of the `2p` transfer cells for one epoch: a
+/// Fisher–Yates permutation, chopped into `p` disjoint pairs. Rank `r`
+/// handles pair `r`. Disjointness means no two ranks ever contend for a
+/// version word, so every commit wins first try and the operations a rank
+/// sends — hence the fault draws and the virtual clocks — do not depend
+/// on the schedule.
+fn txn_pairing(seed: u64, epoch: usize, p: usize) -> Vec<usize> {
+    let cells = 2 * p;
+    let mut perm: Vec<usize> = (0..cells).collect();
+    let mut rng = Rng::seed_from_u64(splitmix64(seed ^ 0x7AB1_E0F0 ^ ((epoch as u64) << 8)));
+    for i in (1..cells).rev() {
+        let j = rng.next_below(i as u64 + 1) as usize;
+        perm.swap(i, j);
+    }
+    perm
+}
+
+/// Transfer amount rank `r` moves in `epoch` (wrapping arithmetic keeps
+/// the conserved sum exact even if balances wrap).
+fn txn_amount(seed: u64, epoch: usize, r: u32) -> u64 {
+    splitmix64(seed ^ 0xF00D ^ ((epoch as u64) << 24) ^ (r as u64 + 1)) % 1024
+}
+
+/// Two-key transfers through the real `fompi_txn::run` over a seed-derived
+/// *disjoint* pairing of all `2p` cells (two per rank). With a retry
+/// budget of one attempt, a conflict or torn read — impossible between
+/// barrier-separated disjoint pairs — is a violation. Every rank replays
+/// the campaign for the exact final balances and versions; the conserved
+/// total is allreduced.
+fn txn_transfer(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, 2 * CELL, 1).txt()?;
+    let me = ctx.rank();
+    // Global cell c lives on rank c/2 at displacement (c%2)*16: cell order
+    // is the commit's (rank, disp) lock order.
+    let cell = |c: usize| VersionedCell::new((c / 2) as u32, (c % 2) * CELL, 8);
+    for slot in 0..2 {
+        let balance = txn_init_balance(s.seed, me as usize * 2 + slot);
+        VersionedCell::init_local(&win, slot * CELL, &balance.to_le_bytes());
+    }
+    ctx.barrier();
+    let once = RetryPolicy::Immediate { budget: 1 };
+    let mut rng = Rng::seed_from_u64(s.seed);
+    for e in 0..s.epochs {
+        let perm = txn_pairing(s.seed, e, p);
+        let (a, b) = (perm[2 * me as usize], perm[2 * me as usize + 1]);
+        let amt = txn_amount(s.seed, e, me);
+        let (lo, hi) = (a.min(b), a.max(b));
+        win.lock_all().txt()?;
+        fompi_txn::run(&win, &once, &mut rng, |txn| {
+            let mut bal = [[0u8; 8]; 2];
+            txn.read(cell(lo), &mut bal[0])?;
+            txn.read(cell(hi), &mut bal[1])?;
+            let [l, h] = bal.map(u64::from_le_bytes);
+            let (l, h) = if a == lo {
+                (l.wrapping_sub(amt), h.wrapping_add(amt))
+            } else {
+                (l.wrapping_add(amt), h.wrapping_sub(amt))
+            };
+            txn.write(cell(lo), &l.to_le_bytes())?;
+            txn.write(cell(hi), &h.to_le_bytes())
+        })
+        .map_err(|err| format!("epoch {e}: transfer {a} -> {b} did not commit first try: {err}"))?;
+        win.unlock_all().txt()?;
+        // Next epoch's pairing may hand these cells to other ranks.
+        ctx.barrier();
+    }
+    let mut model: Vec<u64> = (0..2 * p).map(|c| txn_init_balance(s.seed, c)).collect();
+    for e in 0..s.epochs {
+        let perm = txn_pairing(s.seed, e, p);
+        for r in 0..p {
+            let amt = txn_amount(s.seed, e, r as u32);
+            model[perm[2 * r]] = model[perm[2 * r]].wrapping_sub(amt);
+            model[perm[2 * r + 1]] = model[perm[2 * r + 1]].wrapping_add(amt);
+        }
+    }
+    let mut local_sum = 0u64;
+    for slot in 0..2 {
+        let c = me as usize * 2 + slot;
+        let (version, want) = (read_u64(&win, slot * CELL), 2 * s.epochs as u64);
+        ensure(version == want, || format!("cell {c} version = {version}, want {want}"))?;
+        let got = read_u64(&win, slot * CELL + 8);
+        ensure(got == model[c], || format!("cell {c} balance = {got:#x}, want {:#x}", model[c]))?;
+        local_sum = local_sum.wrapping_add(got);
+    }
+    // Conservation: transfers move value, they never mint or burn it.
+    let total = ctx.allreduce_u64(local_sum, u64::wrapping_add);
+    let want = (0..2 * p).fold(0u64, |sum, c| sum.wrapping_add(txn_init_balance(s.seed, c)));
+    ensure(total == want, || format!("conserved sum = {total:#x}, want {want:#x}"))?;
+    at_rest(win.metadata_residue())?;
+    Ok(total)
+}
+
+// ------------------------------------------------- channels, rmc shapes, txn
+
+/// An SPSC channel from rank 0 to the last rank, one slot: every send
+/// after the first waits for the consumer's credit, so flow control is on
+/// the explored path. The edge is FIFO — the receiver folds in order.
+/// Ranks in between are bystanders.
+fn msg_channel(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let consumer = ctx.size() as u32 - 1;
+    let message = |e: usize| 11 * (e as u64 + 1);
+    match channel(ctx, 0, consumer, 1, 8).txt()? {
+        Some(ChannelEnd::Sender(mut tx)) => {
+            for e in 0..s.epochs {
+                tx.send(&message(e).to_le_bytes()).txt()?;
+            }
+            tx.close(ctx).txt()?;
+            Ok(0)
+        }
+        Some(ChannelEnd::Receiver(mut rx)) => {
+            let (mut h, mut buf) = (0, [0u8; 8]);
+            for e in 0..s.epochs {
+                rx.recv(&mut buf).txt()?;
+                ensure(le(&buf) == message(e), || format!("message {e} = {}", le(&buf)))?;
                 h = mix(h, le(&buf));
             }
-            r.close(ctx).unwrap();
-            h
+            rx.close(ctx).txt()?;
+            Ok(h)
         }
+        None => Ok(0),
     }
 }
 
-/// Two producers fan into one consumer. Arrival *order* across producers
-/// is schedule-dependent by design, so the consumer's digest sums
-/// per-record hashes — the set of deliveries is the stable output.
-fn rmc_fanin(ctx: &mut RankCtx) -> u64 {
-    match fanin(ctx, 2, &[0, 1], 1, 8).unwrap().unwrap() {
-        FaninEnd::Producer(mut p) => {
-            let v = (ctx.rank() as u64 + 1) * 7;
-            p.send(&v.to_le_bytes()).unwrap();
-            p.close(ctx).unwrap();
-            0
-        }
-        FaninEnd::Consumer(mut c) => {
-            let mut h = 0u64;
-            let mut buf = [0u8; 8];
-            for _ in 0..2 {
-                let (src, _) = c.recv(&mut buf).unwrap();
-                h = h.wrapping_add(h1(((src as u64) << 32) ^ le(&buf)));
+/// Message `e` of fan-in producer `rank`.
+fn fanin_message(rank: u32, e: usize) -> u64 {
+    ((rank as u64 + 1) * 7) | ((e as u64) << 32)
+}
+
+/// Every other rank fans into the last one. Arrival *order* across
+/// producers is schedule-dependent by design, so the consumer's digest
+/// sums per-record hashes — the set of deliveries is the stable output.
+fn rmc_fanin(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let consumer = ctx.size() as u32 - 1;
+    let producers: Vec<u32> = (0..consumer).collect();
+    match fanin(ctx, consumer, &producers, 1, 8).txt()?.expect("every rank is an end") {
+        FaninEnd::Producer(mut tx) => {
+            for e in 0..s.epochs {
+                tx.send(&fanin_message(ctx.rank(), e).to_le_bytes()).txt()?;
             }
-            c.close(ctx).unwrap();
-            h
+            tx.close(ctx).txt()?;
+            Ok(0)
+        }
+        FaninEnd::Consumer(mut rx) => {
+            let (mut h, mut buf, mut next) = (0u64, [0u8; 8], vec![0; producers.len()]);
+            for _ in 0..producers.len() * s.epochs {
+                let (src, _) = rx.recv(&mut buf).txt()?;
+                // Each producer's own stream is FIFO.
+                let want = fanin_message(src, next[src as usize]);
+                ensure(le(&buf) == want, || {
+                    format!("{:#x} from rank {src}, want {want:#x}", le(&buf))
+                })?;
+                next[src as usize] += 1;
+                h = h.wrapping_add(splitmix64(((src as u64) << 32) ^ le(&buf)));
+            }
+            rx.close(ctx).txt()?;
+            Ok(h)
         }
     }
 }
 
-/// One publisher, two subscribers, one slot: the second publish blocks
-/// on both subscribers' credits. Each subscriber's edge is FIFO.
-fn rmc_fanout(ctx: &mut RankCtx) -> u64 {
-    match fanout(ctx, 0, &[1, 2], 1, 8, LaggingPolicy::Block).unwrap().unwrap() {
-        FanoutEnd::Publisher(mut p) => {
-            p.publish(&31u64.to_le_bytes()).unwrap();
-            p.publish(&32u64.to_le_bytes()).unwrap();
-            let dropped = p.dropped_total();
-            p.close(ctx).unwrap();
-            dropped
+/// Rank 0 publishes to every other rank over one slot: each publish after
+/// the first blocks on every subscriber's credit. Each subscriber's edge
+/// is FIFO.
+fn rmc_fanout(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let subscribers: Vec<u32> = (1..ctx.size() as u32).collect();
+    let message = |e: usize| 31 + e as u64;
+    let end = fanout(ctx, 0, &subscribers, 1, 8, LaggingPolicy::Block).txt()?;
+    match end.expect("every rank is an end") {
+        FanoutEnd::Publisher(mut px) => {
+            for e in 0..s.epochs {
+                px.publish(&message(e).to_le_bytes()).txt()?;
+            }
+            let dropped = px.dropped_total();
+            ensure(dropped == 0, || format!("a blocking fan-out dropped {dropped} messages"))?;
+            px.close(ctx).txt()?;
+            Ok(dropped)
         }
-        FanoutEnd::Subscriber(mut s) => {
-            let mut h = 0u64;
-            let mut buf = [0u8; 8];
-            for _ in 0..2 {
-                s.recv(&mut buf).unwrap();
+        FanoutEnd::Subscriber(mut sx) => {
+            let (mut h, mut buf) = (0, [0u8; 8]);
+            for e in 0..s.epochs {
+                sx.recv(&mut buf).txt()?;
+                ensure(le(&buf) == message(e), || format!("message {e} = {}", le(&buf)))?;
                 h = mix(h, le(&buf));
             }
-            s.close(ctx).unwrap();
-            h
+            sx.close(ctx).txt()?;
+            Ok(h)
         }
     }
 }
 
-/// Two ranks exchange two rounds over a one-slot mesh: round 1's sends
-/// need round 0's *lazily flushed* credits, so the batched credit-return
-/// path is what the checker interleaves.
-fn rmc_mesh(ctx: &mut RankCtx) -> u64 {
-    let mut m = mesh(ctx, &RmcConfig { slots: 1, slot_bytes: 8, ..RmcConfig::default() }).unwrap();
+/// Every rank sends one message a round to its right neighbour over a
+/// one-slot mesh: round r+1's send needs round r's *lazily flushed*
+/// credit, so the batched credit-return path is what the checker
+/// interleaves.
+///
+/// MUTANT (`leak`): the round-0 credit return is dropped. Every round-1
+/// send then waits forever for a credit nobody will flush — the checker
+/// must report a global deadlock.
+fn rmc_mesh(ctx: &mut RankCtx, s: &Shape, leak: bool) -> Verdict {
+    let mut m = mesh(ctx, &RmcConfig { slots: 1, slot_bytes: 8, ..RmcConfig::default() }).txt()?;
     let me = ctx.rank();
-    let peer = 1 - me;
-    let mut h = 0u64;
-    let mut buf = [0u8; 8];
-    for round in 0..2u64 {
-        m.send(peer, &(((me as u64) << 8) | round).to_le_bytes()).unwrap();
-        let (src, _) = m.recv(&mut buf).unwrap();
-        h = h.wrapping_add(h1(((src as u64) << 32) ^ le(&buf)));
-        m.flush_credits().unwrap();
-    }
-    m.close(ctx).unwrap();
-    h
-}
-
-/// MUTANT of [`rmc_mesh`]: the round-0 credit return is dropped. Both
-/// ranks' round-1 sends then wait forever for a credit nobody will
-/// flush — the checker must report a global deadlock.
-fn mesh_credit_leak(ctx: &mut RankCtx) -> u64 {
-    let mut m = mesh(ctx, &RmcConfig { slots: 1, slot_bytes: 8, ..RmcConfig::default() }).unwrap();
-    let me = ctx.rank();
-    let peer = 1 - me;
-    let mut h = 0u64;
-    let mut buf = [0u8; 8];
-    for round in 0..2u64 {
-        m.send(peer, &(((me as u64) << 8) | round).to_le_bytes()).unwrap();
-        let (src, _) = m.recv(&mut buf).unwrap();
-        h = h.wrapping_add(h1(((src as u64) << 32) ^ le(&buf)));
-        if round > 0 {
-            // BUG under test: round 0's consumed slot is never credited
-            // back to the producer.
-            m.flush_credits().unwrap();
+    let (left, right) = neighbors(me, ctx.size());
+    let (mut h, mut buf) = (0u64, [0u8; 8]);
+    for round in 0..s.epochs as u64 {
+        m.send(right, &(((me as u64) << 8) | round).to_le_bytes()).txt()?;
+        let (src, _) = m.recv(&mut buf).txt()?;
+        let want = ((left as u64) << 8) | round;
+        ensure(src == left && le(&buf) == want, || {
+            format!("round {round}: {:#x} from rank {src}, want {want:#x} from {left}", le(&buf))
+        })?;
+        h = h.wrapping_add(splitmix64(((src as u64) << 32) ^ le(&buf)));
+        // BUG under test (mutant): round 0's slot is never credited back.
+        if !leak || round > 0 {
+            m.flush_credits().txt()?;
         }
     }
-    m.close(ctx).unwrap();
-    h
+    m.close(ctx).txt()?;
+    Ok(h)
 }
 
-/// Request/response with a virtual-time deadline: call 1 completes, the
-/// server then charges 1 ms before answering call 2, blowing its 100 µs
-/// deadline in *every* schedule — the timeout result is deterministic
-/// and the late reply still settles the slot credit.
-fn rpc_timeout(ctx: &mut RankCtx) -> u64 {
+/// Request/response with a virtual-time deadline: rank 0 serves every
+/// other rank, one request in flight each. It charges 1 ms before
+/// answering each client's odd-numbered call, blowing the 100 µs deadline
+/// in *every* schedule, and the late reply still settles the slot credit.
+/// An even-numbered call is answered at once — yet with several clients it
+/// may queue behind another's stalled call and time out too.
+fn rpc_timeout(ctx: &mut RankCtx, s: &Shape) -> Verdict {
     let cfg = RmcConfig {
         slots: 1,
         slot_bytes: 8,
@@ -200,80 +612,89 @@ fn rpc_timeout(ctx: &mut RankCtx) -> u64 {
         rpc_timeout_ns: 100_000,
         ..RmcConfig::default()
     };
-    match rpc(ctx, 0, &[1], &cfg).unwrap().unwrap() {
-        RpcEnd::Server(mut s) => {
-            let q1 = s.recv().unwrap();
-            s.reply(&q1, &99u64.to_le_bytes()).unwrap();
-            let q2 = s.recv().unwrap();
-            ctx.ep().charge(1_000_000.0);
-            s.reply(&q2, &77u64.to_le_bytes()).unwrap();
-            s.close(ctx).unwrap();
-            0
+    let clients: Vec<u32> = (1..ctx.size() as u32).collect();
+    let answer = |call: u64| if call % 2 == 1 { 77u64 } else { 99 };
+    match rpc(ctx, 0, &clients, &cfg).txt()?.expect("every rank is an end") {
+        RpcEnd::Server(mut srv) => {
+            for _ in 0..clients.len() * s.epochs {
+                let q = srv.recv().txt()?;
+                if q.corr % 2 == 1 {
+                    ctx.ep().charge(1_000_000.0);
+                }
+                srv.reply(&q, &answer(q.corr).to_le_bytes()).txt()?;
+            }
+            srv.close(ctx).txt()?;
+            Ok(0)
         }
-        RpcEnd::Client(mut c) => {
-            let mut buf = [0u8; 8];
-            c.call(&1u64.to_le_bytes(), &mut buf).unwrap();
-            let mut h = mix(0, le(&buf));
-            let late = c.call(&2u64.to_le_bytes(), &mut buf);
-            h = mix(h, if late.is_err() { 0xDEAD } else { 0xBEEF });
-            c.close(ctx).unwrap();
-            h
+        RpcEnd::Client(mut cl) => {
+            let (mut h, mut buf) = (0, [0u8; 8]);
+            for call in 0..s.epochs as u64 {
+                let got = match cl.call(&(call + 1).to_le_bytes(), &mut buf) {
+                    // Only an even call can beat its deadline.
+                    Ok(_) if call % 2 == 0 && le(&buf) == answer(call) => le(&buf),
+                    Err(e) if e.is_transient() => 0xDEAD,
+                    other => return Err(format!("call {call}: {other:?} (reply {:#x})", le(&buf))),
+                };
+                h = mix(h, got);
+            }
+            cl.close(ctx).txt()?;
+            Ok(h)
         }
     }
 }
 
-const CELL: usize = 16; // version word + one u64 payload
-
-/// Both ranks run the full optimistic commit protocol (lock-CAS,
-/// validate, publish) against *disjoint* cells on rank 0, then everyone
-/// reads both payloads back. Disjoint cells keep the exploration small
-/// while still interleaving every phase of two commits; the shared-cell
-/// contention path is covered by [`txn_lost_publish`]'s correct prefix
-/// and by `fompi-txn`'s own stress tests.
-fn txn_commit(ctx: &mut RankCtx) -> u64 {
-    let win = Win::allocate(ctx, 2 * CELL, 1).unwrap();
-    VersionedCell::init_local(&win, 0, &0u64.to_le_bytes());
-    VersionedCell::init_local(&win, CELL, &0u64.to_le_bytes());
+/// Every rank runs the full optimistic commit protocol (lock-CAS,
+/// validate, publish) against its own cell on rank 0, then everyone reads
+/// every payload back. Disjoint cells keep the exploration small while
+/// still interleaving every phase of two commits; the shared-cell path is
+/// [`txn_readonly`]'s and [`txn_lost_publish`]'s.
+fn txn_commit(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let p = ctx.size();
+    let win = Win::allocate(ctx, p * CELL, 1).txt()?;
+    for c in 0..p {
+        VersionedCell::init_local(&win, c * CELL, &0u64.to_le_bytes());
+    }
     ctx.barrier();
-    win.lock_all().unwrap();
+    win.lock_all().txt()?;
     let me = ctx.rank();
     let cell = VersionedCell::new(0, me as usize * CELL, 8);
     let policy = RetryPolicy::for_win(&win);
-    let mut rng = fompi_fabric::rng::Rng::seed_from_u64(7 + me as u64);
-    fompi_txn::run(&win, &policy, &mut rng, |txn| {
-        let mut b = [0u8; 8];
-        txn.read(cell, &mut b)?;
-        let v = le(&b).wrapping_add(me as u64 + 1);
-        txn.write(cell, &v.to_le_bytes())?;
-        Ok(v)
-    })
-    .unwrap();
+    let mut rng = Rng::seed_from_u64(7 + me as u64);
+    for _ in 0..s.epochs {
+        fompi_txn::run(&win, &policy, &mut rng, |txn| {
+            let mut b = [0u8; 8];
+            txn.read(cell, &mut b)?;
+            txn.write(cell, &le(&b).wrapping_add(me as u64 + 1).to_le_bytes())
+        })
+        .txt()?;
+    }
     ctx.barrier();
-    let mut h = 0u64;
-    for c in [VersionedCell::new(0, 0, 8), VersionedCell::new(0, CELL, 8)] {
+    let mut h = 0;
+    for c in 0..p {
         let mut b = [0u8; 8];
-        c.read(&win, &mut b).unwrap();
+        VersionedCell::new(0, c * CELL, 8).read(&win, &mut b).txt()?;
+        let want = (c as u64 + 1) * s.epochs as u64;
+        ensure(le(&b) == want, || format!("cell {c} = {}, want {want}", le(&b)))?;
         h = mix(h, le(&b));
     }
-    win.unlock_all().unwrap();
-    win.free(ctx);
-    h
+    win.unlock_all().txt()?;
+    at_rest(win.free(ctx))?;
+    Ok(h)
 }
 
 /// MUTANT: rank 1 hand-rolls the commit's lock phase on a shared cell
 /// and *drops the publish CAS*, leaving the seqlock version odd forever.
-/// Rank 0's bounded versioned-read retry then exhausts and panics — the
+/// Rank 0's bounded versioned-read retry then gives up — the
 /// counterexample every schedule must reach.
-fn txn_lost_publish(ctx: &mut RankCtx) -> u64 {
-    let win = Win::allocate(ctx, CELL, 1).unwrap();
+fn txn_lost_publish(ctx: &mut RankCtx, _: &Shape) -> Verdict {
+    let win = Win::allocate(ctx, CELL, 1).txt()?;
     VersionedCell::init_local(&win, 0, &0u64.to_le_bytes());
     ctx.barrier();
-    win.lock_all().unwrap();
+    win.lock_all().txt()?;
     if ctx.rank() == 1 {
-        // Lock phase of the commit protocol: version 0 -> 1 (odd =
-        // locked)...
-        let prev = win.compare_and_swap(1, 0, 0, 0).unwrap();
-        assert_eq!(prev, 0, "lock CAS lost with no contention");
+        // Lock phase of the commit protocol: version 0 -> 1 (odd = locked)...
+        let prev = win.compare_and_swap(1, 0, 0, 0).txt()?;
+        ensure(prev == 0, || "lock CAS lost with no contention".into())?;
         // ...BUG under test: the publish CAS (1 -> 2) never happens.
     }
     ctx.barrier();
@@ -281,11 +702,11 @@ fn txn_lost_publish(ctx: &mut RankCtx) -> u64 {
         let cell = VersionedCell::new(0, 0, 8);
         let mut b = [0u8; 8];
         let published = (0..3).any(|_| cell.read(&win, &mut b).is_ok());
-        assert!(published, "cell never published: version stuck odd (lost publish CAS)");
+        ensure(published, || "cell never published: version stuck odd (lost publish CAS)".into())?;
     }
-    win.unlock_all().unwrap();
-    win.free(ctx);
-    0
+    win.unlock_all().txt()?;
+    at_rest(win.free(ctx))?;
+    Ok(0)
 }
 
 /// A cell with a two-word payload `[value | !value]`: its versioned read
@@ -293,7 +714,7 @@ fn txn_lost_publish(ctx: &mut RankCtx) -> u64 {
 /// explored path.
 const WIDE: usize = 24;
 const WIDE_PAYLOAD: usize = 16;
-/// What cells A and B hold between them, before and after the transfer.
+/// What cells A and B hold between them, before and after the transfers.
 const HELD: (u64, u64) = (60, 40);
 const MOVED: u64 = 7;
 
@@ -312,58 +733,99 @@ fn read_wide(txn: &mut Txn, cell: VersionedCell) -> fompi_txn::Result<u64> {
     Ok(value)
 }
 
-/// Rank 1 moves value from cell A to cell B in one two-key transaction
-/// while rank 0 reads A, then B, in a read-only one. A snapshot that
-/// `commit` (or, in the mutant, nothing) accepted must show the conserved
-/// sum; one it refused is dropped, as a retry would. Both ranks then
-/// digest the final cells.
-fn readonly_against_transfer(ctx: &mut RankCtx, validated: bool) -> u64 {
-    let win = Win::allocate(ctx, 2 * WIDE, 1).unwrap();
+/// Rank 1 moves value from cell A to cell B in two-key transactions
+/// while every other rank reads A, then B, in read-only ones. A snapshot
+/// that `commit` (or, in the mutant, nothing) accepted must show the
+/// conserved sum; one it refused is dropped, as a retry would. Everyone
+/// then digests the final cells. (One writer: two would contend, and a
+/// retry's backoff is virtual time, so a stalled holder's peer can spend
+/// its whole budget in a moment of wall clock.) The read-only commit rule
+/// under test: validate every cell but the one read last.
+///
+/// MUTANT (`!validated`): the read-only commit validates nothing. With a
+/// whole transfer between the reader's two reads, A is old and B is new —
+/// the schedule the checker must find.
+fn txn_readonly(ctx: &mut RankCtx, s: &Shape, validated: bool) -> Verdict {
+    let win = Win::allocate(ctx, 2 * WIDE, 1).txt()?;
     VersionedCell::init_local(&win, 0, &wide(HELD.0));
     VersionedCell::init_local(&win, WIDE, &wide(HELD.1));
     ctx.barrier();
-    win.lock_all().unwrap();
+    win.lock_all().txt()?;
     let a = VersionedCell::new(0, 0, WIDE_PAYLOAD);
     let b = VersionedCell::new(0, WIDE, WIDE_PAYLOAD);
     if ctx.rank() == 1 {
-        let mut rng = fompi_fabric::rng::Rng::seed_from_u64(7);
-        fompi_txn::run(&win, &RetryPolicy::for_win(&win), &mut rng, |txn| {
-            let (from, to) = (read_wide(txn, a)?, read_wide(txn, b)?);
-            txn.write(a, &wide(from - MOVED))?;
-            txn.write(b, &wide(to + MOVED))
-        })
-        .unwrap();
+        let mut rng = Rng::seed_from_u64(7);
+        for _ in 0..s.epochs {
+            fompi_txn::run(&win, &RetryPolicy::for_win(&win), &mut rng, |txn| {
+                let (from, to) = (read_wide(txn, a)?, read_wide(txn, b)?);
+                txn.write(a, &wide(from.wrapping_sub(MOVED)))?;
+                txn.write(b, &wide(to.wrapping_add(MOVED)))
+            })
+            .txt()?;
+        }
     } else {
-        let mut txn = Txn::begin(&win);
-        let seen = read_wide(&mut txn, a).and_then(|x| Ok((x, read_wide(&mut txn, b)?)));
-        let accepted = !validated || txn.commit().is_ok();
-        if let (Ok((x, y)), true) = (seen, accepted) {
-            assert!(
-                x + y == HELD.0 + HELD.1,
-                "accepted a snapshot that never existed: A={x} B={y}"
-            );
+        for _ in 0..s.epochs {
+            let mut txn = Txn::begin(&win);
+            let seen = read_wide(&mut txn, a).and_then(|x| Ok((x, read_wide(&mut txn, b)?)));
+            let accepted = !validated || txn.commit().is_ok();
+            if let (Ok((x, y)), true) = (seen, accepted) {
+                ensure(x.wrapping_add(y) == HELD.0 + HELD.1, || {
+                    format!("accepted a snapshot that never existed: A={x} B={y}")
+                })?;
+            }
         }
     }
     ctx.barrier();
-    let mut h = 0u64;
-    for cell in [a, b] {
+    let mut h = 0;
+    let mut values = [0u64; 2];
+    for (cell, value) in [a, b].into_iter().zip(&mut values) {
         let mut payload = [0u8; WIDE_PAYLOAD];
-        cell.read(&win, &mut payload).unwrap();
-        h = mix(h, le(&payload));
+        cell.read(&win, &mut payload).txt()?;
+        *value = le(&payload);
+        h = mix(h, *value);
     }
-    win.unlock_all().unwrap();
-    win.free(ctx);
-    h
+    let moved = MOVED * s.epochs as u64;
+    let want = [HELD.0.wrapping_sub(moved), HELD.1.wrapping_add(moved)];
+    ensure(values == want, || format!("final cells {values:?}, want {want:?}"))?;
+    win.unlock_all().txt()?;
+    at_rest(win.free(ctx))?;
+    Ok(h)
 }
 
-/// The read-only commit rule: validate every cell but the one read last.
-fn txn_readonly(ctx: &mut RankCtx) -> u64 {
-    readonly_against_transfer(ctx, true)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// MUTANT of [`txn_readonly`]: the read-only commit validates nothing.
-/// With the whole transfer between the reader's two reads, A is old and B
-/// is new — the schedule the checker must find.
-fn txn_skip_first_validate(ctx: &mut RankCtx) -> u64 {
-    readonly_against_transfer(ctx, false)
+    #[test]
+    fn txn_pairings_are_disjoint_and_cover_every_cell() {
+        for p in [2, 3, 5, 8] {
+            for e in 0..6 {
+                let mut perm = txn_pairing(0xDEAD_BEEF, e, p);
+                perm.sort_unstable();
+                assert_eq!(perm, (0..2 * p).collect::<Vec<_>>(), "p={p} epoch={e}");
+            }
+        }
+        // Pairings vary across epochs — the soak is not one fixed pattern.
+        assert_ne!(txn_pairing(1, 0, 4), txn_pairing(1, 1, 4));
+    }
+
+    #[test]
+    fn names_are_unique_and_soak_rows_keep_their_seed_streams() {
+        let mut names: Vec<_> = PROGRAMS.iter().chain(&MUTANTS).map(|p| p.name).collect();
+        let soak_order = [
+            "fence",
+            "pscw",
+            "pscw_fast",
+            "lock",
+            "lock_all",
+            "mcs",
+            "notify",
+            "flush",
+            "txn_transfer",
+        ];
+        assert_eq!(names[..9], soak_order);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PROGRAMS.len() + MUTANTS.len());
+    }
 }

@@ -83,7 +83,9 @@ pub struct RpcServer {
     /// that client will send (clients issue in order).
     rx: Vec<RxLane>,
     geom: Geometry,
-    /// Per-client reply-slot credits in hand.
+    /// Per-client reply-slot credits in hand, booked through
+    /// `Geometry::book_credit`: one beyond the ring's slots would let a
+    /// reply overwrite one the client has not consumed.
     rep_credits: Vec<u64>,
     /// Per-client reply corr at the last flush (the reply-slot reuse
     /// fence — see [`RpcServer::reply`]).
@@ -253,7 +255,7 @@ impl RpcServer {
         let t0 = self.win.endpoint().clock().now();
         while let Some(rec) = self.win.test_notify(ANY_SOURCE, REP_CREDIT_TAG)? {
             let i = self.client_index(rec.source)?;
-            self.rep_credits[i] += 1;
+            self.geom.book_credit(&mut self.rep_credits[i], rec.source)?;
         }
         for rx in &mut self.rx {
             // Clients issue correlation ids in order, so the next request
@@ -303,11 +305,11 @@ impl RpcServer {
         let i = self.client_index(req.client)?;
         if self.rep_credits[i] == 0 {
             while self.win.test_notify(req.client, REP_CREDIT_TAG)?.is_some() {
-                self.rep_credits[i] += 1;
+                self.geom.book_credit(&mut self.rep_credits[i], req.client)?;
             }
             if self.rep_credits[i] == 0 {
                 self.win.wait_notify(req.client, REP_CREDIT_TAG)?;
-                self.rep_credits[i] += 1;
+                self.geom.book_credit(&mut self.rep_credits[i], req.client)?;
             }
         }
         // Slot-reuse fence for the reply ring: the rule of
@@ -489,6 +491,36 @@ mod tests {
             })
         };
         assert_eq!(run(), run(), "the timeout verdict must be schedule-independent");
+    }
+
+    #[test]
+    fn a_stray_reply_credit_is_an_error_naming_the_client() {
+        // Client 1 returns its one reply slot, then forges a second credit
+        // (from another window: records match by source and tag alone).
+        // Absorbing it would let the server overwrite an unread reply.
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let forger = lane::open(ctx, 8).unwrap();
+            let said = match rpc(ctx, 0, &[1], &cfg(1, 1)).unwrap().unwrap() {
+                RpcEnd::Server(mut srv) => {
+                    let req = srv.recv().unwrap();
+                    srv.reply(&req, b"pong").unwrap();
+                    ctx.barrier();
+                    let said = srv.try_recv().map(drop);
+                    srv.close(ctx).and(said)
+                }
+                RpcEnd::Client(mut cl) => {
+                    cl.call(b"ping", &mut [0u8; 32]).unwrap();
+                    forger.accumulate_notify(1, MpiOp::Sum, 0, 0, REP_CREDIT_TAG).unwrap();
+                    ctx.barrier();
+                    cl.close(ctx)
+                }
+            };
+            lane::close(forger, ctx).unwrap();
+            said.map_err(|e| e.to_string())
+        });
+        let server = got[0].as_ref().expect_err("the stray reply credit was absorbed");
+        assert!(server.contains("underflow") && server.contains("rank 1"), "{server}");
+        assert_eq!(got[1], Ok(()));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
 #   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
-#   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare
+#   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak and mc_summary: the protocol table's two runners)
 #   scripts/ci.sh perfgate    # virtual-time perf-regression gate
 #   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
-#   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
+#   scripts/ci.sh mc          # model checker: every table row exhaustively + mutation gate + replay
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh loc [--against <parent-checkout>] [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]; --against: the delta to another checkout
 #   scripts/ci.sh flake [N=40] [-- <cargo test args>]  # a suite N times (default: the root suite): failures per test name, exit 1 on any
@@ -101,7 +101,7 @@ stage_symbols() {
     cargo build --offline --release -q -p fompi-bench --bin perfgate
     local steps
     steps=$(nm -C target/release/perfgate | grep -E \
-        'fompi_fabric::endpoint::Endpoint::(begin|locate|price|finish)(::|$)|fompi::.*Win>::(admit|resolve|begin|landed|require|enter|leave|spin_until|wait_word|wait_ring)(::|$)' || true)
+        'fompi_fabric::endpoint::Endpoint::(begin|locate|price|finish)(::|$)|fompi::.*Win>::(admit|resolve|begin|landed|require|enter|leave|spin_until|wait_word|wait_ring|wait_scan)(::|$)' || true)
     if [[ -n $steps ]]; then
         echo "symbols: these steps of an op body / window call are out of line in target/release/perfgate:" >&2
         echo "$steps" >&2
@@ -157,15 +157,25 @@ unmoved() { # unmoved <what ran> <file>… — fail naming the first file that d
 }
 
 stage_determinism() {
-    # Chaos soak smoke: every protocol under seeded light/heavy fault
-    # plans. The CSV depends on the seed count, so only the default
-    # two-seed run is compared.
-    echo "== soak smoke (${SOAK_SEEDS:-2} seeds, all protocols) =="
+    # The protocol table (crates/mc/src/programs.rs) and its two runners.
+    # Chaos soak smoke: every program under seeded light/heavy fault plans
+    # (the CSV depends on the seed count, so only the default two-seed run
+    # is compared; a contended row writes `-` for its fault count). Then
+    # the model checker's summary: exploration counts and counterexample
+    # schedules are exact functions of the DPOR walk, so any drift is a
+    # real change.
+    echo "== soak smoke (${SOAK_SEEDS:-2} seeds, every program) =="
     "${SCRUB[@]}" SOAK_SEEDS="${SOAK_SEEDS:-2}" \
-        cargo run --offline --release -q -p fompi-bench --bin soak
+        cargo run --offline --release -q -p fompi-mc --bin soak
     if [[ "${SOAK_SEEDS:-2}" == "2" ]]; then
         unmoved soak results/soak.csv
     fi
+    echo "== determinism: mc_summary =="
+    cargo build --offline --release -q -p fompi-mc --bin mc_summary
+    local t0=$SECONDS
+    "${SCRUB[@]}" target/release/mc_summary >/dev/null
+    echo "mc_summary: $((SECONDS - t0)) s wall"
+    unmoved mc_summary results/mc_summary.csv
 
     local row bin args files
     for row in "${DETERMINISM[@]}"; do
@@ -223,24 +233,17 @@ stage_fleet() {
 }
 
 stage_mc() {
-    # Exhaustive interleaving model checker over the one-sided protocol
-    # kernels. Three gates in one stage:
-    #   1. the integration tests run every model program to exhaustion at
-    #      the default bounds (zero violations, `complete=true`) and are
-    #      the *mutation* gate — the broken-credit-return,
-    #      dropped-publish-CAS and unvalidated-read-only-commit mutants
-    #      must each yield a replayable counterexample;
-    #   2. replay round-trip: FOMPI_MC_REPLAY must reproduce a violation
-    #      and its per-rank virtual clocks bit-for-bit (in-process and
-    #      out-of-process);
-    #   3. results/mc_summary.csv regenerates byte-identically —
-    #      exploration counts and counterexample schedules are exact
-    #      functions of the DPOR walk, so any drift is a real change.
-    echo "== mc: exhaustive model + mutation gate (fompi-mc tests) =="
+    # Exhaustive interleaving model checker over the protocol table. The
+    # integration tests run every row with a model-checked instance to
+    # exhaustion at the default bounds (zero violations, `complete=true`)
+    # and are the *mutation* gate — the broken-credit-return,
+    # dropped-publish-CAS, unvalidated-read-only-commit and
+    # skipped-unlock_all mutants must each yield a counterexample that
+    # FOMPI_MC_REPLAY reproduces with its per-rank virtual clocks bit for
+    # bit (in-process and out-of-process). results/mc_summary.csv is
+    # byte-diffed by the determinism stage.
+    echo "== mc: exhaustive table + mutation gate (fompi-mc tests) =="
     "${SCRUB[@]}" cargo test --offline --release -q -p fompi-mc
-    echo "== results determinism: mc_summary.csv =="
-    "${SCRUB[@]}" cargo run --offline --release -q -p fompi-mc --bin mc_summary >/dev/null
-    git diff --exit-code -- results/mc_summary.csv
 }
 
 stage_loc() { # stage_loc [--against <parent-checkout>] [file…] — a scoreboard, not a gate
@@ -480,11 +483,9 @@ stage_nightly() {
     stage_flake
 
     # Long soak: keep feeding fresh seed batches until the deadline.
-    # Protocol::ALL now includes rmc_channel — the ring-shaped credit
-    # protocol soaks under every fault plan alongside the older nine.
     echo "== soak long mode (${SOAK_SECONDS:-600}s) =="
     SOAK_SECONDS="${SOAK_SECONDS:-600}" \
-        cargo run --offline --release -q -p fompi-bench --bin soak
+        cargo run --offline --release -q -p fompi-mc --bin soak
 }
 
 # ---------------------------------------------------------------- driver

@@ -2,16 +2,17 @@
 //!
 //! One deliberately-racy program per violation class, each asserting that
 //! report mode names it; a panic-mode abort check; and the false-positive
-//! gate: every soak protocol, several seeds, fully clean under
-//! `FOMPI_RACECHECK=panic`.
+//! gate: every program of the protocol table, several seeds, fully clean
+//! under `FOMPI_RACECHECK=panic`.
 //!
 //! Detection is per-interleaving (like a thread sanitizer): the checker is
 //! sound for the schedule it observed, so racy programs assert `>= 1`
 //! flags, never exact counts.
 
-use fompi::soak::{run_case_racecheck, seeds, Protocol};
 use fompi::{LockType, MpiOp, NumKind, Win};
 use fompi_fabric::{CostModel, FaultPlan, RaceClass, RacecheckMode};
+use fompi_mc::soak::{run_case_racecheck, seeds};
+use fompi_mc::PROGRAMS;
 use fompi_runtime::Universe;
 
 fn racy_universe(p: usize) -> Universe {
@@ -255,17 +256,17 @@ fn panic_mode_aborts_on_first_violation() {
 
 // ----------------------------------------------------- false-positive gate
 
-/// Every soak protocol is synchronisation-correct by construction: under
-/// `RacecheckMode::Panic` any flag is a checker false positive (the rank
-/// thread would abort and fail the launch).
+/// Every program of the protocol table is synchronisation-correct by
+/// construction: under `RacecheckMode::Panic` any flag is a checker false
+/// positive (the rank thread would abort and fail the launch).
 #[test]
 fn all_soak_protocols_are_clean_under_panic_mode() {
-    for proto in Protocol::ALL {
+    for prog in &PROGRAMS {
         for (i, &seed) in seeds(0xACE_5EED, 3).iter().enumerate() {
             let plan = if i % 2 == 0 { FaultPlan::disabled() } else { FaultPlan::light(0) };
-            let out = run_case_racecheck(proto, 4, 3, seed, plan, Some(RacecheckMode::Panic));
-            assert!(out.passed(), "{} seed {seed:#x}: {:?}", proto.name(), out.violations);
-            assert_eq!(out.raceflags, 0, "{} seed {seed:#x}: checker false positive", proto.name());
+            let out = run_case_racecheck(prog, 4, 3, seed, plan, Some(RacecheckMode::Panic));
+            assert!(out.passed(), "{} seed {seed:#x}: {:?}", prog.name, out.violations);
+            assert_eq!(out.raceflags, 0, "{} seed {seed:#x}: checker false positive", prog.name);
         }
     }
 }

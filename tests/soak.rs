@@ -1,13 +1,14 @@
-//! Protocol soak campaign: every synchronisation protocol, many seeds,
+//! Protocol soak campaign: every row of the protocol table, many seeds,
 //! deterministic fault plans — zero invariant violations allowed.
 //!
 //! The whole campaign derives from one root seed (`FOMPI_SEED`, default
 //! below), and every violation message names the seed that reproduces it,
 //! so a red run here is replayable with a single environment variable.
 
-use fompi::soak::{run_case, seeds, Protocol};
 use fompi_fabric::rng::root_seed_from_env;
 use fompi_fabric::FaultPlan;
+use fompi_mc::soak::{run_case, seeds};
+use fompi_mc::{find, PROGRAMS};
 
 const ROOT: u64 = 0x50A4_B17E_5EED;
 
@@ -15,19 +16,19 @@ fn root() -> u64 {
     root_seed_from_env(ROOT)
 }
 
-/// The acceptance campaign: 32 seeds x all 8 protocols at p = 4 under
+/// The acceptance campaign: 32 seeds x every program at p = 4 under
 /// alternating light/heavy fault plans, zero violations.
 #[test]
 fn thirty_two_seeds_zero_violations() {
     let campaign = seeds(root(), 32);
-    for proto in Protocol::ALL {
+    for prog in &PROGRAMS {
         for (i, &seed) in campaign.iter().enumerate() {
             let plan = if i % 2 == 0 { FaultPlan::light(0) } else { FaultPlan::heavy(0) };
-            let out = run_case(proto, 4, 4, seed, plan);
+            let out = run_case(prog, 4, 4, seed, plan);
             assert!(
                 out.passed(),
                 "{} seed {seed:#x} (campaign root {:#x}): {:?}",
-                proto.name(),
+                prog.name,
                 root(),
                 out.violations
             );
@@ -39,55 +40,39 @@ fn thirty_two_seeds_zero_violations() {
 /// nothing proves nothing.
 #[test]
 fn heavy_plans_inject_faults_in_every_protocol() {
-    for proto in Protocol::ALL {
-        let out = run_case(proto, 4, 4, seeds(root(), 1)[0], FaultPlan::heavy(0));
-        assert!(out.passed(), "{}: {:?}", proto.name(), out.violations);
-        assert!(out.injected > 0, "{}: heavy plan injected no faults", proto.name());
+    for prog in &PROGRAMS {
+        let out = run_case(prog, 4, 4, seeds(root(), 1)[0], FaultPlan::heavy(0));
+        assert!(out.passed(), "{}: {:?}", prog.name, out.violations);
+        assert!(out.injected > 0, "{}: heavy plan injected no faults", prog.name);
     }
 }
 
-/// Same (protocol, p, seed, plan) twice => bit-identical per-rank virtual
-/// clocks and fault counts, for the contention-free workloads. (Lock
-/// protocols are excluded: acquisition order is schedule-dependent, so
-/// their clocks legitimately vary — correctness there is conservation,
-/// checked above.)
+/// Same (program, p, seed, plan) twice => bit-identical per-rank virtual
+/// clocks and fault counts, for every row declared stable. (A contended
+/// row's clocks legitimately vary with who wins a lock or which message
+/// lands first — correctness there is its invariants, checked above.)
 #[test]
 fn soak_runs_are_bit_deterministic_per_seed() {
-    for proto in [
-        Protocol::Fence,
-        Protocol::Pscw,
-        Protocol::PscwFast,
-        Protocol::Notify,
-        Protocol::Flush,
-        // Disjoint pairings mean no contention: issue counts, fault
-        // draws and clocks are as deterministic as the ring workloads'.
-        // (This relies on single-element get_accumulate taking the
-        // hardware-AMO path — the locked fallback serialises disjoint
-        // cells through the target's one ACC_LOCK word, whose retry
-        // backoff charges schedule-dependent virtual time.)
-        Protocol::TxnTransfer,
-    ] {
+    for prog in PROGRAMS.iter().filter(|p| p.stable) {
         for &seed in &seeds(root().wrapping_add(1), 4) {
-            let a = run_case(proto, 5, 4, seed, FaultPlan::heavy(0));
-            let b = run_case(proto, 5, 4, seed, FaultPlan::heavy(0));
+            let a = run_case(prog, 5, 4, seed, FaultPlan::heavy(0));
+            let b = run_case(prog, 5, 4, seed, FaultPlan::heavy(0));
             assert!(
                 a.passed() && b.passed(),
                 "{}: {:?} {:?}",
-                proto.name(),
+                prog.name,
                 a.violations,
                 b.violations
             );
             assert_eq!(
-                a.clocks,
-                b.clocks,
+                a.clocks, b.clocks,
                 "{} seed {seed:#x}: virtual clocks diverged between identical runs",
-                proto.name()
+                prog.name
             );
             assert_eq!(
-                a.injected,
-                b.injected,
+                a.injected, b.injected,
                 "{} seed {seed:#x}: fault counts diverged",
-                proto.name()
+                prog.name
             );
         }
     }
@@ -97,9 +82,10 @@ fn soak_runs_are_bit_deterministic_per_seed() {
 /// the final clocks should not all collapse to one value.
 #[test]
 fn distinct_seeds_explore_distinct_schedules() {
+    let fence = find("fence").unwrap();
     let mut clocks = Vec::new();
     for &seed in &seeds(root().wrapping_add(2), 6) {
-        clocks.push(run_case(Protocol::Fence, 4, 4, seed, FaultPlan::heavy(0)).clocks);
+        clocks.push(run_case(&fence, 4, 4, seed, FaultPlan::heavy(0)).clocks);
     }
     clocks.sort_unstable();
     clocks.dedup();
@@ -109,8 +95,23 @@ fn distinct_seeds_explore_distinct_schedules() {
 /// A larger ring with a mid-size plan: the invariants hold as p grows.
 #[test]
 fn wider_ring_smoke() {
-    for proto in Protocol::ALL {
-        let out = run_case(proto, 8, 3, seeds(root().wrapping_add(3), 1)[0], FaultPlan::light(0));
-        assert!(out.passed(), "{}: {:?}", proto.name(), out.violations);
+    for prog in &PROGRAMS {
+        let out = run_case(prog, 8, 3, seeds(root().wrapping_add(3), 1)[0], FaultPlan::light(0));
+        assert!(out.passed(), "{}: {:?}", prog.name, out.violations);
+    }
+}
+
+/// The soak sees what only the metadata rest state shows: a rank that
+/// skips its last `unlock_all` is flagged on every seed, at the master,
+/// naming the word and the seed that replays it.
+#[test]
+fn a_skipped_unlock_all_is_flagged_on_every_seed() {
+    let mutant = find("unlock_all_skipped").unwrap();
+    for &seed in &seeds(root().wrapping_add(4), 4) {
+        let out = run_case(&mutant, 4, 4, seed, FaultPlan::light(0));
+        assert_eq!(out.violations.len(), 1, "seed {seed:#x}: {:?}", out.violations);
+        let v = &out.violations[0];
+        assert!(v.contains("rank=0] metadata word GLOBAL_LOCK"), "{v}");
+        assert!(v.contains(&format!("FOMPI_SEED={seed}")), "{v}");
     }
 }

@@ -339,6 +339,27 @@ mod tests {
     }
 
     #[test]
+    fn close_names_a_metadata_word_a_peer_left_off_rest() {
+        // Rank 0 posts toward rank 1, which never starts: the announcement
+        // stays in rank 1's PSCW match list, and only its teardown can see it.
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let win = open(ctx, 8).unwrap();
+            if ctx.rank() == 0 {
+                win.post(&fompi_runtime::Group::new([1])).unwrap();
+            }
+            close(win, ctx)
+        });
+        assert_eq!(got[0], Ok(()));
+        match &got[1] {
+            Err(FompiError::NotAtRest { word: "MATCH_HEAD index", got, want }) => {
+                assert_eq!(*want, crate::meta::NIL as u64);
+                assert_ne!(got, want);
+            }
+            other => panic!("rank 1's close returned {other:?}"),
+        }
+    }
+
+    #[test]
     fn random_interleavings_keep_fifo_bytes_credits_and_one_flush_per_lap() {
         for slots in [1usize, 2, 8] {
             for seed in 1..=6u64 {

@@ -196,20 +196,16 @@ fn run_once(
             match res {
                 Ok(Ok(d)) => {
                     g.finish(r);
-                    (Some(d), clock)
+                    return (Some(d), clock);
                 }
                 // A violated invariant stops the run like a panic.
-                Ok(Err(msg)) => {
-                    g.report_panic(r, msg);
-                    (None, clock)
+                Ok(Err(msg)) => g.report_panic(r, msg),
+                Err(payload) if payload.downcast_ref::<McAbort>().is_none() => {
+                    g.report_panic(r, panic_msg(payload.as_ref()))
                 }
-                Err(payload) => {
-                    if payload.downcast_ref::<McAbort>().is_none() {
-                        g.report_panic(r, panic_msg(payload.as_ref()));
-                    }
-                    (None, clock)
-                }
+                Err(_) => {}
             }
+            (None, clock)
         });
     let quiescent = (0..p as u32).all(|q| fabric.notify().queue(q).is_empty());
     RunOutcome {
@@ -283,13 +279,9 @@ pub fn replay(prog: &Program, schedule: &str) -> McResult {
         violation: found,
         clocks: o.clocks.clone(),
     };
-    match o.log.stop {
-        Some(Stop::Panic { rank, msg }) => {
-            res.counterexample = Some(cx(Found::Panic { rank, msg }))
-        }
-        Some(Stop::Deadlock { detail }) => {
-            res.counterexample = Some(cx(Found::Deadlock { detail }))
-        }
+    res.counterexample = match o.log.stop {
+        Some(Stop::Panic { rank, msg }) => Some(cx(Found::Panic { rank, msg })),
+        Some(Stop::Deadlock { detail }) => Some(cx(Found::Deadlock { detail })),
         Some(Stop::Divergence { at, want }) => panic!(
             "{REPLAY_ENV}: schedule diverged at step {at} (wanted rank {want}) — \
              stale schedule for this build or model?"
@@ -302,11 +294,12 @@ pub fn replay(prog: &Program, schedule: &str) -> McResult {
             if o.quiescent {
                 res.digest =
                     Some(o.digests.iter().map(|d| d.expect("clean run digests")).collect());
+                None
             } else {
-                res.counterexample = Some(cx(Found::Quiescence));
+                Some(cx(Found::Quiescence))
             }
         }
-    }
+    };
     res
 }
 

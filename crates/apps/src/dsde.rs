@@ -307,9 +307,10 @@ pub fn run_notified(ctx: &RankCtx, win: &Win, k: usize, seed: u64) -> DsdeResult
 /// [`run_notified`], but through the reusable [`fompi_rmc::mesh`]
 /// abstraction instead of a hand-rolled window layout. Each rank sends
 /// its `k` payloads over the all-to-all mesh, a barrier bounds the send
-/// phase, and the receiver drains until dry. Credits are returned with
-/// one batched [`fompi_rmc::Mesh::flush_credits`] *after* the drain, so
-/// the timed critical path is identical to the hand-rolled protocol —
+/// phase, and the receiver drains until dry. Credits are returned by one
+/// [`fompi_rmc::Mesh::flush_credits`] *after* the drain — one
+/// count-carrying record per source — so the timed critical path is
+/// identical to the hand-rolled protocol —
 /// what the channel substrate charges for its generality is deferred off
 /// the round, and the `time_ns` comparison in the tests holds it to that.
 pub fn run_rmc(ctx: &RankCtx, mesh: &mut fompi_rmc::Mesh, k: usize, seed: u64) -> DsdeResult {

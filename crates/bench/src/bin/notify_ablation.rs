@@ -11,8 +11,8 @@
 //!    item, and the put + flush + flag-AMO idiom the consumer polls
 //!    (`put_signal`/`signal_wait`);
 //! 2. **channel**: one `msg::channel` round over a 1-slot ring — a
-//!    notified payload put strictly alternating with the notified credit
-//!    AMO flowing back;
+//!    notified payload put strictly alternating with the credit record
+//!    flowing back;
 //! 3. **apps**: DSDE notified vs the fence-synchronised accumulate
 //!    protocol, and the hashtable's owner-computes notified backend vs
 //!    the CAS/FAA polling backend.
@@ -62,7 +62,7 @@ fn main() {
 
     println!("--- channel round: 1-slot msg::channel, 64-byte payload (p=2, inter-node) ---");
     let chan = channel_round();
-    let m_chan = model.channel_round(64);
+    let m_chan = model.channel_round(64, 1);
     println!("  measured : {chan:>9.1} ns/round  (model {m_chan:.1})\n");
 
     let mut rows = vec!["section,variant,ns,model_ns".to_string()];
@@ -181,7 +181,7 @@ fn handoff(variant: &str) -> f64 {
 
 /// Producer-side virtual ns per message over a 1-slot channel: every send
 /// after the first blocks on the previous credit, so the steady-state pace
-/// *is* the notified put + notified credit-AMO round.
+/// *is* the notified put + credit-record round.
 fn channel_round() -> f64 {
     const MSGS: usize = 16;
     let got = universe().run(move |ctx| {

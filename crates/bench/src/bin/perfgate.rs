@@ -20,7 +20,7 @@
 //! issue-side batching layer both off and on (put bursts and
 //! hardware-AMO accumulate bursts), plus the notified-access paths: a
 //! single `put_notify`/`wait_notify` handoff and one `msg::channel`
-//! round (notified payload put forward, notified credit-AMO back), the
+//! round (notified payload put forward, credit record back), the
 //! transaction layer's hot path: one versioned read and the commit
 //! phase of a 2-key transaction, and the remote-memory-channel layer:
 //! a steady-state fan-in round over a 1-slot ring, the publisher-side
@@ -268,7 +268,7 @@ fn collect() -> BTreeMap<String, f64> {
     m.insert("put_notify_8_ns".into(), notified[1]);
     // One `msg::channel` round over a 1-slot ring: every send after the
     // first blocks on the previous credit, so producer time / rounds is
-    // the steady-state notified put + notified credit-AMO pace.
+    // the steady-state notified put + credit-record pace.
     const CHAN_ROUNDS: usize = 4;
     let chan = Universe::new(2)
         .node_size(1)

@@ -8,7 +8,7 @@
 //!
 //! * **a1** — baseline latency: one producer, one consumer, a 1-slot
 //!   fan-in ring, so every send strictly alternates with the returning
-//!   credit AMO; producer time / messages is the steady-state channel
+//!   credit record; producer time / messages is the steady-state channel
 //!   round (model twin `rmc_fanin_round`).
 //! * **a2** — fan-out: one publisher multicasting to N subscribers under
 //!   `LaggingPolicy::Block` (model twin `rmc_fanout_publish`), plus a
@@ -41,6 +41,8 @@ const BYTES: usize = 64;
 /// RPC request/reply payload bytes.
 const REQ: usize = 32;
 const REP: usize = 64;
+/// Ring slots of the RPC point.
+const RPC_SLOTS: usize = 4;
 
 /// Deterministic universe for the CSV scenarios: faults pinned off,
 /// inter-node topology, notification ring sized so no overflow stall can
@@ -261,7 +263,7 @@ fn a4_mesh(p: usize, k: usize, per_target: usize) -> (f64, f64) {
 /// rpc: one client round-tripping against a served rank. Returns the
 /// client's mean ns per call (request + service + reply).
 fn rpc_point() -> f64 {
-    let cfg = RmcConfig { slots: 4, slot_bytes: REP.max(REQ), ..RmcConfig::default() };
+    let cfg = RmcConfig { slots: RPC_SLOTS, slot_bytes: REP.max(REQ), ..RmcConfig::default() };
     let got = universe(2).run(move |ctx| match rpc(ctx, 0, &[1], &cfg).unwrap().unwrap() {
         RpcEnd::Server(mut srv) => {
             ctx.barrier();
@@ -376,7 +378,7 @@ fn main() {
     let mut rows = vec!["scenario,p,slots,slot_bytes,msgs,delivered,dropped,ns,model_ns".into()];
 
     let a1 = a1_baseline();
-    let m1 = model.rmc_fanin_round(BYTES);
+    let m1 = model.rmc_fanin_round(BYTES, 1);
     println!("  a1 baseline    1→1 : {a1:>9.1} ns/round   (model {m1:.1})");
     assert!((a1 / m1 - 1.0).abs() < 0.15, "a1 ({a1}) drifted far from its model twin ({m1})");
     rows.push(format!("a1_baseline,2,1,{BYTES},{MSGS},{MSGS},0,{a1},{m1}"));
@@ -422,10 +424,10 @@ fn main() {
     }
 
     let r = rpc_point();
-    let mr = model.rpc_round(REQ, REP);
+    let mr = model.rpc_round(REQ, REP, RPC_SLOTS);
     println!("  rpc           1→1 : {r:>9.1} ns/call    (model {mr:.1})");
     assert!(r > a1, "an rpc call is a request round plus a reply round; it cannot beat a1");
-    rows.push(format!("rpc_1client,2,4,{},{MSGS},{MSGS},0,{r},{mr}", REP.max(REQ)));
+    rows.push(format!("rpc_1client,2,{RPC_SLOTS},{},{MSGS},{MSGS},0,{r},{mr}", REP.max(REQ)));
 
     std::fs::create_dir_all("results").ok();
     std::fs::write("results/rmc_ablation.csv", rows.join("\n") + "\n").expect("write csv");

@@ -3,10 +3,11 @@
 //!
 //! A ring is `slots` cells of `slot_bytes` at byte `base` of the
 //! *consumer's* window copy. The producer owns `head` and a credit count,
-//! the consumer owns `tail`; both cursors advance monotonically mod
-//! `slots`, so neither ever travels over the wire. A message is one
-//! `put_notify` (its length rides in the record's `bytes` field), a freed
-//! slot is one `accumulate_notify` back — the credit. DESIGN.md,
+//! the consumer owns `tail` and the credits it owes; both cursors advance
+//! monotonically mod `slots`, so neither ever travels over the wire. A
+//! message is one `put_notify` (its length rides in the record's `bytes`
+//! field). Freed slots go back in bulk: one data-less [`Win::notify`]
+//! whose record's `bytes` field is the number of slots it frees. DESIGN.md,
 //! "Remote-memory rings", has the picture, the three invariants and what
 //! each façade adds.
 //!
@@ -14,7 +15,7 @@
 //! and when to wait for a credit, where rings lie in the window, and
 //! tracing belong to the façade that owns the lanes.
 
-use crate::{FompiError, MpiOp, Notification, Result, Win};
+use crate::{FompiError, Notification, Result, Win};
 use fompi_runtime::RankCtx;
 
 /// Collectively allocate the window (`bytes` on every rank) a structure's
@@ -78,15 +79,21 @@ impl Geometry {
         base + (cursor % self.slots as u64) as usize * self.slot_bytes
     }
 
-    /// Book one credit `peer` returned into `credits`, the free slots of
-    /// this ring a producer holds. Past `slots` it fails loudly: `peer`
+    /// The debt at which [`RxLane::take_and_credit`] repays: half the ring,
+    /// rounded up.
+    fn repay_at(&self) -> u64 {
+        (self.slots as u64).div_ceil(2)
+    }
+
+    /// Book `count` credits `peer` returned into `credits`, the free slots
+    /// of this ring a producer holds. Past `slots` it fails loudly: `peer`
     /// freed a slot that was never filled (a stray or duplicated credit),
     /// and absorbing it would let a later burst overrun the ring.
-    pub fn book_credit(&self, credits: &mut u64, peer: u32) -> Result<()> {
-        if *credits >= self.slots as u64 {
+    pub fn book_credit(&self, credits: &mut u64, count: u64, peer: u32) -> Result<()> {
+        if count > self.slots as u64 - *credits {
             return Err(FompiError::StrayCredit { peer });
         }
-        *credits += 1;
+        *credits += count;
         Ok(())
     }
 }
@@ -123,10 +130,11 @@ impl TxLane {
         self.credits
     }
 
-    /// One nonblocking matching pass: absorb a credit if one has arrived.
+    /// One nonblocking matching pass: absorb a credit record if one has
+    /// arrived.
     pub fn try_credit(&mut self, win: &Win, credit_tag: u32) -> Result<bool> {
         match win.test_notify(self.peer, credit_tag)? {
-            Some(_) => self.geom.book_credit(&mut self.credits, self.peer).map(|()| true),
+            Some(rec) => self.book(&rec).map(|()| true),
             None => Ok(false),
         }
     }
@@ -138,12 +146,16 @@ impl TxLane {
         Ok(self.credits)
     }
 
-    /// Block for one credit. There is one credit notification per freed
-    /// slot and its stamp joins our clock, so waiting here *is* the
-    /// flow-control time.
+    /// Block for one credit record. Its stamp joins our clock, so waiting
+    /// here *is* the flow-control time.
     pub fn wait_credit(&mut self, win: &Win, credit_tag: u32) -> Result<()> {
-        win.wait_notify(self.peer, credit_tag)?;
-        self.geom.book_credit(&mut self.credits, self.peer)
+        let rec = win.wait_notify(self.peer, credit_tag)?;
+        self.book(&rec)
+    }
+
+    /// A credit record frees as many slots as its `bytes` field says.
+    fn book(&mut self, rec: &Notification) -> Result<()> {
+        self.geom.book_credit(&mut self.credits, rec.bytes, self.peer)
     }
 
     /// Slot-reuse fence: put N+slots lands where put N did. The returned
@@ -190,12 +202,14 @@ pub struct RxLane {
     base: usize,
     geom: Geometry,
     tail: u64,
+    /// Slots taken and not yet handed back.
+    owed: u64,
 }
 
 impl RxLane {
     /// A consumer at the start of an empty ring.
     pub fn new(peer: u32, base: usize, geom: Geometry) -> RxLane {
-        RxLane { peer, base, geom, tail: 0 }
+        RxLane { peer, base, geom, tail: 0, owed: 0 }
     }
 
     /// The producing rank.
@@ -211,16 +225,19 @@ impl RxLane {
     /// Copy the message announced by the matched data record `rec` out of
     /// the next slot into `buf`; returns its length. The record's stamp
     /// has joined our clock, which fences the ring read: the payload is
-    /// visible. The slot stays the consumer's until [`RxLane::credit`].
+    /// visible. The slot is owed to the producer until
+    /// [`RxLane::flush_credits`].
     ///
     /// A payload longer than `buf` (or than a slot: a forged record) is a
     /// typed error with MPI's truncation semantics: the record is matched,
     /// so its message is consumed and lost, the cursor moves past it, and
-    /// the caller owes the slot's credit exactly as after a success.
+    /// its slot is owed exactly as after a success — a refused message
+    /// still frees its slot, or a one-slot ring would never move again.
     pub fn take(&mut self, win: &Win, rec: &Notification, buf: &mut [u8]) -> Result<usize> {
         let len = rec.bytes as usize;
         let cell = self.geom.cell(self.base, self.tail);
         self.tail += 1;
+        self.owed += 1;
         if len > self.geom.slot_bytes || len > buf.len() {
             return Err(FompiError::InvalidEpoch("slot payload exceeds the recv buffer"));
         }
@@ -228,10 +245,16 @@ impl RxLane {
         Ok(len)
     }
 
-    /// [`RxLane::take`], then [`RxLane::credit`] whether or not the payload
-    /// fitted — a refused message still frees its slot, or a one-slot
-    /// ring would never move again. For consumers that return each credit
-    /// at once.
+    /// [`RxLane::take`], then repay the whole debt once it reaches half the
+    /// ring, rounded up. For consumers that keep no debt of their own.
+    ///
+    /// Repaying earlier — say, before blocking for the next message — is
+    /// never needed for progress: a producer out of credits still has at
+    /// least `slots − ⌈slots/2⌉ + 1 ≥ 1` messages here to take. And while
+    /// a rank's windows share one notification ring it can deadlock: a
+    /// credit that lands while another window of the producer's rank is
+    /// polling is stashed in that window, and the lane's producer never
+    /// sees it (DESIGN.md, "Remote-memory rings").
     pub fn take_and_credit(
         &mut self,
         win: &Win,
@@ -240,15 +263,20 @@ impl RxLane {
         credit_tag: u32,
     ) -> Result<usize> {
         let taken = self.take(win, rec, buf);
-        self.credit(win, credit_tag)?;
+        if self.owed >= self.geom.repay_at() {
+            self.flush_credits(win, credit_tag)?;
+        }
         taken
     }
 
-    /// Hand one taken slot back: a notified AMO on the producer's credit
-    /// pad (offset 0 of its copy). The operand is informational — flow
-    /// control rides the notification itself, one record per slot.
-    pub fn credit(&self, win: &Win, credit_tag: u32) -> Result<()> {
-        win.accumulate_notify(1, MpiOp::Sum, self.peer, 0, credit_tag)
+    /// Hand every owed slot back with one data-less notification whose
+    /// record carries the count. Nothing is sent when nothing is owed.
+    pub fn flush_credits(&mut self, win: &Win, credit_tag: u32) -> Result<()> {
+        if self.owed > 0 {
+            win.notify(self.peer, credit_tag, self.owed)?;
+            self.owed = 0;
+        }
+        Ok(())
     }
 }
 
@@ -261,7 +289,8 @@ mod tests {
     const DATA: u32 = 0xDA;
     const CREDIT: u32 = 0xCE;
     const SLOT_BYTES: usize = 24;
-    /// The ring sits behind an 8-byte credit pad, like the mesh's.
+    /// The ring starts past the window's first word, as every ring but the
+    /// first of a multi-ring layout does.
     const BASE: usize = 8;
 
     /// Message `i` of the stream `seed` names: a random length up to a
@@ -274,8 +303,10 @@ mod tests {
     }
 
     /// `n` messages over one ring of `slots`, both ends choosing their
-    /// next step at random. Returns the flushes the whole run issued.
-    fn stream(slots: usize, seed: u64, n: u64) -> u64 {
+    /// next step at random. The consumer repays only at the threshold,
+    /// then once more after the last message. Returns the flushes and the
+    /// notification posts the whole run issued.
+    fn stream(slots: usize, seed: u64, n: u64) -> (u64, u64) {
         let got = Universe::new(2).node_size(1).seed(seed).run(move |ctx| {
             let geom = Geometry::new(slots, SLOT_BYTES).unwrap();
             let win = open(ctx, BASE + geom.ring_bytes()).unwrap();
@@ -291,6 +322,8 @@ mod tests {
                         _ if tx.credits() == 0 => {
                             // Refused, not a ring overrun, and no cursor moves.
                             assert!(tx.put(&win, b"", DATA).is_err());
+                            // A message the consumer has not taken is
+                            // left, so its debt reaches the threshold.
                             tx.wait_credit(&win, CREDIT).unwrap()
                         }
                         _ => tx.put(&win, &message(seed, tx.head()), DATA).unwrap(),
@@ -303,17 +336,12 @@ mod tests {
                 }
             } else {
                 let mut rx = RxLane::new(0, BASE, geom);
-                let mut owed = 0u64;
                 let mut buf = [0u8; SLOT_BYTES];
-                while rx.tail() < n || owed > 0 {
-                    if owed > 0 && (rx.tail() == n || rng.next_below(2) == 0) {
-                        rx.credit(&win, CREDIT).unwrap();
-                        owed -= 1;
-                        continue;
-                    }
-                    // Block for data only with no credit owed: a producer
-                    // out of credits would wait for us forever.
-                    let rec = if owed == 0 && rng.next_below(2) == 0 {
+                while rx.tail() < n {
+                    // Blocking for data with a debt in hand is safe: the
+                    // threshold leaves a producer out of credits with a
+                    // message still to take.
+                    let rec = if rng.next_below(2) == 0 {
                         win.wait_notify(0, DATA).unwrap()
                     } else if let Some(rec) = win.test_notify(0, DATA).unwrap() {
                         rec
@@ -322,20 +350,46 @@ mod tests {
                         continue;
                     };
                     let want = message(seed, rx.tail());
-                    let len = rx.take(&win, &rec, &mut buf).unwrap();
+                    let len = rx.take_and_credit(&win, &rec, &mut buf, CREDIT).unwrap();
                     assert_eq!(buf[..len], want[..], "message {} torn or reordered", rx.tail() - 1);
-                    owed += 1;
                 }
+                rx.flush_credits(&win, CREDIT).unwrap();
             }
             ctx.barrier();
             assert_eq!(win.notify_pending(), 0, "the ring must drain to empty");
-            let flushes = ctx.fabric().counters().snapshot().since(&before).flushes;
+            let d = ctx.fabric().counters().snapshot().since(&before);
             ctx.barrier();
             close(win, ctx).unwrap();
-            flushes
+            (d.flushes, d.notify_posts)
         });
         assert_eq!(got[0], got[1]);
         got[0]
+    }
+
+    #[test]
+    fn a_credit_count_past_the_ring_is_a_stray_credit_naming_the_peer() {
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let geom = Geometry::new(4, SLOT_BYTES).unwrap();
+            let win = open(ctx, BASE + geom.ring_bytes()).unwrap();
+            let said = if ctx.rank() == 0 {
+                let mut tx = TxLane::new(1, BASE, geom);
+                tx.put(&win, b"one", DATA).unwrap();
+                // One slot is out: a record freeing two is one too many,
+                // and booking it is refused whole.
+                let stray = tx.wait_credit(&win, CREDIT);
+                assert_eq!(tx.credits(), 3);
+                tx.wait_credit(&win, CREDIT).unwrap();
+                assert_eq!(tx.credits(), 4);
+                stray
+            } else {
+                win.wait_notify(0, DATA).unwrap();
+                win.notify(0, CREDIT, 2).unwrap();
+                win.notify(0, CREDIT, 1)
+            };
+            close(win, ctx).unwrap();
+            said
+        });
+        assert_eq!(got, vec![Err(FompiError::StrayCredit { peer: 1 }), Ok(())]);
     }
 
     #[test]
@@ -360,14 +414,19 @@ mod tests {
     }
 
     #[test]
-    fn random_interleavings_keep_fifo_bytes_credits_and_one_flush_per_lap() {
-        for slots in [1usize, 2, 8] {
+    fn random_interleavings_keep_fifo_bytes_bulk_credits_and_one_flush_per_lap() {
+        for slots in [1usize, 2, 3, 8] {
+            let repay_at = (slots as u64).div_ceil(2);
             for seed in 1..=6u64 {
                 let n = 20 + 7 * seed;
-                let flushes = stream(slots, seed, n);
+                let (flushes, posts) = stream(slots, seed, n);
+                let run = format!("slots={slots} seed={seed} n={n}");
                 // The fence rule as a number: one flush each time the head
                 // starts a new lap, none for the first.
-                assert_eq!(flushes, (n - 1) / slots as u64, "slots={slots} seed={seed} n={n}");
+                assert_eq!(flushes, (n - 1) / slots as u64, "{run}");
+                // One data record per message, one credit record per
+                // ⌈slots/2⌉ of them and one for the remainder.
+                assert_eq!(posts, n + n.div_ceil(repay_at), "{run}");
             }
         }
     }

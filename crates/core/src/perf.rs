@@ -163,16 +163,23 @@ impl PaperModel {
         2.0 * self.inject + self.flush + self.put(s) + self.acc_sum(8)
     }
 
-    /// One producer-consumer channel round trip over notified access
-    /// (`msg::channel`): a notified put of the payload plus the notified
-    /// credit-return AMO flowing back.
-    pub fn channel_round(&self, s: usize) -> f64 {
-        self.put_notified(s) + self.notified_amo()
+    /// One producer-consumer channel round over notified access
+    /// (`msg::channel`) on a ring of `slots`: a notified put of the
+    /// payload, plus its share of the credit flowing back — one bare
+    /// notification returns ⌈slots/2⌉ slots (`fompi::lane`).
+    pub fn channel_round(&self, s: usize, slots: usize) -> f64 {
+        self.put_notified(s) + self.notify_post() / slots.div_ceil(2) as f64
     }
 
-    /// Cost of a bare notified AMO (credit return, counters): the AMO and
-    /// its notification share the ordered path, so the origin pays two
-    /// injections and one AMO latency dominates.
+    /// Cost of a bare notification post (the bulk credit return): one
+    /// injection, and the record rides the AMO's ordered path.
+    pub fn notify_post(&self) -> f64 {
+        self.inject + self.acc_sum(8)
+    }
+
+    /// Cost of a bare notified AMO (the RPC reply ring's credit, counters):
+    /// the AMO and its notification share the ordered path, so the origin
+    /// pays two injections and one AMO latency dominates.
     pub fn notified_amo(&self) -> f64 {
         2.0 * self.inject + self.acc_sum(8)
     }
@@ -199,9 +206,9 @@ impl PaperModel {
     /// (`fompi-rmc`): because each producer owns a private slot region on
     /// the consumer (record `source` replaces any shared cursor), the data
     /// path adds *nothing* over the SPSC channel — a notified put in, a
-    /// notified credit AMO back.
-    pub fn rmc_fanin_round(&self, s: usize) -> f64 {
-        self.channel_round(s)
+    /// share of a credit record back.
+    pub fn rmc_fanin_round(&self, s: usize, slots: usize) -> f64 {
+        self.channel_round(s, slots)
     }
 
     /// One fan-out publication of `s` bytes to `m` subscribers: the
@@ -212,11 +219,12 @@ impl PaperModel {
         2.0 * m as f64 * self.inject + self.put(s).max(self.acc_sum(8))
     }
 
-    /// One RPC round trip (`fompi-rmc::rpc`): the request rides a fan-in
-    /// channel round to the server, the reply rides the caller's reply
-    /// channel back — two full channel rounds, credits included.
-    pub fn rpc_round(&self, req: usize, rep: usize) -> f64 {
-        self.channel_round(req) + self.channel_round(rep)
+    /// One RPC round trip (`fompi-rmc::rpc`) over rings of `slots`: the
+    /// request rides a fan-in channel round to the server, the reply a
+    /// notified put back, whose ring returns each slot with its own
+    /// notified AMO.
+    pub fn rpc_round(&self, req: usize, rep: usize, slots: usize) -> f64 {
+        self.channel_round(req, slots) + self.put_notified(rep) + self.notified_amo()
     }
 }
 
@@ -327,11 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn channel_round_is_put_plus_credit() {
+    fn channel_round_is_put_plus_its_share_of_a_credit() {
         let m = PaperModel::default();
         let s = 256;
-        assert!((m.channel_round(s) - (m.put_notified(s) + m.notified_amo())).abs() < 1e-9);
-        assert!(m.notified_amo() > m.acc_sum(8));
+        // One- and two-slot rings return every slot on its own record…
+        for slots in [1, 2] {
+            let round = m.put_notified(s) + m.notify_post();
+            assert!((m.channel_round(s, slots) - round).abs() < 1e-9);
+        }
+        // …an eight-slot ring one record per four slots.
+        let round = m.put_notified(s) + m.notify_post() / 4.0;
+        assert!((m.channel_round(s, 8) - round).abs() < 1e-9);
+        // A bare record is one injection cheaper than the notified AMO.
+        assert!((m.notified_amo() - m.notify_post() - m.inject).abs() < 1e-9);
+        assert!(m.notify_post() > m.acc_sum(8));
     }
 
     #[test]
@@ -340,7 +357,9 @@ mod tests {
         // round: per-producer slot regions mean no shared cursor, no FAA.
         let m = PaperModel::default();
         for s in [8usize, 256, 4096] {
-            assert!((m.rmc_fanin_round(s) - m.channel_round(s)).abs() < 1e-9);
+            for slots in [1, 8] {
+                assert!((m.rmc_fanin_round(s, slots) - m.channel_round(s, slots)).abs() < 1e-9);
+            }
         }
     }
 
@@ -358,13 +377,15 @@ mod tests {
     }
 
     #[test]
-    fn rpc_round_is_two_channel_rounds() {
+    fn rpc_round_is_a_request_round_plus_a_reply_with_its_credit_amo() {
         let m = PaperModel::default();
         let (req, rep) = (64, 256);
-        assert!(
-            (m.rpc_round(req, rep) - (m.channel_round(req) + m.channel_round(rep))).abs() < 1e-9
-        );
-        // An RPC always costs more than a one-way message of either size.
-        assert!(m.rpc_round(req, rep) > m.channel_round(req.max(rep)));
+        for slots in [1, 4] {
+            let reply = m.put_notified(rep) + m.notified_amo();
+            let round = m.channel_round(req, slots) + reply;
+            assert!((m.rpc_round(req, rep, slots) - round).abs() < 1e-9);
+            // An RPC always costs more than a one-way message of either size.
+            assert!(m.rpc_round(req, rep, slots) > m.channel_round(req.max(rep), slots));
+        }
     }
 }

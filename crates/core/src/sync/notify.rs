@@ -14,7 +14,8 @@
 //!   consumer must know from the slot number alone what arrived.
 //!
 //! * **Notifications** ([`Win::put_notify`] / [`Win::get_notify`] /
-//!   [`Win::accumulate_notify`] matched by [`Win::wait_notify`] /
+//!   [`Win::accumulate_notify`] / the data-less [`Win::notify`], matched
+//!   by [`Win::wait_notify`] /
 //!   [`Win::test_notify`]): full foMPI-NA-style notified access over the
 //!   fabric's per-rank notification rings ([`fompi_fabric::notify`]).
 //!   Every notified operation appends a `(tag, source, bytes)` record to
@@ -158,8 +159,7 @@ impl Win {
     /// Notified 8-byte accumulate: apply `op` to the u64 at `target_disp`
     /// and append a notification, ordered after the update. Only
     /// hardware-accelerated ops ([`crate::MpiOp::hw_amo`] on `U64`) are
-    /// accepted — the credit-return primitive of producer-consumer
-    /// channels rides this path.
+    /// accepted.
     pub fn accumulate_notify(
         &self,
         operand: u64,
@@ -176,6 +176,22 @@ impl Win {
         self.ep.amo_notified(at.key, at.off, amo, operand, tag)?;
         self.landed(&at, 0, 8, AccessKind::Acc(acc_tag(op)));
         Ok(())
+    }
+
+    /// A notification with no data: append `(tag, source, count)` to
+    /// `target`'s ring, ordered after everything this rank already issued
+    /// to `target`. The record's `bytes` field carries `count` — the bulk
+    /// credit return of [`crate::lane`]. Admitted and charged like
+    /// [`Win::put_notify`]; it touches no window memory, so the race
+    /// checker has no interval to record, and the consumer's match is the
+    /// acquire edge as for every notified call.
+    pub fn notify(&self, target: u32, tag: u32, count: u64) -> Result<()> {
+        self.notify_tag_ok(tag)?;
+        self.admit(target, true)?;
+        let prev = self.ep.flow_open();
+        let r = self.ep.notify_append(target, tag, count);
+        self.ep.flow_close(prev);
+        Ok(r?)
     }
 
     /// Block until a notification matching `(source, tag)` — either may be

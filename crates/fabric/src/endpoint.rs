@@ -1189,8 +1189,7 @@ impl Endpoint {
     }
 
     /// Notified non-fetching AMO: apply like [`Endpoint::amo_implicit`],
-    /// then notify the target. The credit-return primitive of
-    /// producer-consumer channels.
+    /// then notify the target.
     pub fn amo_notified(
         &self,
         key: SegKey,

@@ -5,9 +5,10 @@
 //! reverse flag so the producer knows a slot is free again). Notified
 //! access collapses both directions into single calls: the producer's
 //! [`Sender::send`] is one `put_notify` (data + arrival notification,
-//! ordered), and the consumer's [`Receiver::recv`] returns credits with
-//! one `accumulate_notify` (slot-free AMO + notification). No two-sided
-//! message, no tag-matching engine, no polling AMOs over the wire.
+//! ordered), and the consumer's [`Receiver::recv`] returns the slots it
+//! freed in bulk, one data-less notification per half ring whose record
+//! carries the count. No two-sided message, no tag-matching engine, no
+//! polling AMOs over the wire.
 //!
 //! The channel is SPSC (one producer rank, one consumer rank), the
 //! degenerate but dominant case of the paper's halo/pipeline patterns:
@@ -57,9 +58,8 @@ pub fn channel(
 ) -> Result<Option<ChannelEnd>> {
     let geom = Geometry::new(slots, slot_bytes)?;
     assert_ne!(producer, consumer, "SPSC channel endpoints must differ");
-    // Symmetric-heap window: every rank exposes the same size (only the
-    // consumer's copy holds ring data; the producer's doubles as the
-    // credit-AMO landing pad at offset 0).
+    // Symmetric-heap window: every rank exposes the same size, and only
+    // the consumer's copy holds ring data.
     let win = lane::open(ctx, geom.ring_bytes())?;
     if ctx.rank() == producer {
         Ok(Some(ChannelEnd::Sender(Sender { win, tx: TxLane::new(consumer, 0, geom) })))
@@ -108,9 +108,10 @@ impl Sender {
 
 impl Receiver {
     /// Receive the next message into `buf`, returning the payload length.
-    /// Blocks on the producer's data notification; the slot is recycled
-    /// immediately after the copy with a notified credit AMO — also when
-    /// `buf` is too short, which loses the message (a typed error).
+    /// Blocks on the producer's data notification. The slot is owed to
+    /// the producer after the copy — also when `buf` is too short, which
+    /// loses the message (a typed error) — and half a ring of owed slots
+    /// goes back as one credit notification.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize> {
         let rec = self.win.wait_notify(self.rx.peer(), DATA_TAG)?;
         self.rx.take_and_credit(&self.win, &rec, buf, CREDIT_TAG)

@@ -25,7 +25,7 @@
 //!   high-latency curve of Figures 4/5.
 //! * **notified-access channels** ([`channel`]): the inverse comparison —
 //!   an SPSC producer-consumer channel built purely on one-sided notified
-//!   operations (`put_notify` + credit-return `accumulate_notify`),
+//!   operations (`put_notify` + bulk credit-return `notify`),
 //!   showing message-passing semantics recovered *from* scalable RMA.
 
 pub mod channel;

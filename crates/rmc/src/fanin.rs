@@ -12,7 +12,7 @@
 //! `source` field tells the consumer whose ring a message landed in,
 //! exactly like the notified DSDE port. Backpressure is per-producer: a
 //! producer out of credits blocks in [`FaninProducer::send`] for exactly
-//! one credit from the consumer.
+//! one credit record from the consumer.
 //!
 //! The consumer drains until dry: [`FaninConsumer::try_recv`] is one
 //! nonblocking matching pass, so `while let Some(..) = q.try_recv(..)?`
@@ -57,9 +57,8 @@ pub enum FaninEnd {
 /// are neither producer nor consumer get `None`. Producers must be
 /// distinct and must not include the consumer; a zero-capacity ring is a
 /// typed error on every rank ([`Geometry::new`]). The rings live in the
-/// consumer's window copy; each producer's copy doubles as its
-/// credit-AMO landing pad at offset 0. All ends hold a `lock_all` passive
-/// epoch for the channel's lifetime — drop via the ends' `close`.
+/// consumer's window copy. All ends hold a `lock_all` passive epoch for
+/// the channel's lifetime — drop via the ends' `close`.
 pub fn fanin(
     ctx: &RankCtx,
     consumer: u32,
@@ -120,8 +119,8 @@ impl FaninProducer {
 impl FaninConsumer {
     /// Receive the next message from any producer into `buf`; returns the
     /// producing rank and payload length. Blocks until a data
-    /// notification arrives. The slot is recycled immediately with a
-    /// notified credit AMO aimed at the producing rank.
+    /// notification arrives. The slot is owed to the producing rank, and
+    /// half a ring of owed slots goes back as one credit notification.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<(u32, usize)> {
         let t0 = self.win.endpoint().clock().now();
         let rec = self.win.wait_notify(ANY_SOURCE, FANIN_DATA_TAG)?;

@@ -55,8 +55,7 @@ pub enum FanoutEnd {
 /// nor subscriber get `None`. Subscribers must be distinct and must not
 /// include the publisher; a zero-capacity ring is a typed error on every
 /// rank ([`Geometry::new`]). Each subscriber's ring lives in its own
-/// window copy; the publisher's copy doubles as the credit-AMO landing pad
-/// at offset 0. All ends hold a `lock_all` passive epoch for the channel's
+/// window copy. All ends hold a `lock_all` passive epoch for the channel's
 /// lifetime — drop via the ends' `close`.
 pub fn fanout(
     ctx: &RankCtx,
@@ -141,7 +140,8 @@ impl Publisher {
 impl Subscriber {
     /// Receive the next publication into `buf`, returning the payload
     /// length. Blocks on the publisher's data notification; the slot is
-    /// recycled immediately with a notified credit AMO.
+    /// owed to the publisher, and half a ring of owed slots goes back as
+    /// one credit notification.
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize> {
         let ep = self.win.endpoint();
         let t0 = ep.clock().now();

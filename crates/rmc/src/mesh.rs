@@ -14,18 +14,18 @@
 //! `B` bytes per ordered pair):
 //!
 //! ```text
-//! | 8 B credit pad | ring 0: S×B | ring 1: S×B | ... | ring p-1 |
+//! | ring 0: S×B | ring 1: S×B | ... | ring p-1 |
 //! ```
 //!
 //! Ring `s` on rank `c`'s copy is where rank `s`'s messages to `c` land,
 //! so the notification record's `source` field routes each record to its
 //! ring — the FAA-free trick of the fan-in channel, now in both
-//! directions at once. Credit AMOs land in the shared pad (same-op `Sum`
-//! accumulates may overlap under the racecheck, per MPI-3.0 §11.7.1).
+//! directions at once.
 //!
-//! Credits are returned **lazily**: [`Mesh::try_recv`] only records the
-//! debt, and [`Mesh::flush_credits`] pays it. Batching the returns off
-//! the receive path keeps the drain exactly as cheap as a raw
+//! Credits are returned **lazily**: [`Mesh::try_recv`] only lets the
+//! source's lane record the debt, and [`Mesh::flush_credits`] pays each
+//! source's whole debt as one count-carrying record. Keeping the returns
+//! off the receive path keeps the drain exactly as cheap as a raw
 //! `test_notify` loop — the property the DSDE port's "RMC matches
 //! notified access" claim rests on. Call `flush_credits` at phase
 //! boundaries (after a drain, before the next send burst); a mesh used
@@ -48,10 +48,9 @@ pub struct Mesh {
     win: Win,
     /// Per-target lane into *my* ring on the target's copy.
     tx: Vec<TxLane>,
-    /// Per-source lane out of that source's ring on my copy.
+    /// Per-source lane out of that source's ring on my copy; it holds the
+    /// credits owed to that source.
     rx: Vec<RxLane>,
-    /// Per-source credits consumed but not yet returned.
-    owed: Vec<u64>,
 }
 
 /// Collectively build a mesh over the whole universe. Every rank gets an
@@ -60,12 +59,11 @@ pub struct Mesh {
 pub fn mesh(ctx: &RankCtx, cfg: &RmcConfig) -> Result<Mesh> {
     let geom = Geometry::new(cfg.slots, cfg.slot_bytes)?;
     let p = ctx.size() as u32;
-    let win = lane::open(ctx, 8 + p as usize * geom.ring_bytes())?;
-    let ring = |producer: u32| 8 + producer as usize * geom.ring_bytes();
+    let win = lane::open(ctx, p as usize * geom.ring_bytes())?;
+    let ring = |producer: u32| producer as usize * geom.ring_bytes();
     Ok(Mesh {
         tx: (0..p).map(|t| TxLane::new(t, ring(ctx.rank()), geom)).collect(),
         rx: (0..p).map(|s| RxLane::new(s, ring(s), geom)).collect(),
-        owed: vec![0; p as usize],
         win,
     })
 }
@@ -86,15 +84,11 @@ impl Mesh {
     }
 
     fn consume(&mut self, rec: Notification, t0: f64, buf: &mut [u8]) -> Result<(u32, usize)> {
-        let s = rec.source as usize;
         let rx = self
             .rx
-            .get_mut(s)
+            .get_mut(rec.source as usize)
             .ok_or(FompiError::InvalidEpoch("mesh data record from outside the universe"))?;
-        // A refused (oversize) payload still frees its slot.
-        let taken = rx.take(&self.win, &rec, buf);
-        self.owed[s] += 1;
-        let len = taken?;
+        let len = rx.take(&self.win, &rec, buf)?;
         let ep = self.win.endpoint();
         ep.trace_flow_consume(EventKind::RmcRecv, rec.source, t0, rec.flow, rec.bytes);
         Ok((rec.source, len))
@@ -119,15 +113,12 @@ impl Mesh {
         self.consume(rec, t0, buf)
     }
 
-    /// Return every owed credit to its producer (one notified AMO per
-    /// slot, so producers can count records). Senders blocked on a full
-    /// pair window resume once these arrive.
+    /// Return every owed credit to its producer: one record per source
+    /// that is owed anything, carrying the count. Senders blocked on a
+    /// full pair window resume once these arrive.
     pub fn flush_credits(&mut self) -> Result<()> {
-        for (rx, owed) in self.rx.iter().zip(&mut self.owed) {
-            while *owed > 0 {
-                rx.credit(&self.win, MESH_CREDIT_TAG)?;
-                *owed -= 1;
-            }
+        for rx in &mut self.rx {
+            rx.flush_credits(&self.win, MESH_CREDIT_TAG)?;
         }
         Ok(())
     }
@@ -141,105 +132,6 @@ impl Mesh {
     /// fine — the window dies with them.
     pub fn close(self, ctx: &RankCtx) -> Result<()> {
         lane::close(self.win, ctx)
-    }
-}
-
-/// Loom model of the lazy batched credit return.
-///
-/// A mesh end is single-threaded per rank, so what loom checks is the
-/// concurrent substrate [`Mesh::flush_credits`] leans on: the consumer's
-/// batched burst of `MESH_CREDIT_TAG` records landing in the producer's
-/// notification ring *while* the producer drains it from [`Mesh::send`]'s
-/// blocked path. The property is credit conservation — across every
-/// interleaving of the batched return and the drain, exactly `owed`
-/// credits arrive, none lost, duplicated or torn, including when several
-/// consumers pay one producer concurrently (the all-to-all case).
-///
-/// loom is NOT a dependency of this workspace: add it locally as a
-/// dev-dependency (do not commit) and run
-/// `RUSTFLAGS="--cfg loom" cargo test -p fompi-rmc --release loom_`.
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::MESH_CREDIT_TAG;
-    use fompi_fabric::{NotifyQueue, NotifyRecord};
-    use loom::thread;
-    use std::sync::Arc;
-
-    /// The record `accumulate_notify` appends per returned credit.
-    fn credit(consumer: u32) -> NotifyRecord {
-        NotifyRecord {
-            tag: MESH_CREDIT_TAG,
-            source: consumer,
-            bytes: 8,
-            stamp: 1.0,
-            flow: consumer as u64,
-        }
-    }
-
-    /// One consumer flushes a batch of owed credits while the blocked
-    /// producer drains its ring concurrently (the `send` credit-wait
-    /// loop). Every interleaving must hand the producer exactly `owed`
-    /// credits.
-    #[test]
-    fn loom_batched_return_conserves_credits() {
-        const OWED: usize = 2;
-        loom::model(|| {
-            let ring = Arc::new(NotifyQueue::new(4));
-            let consumer = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || {
-                    // flush_credits: one notified AMO per owed slot, back
-                    // to back — the lazy batch, not one-per-recv.
-                    for _ in 0..OWED {
-                        assert!(ring.try_push(credit(1)), "sized ring refused a credit");
-                    }
-                })
-            };
-            // Producer side of the interleaving: bounded drain attempts
-            // racing the batch (test_notify's nonblocking pops).
-            let mut credits = 0usize;
-            for _ in 0..OWED {
-                if let Some(r) = ring.try_pop() {
-                    assert_eq!(r.tag, MESH_CREDIT_TAG);
-                    assert_eq!(r.source, 1);
-                    credits += 1;
-                }
-            }
-            consumer.join().unwrap();
-            // Whatever the race left queued is still there afterward.
-            while let Some(r) = ring.try_pop() {
-                assert_eq!(r.tag, MESH_CREDIT_TAG);
-                credits += 1;
-            }
-            assert_eq!(credits, OWED, "a credit was lost or duplicated");
-        });
-    }
-
-    /// Two consumers pay the same producer concurrently — the MPMC case
-    /// `flush_credits` creates in an all-to-all phase boundary. Per-source
-    /// conservation must hold (the producer tracks credits per target).
-    #[test]
-    fn loom_concurrent_payers_conserve_per_source() {
-        loom::model(|| {
-            let ring = Arc::new(NotifyQueue::new(4));
-            let payers: Vec<_> = [1u32, 2]
-                .into_iter()
-                .map(|c| {
-                    let ring = Arc::clone(&ring);
-                    thread::spawn(move || assert!(ring.try_push(credit(c))))
-                })
-                .collect();
-            for p in payers {
-                p.join().unwrap();
-            }
-            let mut per_source = [0usize; 3];
-            while let Some(r) = ring.try_pop() {
-                assert_eq!(r.tag, MESH_CREDIT_TAG);
-                assert_eq!(r.flow, r.source as u64, "torn credit record");
-                per_source[r.source as usize] += 1;
-            }
-            assert_eq!(per_source, [0, 1, 1], "per-source credit conservation");
-        });
     }
 }
 
@@ -310,10 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn racecheck_stays_clean_under_concurrent_credit_amos() {
-        // Every rank floods every other rank; all credit AMOs land in the
-        // same shared pad byte-range concurrently. Same-op accumulate
-        // overlap is legal — the shadow must not fire.
+    fn racecheck_stays_clean_under_concurrent_credit_returns() {
+        // Every rank floods every other rank and pays its credits while
+        // the others do: every slot is rewritten a lap after its credit
+        // came back, and the shadow must not fire.
         let p = 3usize;
         let rc = fompi_fabric::RacecheckMode::Panic;
         Universe::new(p).node_size(1).notify_depth(256).racecheck(rc).run(move |ctx| {

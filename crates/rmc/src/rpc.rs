@@ -15,15 +15,17 @@
 //! ```
 //!
 //! On the server's copy ring `i` is client `i`'s request ring; on a
-//! client's copy the first ring is its reply ring. Credit AMOs land in
-//! the pad (same-op accumulates may overlap per MPI-3.0 §11.7.1, so one
+//! client's copy the first ring is its reply ring. Reply-credit AMOs land
+//! in the pad (same-op accumulates may overlap per MPI-3.0 §11.7.1, so one
 //! shared pad is racecheck-clean).
 //!
 //! The request ring is a pair of lanes: requests are issued and served in
-//! correlation order, so the lane cursors *are* the correlation ids. The
-//! reply ring is not: replies are written and awaited in any order, so
-//! its slot is chosen by the correlation id, not by a cursor, and the
-//! server keeps that ring's credits and slot-reuse fence itself.
+//! correlation order, so the lane cursors *are* the correlation ids, and
+//! the server returns request slots in bulk like every lane. The reply
+//! ring is not: replies are written and awaited in any order, so its slot
+//! is chosen by the correlation id, not by a cursor, and the server keeps
+//! that ring's credits — one notified AMO per reply — and slot-reuse fence
+//! itself.
 //!
 //! Two budgets bound the pipeline: each client may hold at most
 //! `rpc_budget` outstanding requests (and never more than a slot-window's
@@ -255,7 +257,7 @@ impl RpcServer {
         let t0 = self.win.endpoint().clock().now();
         while let Some(rec) = self.win.test_notify(ANY_SOURCE, REP_CREDIT_TAG)? {
             let i = self.client_index(rec.source)?;
-            self.geom.book_credit(&mut self.rep_credits[i], rec.source)?;
+            self.geom.book_credit(&mut self.rep_credits[i], 1, rec.source)?;
         }
         for rx in &mut self.rx {
             // Clients issue correlation ids in order, so the next request
@@ -267,7 +269,8 @@ impl RpcServer {
                 // Sized from the record but never beyond a slot; `take`
                 // rejects a record that claims more.
                 let mut data = vec![0u8; (rec.bytes as usize).min(self.geom.slot_bytes())];
-                // Copy the payload out and recycle the request slot.
+                // Copy the payload out; the request slot is owed to the
+                // client until half a ring of them goes back at once.
                 rx.take_and_credit(&self.win, &rec, &mut data, REQ_CREDIT_TAG)?;
                 let ep = self.win.endpoint();
                 ep.trace_flow_consume(EventKind::RmcRecv, client, t0, rec.flow, rec.bytes);
@@ -305,11 +308,11 @@ impl RpcServer {
         let i = self.client_index(req.client)?;
         if self.rep_credits[i] == 0 {
             while self.win.test_notify(req.client, REP_CREDIT_TAG)?.is_some() {
-                self.geom.book_credit(&mut self.rep_credits[i], req.client)?;
+                self.geom.book_credit(&mut self.rep_credits[i], 1, req.client)?;
             }
             if self.rep_credits[i] == 0 {
                 self.win.wait_notify(req.client, REP_CREDIT_TAG)?;
-                self.geom.book_credit(&mut self.rep_credits[i], req.client)?;
+                self.geom.book_credit(&mut self.rep_credits[i], 1, req.client)?;
             }
         }
         // Slot-reuse fence for the reply ring: the rule of

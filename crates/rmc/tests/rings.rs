@@ -3,7 +3,7 @@
 //! the misuse contract and the fabric-op bill are checked once per
 //! behaviour with the constructor as an input, not once per file.
 
-use fompi::{lane, FompiError, MpiOp};
+use fompi::{lane, FompiError};
 use fompi_msg::channel::{channel, ChannelEnd, CREDIT_TAG};
 use fompi_rmc::fanin::FANIN_CREDIT_TAG;
 use fompi_rmc::fanout::FANOUT_CREDIT_TAG;
@@ -48,10 +48,10 @@ fn zero_capacity_is_rejected_with_a_typed_error() {
 }
 
 /// A one-slot ring of the shape under test, driven through one message
-/// and one forged credit. The consumer receives the message (returning
-/// the legitimate credit), calls `forge` and meets the producer at the
-/// barrier; the producer sends, waits at the barrier, then absorbs credits
-/// and returns what that absorbing call said.
+/// and one forged credit record. The consumer receives the message
+/// (returning the legitimate credit), calls `forge` and meets the producer
+/// at the barrier; the producer sends, waits at the barrier, then absorbs
+/// credits and returns what that absorbing call said.
 type StrayCredit = fn(&RankCtx, &dyn Fn()) -> fompi::Result<()>;
 
 const STRAY_CREDIT: [(&str, u32, StrayCredit); 5] = [
@@ -146,8 +146,7 @@ fn stray_credit_is_a_loud_underflow_error() {
             // The forgery comes from another window: a rank's records
             // share one ring and match by (source, tag) alone.
             let forger = lane::open(ctx, 8).unwrap();
-            let forge =
-                || forger.accumulate_notify(1, MpiOp::Sum, PRODUCER, 0, credit_tag).unwrap();
+            let forge = || forger.notify(PRODUCER, credit_tag, 1).unwrap();
             let said = shape(ctx, &forge);
             lane::close(forger, ctx).unwrap();
             said.map_err(|e| e.to_string())
@@ -158,38 +157,88 @@ fn stray_credit_is_a_loud_underflow_error() {
     }
 }
 
-#[test]
-fn channel_and_one_producer_fanin_issue_the_same_fabric_ops() {
-    // perfgate's `channel_round_64_ns == rmc_fanin_round_64_ns` as an
-    // assertion on counts: SPSC is fan-in with P = 1. Each structure gets a
-    // fabric of its own, so the totals cover its whole life.
-    const SLOTS: usize = 4;
-    const N: usize = 3 * SLOTS + 1;
-    fn ops(life: impl Fn(&mut RankCtx) + Send + Sync) -> [u64; 4] {
-        let c = Universe::new(2).node_size(1).launch(life).1.counters().snapshot();
-        [c.puts, c.amos, c.notify_posts, c.flushes]
-    }
-    let chan = ops(|ctx| match channel(ctx, PRODUCER, CONSUMER, SLOTS, 64).unwrap().unwrap() {
+/// `[puts, amos, notify_posts, flushes]` of a structure's whole life, in a
+/// fabric of its own.
+fn ops(life: impl Fn(&mut RankCtx) + Send + Sync) -> [u64; 4] {
+    let c = Universe::new(2).node_size(1).launch(life).1.counters().snapshot();
+    [c.puts, c.amos, c.notify_posts, c.flushes]
+}
+
+/// `n` 64-byte messages over a channel of `slots`, then closed.
+fn channel_life(slots: usize, n: u64) -> [u64; 4] {
+    ops(move |ctx| match channel(ctx, PRODUCER, CONSUMER, slots, 64).unwrap().unwrap() {
         ChannelEnd::Sender(mut tx) => {
-            (0..N).for_each(|_| tx.send(&[7; 64]).unwrap());
+            (0..n).for_each(|_| tx.send(&[7; 64]).unwrap());
             tx.close(ctx).unwrap();
         }
         ChannelEnd::Receiver(mut rx) => {
-            (0..N).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
+            (0..n).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
             rx.close(ctx).unwrap();
         }
-    });
-    let fan = ops(|ctx| match fanin(ctx, CONSUMER, &[PRODUCER], SLOTS, 64).unwrap().unwrap() {
+    })
+}
+
+/// The same over a one-producer fan-in.
+fn fanin_life(slots: usize, n: u64) -> [u64; 4] {
+    ops(move |ctx| match fanin(ctx, CONSUMER, &[PRODUCER], slots, 64).unwrap().unwrap() {
         FaninEnd::Producer(mut tx) => {
-            (0..N).for_each(|_| tx.send(&[7; 64]).unwrap());
+            (0..n).for_each(|_| tx.send(&[7; 64]).unwrap());
             tx.close(ctx).unwrap();
         }
         FaninEnd::Consumer(mut rx) => {
-            (0..N).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
+            (0..n).for_each(|_| _ = rx.recv(&mut [0; 64]).unwrap());
             rx.close(ctx).unwrap();
         }
-    });
+    })
+}
+
+/// `n` 64-byte echo calls of one client over rings of `slots`, then closed.
+fn rpc_life(slots: usize, n: u64) -> [u64; 4] {
+    ops(move |ctx| match rpc(ctx, CONSUMER, &[PRODUCER], &cfg(slots, 64)).unwrap().unwrap() {
+        RpcEnd::Client(mut cl) => {
+            (0..n).for_each(|_| _ = cl.call(&[7; 64], &mut [0; 64]).unwrap());
+            cl.close(ctx).unwrap();
+        }
+        RpcEnd::Server(mut srv) => {
+            for _ in 0..n {
+                let req = srv.recv().unwrap();
+                srv.reply(&req, &req.data).unwrap();
+            }
+            srv.close(ctx).unwrap();
+        }
+    })
+}
+
+#[test]
+fn channel_and_one_producer_fanin_issue_the_same_fabric_ops() {
+    // perfgate's `channel_round_64_ns == rmc_fanin_round_64_ns` as an
+    // assertion on counts: SPSC is fan-in with P = 1.
+    const SLOTS: usize = 4;
+    const N: u64 = 3 * SLOTS as u64 + 1;
+    let (chan, fan) = (channel_life(SLOTS, N), fanin_life(SLOTS, N));
     assert_eq!(chan, fan, "[puts, amos, notify_posts, flushes] of {N} messages");
+}
+
+#[test]
+fn the_wire_bill_per_message_and_per_call_at_eight_slots() {
+    // What one more message costs: the life of 2n minus the life of n, with
+    // n whole laps, so setup, teardown and the debt left unpaid at close
+    // cancel out. Credits go back as one record per ⌈8/2⌉ = 4 slots, and
+    // the slot-reuse fence flushes once per lap of 8.
+    const SLOTS: usize = 8;
+    const N: u64 = 8 * SLOTS as u64;
+    let per = |life: fn(usize, u64) -> [u64; 4]| {
+        let (once, twice) = (life(SLOTS, N), life(SLOTS, 2 * N));
+        std::array::from_fn(|i| (twice[i] - once[i]) as f64 / N as f64)
+    };
+    //                  [puts, amos, notify_posts, flushes]
+    let message: [f64; 4] = [1.0, 0.0, 1.25, 0.125];
+    assert_eq!(per(channel_life), message, "channel, per message");
+    assert_eq!(per(fanin_life), message, "fan-in, per message");
+    // A call is a request message plus a reply, whose ring still returns
+    // one notified credit AMO per reply, and fences a lap of its own.
+    let call: [f64; 4] = [2.0, 1.0, 3.25, 0.25];
+    assert_eq!(per(rpc_life), call, "rpc, per call");
 }
 
 /// A one-slot, 8-byte ring of the shape under test, misused twice: the

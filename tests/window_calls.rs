@@ -611,6 +611,32 @@ fn every_window_call_matches_its_bill() {
     }
 }
 
+#[test]
+fn a_bare_notification_matches_its_bill() {
+    // `Win::notify` names a rank, not window memory: on every window kind
+    // it is the put path's overhead and one ordered notification post whose
+    // record carries the count, in a flow of its own, and the race checker
+    // has no interval to record.
+    let m = CostModel::default();
+    let run: fn(&Win, usize) -> fompi::Result<()> = |w, _| w.notify(1, 7, 5);
+    for kind in [Kind::Allocate, Kind::Create, Kind::Dynamic] {
+        let ctx = format!("notify on a {kind:?} window");
+        for racecheck in [false, true] {
+            let (seen, spans, shadow) = observe(kind, run, 0, true, racecheck);
+            assert_eq!(seen.result, Ok(()), "{ctx}");
+            let mut want = sim(&m, kind, seen.t0);
+            want.overhead();
+            want.flow = true;
+            want.notify(5);
+            assert_eq!(seen.t1, want.now, "{ctx}: clock");
+            assert_eq!(seen.counters, want.counters, "{ctx}: counters");
+            assert_eq!(spans, want.spans, "{ctx}: spans");
+            assert_eq!(seen.pending, want.pending, "{ctx}: pending horizon");
+            assert!(shadow.is_empty(), "{ctx}: nothing shadowed");
+        }
+    }
+}
+
 /// Which error wins when several apply — a row per call that validates its
 /// arguments: `(name, call, in an epoch?, displacement skew, the error)`.
 #[test]
@@ -706,6 +732,10 @@ fn window_call_errors_keep_their_precedence() {
         ("accumulate_notify", |w, at| w.accumulate_notify(1, MpiOp::Sum, 1, at, 7), false, 0, {
             no_epoch.clone()
         }),
+        ("notify", |w, _| w.notify(1, ANY_TAG, 1), false, 0, {
+            FompiError::InvalidEpoch("ANY_TAG is reserved for matching")
+        }),
+        ("notify", |w, _| w.notify(1, 7, 1), false, 0, no_epoch.clone()),
         (
             "fetch_and_op",
             |w, at| w.fetch_and_op(&[], &mut [0; 4], NumKind::U64, MpiOp::NoOp, 1, at),

@@ -79,12 +79,6 @@ impl Geometry {
         base + (cursor % self.slots as u64) as usize * self.slot_bytes
     }
 
-    /// The debt at which [`RxLane::take_and_credit`] repays: half the ring,
-    /// rounded up.
-    fn repay_at(&self) -> u64 {
-        (self.slots as u64).div_ceil(2)
-    }
-
     /// Book `count` credits `peer` returned into `credits`, the free slots
     /// of this ring a producer holds. Past `slots` it fails loudly: `peer`
     /// freed a slot that was never filled (a stray or duplicated credit),
@@ -263,7 +257,7 @@ impl RxLane {
         credit_tag: u32,
     ) -> Result<usize> {
         let taken = self.take(win, rec, buf);
-        if self.owed >= self.geom.repay_at() {
+        if self.owed >= (self.geom.slots as u64).div_ceil(2) {
             self.flush_credits(win, credit_tag)?;
         }
         taken

@@ -127,6 +127,8 @@ stage_tests() {
 # files is a bin that asserts its own invariant.
 #   drift.csv          deterministic classes only (post/start/wait go to
 #                      drift_sched.csv, which is restored, not diffed)
+#   fig6b … fig8       the simnet series and fig6b_real; the other `_real`
+#                      files depend on the schedule and are restored
 #   notify_ablation    micro-handoff and channel rows are schedule-independent
 #   rmc_ablation       sender-side or single fixed pairings only; ANY_SOURCE
 #                      drain times stay out of the file
@@ -136,6 +138,7 @@ stage_tests() {
 #   scope --ablation   armed vs disarmed virtual clocks bit-identical
 DETERMINISM=(
     "reproduce|drift|results/drift.csv"
+    "reproduce|fig6b fig6c fig7a fig7b fig7c fig8|results/fig6b.csv results/fig6b_real.csv results/fig6c.csv results/fig7a.csv results/fig7b.csv results/fig7c.csv results/fig8.csv"
     "notify_ablation||results/notify_ablation.csv"
     "rmc_ablation||results/rmc_ablation.csv"
     "txn_ablation||results/txn_ablation.csv"
@@ -188,8 +191,11 @@ stage_determinism() {
         unmoved "$bin${args:+ $args}" $files
     done
     # drift_sched.csv holds the schedule-dependent classes `reproduce
-    # drift` also writes: not reproducible, so restore the committed copy.
-    git checkout -q -- results/drift_sched.csv
+    # drift` also writes, and the figure row's other `_real` series wait on
+    # partner ranks (ROADMAP item 3): not reproducible, so restore the
+    # committed copies.
+    git checkout -q -- results/drift_sched.csv results/fig6c_real.csv results/fig7a_real.csv \
+        results/fig7b_real.csv results/fig7c_real.csv results/fig8_real.csv
 }
 
 stage_perfgate() {

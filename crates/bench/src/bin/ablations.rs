@@ -15,10 +15,11 @@
 use fompi::{LockType, MpiOp, NumKind, Win, WinConfig};
 use fompi_apps::hashtable::HtConfig;
 use fompi_apps::milc::{self, MilcConfig};
+use fompi_fabric::cost::{CostModel, Transport};
 use fompi_fabric::FaultPlan;
 use fompi_msg::{Comm, MsgCosts, MsgEngine};
 use fompi_runtime::{Group, Universe};
-use fompi_simnet::net::{LogGP, Noise};
+use fompi_simnet::net::Noise;
 use fompi_simnet::patterns::{dissemination_barrier, lock_costs, max_of, pscw_ring};
 
 fn main() {
@@ -264,13 +265,13 @@ fn pscw_pool_ablation() {
 ///    protocols themselves.
 fn jitter_amplification_ablation() {
     println!("--- fault-plan jitter vs §3 closed forms (simnet, light plan) ---");
-    let m = LogGP::default();
+    let m = CostModel::default();
     let plan = FaultPlan::light(42);
     let c = lock_costs(&m);
     let mut fence_amp = Vec::new();
     for p in [64usize, 1024, 16384] {
         let t0 = vec![0.0; p];
-        let fence_model = (p as f64).log2().ceil() * m.barrier_round();
+        let fence_model = (p as f64).log2().ceil() * m.barrier_round(Transport::Dmapp);
         let fence_clean = max_of(&dissemination_barrier(&t0, &m, &mut Noise::off()));
         let fence_noisy =
             max_of(&dissemination_barrier(&t0, &m, &mut Noise::from_plan(&plan, p as u64)));

@@ -377,11 +377,11 @@ fn models() {
     let (gb, gbyte) = bench::fit_models(true);
     println!(
         "  Pput  : measured {pb:7.0} + {pbyte:.3} ns/B   (paper {:.0} + {:.2} ns/B)",
-        paper.put_base, paper.put_byte
+        paper.cost.dmapp_put_base_ns, paper.cost.dmapp_put_byte_ns
     );
     println!(
         "  Pget  : measured {gb:7.0} + {gbyte:.3} ns/B   (paper {:.0} + {:.2} ns/B)",
-        paper.get_base, paper.get_byte
+        paper.cost.dmapp_get_base_ns, paper.cost.dmapp_get_byte_ns
     );
     let (excl, shared, all, unlock, flush, sync) = bench::lock_constants();
     println!("  Plock,excl : measured {excl:7.0} ns   (paper {:.0} ns)", paper.lock_excl);
@@ -389,7 +389,7 @@ fn models() {
     println!("  Plock_all  : measured {all:7.0} ns   (paper {:.0} ns)", paper.lock_shared);
     println!("  Punlock    : measured {unlock:7.0} ns   (paper {:.0} ns)", paper.unlock);
     println!("  Pflush     : measured {flush:7.0} ns   (paper {:.0} ns)", paper.flush);
-    println!("  Psync      : measured {sync:7.0} ns   (paper {:.0} ns)", paper.sync);
+    println!("  Psync      : measured {sync:7.0} ns   (paper {:.0} ns)", paper.cost.sync_ns);
     // Fence constant: fit t = c · log2 p.
     let mut cs = Vec::new();
     for p in [4usize, 8, 16, 32] {
@@ -409,16 +409,16 @@ fn models() {
         "models",
         "metric,measured,paper",
         &[
-            format!("put_base_ns,{pb},{}", paper.put_base),
-            format!("put_byte_ns,{pbyte},{}", paper.put_byte),
-            format!("get_base_ns,{gb},{}", paper.get_base),
-            format!("get_byte_ns,{gbyte},{}", paper.get_byte),
+            format!("put_base_ns,{pb},{}", paper.cost.dmapp_put_base_ns),
+            format!("put_byte_ns,{pbyte},{}", paper.cost.dmapp_put_byte_ns),
+            format!("get_base_ns,{gb},{}", paper.cost.dmapp_get_base_ns),
+            format!("get_byte_ns,{gbyte},{}", paper.cost.dmapp_get_byte_ns),
             format!("lock_excl_ns,{excl},{}", paper.lock_excl),
             format!("lock_shared_ns,{shared},{}", paper.lock_shared),
             format!("lock_all_ns,{all},{}", paper.lock_shared),
             format!("unlock_ns,{unlock},{}", paper.unlock),
             format!("flush_ns,{flush},{}", paper.flush),
-            format!("sync_ns,{sync},{}", paper.sync),
+            format!("sync_ns,{sync},{}", paper.cost.sync_ns),
             format!("fence_log_ns,{c},{}", paper.fence_log),
             format!("pscw_k2_ns,{p4},{}", paper.pscw_round(2)),
         ],

@@ -129,7 +129,7 @@ pub fn collect(p: usize) -> Vec<DriftRow> {
     };
     push(EventKind::Put, &|s| m.put(s as usize));
     push(EventKind::Get, &|s| m.get(s as usize));
-    push(EventKind::Amo, &|_| m.cas);
+    push(EventKind::Amo, &|_| m.cas());
     push(EventKind::Fence, &|_| m.fence(p));
     push(EventKind::Post, &|_| m.post(PSCW_K));
     push(EventKind::Start, &|_| m.start);
@@ -141,7 +141,7 @@ pub fn collect(p: usize) -> Vec<DriftRow> {
     push(EventKind::UnlockAll, &|_| m.unlock);
     push(EventKind::Flush, &|_| m.flush);
     push(EventKind::FlushLocal, &|_| m.flush);
-    push(EventKind::WinSync, &|_| m.sync);
+    push(EventKind::WinSync, &|_| m.cost.sync_ns);
     rows
 }
 
@@ -204,7 +204,7 @@ pub fn collect_batched(p: usize) -> Vec<DriftRow> {
             ops: fl.count,
             mean_bytes: (BATCH_N * BATCH_S) as f64,
             observed_ns: fl.mean_ns(),
-            model_ns: m.inject + (BATCH_N - 1) as f64 * m.gap,
+            model_ns: m.inject() + (BATCH_N - 1) as f64 * m.cost.dmapp_gap_ns,
         });
     }
     rows

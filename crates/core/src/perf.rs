@@ -1,38 +1,31 @@
 //! The paper's closed-form performance models, as code.
 //!
 //! §3 reports parametrized cost functions for every critical foMPI call,
-//! measured on Blue Waters. They serve three purposes here:
+//! measured on Blue Waters. The benchmark harness prints them next to our
+//! measured constants (`results/models.csv`), its drift report holds every
+//! traced op class to them, and users can do what §6 suggests — e.g. pick
+//! Fence vs PSCW by testing `fence(p) > post(k) + complete(k) + start() + wait()`.
 //!
-//! 1. the large-scale simulator ([`fompi-simnet`](https://crates.io)) uses
-//!    them for per-primitive costs;
-//! 2. the benchmark harness prints them next to our measured/fitted
-//!    constants (EXPERIMENTS.md "models" table);
-//! 3. users can do what §6 suggests — e.g. pick Fence vs PSCW by testing
-//!    `fence(p) > post(k) + complete(k) + start() + wait()`.
+//! The hardware terms (Pput, Pget, PCAS, o, g, Psync) are the live fabric's
+//! [`CostModel`], the table `fompi-simnet` prices from too; only the paper's
+//! measured composites of whole protocols are kept here.
 //!
 //! All results in nanoseconds; `s` is bytes, `p` processes, `k` neighbours.
+
+use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 
 /// Paper model constants (Blue Waters, Cray XE6/Gemini).
 #[derive(Debug, Clone)]
 pub struct PaperModel {
-    /// Pput = put_byte·s + put_base.
-    pub put_base: f64,
-    /// Per-byte put cost.
-    pub put_byte: f64,
-    /// Pget = get_byte·s + get_base.
-    pub get_base: f64,
-    /// Per-byte get cost.
-    pub get_byte: f64,
-    /// Pacc,sum = accsum_byte·s + accsum_base (DMAPP-accelerated MPI_SUM).
-    pub accsum_base: f64,
-    /// Per-byte accelerated-accumulate cost.
+    /// The hardware costs: Pput / Pget are its DMAPP put / get latencies,
+    /// PCAS its AMO latency, o / g / Psync its injection, gap and sync costs.
+    pub cost: CostModel,
+    /// Pacc,sum = PCAS + accsum_byte·s (DMAPP-accelerated MPI_SUM).
     pub accsum_byte: f64,
     /// Pacc,min = accmin_byte·s + accmin_base (lock-fallback MPI_MIN).
     pub accmin_base: f64,
     /// Per-byte fallback-accumulate cost.
     pub accmin_byte: f64,
-    /// PCAS (8-byte compare-and-swap).
-    pub cas: f64,
     /// Pfence = fence_log · log2 p.
     pub fence_log: f64,
     /// Ppost = Pcomplete = pscw_per_neighbor · k.
@@ -49,28 +42,15 @@ pub struct PaperModel {
     pub unlock: f64,
     /// Pflush.
     pub flush: f64,
-    /// Psync.
-    pub sync: f64,
-    /// Per-message injection overhead o (DMAPP descriptor build + doorbell).
-    pub inject: f64,
-    /// Issue-side gap g between coalesced members of an injection burst
-    /// (see `fompi_fabric::batch`): successive ops folded into an open
-    /// burst pay `gap` instead of `inject`.
-    pub gap: f64,
 }
 
 impl Default for PaperModel {
     fn default() -> Self {
         Self {
-            put_base: 1_000.0,
-            put_byte: 0.16,
-            get_base: 1_900.0,
-            get_byte: 0.17,
-            accsum_base: 2_400.0,
+            cost: CostModel::default(),
             accsum_byte: 28.0,
             accmin_base: 7_300.0,
             accmin_byte: 0.8,
-            cas: 2_400.0,
             fence_log: 2_900.0,
             pscw_per_neighbor: 350.0,
             start: 700.0,
@@ -79,27 +59,34 @@ impl Default for PaperModel {
             lock_shared: 2_700.0,
             unlock: 400.0,
             flush: 76.0,
-            sync: 17.0,
-            inject: 416.0,
-            gap: 50.0,
         }
     }
 }
 
 impl PaperModel {
-    /// Pput(s).
+    /// Pput(s): the fabric's DMAPP put latency, protocol change included.
     pub fn put(&self, s: usize) -> f64 {
-        self.put_base + self.put_byte * s as f64
+        self.cost.put_latency(Dmapp, s)
     }
 
-    /// Pget(s).
+    /// Pget(s): the fabric's DMAPP get latency, protocol change included.
     pub fn get(&self, s: usize) -> f64 {
-        self.get_base + self.get_byte * s as f64
+        self.cost.get_latency(Dmapp, s)
+    }
+
+    /// Per-message injection overhead o (DMAPP descriptor build + doorbell).
+    pub fn inject(&self) -> f64 {
+        self.cost.dmapp_inject_ns
+    }
+
+    /// PCAS (8-byte compare-and-swap): one DMAPP AMO.
+    pub fn cas(&self) -> f64 {
+        self.cost.dmapp_amo_ns
     }
 
     /// Pacc,sum(s).
     pub fn acc_sum(&self, s: usize) -> f64 {
-        self.accsum_base + self.accsum_byte * s as f64
+        self.cas() + self.accsum_byte * s as f64
     }
 
     /// Pacc,min(s).
@@ -134,14 +121,14 @@ impl PaperModel {
         if n == 0 {
             return 0.0;
         }
-        self.inject + (n - 1) as f64 * self.gap + self.put(n * s)
+        self.inject() + (n - 1) as f64 * self.cost.dmapp_gap_ns + self.put(n * s)
     }
 
     /// The same `n` puts without batching: each pays its own injection and
-    /// its own wire message. (The per-byte terms are identical — batching
-    /// wins exactly `(n-1)·(inject + put_base - gap)`.)
+    /// its own wire message. (The per-byte terms are identical — below the
+    /// 4 KiB protocol change batching wins exactly `(n-1)·(o + put base - g)`.)
     pub fn put_unbatched(&self, n: usize, s: usize) -> f64 {
-        n as f64 * (self.inject + self.put(s))
+        n as f64 * (self.inject() + self.put(s))
     }
 
     /// Closed-form cost of one notified put of `s` bytes (foMPI-NA-style:
@@ -151,7 +138,7 @@ impl PaperModel {
     /// visible once both the data and the AMO latency have elapsed:
     /// `2·inject + max(Pput(s), Pacc,sum(8))`.
     pub fn put_notified(&self, s: usize) -> f64 {
-        2.0 * self.inject + self.put(s).max(self.acc_sum(8))
+        2.0 * self.inject() + self.put(s).max(self.acc_sum(8))
     }
 
     /// The same producer-visible handoff with the pre-notified idiom the
@@ -160,7 +147,7 @@ impl PaperModel {
     /// data's wire latency before the flag update even starts:
     /// `2·inject + Pflush + Pput(s) + Pacc,sum(8)`.
     pub fn put_polled(&self, s: usize) -> f64 {
-        2.0 * self.inject + self.flush + self.put(s) + self.acc_sum(8)
+        2.0 * self.inject() + self.flush + self.put(s) + self.acc_sum(8)
     }
 
     /// One producer-consumer channel round over notified access
@@ -174,14 +161,14 @@ impl PaperModel {
     /// Cost of a bare notification post (the bulk credit return): one
     /// injection, and the record rides the AMO's ordered path.
     pub fn notify_post(&self) -> f64 {
-        self.inject + self.acc_sum(8)
+        self.inject() + self.acc_sum(8)
     }
 
     /// Cost of a bare notified AMO (the RPC reply ring's credit, counters):
     /// the AMO and its notification share the ordered path, so the origin
     /// pays two injections and one AMO latency dominates.
     pub fn notified_amo(&self) -> f64 {
-        2.0 * self.inject + self.acc_sum(8)
+        2.0 * self.inject() + self.acc_sum(8)
     }
 
     /// Closed-form cost of one uncontended versioned read (`fompi-txn`):
@@ -189,7 +176,7 @@ impl PaperModel {
     /// `s` bytes through the accumulate path, and the version re-check
     /// AMO — `2·PCAS + Pacc,sum(s)`.
     pub fn txn_read(&self, s: usize) -> f64 {
-        2.0 * self.cas + self.acc_sum(s)
+        2.0 * self.cas() + self.acc_sum(s)
     }
 
     /// Closed-form cost of one uncontended optimistic commit over `nkeys`
@@ -199,7 +186,7 @@ impl PaperModel {
     /// `2k·PCAS + k·Pacc,sum(s) + 2·Pflush`.
     pub fn txn_commit(&self, nkeys: usize, s: usize) -> f64 {
         let k = nkeys as f64;
-        2.0 * k * self.cas + k * self.acc_sum(s) + 2.0 * self.flush
+        2.0 * k * self.cas() + k * self.acc_sum(s) + 2.0 * self.flush
     }
 
     /// One fan-in message round over a remote-memory channel
@@ -216,7 +203,7 @@ impl PaperModel {
     /// trailing notification AMO) but the wire latencies overlap, so one
     /// `max(Pput(s), Pacc,sum(8))` term covers the whole subscriber set.
     pub fn rmc_fanout_publish(&self, m: usize, s: usize) -> f64 {
-        2.0 * m as f64 * self.inject + self.put(s).max(self.acc_sum(8))
+        2.0 * m as f64 * self.inject() + self.put(s).max(self.acc_sum(8))
     }
 
     /// One RPC round trip (`fompi-rmc::rpc`) over rings of `slots`: the
@@ -284,11 +271,12 @@ mod tests {
     fn batched_model_amortizes_injection() {
         let m = PaperModel::default();
         // A single op gains nothing from a burst.
-        assert!((m.put_batched(1, 8) - (m.inject + m.put(8))).abs() < 1e-9);
+        assert!((m.put_batched(1, 8) - (m.inject() + m.put(8))).abs() < 1e-9);
         assert!((m.put_unbatched(1, 8) - m.put_batched(1, 8)).abs() < 1e-9);
         // An 8-op burst of small puts pays one base latency, not eight.
         let gain = m.put_unbatched(8, 8) - m.put_batched(8, 8);
-        assert!((gain - 7.0 * (m.inject + m.put_base - m.gap)).abs() < 1e-6);
+        let (put_base, gap) = (m.cost.dmapp_put_base_ns, m.cost.dmapp_gap_ns);
+        assert!((gain - 7.0 * (m.inject() + put_base - gap)).abs() < 1e-6);
         assert!(m.put_batched(8, 8) < 0.5 * m.put_unbatched(8, 8));
     }
 
@@ -321,13 +309,13 @@ mod tests {
         let m = PaperModel::default();
         // A versioned read pays two version AMOs on top of the atomic
         // payload read, so it always costs more than the bare accumulate…
-        assert!((m.txn_read(16) - (2.0 * m.cas + m.acc_sum(16))).abs() < 1e-9);
+        assert!((m.txn_read(16) - (2.0 * m.cas() + m.acc_sum(16))).abs() < 1e-9);
         assert!(m.txn_read(16) > m.acc_sum(16));
         // …and a commit costs strictly more per extra key (lock + write +
         // unlock), by exactly 2·PCAS + Pacc,sum(s).
         let s = 16;
         let per_key = m.txn_commit(2, s) - m.txn_commit(1, s);
-        assert!((per_key - (2.0 * m.cas + m.acc_sum(s))).abs() < 1e-9);
+        assert!((per_key - (2.0 * m.cas() + m.acc_sum(s))).abs() < 1e-9);
         assert!(m.txn_commit(4, s) > m.txn_commit(2, s));
         // A 1-key commit still beats two separate commits (one flush pair
         // amortized), which is the whole point of multi-key transactions.
@@ -347,7 +335,7 @@ mod tests {
         let round = m.put_notified(s) + m.notify_post() / 4.0;
         assert!((m.channel_round(s, 8) - round).abs() < 1e-9);
         // A bare record is one injection cheaper than the notified AMO.
-        assert!((m.notified_amo() - m.notify_post() - m.inject).abs() < 1e-9);
+        assert!((m.notified_amo() - m.notify_post() - m.inject()).abs() < 1e-9);
         assert!(m.notify_post() > m.acc_sum(8));
     }
 
@@ -371,7 +359,7 @@ mod tests {
         assert!((m.rmc_fanout_publish(1, s) - m.put_notified(s)).abs() < 1e-9);
         // Each extra subscriber costs exactly two more injections…
         let slope = m.rmc_fanout_publish(3, s) - m.rmc_fanout_publish(2, s);
-        assert!((slope - 2.0 * m.inject).abs() < 1e-9);
+        assert!((slope - 2.0 * m.inject()).abs() < 1e-9);
         // …which beats m sequential notified puts (the overlap win).
         assert!(m.rmc_fanout_publish(8, s) < 8.0 * m.put_notified(s));
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`Sim`] owns `n` [`Actor`]s and an event heap. Actors react to typed
 //! events, send messages (delivered after a caller-computed delay — usually
-//! from [`crate::net::LogGP`]) and set timers. Determinism: ties in time
+//! from the fabric's `CostModel`) and set timers. Determinism: ties in time
 //! break by sequence number, so runs are reproducible.
 
 use std::cmp::Ordering;

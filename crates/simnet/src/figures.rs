@@ -3,14 +3,16 @@
 //! Each function returns one [`Series`] per transport layer, exactly the
 //! lines of the corresponding figure. Protocol structure comes from the
 //! live implementations (same operation sequences); per-operation costs
-//! come from [`LogGP`]; where a full message-level replay would be
+//! come from the fabric's [`CostModel`] and each layer's software path
+//! from [`crate::net`]; where a full message-level replay would be
 //! prohibitive at 512 Ki ranks the cost of a *named algorithm* is charged
 //! in closed form and documented inline. The MPI-1 hashtable is a genuine
 //! discrete-event simulation (request/ack active messages with FIFO
 //! service at the owner), because its behaviour is queueing-dominated.
 
-use crate::net::{LogGP, Noise};
+use crate::net::{mpi1_msg, sw_caf, sw_fompi, sw_mpi1, sw_mpi22, sw_upc, Noise};
 use crate::patterns;
+use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -37,7 +39,7 @@ fn log2f(p: usize) -> f64 {
 
 /// Figure 6b: global synchronisation latency (µs) vs p.
 pub fn fig6b(ps: &[usize]) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let mut fompi = Series::new("foMPI Win_fence");
     let mut upc = Series::new("Cray UPC barrier");
     let mut caf = Series::new("Cray CAF sync_all");
@@ -48,13 +50,13 @@ pub fn fig6b(ps: &[usize]) -> Vec<Series> {
         fompi.points.push((p as f64, base / 1e3));
         // The PGAS barriers run the same dissemination but pay their
         // runtime's software path every round.
-        upc.points.push((p as f64, (base + log2f(p) * m.sw_upc) / 1e3));
-        caf.points.push((p as f64, (base + log2f(p) * m.sw_caf) / 1e3));
+        upc.points.push((p as f64, (base + log2f(p) * sw_upc()) / 1e3));
+        caf.points.push((p as f64, (base + log2f(p) * sw_caf()) / 1e3));
         // Cray's MPI-2.2 fence: two barriers over the messaging stack plus
         // the software agent and a per-rank counter exchange (the
         // reduce_scatter of op counts its implementation performs).
-        let msg_round = m.mpi1_msg(8);
-        let cray_t = 2.0 * log2f(p) * msg_round + m.sw_mpi22 + 0.6 * p as f64;
+        let msg_round = mpi1_msg(&m, 8);
+        let cray_t = 2.0 * log2f(p) * msg_round + sw_mpi22() + 0.6 * p as f64;
         cray.points.push((p as f64, cray_t / 1e3));
     }
     vec![fompi, upc, caf, cray]
@@ -64,7 +66,7 @@ pub fn fig6b(ps: &[usize]) -> Vec<Series> {
 
 /// Figure 6c: PSCW latency (µs) vs p on a ring (k = 2).
 pub fn fig6c(ps: &[usize]) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let mut fompi = Series::new("foMPI PSCW");
     let mut cray = Series::new("Cray MPI PSCW");
     for &p in ps {
@@ -75,7 +77,7 @@ pub fn fig6c(ps: &[usize]) -> Vec<Series> {
         // Cray's implementation routes post/complete through the messaging
         // stack and performs group translation that grows with the job
         // (fitted to the paper's "systematically growing overheads").
-        let base = 4.0 * m.mpi1_msg(8) + 2.0 * m.sw_mpi22;
+        let base = 4.0 * mpi1_msg(&m, 8) + 2.0 * sw_mpi22();
         let growth = 450.0 * log2f(p) * log2f(p);
         cray.points.push((p as f64, (base + growth) / 1e3));
     }
@@ -121,7 +123,7 @@ impl Ord for HtQ {
 /// the owner, serviced FIFO on the owner's CPU, acknowledged back (the
 /// flow control real AM layers impose). Returns total inserts/second.
 pub fn mpi1_hashtable_rate(p: usize, node_size: usize, inserts: usize, seed: u64) -> f64 {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let mut heap: BinaryHeap<HtQ> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut cpu = vec![0.0f64; p]; // CPU-free time per rank
@@ -131,15 +133,15 @@ pub fn mpi1_hashtable_rate(p: usize, node_size: usize, inserts: usize, seed: u64
         rng = crate::net_hash(rng ^ r as u64);
         (rng % p as u64) as u32
     };
-    let service = m.sw_mpi1 + 100.0 + 2_000.0; // matching + update + polling
+    let service = sw_mpi1() + 100.0 + 2_000.0; // matching + update + polling
                                                // The +2 us term models the owner’s polling granularity: requests are
                                                // only serviced between the owner’s own blocking operations (the
                                                // iprobe loop of the section-4.1 MPI-1 implementation).
     let lat = |a: u32, b: u32| {
         if (a as usize) / node_size == (b as usize) / node_size {
-            m.o_intra + m.l_intra
+            m.xpmem_inject_ns + m.xpmem_base_ns
         } else {
-            m.o + m.put(40)
+            m.inject(Dmapp) + m.put_latency(Dmapp, 40)
         }
     };
     let push = |heap: &mut BinaryHeap<HtQ>, seq: &mut u64, ev: HtEvent| {
@@ -163,7 +165,7 @@ pub fn mpi1_hashtable_rate(p: usize, node_size: usize, inserts: usize, seed: u64
             cpu[r] += service;
             push(heap, seq, HtEvent { time: cpu[r], kind: 1, a: r as u32, b: 0 });
         } else {
-            cpu[r] += m.o;
+            cpu[r] += m.inject(Dmapp);
             let t_arr = cpu[r] + lat(r as u32, target);
             push(heap, seq, HtEvent { time: t_arr, kind: 0, a: target, b: r as u32 });
         }
@@ -199,7 +201,7 @@ pub fn mpi1_hashtable_rate(p: usize, node_size: usize, inserts: usize, seed: u64
 /// `inserts` per process (the paper uses 16 Ki; the DES uses a smaller
 /// batch since the rate is intensive).
 pub fn fig7a(ps: &[usize], node_size: usize, inserts: usize) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let mut fompi = Series::new("foMPI MPI-3.0");
     let mut upc = Series::new("Cray UPC");
     let mut mpi1 = Series::new("Cray MPI-1");
@@ -209,12 +211,12 @@ pub fn fig7a(ps: &[usize], node_size: usize, inserts: usize) -> Vec<Series> {
         // fractions.
         let intra_frac =
             if p <= 1 { 1.0 } else { ((node_size.min(p)) as f64 - 1.0) / (p as f64 - 1.0) };
-        let inter = m.o + m.amo;
-        let intra = m.o_intra + 200.0;
+        let inter = m.inject(Dmapp) + m.amo_latency(Dmapp);
+        let intra = m.xpmem_inject_ns + 200.0;
         let per = |sw: f64| sw + intra_frac * intra + (1.0 - intra_frac) * inter;
         let rate = |cost: f64| (p as f64 / cost) * 1e9 / 1e9; // billion/s
-        fompi.points.push((p as f64, rate(per(m.sw_fompi))));
-        upc.points.push((p as f64, rate(per(m.sw_upc))));
+        fompi.points.push((p as f64, rate(per(sw_fompi()))));
+        upc.points.push((p as f64, rate(per(sw_upc()))));
         let r = mpi1_hashtable_rate(p, node_size, inserts, 0xDEED ^ p as u64);
         mpi1.points.push((p as f64, r / 1e9));
     }
@@ -225,7 +227,8 @@ pub fn fig7a(ps: &[usize], node_size: usize, inserts: usize) -> Vec<Series> {
 
 /// Figure 7b: DSDE exchange time (µs) vs p for k random neighbours.
 pub fn fig7b(ps: &[usize], k: usize) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
+    let (o, amo) = (m.inject(Dmapp), m.amo_latency(Dmapp));
     let mut a2a = Series::new("Cray Alltoall");
     let mut rs = Series::new("Cray Reduce_scatter");
     let mut nbx = Series::new("LibNBC (NBX)");
@@ -236,11 +239,12 @@ pub fn fig7b(ps: &[usize], k: usize) -> Vec<Series> {
         let kf = k as f64;
         // Pairwise-exchange alltoall: p−1 dependent sendrecv rounds of one
         // 16-byte block (+header).
-        let t_a2a = (pf - 1.0) * (m.o + m.sw_mpi1 + m.put(16 + 32));
+        let t_a2a = (pf - 1.0) * (o + sw_mpi1() + m.put_latency(Dmapp, 16 + 32));
         a2a.points.push((pf, t_a2a / 1e3));
         // Ring reduce_scatter of the count vector (8-byte blocks), then k
         // direct messages.
-        let t_rs = (pf - 1.0) * (m.o + m.sw_mpi1 + m.put(8 + 32)) + kf * m.mpi1_msg(8);
+        let t_rs =
+            (pf - 1.0) * (o + sw_mpi1() + m.put_latency(Dmapp, 8 + 32)) + kf * mpi1_msg(&m, 8);
         rs.points.push((pf, t_rs / 1e3));
         // NBX: replayed message by message on the DES engine (synchronous
         // sends + nonblocking consensus), capturing finishing skew.
@@ -249,11 +253,11 @@ pub fn fig7b(ps: &[usize], k: usize) -> Vec<Series> {
         // foMPI: k blocking FAAs + k implicit puts + closing fence.
         let mut n = Noise::off();
         let fence = patterns::max_of(&patterns::dissemination_barrier(&vec![0.0; p], &m, &mut n));
-        let t_rma = kf * (m.o + m.sw_fompi + m.amo) + kf * m.o + m.put(8) + fence;
+        let t_rma = kf * (o + sw_fompi() + amo) + kf * o + m.put_latency(Dmapp, 8) + fence;
         rma.points.push((pf, t_rma / 1e3));
         // Cray MPI-2.2 accumulates: the same structure through the
         // software-agent path, plus its heavyweight fence.
-        let t_22 = kf * (m.o + m.sw_mpi22 + m.amo) + 2.0 * fence + m.sw_mpi22;
+        let t_22 = kf * (o + sw_mpi22() + amo) + 2.0 * fence + sw_mpi22();
         mpi22.points.push((pf, t_22 / 1e3));
     }
     vec![rma, nbx, mpi22, rs, a2a]
@@ -264,7 +268,8 @@ pub fn fig7b(ps: &[usize], k: usize) -> Vec<Series> {
 /// Figure 7c: 3-D FFT strong-scaling performance (GFlop/s) vs p for the
 /// class-D grid (2048×1024×1024).
 pub fn fig7c(ps: &[usize]) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
+    let (o, g, put0) = (m.inject(Dmapp), m.dmapp_put_byte_ns, m.put_latency(Dmapp, 0));
     let n_total: f64 = 2048.0 * 1024.0 * 1024.0;
     let flops = 5.0 * n_total * n_total.log2();
     let bytes_total = n_total * 16.0;
@@ -283,17 +288,17 @@ pub fn fig7c(ps: &[usize]) -> Vec<Series> {
         // own per-message software path*: pairwise exchange (p−1 messages)
         // or Bruck (log p rounds moving half the data each).
         let comm = |sw: f64| {
-            let pairwise = (pf - 1.0) * (m.o + sw) + bytes_rank * m.g + m.put(0);
-            let bruck = log2f(p) * (m.o + sw + m.put(0)) + log2f(p) * (bytes_rank / 2.0) * m.g;
+            let pairwise = (pf - 1.0) * (o + sw) + bytes_rank * g + put0;
+            let bruck = log2f(p) * (o + sw + put0) + log2f(p) * (bytes_rank / 2.0) * g;
             pairwise.min(bruck)
         };
         // MPI-1: compute then exchange (the NAS baseline barely overlaps).
-        let t_mpi = t_comp + comm(m.sw_mpi1);
+        let t_mpi = t_comp + comm(sw_mpi1());
         // Overlapped slabs: communication hides behind compute except the
         // exposed remainder; foMPI's cheaper injection path exposes less.
         let overlap = |sw: f64| t_comp.max(comm(sw)) + 0.05 * comm(sw);
-        let t_upc = overlap(m.sw_upc);
-        let t_fompi = overlap(m.sw_fompi);
+        let t_upc = overlap(sw_upc());
+        let t_fompi = overlap(sw_fompi());
         mpi1.points.push((pf, flops / t_mpi));
         upc.points.push((pf, flops / t_upc));
         fompi.points.push((pf, flops / t_fompi));
@@ -306,7 +311,8 @@ pub fn fig7c(ps: &[usize]) -> Vec<Series> {
 /// Figure 8: MILC weak-scaling full-application time (s) vs p, local
 /// lattice 4³×8.
 pub fn fig8(ps: &[usize]) -> Vec<Series> {
-    let m = LogGP::default();
+    let m = CostModel::default();
+    let (o, amo) = (m.inject(Dmapp), m.amo_latency(Dmapp));
     let local: [usize; 4] = [4, 4, 4, 8];
     let vol: usize = local.iter().product();
     // One CG iteration: stencil flops + vector updates, 8-face halo
@@ -323,20 +329,21 @@ pub fn fig8(ps: &[usize]) -> Vec<Series> {
         let pf = p as f64;
         // Largest face dominates the (overlapped) exchange.
         let max_face = (0..4).map(face_bytes).max().unwrap();
-        let halo = |sw: f64, extra: f64| 8.0 * (m.o + sw) + m.put(max_face) + extra;
-        let reduce = |sw: f64| 2.0 * log2f(p) * (m.o + sw + m.put(8));
+        let put_face = m.put_latency(Dmapp, max_face);
+        let halo = |sw: f64, extra: f64| 8.0 * (o + sw) + put_face + extra;
+        let reduce = |sw: f64| 2.0 * log2f(p) * (o + sw + m.put_latency(Dmapp, 8));
         // Noise: some rank hits a detour each iteration once p is large;
         // the allreduce propagates the straggler.
         let noise = 3_000.0 * (1.0 - (1.0 - 2e-4_f64).powi(p as i32)).min(1.0);
         // MPI-1: matching per face; the allreduce is Cray's tuned
         // collective for every layer (MILC calls MPI_Allreduce natively).
-        let t_mpi1 = t_comp + halo(m.sw_mpi1, 8.0 * m.sw_mpi1) + reduce(0.0) + noise;
+        let t_mpi1 = t_comp + halo(sw_mpi1(), 8.0 * sw_mpi1()) + reduce(0.0) + noise;
         // foMPI: cheap puts, one flush, 8 notify AMOs (overlapped to one
         // latency), tuned allreduce.
-        let t_fompi = t_comp + halo(m.sw_fompi, m.amo) + reduce(0.0) + noise;
+        let t_fompi = t_comp + halo(sw_fompi(), amo) + reduce(0.0) + noise;
         // UPC: same scheme, heavier per-op path, get-based pull.
         let t_upc = t_comp
-            + halo(m.sw_upc, m.amo + m.get(max_face) - m.put(max_face))
+            + halo(sw_upc(), amo + m.get_latency(Dmapp, max_face) - put_face)
             + reduce(0.0)
             + noise;
         mpi1.points.push((pf, t_mpi1 * NOMINAL_ITERS / 1e9));

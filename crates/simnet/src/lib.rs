@@ -2,15 +2,17 @@
 //!
 //! The paper's scaling figures run on up to 524,288 processes of Blue
 //! Waters; real threads top out around a few hundred on one machine. This
-//! crate closes the gap with three complementary simulators, all driven by
-//! the same calibrated cost constants as the live fabric
-//! ([`fompi_fabric::cost::CostModel`]):
+//! crate closes the gap with three complementary simulators. They price
+//! hardware from the live fabric's [`fompi_fabric::cost::CostModel`] and
+//! each layer's software path from the crate that charges it (`fompi`,
+//! `fompi-pgas`, `fompi-msg`; see [`net`]), so an edited constant moves the
+//! live run and the simulation together.
 //!
 //! * [`engine`] — a classic discrete-event core (event heap + actors) used
 //!   where message interleaving matters (NBX consensus, hashtable service
 //!   queues);
-//! * [`net`] — a LogGP cost model plus a 3-D-torus link-occupancy model for
-//!   congestion (the Gemini network);
+//! * [`net`] — where each cost is read from, a 3-D-torus link-occupancy
+//!   model for congestion (the Gemini network) and OS noise;
 //! * [`patterns`] — vector-time round simulations of the *exact protocol
 //!   structures* implemented in the live crates: dissemination barrier
 //!   (fence), PSCW ring post/start/complete/wait, lock acquisition
@@ -34,7 +36,7 @@ pub mod patterns;
 pub mod protocols;
 
 pub use engine::{Actor, Api, Sim};
-pub use net::{LogGP, Torus3D};
+pub use net::Torus3D;
 
 /// splitmix64 — deterministic hashing for simulated random targets.
 pub fn net_hash(mut x: u64) -> u64 {

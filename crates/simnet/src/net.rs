@@ -1,84 +1,53 @@
-//! Network cost models for the simulators.
+//! Where the simulators' costs come from, and the congestion and noise
+//! models.
 //!
-//! [`LogGP`] carries the Gemini constants (the same defaults as the live
-//! fabric's `CostModel`); [`Torus3D`] adds dimension-ordered routing with
-//! per-link occupancy, the congestion source behind the hashtable spikes
-//! the paper attributes to "different job layouts in the Gemini torus".
+//! Nothing here restates a cost. Hardware costs (injection, put / get / AMO
+//! latency with the DMAPP protocol change, compute speed) are the live
+//! fabric's [`CostModel`]. Each layer's software path is read from the crate
+//! that charges it: [`sw_fompi`] from `fompi::perf::overhead`, [`sw_upc`] /
+//! [`sw_caf`] from `fompi_pgas::PgasCosts`, [`sw_mpi1`] / [`sw_mpi22`] from
+//! `fompi_msg::MsgCosts`. [`Torus3D`] adds per-link occupancy (the paper's
+//! "different job layouts in the Gemini torus"), [`Noise`] OS detours or a
+//! mirrored live fault plan.
 
+use fompi::perf::overhead;
+use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_fabric::FaultPlan;
+use fompi_msg::MsgCosts;
+use fompi_pgas::PgasCosts;
 
-/// LogGP-flavoured parameters (ns / ns-per-byte).
-#[derive(Debug, Clone)]
-pub struct LogGP {
-    /// CPU injection overhead per message (o).
-    pub o: f64,
-    /// Base network latency (L) of a put.
-    pub l_put: f64,
-    /// Base network latency of a get (round trip).
-    pub l_get: f64,
-    /// Per-byte cost (G).
-    pub g: f64,
-    /// Remote-AMO latency.
-    pub amo: f64,
-    /// Intra-node injection overhead.
-    pub o_intra: f64,
-    /// Intra-node latency.
-    pub l_intra: f64,
-    /// Software layer overhead for foMPI calls.
-    pub sw_fompi: f64,
-    /// Software layer overhead for Cray UPC calls.
-    pub sw_upc: f64,
-    /// Software layer overhead for Cray CAF calls.
-    pub sw_caf: f64,
-    /// Per-message matching/software cost of Cray MPI-1.
-    pub sw_mpi1: f64,
-    /// Per-op software-agent cost of Cray MPI-2.2 one-sided.
-    pub sw_mpi22: f64,
-    /// Compute speed (ns/flop).
-    pub ns_per_flop: f64,
+/// foMPI's per-call software path: the 173-instruction put / get fast path.
+pub fn sw_fompi() -> f64 {
+    overhead::put_get_ns()
 }
 
-impl Default for LogGP {
-    fn default() -> Self {
-        Self {
-            o: 416.0,
-            l_put: 1_000.0,
-            l_get: 1_900.0,
-            g: 0.16,
-            amo: 2_400.0,
-            o_intra: 80.0,
-            l_intra: 250.0,
-            sw_fompi: 75.0,
-            sw_upc: 900.0,
-            sw_caf: 1_500.0,
-            sw_mpi1: 700.0,
-            sw_mpi22: 7_000.0,
-            ns_per_flop: 0.11,
-        }
-    }
+/// Cray UPC's per-call software path.
+pub fn sw_upc() -> f64 {
+    PgasCosts::default().upc_op_ns
 }
 
-impl LogGP {
-    /// One-way put time for `bytes`.
-    pub fn put(&self, bytes: usize) -> f64 {
-        self.l_put + self.g * bytes as f64
-    }
+/// Cray CAF's per-call software path.
+pub fn sw_caf() -> f64 {
+    PgasCosts::default().caf_op_ns
+}
 
-    /// Remote get (round trip) for `bytes`.
-    pub fn get(&self, bytes: usize) -> f64 {
-        self.l_get + 0.17 * bytes as f64
-    }
+/// Cray MPI-1's per-message software path: call overhead plus tag matching.
+pub fn sw_mpi1() -> f64 {
+    let c = MsgCosts::default();
+    c.sw_ns + c.match_ns
+}
 
-    /// One dissemination-barrier round (inject + 8-byte put + poll pickup).
-    pub fn barrier_round(&self) -> f64 {
-        self.o + self.put(8)
-    }
+/// Cray MPI-2.2 one-sided's per-op software agent.
+pub fn sw_mpi22() -> f64 {
+    MsgCosts::default().agent_ns
+}
 
-    /// An MPI-1 small-message half-round-trip (send → matched receive).
-    pub fn mpi1_msg(&self, bytes: usize) -> f64 {
-        self.o + self.sw_mpi1 + self.put(bytes + 32)
-    }
+/// An MPI-1 small-message half round trip (send → matched receive): one
+/// injection, the MPI-1 software path and a put of the payload with its
+/// envelope.
+pub fn mpi1_msg(m: &CostModel, bytes: usize) -> f64 {
+    m.inject(Dmapp) + sw_mpi1() + m.put_latency(Dmapp, bytes + MsgCosts::default().header_bytes)
 }
 
 /// A 3-D torus with per-link occupancy (wormhole-ish approximation:
@@ -222,12 +191,6 @@ impl Noise {
         }
     }
 
-    /// Sample one perturbation with no base latency (legacy call sites;
-    /// in plan mode the proportional jitter term is zero).
-    pub fn sample(&mut self) -> f64 {
-        self.sample_op(0.0)
-    }
-
     /// Sample the perturbation of one operation whose unperturbed latency
     /// is `base_ns`. Mirrors `Faults::draw_op`'s draw structure.
     pub fn sample_op(&mut self, base_ns: f64) -> f64 {
@@ -298,17 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn loggp_sanity() {
-        let m = LogGP::default();
-        assert!(m.put(8) < m.get(8));
-        assert!(m.barrier_round() > 1_000.0);
-    }
-
-    #[test]
     fn noise_off_is_zero() {
         let mut n = Noise::off();
         for _ in 0..100 {
-            assert_eq!(n.sample(), 0.0);
+            assert_eq!(n.sample_op(0.0), 0.0);
         }
     }
 
@@ -341,7 +297,7 @@ mod tests {
     fn noise_on_is_bounded() {
         let mut n = Noise::new(7, 1.0, 500.0);
         for _ in 0..100 {
-            let s = n.sample();
+            let s = n.sample_op(0.0);
             assert!((0.0..=500.0).contains(&s));
         }
     }

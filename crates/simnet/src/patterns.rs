@@ -3,20 +3,23 @@
 //! These replay, rank by rank and round by round, exactly the remote
 //! operations the `fompi` crate issues — dissemination barrier for fence,
 //! the Figure-2 matching ops for PSCW, the Figure-3 AMO sequences for
-//! locks — using LogGP costs. For synchronous patterns this is exact (it
-//! is the fixed point of the happens-before recurrence) and runs in
+//! locks — priced by the fabric's [`CostModel`] over DMAPP, with foMPI's
+//! software path from [`sw_fompi`]. For synchronous patterns this is exact
+//! (it is the fixed point of the happens-before recurrence) and runs in
 //! O(p log p), so half a million ranks take milliseconds.
 
-use crate::net::{LogGP, Noise};
+use crate::net::{sw_fompi, Noise};
+use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 
 /// Completion time per rank of a dissemination barrier entered by all
 /// ranks at `t0[i]`.
-pub fn dissemination_barrier(t0: &[f64], m: &LogGP, noise: &mut Noise) -> Vec<f64> {
+pub fn dissemination_barrier(t0: &[f64], m: &CostModel, noise: &mut Noise) -> Vec<f64> {
     let p = t0.len();
     let mut t = t0.to_vec();
     if p <= 1 {
         return t;
     }
+    let (o, put8) = (m.inject(Dmapp), m.put_latency(Dmapp, 8));
     let mut dist = 1;
     while dist < p {
         let prev = t.clone();
@@ -24,8 +27,8 @@ pub fn dissemination_barrier(t0: &[f64], m: &LogGP, noise: &mut Noise) -> Vec<f6
             let src = (i + p - dist) % p;
             // I send at prev[i] + o; I proceed once my own send is injected
             // and the token from src arrived.
-            let my_send = prev[i] + m.o;
-            let arrival = prev[src] + m.o + m.put(8) + noise.sample_op(m.put(8));
+            let my_send = prev[i] + o;
+            let arrival = prev[src] + o + put8 + noise.sample_op(put8);
             t[i] = my_send.max(arrival);
         }
         dist *= 2;
@@ -36,17 +39,19 @@ pub fn dissemination_barrier(t0: &[f64], m: &LogGP, noise: &mut Noise) -> Vec<f6
 /// Cost of the one-sided slot acquisition + match-list push that
 /// `MPI_Win_post` performs per neighbour (Figure 2c: two gets and a CAS to
 /// pop the free list, one get, one put and a CAS to push the match list).
-pub fn post_per_neighbor(m: &LogGP) -> f64 {
-    let acquire = m.get(8) + m.get(8) + m.amo + 3.0 * m.o;
-    let push = m.get(8) + m.put(8) + m.amo + 3.0 * m.o;
+pub fn post_per_neighbor(m: &CostModel) -> f64 {
+    let (o, amo, get8) = (m.inject(Dmapp), m.amo_latency(Dmapp), m.get_latency(Dmapp, 8));
+    let acquire = get8 + get8 + amo + 3.0 * o;
+    let push = get8 + m.put_latency(Dmapp, 8) + amo + 3.0 * o;
     acquire + push
 }
 
 /// PSCW ring (k = 2 neighbours, Figure 6c): returns per-rank completion
 /// times of one post/start/complete/wait cycle entered at time zero.
-pub fn pscw_ring(p: usize, m: &LogGP, noise: &mut Noise) -> Vec<f64> {
+pub fn pscw_ring(p: usize, m: &CostModel, noise: &mut Noise) -> Vec<f64> {
+    let (o, amo, sw) = (m.inject(Dmapp), m.amo_latency(Dmapp), sw_fompi());
     if p == 1 {
-        return vec![2.0 * post_per_neighbor(m) + 2.0 * (m.o + m.amo)];
+        return vec![2.0 * post_per_neighbor(m) + 2.0 * (o + amo)];
     }
     // Phase 1: post to both neighbours (sequential remote ops).
     let post_done: Vec<f64> = (0..p)
@@ -59,19 +64,19 @@ pub fn pscw_ring(p: usize, m: &LogGP, noise: &mut Noise) -> Vec<f64> {
         .map(|i| {
             let l = (i + p - 1) % p;
             let r = (i + 1) % p;
-            post_done[i].max(post_done[l]).max(post_done[r]) + m.sw_fompi
+            post_done[i].max(post_done[l]).max(post_done[r]) + sw
         })
         .collect();
     // Phase 3: complete = gsync + one AMO per neighbour.
     let complete_done: Vec<f64> = (0..p)
-        .map(|i| start_done[i] + 2.0 * (m.o + m.amo) + noise.sample_op(2.0 * (m.o + m.amo)))
+        .map(|i| start_done[i] + 2.0 * (o + amo) + noise.sample_op(2.0 * (o + amo)))
         .collect();
     // Phase 4: wait = both neighbours' completes visible.
     (0..p)
         .map(|i| {
             let l = (i + p - 1) % p;
             let r = (i + 1) % p;
-            complete_done[i].max(complete_done[l]).max(complete_done[r]) + m.sw_fompi
+            complete_done[i].max(complete_done[l]).max(complete_done[r]) + sw
         })
         .collect()
 }
@@ -82,19 +87,21 @@ pub struct LockCosts {
     pub lock_excl: f64,
     /// Shared lock / lock_all: one remote AMO.
     pub lock_shared: f64,
-    /// Unlock (shared): one AMO.
+    /// Unlock (shared): two injections and the software path; the release
+    /// AMO is fire-and-forget, so its latency is not waited for.
     pub unlock: f64,
     /// Flush.
     pub flush: f64,
 }
 
 /// Derive lock costs from the model.
-pub fn lock_costs(m: &LogGP) -> LockCosts {
+pub fn lock_costs(m: &CostModel) -> LockCosts {
+    let (o, amo, sw) = (m.inject(Dmapp), m.amo_latency(Dmapp), sw_fompi());
     LockCosts {
-        lock_excl: 2.0 * (m.o + m.amo) + m.sw_fompi,
-        lock_shared: m.o + m.amo + m.sw_fompi,
-        unlock: m.o + m.amo * 0.0 + m.sw_fompi + m.o, // release is fire-and-forget
-        flush: m.sw_fompi,
+        lock_excl: 2.0 * (o + amo) + sw,
+        lock_shared: o + amo + sw,
+        unlock: 2.0 * o + sw,
+        flush: sw,
     }
 }
 
@@ -109,7 +116,7 @@ mod tests {
 
     #[test]
     fn barrier_scales_logarithmically() {
-        let m = LogGP::default();
+        let m = CostModel::default();
         let mut n = Noise::off();
         let mut at = |p: usize| max_of(&dissemination_barrier(&vec![0.0; p], &m, &mut n));
         let t2 = at(2);
@@ -119,7 +126,7 @@ mod tests {
 
     #[test]
     fn barrier_waits_for_latecomer() {
-        let m = LogGP::default();
+        let m = CostModel::default();
         let mut n = Noise::off();
         let mut t0 = vec![0.0; 8];
         t0[3] = 1_000_000.0;
@@ -129,7 +136,7 @@ mod tests {
 
     #[test]
     fn pscw_ring_is_flat_in_p() {
-        let m = LogGP::default();
+        let m = CostModel::default();
         let mut n = Noise::off();
         let t16 = max_of(&pscw_ring(16, &m, &mut n));
         let t16k = max_of(&pscw_ring(16_384, &m, &mut n));
@@ -139,7 +146,7 @@ mod tests {
 
     #[test]
     fn pscw_noise_grows_with_p() {
-        let m = LogGP::default();
+        let m = CostModel::default();
         let noisy = |p: usize| {
             let mut n = Noise::new(42, 0.001, 50_000.0);
             max_of(&pscw_ring(p, &m, &mut n))
@@ -155,7 +162,7 @@ mod tests {
 
     #[test]
     fn lock_constants_ordering() {
-        let c = lock_costs(&LogGP::default());
+        let c = lock_costs(&CostModel::default());
         assert!(c.lock_excl > c.lock_shared);
         assert!(c.lock_shared > c.unlock);
         assert!(c.unlock > c.flush);

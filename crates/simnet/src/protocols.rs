@@ -15,9 +15,10 @@
 //!   counts and link contention, denting the insert rate.
 
 use crate::engine::{Actor, Api, Event, Sim};
-use crate::net::LogGP;
+use crate::net::sw_mpi1;
 use crate::net_hash;
 use crate::Torus3D;
+use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,7 +33,7 @@ struct NbxActor {
     p: usize,
     k: usize,
     seed: u64,
-    m: LogGP,
+    m: CostModel,
     // ssend bookkeeping
     acks_pending: usize,
     // ibarrier state
@@ -45,7 +46,7 @@ struct NbxActor {
 
 impl NbxActor {
     fn lat(&self) -> f64 {
-        self.m.o + self.m.put(40)
+        self.m.inject(Dmapp) + self.m.put_latency(Dmapp, 40)
     }
 
     fn try_advance_barrier(&mut self, api: &mut Api) {
@@ -92,8 +93,8 @@ impl Actor for NbxActor {
         self.acks_pending = self.k;
         for (i, t) in chosen.into_iter().enumerate() {
             // Injection serialises on the sender CPU.
-            let depart = (i as f64 + 1.0) * (self.m.o + self.m.sw_mpi1);
-            api.send_after(t, depart + self.m.put(40), EV_DATA, api.me() as u64);
+            let depart = (i as f64 + 1.0) * (self.m.inject(Dmapp) + sw_mpi1());
+            api.send_after(t, depart + self.m.put_latency(Dmapp, 40), EV_DATA, api.me() as u64);
         }
         self.maybe_enter_barrier(api);
     }
@@ -102,7 +103,7 @@ impl Actor for NbxActor {
         match ev.kind {
             EV_DATA => {
                 // Receive + matching, then ack the synchronous sender.
-                api.send_after(ev.src, self.m.sw_mpi1 + self.lat(), EV_ACK, 0);
+                api.send_after(ev.src, sw_mpi1() + self.lat(), EV_ACK, 0);
             }
             EV_ACK => {
                 self.acks_pending -= 1;
@@ -127,7 +128,7 @@ impl Actor for NbxActor {
 
 /// Event-driven NBX exchange time (ns): max completion over ranks.
 pub fn nbx_time(p: usize, k: usize, seed: u64) -> f64 {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let rounds = if p <= 1 { 0 } else { usize::BITS - (p - 1).leading_zeros() };
     let actors = (0..p)
         .map(|_| NbxActor {
@@ -204,7 +205,7 @@ pub fn hashtable_layout_rate(
     layout: Layout,
     seed: u64,
 ) -> f64 {
-    let m = LogGP::default();
+    let m = CostModel::default();
     let nodes = p.div_ceil(node_size);
     // Compact jobs get a snug torus; fragmented jobs live inside a machine
     // torus 4x their size, on pseudo-randomly chosen machine nodes.
@@ -253,7 +254,7 @@ pub fn hashtable_layout_rate(
     let mut cpu = vec![0.0f64; p];
     let mut remaining = vec![inserts; p];
     let mut rng = seed;
-    let service = m.sw_mpi1 + 100.0 + 2_000.0;
+    let service = sw_mpi1() + 100.0 + 2_000.0;
     let push = |heap: &mut BinaryHeap<TQ>, seq: &mut u64, ev: TEvent| {
         *seq += 1;
         heap.push(TQ { ev, seq: *seq });
@@ -262,9 +263,10 @@ pub fn hashtable_layout_rate(
     let deliver = |a: usize, b: usize, t: f64, torus: &RefCell<Torus3D>| -> f64 {
         let (na, nb) = (node_of[a], node_of[b]);
         if na == nb {
-            t + m.o_intra + m.l_intra
+            t + m.xpmem_inject_ns + m.xpmem_base_ns
         } else {
-            m.o + torus.borrow_mut().route(na, nb, 40, t + m.o)
+            let o = m.inject(Dmapp);
+            o + torus.borrow_mut().route(na, nb, 40, t + o)
         }
     };
     let issue = |r: usize,
@@ -284,7 +286,7 @@ pub fn hashtable_layout_rate(
             cpu[r] += service;
             push(heap, seq, TEvent { time: cpu[r], kind: 1, a: r as u32, b: 0 });
         } else {
-            cpu[r] += m.o;
+            cpu[r] += m.inject(Dmapp);
             let t_arr = deliver(r, target, cpu[r], torus);
             push(heap, seq, TEvent { time: t_arr, kind: 0, a: target as u32, b: r as u32 });
         }

@@ -7,15 +7,15 @@
 
 use fompi_fabric::cost::{CostModel, Transport};
 use fompi_runtime::Universe;
-use fompi_simnet::net::{LogGP, Noise};
+use fompi_simnet::net::Noise;
 use fompi_simnet::patterns::{dissemination_barrier, max_of};
 
 #[test]
 fn simulated_barrier_matches_the_live_barrier() {
-    let round = CostModel::default().barrier_round(Transport::Dmapp);
+    let m = CostModel::default();
+    let round = m.barrier_round(Transport::Dmapp);
     for p in [2usize, 3, 8, 64] {
-        let sim =
-            max_of(&dissemination_barrier(&vec![0.0; p], &LogGP::default(), &mut Noise::off()));
+        let sim = max_of(&dissemination_barrier(&vec![0.0; p], &m, &mut Noise::off()));
         let live = Universe::new(p).node_size(1).run(|ctx| {
             let t0 = ctx.now();
             ctx.barrier();

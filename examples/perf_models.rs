@@ -7,6 +7,11 @@
 //! Prints the closed-form cost functions and demonstrates the paper's
 //! example use: choosing Fence vs PSCW synchronisation from
 //! `Pfence(p) > Ppost(k) + Pcomplete(k) + Pstart + Pwait`.
+//!
+//! Pput and Pget are the live fabric's DMAPP latencies, so their rows at
+//! s ≥ 4096 include the 400 ns the fabric charges for DMAPP's protocol
+//! change at 4 KiB (the bump of Figures 4a/4b), on top of the paper's
+//! linear fit.
 
 use fompi::perf::{overhead, PaperModel};
 
@@ -33,7 +38,7 @@ fn main() {
     );
     println!(
         "  locks: excl {:.0} ns, shared/lock_all {:.0} ns, unlock {:.0} ns, flush {:.0} ns, sync {:.0} ns",
-        m.lock_excl, m.lock_shared, m.unlock, m.flush, m.sync
+        m.lock_excl, m.lock_shared, m.unlock, m.flush, m.cost.sync_ns
     );
     println!(
         "\nfast-path overheads: put/get ≈ {} instructions ({:.0} ns), flush ≈ {} instructions ({:.0} ns)",

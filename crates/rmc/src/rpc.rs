@@ -459,6 +459,60 @@ mod tests {
     }
 
     #[test]
+    fn a_call_that_would_alias_an_unconsumed_reply_slot_is_refused() {
+        // Two slots, a budget of four: only the reply-slot window can
+        // refuse. Call 2 would reply into call 0's slot, so it waits until
+        // call 0's reply is consumed — consuming call 1's does not help.
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            match rpc(ctx, 0, &[1], &cfg(2, 4)).unwrap().unwrap() {
+                RpcEnd::Server(mut srv) => {
+                    for _ in 0..2 {
+                        let req = srv.recv().unwrap();
+                        srv.reply(&req, &req.data.clone()).unwrap();
+                    }
+                    ctx.barrier();
+                    // Both refusals happened before the barrier: neither
+                    // sent anything.
+                    assert!(srv.try_recv().unwrap().is_none(), "a refused call reached the server");
+                    ctx.barrier();
+                    let req = srv.recv().unwrap();
+                    assert_eq!(req.corr, 2);
+                    srv.reply(&req, &req.data.clone()).unwrap();
+                    ctx.barrier();
+                    srv.close(ctx).unwrap();
+                    Vec::new()
+                }
+                RpcEnd::Client(mut cl) => {
+                    let mut buf = [0u8; 32];
+                    let mut out = Vec::new();
+                    let c0 = cl.call_async(b"c0").unwrap();
+                    let c1 = cl.call_async(b"c1").unwrap();
+                    let err = cl.call_async(b"c2").unwrap_err();
+                    assert!(err.is_transient(), "an aliasing call must be retryable: {err}");
+                    assert_eq!(cl.outstanding(), 2, "a refused call is not outstanding");
+                    let n = cl.wait_reply(c1, &mut buf).unwrap();
+                    out.push(buf[..n].to_vec());
+                    let err = cl.call_async(b"c2").unwrap_err();
+                    assert!(err.is_transient(), "call 0's slot is still unconsumed: {err}");
+                    assert_eq!(cl.outstanding(), 1);
+                    ctx.barrier();
+                    ctx.barrier();
+                    let n = cl.wait_reply(c0, &mut buf).unwrap();
+                    out.push(buf[..n].to_vec());
+                    let c2 = cl.call_async(b"c2").unwrap();
+                    let n = cl.wait_reply(c2, &mut buf).unwrap();
+                    out.push(buf[..n].to_vec());
+                    assert_eq!(cl.outstanding(), 0);
+                    ctx.barrier();
+                    cl.close(ctx).unwrap();
+                    out
+                }
+            }
+        });
+        assert_eq!(got[1], vec![b"c1".to_vec(), b"c0".to_vec(), b"c2".to_vec()]);
+    }
+
+    #[test]
     fn late_reply_times_out_deterministically() {
         // The server stalls (virtual time) before replying: the reply's
         // stamp lands past the client's deadline, so the wait must

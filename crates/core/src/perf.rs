@@ -164,13 +164,6 @@ impl PaperModel {
         self.inject() + self.acc_sum(8)
     }
 
-    /// Cost of a bare notified AMO (the RPC reply ring's credit, counters):
-    /// the AMO and its notification share the ordered path, so the origin
-    /// pays two injections and one AMO latency dominates.
-    pub fn notified_amo(&self) -> f64 {
-        2.0 * self.inject() + self.acc_sum(8)
-    }
-
     /// Closed-form cost of one uncontended versioned read (`fompi-txn`):
     /// an atomic version fetch (CAS-class AMO), an atomic payload read of
     /// `s` bytes through the accumulate path, and the version re-check
@@ -208,10 +201,10 @@ impl PaperModel {
 
     /// One RPC round trip (`fompi-rmc::rpc`) over rings of `slots`: the
     /// request rides a fan-in channel round to the server, the reply a
-    /// notified put back, whose ring returns each slot with its own
-    /// notified AMO.
+    /// notified put back. The reply ring returns no credits: the request
+    /// itself proves its reply slot free.
     pub fn rpc_round(&self, req: usize, rep: usize, slots: usize) -> f64 {
-        self.channel_round(req, slots) + self.put_notified(rep) + self.notified_amo()
+        self.channel_round(req, slots) + self.put_notified(rep)
     }
 }
 
@@ -334,8 +327,6 @@ mod tests {
         // …an eight-slot ring one record per four slots.
         let round = m.put_notified(s) + m.notify_post() / 4.0;
         assert!((m.channel_round(s, 8) - round).abs() < 1e-9);
-        // A bare record is one injection cheaper than the notified AMO.
-        assert!((m.notified_amo() - m.notify_post() - m.inject()).abs() < 1e-9);
         assert!(m.notify_post() > m.acc_sum(8));
     }
 
@@ -365,12 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn rpc_round_is_a_request_round_plus_a_reply_with_its_credit_amo() {
+    fn rpc_round_is_a_request_round_plus_a_credit_free_reply() {
         let m = PaperModel::default();
         let (req, rep) = (64, 256);
         for slots in [1, 4] {
-            let reply = m.put_notified(rep) + m.notified_amo();
-            let round = m.channel_round(req, slots) + reply;
+            // The reply is a bare notified put: no share of a credit.
+            let round = m.channel_round(req, slots) + m.put_notified(rep);
             assert!((m.rpc_round(req, rep, slots) - round).abs() < 1e-9);
             // An RPC always costs more than a one-way message of either size.
             assert!(m.rpc_round(req, rep, slots) > m.channel_round(req.max(rep), slots));

@@ -86,6 +86,11 @@ pub fn notify_match(want_source: u32, want_tag: u32, source: u32, tag: u32) -> b
 /// One cell of the ring. `seq` is the Vyukov sequence word; the payload
 /// words are published before the `seq` release-store and read after the
 /// consumer's acquire-load, so they need no ordering of their own.
+///
+/// A line of its own: at 40 bytes, neighbouring cells would share lines,
+/// and a push into cell k+1 would invalidate the line the consumer is
+/// reading cell k from.
+#[repr(align(64))]
 struct Cell {
     seq: AtomicU64,
     tag_src: AtomicU64,
@@ -101,15 +106,30 @@ struct Cell {
 /// loop. Full is a *normal* condition ([`NotifyQueue::try_push`] returns
 /// `false`) — the endpoint turns it into modelled backpressure.
 ///
-/// A line of its own: the hub keeps the rings side by side, and two ranks'
-/// cursors on one line would make every append to one ring invalidate the
-/// other's (measured on the benchmark's `stream`, see EXPERIMENTS.md).
-#[repr(align(64))]
+/// Three lines of its own: the read-only header (`cells`, `mask`), the
+/// producers' `enqueue_pos` and the consumer's `dequeue_pos`. The hub keeps
+/// the rings side by side, and two ranks' cursors on one line would make
+/// every append to one ring invalidate the other's; one ring's two cursors
+/// on one line would move it between producer and consumer on every push
+/// and every pop (both measured on the benchmark's `stream`, see
+/// EXPERIMENTS.md).
+#[repr(C, align(64))]
 pub struct NotifyQueue {
     cells: Box<[Cell]>,
     mask: u64,
-    enqueue_pos: AtomicU64,
-    dequeue_pos: AtomicU64,
+    enqueue_pos: Line<AtomicU64>,
+    dequeue_pos: Line<AtomicU64>,
+}
+
+/// A value padded out to a cache line of its own.
+#[repr(align(64))]
+struct Line<T>(T);
+
+impl<T> std::ops::Deref for Line<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 impl NotifyQueue {
@@ -129,8 +149,8 @@ impl NotifyQueue {
         NotifyQueue {
             cells,
             mask: cap as u64 - 1,
-            enqueue_pos: AtomicU64::new(0),
-            dequeue_pos: AtomicU64::new(0),
+            enqueue_pos: Line(AtomicU64::new(0)),
+            dequeue_pos: Line(AtomicU64::new(0)),
         }
     }
 
@@ -271,6 +291,21 @@ mod tests {
 
     fn rec(tag: u32, source: u32, bytes: u64, stamp: f64) -> NotifyRecord {
         NotifyRecord { tag, source, bytes, stamp, flow: tag as u64 + 1 }
+    }
+
+    #[test]
+    #[cfg(not(loom))]
+    fn header_and_cursors_are_on_separate_lines() {
+        use std::mem::{align_of, offset_of, size_of};
+        // The lines a field spans, first and last.
+        let lines = |off: usize, len: usize| (off / 64, (off + len - 1) / 64);
+        let header = lines(0, offset_of!(NotifyQueue, mask) + size_of::<u64>());
+        let enq = lines(offset_of!(NotifyQueue, enqueue_pos), size_of::<AtomicU64>());
+        let deq = lines(offset_of!(NotifyQueue, dequeue_pos), size_of::<AtomicU64>());
+        assert_eq!(offset_of!(NotifyQueue, cells), 0);
+        assert_eq!((header, enq, deq), ((0, 0), (1, 1), (2, 2)));
+        assert_eq!(align_of::<NotifyQueue>(), 64);
+        assert_eq!((size_of::<Cell>(), align_of::<Cell>()), (64, 64));
     }
 
     #[test]

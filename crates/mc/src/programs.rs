@@ -612,8 +612,10 @@ fn rmc_mesh(ctx: &mut RankCtx, s: &Shape, leak: bool) -> Verdict {
 /// Request/response with a virtual-time deadline: rank 0 serves every
 /// other rank, one request in flight each. It charges 1 ms before
 /// answering each client's odd-numbered call, blowing the 100 µs deadline
-/// in *every* schedule, and the late reply still settles the slot credit.
-/// An even-numbered call is answered at once, so it must succeed — unless
+/// in *every* schedule, and the late reply's slot still recycles: the
+/// client drops the reply and issues its next call into that slot (the
+/// request is the reply's credit, so no credit flows back). An
+/// even-numbered call is answered at once, so it must succeed — unless
 /// it can queue behind another client's stalled call, or injected faults
 /// stretch its round trip past the deadline.
 fn rpc_timeout(ctx: &mut RankCtx, s: &Shape) -> Verdict {

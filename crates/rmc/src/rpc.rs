@@ -11,21 +11,25 @@
 //! Window layout (symmetric; `C` clients, `S` slots of `B` bytes):
 //!
 //! ```text
-//! | 8 B credit pad | ring 0: S×B | ring 1: S×B | ... | ring C-1 |
+//! | ring 0: S×B | ring 1: S×B | ... | ring C-1 |
 //! ```
 //!
 //! On the server's copy ring `i` is client `i`'s request ring; on a
-//! client's copy the first ring is its reply ring. Reply-credit AMOs land
-//! in the pad (same-op accumulates may overlap per MPI-3.0 §11.7.1, so one
-//! shared pad is racecheck-clean).
+//! client's copy ring 0 is its reply ring.
 //!
 //! The request ring is a pair of lanes: requests are issued and served in
 //! correlation order, so the lane cursors *are* the correlation ids, and
 //! the server returns request slots in bulk like every lane. The reply
 //! ring is not: replies are written and awaited in any order, so its slot
-//! is chosen by the correlation id, not by a cursor, and the server keeps
-//! that ring's credits — one notified AMO per reply — and slot-reuse fence
-//! itself.
+//! is `corr % S`, chosen by the correlation id, not by a cursor.
+//!
+//! The reply ring needs no credits. A client never issues a correlation
+//! id whose reply slot still holds a reply it has not consumed
+//! ([`RpcClient::call_async`] refuses `corr − oldest outstanding ≥ S`), so
+//! by the time the server receives request `c`, the reply to `c − S` has
+//! been read and slot `c % S` is free: the request is its reply's credit.
+//! All the server keeps of that ring is the slot-reuse fence, one flush per
+//! lap. A call is one notified put each way.
 //!
 //! Two budgets bound the pipeline: each client may hold at most
 //! `rpc_budget` outstanding requests (and never more than a slot-window's
@@ -36,7 +40,7 @@
 
 use crate::{check_spokes, put_in_flow, RmcConfig};
 use fompi::lane::{self, Geometry, RxLane, TxLane};
-use fompi::{FompiError, MpiOp, Result, Win, ANY_SOURCE};
+use fompi::{FompiError, Result, Win};
 use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::FabricError;
 use fompi_runtime::RankCtx;
@@ -50,16 +54,13 @@ pub const REP_TAG_BASE: u32 = 0x0053_0000;
 /// Tag of request-slot credit notifications (server → client).
 pub const REQ_CREDIT_TAG: u32 = 0x0054_0001;
 
-/// Tag of reply-slot credit notifications (client → server).
-pub const REP_CREDIT_TAG: u32 = 0x0054_0002;
-
 /// Give up a blocking RPC wait after this many fruitless matching passes:
 /// the peer is gone or deadlocked, which timeout semantics must surface
 /// as an error rather than hang.
 const SPIN_LIMIT: u64 = 1 << 20;
 
 /// Byte offset of a client's reply ring on its own window copy.
-const REPLY_RING: usize = 8;
+const REPLY_RING: usize = 0;
 
 fn transient(retry_after_ns: u64) -> FompiError {
     FompiError::Fabric(FabricError::Backpressure { retry_after_ns })
@@ -85,10 +86,6 @@ pub struct RpcServer {
     /// that client will send (clients issue in order).
     rx: Vec<RxLane>,
     geom: Geometry,
-    /// Per-client reply-slot credits in hand, booked through
-    /// `Geometry::book_credit`: one beyond the ring's slots would let a
-    /// reply overwrite one the client has not consumed.
-    rep_credits: Vec<u64>,
     /// Per-client reply corr at the last flush (the reply-slot reuse
     /// fence — see [`RpcServer::reply`]).
     flushed_at: Vec<u64>,
@@ -121,16 +118,15 @@ pub enum RpcEnd {
 pub fn rpc(ctx: &RankCtx, server: u32, clients: &[u32], cfg: &RmcConfig) -> Result<Option<RpcEnd>> {
     let geom = Geometry::new(cfg.slots, cfg.slot_bytes)?;
     check_spokes(server, clients, "rpc client");
-    let win = lane::open(ctx, 8 + clients.len() * geom.ring_bytes())?;
+    let win = lane::open(ctx, clients.len() * geom.ring_bytes())?;
     let me = ctx.rank();
-    let request_ring = |i: usize| 8 + i * geom.ring_bytes();
+    let request_ring = |i: usize| i * geom.ring_bytes();
     if me == server {
         let lane = |(i, &c)| RxLane::new(c, request_ring(i), geom);
         Ok(Some(RpcEnd::Server(RpcServer {
             win,
             rx: clients.iter().enumerate().map(lane).collect(),
             geom,
-            rep_credits: vec![geom.slots() as u64; clients.len()],
             flushed_at: vec![0; clients.len()],
         })))
     } else if let Some(i) = clients.iter().position(|&c| c == me) {
@@ -152,7 +148,8 @@ impl RpcClient {
     /// Issue a request without waiting for its reply; returns the
     /// correlation id to pass to [`RpcClient::wait_reply`]. Exceeding the
     /// outstanding budget (or the reply ring's slot window) surfaces as a
-    /// transient error — drain a reply, then retry.
+    /// transient error — drain a reply, then retry. The slot-window check
+    /// is what lets the reply ring run without credits (module docs).
     pub fn call_async(&mut self, req: &[u8]) -> Result<u64> {
         if self.outstanding.len() >= self.budget {
             return Err(transient(self.timeout_ns));
@@ -160,7 +157,8 @@ impl RpcClient {
         let corr = self.tx.head();
         if let Some(&(oldest, _)) = self.outstanding.first() {
             if corr - oldest >= self.geom.slots() as u64 {
-                // A fresh corr would alias an unconsumed reply slot.
+                // A fresh corr would alias an unconsumed reply slot: the
+                // request would tell the server that slot is free.
                 return Err(transient(self.timeout_ns));
             }
         }
@@ -200,8 +198,8 @@ impl RpcClient {
                 if fits {
                     self.win.read_local(self.geom.cell(REPLY_RING, corr), &mut buf[..len]);
                 }
-                // Recycle the reply slot whether or not we keep the data.
-                self.win.accumulate_notify(1, MpiOp::Sum, server, 0, REP_CREDIT_TAG)?;
+                // The reply slot recycles whether or not we keep the data:
+                // the next request that maps to it says so to the server.
                 self.outstanding.remove(at);
                 if !fits {
                     return Err(FompiError::InvalidEpoch("reply payload exceeds the recv buffer"));
@@ -251,14 +249,10 @@ impl RpcServer {
             .ok_or(FompiError::InvalidEpoch("rpc record from a rank that is not a client"))
     }
 
-    /// One nonblocking pass: absorb reply credits, then probe each client
-    /// for its next in-order request. Returns the first request found.
+    /// One nonblocking pass: probe each client for its next in-order
+    /// request. Returns the first request found.
     pub fn try_recv(&mut self) -> Result<Option<RpcRequest>> {
         let t0 = self.win.endpoint().clock().now();
-        while let Some(rec) = self.win.test_notify(ANY_SOURCE, REP_CREDIT_TAG)? {
-            let i = self.client_index(rec.source)?;
-            self.geom.book_credit(&mut self.rep_credits[i], 1, rec.source)?;
-        }
         for rx in &mut self.rx {
             // Clients issue correlation ids in order, so the next request
             // from this client can only carry its lane's tail — an
@@ -299,22 +293,13 @@ impl RpcServer {
         }
     }
 
-    /// Send `rep` as the reply to `req`. Blocks on the client's
-    /// reply-slot credits when its ring is full.
+    /// Send `rep` as the reply to `req`. Never waits for the client: the
+    /// request vouched for its reply slot (module docs).
     pub fn reply(&mut self, req: &RpcRequest, rep: &[u8]) -> Result<()> {
         if rep.len() > self.geom.slot_bytes() {
             return Err(FompiError::InvalidEpoch("reply exceeds the rpc slot size"));
         }
         let i = self.client_index(req.client)?;
-        if self.rep_credits[i] == 0 {
-            while self.win.test_notify(req.client, REP_CREDIT_TAG)?.is_some() {
-                self.geom.book_credit(&mut self.rep_credits[i], 1, req.client)?;
-            }
-            if self.rep_credits[i] == 0 {
-                self.win.wait_notify(req.client, REP_CREDIT_TAG)?;
-                self.geom.book_credit(&mut self.rep_credits[i], 1, req.client)?;
-            }
-        }
         // Slot-reuse fence for the reply ring: the rule of
         // `TxLane::fence`, keyed by the correlation id.
         if req.corr >= self.flushed_at[i] + self.geom.slots() as u64 {
@@ -333,7 +318,6 @@ impl RpcServer {
         let flow = ep.current_flow();
         ep.flow_close(prev);
         r?;
-        self.rep_credits[i] -= 1;
         ep.trace_flow_consume(EventKind::RmcSend, req.client, t0, flow, rep.len() as u64);
         Ok(())
     }
@@ -548,36 +532,6 @@ mod tests {
             })
         };
         assert_eq!(run(), run(), "the timeout verdict must be schedule-independent");
-    }
-
-    #[test]
-    fn a_stray_reply_credit_is_an_error_naming_the_client() {
-        // Client 1 returns its one reply slot, then forges a second credit
-        // (from another window: records match by source and tag alone).
-        // Absorbing it would let the server overwrite an unread reply.
-        let got = Universe::new(2).node_size(1).run(|ctx| {
-            let forger = lane::open(ctx, 8).unwrap();
-            let said = match rpc(ctx, 0, &[1], &cfg(1, 1)).unwrap().unwrap() {
-                RpcEnd::Server(mut srv) => {
-                    let req = srv.recv().unwrap();
-                    srv.reply(&req, b"pong").unwrap();
-                    ctx.barrier();
-                    let said = srv.try_recv().map(drop);
-                    srv.close(ctx).and(said)
-                }
-                RpcEnd::Client(mut cl) => {
-                    cl.call(b"ping", &mut [0u8; 32]).unwrap();
-                    forger.accumulate_notify(1, MpiOp::Sum, 0, 0, REP_CREDIT_TAG).unwrap();
-                    ctx.barrier();
-                    cl.close(ctx)
-                }
-            };
-            lane::close(forger, ctx).unwrap();
-            said.map_err(|e| e.to_string())
-        });
-        let server = got[0].as_ref().expect_err("the stray reply credit was absorbed");
-        assert!(server.contains("underflow") && server.contains("rank 1"), "{server}");
-        assert_eq!(got[1], Ok(()));
     }
 
     #[test]

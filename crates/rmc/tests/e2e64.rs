@@ -2,7 +2,7 @@
 //! race checker panicking, all six fault classes armed.
 //!
 //! This is the scale point the subsystem is sized for — 63 producers
-//! hammering one consumer's credit pad, one publisher pacing 63
+//! appending to one consumer's notification ring, one publisher pacing 63
 //! subscriber rings, and a served RPC rank taking calls from a whole
 //! cabinet — with the fault layer injecting jitter, spikes, delayed
 //! completions, backpressure (including rejected issues), rank pauses

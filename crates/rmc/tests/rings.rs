@@ -235,9 +235,9 @@ fn the_wire_bill_per_message_and_per_call_at_eight_slots() {
     let message: [f64; 4] = [1.0, 0.0, 1.25, 0.125];
     assert_eq!(per(channel_life), message, "channel, per message");
     assert_eq!(per(fanin_life), message, "fan-in, per message");
-    // A call is a request message plus a reply, whose ring still returns
-    // one notified credit AMO per reply, and fences a lap of its own.
-    let call: [f64; 4] = [2.0, 1.0, 3.25, 0.25];
+    // A call is a request message plus a reply, whose ring returns no
+    // credits (the request vouches for its slot) and fences a lap of its own.
+    let call: [f64; 4] = [2.0, 0.0, 2.25, 0.25];
     assert_eq!(per(rpc_life), call, "rpc, per call");
 }
 

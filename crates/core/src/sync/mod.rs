@@ -4,8 +4,8 @@
 //! What they share is here, once: an epoch call's check and frame
 //! ([`Win::require`], [`Win::enter`] / [`Win::leave`]) and how a rank waits
 //! — [`Win::spin_until`] on its own memory, [`Spin::lost`] after a lost
-//! remote race. Nothing else under `sync/` knows the spin limit, the thread
-//! yield or the model checker's parking hooks.
+//! remote race. Nothing else under `sync/` knows the spin limit, the idle
+//! step or the model checker's parking hooks.
 
 pub mod fence;
 pub mod flush;
@@ -138,7 +138,8 @@ pub(crate) fn backoff_spin(ep: &Endpoint, attempt: u64) {
 
 impl Win {
     /// Poll until `poll` yields: the loop of every wait that spins for free
-    /// on this rank's own memory, one `poll` and one thread yield per miss.
+    /// on this rank's own memory, one `poll` and one [`Endpoint::idle`]
+    /// per miss (spin first, then yield).
     /// `park` is its model-checker hook: `true` once it has parked the rank
     /// until a poll can succeed (a waiter with nothing to observe must be
     /// *disabled* there, or exploration never ends and deadlocks look like
@@ -156,8 +157,7 @@ impl Win {
                 return Ok(v);
             }
             if !park() {
-                spin.miss();
-                std::thread::yield_now();
+                self.ep.idle(spin.miss());
             }
         }
     }

@@ -11,25 +11,46 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One instance is shared by every rank of the job, so each increment is a
 /// read-modify-write on a line the other ranks write too, and the layout
 /// decides how many such lines an operation touches. It is pinned
-/// (`repr(C)`, line-aligned): the eight operation counts fill the first
-/// cache line and the byte counts start the second, so a put or get costs
-/// exactly one increment on each of two lines, an AMO one increment in all
-/// (its volume is not stored: every AMO moves 8 bytes, so
+/// (`repr(C)`, line-aligned, padded) as one line per class of operation,
+/// so that every fabric op writes exactly one line ([`Line`]):
+///
+/// | line | counts | written by |
+/// |---|---|---|
+/// | 0 put | `puts`, `bytes_put`, `notify_posts` | puts, `write_sync`, notified appends |
+/// | 1 get | `gets`, `bytes_get` | gets, a remote `read_sync` |
+/// | 2 sync | `amos`, `gsyncs`, `flushes`, `fences`, `locks`, `unlocks` | AMOs, completion, epoch calls |
+/// | 3 rare | `notify_consumed`, `notify_overflows`, `notify_dropped`, `batched_ops`, `batch_flushes`, `batch_splits` | consumers, backpressure, bursts |
+///
+/// An AMO's volume is not stored: every AMO moves 8 bytes, so
 /// [`CounterSnapshot::bytes_amo`] is `8 × amos` when the snapshot is
-/// taken), and nothing that an operation only *reads* (topology, cost
-/// model, registry generation) can land on either. Left to the compiler,
-/// `puts` shared its line with
-/// read-mostly fields of [`crate::Fabric`]: an operation then took two or
-/// three line transfers depending on how the ranks interleaved, and the
-/// rate of a contended put spread half again as widely from one second
-/// to the next (EXPERIMENTS.md, "Translate once, not per op").
+/// taken. Nothing that an operation only *reads* (topology, cost model,
+/// registry generation) can land on a counter line. Left to the compiler,
+/// `puts` shared its line with read-mostly fields of [`crate::Fabric`]:
+/// an operation then took two or three line transfers depending on how
+/// the ranks interleaved, and the rate of a contended put spread half
+/// again as widely from one second to the next (EXPERIMENTS.md,
+/// "Translate once, not per op"). With counts and byte counts on two
+/// lines, a put moved two lines and every notification pop moved the
+/// producers' byte line.
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
 pub struct Counters {
+    // ---- line 0: puts
     /// Number of put operations issued.
     pub puts: AtomicU64,
+    /// Total bytes moved by puts.
+    pub bytes_put: AtomicU64,
+    /// Notification records appended by notified puts/AMOs
+    /// (see [`crate::notify`]).
+    pub notify_posts: AtomicU64,
+    _put_pad: [u64; 5],
+    // ---- line 1: gets
     /// Number of get operations issued.
     pub gets: AtomicU64,
+    /// Total bytes moved by gets.
+    pub bytes_get: AtomicU64,
+    _get_pad: [u64; 6],
+    // ---- line 2: AMOs and synchronisation
     /// Number of AMOs issued.
     pub amos: AtomicU64,
     /// Number of gsync (bulk completion) calls.
@@ -43,10 +64,15 @@ pub struct Counters {
     pub locks: AtomicU64,
     /// Number of lock releases (`MPI_Win_unlock` / `unlock_all`).
     pub unlocks: AtomicU64,
-    /// Total bytes moved by puts.
-    pub bytes_put: AtomicU64,
-    /// Total bytes moved by gets.
-    pub bytes_get: AtomicU64,
+    _sync_pad: [u64; 2],
+    // ---- line 3: consumers and the rare paths
+    /// Notification records popped by a consumer.
+    pub notify_consumed: AtomicU64,
+    /// Notified appends that found the target ring full at least once
+    /// (modelled as injection backpressure).
+    pub notify_overflows: AtomicU64,
+    /// Un-consumed notification records discarded (window free).
+    pub notify_dropped: AtomicU64,
     /// Operations issued through the batching layer (members of bursts,
     /// including each burst's first op — see [`crate::batch`]).
     pub batched_ops: AtomicU64,
@@ -55,16 +81,15 @@ pub struct Counters {
     /// Bursts retired specifically because coalescing stopped (next op
     /// non-adjacent / different kind / would cross the protocol change).
     pub batch_splits: AtomicU64,
-    /// Notification records appended by notified puts/AMOs
-    /// (see [`crate::notify`]).
-    pub notify_posts: AtomicU64,
-    /// Notification records popped by a consumer.
-    pub notify_consumed: AtomicU64,
-    /// Notified appends that found the target ring full at least once
-    /// (modelled as injection backpressure).
-    pub notify_overflows: AtomicU64,
-    /// Un-consumed notification records discarded (window free).
-    pub notify_dropped: AtomicU64,
+}
+
+/// The line of [`Counters`] an operation on a segment writes, which
+/// [`Counters::touch`] asks for ahead of the increment.
+#[derive(Clone, Copy)]
+pub(crate) enum Line {
+    Put,
+    Get,
+    Sync,
 }
 
 /// A point-in-time copy of [`Counters`].
@@ -110,15 +135,20 @@ pub struct CounterSnapshot {
 }
 
 impl Counters {
-    /// Ask for the operation-count line ahead of the increment. An
-    /// operation calls this first and counts itself last; the line's
-    /// transfer from the rank that counted last then overlaps the
-    /// translation and cost arithmetic in between instead of stalling the
-    /// increment for its whole length.
-    #[inline]
-    pub(crate) fn touch(&self) {
+    /// Ask for `line` ahead of the increment. An operation calls this
+    /// first and counts itself last; the line's transfer from the rank
+    /// that counted last then overlaps the translation and cost
+    /// arithmetic in between instead of stalling the increment for its
+    /// whole length.
+    #[inline(always)]
+    pub(crate) fn touch(&self, line: Line) {
+        let first = match line {
+            Line::Put => &self.puts,
+            Line::Get => &self.gets,
+            Line::Sync => &self.amos,
+        };
         // `black_box`: the compiler may delete a relaxed load nobody reads.
-        std::hint::black_box(self.puts.load(Ordering::Relaxed));
+        std::hint::black_box(first.load(Ordering::Relaxed));
     }
 
     /// Take a snapshot.
@@ -188,19 +218,49 @@ impl CounterSnapshot {
 mod tests {
     use super::*;
 
-    /// The layout the type's comment promises: an operation's count and
-    /// its byte count sit on two different lines, each in a fixed place.
+    /// The layout the type's comment promises: each class of operation
+    /// has its counters on one line of its own.
     #[test]
-    fn counts_and_bytes_are_on_separate_lines() {
+    fn each_op_class_writes_one_line() {
         use std::mem::{align_of, offset_of};
         assert_eq!(align_of::<Counters>(), 64);
-        for count in
-            [offset_of!(Counters, puts), offset_of!(Counters, gets), offset_of!(Counters, amos)]
-        {
-            assert_eq!(count / 64, 0);
-        }
-        for bytes in [offset_of!(Counters, bytes_put), offset_of!(Counters, bytes_get)] {
-            assert_eq!(bytes / 64, 1);
+        let classes = [
+            (
+                "put",
+                vec![
+                    offset_of!(Counters, puts),
+                    offset_of!(Counters, bytes_put),
+                    offset_of!(Counters, notify_posts),
+                ],
+            ),
+            ("get", vec![offset_of!(Counters, gets), offset_of!(Counters, bytes_get)]),
+            (
+                "sync",
+                vec![
+                    offset_of!(Counters, amos),
+                    offset_of!(Counters, gsyncs),
+                    offset_of!(Counters, flushes),
+                    offset_of!(Counters, fences),
+                    offset_of!(Counters, locks),
+                    offset_of!(Counters, unlocks),
+                ],
+            ),
+            (
+                "rare",
+                vec![
+                    offset_of!(Counters, notify_consumed),
+                    offset_of!(Counters, notify_overflows),
+                    offset_of!(Counters, notify_dropped),
+                    offset_of!(Counters, batched_ops),
+                    offset_of!(Counters, batch_flushes),
+                    offset_of!(Counters, batch_splits),
+                ],
+            ),
+        ];
+        for (line, (class, fields)) in classes.iter().enumerate() {
+            for &off in fields {
+                assert_eq!(off / 64, line, "a {class} counter left line {line}");
+            }
         }
     }
 

@@ -41,7 +41,7 @@ use crate::batch::{Burst, BurstKind};
 use crate::clock::{bits_to_stamp, stamp_to_bits, Clock};
 use crate::config::Hooks;
 use crate::cost::{CostModel, Transport};
-use crate::counters::Counters;
+use crate::counters::{Counters, Line};
 use crate::error::FabricError;
 use crate::mc::{McObj, McOp};
 use crate::notify::NotifyRecord;
@@ -94,6 +94,16 @@ impl Op {
             Op::Get => EventKind::Get,
             Op::Amo(..) => EventKind::Amo,
             Op::Notify => EventKind::NotifyPost,
+        }
+    }
+
+    /// The line of [`Counters`] this class writes.
+    #[inline(always)]
+    fn line(self) -> Line {
+        match self {
+            Op::Put | Op::Notify => Line::Put,
+            Op::Get => Line::Get,
+            Op::Amo(..) => Line::Sync,
         }
     }
 
@@ -176,6 +186,8 @@ pub struct Endpoint {
     /// The fabric's [`Hooks`], copied: a hook site tests this rank-private
     /// byte, so a disarmed op reads nothing shared to find that out.
     hooks: Hooks,
+    /// [`Fabric::spins`], copied for [`Endpoint::idle`].
+    spins: bool,
     clock: Clock,
     pending: StripedHorizon,
     /// Resolved registration keys (see [`crate::translate`]).
@@ -199,11 +211,12 @@ pub struct Endpoint {
 impl Endpoint {
     /// Create the endpoint for `rank` on `fabric`.
     pub fn new(fabric: Arc<Fabric>, rank: u32) -> Self {
-        let (hooks, batch) = (fabric.hooks(), fabric.batch_default());
+        let (hooks, spins, batch) = (fabric.hooks(), fabric.spins(), fabric.batch_default());
         Self {
             fabric,
             rank,
             hooks,
+            spins,
             clock: Clock::new(),
             pending: StripedHorizon::default(),
             translations: Translations::new(),
@@ -231,6 +244,25 @@ impl Endpoint {
     pub fn hooks(&self) -> Hooks {
         self.hooks
     }
+
+    /// One miss of a wait that polls this rank's own memory, the
+    /// `misses`-th in a row: a [`std::hint::spin_loop`] for the first
+    /// [`Endpoint::IDLE_SPINS`] if [`Fabric::spins`], a thread yield
+    /// after that. Free in virtual time, like the local poll it follows.
+    #[inline(always)]
+    pub fn idle(&self, misses: u64) {
+        if self.spins && misses <= Self::IDLE_SPINS {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Misses [`Endpoint::idle`] spins through before it yields: at the
+    /// ~20 ns a local poll plus a spin-loop hint take on the reference box
+    /// (a yield takes ~345 ns), about the 20 µs a collective rendezvous
+    /// spins before it blocks.
+    pub const IDLE_SPINS: u64 = 1 << 10;
 
     /// This rank's virtual clock.
     pub fn clock(&self) -> &Clock {
@@ -443,13 +475,8 @@ impl Endpoint {
         }
     }
 
-    /// Every op body on a segment starts here: translate `key` and check
-    /// the span `[off, off + len)` — in bounds, and word-aligned for an
-    /// AMO, which is refused here as an error before anything is priced,
-    /// counted, announced or written ([`Segment::word`]'s assert stays as
-    /// the internal invariant). The segment is borrowed from this
-    /// endpoint's translation cache, so the borrow must end before the next
-    /// operation (every caller drops it on return).
+    /// Every op body on a segment starts here: ask for the counter line
+    /// it will write, then [`Endpoint::span`].
     #[inline(always)] // a call here costs every op its `Result<Ref>` through memory
     fn locate(
         &self,
@@ -460,7 +487,25 @@ impl Endpoint {
     ) -> Result<Ref<'_, Segment>, FabricError> {
         // First thing an op does, so the counter line's transfer overlaps
         // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
-        self.fabric.counters().touch();
+        self.fabric.counters().touch(op.line());
+        self.span(key, off, len, op)
+    }
+
+    /// Translate `key` and check the span `[off, off + len)` — in bounds,
+    /// and word-aligned for an AMO, which is refused here as an error
+    /// before anything is priced, counted, announced or written
+    /// ([`Segment::word`]'s assert stays as the internal invariant). The
+    /// segment is borrowed from this endpoint's translation cache, so the
+    /// borrow must end before the next operation (every caller drops it on
+    /// return).
+    #[inline(always)]
+    fn span(
+        &self,
+        key: SegKey,
+        off: usize,
+        len: usize,
+        op: Op,
+    ) -> Result<Ref<'_, Segment>, FabricError> {
         if matches!(op, Op::Amo(..)) {
             Self::word_aligned(key, off)?;
         }
@@ -1018,12 +1063,19 @@ impl Endpoint {
 
     /// Read a 16-byte sync variable; joins the clock with `stamp +
     /// latency` so waiting loops accrue honest time. Returns the value. A
-    /// local read is free and uncounted; no read draws faults (it polls).
-    /// Like an AMO, refused ([`FabricError::Misaligned`]) off a word boundary.
+    /// local read is free and uncounted, and touches no counter line; no
+    /// read draws faults (it polls). Like an AMO, refused
+    /// ([`FabricError::Misaligned`]) off a word boundary.
     pub fn read_sync(&self, key: SegKey, off: usize) -> Result<u64, FabricError> {
         Self::word_aligned(key, off)?;
-        let seg = self.begin(key, off, 16, Op::Get, "read_sync")?;
-        let lat = if key.rank == self.rank {
+        let local = key.rank == self.rank;
+        let seg = if local {
+            self.span(key, off, 16, Op::Get)?
+        } else {
+            self.locate(key, off, 16, Op::Get)?
+        };
+        self.announce(key, off, 16, Op::Get, "read_sync");
+        let lat = if local {
             0.0
         } else {
             Op::Get.count(self.fabric.counters(), None);
@@ -2831,6 +2883,19 @@ mod tests {
             assert_eq!(want.has(Hooks::PROFILE), f.profiler().mode() != ProfileMode::Off);
             assert_eq!(want.has(Hooks::RACECHECK), f.shadow().active());
             assert_eq!(want.has(Hooks::MC), f.mc_gate().is_some());
+        }
+    }
+
+    /// The spin rule: with more ranks than cores no wait spins (the peer
+    /// waited for may need the core), with every rank on a core of its own
+    /// every wait does; an endpoint keeps its fabric's verdict.
+    #[test]
+    fn waits_spin_only_when_every_rank_can_own_a_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (p, spins) in [(1, true), (cores, true), (cores + 1, false), (4 * cores, false)] {
+            let f = Fabric::with_config(p, 1, CostModel::default(), Config::default());
+            assert_eq!(f.spins(), spins, "p = {p} on {cores} cores");
+            assert_eq!(Endpoint::new(f, 0).spins, spins, "p = {p}: the endpoint's copy");
         }
     }
 

@@ -94,6 +94,7 @@ pub struct Fabric {
     model: CostModel,
     topo: Topology,
     hooks: Hooks,
+    spins: bool,
     segs: RwLock<HashMap<SegKey, Arc<Segment>>>,
     seg_generation: RegistryGeneration,
     next_id: AtomicU64,
@@ -143,6 +144,9 @@ impl Fabric {
         );
         let faults = Faults::new(p, config.faults);
         let shadow = Shadow::new(p, config.racecheck);
+        // Read here, on the launching thread: a rank thread pinned to one
+        // CPU would report 1.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Arc::new(Self {
             model,
             topo: Topology::new(p, node_size),
@@ -153,6 +157,7 @@ impl Fabric {
                 | Hooks::FAULTS.when(faults.active())
                 | Hooks::TRACE.when(telemetry.tracing())
                 | Hooks::RACECHECK.when(shadow.active()),
+            spins: p <= cores,
             segs: RwLock::new(HashMap::new()),
             seg_generation: RegistryGeneration::default(),
             next_id: AtomicU64::new(1),
@@ -183,6 +188,17 @@ impl Fabric {
     /// fabric's life; every [`Endpoint`] keeps a copy and tests that.
     pub fn hooks(&self) -> Hooks {
         self.hooks
+    }
+
+    /// Whether a waiting rank may spin before it gives its core away: only
+    /// when every rank can own a core (`p <= available_parallelism`, read
+    /// once by [`Fabric::with_config`]). With more ranks than cores the
+    /// peer a waiter waits for may need that very core, so every wait
+    /// yields (or blocks) at once. The one rule of both kinds of wait:
+    /// [`Endpoint::idle`] on a rank's own memory and the runtime's
+    /// collective rendezvous.
+    pub fn spins(&self) -> bool {
+        self.spins
     }
 
     /// Global operation counters (for scalability assertions in tests).

@@ -179,7 +179,11 @@ impl RpcClient {
     /// timeout is *dropped* (its slot still recycles) and surfaced as a
     /// transient error — deterministically, since the verdict depends
     /// only on virtual stamps. A reply that never arrives surfaces the
-    /// same error after a bounded number of matching passes.
+    /// same error after a bounded number of matching passes: that bound
+    /// (2^20 passes) is a count, not wall time — the first
+    /// [`fompi_fabric::Endpoint::IDLE_SPINS`] misses spin, each later one
+    /// yields the thread, so how long the passes take depends on the
+    /// machine and on what else runs on it.
     pub fn wait_reply(&mut self, corr: u64, buf: &mut [u8]) -> Result<usize> {
         let at = self
             .outstanding
@@ -220,7 +224,7 @@ impl RpcClient {
             if spins > SPIN_LIMIT {
                 return Err(transient(self.timeout_ns));
             }
-            std::thread::yield_now();
+            self.win.endpoint().idle(spins);
         }
     }
 
@@ -289,7 +293,7 @@ impl RpcServer {
             }
             spins += 1;
             assert!(spins <= SPIN_LIMIT, "rpc server starved: no request arrived");
-            std::thread::yield_now();
+            self.win.endpoint().idle(spins);
         }
     }
 

@@ -228,15 +228,13 @@ pub struct CollEngine {
 }
 
 impl CollEngine {
-    /// Engine for `p` ranks on `fabric`. Reads the machine's parallelism
-    /// here, on the launching thread: a rank thread pinned to one CPU
-    /// would report 1.
+    /// Engine for `p` ranks on `fabric`; its waits spin first if the
+    /// fabric's do ([`Fabric::spins`]).
     pub fn new(p: usize, fabric: Arc<Fabric>) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let slots = || (0..p).map(|_| RwLock::new(Vec::new())).collect();
         Self {
             p,
-            rv: Rendezvous::new(p, p <= cores),
+            rv: Rendezvous::new(p, fabric.spins()),
             slots: [slots(), slots()],
             stamps: [StampCell::new(), StampCell::new()],
             fabric,
@@ -424,6 +422,16 @@ mod tests {
             }
         });
         out.into_iter().map(|o| o.unwrap()).collect()
+    }
+
+    /// The rendezvous spins by the fabric's rule, not a copy of its own.
+    #[test]
+    fn the_rendezvous_spins_when_the_fabric_does() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for p in [2, cores + 1] {
+            let fabric = Fabric::new(p, 1, CostModel::default());
+            assert_eq!(CollEngine::new(p, fabric.clone()).rv.spin, fabric.spins(), "p = {p}");
+        }
     }
 
     #[test]

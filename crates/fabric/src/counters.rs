@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// read-modify-write on a line the other ranks write too, and the layout
 /// decides how many such lines an operation touches. It is pinned
 /// (`repr(C)`, line-aligned, padded) as one line per class of operation,
-/// so that every fabric op writes exactly one line ([`Line`]):
+/// so that every fabric op writes exactly one line:
 ///
 /// | line | counts | written by |
 /// |---|---|---|
@@ -29,9 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// an operation then took two or three line transfers depending on how
 /// the ranks interleaved, and the rate of a contended put spread half
 /// again as widely from one second to the next (EXPERIMENTS.md,
-/// "Translate once, not per op"). With counts and byte counts on two
-/// lines, a put moved two lines and every notification pop moved the
-/// producers' byte line.
+/// "Translate once, not per op").
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
 pub struct Counters {

@@ -258,10 +258,10 @@ impl Endpoint {
         }
     }
 
-    /// Misses [`Endpoint::idle`] spins through before it yields: at the
-    /// ~20 ns a local poll plus a spin-loop hint take on the reference box
-    /// (a yield takes ~345 ns), about the 20 µs a collective rendezvous
-    /// spins before it blocks.
+    /// Misses [`Endpoint::idle`] spins through before it yields: on the
+    /// 2-vCPU reference box a spin-loop hint takes ~21 ns (a yield ~340
+    /// ns), so the hints alone last about the 20 µs a collective
+    /// rendezvous spins before it blocks.
     pub const IDLE_SPINS: u64 = 1 << 10;
 
     /// This rank's virtual clock.

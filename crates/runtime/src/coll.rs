@@ -424,16 +424,6 @@ mod tests {
         out.into_iter().map(|o| o.unwrap()).collect()
     }
 
-    /// The rendezvous spins by the fabric's rule, not a copy of its own.
-    #[test]
-    fn the_rendezvous_spins_when_the_fabric_does() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for p in [2, cores + 1] {
-            let fabric = Fabric::new(p, 1, CostModel::default());
-            assert_eq!(CollEngine::new(p, fabric.clone()).rv.spin, fabric.spins(), "p = {p}");
-        }
-    }
-
     #[test]
     fn barrier_is_a_max_plus_cost() {
         let times = with_ranks(4, |ep, eng| {

@@ -209,51 +209,6 @@ pub fn run_rma(ctx: &RankCtx, win: &Win, k: usize, seed: u64) -> DsdeResult {
     DsdeResult { time_ns, received }
 }
 
-/// Protocol 4b: the same accumulate scheme over the MPI-2.2-era one-sided
-/// implementation (software-agent path) — the "Cray MPI-2.2" line of
-/// Figure 7b.
-pub fn run_win22(ctx: &RankCtx, win: &fompi_msg::Win22, k: usize, seed: u64) -> DsdeResult {
-    let p = ctx.size();
-    let me = ctx.rank();
-    let targets = pick_targets(me, p, k, seed);
-    win.write_local(0, &0u64.to_le_bytes());
-    win.fence();
-    let t0 = ctx.now();
-    for &t in &targets {
-        // No fetching AMO in MPI-2.2: reserve a slot with an accumulate on
-        // the cursor, then read it back through the agent (get).
-        win.accumulate_sum_u64(&[1], t, 0);
-        // The 2.2-era pattern cannot allocate disjoint slots one-sidedly
-        // without fetch-and-op; emulate the common workaround of one slot
-        // per (sender) rank.
-        win.put(&payload(me, t).to_le_bytes(), t, 8 + me as usize * 8);
-    }
-    win.fence();
-    let count = {
-        let mut b = [0u8; 8];
-        win.read_local(0, &mut b);
-        u64::from_le_bytes(b) as usize
-    };
-    let mut received = Vec::with_capacity(count);
-    for s in 0..p {
-        let mut b = [0u8; 8];
-        win.read_local(8 + s * 8, &mut b);
-        let v = u64::from_le_bytes(b);
-        if v != 0 {
-            received.push(v);
-        }
-    }
-    let time_ns = ctx.now() - t0;
-    check_received(me, &received);
-    // Clear slots for reuse.
-    for s in 0..p {
-        win.write_local(8 + s * 8, &0u64.to_le_bytes());
-    }
-    win.write_local(0, &0u64.to_le_bytes());
-    win.fence();
-    DsdeResult { time_ns, received }
-}
-
 // --------------------------------------------------------- notified access
 
 /// Protocol 5: notified access — deliver each payload with a single
@@ -276,8 +231,8 @@ pub fn run_notified(ctx: &RankCtx, win: &Win, k: usize, seed: u64) -> DsdeResult
     let p = ctx.size();
     let me = ctx.rank();
     let targets = pick_targets(me, p, k, seed);
-    // Window layout: [0..8) unused (run_rma's cursor); slot for sender
-    // `src` at [8 + 8·src ..) — the run_win22 one-slot-per-sender shape.
+    // Window layout: [0..8) unused (run_rma's cursor); one slot per
+    // sender, `src`'s at [8 + 8·src ..).
     ctx.barrier();
     win.lock_all().expect("lock_all");
     let t0 = ctx.now();
@@ -394,27 +349,6 @@ mod tests {
             run_rma(ctx, &win, k, 31)
         });
         conservation(&got, p, k);
-    }
-
-    #[test]
-    fn win22_variant_delivers_and_is_slower() {
-        let (p, k) = (6, 2);
-        let w22 = Universe::new(p).node_size(2).run(move |ctx| {
-            let win = fompi_msg::Win22::allocate(ctx, rma_win_bytes(p));
-            run_win22(ctx, &win, k, 17)
-        });
-        // Each sender has one slot per target, so a sender hitting the
-        // same receiver twice would collide — k distinct targets per
-        // sender and one slot per sender guarantees delivery.
-        let total: usize = w22.iter().map(|r| r.received.len()).sum();
-        assert_eq!(total, p * k);
-        let rma = Universe::new(p).node_size(2).run(move |ctx| {
-            let win = Win::allocate(ctx, rma_win_bytes(p), 1).expect("win");
-            run_rma(ctx, &win, k, 17)
-        });
-        let t22 = crate::max_time(&w22.iter().map(|r| r.time_ns).collect::<Vec<_>>());
-        let trma = crate::max_time(&rma.iter().map(|r| r.time_ns).collect::<Vec<_>>());
-        assert!(trma < t22, "foMPI {trma} must beat the MPI-2.2 agent path {t22}");
     }
 
     #[test]

@@ -105,15 +105,6 @@ fn count_local(read: impl Fn(usize, &mut [u8]), cfg: &HtConfig) -> usize {
 
 /// RMA backend: CAS insert, FAA overflow claim, CAS list push.
 pub fn run_rma(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
-    let (res, win) = run_rma_keep_window(ctx, cfg);
-    win.free(ctx);
-    res
-}
-
-/// Like [`run_rma`] but hands the window back (inside an open `lock_all`
-/// epoch has ended; re-lock for the read phase) so callers can run the
-/// lookup phase against the populated table.
-pub fn run_rma_keep_window(ctx: &RankCtx, cfg: &HtConfig) -> (HtResult, Win) {
     let p = ctx.size();
     let win = Win::allocate(ctx, win_bytes(cfg), 1).expect("window");
     init_local(&win, cfg);
@@ -160,7 +151,8 @@ pub fn run_rma_keep_window(ctx: &RankCtx, cfg: &HtConfig) -> (HtResult, Win) {
     win.unlock_all().expect("unlock_all");
     ctx.barrier();
     let local = count_local(|o, b| win.read_local(o, b), cfg);
-    (HtResult { time_ns, local_elements: local }, win)
+    win.free(ctx);
+    HtResult { time_ns, local_elements: local }
 }
 
 fn init_local(win: &Win, cfg: &HtConfig) {
@@ -171,51 +163,13 @@ fn init_local(win: &Win, cfg: &HtConfig) {
     }
 }
 
-/// One-sided lookup: probe the owner's direct slot, then walk the
-/// overflow chain with RMA gets — the random-read half of the
-/// data-analytics motif. Requires an open passive epoch covering `owner`.
-pub fn lookup_rma(win: &Win, cfg: &HtConfig, p: usize, key: u64) -> bool {
-    let owner = owner_of(key, p);
-    let slot = slot_of(key, cfg);
-    let mut cell = [0u8; 8];
-    win.get(&mut cell, owner, slot_off(slot)).expect("slot get");
-    win.flush(owner).expect("slot flush");
-    if u64::from_le_bytes(cell) == key {
-        return true;
-    }
-    // Walk the chain: next pointers carry bit 63 as the "heap index" tag.
-    let mut next = {
-        let mut b = [0u8; 8];
-        win.get(&mut b, owner, slot_off(slot) + 8).expect("chain get");
-        win.flush(owner).expect("chain flush");
-        u64::from_le_bytes(b)
-    };
-    let mut hops = 0;
-    while next != NIL64 && next & (1 << 63) != 0 {
-        let h = (next & !(1 << 63)) as usize;
-        let mut kb = [0u8; 8];
-        win.get(&mut kb, owner, heap_off(cfg, h)).expect("heap get");
-        let mut nb = [0u8; 8];
-        win.get(&mut nb, owner, heap_off(cfg, h) + 8).expect("heap next get");
-        win.flush(owner).expect("heap flush");
-        if u64::from_le_bytes(kb) == key {
-            return true;
-        }
-        next = u64::from_le_bytes(nb);
-        hops += 1;
-        assert!(hops <= cfg.heap_cells, "cyclic overflow chain");
-    }
-    false
-}
-
 // -------------------------------------------------- notified (owner computes)
 
 const HT_NOTIFY_TAG: u32 = 0x47_00A1;
 const HT_DONE_TAG: u32 = 0x47_00FE;
 
 // Inbox window layout (separate from the table window, whose layout stays
-// byte-identical to the RMA backend so `count_local` / `lookup_rma` work
-// on either):
+// byte-identical to the RMA backend so `count_local` works on either):
 //   0..8    done-notification landing pad (operand is informational)
 //   8..    one region of `inserts_per_rank` key slots (8 B) per sender
 //
@@ -253,13 +207,7 @@ fn insert_local(win: &Win, cfg: &HtConfig, key: u64) {
     win.write_local(slot_off(slot) + 8, &(h as u64 | (1 << 63)).to_le_bytes());
 }
 
-/// Notified-access backend ("owner computes").
-pub fn run_notified(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
-    let (res, _win) = run_notified_keep_window(ctx, cfg);
-    res
-}
-
-/// Notified-access backend, window-returning variant: instead of mutating
+/// Notified-access backend ("owner computes"): instead of mutating
 /// the owner's volume remotely with CAS/FAA polling loops, each rank
 /// *ships the key* — a single `put_notify` into its own region of the
 /// owner's inbox — and the owner applies inserts locally while consuming
@@ -277,7 +225,7 @@ pub fn run_notified(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
 /// draining its own ring before retrying — that break of the
 /// wait-while-full cycle is what makes the protocol deadlock-free at any
 /// ring depth.
-pub fn run_notified_keep_window(ctx: &RankCtx, cfg: &HtConfig) -> (HtResult, Win) {
+pub fn run_notified(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
     let p = ctx.size();
     let me = ctx.rank();
     let win = Win::allocate(ctx, win_bytes(cfg), 1).expect("table window");
@@ -349,7 +297,8 @@ pub fn run_notified_keep_window(ctx: &RankCtx, cfg: &HtConfig) -> (HtResult, Win
     inbox.free(ctx);
     ctx.barrier();
     let local = count_local(|o, b| win.read_local(o, b), cfg);
-    (HtResult { time_ns, local_elements: local }, win)
+    win.free(ctx);
+    HtResult { time_ns, local_elements: local }
 }
 
 // -------------------------------------------------------------------- UPC
@@ -520,62 +469,11 @@ mod tests {
     }
 
     #[test]
-    fn rma_lookup_finds_all_keys_and_rejects_absent() {
-        // Small table forces chains, so lookups exercise the remote walk.
-        let cfg = HtConfig { inserts_per_rank: 60, table_slots: 32, heap_cells: 1024, seed: 4 };
-        let p = 4;
-        let got = Universe::new(p).node_size(2).run(|ctx| {
-            let (_res, win) = run_rma_keep_window(ctx, &cfg);
-            win.lock_all().unwrap();
-            let mut found_all = true;
-            for key in keys_for(ctx.rank(), &cfg) {
-                found_all &= lookup_rma(&win, &cfg, p, key);
-            }
-            // Keys that were never inserted must not be found (even
-            // nonzero odd ones from a different generator stream).
-            let mut ghosts = false;
-            for i in 0..20u64 {
-                let ghost = crate::splitmix64(0xDEAD_0000 | i) | 1;
-                ghosts |= lookup_rma(&win, &cfg, p, ghost);
-            }
-            win.unlock_all().unwrap();
-            ctx.barrier();
-            (found_all, ghosts)
-        });
-        for (rank, (found, ghosts)) in got.iter().enumerate() {
-            assert!(*found, "rank {rank} lost keys");
-            assert!(!*ghosts, "rank {rank} found a never-inserted key");
-        }
-    }
-
-    #[test]
     fn notified_inserts_all_elements() {
         let cfg = HtConfig { inserts_per_rank: 200, table_slots: 64, heap_cells: 2048, seed: 1 };
         let p = 4;
         let got = Universe::new(p).node_size(2).run(|ctx| run_notified(ctx, &cfg));
         verify_total(&got, &cfg, p);
-    }
-
-    #[test]
-    fn notified_layout_is_lookup_compatible() {
-        // The owner-computes backend must leave the exact chain encoding
-        // the one-sided lookup walks.
-        let cfg = HtConfig { inserts_per_rank: 60, table_slots: 32, heap_cells: 1024, seed: 4 };
-        let p = 4;
-        let got = Universe::new(p).node_size(2).run(|ctx| {
-            let (_res, win) = run_notified_keep_window(ctx, &cfg);
-            win.lock_all().unwrap();
-            let mut found_all = true;
-            for key in keys_for(ctx.rank(), &cfg) {
-                found_all &= lookup_rma(&win, &cfg, p, key);
-            }
-            win.unlock_all().unwrap();
-            ctx.barrier();
-            found_all
-        });
-        for (rank, found) in got.iter().enumerate() {
-            assert!(*found, "rank {rank} lost keys under the notified backend");
-        }
     }
 
     #[test]

@@ -661,184 +661,6 @@ pub fn run_rma_typed(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
     res
 }
 
-/// Notified-access halo backend: `put_signal` fuses the data transfer and
-/// the flag update into one call (saving one injection + one AMO round
-/// trip per face versus [`RmaHalo`]) and waiters spin on local counters.
-pub struct NotifyHalo {
-    /// Window with landing zones only (no separate flag words needed).
-    pub win: Win,
-    face_bytes: [usize; 4],
-}
-
-impl NotifyHalo {
-    /// Window layout: the 8 face landing zones (d-major, lo then hi).
-    pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> NotifyHalo {
-        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
-        let mut face_bytes = [0usize; 4];
-        let mut total = 0;
-        for d in 0..4 {
-            face_bytes[d] = lat.face_sites(d) * SITE_F64 * 8;
-            total += 2 * face_bytes[d];
-        }
-        let win = Win::allocate(ctx, total.max(8), 1).expect("milc notify window");
-        win.lock_all().expect("milc notify lock_all");
-        NotifyHalo { win, face_bytes }
-    }
-
-    fn zone_off(&self, d: usize, side: usize) -> usize {
-        let mut off = 0;
-        for dd in 0..d {
-            off += 2 * self.face_bytes[dd];
-        }
-        off + side * self.face_bytes[d]
-    }
-
-    /// Release the epoch and free the window (collective).
-    pub fn finish(self, ctx: &RankCtx) {
-        self.win.unlock_all().expect("milc notify unlock_all");
-        self.win.free(ctx);
-    }
-}
-
-impl HaloExchange for NotifyHalo {
-    fn exchange(
-        &mut self,
-        ctx: &RankCtx,
-        lat: &Lattice,
-        field: &[f64],
-        iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
-        let want = (iter + 1) as u64;
-        let memcpy = ctx.fabric().model().memcpy_byte_ns;
-        for d in 0..4 {
-            let up = lat.neighbor(d, true) as u32;
-            let down = lat.neighbor(d, false) as u32;
-            let hi_face = lat.pack_face(field, d, true);
-            let lo_face = lat.pack_face(field, d, false);
-            ctx.ep().charge(memcpy * (hi_face.len() + lo_face.len()) as f64);
-            // One fused call per face: data + notification (slot 2d for
-            // the lo zone, 2d+1 for the hi zone, like RmaHalo's flags).
-            self.win.put_signal(&hi_face, up, self.zone_off(d, 0), 2 * d).expect("notify halo put");
-            self.win
-                .put_signal(&lo_face, down, self.zone_off(d, 1), 2 * d + 1)
-                .expect("notify halo put");
-        }
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
-        for d in 0..4 {
-            for side in 0..2 {
-                self.win.signal_wait(2 * d + side, want).expect("notify wait");
-                let mut bytes = vec![0u8; self.face_bytes[d]];
-                self.win.read_local(self.zone_off(d, side), &mut bytes);
-                halo[d][side] = Lattice::decode_face(&bytes);
-            }
-        }
-        halo
-    }
-}
-
-/// foMPI backend with notified access (the foMPI-NA extension direction).
-pub fn run_rma_notify(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let mut halo = NotifyHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
-        ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
-    });
-    ctx.barrier();
-    halo.finish(ctx);
-    res
-}
-
-/// Remote-memory-channel halo backend: the 8 faces ride an
-/// [`fompi_rmc::mesh`] instead of a bespoke window. Each message carries
-/// a one-byte zone header (`2·d + side` of the *receiver's* halo), so
-/// faces from the same neighbour — or from *this rank itself* under
-/// periodic wraparound in a size-1 or size-2 grid dimension — demultiplex
-/// by content, not by landing address. Credits return in one batched
-/// flush per iteration; the allreduce that follows every exchange keeps
-/// iterations from overlapping, so 8 slots per ordered pair always
-/// suffice.
-pub struct RmcHalo {
-    mesh: fompi_rmc::Mesh,
-    face_bytes: [usize; 4],
-}
-
-impl RmcHalo {
-    /// Build the mesh sized for the largest face plus the zone header.
-    pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> RmcHalo {
-        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
-        let mut face_bytes = [0usize; 4];
-        for d in 0..4 {
-            face_bytes[d] = lat.face_sites(d) * SITE_F64 * 8;
-        }
-        let rc = fompi_rmc::RmcConfig {
-            slots: 8,
-            slot_bytes: 1 + face_bytes.iter().copied().max().unwrap(),
-            ..Default::default()
-        };
-        RmcHalo { mesh: fompi_rmc::mesh(ctx, &rc).expect("milc mesh"), face_bytes }
-    }
-
-    /// Tear down the mesh (collective).
-    pub fn finish(self, ctx: &RankCtx) {
-        self.mesh.close(ctx).expect("milc mesh close");
-    }
-}
-
-impl HaloExchange for RmcHalo {
-    fn exchange(
-        &mut self,
-        ctx: &RankCtx,
-        lat: &Lattice,
-        field: &[f64],
-        _iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
-        let memcpy = ctx.fabric().model().memcpy_byte_ns;
-        for d in 0..4 {
-            let up = lat.neighbor(d, true) as u32;
-            let down = lat.neighbor(d, false) as u32;
-            let hi_face = lat.pack_face(field, d, true);
-            let lo_face = lat.pack_face(field, d, false);
-            ctx.ep().charge(memcpy * (hi_face.len() + lo_face.len()) as f64);
-            // hi face → up neighbour's halo[d][0]; lo face → down's
-            // halo[d][1]. The header byte names the destination zone.
-            let mut msg = Vec::with_capacity(1 + hi_face.len());
-            msg.push((2 * d) as u8);
-            msg.extend_from_slice(&hi_face);
-            self.mesh.send(up, &msg).expect("rmc halo send");
-            msg.clear();
-            msg.push((2 * d + 1) as u8);
-            msg.extend_from_slice(&lo_face);
-            self.mesh.send(down, &msg).expect("rmc halo send");
-        }
-        // Collect exactly our 8 zones; ordering within a pair is FIFO and
-        // the post-exchange allreduce fences iterations apart.
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
-        let mut buf = vec![0u8; 1 + self.face_bytes.iter().copied().max().unwrap()];
-        let mut have = 0;
-        while have < 8 {
-            let (_, len) = self.mesh.recv(&mut buf).expect("rmc halo recv");
-            let zone = buf[0] as usize;
-            let (d, side) = (zone / 2, zone % 2);
-            assert_eq!(len, 1 + self.face_bytes[d], "face size mismatch for zone {zone}");
-            assert!(halo[d][side].is_empty(), "duplicate face for zone {zone}");
-            halo[d][side] = Lattice::decode_face(&buf[1..len]);
-            have += 1;
-        }
-        self.mesh.flush_credits().expect("rmc halo credits");
-        halo
-    }
-}
-
-/// foMPI backend with the halo exchange on remote memory channels.
-pub fn run_rma_rmc(ctx: &RankCtx, cfg: &MilcConfig) -> MilcResult {
-    let mut halo = RmcHalo::new(ctx, cfg);
-    let res = run_cg(ctx, cfg, &mut halo, |ctx, v| {
-        ctx.coll().allreduce_f64(ctx.ep(), v, |a, b| a + b);
-    });
-    ctx.barrier();
-    halo.finish(ctx);
-    res
-}
-
 /// Deterministic right-hand side.
 fn rhs(lat: &Lattice, cfg: &MilcConfig, rank: usize) -> Vec<f64> {
     (0..lat.volume() * SITE_F64)
@@ -1052,70 +874,6 @@ mod tests {
         let packed = Universe::new(p).node_size(4).run(move |ctx| run_rma(ctx, &cfg));
         let typed = Universe::new(p).node_size(4).run(move |ctx| run_rma_typed(ctx, &cfg));
         assert_eq!(packed[0].residuals, typed[0].residuals, "typed halo must be bit-identical");
-    }
-
-    #[test]
-    fn notify_halo_matches_packed_halo() {
-        let cfg = MilcConfig { local: [2, 2, 2, 4], iters: 4, seed: 6 };
-        let p = 8;
-        let packed = Universe::new(p).node_size(4).run(move |ctx| run_rma(ctx, &cfg));
-        let notify = Universe::new(p).node_size(4).run(move |ctx| run_rma_notify(ctx, &cfg));
-        assert_eq!(packed[0].residuals, notify[0].residuals);
-    }
-
-    #[test]
-    fn rmc_halo_matches_packed_halo() {
-        // Same tuned collective, same arithmetic: the channel-based halo
-        // must reproduce the flag-based halo bit for bit — including the
-        // self-neighbour wraparound the p=8 grid's size-1 dimension has.
-        let cfg = MilcConfig { local: [2, 2, 2, 4], iters: 4, seed: 6 };
-        let p = 8;
-        let packed = Universe::new(p).node_size(4).run(move |ctx| run_rma(ctx, &cfg));
-        let rmc = Universe::new(p).node_size(4).run(move |ctx| run_rma_rmc(ctx, &cfg));
-        assert_eq!(packed[0].residuals, rmc[0].residuals);
-    }
-
-    #[test]
-    fn rmc_halo_single_rank_self_mesh() {
-        // p=1: all 8 faces are self-sends through the mesh.
-        let cfg = MilcConfig { local: [2, 2, 2, 4], iters: 4, seed: 3 };
-        let got = Universe::new(1).node_size(1).run(move |ctx| run_rma_rmc(ctx, &cfg));
-        let r = &got[0].residuals;
-        assert!(r.last().unwrap() < &r[0]);
-    }
-
-    #[test]
-    fn rmc_halo_cheaper_than_flag_halo() {
-        // Fused data+notification sends and local drain beat put + flush
-        // + remote FAA flags + remote polling, even paying for credits.
-        let cfg = MilcConfig { local: [4, 4, 4, 8], iters: 4, seed: 2 };
-        let p = 8;
-        let flags = Universe::new(p).node_size(4).run(move |ctx| run_rma(ctx, &cfg));
-        let rmc = Universe::new(p).node_size(4).run(move |ctx| run_rma_rmc(ctx, &cfg));
-        let t = |r: &[MilcResult]| r.iter().map(|x| x.time_ns).fold(0.0, f64::max);
-        assert!(
-            t(&rmc) < t(&flags),
-            "RMC halo {} should beat the flag-based halo {}",
-            t(&rmc),
-            t(&flags)
-        );
-    }
-
-    #[test]
-    fn notify_halo_cheaper_than_flag_halo() {
-        // Fusing data + notification must save time over put + flush +
-        // separate fetch_and_op flags.
-        let cfg = MilcConfig { local: [4, 4, 4, 8], iters: 4, seed: 2 };
-        let p = 8;
-        let flags = Universe::new(p).node_size(4).run(move |ctx| run_rma(ctx, &cfg));
-        let notify = Universe::new(p).node_size(4).run(move |ctx| run_rma_notify(ctx, &cfg));
-        let t = |r: &[MilcResult]| r.iter().map(|x| x.time_ns).fold(0.0, f64::max);
-        assert!(
-            t(&notify) < t(&flags),
-            "notified access {} should beat flag-based {}",
-            t(&notify),
-            t(&flags)
-        );
     }
 
     #[test]

@@ -1,21 +1,30 @@
-//! The fleet's sweepable workhorse agent: one backend, one rank count,
-//! one seed, one JSON metrics line.
+//! The fleet's agent: one backend, one rank count, one seed, one JSON
+//! metrics line.
 //!
 //! ```text
 //! bench_agent --agent-json --backend rma  --ranks 4 --seed 1
 //! bench_agent --agent-json --backend msg  --ranks 4 --seed 1
 //! bench_agent --agent-json --backend pgas --ranks 4 --seed 1
 //! bench_agent --agent-json --backend rma  --ranks 4 --node-size 2
+//! bench_agent --agent-json --backend dsde --ranks 8 --node-size 2
+//! bench_agent --agent-json --backend hashtable --ranks 8 --node-size 2
 //! ```
 //!
-//! Each backend runs an equivalent fixed-shape neighbor workload over a
-//! different software path — raw RMA (fompi one-sided), notified
-//! msg-channels, and the compiled-PGAS layer — so a fleet sweep compares
-//! the three stacks on identical topology and op mix. Every workload is
+//! `rma`, `msg` and `pgas` run an equivalent fixed-shape neighbor
+//! workload over a different software path — raw RMA (fompi one-sided),
+//! notified msg-channels, and the compiled-PGAS layer — so a fleet sweep
+//! compares the three stacks on identical topology and op mix. They are
 //! built from schedule-independent primitives only (single-locker epochs,
 //! disjoint AMO targets, pairwise channels), so the virtual-time metrics
 //! line is byte-stable for a given (backend, ranks, seed) and the fleet
 //! summary can be byte-diffed in CI.
+//!
+//! `dsde` and `hashtable` run two of the paper's application motifs: one
+//! DSDE round over the remote-memory-channel mesh, and owner-computes
+//! notified hashtable inserts. Both drain `ANY_SOURCE`, so their latency
+//! joins arrive in schedule order: the fleet registers them *unstable*,
+//! and their numbers feed the wall-clock table and the chaos sweep, never
+//! the byte-diffed summary. Each asserts its own delivery count.
 //!
 //! `--node-size` sets how many consecutive ranks share a node: 1 makes
 //! every neighbor hop cross the network, larger values route part of the
@@ -29,9 +38,11 @@
 //! metrics are deterministic.
 
 use fompi::{LockType, MpiOp, NumKind, Win};
+use fompi_apps::{dsde, hashtable};
 use fompi_fabric::{metrics_snapshot, Fabric};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_pgas::SharedArray;
+use fompi_rmc::RmcConfig;
 use fompi_runtime::Universe;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -43,11 +54,15 @@ const SIZES: [usize; 4] = [8, 64, 512, 4096];
 const REPS: usize = 8;
 /// Channel messages per pair (msg backend).
 const MSGS: usize = 32;
+/// Notification-ring depth of the neighbor backends.
+const NOTIFY_DEPTH: usize = 2 * REPS * SIZES.len();
+/// Hashtable inserts per rank (hashtable backend).
+const INSERTS: usize = 64;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_agent --backend <rma|msg|pgas> --ranks <N> [--node-size <M>] \\
-         [--seed <S>] [--agent-json]"
+        "usage: bench_agent --agent-json --backend <rma|msg|pgas|dsde|hashtable> --ranks <N> \\
+         [--node-size <M>] [--seed <S>]"
     );
     ExitCode::FAILURE
 }
@@ -78,38 +93,38 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    if ranks < 2 || !ranks.is_multiple_of(2) {
-        eprintln!("bench_agent: --ranks must be an even number >= 2 (pairwise channel phase)");
+    if !agent_json {
+        return usage();
+    }
+    if ranks < 2 {
+        eprintln!("bench_agent: --ranks must be >= 2");
+        return ExitCode::FAILURE;
+    }
+    if backend == "msg" && !ranks.is_multiple_of(2) {
+        eprintln!("bench_agent: --backend msg needs an even --ranks (pairwise channel phase)");
         return ExitCode::FAILURE;
     }
     let fabric = match backend.as_str() {
         "rma" => rma(ranks, node_size, seed),
         "msg" => msg(ranks, node_size, seed),
         "pgas" => pgas(ranks, node_size, seed),
+        "dsde" => dsde_round(ranks, node_size, seed),
+        "hashtable" => hashtable_inserts(ranks, node_size, seed),
         _ => return usage(),
     };
-    let snap = metrics_snapshot(&fabric);
-    if agent_json {
-        println!("{}", snap.to_json_line());
-    } else {
-        print!("{}", snap.to_prometheus());
-    }
+    println!("{}", metrics_snapshot(&fabric).to_json_line());
     ExitCode::SUCCESS
 }
 
-fn universe(p: usize, node_size: usize, seed: u64) -> Universe {
-    Universe::new(p)
-        .node_size(node_size)
-        .seed(seed)
-        .metrics(true)
-        .notify_depth(2 * REPS * SIZES.len())
+fn universe(p: usize, node_size: usize, seed: u64, notify_depth: usize) -> Universe {
+    Universe::new(p).node_size(node_size).seed(seed).metrics(true).notify_depth(notify_depth)
 }
 
 /// Raw one-sided backend: ring-neighbor put/get epochs, disjoint-target
 /// AMOs, notified handoffs and fence rounds. Each target is locked by
 /// exactly one origin (its left neighbor), so no lock is ever contended.
 fn rma(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
-    let (_, fabric) = universe(p, node_size, seed).launch(move |ctx| {
+    let (_, fabric) = universe(p, node_size, seed, NOTIFY_DEPTH).launch(move |ctx| {
         let win = Win::allocate(ctx, 1 << 16, 1).unwrap();
         let right = (ctx.rank() + 1) % ctx.size() as u32;
         win.lock(LockType::Exclusive, right).unwrap();
@@ -154,7 +169,7 @@ fn rma(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
 /// channels, one independent pair per two ranks (even sender, odd
 /// receiver).
 fn msg(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
-    let (_, fabric) = universe(p, node_size, seed).launch(move |ctx| {
+    let (_, fabric) = universe(p, node_size, seed, NOTIFY_DEPTH).launch(move |ctx| {
         for pair in 0..(p as u32) / 2 {
             let (tx_rank, rx_rank) = (2 * pair, 2 * pair + 1);
             match channel(ctx, tx_rank, rx_rank, 4, *SIZES.last().unwrap()).unwrap() {
@@ -184,7 +199,7 @@ fn msg(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
 /// shared array (per-op software overhead on the same fabric), including
 /// uncontended remote atomics onto per-origin slots.
 fn pgas(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
-    let (_, fabric) = universe(p, node_size, seed).launch(move |ctx| {
+    let (_, fabric) = universe(p, node_size, seed, NOTIFY_DEPTH).launch(move |ctx| {
         let arr = SharedArray::all_alloc(ctx, 1 << 16);
         let right = (ctx.rank() + 1) % ctx.size() as u32;
         let mut disp = 0usize;
@@ -202,5 +217,35 @@ fn pgas(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
         arr.aadd(right, disp + 8 * ctx.rank() as usize, 3);
         arr.barrier();
     });
+    fabric
+}
+
+/// One DSDE round over the remote-memory-channel mesh: each rank sends to
+/// `k = min(3, p - 1)` random targets and drains until dry.
+fn dsde_round(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
+    let k = 3.min(p - 1);
+    let cfg = RmcConfig { slots: 4, slot_bytes: 8, ..RmcConfig::default() };
+    let (_, fabric) = universe(p, node_size, seed, 256).launch(move |ctx| {
+        let mut m = fompi_rmc::mesh(ctx, &cfg).expect("mesh");
+        let r = dsde::run_rmc(ctx, &mut m, k, seed);
+        let sent_to_me = (0..p as u32)
+            .flat_map(|s| dsde::pick_targets(s, p, k, seed))
+            .filter(|&t| t == ctx.rank())
+            .count();
+        assert_eq!(r.received.len(), sent_to_me, "dsde round lost messages");
+        m.close(ctx).expect("mesh close");
+    });
+    fabric
+}
+
+/// Owner-computes notified inserts into the distributed hashtable; a small
+/// table forces collision chains.
+fn hashtable_inserts(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
+    let cfg =
+        hashtable::HtConfig { inserts_per_rank: INSERTS, table_slots: 32, heap_cells: 4096, seed };
+    let (outs, fabric) =
+        universe(p, node_size, seed, 2048).launch(move |ctx| hashtable::run_notified(ctx, &cfg));
+    let total: usize = outs.iter().map(|r| r.local_elements).sum();
+    assert_eq!(total, p * INSERTS, "hashtable lost elements");
     fabric
 }

@@ -48,7 +48,8 @@ use std::time::Duration;
 /// `hashtable` are the *unstable* agents: transactional abort/retry
 /// counts and `ANY_SOURCE` drain joins are schedule-dependent, so their
 /// metrics feed the wall-clock table and the chaos sweep but never the
-/// byte-diffed summary.
+/// byte-diffed summary. `dsde` and `hashtable` are `bench_agent`
+/// backends of their own, labelled with the stack they run on.
 const BENCH_ARGS: &[&str] = &[
     "--agent-json",
     "--backend",
@@ -126,20 +127,40 @@ const REGISTRY: &[AgentSpec] = &[
     },
     AgentSpec {
         name: "dsde",
-        bin: "dsde_agent",
-        args: &["--agent-json", "--ranks", "{ranks}", "--seed", "{seed}"],
+        bin: "bench_agent",
+        args: &[
+            "--agent-json",
+            "--backend",
+            "dsde",
+            "--ranks",
+            "{ranks}",
+            "--node-size",
+            "{node_size}",
+            "--seed",
+            "{seed}",
+        ],
         backend: "rmc",
         ranks: &[8],
-        node_sizes: &[1],
+        node_sizes: &[2],
         stable: false,
     },
     AgentSpec {
         name: "hashtable",
-        bin: "hashtable_agent",
-        args: &["--agent-json", "--ranks", "{ranks}", "--seed", "{seed}"],
+        bin: "bench_agent",
+        args: &[
+            "--agent-json",
+            "--backend",
+            "hashtable",
+            "--ranks",
+            "{ranks}",
+            "--node-size",
+            "{node_size}",
+            "--seed",
+            "{seed}",
+        ],
         backend: "rma",
         ranks: &[8],
-        node_sizes: &[1],
+        node_sizes: &[2],
         stable: false,
     },
 ];
@@ -224,6 +245,19 @@ fn timeout() -> Duration {
 /// Run the sweep: every registry agent at every selected rank count.
 fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
     let dir = bin_dir(cli)?;
+    // Every row's binary, whether or not this mode runs it: a stale `bin`
+    // fails the smoke sweep, not the first nightly that reaches its row.
+    for spec in REGISTRY {
+        let bin = dir.join(spec.bin);
+        if !bin.exists() {
+            return Err(format!(
+                "agent {}: binary {} not found — build the agents first: \
+                 cargo build --release -p fompi-bench",
+                spec.name,
+                bin.display()
+            ));
+        }
+    }
     let max_ranks = if cli.mode == Mode::Sweep || chaos { usize::MAX } else { SMOKE_MAX_RANKS };
     let timeout = timeout();
     let mut runs = Vec::new();
@@ -232,16 +266,8 @@ fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
         for &ranks in spec.ranks.iter().filter(|&&r| r <= max_ranks) {
             for &node_size in spec.node_sizes {
                 let label = format!("{}-p{ranks}-n{node_size}", spec.name);
-                let bin = dir.join(spec.bin);
-                if !bin.exists() {
-                    return Err(format!(
-                        "agent {label}: binary {} not found — build the agents first: \
-                         cargo build --release -p fompi-bench",
-                        bin.display()
-                    ));
-                }
                 let argv = expand_argv(spec, ranks, node_size, SEED)?;
-                let mut cmd = Command::new(&bin);
+                let mut cmd = Command::new(dir.join(spec.bin));
                 cmd.args(&argv);
                 // Scrub every knob, so the summary only depends on what the
                 // fleet passes explicitly.

@@ -143,30 +143,32 @@ mod tests {
     #[test]
     fn every_pair_exchanges_and_drains_dry() {
         // Each rank sends one tagged payload to every rank (itself
-        // included — self-sends must work for periodic halos).
-        let p = 4usize;
-        let got = Universe::new(p).node_size(2).notify_depth(64).run(move |ctx| {
-            let mut m =
-                mesh(ctx, &RmcConfig { slots: 2, slot_bytes: 16, ..RmcConfig::default() }).unwrap();
-            let me = ctx.rank();
-            for t in 0..p as u32 {
-                m.send(t, &(((me as u64) << 32) | t as u64).to_le_bytes()).unwrap();
-            }
-            ctx.barrier();
-            let mut from = vec![false; p];
-            let mut buf = [0u8; 16];
-            while let Some((src, len)) = m.try_recv(&mut buf).unwrap() {
-                assert_eq!(len, 8);
-                let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                assert_eq!(v, ((src as u64) << 32) | me as u64, "wrong payload routing");
-                from[src as usize] = true;
-            }
-            m.flush_credits().unwrap();
-            ctx.barrier();
-            m.close(ctx).unwrap();
-            from.iter().all(|&b| b)
-        });
-        assert!(got.iter().all(|&b| b), "some pair lost its message: {got:?}");
+        // included — self-sends must work for periodic halos); at p = 1
+        // every message is a self-send.
+        for (p, node_size) in [(4usize, 2usize), (1, 1)] {
+            let got = Universe::new(p).node_size(node_size).notify_depth(64).run(move |ctx| {
+                let cfg = RmcConfig { slots: 2, slot_bytes: 16, ..RmcConfig::default() };
+                let mut m = mesh(ctx, &cfg).unwrap();
+                let me = ctx.rank();
+                for t in 0..p as u32 {
+                    m.send(t, &(((me as u64) << 32) | t as u64).to_le_bytes()).unwrap();
+                }
+                ctx.barrier();
+                let mut from = vec![false; p];
+                let mut buf = [0u8; 16];
+                while let Some((src, len)) = m.try_recv(&mut buf).unwrap() {
+                    assert_eq!(len, 8);
+                    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                    assert_eq!(v, ((src as u64) << 32) | me as u64, "wrong payload routing");
+                    from[src as usize] = true;
+                }
+                m.flush_credits().unwrap();
+                ctx.barrier();
+                m.close(ctx).unwrap();
+                from.iter().all(|&b| b)
+            });
+            assert!(got.iter().all(|&b| b), "p = {p}: some pair lost its message: {got:?}");
+        }
     }
 
     #[test]

@@ -87,18 +87,32 @@ fn slot_of(key: u64, cfg: &HtConfig) -> usize {
     (splitmix64(key ^ 0xABCD) % cfg.table_slots as u64) as usize
 }
 
-/// Count elements in a local volume after the run (verification).
+/// Count elements in a local volume after the run (verification): the
+/// occupied direct slots plus every overflow cell reachable from its own
+/// slot's chain, so a chain push that lost its link shows as a lost element.
 fn count_local(read: impl Fn(usize, &mut [u8]), cfg: &HtConfig) -> usize {
+    let word = |off| {
+        let mut b = [0u8; 8];
+        read(off, &mut b);
+        u64::from_le_bytes(b)
+    };
     let mut n = 0;
-    let mut buf = [0u8; 8];
     for s in 0..cfg.table_slots {
-        read(slot_off(s), &mut buf);
-        if u64::from_le_bytes(buf) != 0 {
+        n += (word(slot_off(s)) != 0) as usize;
+        // Next pointers carry bit 63 as the "heap index" tag.
+        let mut next = word(slot_off(s) + 8);
+        while next != NIL64 {
+            let h = (next & !(1 << 63)) as usize;
+            assert!(
+                h < cfg.heap_cells && slot_of(word(heap_off(cfg, h)), cfg) == s,
+                "overflow cell {h} is on slot {s}'s chain"
+            );
             n += 1;
+            assert!(n <= cfg.table_slots + cfg.heap_cells, "cyclic overflow chain");
+            next = word(heap_off(cfg, h) + 8);
         }
     }
-    read(0, &mut buf);
-    n + u64::from_le_bytes(buf) as usize // heap cells in use
+    n
 }
 
 // ------------------------------------------------------------------ foMPI

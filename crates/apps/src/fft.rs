@@ -603,6 +603,25 @@ mod tests {
         assert!(g.is_finite() && g > 0.0);
     }
 
+    /// Order-sensitive fold of a slab's bit patterns (the one the repo
+    /// benchmark's `apps` workload checks).
+    fn checksum(slab: &[C64]) -> u64 {
+        slab.iter()
+            .fold(0u64, |h, c| (h.rotate_left(5) ^ c.re.to_bits()).rotate_left(5) ^ c.im.to_bits())
+    }
+
+    /// The transforms' bit patterns, pinned: any kernel change that is not
+    /// bit-exact moves these.
+    #[test]
+    fn checksums_are_pinned_bit_for_bit() {
+        let cfg = FftConfig { n: 32, seed: 1 };
+        let serial = checksum(&fft3d_serial(&cfg));
+        let rma: Vec<u64> =
+            Universe::new(2).node_size(1).run(move |ctx| checksum(&run_rma(ctx, &cfg).local_out));
+        assert_eq!(serial, 0x4f7c1f00cd5e9735, "fft3d_serial n = 32");
+        assert_eq!(rma, [0x3e0789cc7e4ea975, 0xf8d77d473abcd5cb], "run_rma n = 32, p = 2");
+    }
+
     #[test]
     fn rma_overlap_not_slower_than_bulk_mpi1() {
         let cfg = FftConfig { n: 16, seed: 15 };

@@ -876,6 +876,40 @@ mod tests {
         assert_eq!(packed[0].residuals, typed[0].residuals, "typed halo must be bit-identical");
     }
 
+    /// The residuals' bit patterns, pinned: any change to the stencil or
+    /// the halo decode that is not bit-exact moves them.
+    #[test]
+    fn residuals_are_pinned_bit_for_bit() {
+        let cfg = MilcConfig { local: [4, 4, 4, 8], iters: 8, seed: 1 };
+        let bits = |res: Vec<MilcResult>| -> Vec<u64> {
+            res[0].residuals.iter().map(|r| r.to_bits()).collect()
+        };
+        let rma = bits(Universe::new(2).node_size(1).run(move |ctx| run_rma(ctx, &cfg)));
+        let upc = bits(Universe::new(8).node_size(4).run(move |ctx| run_upc(ctx, &cfg)));
+        assert_eq!(rma, RMA_P2_BITS, "run_rma p = 2");
+        assert_eq!(upc, UPC_P8_BITS, "run_upc p = 8");
+    }
+    const RMA_P2_BITS: [u64; 8] = [
+        0x401bd69fbbf592d6,
+        0x40099b857f0c6e76,
+        0x3ffe8ea102b66f30,
+        0x3ff430d65fad93ab,
+        0x3feb75e22c959bd0,
+        0x3fe21577f184921c,
+        0x3fd63f8e31f46f25,
+        0x3fcc4387a548c1af,
+    ];
+    const UPC_P8_BITS: [u64; 8] = [
+        0x402c49c76564a0b9,
+        0x4019a3cf2d46f248,
+        0x400bb27d5ad8da2f,
+        0x400011696ebb20f8,
+        0x3ff347de7f622393,
+        0x3fe7c3591f8d52b1,
+        0x3fde9a6138ba2dfa,
+        0x3fd42aba6ba96fc8,
+    ];
+
     #[test]
     fn rma_not_slower_than_mpi1() {
         let cfg = MilcConfig { local: [2, 2, 2, 4], iters: 4, seed: 2 };

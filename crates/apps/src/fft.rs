@@ -42,6 +42,11 @@ impl C64 {
     pub fn norm2(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
+
+    /// Complex conjugate.
+    fn conj(self) -> C64 {
+        C64::new(self.re, -self.im)
+    }
 }
 
 impl std::ops::Mul for C64 {
@@ -65,36 +70,83 @@ impl std::ops::Sub for C64 {
     }
 }
 
-/// In-place iterative radix-2 Cooley-Tukey FFT. `data.len()` must be a
-/// power of two.
-pub fn fft_1d(data: &mut [C64], inverse: bool) {
+/// The forward twiddle factors of every radix-2 stage up to length `n`,
+/// planned once. The stage of half-length `h` (butterfly span `2h`) holds
+/// `w^0 … w^(h-1)` for `w = e^(-2πi/2h)` at `[h-1, 2h-1)`, each produced
+/// by the recurrence `w^(k+1) = w^k · w` from 1, so a planned transform
+/// is bit-identical to one that computes its factors on the fly.
+struct Twiddles {
+    w: Vec<C64>,
+}
+
+impl Twiddles {
+    /// Plan for transforms of length up to `n` (a power of two).
+    fn new(n: usize) -> Twiddles {
+        let mut w = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let wlen = C64::new(ang.cos(), ang.sin());
+            let mut x = C64::new(1.0, 0.0);
+            for _ in 0..len / 2 {
+                w.push(x);
+                x = x * wlen;
+            }
+            len <<= 1;
+        }
+        Twiddles { w }
+    }
+
+    /// The factors of the stage with half-length `h`.
+    fn stage(&self, h: usize) -> &[C64] {
+        &self.w[h - 1..2 * h - 1]
+    }
+
+    /// Whether a length-`n` transform has work (`n > 1`); panics past the plan.
+    fn covers(&self, n: usize) -> bool {
+        assert!(
+            n <= 1 || (n.is_power_of_two() && n - 1 <= self.w.len()),
+            "FFT length {n} must be a power of two the plan covers ({})",
+            self.w.len() + 1
+        );
+        n > 1
+    }
+}
+
+/// The bit-reversal partner of `i` among `n = 2^bits` indices (`bits >= 1`).
+fn bit_reverse(i: usize, bits: u32) -> usize {
+    i.reverse_bits() >> (usize::BITS - bits)
+}
+
+/// In-place iterative radix-2 Cooley-Tukey FFT with planned twiddles.
+/// `data.len()` must be a power of two `tw` covers; a length of 0 or 1 is
+/// the identity. The inverse transform uses the conjugate factors and
+/// scales by `1/n`.
+fn fft_1d_with(data: &mut [C64], tw: &Twiddles, inverse: bool) {
     let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    // Bit-reversal permutation.
+    if !tw.covers(n) {
+        return;
+    }
     let bits = n.trailing_zeros();
     for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
+        let j = bit_reverse(i, bits);
         if i < j {
             data.swap(i, j);
         }
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = C64::new(ang.cos(), ang.sin());
-        for start in (0..n).step_by(len) {
-            let mut w = C64::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w = w * wlen;
+    let mut h = 1;
+    while h < n {
+        let w = tw.stage(h);
+        for block in data.chunks_exact_mut(2 * h) {
+            let (lo, hi) = block.split_at_mut(h);
+            for ((a, b), &w) in lo.iter_mut().zip(hi).zip(w) {
+                let u = *a;
+                let v = *b * if inverse { w.conj() } else { w };
+                *a = u + v;
+                *b = u - v;
             }
         }
-        len <<= 1;
+        h <<= 1;
     }
     if inverse {
         let inv = 1.0 / n as f64;
@@ -103,6 +155,59 @@ pub fn fft_1d(data: &mut [C64], inverse: bool) {
             d.im *= inv;
         }
     }
+}
+
+/// In-place forward FFT of `width` columns at once: column `j` is
+/// `data[r·stride + j]` for rows `r` in `0..n`. Each butterfly runs across
+/// a whole row pair, and every column gets exactly the operations
+/// [`fft_1d_with`] would give it, so the result is bit-identical.
+fn fft_cols(data: &mut [C64], n: usize, stride: usize, width: usize, tw: &Twiddles) {
+    if !tw.covers(n) {
+        return;
+    }
+    assert!(width <= stride && data.len() >= (n - 1) * stride + width, "columns out of range");
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = bit_reverse(i, bits);
+        if i < j {
+            for (x, y) in row_pair(data, i * stride, j * stride, width) {
+                std::mem::swap(x, y);
+            }
+        }
+    }
+    let mut h = 1;
+    while h < n {
+        let w = tw.stage(h);
+        for start in (0..n).step_by(2 * h) {
+            for (k, &w) in w.iter().enumerate() {
+                let (a, b) = ((start + k) * stride, (start + k + h) * stride);
+                for (x, y) in row_pair(data, a, b, width) {
+                    let u = *x;
+                    let v = *y * w;
+                    *x = u + v;
+                    *y = u - v;
+                }
+            }
+        }
+        h <<= 1;
+    }
+}
+
+/// The element pairs of `data[a..a + width]` and `data[b..b + width]`, `a < b`.
+fn row_pair(
+    data: &mut [C64],
+    a: usize,
+    b: usize,
+    width: usize,
+) -> impl Iterator<Item = (&mut C64, &mut C64)> {
+    let (top, bot) = data.split_at_mut(b);
+    top[a..a + width].iter_mut().zip(&mut bot[..width])
+}
+
+/// In-place iterative radix-2 Cooley-Tukey FFT (inverse: scaled by `1/n`).
+/// `data.len()` must be a power of two; a length of 0 or 1 is the identity.
+pub fn fft_1d(data: &mut [C64], inverse: bool) {
+    fft_1d_with(data, &Twiddles::new(data.len()), inverse);
 }
 
 /// Naive O(n²) DFT for verification.
@@ -172,37 +277,16 @@ pub fn fft3d_serial(cfg: &FftConfig) -> Vec<C64> {
             }
         }
     }
-    // x direction.
-    for z in 0..n {
-        for y in 0..n {
-            fft_1d(&mut grid[(z * n + y) * n..(z * n + y) * n + n], false);
-        }
+    let tw = Twiddles::new(n);
+    // x direction: rows; y direction: each plane's n columns; z direction:
+    // all n² columns of the grid.
+    for row in grid.chunks_exact_mut(n) {
+        fft_1d_with(row, &tw, false);
     }
-    // y direction.
-    let mut col = vec![C64::default(); n];
-    for z in 0..n {
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = grid[(z * n + y) * n + x];
-            }
-            fft_1d(&mut col, false);
-            for y in 0..n {
-                grid[(z * n + y) * n + x] = col[y];
-            }
-        }
+    for plane in grid.chunks_exact_mut(n * n) {
+        fft_cols(plane, n, n, n, &tw);
     }
-    // z direction.
-    for y in 0..n {
-        for x in 0..n {
-            for z in 0..n {
-                col[z] = grid[(z * n + y) * n + x];
-            }
-            fft_1d(&mut col, false);
-            for z in 0..n {
-                grid[(z * n + y) * n + x] = col[z];
-            }
-        }
-    }
+    fft_cols(&mut grid, n, n * n, n * n, &tw);
     grid
 }
 
@@ -214,6 +298,7 @@ struct Slab {
     nzl: usize,
     nxl: usize,
     me: usize,
+    tw: Twiddles,
 }
 
 impl Slab {
@@ -221,7 +306,7 @@ impl Slab {
         let n = cfg.n;
         let p = ctx.size();
         assert!(n.is_multiple_of(p), "n must be divisible by p");
-        Slab { n, p, nzl: n / p, nxl: n / p, me: ctx.rank() as usize }
+        Slab { n, p, nzl: n / p, nxl: n / p, me: ctx.rank() as usize, tw: Twiddles::new(n) }
     }
 
     /// Fill this rank's z-slab with input data (layout `[zl][y][x]`).
@@ -243,19 +328,10 @@ impl Slab {
     fn fft_plane(&self, ctx: &RankCtx, data: &mut [C64], zl: usize) {
         let n = self.n;
         let plane = &mut data[zl * n * n..(zl + 1) * n * n];
-        for y in 0..n {
-            fft_1d(&mut plane[y * n..y * n + n], false);
+        for row in plane.chunks_exact_mut(n) {
+            fft_1d_with(row, &self.tw, false);
         }
-        let mut col = vec![C64::default(); n];
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = plane[y * n + x];
-            }
-            fft_1d(&mut col, false);
-            for y in 0..n {
-                plane[y * n + x] = col[y];
-            }
-        }
+        fft_cols(plane, n, n, n, &self.tw);
         ctx.ep().charge_flops(2.0 * n as f64 * fft_flops(n));
     }
 
@@ -299,21 +375,10 @@ impl Slab {
 
     /// Final z-direction FFT over the x-slab; charge flops.
     fn fft_z(&self, ctx: &RankCtx, slab: &mut [C64]) {
-        let n = self.n;
-        let nxl = self.nxl;
-        let mut col = vec![C64::default(); n];
-        for y in 0..n {
-            for xl in 0..nxl {
-                for z in 0..n {
-                    col[z] = slab[(z * n + y) * nxl + xl];
-                }
-                fft_1d(&mut col, false);
-                for z in 0..n {
-                    slab[(z * n + y) * nxl + xl] = col[z];
-                }
-            }
-        }
-        ctx.ep().charge_flops(n as f64 * nxl as f64 * fft_flops(n));
+        // Plane z is row z; its n·nxl (y, xl) pairs are the columns.
+        let (n, cols) = (self.n, self.n * self.nxl);
+        fft_cols(slab, n, cols, cols, &self.tw);
+        ctx.ep().charge_flops(cols as f64 * fft_flops(n));
     }
 }
 
@@ -483,13 +548,60 @@ mod tests {
 
     #[test]
     fn fft1d_matches_naive_dft() {
-        let data: Vec<C64> =
-            (0..16).map(|i| C64::new((i as f64).sin(), (i as f64 * 0.3).cos())).collect();
-        let mut fast = data.clone();
-        fft_1d(&mut fast, false);
-        let slow = dft_naive(&data);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
+        for n in [2, 4, 8, 16, 32, 64] {
+            let data: Vec<C64> =
+                (0..n).map(|i| C64::new((i as f64).sin(), (i as f64 * 0.3).cos())).collect();
+            let mut fast = data.clone();
+            fft_1d(&mut fast, false);
+            let slow = dft_naive(&data);
+            for (a, b) in fast.iter().zip(&slow) {
+                assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn length_one_is_the_identity() {
+        let x = C64::new(0.25, -0.5);
+        for inverse in [false, true] {
+            let mut one = [x];
+            fft_1d(&mut one, inverse);
+            assert_eq!(one, [x]);
+        }
+        // A 1³ grid on one rank: every pass is a length-1 transform.
+        let cfg = FftConfig { n: 1, seed: 4 };
+        let got = Universe::new(1).node_size(1).run(move |ctx| run_rma(ctx, &cfg));
+        assert_eq!(got[0].local_out, [input_at(&cfg, 0, 0, 0)]);
+        assert_eq!(fft3d_serial(&cfg), [input_at(&cfg, 0, 0, 0)]);
+    }
+
+    #[test]
+    fn fft_cols_is_fft_1d_per_column_bit_for_bit() {
+        let tw = Twiddles::new(64);
+        for n in [1, 2, 4, 8, 32, 64] {
+            for width in [1, 3, 16] {
+                // One padding column that must stay untouched.
+                let stride = width + 1;
+                let mut grid: Vec<C64> = (0..n * stride)
+                    .map(|i| C64::new((i as f64 * 0.7).sin(), (i as f64 * 0.11).cos()))
+                    .collect();
+                let before = grid.clone();
+                fft_cols(&mut grid, n, stride, width, &tw);
+                for j in 0..stride {
+                    let mut col: Vec<C64> = (0..n).map(|r| before[r * stride + j]).collect();
+                    if j < width {
+                        fft_1d_with(&mut col, &tw, false);
+                    }
+                    for (r, want) in col.iter().enumerate() {
+                        let got = grid[r * stride + j];
+                        assert!(
+                            got.re.to_bits() == want.re.to_bits()
+                                && got.im.to_bits() == want.im.to_bits(),
+                            "n = {n}, width = {width}, column {j}, row {r}: {got:?} vs {want:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

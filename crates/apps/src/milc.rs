@@ -136,8 +136,9 @@ impl Lattice {
         self.vol / self.local[d]
     }
 
-    fn site_index(&self, c: &[usize; 4]) -> usize {
-        ((c[3] * self.local[2] + c[2]) * self.local[1] + c[1]) * self.local[0] + c[0]
+    /// Bytes of one packed face normal to dim `d`.
+    fn face_bytes(&self, d: usize) -> usize {
+        self.face_sites(d) * SITE_F64 * 8
     }
 
     /// Neighbour rank in dim `d`, direction `up` (periodic).
@@ -148,34 +149,30 @@ impl Lattice {
         coords_rank(&c, &self.dims)
     }
 
-    /// Iterate the sites of the face at `d`, boundary side `hi`
-    /// (coordinate = L-1 when hi else 0), in canonical order.
-    fn face_iter(&self, d: usize, hi: bool) -> Vec<usize> {
-        let mut sites = Vec::with_capacity(self.face_sites(d));
-        let mut c = [0usize; 4];
-        let fixed = if hi { self.local[d] - 1 } else { 0 };
-        // Iterate remaining dims in order.
-        let others: Vec<usize> = (0..4).filter(|&x| x != d).collect();
-        let counts: Vec<usize> = others.iter().map(|&x| self.local[x]).collect();
-        let total: usize = counts.iter().product();
-        for mut idx in 0..total {
-            for (k, &o) in others.iter().enumerate() {
-                c[o] = idx % counts[k];
-                idx /= counts[k];
-            }
-            c[d] = fixed;
-            sites.push(self.site_index(&c));
-        }
-        sites
+    /// Position of site `c` on its face normal to `d`: the mixed-radix
+    /// index over the other three dimensions, the first one fastest. Both
+    /// sides of a face share it, so our hi face position indexes the up
+    /// neighbour's lo face, and vice versa.
+    fn face_pos(&self, d: usize, c: &[usize; 4]) -> usize {
+        (0..4).rev().filter(|&o| o != d).fold(0, |pos, o| pos * self.local[o] + c[o])
+    }
+
+    /// The sites of the face normal to `d` on side `hi` (coordinate L-1
+    /// when hi, else 0), in [`Lattice::face_pos`] order: runs of the
+    /// `inner` sites below `d`, one per combination of the dims above it.
+    fn face(&self, d: usize, hi: bool) -> impl Iterator<Item = usize> {
+        let inner: usize = self.local[..d].iter().product();
+        let outer = inner * self.local[d];
+        let base = if hi { outer - inner } else { 0 };
+        (base..self.vol).step_by(outer).flat_map(move |o| o..o + inner)
     }
 
     /// Pack the face data (f64 LE bytes) that travels `up` in dim `d`.
     pub fn pack_face(&self, field: &[f64], d: usize, up: bool) -> Vec<u8> {
-        let sites = self.face_iter(d, up);
-        let mut out = Vec::with_capacity(sites.len() * SITE_F64 * 8);
-        for s in sites {
-            for k in 0..SITE_F64 {
-                out.extend_from_slice(&field[s * SITE_F64 + k].to_le_bytes());
+        let mut out = Vec::with_capacity(self.face_bytes(d));
+        for s in self.face(d, up) {
+            for v in &field[s * SITE_F64..(s + 1) * SITE_F64] {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         out
@@ -198,49 +195,35 @@ impl Lattice {
         out: &mut [f64],
     ) {
         let l = self.local;
-        // Precompute face orderings for halo lookup.
-        let face_pos: Vec<[std::collections::HashMap<usize, usize>; 2]> = (0..4)
-            .map(|d| {
-                let lo: std::collections::HashMap<usize, usize> =
-                    self.face_iter(d, false).into_iter().enumerate().map(|(i, s)| (s, i)).collect();
-                let hi: std::collections::HashMap<usize, usize> =
-                    self.face_iter(d, true).into_iter().enumerate().map(|(i, s)| (s, i)).collect();
-                [lo, hi]
-            })
-            .collect();
+        let stride = [1, l[0], l[0] * l[1], l[0] * l[1] * l[2]];
+        let mut s = 0;
         for ct in 0..l[3] {
             for cz in 0..l[2] {
                 for cy in 0..l[1] {
                     for cx in 0..l[0] {
                         let c = [cx, cy, cz, ct];
-                        let s = self.site_index(&c);
+                        // The 8 neighbour sites, up then down for d = 0..3
+                        // (the subtraction order every residual depends
+                        // on): in `x`, or at our face position in the halo
+                        // from that side.
+                        let nb: [&[f64]; 8] = std::array::from_fn(|i| {
+                            let (d, up) = (i / 2, i % 2 == 0);
+                            let (src, site) = match up {
+                                true if c[d] + 1 < l[d] => (x, s + stride[d]),
+                                false if c[d] > 0 => (x, s - stride[d]),
+                                _ => (&halo[d][up as usize][..], self.face_pos(d, &c)),
+                            };
+                            &src[site * SITE_F64..(site + 1) * SITE_F64]
+                        });
+                        let at = s * SITE_F64;
                         for k in 0..SITE_F64 {
-                            let mut acc = (8.0 + MASS2) * x[s * SITE_F64 + k];
-                            for d in 0..4 {
-                                // Up neighbour.
-                                if c[d] + 1 < l[d] {
-                                    let mut cn = c;
-                                    cn[d] += 1;
-                                    acc -= x[self.site_index(&cn) * SITE_F64 + k];
-                                } else {
-                                    // Comes from the up halo: our hi face
-                                    // position indexes the neighbour's lo
-                                    // face (same canonical order).
-                                    let fi = face_pos[d][1][&s];
-                                    acc -= halo[d][1][fi * SITE_F64 + k];
-                                }
-                                // Down neighbour.
-                                if c[d] > 0 {
-                                    let mut cn = c;
-                                    cn[d] -= 1;
-                                    acc -= x[self.site_index(&cn) * SITE_F64 + k];
-                                } else {
-                                    let fi = face_pos[d][0][&s];
-                                    acc -= halo[d][0][fi * SITE_F64 + k];
-                                }
+                            let mut acc = (8.0 + MASS2) * x[at + k];
+                            for v in nb {
+                                acc -= v[k];
                             }
-                            out[s * SITE_F64 + k] = acc;
+                            out[at + k] = acc;
                         }
+                        s += 1;
                     }
                 }
             }
@@ -296,9 +279,9 @@ impl HaloExchange for Mpi1Halo<'_> {
     ) -> [[Vec<f64>; 2]; 4] {
         let _ = ctx;
         let tag = MILC_TAG + (iter as u32 % 16) * 8;
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
+        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
-            let fb = lat.face_sites(d) * SITE_F64 * 8;
+            let fb = lat.face_bytes(d);
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
             // Send our hi face up (it becomes their lo halo? no: their
@@ -322,35 +305,49 @@ impl HaloExchange for Mpi1Halo<'_> {
     }
 }
 
+/// Where a halo window (RMA) or chunk (UPC) keeps its flags and faces: 8
+/// u64 counters in the first 64 bytes, slot `2d + side`, then the 8 face
+/// zones, d-major, side 0 (lo) before side 1 (hi).
+struct HaloLayout {
+    face_bytes: [usize; 4],
+    zone: [[usize; 2]; 4],
+    /// Bytes of the whole window or chunk.
+    total: usize,
+}
+
+impl HaloLayout {
+    fn new(ctx: &RankCtx, cfg: &MilcConfig) -> HaloLayout {
+        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
+        let face_bytes = std::array::from_fn(|d| lat.face_bytes(d));
+        let mut zone = [[0; 2]; 4];
+        let mut total = 64;
+        for d in 0..4 {
+            zone[d] = [total, total + face_bytes[d]];
+            total += 2 * face_bytes[d];
+        }
+        HaloLayout { face_bytes, zone, total }
+    }
+
+    /// Byte offset of counter `(d, side)`.
+    fn flag(d: usize, side: usize) -> usize {
+        (2 * d + side) * 8
+    }
+}
+
 /// foMPI RMA backend: put + fetch_and_op notify inside a lock_all epoch.
 pub struct RmaHalo {
-    /// Window holding halo landing zones + 8 iteration counters.
+    /// Window holding the 8 iteration counters + halo landing zones.
     pub win: Win,
-    face_bytes: [usize; 4],
+    lay: HaloLayout,
 }
 
 impl RmaHalo {
-    /// Window layout: 8 counters (64 B) then the 8 face landing zones
-    /// (d-major, lo then hi).
+    /// Allocate the window (see `HaloLayout`) and open the epoch.
     pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> RmaHalo {
-        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
-        let mut face_bytes = [0usize; 4];
-        let mut total = 64;
-        for d in 0..4 {
-            face_bytes[d] = lat.face_sites(d) * SITE_F64 * 8;
-            total += 2 * face_bytes[d];
-        }
-        let win = Win::allocate(ctx, total, 1).expect("milc window");
+        let lay = HaloLayout::new(ctx, cfg);
+        let win = Win::allocate(ctx, lay.total, 1).expect("milc window");
         win.lock_all().expect("milc lock_all");
-        RmaHalo { win, face_bytes }
-    }
-
-    fn zone_off(&self, d: usize, side: usize) -> usize {
-        let mut off = 64;
-        for dd in 0..d {
-            off += 2 * self.face_bytes[dd];
-        }
-        off + side * self.face_bytes[d]
+        RmaHalo { win, lay }
     }
 
     /// Release the epoch and free the window (collective).
@@ -358,48 +355,33 @@ impl RmaHalo {
         self.win.unlock_all().expect("milc unlock_all");
         self.win.free(ctx);
     }
-}
 
-impl HaloExchange for RmaHalo {
-    fn exchange(
-        &mut self,
-        ctx: &RankCtx,
-        lat: &Lattice,
-        field: &[f64],
-        iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
-        let want = (iter + 1) as u64;
-        let memcpy = ctx.fabric().model().memcpy_byte_ns;
-        for d in 0..4 {
-            let up = lat.neighbor(d, true) as u32;
-            let down = lat.neighbor(d, false) as u32;
-            let hi_face = lat.pack_face(field, d, true);
-            let lo_face = lat.pack_face(field, d, false);
-            // Packing into the communication buffer costs a copy.
-            ctx.ep().charge(memcpy * (hi_face.len() + lo_face.len()) as f64);
-            // Our hi face lands in the up neighbour's lo zone, and vice
-            // versa.
-            self.win.put(&hi_face, up, self.zone_off(d, 0)).expect("halo put");
-            self.win.put(&lo_face, down, self.zone_off(d, 1)).expect("halo put");
-        }
-        // One flush, then notify all 8 neighbours with monotonic counters.
+    /// After this rank's puts: one flush, then notify all 8 neighbours with
+    /// monotonic counters (slot 2d = "lo zone filled", written by the down
+    /// neighbour's hi face; 2d + 1 = "hi zone filled"), then wait for each
+    /// of our own 8 counters to reach this iteration's count and decode
+    /// its zone.
+    fn notify_and_collect(&self, ctx: &RankCtx, lat: &Lattice, iter: usize) -> [[Vec<f64>; 2]; 4] {
         self.win.flush_all().expect("halo flush");
         let one = 1u64.to_le_bytes();
         let mut old = [0u8; 8];
         for d in 0..4 {
-            let up = lat.neighbor(d, true) as u32;
-            let down = lat.neighbor(d, false) as u32;
-            // Counter slot 2d   = "lo zone filled" (written by down's hi),
-            // counter slot 2d+1 = "hi zone filled".
-            self.win
-                .fetch_and_op(&one, &mut old, NumKind::U64, MpiOp::Sum, up, (2 * d) * 8)
-                .expect("notify");
-            self.win
-                .fetch_and_op(&one, &mut old, NumKind::U64, MpiOp::Sum, down, (2 * d + 1) * 8)
-                .expect("notify");
+            for (side, up) in [(0, true), (1, false)] {
+                let peer = lat.neighbor(d, up) as u32;
+                self.win
+                    .fetch_and_op(
+                        &one,
+                        &mut old,
+                        NumKind::U64,
+                        MpiOp::Sum,
+                        peer,
+                        HaloLayout::flag(d, side),
+                    )
+                    .expect("notify");
+            }
         }
-        // Wait for all 8 of our own flags to reach this iteration's count.
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
+        let want = (iter + 1) as u64;
+        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
             for side in 0..2 {
                 let mut spins = 0u64;
@@ -412,7 +394,7 @@ impl HaloExchange for RmaHalo {
                             NumKind::U64,
                             MpiOp::NoOp,
                             ctx.rank(),
-                            (2 * d + side) * 8,
+                            HaloLayout::flag(d, side),
                         )
                         .expect("flag read");
                     if u64::from_le_bytes(cur) >= want {
@@ -422,8 +404,8 @@ impl HaloExchange for RmaHalo {
                     assert!(spins < 200_000_000, "milc halo deadlock");
                     std::thread::yield_now();
                 }
-                let mut bytes = vec![0u8; self.face_bytes[d]];
-                self.win.read_local(self.zone_off(d, side), &mut bytes);
+                let mut bytes = vec![0u8; self.lay.face_bytes[d]];
+                self.win.read_local(self.lay.zone[d][side], &mut bytes);
                 halo[d][side] = Lattice::decode_face(&bytes);
             }
         }
@@ -431,32 +413,44 @@ impl HaloExchange for RmaHalo {
     }
 }
 
+impl HaloExchange for RmaHalo {
+    fn exchange(
+        &mut self,
+        ctx: &RankCtx,
+        lat: &Lattice,
+        field: &[f64],
+        iter: usize,
+    ) -> [[Vec<f64>; 2]; 4] {
+        let memcpy = ctx.fabric().model().memcpy_byte_ns;
+        for d in 0..4 {
+            let up = lat.neighbor(d, true) as u32;
+            let down = lat.neighbor(d, false) as u32;
+            let hi_face = lat.pack_face(field, d, true);
+            let lo_face = lat.pack_face(field, d, false);
+            // Packing into the communication buffer costs a copy.
+            ctx.ep().charge(memcpy * (hi_face.len() + lo_face.len()) as f64);
+            // Our hi face lands in the up neighbour's lo zone, and vice
+            // versa.
+            self.win.put(&hi_face, up, self.lay.zone[d][0]).expect("halo put");
+            self.win.put(&lo_face, down, self.lay.zone[d][1]).expect("halo put");
+        }
+        self.notify_and_collect(ctx, lat, iter)
+    }
+}
+
 /// UPC backend: write to own send buffer, `aadd` the neighbour's flag,
 /// peers `memget_nb` + fence.
 pub struct UpcHalo {
     arr: SharedArray,
-    face_bytes: [usize; 4],
+    lay: HaloLayout,
 }
 
 impl UpcHalo {
-    /// Chunk layout: 8 flags (64 B) then 8 send-face zones (d-major, lo/hi).
+    /// Allocate the chunk (see `HaloLayout`; the zones hold our own
+    /// faces, which the neighbours pull).
     pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> UpcHalo {
-        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
-        let mut face_bytes = [0usize; 4];
-        let mut total = 64;
-        for d in 0..4 {
-            face_bytes[d] = lat.face_sites(d) * SITE_F64 * 8;
-            total += 2 * face_bytes[d];
-        }
-        UpcHalo { arr: SharedArray::all_alloc(ctx, total), face_bytes }
-    }
-
-    fn zone_off(&self, d: usize, side: usize) -> usize {
-        let mut off = 64;
-        for dd in 0..d {
-            off += 2 * self.face_bytes[dd];
-        }
-        off + side * self.face_bytes[d]
+        let lay = HaloLayout::new(ctx, cfg);
+        UpcHalo { arr: SharedArray::all_alloc(ctx, lay.total), lay }
     }
 }
 
@@ -474,26 +468,26 @@ impl HaloExchange for UpcHalo {
         for d in 0..4 {
             let lo = lat.pack_face(field, d, false);
             let hi = lat.pack_face(field, d, true);
-            self.arr.write_local(self.zone_off(d, 0), &lo);
-            self.arr.write_local(self.zone_off(d, 1), &hi);
+            self.arr.write_local(self.lay.zone[d][0], &lo);
+            self.arr.write_local(self.lay.zone[d][1], &hi);
         }
         self.arr.fence();
         // Notify: tell each neighbour its source data is ready.
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
-            self.arr.aadd(up, (2 * d) * 8, 1);
-            self.arr.aadd(down, (2 * d + 1) * 8, 1);
+            self.arr.aadd(up, HaloLayout::flag(d, 0), 1);
+            self.arr.aadd(down, HaloLayout::flag(d, 1), 1);
         }
         // Wait + pull.
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
+        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
             for (side, (peer, zone)) in [(down, 1usize), (up, 0usize)].into_iter().enumerate() {
                 let mut spins = 0u64;
                 loop {
-                    if self.arr.aadd(ctx.rank(), (2 * d + side) * 8, 0) >= want {
+                    if self.arr.aadd(ctx.rank(), HaloLayout::flag(d, side), 0) >= want {
                         break;
                     }
                     spins += 1;
@@ -502,8 +496,8 @@ impl HaloExchange for UpcHalo {
                 }
                 // side 0: data from down neighbour = its hi face (zone 1);
                 // side 1: data from up neighbour = its lo face (zone 0).
-                let mut bytes = vec![0u8; self.face_bytes[d]];
-                self.arr.memget_nb(&mut bytes, peer, self.zone_off(d, zone));
+                let mut bytes = vec![0u8; self.lay.face_bytes[d]];
+                self.arr.memget_nb(&mut bytes, peer, self.lay.zone[d][zone]);
                 self.arr.fence();
                 halo[d][side] = Lattice::decode_face(&bytes);
             }
@@ -524,58 +518,40 @@ impl HaloExchange for UpcHalo {
 /// `ly·lz·lt` tiny blocks (typed loses — per-block injection beats the
 /// memcpy it saved). Exactly the crossover studied in the paper's reference \[13\].
 pub struct RmaTypedHalo {
-    /// Window with counters + landing zones (same layout as [`RmaHalo`]).
-    pub win: Win,
-    face_bytes: [usize; 4],
+    /// The window and flag protocol of [`RmaHalo`].
+    rma: RmaHalo,
     /// Face datatypes, `[d][side]`, side 0 = lo face, 1 = hi face.
-    face_ty: Vec<[fompi::DataType; 2]>,
+    face_ty: [[fompi::DataType; 2]; 4],
+}
+
+/// The faces of a `local` lattice as subarray datatypes over the field's
+/// bytes, `[d][side]`, in the order [`Lattice::pack_face`] packs them.
+fn face_types(local: [usize; 4]) -> [[fompi::DataType; 2]; 4] {
+    let l = local;
+    // Field as a 5-D byte array, axes outer→inner: [t][z][y][x][site].
+    let sizes = [l[3], l[2], l[1], l[0], SITE_F64 * 8];
+    std::array::from_fn(|d| {
+        // Lattice dim d maps to array axis: x→3, y→2, z→1, t→0.
+        let a = 3 - d;
+        std::array::from_fn(|side| {
+            let mut sub = sizes;
+            let mut start = [0usize; 5];
+            sub[a] = 1;
+            start[a] = side * (sizes[a] - 1);
+            fompi::DataType::subarray(&sizes, &sub, &start, fompi::DataType::byte())
+        })
+    })
 }
 
 impl RmaTypedHalo {
     /// Build the window and the face subarray types.
     pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> RmaTypedHalo {
-        let lat = Lattice::new(ctx.rank() as usize, ctx.size(), cfg);
-        let l = cfg.local;
-        let mut face_bytes = [0usize; 4];
-        let mut total = 64;
-        for d in 0..4 {
-            face_bytes[d] = lat.face_sites(d) * SITE_F64 * 8;
-            total += 2 * face_bytes[d];
-        }
-        // Field as a 5-D byte array, axes outer→inner: [t][z][y][x][site].
-        let sizes = [l[3], l[2], l[1], l[0], SITE_F64 * 8];
-        // Lattice dim d maps to array axis: x→3, y→2, z→1, t→0.
-        let axis_of = [3usize, 2, 1, 0];
-        let face_ty = (0..4)
-            .map(|d| {
-                let a = axis_of[d];
-                let mk = |hi: bool| {
-                    let mut sub = sizes;
-                    let mut start = [0usize; 5];
-                    sub[a] = 1;
-                    start[a] = if hi { sizes[a] - 1 } else { 0 };
-                    fompi::DataType::subarray(&sizes, &sub, &start, fompi::DataType::byte())
-                };
-                [mk(false), mk(true)]
-            })
-            .collect();
-        let win = Win::allocate(ctx, total, 1).expect("milc typed window");
-        win.lock_all().expect("milc typed lock_all");
-        RmaTypedHalo { win, face_bytes, face_ty }
-    }
-
-    fn zone_off(&self, d: usize, side: usize) -> usize {
-        let mut off = 64;
-        for dd in 0..d {
-            off += 2 * self.face_bytes[dd];
-        }
-        off + side * self.face_bytes[d]
+        RmaTypedHalo { rma: RmaHalo::new(ctx, cfg), face_ty: face_types(cfg.local) }
     }
 
     /// Release the epoch and free the window (collective).
     pub fn finish(self, ctx: &RankCtx) {
-        self.win.unlock_all().expect("milc typed unlock_all");
-        self.win.free(ctx);
+        self.rma.finish(ctx);
     }
 }
 
@@ -587,65 +563,22 @@ impl HaloExchange for RmaTypedHalo {
         field: &[f64],
         iter: usize,
     ) -> [[Vec<f64>; 2]; 4] {
-        let want = (iter + 1) as u64;
         // One byte view of the field (the host-language copy is an artifact
         // of Rust slices; the *model* cost is only the typed puts — the
         // point of zero-copy).
         let bytes: Vec<u8> = field.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (win, lay) = (&self.rma.win, &self.rma.lay);
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
-            let dense = fompi::DataType::contiguous(self.face_bytes[d], fompi::DataType::byte());
+            let dense = fompi::DataType::contiguous(lay.face_bytes[d], fompi::DataType::byte());
             // hi face → up neighbour's lo zone; lo face → down's hi zone.
-            self.win
-                .put_typed(&bytes, 1, &self.face_ty[d][1], up, self.zone_off(d, 0), 1, &dense)
+            win.put_typed(&bytes, 1, &self.face_ty[d][1], up, lay.zone[d][0], 1, &dense)
                 .expect("typed halo put");
-            self.win
-                .put_typed(&bytes, 1, &self.face_ty[d][0], down, self.zone_off(d, 1), 1, &dense)
+            win.put_typed(&bytes, 1, &self.face_ty[d][0], down, lay.zone[d][1], 1, &dense)
                 .expect("typed halo put");
         }
-        self.win.flush_all().expect("typed halo flush");
-        let one = 1u64.to_le_bytes();
-        let mut old = [0u8; 8];
-        for d in 0..4 {
-            let up = lat.neighbor(d, true) as u32;
-            let down = lat.neighbor(d, false) as u32;
-            self.win
-                .fetch_and_op(&one, &mut old, NumKind::U64, MpiOp::Sum, up, (2 * d) * 8)
-                .expect("notify");
-            self.win
-                .fetch_and_op(&one, &mut old, NumKind::U64, MpiOp::Sum, down, (2 * d + 1) * 8)
-                .expect("notify");
-        }
-        let mut halo: [[Vec<f64>; 2]; 4] = std::array::from_fn(|_| [Vec::new(), Vec::new()]);
-        for d in 0..4 {
-            for side in 0..2 {
-                let mut spins = 0u64;
-                loop {
-                    let mut cur = [0u8; 8];
-                    self.win
-                        .fetch_and_op(
-                            &[],
-                            &mut cur,
-                            NumKind::U64,
-                            MpiOp::NoOp,
-                            ctx.rank(),
-                            (2 * d + side) * 8,
-                        )
-                        .expect("flag read");
-                    if u64::from_le_bytes(cur) >= want {
-                        break;
-                    }
-                    spins += 1;
-                    assert!(spins < 200_000_000, "milc typed halo deadlock");
-                    std::thread::yield_now();
-                }
-                let mut zb = vec![0u8; self.face_bytes[d]];
-                self.win.read_local(self.zone_off(d, side), &mut zb);
-                halo[d][side] = Lattice::decode_face(&zb);
-            }
-        }
-        halo
+        self.rma.notify_and_collect(ctx, lat, iter)
     }
 }
 
@@ -849,20 +782,56 @@ mod tests {
         let lat = Lattice::new(0, 1, &cfg);
         let field: Vec<f64> = (0..lat.volume() * SITE_F64).map(|i| i as f64).collect();
         let bytes: Vec<u8> = field.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let l = cfg.local;
-        let sizes = [l[3], l[2], l[1], l[0], SITE_F64 * 8];
-        let axis_of = [3usize, 2, 1, 0];
+        let types = face_types(cfg.local);
         for d in 0..4 {
-            for (side, hi) in [(false, false), (true, true)] {
-                let a = axis_of[d];
-                let mut sub = sizes;
-                let mut start = [0usize; 5];
-                sub[a] = 1;
-                start[a] = if hi { sizes[a] - 1 } else { 0 };
-                let ty = fompi::DataType::subarray(&sizes, &sub, &start, fompi::DataType::byte());
-                let typed = ty.pack(1, &bytes);
-                let packed = lat.pack_face(&field, d, side);
-                assert_eq!(typed, packed, "dim {d} hi={hi}");
+            for side in 0..2 {
+                let typed = types[d][side].pack(1, &bytes);
+                let packed = lat.pack_face(&field, d, side == 1);
+                assert_eq!(typed, packed, "dim {d} side {side}");
+            }
+        }
+    }
+
+    /// The face order spelled out: the other three dims as a mixed-radix
+    /// counter, the first fastest, with dim `d` pinned to its side.
+    fn reference_face(lat: &Lattice, d: usize, hi: bool) -> Vec<[usize; 4]> {
+        let l = lat.local;
+        let others: Vec<usize> = (0..4).filter(|&o| o != d).collect();
+        (0..lat.face_sites(d))
+            .map(|mut idx| {
+                let mut c = [0; 4];
+                for &o in &others {
+                    c[o] = idx % l[o];
+                    idx /= l[o];
+                }
+                c[d] = if hi { l[d] - 1 } else { 0 };
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn face_pos_and_face_walk_follow_the_face_order() {
+        for local in [[2, 3, 2, 4], [1, 2, 3, 4]] {
+            let cfg = MilcConfig { local, iters: 1, seed: 1 };
+            for p in [1, 2, 6] {
+                for rank in 0..p {
+                    let lat = Lattice::new(rank, p, &cfg);
+                    for d in 0..4 {
+                        for hi in [false, true] {
+                            let want = reference_face(&lat, d, hi);
+                            for (i, c) in want.iter().enumerate() {
+                                assert_eq!(lat.face_pos(d, c), i, "{local:?} p={p} d={d} {c:?}");
+                            }
+                            let site = |c: &[usize; 4]| {
+                                ((c[3] * local[2] + c[2]) * local[1] + c[1]) * local[0] + c[0]
+                            };
+                            let walked: Vec<usize> = lat.face(d, hi).collect();
+                            let sites: Vec<usize> = want.iter().map(site).collect();
+                            assert_eq!(walked, sites, "{local:?} p={p} d={d} hi={hi}");
+                        }
+                    }
+                }
             }
         }
     }

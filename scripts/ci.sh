@@ -120,6 +120,9 @@ stage_bench() {
 
 stage_tests() {
     cargo test --offline --workspace -q
+    # The allocation budget again in the profile the benchmark runs: the
+    # counts must hold in both.
+    cargo test --offline --release -q --test alloc_budget
 }
 
 # The byte-diffed artifacts of the determinism stage, one row each:

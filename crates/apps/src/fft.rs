@@ -335,11 +335,18 @@ impl Slab {
         ctx.ep().charge_flops(2.0 * n as f64 * fft_flops(n));
     }
 
-    /// Pack plane `zl`'s chunk destined for target `t` (bytes).
-    fn pack_chunk(&self, data: &[C64], zl: usize, t: usize) -> Vec<u8> {
+    /// Bytes of one plane chunk: one target's share of a z-plane, which is
+    /// also one z-plane of the x-slab.
+    fn chunk_bytes(&self) -> usize {
+        self.n * self.nxl * 16
+    }
+
+    /// Pack plane `zl`'s chunk destined for target `t` into `out`, which
+    /// it replaces.
+    fn pack_chunk(&self, data: &[C64], zl: usize, t: usize, out: &mut Vec<u8>) {
         let n = self.n;
         let nxl = self.nxl;
-        let mut out = Vec::with_capacity(n * nxl * 16);
+        out.clear();
         for y in 0..n {
             for xl in 0..nxl {
                 let c = data[(zl * n + y) * n + t * nxl + xl];
@@ -347,30 +354,38 @@ impl Slab {
                 out.extend_from_slice(&c.im.to_le_bytes());
             }
         }
-        out
     }
 
     /// Byte offset of plane `z` in the x-slab receive buffer.
     fn slab_plane_off(&self, z: usize) -> usize {
-        z * self.n * self.nxl * 16
+        z * self.chunk_bytes()
     }
 
     /// Total x-slab bytes.
     fn slab_bytes(&self) -> usize {
-        self.n * self.n * self.nxl * 16
+        self.n * self.chunk_bytes()
     }
 
-    /// Decode the x-slab byte buffer into complex values.
-    fn decode_slab(&self, bytes: &[u8]) -> Vec<C64> {
-        bytes
-            .chunks_exact(16)
-            .map(|b| {
-                C64::new(
-                    f64::from_le_bytes(b[0..8].try_into().unwrap()),
-                    f64::from_le_bytes(b[8..16].try_into().unwrap()),
-                )
-            })
-            .collect()
+    /// Decode x-slab bytes into complex values, `out` filled exactly.
+    fn decode(bytes: &[u8], out: &mut [C64]) {
+        assert_eq!(bytes.len(), out.len() * 16, "slab buffer size");
+        for (c, b) in out.iter_mut().zip(bytes.chunks_exact(16)) {
+            *c = C64::new(
+                f64::from_le_bytes(b[0..8].try_into().unwrap()),
+                f64::from_le_bytes(b[8..16].try_into().unwrap()),
+            );
+        }
+    }
+
+    /// Decode the x-slab that `read(off, bytes)` reads out of the receive
+    /// memory into `slab`, a plane at a time through `buf`. `slab` is the
+    /// spent z-slab: both slabs hold n³/p values.
+    fn decode_planes(&self, read: impl Fn(usize, &mut [u8]), buf: &mut Vec<u8>, slab: &mut [C64]) {
+        buf.resize(self.chunk_bytes(), 0);
+        for (z, plane) in slab.chunks_exact_mut(self.n * self.nxl).enumerate() {
+            read(self.slab_plane_off(z), buf);
+            Self::decode(buf, plane);
+        }
     }
 
     /// Final z-direction FFT over the x-slab; charge flops.
@@ -394,6 +409,7 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> F
     ctx.barrier();
     let t0 = ctx.now();
     let mut slab_bytes = vec![0u8; s.slab_bytes()];
+    let mut bytes = Vec::with_capacity(s.chunk_bytes());
     if overlap {
         const FFT_TAG: u32 = 0xFF7_0000;
         // Pre-post receives for every incoming plane chunk.
@@ -422,7 +438,7 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> F
                     if t == me {
                         continue; // self chunk copied after the borrows end
                     }
-                    let bytes = s.pack_chunk(&data, zl, t);
+                    s.pack_chunk(&data, zl, t, &mut bytes);
                     comm.isend(&bytes, t as u32, FFT_TAG + z as u32).expect("isend");
                 }
             }
@@ -433,7 +449,7 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> F
         // Local chunks (self → self).
         for zl in 0..nzl {
             let z = me * nzl + zl;
-            let bytes = s.pack_chunk(&data, zl, me);
+            s.pack_chunk(&data, zl, me, &mut bytes);
             slab_bytes[s.slab_plane_off(z)..s.slab_plane_off(z) + bytes.len()]
                 .copy_from_slice(&bytes);
         }
@@ -446,7 +462,7 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> F
         let mut send = vec![0u8; p * block];
         for t in 0..p {
             for zl in 0..nzl {
-                let bytes = s.pack_chunk(&data, zl, t);
+                s.pack_chunk(&data, zl, t, &mut bytes);
                 let off = t * block + zl * n * nxl * 16;
                 send[off..off + bytes.len()].copy_from_slice(&bytes);
             }
@@ -463,10 +479,11 @@ pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> F
             }
         }
     }
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    // The spent z-slab holds the x-slab.
+    Slab::decode(&slab_bytes, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    FftResult { time_ns: ctx.now() - t0, local_out: data }
 }
 
 // -------------------------------------------------------------------- RMA
@@ -478,35 +495,32 @@ pub fn run_rma(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let (p, nzl, me) = (s.p, s.nzl, s.me);
     let win = Win::allocate(ctx, s.slab_bytes(), 1).expect("fft window");
     let mut data = s.load_input(cfg);
+    // Every chunk is packed into, and every x-slab plane read through,
+    // this one buffer.
+    let mut bytes = Vec::with_capacity(s.chunk_bytes());
     win.fence().expect("fence open");
     let t0 = ctx.now();
-    let mut local_chunks = Vec::with_capacity(nzl);
     for zl in 0..nzl {
         s.fft_plane(ctx, &mut data, zl);
         let z = me * nzl + zl;
         // Communicate this plane immediately (overlapped with the next
-        // plane's compute).
+        // plane's compute); our own chunk is a local store.
         for t in 0..p {
-            let bytes = s.pack_chunk(&data, zl, t);
+            s.pack_chunk(&data, zl, t, &mut bytes);
             if t == me {
-                local_chunks.push((z, bytes));
+                win.write_local(s.slab_plane_off(z), &bytes);
             } else {
                 win.put(&bytes, t as u32, s.slab_plane_off(z)).expect("plane put");
             }
         }
     }
-    for (z, bytes) in local_chunks {
-        win.write_local(s.slab_plane_off(z), &bytes);
-    }
     win.fence().expect("fence close");
-    let mut slab_bytes = vec![0u8; s.slab_bytes()];
-    win.read_local(0, &mut slab_bytes);
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    s.decode_planes(|off, b| win.read_local(off, b), &mut bytes, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
     let time_ns = ctx.now() - t0;
     win.free(ctx);
-    FftResult { time_ns, local_out: slab }
+    FftResult { time_ns, local_out: data }
 }
 
 // -------------------------------------------------------------------- UPC
@@ -517,13 +531,14 @@ pub fn run_upc(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let (p, nzl, me) = (s.p, s.nzl, s.me);
     let arr = SharedArray::all_alloc(ctx, s.slab_bytes());
     let mut data = s.load_input(cfg);
+    let mut bytes = Vec::with_capacity(s.chunk_bytes());
     arr.barrier();
     let t0 = ctx.now();
     for zl in 0..nzl {
         s.fft_plane(ctx, &mut data, zl);
         let z = me * nzl + zl;
         for t in 0..p {
-            let bytes = s.pack_chunk(&data, zl, t);
+            s.pack_chunk(&data, zl, t, &mut bytes);
             if t == me {
                 arr.write_local(s.slab_plane_off(z), &bytes);
             } else {
@@ -532,12 +547,10 @@ pub fn run_upc(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
         }
     }
     arr.barrier();
-    let mut slab_bytes = vec![0u8; s.slab_bytes()];
-    arr.read_local(0, &mut slab_bytes);
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    s.decode_planes(|off, b| arr.read_local(off, b), &mut bytes, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    FftResult { time_ns: ctx.now() - t0, local_out: data }
 }
 
 #[cfg(test)]
@@ -662,10 +675,11 @@ mod tests {
 
     #[test]
     fn rma_matches_serial() {
-        let cfg = FftConfig { n: 8, seed: 13 };
-        let p = 4;
-        let got = Universe::new(p).node_size(2).run(move |ctx| run_rma(ctx, &cfg));
-        check_against_serial(&cfg, p, &got);
+        for (p, n) in [(4, 8), (1, 2), (1, 32), (2, 2), (2, 32)] {
+            let cfg = FftConfig { n, seed: 13 };
+            let got = Universe::new(p).node_size(p.min(2)).run(move |ctx| run_rma(ctx, &cfg));
+            check_against_serial(&cfg, p, &got);
+        }
     }
 
     #[test]

@@ -90,12 +90,11 @@ fn slot_of(key: u64, cfg: &HtConfig) -> usize {
 /// Count elements in a local volume after the run (verification): the
 /// occupied direct slots plus every overflow cell reachable from its own
 /// slot's chain, so a chain push that lost its link shows as a lost element.
+/// The volume is read with one local read.
 fn count_local(read: impl Fn(usize, &mut [u8]), cfg: &HtConfig) -> usize {
-    let word = |off| {
-        let mut b = [0u8; 8];
-        read(off, &mut b);
-        u64::from_le_bytes(b)
-    };
+    let mut volume = vec![0u8; win_bytes(cfg)];
+    read(0, &mut volume);
+    let word = |off: usize| u64::from_le_bytes(volume[off..off + 8].try_into().unwrap());
     let mut n = 0;
     for s in 0..cfg.table_slots {
         n += (word(slot_off(s)) != 0) as usize;
@@ -121,7 +120,7 @@ fn count_local(read: impl Fn(usize, &mut [u8]), cfg: &HtConfig) -> usize {
 pub fn run_rma(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
     let p = ctx.size();
     let win = Win::allocate(ctx, win_bytes(cfg), 1).expect("window");
-    init_local(&win, cfg);
+    win.write_local(0, &empty_table(cfg));
     ctx.barrier();
     win.lock_all().expect("lock_all");
     let t0 = ctx.now();
@@ -169,12 +168,14 @@ pub fn run_rma(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
     HtResult { time_ns, local_elements: local }
 }
 
-fn init_local(win: &Win, cfg: &HtConfig) {
-    win.write_local(0, &0u64.to_le_bytes());
+/// The header and table of an empty volume: no overflow cell claimed,
+/// every slot empty with an empty chain. One local write stores it.
+fn empty_table(cfg: &HtConfig) -> Vec<u8> {
+    let mut table = vec![0u8; slot_off(cfg.table_slots)];
     for s in 0..cfg.table_slots {
-        win.write_local(slot_off(s), &0u64.to_le_bytes());
-        win.write_local(slot_off(s) + 8, &NIL64.to_le_bytes());
+        table[slot_off(s) + 8..slot_off(s) + 16].copy_from_slice(&NIL64.to_le_bytes());
     }
+    table
 }
 
 // -------------------------------------------------- notified (owner computes)
@@ -244,7 +245,7 @@ pub fn run_notified(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
     let me = ctx.rank();
     let win = Win::allocate(ctx, win_bytes(cfg), 1).expect("table window");
     let inbox = Win::allocate(ctx, inbox_bytes(cfg, p), 1).expect("inbox window");
-    init_local(&win, cfg);
+    win.write_local(0, &empty_table(cfg));
     inbox.write_local(0, &0u64.to_le_bytes());
     ctx.barrier();
     inbox.lock_all().expect("lock_all");
@@ -321,11 +322,7 @@ pub fn run_notified(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
 pub fn run_upc(ctx: &RankCtx, cfg: &HtConfig) -> HtResult {
     let p = ctx.size();
     let a = SharedArray::all_alloc(ctx, win_bytes(cfg));
-    a.write_local(0, &0u64.to_le_bytes());
-    for s in 0..cfg.table_slots {
-        a.write_local(slot_off(s), &0u64.to_le_bytes());
-        a.write_local(slot_off(s) + 8, &NIL64.to_le_bytes());
-    }
+    a.write_local(0, &empty_table(cfg));
     a.barrier();
     let t0 = ctx.now();
     for key in keys_for(ctx.rank(), cfg) {

@@ -23,7 +23,8 @@ use crate::splitmix64;
 use fompi::Win;
 use fompi_fabric::rng::Rng;
 use fompi_runtime::RankCtx;
-use fompi_txn::{run, RetryPolicy, Txn, TxnError, VersionedCell};
+use fompi_txn::{run_with, RetryPolicy, Txn, TxnError, TxnSets, VersionedCell};
+use std::cell::RefCell;
 
 /// Bytes per bucket: version word + `[key | value]` payload.
 pub const CELL: usize = 24;
@@ -104,6 +105,9 @@ pub struct KvStore {
     pub win: Win,
     cfg: KvConfig,
     p: usize,
+    /// The read set, write set and payload bytes every operation's
+    /// transaction reuses, so a warm operation allocates nothing.
+    sets: RefCell<TxnSets>,
 }
 
 /// One probe outcome inside a transaction.
@@ -124,7 +128,7 @@ impl KvStore {
             VersionedCell::init_local(&win, slot * CELL, &[0u8; PAYLOAD]);
         }
         ctx.barrier();
-        KvStore { win, cfg, p: ctx.size() }
+        KvStore { win, cfg, p: ctx.size(), sets: RefCell::default() }
     }
 
     /// Rank owning `key`.
@@ -177,7 +181,7 @@ impl KvStore {
         rng: &mut Rng,
         key: u64,
     ) -> Result<Option<u64>, TxnError> {
-        run(&self.win, policy, rng, |txn| {
+        run_with(&self.win, &mut self.sets.borrow_mut(), policy, rng, |txn| {
             Ok(match self.probe(txn, key)? {
                 Slot::Found(_, v) => Some(v),
                 Slot::Absent(_) => None,
@@ -197,7 +201,7 @@ impl KvStore {
         key: u64,
         delta: u64,
     ) -> Result<u64, TxnError> {
-        run(&self.win, policy, rng, |txn| {
+        run_with(&self.win, &mut self.sets.borrow_mut(), policy, rng, |txn| {
             let (cell, new) = match self.probe(txn, key)? {
                 Slot::Found(cell, v) => (cell, v.wrapping_add(delta)),
                 Slot::Absent(Some(cell)) => (cell, delta),
@@ -224,7 +228,7 @@ impl KvStore {
         amount: u64,
     ) -> Result<bool, TxnError> {
         assert_ne!(from, to, "transfer endpoints must differ");
-        run(&self.win, policy, rng, |txn| {
+        run_with(&self.win, &mut self.sets.borrow_mut(), policy, rng, |txn| {
             let a = self.probe(txn, from)?;
             let b = self.probe(txn, to)?;
             let (Slot::Found(ca, va), Slot::Found(cb, vb)) = (a, b) else {

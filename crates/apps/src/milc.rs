@@ -167,33 +167,29 @@ impl Lattice {
         (base..self.vol).step_by(outer).flat_map(move |o| o..o + inner)
     }
 
-    /// Pack the face data (f64 LE bytes) that travels `up` in dim `d`.
-    pub fn pack_face(&self, field: &[f64], d: usize, up: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.face_bytes(d));
+    /// Append the face data (f64 LE bytes) that travels `up` in dim `d`
+    /// to `out`.
+    pub fn pack_face(&self, field: &[f64], d: usize, up: bool, out: &mut Vec<u8>) {
         for s in self.face(d, up) {
             for v in &field[s * SITE_F64..(s + 1) * SITE_F64] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        out
     }
 
-    /// Decode a received face buffer.
-    pub fn decode_face(bytes: &[u8]) -> Vec<f64> {
-        bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap())).collect()
+    /// Decode a received face buffer into `out`, which it fills exactly.
+    pub fn decode_face(bytes: &[u8], out: &mut [f64]) {
+        assert_eq!(bytes.len(), out.len() * 8, "face buffer size");
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(b.try_into().unwrap());
+        }
     }
 
     /// Apply the SPD stencil: `out = (8+m²)·x − Σ neighbours`, using `halo[d][side]`
     /// for off-rank neighbours. `halo[d][0]` holds the face received from
     /// the *down* neighbour (our x at coord −1), `halo[d][1]` from up.
     /// Charges su3-like flops.
-    pub fn apply_stencil(
-        &self,
-        ctx: &RankCtx,
-        x: &[f64],
-        halo: &[[Vec<f64>; 2]; 4],
-        out: &mut [f64],
-    ) {
+    pub fn apply_stencil(&self, ctx: &RankCtx, x: &[f64], halo: &Halo, out: &mut [f64]) {
         let l = self.local;
         let stride = [1, l[0], l[0] * l[1], l[0] * l[1] * l[2]];
         let mut s = 0;
@@ -234,17 +230,23 @@ impl Lattice {
     }
 }
 
-/// Halo exchange backends: given the field, produce `halo[d][side]` for the
+/// The received faces, `[d][side]` (side 0 = from the down neighbour, 1 =
+/// from up), each `face_sites(d) · SITE_F64` values. [`run_cg`] owns one
+/// for the whole solve and every exchange fills it in place.
+pub type Halo = [[Vec<f64>; 2]; 4];
+
+/// Halo exchange backends: given the field, fill `halo[d][side]` for the
 /// stencil (side 0 = from down neighbour, 1 = from up neighbour).
 pub trait HaloExchange {
-    /// Exchange all 8 faces of `field` for iteration `iter`.
+    /// Exchange all 8 faces of `field` for iteration `iter` into `halo`.
     fn exchange(
         &mut self,
         ctx: &RankCtx,
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4];
+        halo: &mut Halo,
+    );
 }
 
 /// Lend a halo to [`run_cg`] and keep it, for a backend that has to tear
@@ -256,8 +258,9 @@ impl<H: HaloExchange> HaloExchange for &mut H {
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
-        (**self).exchange(ctx, lat, field, iter)
+        halo: &mut Halo,
+    ) {
+        (**self).exchange(ctx, lat, field, iter, halo)
     }
 }
 
@@ -276,18 +279,20 @@ impl HaloExchange for Mpi1Halo<'_> {
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
+        halo: &mut Halo,
+    ) {
         let _ = ctx;
         let tag = MILC_TAG + (iter as u32 % 16) * 8;
-        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
             let fb = lat.face_bytes(d);
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
             // Send our hi face up (it becomes their lo halo? no: their
             // *down* halo is data from their down neighbour's hi face).
-            let hi_face = lat.pack_face(field, d, true);
-            let lo_face = lat.pack_face(field, d, false);
+            let mut hi_face = Vec::with_capacity(fb);
+            let mut lo_face = Vec::with_capacity(fb);
+            lat.pack_face(field, d, true, &mut hi_face);
+            lat.pack_face(field, d, false, &mut lo_face);
             let mut from_down = vec![0u8; fb];
             let mut from_up = vec![0u8; fb];
             // hi face → up neighbour (arrives as their halo[d][0]);
@@ -298,10 +303,9 @@ impl HaloExchange for Mpi1Halo<'_> {
             self.comm.isend(&lo_face, down, tag + 4 + d as u32).unwrap().wait(self.comm.ep());
             r1.wait(self.comm.ep());
             r2.wait(self.comm.ep());
-            halo[d][0] = Lattice::decode_face(&from_down);
-            halo[d][1] = Lattice::decode_face(&from_up);
+            Lattice::decode_face(&from_down, &mut halo[d][0]);
+            Lattice::decode_face(&from_up, &mut halo[d][1]);
         }
-        halo
     }
 }
 
@@ -332,6 +336,17 @@ impl HaloLayout {
     fn flag(d: usize, side: usize) -> usize {
         (2 * d + side) * 8
     }
+
+    /// A byte buffer that holds two faces of any dimension.
+    fn face_buffer(&self) -> Vec<u8> {
+        Vec::with_capacity(2 * self.face_bytes.iter().max().unwrap())
+    }
+}
+
+/// `buf` resized to `len` bytes, within its capacity once it has grown.
+fn sized(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    buf.resize(len, 0);
+    &mut buf[..len]
 }
 
 /// foMPI RMA backend: put + fetch_and_op notify inside a lock_all epoch.
@@ -339,6 +354,9 @@ pub struct RmaHalo {
     /// Window holding the 8 iteration counters + halo landing zones.
     pub win: Win,
     lay: HaloLayout,
+    /// Every face packed for a put or read out of a landing zone passes
+    /// through this one buffer.
+    buf: Vec<u8>,
 }
 
 impl RmaHalo {
@@ -347,7 +365,7 @@ impl RmaHalo {
         let lay = HaloLayout::new(ctx, cfg);
         let win = Win::allocate(ctx, lay.total, 1).expect("milc window");
         win.lock_all().expect("milc lock_all");
-        RmaHalo { win, lay }
+        RmaHalo { win, buf: lay.face_buffer(), lay }
     }
 
     /// Release the epoch and free the window (collective).
@@ -360,8 +378,8 @@ impl RmaHalo {
     /// monotonic counters (slot 2d = "lo zone filled", written by the down
     /// neighbour's hi face; 2d + 1 = "hi zone filled"), then wait for each
     /// of our own 8 counters to reach this iteration's count and decode
-    /// its zone.
-    fn notify_and_collect(&self, ctx: &RankCtx, lat: &Lattice, iter: usize) -> [[Vec<f64>; 2]; 4] {
+    /// its zone into `halo`.
+    fn notify_and_collect(&mut self, ctx: &RankCtx, lat: &Lattice, iter: usize, halo: &mut Halo) {
         self.win.flush_all().expect("halo flush");
         let one = 1u64.to_le_bytes();
         let mut old = [0u8; 8];
@@ -381,7 +399,6 @@ impl RmaHalo {
             }
         }
         let want = (iter + 1) as u64;
-        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
             for side in 0..2 {
                 let mut spins = 0u64;
@@ -404,12 +421,11 @@ impl RmaHalo {
                     assert!(spins < 200_000_000, "milc halo deadlock");
                     std::thread::yield_now();
                 }
-                let mut bytes = vec![0u8; self.lay.face_bytes[d]];
-                self.win.read_local(self.lay.zone[d][side], &mut bytes);
-                halo[d][side] = Lattice::decode_face(&bytes);
+                let bytes = sized(&mut self.buf, self.lay.face_bytes[d]);
+                self.win.read_local(self.lay.zone[d][side], bytes);
+                Lattice::decode_face(bytes, &mut halo[d][side]);
             }
         }
-        halo
     }
 }
 
@@ -420,21 +436,25 @@ impl HaloExchange for RmaHalo {
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
+        halo: &mut Halo,
+    ) {
         let memcpy = ctx.fabric().model().memcpy_byte_ns;
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
-            let hi_face = lat.pack_face(field, d, true);
-            let lo_face = lat.pack_face(field, d, false);
+            // Both faces back to back: hi, then lo.
+            self.buf.clear();
+            lat.pack_face(field, d, true, &mut self.buf);
+            lat.pack_face(field, d, false, &mut self.buf);
             // Packing into the communication buffer costs a copy.
-            ctx.ep().charge(memcpy * (hi_face.len() + lo_face.len()) as f64);
+            ctx.ep().charge(memcpy * self.buf.len() as f64);
             // Our hi face lands in the up neighbour's lo zone, and vice
             // versa.
-            self.win.put(&hi_face, up, self.lay.zone[d][0]).expect("halo put");
-            self.win.put(&lo_face, down, self.lay.zone[d][1]).expect("halo put");
+            let (hi_face, lo_face) = self.buf.split_at(self.lay.face_bytes[d]);
+            self.win.put(hi_face, up, self.lay.zone[d][0]).expect("halo put");
+            self.win.put(lo_face, down, self.lay.zone[d][1]).expect("halo put");
         }
-        self.notify_and_collect(ctx, lat, iter)
+        self.notify_and_collect(ctx, lat, iter, halo)
     }
 }
 
@@ -443,6 +463,8 @@ impl HaloExchange for RmaHalo {
 pub struct UpcHalo {
     arr: SharedArray,
     lay: HaloLayout,
+    /// The one buffer every face is packed into or pulled through.
+    buf: Vec<u8>,
 }
 
 impl UpcHalo {
@@ -450,7 +472,7 @@ impl UpcHalo {
     /// faces, which the neighbours pull).
     pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> UpcHalo {
         let lay = HaloLayout::new(ctx, cfg);
-        UpcHalo { arr: SharedArray::all_alloc(ctx, lay.total), lay }
+        UpcHalo { arr: SharedArray::all_alloc(ctx, lay.total), buf: lay.face_buffer(), lay }
     }
 }
 
@@ -461,15 +483,17 @@ impl HaloExchange for UpcHalo {
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
+        halo: &mut Halo,
+    ) {
         let want = (iter + 1) as u64;
         // Publish faces in our own chunk: zone (d, 0) = our lo face,
         // zone (d, 1) = our hi face.
         for d in 0..4 {
-            let lo = lat.pack_face(field, d, false);
-            let hi = lat.pack_face(field, d, true);
-            self.arr.write_local(self.lay.zone[d][0], &lo);
-            self.arr.write_local(self.lay.zone[d][1], &hi);
+            for (side, up) in [(0, false), (1, true)] {
+                self.buf.clear();
+                lat.pack_face(field, d, up, &mut self.buf);
+                self.arr.write_local(self.lay.zone[d][side], &self.buf);
+            }
         }
         self.arr.fence();
         // Notify: tell each neighbour its source data is ready.
@@ -480,7 +504,6 @@ impl HaloExchange for UpcHalo {
             self.arr.aadd(down, HaloLayout::flag(d, 1), 1);
         }
         // Wait + pull.
-        let mut halo: [[Vec<f64>; 2]; 4] = Default::default();
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
@@ -496,13 +519,12 @@ impl HaloExchange for UpcHalo {
                 }
                 // side 0: data from down neighbour = its hi face (zone 1);
                 // side 1: data from up neighbour = its lo face (zone 0).
-                let mut bytes = vec![0u8; self.lay.face_bytes[d]];
-                self.arr.memget_nb(&mut bytes, peer, self.lay.zone[d][zone]);
+                let bytes = sized(&mut self.buf, self.lay.face_bytes[d]);
+                self.arr.memget_nb(bytes, peer, self.lay.zone[d][zone]);
                 self.arr.fence();
-                halo[d][side] = Lattice::decode_face(&bytes);
+                Lattice::decode_face(bytes, &mut halo[d][side]);
             }
         }
-        halo
     }
 }
 
@@ -522,6 +544,8 @@ pub struct RmaTypedHalo {
     rma: RmaHalo,
     /// Face datatypes, `[d][side]`, side 0 = lo face, 1 = hi face.
     face_ty: [[fompi::DataType; 2]; 4],
+    /// A landing zone's layout, per dimension: its face bytes, dense.
+    zone_ty: [fompi::DataType; 4],
 }
 
 /// The faces of a `local` lattice as subarray datatypes over the field's
@@ -546,7 +570,11 @@ fn face_types(local: [usize; 4]) -> [[fompi::DataType; 2]; 4] {
 impl RmaTypedHalo {
     /// Build the window and the face subarray types.
     pub fn new(ctx: &RankCtx, cfg: &MilcConfig) -> RmaTypedHalo {
-        RmaTypedHalo { rma: RmaHalo::new(ctx, cfg), face_ty: face_types(cfg.local) }
+        let rma = RmaHalo::new(ctx, cfg);
+        let zone_ty = std::array::from_fn(|d| {
+            fompi::DataType::contiguous(rma.lay.face_bytes[d], fompi::DataType::byte())
+        });
+        RmaTypedHalo { rma, face_ty: face_types(cfg.local), zone_ty }
     }
 
     /// Release the epoch and free the window (collective).
@@ -562,23 +590,26 @@ impl HaloExchange for RmaTypedHalo {
         lat: &Lattice,
         field: &[f64],
         iter: usize,
-    ) -> [[Vec<f64>; 2]; 4] {
-        // One byte view of the field (the host-language copy is an artifact
-        // of Rust slices; the *model* cost is only the typed puts — the
-        // point of zero-copy).
-        let bytes: Vec<u8> = field.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let (win, lay) = (&self.rma.win, &self.rma.lay);
+        halo: &mut Halo,
+    ) {
+        // One byte view of the field, in the backend's buffer (the
+        // host-language copy is an artifact of Rust slices; the *model*
+        // cost is only the typed puts — the point of zero-copy).
+        let rma = &mut self.rma;
+        rma.buf.clear();
+        rma.buf.extend(field.iter().flat_map(|v| v.to_le_bytes()));
+        let (win, lay) = (&rma.win, &rma.lay);
         for d in 0..4 {
             let up = lat.neighbor(d, true) as u32;
             let down = lat.neighbor(d, false) as u32;
-            let dense = fompi::DataType::contiguous(lay.face_bytes[d], fompi::DataType::byte());
+            let dense = &self.zone_ty[d];
             // hi face → up neighbour's lo zone; lo face → down's hi zone.
-            win.put_typed(&bytes, 1, &self.face_ty[d][1], up, lay.zone[d][0], 1, &dense)
+            win.put_typed(&rma.buf, 1, &self.face_ty[d][1], up, lay.zone[d][0], 1, dense)
                 .expect("typed halo put");
-            win.put_typed(&bytes, 1, &self.face_ty[d][0], down, lay.zone[d][1], 1, &dense)
+            win.put_typed(&rma.buf, 1, &self.face_ty[d][0], down, lay.zone[d][1], 1, dense)
                 .expect("typed halo put");
         }
-        self.rma.notify_and_collect(ctx, lat, iter)
+        rma.notify_and_collect(ctx, lat, iter, halo)
     }
 }
 
@@ -622,12 +653,15 @@ pub fn run_cg(
     let mut ax = vec![0.0f64; nvals];
     let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
     let mut residuals = Vec::with_capacity(cfg.iters);
+    let mut h: Halo = std::array::from_fn(|d| {
+        std::array::from_fn(|_| vec![0.0f64; lat.face_sites(d) * SITE_F64])
+    });
     ctx.barrier();
     let t0 = ctx.now();
     let mut rr = [dot(&r, &r)];
     allreduce(ctx, &mut rr);
     for it in 0..cfg.iters {
-        let h = halo.exchange(ctx, &lat, &pvec, it);
+        halo.exchange(ctx, &lat, &pvec, it, &mut h);
         lat.apply_stencil(ctx, &pvec, &h, &mut ax);
         ctx.ep().charge_flops(2.0 * nvals as f64); // dot
         let mut pap = [dot(&pvec, &ax)];
@@ -786,7 +820,8 @@ mod tests {
         for d in 0..4 {
             for side in 0..2 {
                 let typed = types[d][side].pack(1, &bytes);
-                let packed = lat.pack_face(&field, d, side == 1);
+                let mut packed = Vec::new();
+                lat.pack_face(&field, d, side == 1, &mut packed);
                 assert_eq!(typed, packed, "dim {d} side {side}");
             }
         }
@@ -833,6 +868,75 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A field that differs per rank and per iteration.
+    fn probe_field(lat: &Lattice, rank: usize, iter: usize) -> Vec<f64> {
+        (0..lat.volume() * SITE_F64)
+            .map(|i| (rank * 1000 + iter * 100) as f64 + i as f64 / 8.0)
+            .collect()
+    }
+
+    /// What `halo[d][side]` holds on `rank` after the exchange of `iter`:
+    /// the down neighbour's hi face (side 0) or the up neighbour's lo face.
+    fn neighbours_faces(p: usize, cfg: &MilcConfig, rank: usize, iter: usize) -> Halo {
+        let lat = Lattice::new(rank, p, cfg);
+        std::array::from_fn(|d| {
+            std::array::from_fn(|side| {
+                let nb = lat.neighbor(d, side == 1);
+                let nlat = Lattice::new(nb, p, cfg);
+                let mut bytes = Vec::new();
+                nlat.pack_face(&probe_field(&nlat, nb, iter), d, side == 0, &mut bytes);
+                let mut face = vec![0.0; lat.face_sites(d) * SITE_F64];
+                Lattice::decode_face(&bytes, &mut face);
+                face
+            })
+        })
+    }
+
+    /// Three exchanges into one halo, each checked bit for bit. A barrier
+    /// stands for the solver's allreduce: no rank overwrites a landing
+    /// zone before its owner has read it.
+    fn exchanges(ctx: &RankCtx, cfg: &MilcConfig, mut backend: impl HaloExchange, name: &str) {
+        let (rank, p) = (ctx.rank() as usize, ctx.size());
+        let lat = Lattice::new(rank, p, cfg);
+        let mut halo: Halo = std::array::from_fn(|d| {
+            std::array::from_fn(|_| vec![f64::NAN; lat.face_sites(d) * SITE_F64])
+        });
+        for iter in 0..3 {
+            backend.exchange(ctx, &lat, &probe_field(&lat, rank, iter), iter, &mut halo);
+            let want = neighbours_faces(p, cfg, rank, iter);
+            for (d, (got, want)) in halo.iter().zip(&want).enumerate() {
+                for side in 0..2 {
+                    let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got[side]),
+                        bits(&want[side]),
+                        "{name}: p = {p} rank {rank} iteration {iter} d = {d} side {side}"
+                    );
+                }
+            }
+            ctx.barrier();
+        }
+    }
+
+    #[test]
+    fn reused_halos_hold_the_neighbours_faces_on_every_backend() {
+        let cfg = MilcConfig { local: [2, 3, 2, 4], iters: 3, seed: 1 };
+        for p in [1, 2, 8] {
+            let engine = MsgEngine::new(p);
+            Universe::new(p).node_size(p.min(4)).run(move |ctx| {
+                let comm = Comm::attach(ctx, &engine);
+                exchanges(ctx, &cfg, Mpi1Halo { comm: &comm }, "MPI-1");
+                let mut rma = RmaHalo::new(ctx, &cfg);
+                exchanges(ctx, &cfg, &mut rma, "RMA");
+                rma.finish(ctx);
+                let mut typed = RmaTypedHalo::new(ctx, &cfg);
+                exchanges(ctx, &cfg, &mut typed, "typed RMA");
+                typed.finish(ctx);
+                exchanges(ctx, &cfg, UpcHalo::new(ctx, &cfg), "UPC");
+            });
         }
     }
 

@@ -23,7 +23,6 @@ use crate::win::{AccessEpoch, ExposureEpoch, Win};
 use fompi_fabric::telemetry::{EventKind, NO_TARGET};
 use fompi_fabric::AmoOp;
 use fompi_runtime::Group;
-use std::collections::HashSet;
 
 impl Win {
     /// MPI_Win_post: open an exposure epoch for `group`. Announces this
@@ -76,7 +75,11 @@ impl Win {
     pub fn start(&self, group: &Group) -> Result<()> {
         self.require(|st| st.access == AccessEpoch::None, "start during open access epoch")?;
         let frame = self.enter();
-        let mut needed: HashSet<u32> = group.iter().collect();
+        // The origins still unmatched, in storage the window keeps between
+        // epochs (taken out, so the scans below may borrow the state; a
+        // start that returned left it empty).
+        let mut needed = std::mem::take(&mut self.state.borrow_mut().unmatched);
+        needed.extend(group.iter());
         // (An empty group has nothing to scan for, not even once.)
         if !group.is_empty() {
             let what = "matching MPI_Win_post calls";
@@ -96,7 +99,10 @@ impl Win {
                 })?;
             }
         }
-        self.state.borrow_mut().access = AccessEpoch::Pscw(group.clone());
+        let mut st = self.state.borrow_mut();
+        st.unmatched = needed;
+        st.access = AccessEpoch::Pscw(group.clone());
+        drop(st);
         self.leave(frame, EventKind::Start, NO_TARGET);
         Ok(())
     }
@@ -187,7 +193,7 @@ impl Win {
 
     /// Fast-path scan: the pool is a slot array; consume announcements by
     /// zeroing the slot (purely local operations).
-    fn reap_matches_fast(&self, needed: &mut HashSet<u32>) -> Result<()> {
+    fn reap_matches_fast(&self, needed: &mut Vec<u32>) -> Result<()> {
         let me = self.ep.rank();
         let mkey = self.meta_key(me);
         for slot in 0..self.shared.cfg.pscw_pool as u32 {
@@ -198,7 +204,7 @@ impl Win {
             let v = self.ep.read_sync(mkey, soff)?;
             if v != 0 {
                 let origin = (v - 1) as u32;
-                if needed.remove(&origin) {
+                if matched(needed, origin) {
                     self.ep.write_sync(mkey, soff, 0)?;
                 }
             }
@@ -210,7 +216,7 @@ impl Win {
     /// whose origin is still `needed`. Only the owner unlinks, so interior
     /// updates are safe; head removal races only with new pushes and is
     /// resolved by CAS. Returns the head word the final pass read.
-    fn reap_matches(&self, needed: &mut HashSet<u32>) -> Result<u64> {
+    fn reap_matches(&self, needed: &mut Vec<u32>) -> Result<u64> {
         let me = self.ep.rank();
         let mkey = self.meta_key(me);
         let cfg = &self.shared.cfg;
@@ -233,7 +239,7 @@ impl Win {
                                 cfg.pool_off(p),
                                 meta::pack_elem(porigin, next),
                             )?;
-                            needed.remove(&origin);
+                            matched(needed, origin);
                             self.list_free_local(cur)?;
                             cur = next;
                         }
@@ -247,7 +253,7 @@ impl Win {
                                 mh,
                             )?;
                             if old == mh {
-                                needed.remove(&origin);
+                                matched(needed, origin);
                                 self.list_free_local(cur)?;
                             }
                             continue 'restart;
@@ -261,4 +267,10 @@ impl Win {
             return Ok(mh);
         }
     }
+}
+
+/// Strike `origin` off the unmatched origins; whether it was on them.
+fn matched(needed: &mut Vec<u32>, origin: u32) -> bool {
+    let at = needed.iter().position(|&r| r == origin);
+    at.map(|i| needed.swap_remove(i)).is_some()
 }

@@ -111,6 +111,9 @@ pub(crate) struct EpochState {
     pub locks: HashMap<u32, LockType>,
     /// Targets locked with MPI_MODE_NOCHECK (no protocol state to release).
     pub nocheck: std::collections::HashSet<u32>,
+    /// The origins a PSCW `start` has not matched yet. Only `start` uses
+    /// it; it lives here so that a warm `start` reuses its storage.
+    pub unmatched: Vec<u32>,
 }
 
 impl EpochState {
@@ -120,6 +123,7 @@ impl EpochState {
             exposure: ExposureEpoch::None,
             locks: HashMap::new(),
             nocheck: std::collections::HashSet::new(),
+            unmatched: Vec::new(),
         }
     }
 }

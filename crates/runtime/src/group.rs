@@ -1,10 +1,13 @@
 //! Process groups (the `group` argument of PSCW synchronisation).
 
+use std::sync::Arc;
+
 /// An ordered set of ranks. Used for PSCW access/exposure groups and for
-/// subset collectives.
+/// subset collectives. Clones share the rank list, so an epoch that keeps
+/// its group costs a reference count, not an allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
-    ranks: Vec<u32>,
+    ranks: Arc<[u32]>,
 }
 
 impl Group {
@@ -22,7 +25,7 @@ impl Group {
 
     /// Empty group.
     pub fn empty() -> Self {
-        Self { ranks: Vec::new() }
+        Self { ranks: Arc::new([]) }
     }
 
     /// Number of members.
@@ -74,5 +77,13 @@ mod tests {
     fn world_and_empty() {
         assert_eq!(Group::world(3).ranks(), &[0, 1, 2]);
         assert!(Group::empty().is_empty());
+    }
+
+    #[test]
+    fn a_clone_shares_its_storage() {
+        let g = Group::new([4, 2]);
+        let c = g.clone();
+        assert_eq!(c, g);
+        assert!(std::ptr::eq(c.ranks(), g.ranks()), "a clone must not copy the ranks");
     }
 }

@@ -48,7 +48,7 @@ pub mod txn;
 pub mod versioned;
 
 pub use retry::RetryPolicy;
-pub use txn::{run, CommitStats, Txn};
+pub use txn::{run, run_with, CommitStats, Txn, TxnSets};
 pub use versioned::{versions_consistent, VersionedCell};
 
 use fompi::FompiError;
@@ -96,6 +96,19 @@ pub enum TxnError {
         /// Cells examined before giving up.
         probed: usize,
     },
+    /// A payload buffer that is not the cell's payload size was handed to a
+    /// read or a write. Refused before any fabric op; not transient — a
+    /// retry passes the same buffer.
+    PayloadSize {
+        /// Rank owning the cell.
+        target: u32,
+        /// Displacement of the cell's version word.
+        disp: usize,
+        /// The cell's payload bytes.
+        expected: usize,
+        /// The buffer's bytes.
+        got: usize,
+    },
     /// An underlying RMA error (epoch misuse, bounds, fabric faults).
     Fompi(FompiError),
 }
@@ -115,7 +128,9 @@ impl TxnError {
             TxnError::Conflict { .. }
             | TxnError::TornRead { .. }
             | TxnError::RetriesExhausted { .. } => true,
-            TxnError::BlindWrite { .. } | TxnError::Full { .. } => false,
+            TxnError::BlindWrite { .. } | TxnError::Full { .. } | TxnError::PayloadSize { .. } => {
+                false
+            }
             TxnError::Fompi(e) => e.is_transient(),
         }
     }
@@ -139,6 +154,10 @@ impl std::fmt::Display for TxnError {
             TxnError::Full { target, probed } => {
                 write!(f, "no free cell among the {probed} probed on rank={target}: structure full")
             }
+            TxnError::PayloadSize { target, disp, expected, got } => write!(
+                f,
+                "payload buffer of {got} bytes for cell rank={target} disp={disp}, which holds {expected}"
+            ),
             TxnError::Fompi(e) => write!(f, "rma error in transaction: {e}"),
         }
     }

@@ -55,7 +55,34 @@ struct ReadEntry {
 struct WriteEntry {
     cell: VersionedCell,
     version: u64,
-    payload: Vec<u8>,
+    /// Where the staged payload starts in [`TxnSets::payloads`].
+    at: usize,
+}
+
+/// The storage of a transaction: its read set, its write set and the
+/// payload bytes it staged. [`run_with`] lends it to every attempt and
+/// takes it back, so a caller that keeps one across transactions (as
+/// `fompi_apps::kv::KvStore` does) allocates only while the sets grow.
+#[derive(Default)]
+pub struct TxnSets {
+    reads: Vec<ReadEntry>,
+    writes: Vec<WriteEntry>,
+    /// Every staged payload, back to back, in staging order.
+    payloads: Vec<u8>,
+}
+
+impl TxnSets {
+    /// Forget all three, keeping their storage.
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.payloads.clear();
+    }
+
+    /// The payload `w` staged.
+    fn payload(&self, w: &WriteEntry) -> &[u8] {
+        &self.payloads[w.at..w.at + w.cell.payload_len]
+    }
 }
 
 /// What a successful commit did.
@@ -70,8 +97,7 @@ pub struct CommitStats {
 /// One transaction attempt over a window.
 pub struct Txn<'w> {
     win: &'w Win,
-    reads: Vec<ReadEntry>,
-    writes: Vec<WriteEntry>,
+    sets: TxnSets,
     /// Index in `reads` of the cell the latest [`Txn::read`] read: where a
     /// read-only transaction serialises (module docs, phase 2).
     last_read: usize,
@@ -82,14 +108,7 @@ impl<'w> Txn<'w> {
     /// [`commit`](Txn::commit) aborts for free — no remote state is
     /// touched before the commit phases.
     pub fn begin(win: &'w Win) -> Txn<'w> {
-        Txn { win, reads: Vec::new(), writes: Vec::new(), last_read: 0 }
-    }
-
-    /// Forget both sets, keeping their storage: the next attempt of
-    /// [`run`] starts from an empty transaction without reallocating.
-    fn clear(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
+        Txn { win, sets: TxnSets::default(), last_read: 0 }
     }
 
     /// Versioned read of `cell` into `buf`, recording the observed
@@ -97,15 +116,16 @@ impl<'w> Txn<'w> {
     /// (transient) — the retry driver re-runs the body.
     pub fn read(&mut self, cell: VersionedCell, buf: &mut [u8]) -> Result<u64> {
         let version = cell.read(self.win, buf)?;
-        match self.reads.iter().position(|r| r.cell == cell) {
+        let reads = &mut self.sets.reads;
+        match reads.iter().position(|r| r.cell == cell) {
             // Re-reading a cell inside one attempt must see one snapshot.
-            Some(prev) if self.reads[prev].version != version => {
+            Some(prev) if reads[prev].version != version => {
                 return Err(TxnError::TornRead { target: cell.target, disp: cell.disp });
             }
             Some(prev) => self.last_read = prev,
             None => {
-                self.last_read = self.reads.len();
-                self.reads.push(ReadEntry { cell, version });
+                self.last_read = reads.len();
+                reads.push(ReadEntry { cell, version });
             }
         }
         Ok(version)
@@ -113,16 +133,22 @@ impl<'w> Txn<'w> {
 
     /// Stage `payload` for `cell`. The cell must have been read by *this*
     /// transaction — the observed version is what commit validates — so a
-    /// blind write is rejected. Restaging replaces the earlier payload.
+    /// blind write is rejected, and so is a payload that is not the cell's
+    /// size ([`TxnError::PayloadSize`]). Restaging replaces the earlier
+    /// payload.
     pub fn write(&mut self, cell: VersionedCell, payload: &[u8]) -> Result<()> {
-        assert_eq!(payload.len(), cell.payload_len, "staged payload size mismatch");
-        let Some(read) = self.reads.iter().find(|r| r.cell == cell) else {
+        cell.check_len(payload.len())?;
+        let sets = &mut self.sets;
+        let Some(read) = sets.reads.iter().find(|r| r.cell == cell) else {
             return Err(TxnError::BlindWrite { target: cell.target, disp: cell.disp });
         };
         let version = read.version;
-        match self.writes.iter_mut().find(|w| w.cell == cell) {
-            Some(w) => w.payload.copy_from_slice(payload),
-            None => self.writes.push(WriteEntry { cell, version, payload: payload.to_vec() }),
+        match sets.writes.iter().find(|w| w.cell == cell) {
+            Some(w) => sets.payloads[w.at..w.at + payload.len()].copy_from_slice(payload),
+            None => {
+                sets.writes.push(WriteEntry { cell, version, at: sets.payloads.len() });
+                sets.payloads.extend_from_slice(payload);
+            }
         }
         Ok(())
     }
@@ -142,11 +168,11 @@ impl<'w> Txn<'w> {
         let ep = win.endpoint();
         let t0 = ep.clock().now();
         // Global lock order: (rank, disp) sorts identically everywhere.
-        self.writes.sort_by_key(|w| (w.cell.target, w.cell.disp));
+        self.sets.writes.sort_by_key(|w| (w.cell.target, w.cell.disp));
+        let sets = &self.sets;
 
         // Phase 1: lock+validate the write set.
-        for i in 0..self.writes.len() {
-            let w = &self.writes[i];
+        for (i, w) in sets.writes.iter().enumerate() {
             let prev = w.cell.cas_version(win, w.version + 1, w.version)?;
             if prev != w.version {
                 self.rollback(i)?;
@@ -157,13 +183,13 @@ impl<'w> Txn<'w> {
         // versions. Write-set cells were validated by the lock CAS, and a
         // read-only transaction serialises at its last read, which needs
         // no second look.
-        let read_only = self.writes.is_empty();
-        for (i, r) in self.reads.iter().enumerate() {
-            if self.writes.iter().any(|w| w.cell == r.cell) || (read_only && i == self.last_read) {
+        let read_only = sets.writes.is_empty();
+        for (i, r) in sets.reads.iter().enumerate() {
+            if sets.writes.iter().any(|w| w.cell == r.cell) || (read_only && i == self.last_read) {
                 continue;
             }
             if r.cell.fetch_version(win)? != r.version {
-                self.rollback(self.writes.len())?;
+                self.rollback(sets.writes.len())?;
                 return Err(TxnError::Conflict { target: r.cell.target, disp: r.cell.disp });
             }
         }
@@ -171,25 +197,26 @@ impl<'w> Txn<'w> {
         // A read-only transaction has nothing in flight to fence.
         if !read_only {
             // Phase 3: write payloads, fence before publication.
-            for w in &self.writes {
+            for w in &sets.writes {
+                let payload = sets.payload(w);
                 win.accumulate(
-                    &w.payload,
+                    payload,
                     NumKind::U64,
                     MpiOp::Replace,
                     w.cell.target,
                     w.cell.disp + 8,
                 )?;
-                bytes += w.payload.len();
+                bytes += payload.len();
             }
             win.flush_all()?;
             // Phase 4: publish — the unlock CAS cannot miss (we hold v+1).
-            for w in &self.writes {
+            for w in &sets.writes {
                 let prev = w.cell.cas_version(win, w.version + 2, w.version + 1)?;
                 debug_assert_eq!(prev, w.version + 1, "lock word stolen while held");
             }
             win.flush_all()?;
         }
-        let keys = self.writes.len();
+        let keys = sets.writes.len();
         ep.trace_flow_consume(EventKind::TxnCommit, NO_TARGET, t0, NO_FLOW, bytes as u64);
         Ok(CommitStats { keys, bytes })
     }
@@ -197,7 +224,7 @@ impl<'w> Txn<'w> {
     /// Unlock the first `locked` write-set cells (`v+1 → v`) after a lost
     /// lock or failed validation.
     fn rollback(&self, locked: usize) -> Result<()> {
-        for w in &self.writes[..locked] {
+        for w in &self.sets.writes[..locked] {
             let prev = w.cell.cas_version(self.win, w.version, w.version + 1)?;
             debug_assert_eq!(prev, w.version + 1, "lock word stolen during rollback");
         }
@@ -218,28 +245,41 @@ pub fn run<T>(
     win: &Win,
     policy: &RetryPolicy,
     rng: &mut Rng,
+    body: impl FnMut(&mut Txn) -> Result<T>,
+) -> Result<T> {
+    run_with(win, &mut TxnSets::default(), policy, rng, body)
+}
+
+/// [`run`] in the storage of `sets`, which every attempt starts from empty
+/// and which holds its grown capacity again on return.
+pub fn run_with<T>(
+    win: &Win,
+    sets: &mut TxnSets,
+    policy: &RetryPolicy,
+    rng: &mut Rng,
     mut body: impl FnMut(&mut Txn) -> Result<T>,
 ) -> Result<T> {
     let ep = win.endpoint();
     let mut attempts = 0u32;
-    let mut txn = Txn::begin(win);
-    loop {
+    let mut txn = Txn { win, sets: std::mem::take(sets), last_read: 0 };
+    let res = loop {
         let t0 = ep.clock().now();
-        txn.clear();
+        txn.sets.clear();
         let res = body(&mut txn).and_then(|v| txn.commit_attempt().map(|_| v));
         match res {
-            Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => {
                 ep.trace_flow_consume(EventKind::TxnAbort, NO_TARGET, t0, NO_FLOW, 0);
                 attempts += 1;
                 if attempts >= policy.budget() {
-                    return Err(TxnError::RetriesExhausted { attempts });
+                    break Err(TxnError::RetriesExhausted { attempts });
                 }
                 ep.charge(policy.backoff_ns(attempts, rng));
             }
-            Err(e) => return Err(e),
+            res => break res,
         }
-    }
+    };
+    *sets = txn.sets;
+    res
 }
 
 #[cfg(test)]
@@ -309,6 +349,49 @@ mod tests {
                 assert!(matches!(e, TxnError::BlindWrite { target: 1, disp: 0 }));
                 assert!(!e.is_transient(), "a blind write is a program bug, not contention");
             }
+            win.unlock_all().unwrap();
+            ctx.barrier();
+        });
+    }
+
+    #[test]
+    fn a_wrong_size_buffer_is_refused_before_any_fabric_op() {
+        Universe::new(2).node_size(1).seed(7).faults(FaultPlan::disabled()).launch(|ctx| {
+            let win = fompi::Win::allocate(ctx, CELL, 1).unwrap();
+            VersionedCell::init_local(&win, 0, &[0u8; PAY]);
+            ctx.barrier();
+            win.lock_all().unwrap();
+            // Rank 1 issues nothing while rank 0 reads the job's counters.
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let c = cell(1, 0);
+                let counters = ctx.fabric().counters();
+                let refused = |e: TxnError, len: usize| {
+                    assert!(
+                        matches!(e, TxnError::PayloadSize { target: 1, disp: 0, expected: PAY, got }
+                            if got == len),
+                        "{e:?}"
+                    );
+                    assert!(!e.is_transient(), "a retry passes the same buffer");
+                };
+                let mut txn = Txn::begin(&win);
+                let before = counters.snapshot();
+                for len in [0, 4, 2 * PAY] {
+                    let mut buf = vec![0u8; len];
+                    refused(c.read(&win, &mut buf).unwrap_err(), len);
+                    refused(txn.read(c, &mut buf).unwrap_err(), len);
+                    // The size is checked first, even on a blind write.
+                    refused(txn.write(c, &buf).unwrap_err(), len);
+                }
+                assert_eq!(counters.snapshot().since(&before), Default::default());
+                // The transaction is still usable: a read, a refused write of
+                // the wrong size, the right one, and a commit.
+                let v = read_u64(&mut txn, c).unwrap();
+                refused(txn.write(c, &[0u8; 2 * PAY]).unwrap_err(), 2 * PAY);
+                txn.write(c, &(v + 1).to_le_bytes()).unwrap();
+                assert_eq!(txn.commit().unwrap(), CommitStats { keys: 1, bytes: PAY });
+            }
+            ctx.barrier();
             win.unlock_all().unwrap();
             ctx.barrier();
         });

@@ -88,27 +88,33 @@ impl VersionedCell {
         Ok(win.compare_and_swap(desired, expect, self.target, self.disp)?)
     }
 
-    /// Atomically read the payload (no version check — used between the
-    /// two version fetches of [`VersionedCell::read`]).
-    pub(crate) fn fetch_payload(&self, win: &Win, buf: &mut [u8]) -> Result<()> {
-        assert_eq!(buf.len(), self.payload_len, "payload buffer size mismatch");
-        win.get_accumulate(&[], buf, NumKind::U64, MpiOp::NoOp, self.target, self.disp + 8)?;
-        Ok(())
+    /// Refuse a payload buffer of `got` bytes unless it is this cell's
+    /// size ([`TxnError::PayloadSize`]); callers check before any fabric op.
+    pub(crate) fn check_len(&self, got: usize) -> Result<()> {
+        if got == self.payload_len {
+            return Ok(());
+        }
+        let (target, disp, expected) = (self.target, self.disp, self.payload_len);
+        Err(TxnError::PayloadSize { target, disp, expected, got })
     }
 
     /// One versioned read: version fetch, atomic payload read, version
     /// re-check. On success returns the (even) version the payload is
     /// consistent with and records a `txn_read` telemetry span; a locked
     /// or moving version fails with [`TxnError::TornRead`] (transient —
-    /// retry, e.g. via [`crate::run`]).
+    /// retry, e.g. via [`crate::run`]). A `buf` that is not `payload_len`
+    /// bytes is refused with [`TxnError::PayloadSize`] before the first
+    /// fetch.
     pub fn read(&self, win: &Win, buf: &mut [u8]) -> Result<u64> {
+        self.check_len(buf.len())?;
         let ep = win.endpoint();
         let t0 = ep.clock().now();
         let v1 = self.fetch_version(win)?;
         if v1 & 1 == 1 {
             return Err(TxnError::TornRead { target: self.target, disp: self.disp });
         }
-        self.fetch_payload(win, buf)?;
+        // The payload, atomically, between the two version fetches.
+        win.get_accumulate(&[], buf, NumKind::U64, MpiOp::NoOp, self.target, self.disp + 8)?;
         let v2 = self.fetch_version(win)?;
         if !versions_consistent(v1, v2) {
             return Err(TxnError::TornRead { target: self.target, disp: self.disp });

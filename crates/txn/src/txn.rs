@@ -274,6 +274,12 @@ pub fn run_with<T>(
                     break Err(TxnError::RetriesExhausted { attempts });
                 }
                 ep.charge(policy.backoff_ns(attempts, rng));
+                // The backoff passes on the virtual clock only. On the wall
+                // clock, let a peer that holds the lock we lost to run
+                // first: rank threads share cores, and without this one
+                // rank can spend its whole budget while the holder waits
+                // for a core.
+                std::thread::yield_now();
             }
             res => break res,
         }

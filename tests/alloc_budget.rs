@@ -67,13 +67,11 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// What `run` allocates on this thread, its result dropped after the count.
+/// What `run` allocates on this thread (its result included).
 fn allocs_of<R>(run: impl FnOnce() -> R) -> u64 {
     let before = allocs();
-    let out = run();
-    let n = allocs() - before;
-    drop(out);
-    n
+    let _out = run();
+    allocs() - before
 }
 
 /// Calls counted per row, after `WARM` uncounted ones.

@@ -5,7 +5,6 @@
 //! cargo run --release -p fompi-bench --bin fleet -- --smoke # small sweep -> results/fleet_summary.json
 //! cargo run --release -p fompi-bench --bin fleet -- --sweep # full rank sweep
 //! cargo run --release -p fompi-bench --bin fleet -- --chaos # sweep under FOMPI_FAULTS -> results/fleet_chaos.json
-//! cargo run --release -p fompi-bench --bin fleet -- --gate  # smoke sweep vs results/fleet_baseline.json
 //! ```
 //!
 //! Unlike every other bench in this repo, the fleet runs its workloads as
@@ -15,15 +14,12 @@
 //! `/proc`, and the per-agent histogram snapshots are merged into one
 //! fleet summary — p50/p99/p999 per op class per configuration plus exact
 //! fleet-wide distributions. The summary holds only virtual-time data
-//! from schedule-independent agents, so it is byte-stable and CI diffs
-//! it; the wall-clock side — and every schedule-dependent agent's numbers
-//! — land in the human sweep table (stdout + `results/fleet_sweep.txt`).
-//!
-//! `--gate` compares the freshly merged summary against a checked-in
-//! baseline with per-metric tolerances (`fompi_fleet::gate`, shared with
-//! perfgate) and exits 2 on a regression, 3 on a missing/unparseable
-//! baseline. `--slowdown <pct>` synthetically inflates the virtual-ns
-//! metrics first — the gate's own smoke test, wired into ci.sh.
+//! from schedule-independent agents, so it is byte-stable and
+//! `scripts/ci.sh determinism` byte-diffs it: after a deliberate change,
+//! rerun `--smoke`, review `git diff` and commit. The wall-clock side —
+//! and every schedule-dependent agent's numbers — land in the human sweep
+//! table (stdout + `results/fleet_sweep.txt`). Agents are spawned from
+//! the directory of the `fleet` binary itself.
 //!
 //! Agents run under a scrubbed environment (every `FOMPI_*` knob
 //! removed) so ambient shell state cannot perturb the summary; `--chaos`
@@ -32,11 +28,9 @@
 //! summary is deterministic).
 
 use fompi_fleet::{
-    compare, expand_argv, flatten_summary, fleet_tolerance, parse_agent_json, render_summary,
-    render_table, run_agent, AgentSpec, ConfigResult, EXIT_BASELINE, EXIT_REGRESSED,
+    expand_argv, parse_agent_json, render_summary, render_table, run_agent, AgentSpec, ConfigResult,
 };
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Duration;
 
@@ -171,80 +165,26 @@ const CHAOS_PLAN: &str = "heavy,seed=5";
 /// Seed every sweep point runs with.
 const SEED: u64 = 1;
 
-/// Smoke/gate sweeps stop at this rank count; `--sweep`/`--chaos` run the
+/// The smoke sweep stops at this rank count; `--sweep`/`--chaos` run the
 /// registry's full rank lists.
 const SMOKE_MAX_RANKS: usize = 4;
 
-struct Cli {
-    mode: Mode,
-    bin_dir: Option<PathBuf>,
-    baseline: String,
-    slowdown_pct: f64,
-}
+/// A hung agent is killed after this long, and the sweep fails naming it.
+const AGENT_TIMEOUT: Duration = Duration::from_secs(300);
 
 #[derive(PartialEq, Clone, Copy)]
 enum Mode {
     Smoke,
     Sweep,
     Chaos,
-    Gate,
-}
-
-fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        mode: Mode::Smoke,
-        bin_dir: None,
-        baseline: "results/fleet_baseline.json".into(),
-        slowdown_pct: 0.0,
-    };
-    let mut mode_set = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" | "--sweep" | "--chaos" | "--gate" => {
-                cli.mode = match a.as_str() {
-                    "--smoke" => Mode::Smoke,
-                    "--sweep" => Mode::Sweep,
-                    "--chaos" => Mode::Chaos,
-                    _ => Mode::Gate,
-                };
-                mode_set = true;
-            }
-            "--bin-dir" => cli.bin_dir = Some(args.next().ok_or("--bin-dir needs a path")?.into()),
-            "--baseline" => cli.baseline = args.next().ok_or("--baseline needs a path")?,
-            "--slowdown" => {
-                cli.slowdown_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--slowdown needs a percentage")?
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if !mode_set {
-        return Err("pick a mode: --smoke | --sweep | --chaos | --gate".into());
-    }
-    Ok(cli)
-}
-
-fn bin_dir(cli: &Cli) -> Result<PathBuf, String> {
-    if let Some(d) = &cli.bin_dir {
-        return Ok(d.clone());
-    }
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-        .ok_or_else(|| "cannot locate own binary directory; pass --bin-dir".into())
-}
-
-fn timeout() -> Duration {
-    let secs = std::env::var("FLEET_TIMEOUT_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(300);
-    Duration::from_secs(secs)
 }
 
 /// Run the sweep: every registry agent at every selected rank count.
-fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
-    let dir = bin_dir(cli)?;
+fn run_sweep(mode: Mode) -> Result<Vec<ConfigResult>, String> {
+    let dir = std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
+        .ok_or("cannot locate the fleet binary's own directory")?;
     // Every row's binary, whether or not this mode runs it: a stale `bin`
     // fails the smoke sweep, not the first nightly that reaches its row.
     for spec in REGISTRY {
@@ -258,8 +198,8 @@ fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
             ));
         }
     }
-    let max_ranks = if cli.mode == Mode::Sweep || chaos { usize::MAX } else { SMOKE_MAX_RANKS };
-    let timeout = timeout();
+    let chaos = mode == Mode::Chaos;
+    let max_ranks = if mode == Mode::Smoke { SMOKE_MAX_RANKS } else { usize::MAX };
     let mut runs = Vec::new();
     let (mut bins, mut backends) = (BTreeSet::new(), BTreeSet::new());
     for spec in REGISTRY {
@@ -277,7 +217,7 @@ fn run_sweep(cli: &Cli, chaos: bool) -> Result<Vec<ConfigResult>, String> {
                 if chaos {
                     cmd.env("FOMPI_FAULTS", CHAOS_PLAN);
                 }
-                let run = run_agent(&label, &mut cmd, timeout)?;
+                let run = run_agent(&label, &mut cmd, AGENT_TIMEOUT)?;
                 if run.exit_code != Some(0) {
                     return Err(format!(
                         "agent {label}: exited with {:?}\n--- stderr ---\n{}",
@@ -320,104 +260,31 @@ fn write_outputs(runs: &[ConfigResult], summary_path: &str, table_path: &str) {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_cli() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("fleet: {e}");
-            eprintln!(
-                "usage: fleet (--smoke | --sweep | --chaos | --gate) \
-                 [--bin-dir <dir>] [--baseline <file>] [--slowdown <pct>]"
-            );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mode, name) = match args.as_slice() {
+        [a] if a == "--smoke" => (Mode::Smoke, "smoke"),
+        [a] if a == "--sweep" => (Mode::Sweep, "full"),
+        [a] if a == "--chaos" => (Mode::Chaos, "chaos"),
+        _ => {
+            eprintln!("usage: fleet (--smoke | --sweep | --chaos)");
             return ExitCode::FAILURE;
         }
     };
-    let chaos = cli.mode == Mode::Chaos;
-    println!(
-        "== fleet: {} sweep ({} agents registered) ==",
-        match cli.mode {
-            Mode::Smoke => "smoke",
-            Mode::Sweep => "full",
-            Mode::Chaos => "chaos",
-            Mode::Gate => "gate (smoke)",
-        },
-        REGISTRY.len()
-    );
-    let runs = match run_sweep(&cli, chaos) {
+    println!("== fleet: {name} sweep ({} agents registered) ==", REGISTRY.len());
+    let runs = match run_sweep(mode) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fleet: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if chaos {
+    if mode == Mode::Chaos {
         write_outputs(&runs, "results/fleet_chaos.json", "results/fleet_chaos_sweep.txt");
         let total_faults: u64 = runs.iter().map(|r| r.metrics.total_faults()).sum();
         println!("fleet: chaos sweep injected {total_faults} faults across {} runs", runs.len());
         assert!(total_faults > 0, "chaos sweep must actually inject faults");
-        return ExitCode::SUCCESS;
+    } else {
+        write_outputs(&runs, "results/fleet_summary.json", "results/fleet_sweep.txt");
     }
-    write_outputs(&runs, "results/fleet_summary.json", "results/fleet_sweep.txt");
-    if cli.mode != Mode::Gate {
-        return ExitCode::SUCCESS;
-    }
-
-    // Gate: flatten the fresh summary and compare against the baseline.
-    let summary = render_summary(&runs);
-    let parsed = fompi_fleet::json::parse(&summary).expect("fleet summary must parse");
-    let mut current = flatten_summary(&parsed).expect("fleet summary must flatten");
-    if cli.slowdown_pct != 0.0 {
-        println!(
-            "fleet: applying synthetic {:.1}% slowdown to virtual_ns metrics",
-            cli.slowdown_pct
-        );
-        for (k, v) in current.iter_mut() {
-            if k.ends_with("/virtual_ns") {
-                *v *= 1.0 + cli.slowdown_pct / 100.0;
-            }
-        }
-    }
-    let base_text = match std::fs::read_to_string(&cli.baseline) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fleet: baseline {} missing/unreadable: {e} (exit 3)", cli.baseline);
-            return ExitCode::from(EXIT_BASELINE);
-        }
-    };
-    let baseline = match fompi_fleet::json::parse(&base_text)
-        .map_err(|e| e.to_string())
-        .and_then(|j| flatten_summary(&j))
-    {
-        Ok(b) if !b.is_empty() => b,
-        Ok(_) => {
-            eprintln!("fleet: baseline {} parsed to zero metrics (exit 3)", cli.baseline);
-            return ExitCode::from(EXIT_BASELINE);
-        }
-        Err(e) => {
-            eprintln!("fleet: baseline {} unparseable: {e} (exit 3)", cli.baseline);
-            return ExitCode::from(EXIT_BASELINE);
-        }
-    };
-    let report = compare(&baseline, &current, &fleet_tolerance);
-    println!(
-        "== fleet gate vs {} ({} metrics; virtual_ns 1%, counts/quantiles exact) ==",
-        cli.baseline, report.checked
-    );
-    for f in &report.failures {
-        match f.now {
-            Some(now) => println!("  FAIL {}: {} -> {now}", f.describe(), f.base),
-            None => println!("  FAIL {}: metric missing from this sweep", f.metric),
-        }
-    }
-    for m in &report.improved {
-        println!("  ok   {m}: improved beyond tolerance [consider refreshing the baseline]");
-    }
-    for m in &report.new_metrics {
-        println!("  note {m}: new metric, not in baseline (refresh to start gating it)");
-    }
-    if !report.passed() {
-        eprintln!("fleet: regression in: {} (exit 2)", report.failure_summary());
-        return ExitCode::from(EXIT_REGRESSED);
-    }
-    println!("fleet: all {} gated metrics within tolerance.", report.checked);
     ExitCode::SUCCESS
 }

@@ -1,20 +1,17 @@
-//! Deterministic virtual-time perf-regression gate.
+//! Virtual-time pins: the §3 primitives and the protocols above them.
 //!
 //! ```text
-//! cargo run --release -p fompi-bench --bin perfgate                  # rewrite results/perfgate_baseline.json
-//! cargo run --release -p fompi-bench --bin perfgate -- --check results/perfgate_baseline.json
+//! cargo run --release -p fompi-bench --bin perfgate   # rewrite results/perfgate.json
 //! ```
 //!
 //! The fabric charges *virtual* time from a fixed cost model, so every
 //! metric here is bit-reproducible: the same binary on any machine, any
-//! load, produces the same JSON. That is what makes a tight (1%) regression
-//! gate workable in CI — there is no measurement noise to absorb, only
-//! genuine model/protocol changes. A regression means a code change made a
-//! protocol charge more virtual time; an improvement means the baseline is
-//! stale and should be regenerated deliberately: run without `--check`,
-//! which rewrites the baseline in place (from the repository root), and
-//! review `git diff`. `--check` writes nothing. The history of the wall
-//! clock lives in `results/BENCH_history.jsonl`; this file has none.
+//! load, writes the same JSON. There is no tolerance to set.
+//! `scripts/ci.sh determinism` byte-diffs the file like every other
+//! artifact; after a deliberate model or protocol change, rerun this
+//! (from the repository root), review `git diff` (it names each moved
+//! metric) and commit. The history of the wall clock lives in
+//! `results/BENCH_history.jsonl`; this file has none.
 //!
 //! Metrics cover the §3 primitives at small and large sizes, with the
 //! issue-side batching layer both off and on (put bursts and
@@ -30,124 +27,54 @@
 //! (consumer `ANY_SOURCE` drains are schedule-dependent and excluded).
 
 use fompi::{LockType, MpiOp, NumKind, Win};
-use fompi_fabric::FaultPlan;
-use fompi_fleet::gate::{compare, parse_flat_json, EXIT_BASELINE, EXIT_REGRESSED};
+use fompi_fabric::{CostModel, FaultPlan};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_rmc::{FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
 use fompi_runtime::{RankCtx, Universe};
 use fompi_txn::{Txn, VersionedCell};
 use std::collections::BTreeMap;
-use std::process::ExitCode;
 
-/// Relative regression tolerance. Virtual time is deterministic, so this
-/// only exists to forgive float formatting round-trips, not noise.
-const TOLERANCE: f64 = 0.01;
+/// Where the metrics go, relative to the repository root.
+const OUT: &str = "results/perfgate.json";
 
-/// The one copy of the baseline, relative to the repository root.
-const BASELINE: &str = "results/perfgate_baseline.json";
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_path = match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--check" => Some(path.clone()),
-        _ => {
-            eprintln!("usage: perfgate [--check <baseline.json>]");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let metrics = collect();
+fn main() {
+    let metrics = collect(&CostModel::default());
     println!("== perfgate: virtual-time metrics (ns) ==");
     for (k, v) in &metrics {
         println!("  {k:<28} {v:>12.1}");
     }
-    let Some(path) = baseline_path else {
-        std::fs::write(BASELINE, render_json(&metrics)).expect("write the baseline");
-        println!("-> {BASELINE} (review `git diff` before committing)");
-        return ExitCode::SUCCESS;
-    };
-    // The comparison itself is `fompi_fleet::gate` — one implementation
-    // shared with `fleet --gate`, including the exit-code contract: 2 for
-    // a regressed/vanished metric, 3 for a missing/unparseable baseline.
-    let base_text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("perfgate: baseline {path} missing/unreadable: {e} (exit 3)");
-            return ExitCode::from(EXIT_BASELINE);
-        }
-    };
-    let baseline = parse_flat_json(&base_text);
-    if baseline.is_empty() {
-        eprintln!("perfgate: baseline {path} parsed to zero metrics (exit 3)");
-        return ExitCode::from(EXIT_BASELINE);
-    }
-    println!("== perfgate: check vs {path} (tolerance {:.1}%) ==", TOLERANCE * 100.0);
-    let report = compare(&baseline, &metrics, &|_| TOLERANCE);
-    for f in &report.failures {
-        match f.now {
-            Some(now) => println!("  FAIL {}: {:.1} -> {now:.1} ns", f.describe(), f.base),
-            None => println!("  FAIL {}: metric missing from this build", f.metric),
-        }
-    }
-    for k in &report.improved {
-        println!(
-            "  ok   {k}: {:.1} -> {:.1} ns [improved; consider refreshing the baseline]",
-            baseline[k], metrics[k]
-        );
-    }
-    for (k, v) in &metrics {
-        if !report.failures.iter().any(|f| &f.metric == k) && !report.improved.contains(k) {
-            if baseline.contains_key(k) {
-                println!("  ok   {k}: {v:.1} ns");
-            } else {
-                println!("  note {k}: new metric, not in baseline (refresh to start gating it)");
-            }
-        }
-    }
-    if !report.passed() {
-        eprintln!(
-            "perfgate: virtual-time regression beyond {:.1}% in: {} (exit 2)",
-            TOLERANCE * 100.0,
-            report.failure_summary()
-        );
-        return ExitCode::from(EXIT_REGRESSED);
-    }
-    // `msg::channel` and one-producer `rmc::fanin` are façades over the same
-    // lanes (`fompi::lane`), so their rounds are equal to the bit, not just
-    // each within tolerance: an edit that makes one façade issue an extra
-    // op fails here by name instead of as two unrelated drifts.
-    let (chan, fanin) = (metrics["channel_round_64_ns"], metrics["rmc_fanin_round_64_ns"]);
-    if chan.to_bits() != fanin.to_bits() {
-        eprintln!(
-            "perfgate: channel_round_64_ns ({chan}) != rmc_fanin_round_64_ns ({fanin}): \
-             the two façades over fompi::lane no longer issue the same ops (exit 2)"
-        );
-        return ExitCode::from(EXIT_REGRESSED);
-    }
-    println!("perfgate: all {} metrics within tolerance.", report.checked);
-    ExitCode::SUCCESS
+    std::fs::write(OUT, render_json(&metrics)).expect("write results/perfgate.json");
+    println!("-> {OUT} (review `git diff` before committing)");
 }
 
-/// Run `f` on rank 0 of a deterministic 2-rank inter-node job and return
-/// the virtual ns it reports. Faults are explicitly disabled and batching
-/// explicitly set, so ambient `FOMPI_*` knobs cannot perturb the gate.
-fn measure(batch: bool, f: impl Fn(&Win, &RankCtx) -> f64 + Send + Sync) -> f64 {
-    let got = Universe::new(2).node_size(1).seed(1).faults(FaultPlan::disabled()).batch(batch).run(
-        |ctx| {
-            let win = Win::allocate(ctx, 1 << 14, 1).unwrap();
-            let dt = if ctx.rank() == 0 { f(&win, ctx) } else { 0.0 };
-            ctx.barrier();
-            dt
-        },
-    );
+/// The job every metric runs in: `p` ranks, one per node, under `model`.
+/// The seed is pinned, faults are disabled and batching is set
+/// explicitly, so ambient `FOMPI_*` knobs cannot perturb a metric.
+fn universe(p: usize, model: &CostModel, batch: bool) -> Universe {
+    Universe::new(p)
+        .node_size(1)
+        .seed(1)
+        .faults(FaultPlan::disabled())
+        .batch(batch)
+        .model(model.clone())
+}
+
+/// Run `f` on rank 0 of a 2-rank inter-node job and return the virtual
+/// ns it reports.
+fn measure(model: &CostModel, batch: bool, f: impl Fn(&Win, &RankCtx) -> f64 + Send + Sync) -> f64 {
+    let got = universe(2, model, batch).run(|ctx| {
+        let win = Win::allocate(ctx, 1 << 14, 1).unwrap();
+        let dt = if ctx.rank() == 0 { f(&win, ctx) } else { 0.0 };
+        ctx.barrier();
+        dt
+    });
     got[0]
 }
 
 /// A locked epoch issuing `n` contiguous `chunk`-sized puts then flushing;
 /// returns total virtual ns for the epoch body.
-fn put_epoch(batch: bool, n: usize, chunk: usize) -> f64 {
-    measure(batch, move |win, ctx| {
+fn put_epoch(model: &CostModel, batch: bool, n: usize, chunk: usize) -> f64 {
+    measure(model, batch, move |win, ctx| {
         let data = vec![5u8; chunk];
         win.lock(LockType::Exclusive, 1).unwrap();
         let t0 = ctx.now();
@@ -161,19 +88,19 @@ fn put_epoch(batch: bool, n: usize, chunk: usize) -> f64 {
     })
 }
 
-fn collect() -> BTreeMap<String, f64> {
+fn collect(model: &CostModel) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
     // Small puts: a 16-op contiguous burst, per-op cost, both paths.
-    m.insert("put_small_8_unbatched_ns".into(), put_epoch(false, 16, 8) / 16.0);
-    m.insert("put_small_8_batched_ns".into(), put_epoch(true, 16, 8) / 16.0);
-    // Large puts sit beyond the protocol change and bypass batching; gate
+    m.insert("put_small_8_unbatched_ns".into(), put_epoch(model, false, 16, 8) / 16.0);
+    m.insert("put_small_8_batched_ns".into(), put_epoch(model, true, 16, 8) / 16.0);
+    // Large puts sit beyond the protocol change and bypass batching; pin
     // both switch positions to prove the bypass stays free.
-    m.insert("put_large_8192_unbatched_ns".into(), put_epoch(false, 1, 8192));
-    m.insert("put_large_8192_batched_ns".into(), put_epoch(true, 1, 8192));
+    m.insert("put_large_8192_unbatched_ns".into(), put_epoch(model, false, 1, 8192));
+    m.insert("put_large_8192_batched_ns".into(), put_epoch(model, true, 1, 8192));
     // Gets (never batched; reads must see a coherent horizon).
     m.insert(
         "get_small_8_ns".into(),
-        measure(false, |win, ctx| {
+        measure(model, false, |win, ctx| {
             let mut dst = [0u8; 8];
             win.lock(LockType::Shared, 1).unwrap();
             let t0 = ctx.now();
@@ -186,7 +113,7 @@ fn collect() -> BTreeMap<String, f64> {
     );
     m.insert(
         "get_large_8192_ns".into(),
-        measure(false, |win, ctx| {
+        measure(model, false, |win, ctx| {
             let mut dst = vec![0u8; 8192];
             win.lock(LockType::Shared, 1).unwrap();
             let t0 = ctx.now();
@@ -200,7 +127,7 @@ fn collect() -> BTreeMap<String, f64> {
     // Hardware-AMO accumulate: 8 contiguous 8-byte MPI_SUM elements — an
     // AMO burst when batching is armed.
     let amo_epoch = |batch: bool| {
-        measure(batch, |win, ctx| {
+        measure(model, batch, |win, ctx| {
             let data = [1u8; 64];
             win.lock(LockType::Exclusive, 1).unwrap();
             let t0 = ctx.now();
@@ -216,7 +143,7 @@ fn collect() -> BTreeMap<String, f64> {
     // One 8-byte CAS (PCAS).
     m.insert(
         "amo_cas_ns".into(),
-        measure(false, |win, ctx| {
+        measure(model, false, |win, ctx| {
             win.lock(LockType::Exclusive, 1).unwrap();
             let t0 = ctx.now();
             win.compare_and_swap(7, 0, 1, 0).unwrap();
@@ -226,85 +153,70 @@ fn collect() -> BTreeMap<String, f64> {
         }),
     );
     // Fence epoch at p = 2 (collective: every rank participates).
-    let fence =
-        Universe::new(2).node_size(1).seed(1).faults(FaultPlan::disabled()).batch(false).run(
-            |ctx| {
-                let win = Win::allocate(ctx, 64, 1).unwrap();
-                win.fence().unwrap();
-                let t0 = ctx.now();
-                win.fence().unwrap();
-                let dt = ctx.now() - t0;
-                win.fence_assert(fompi::ASSERT_NOSUCCEED).unwrap();
-                ctx.barrier();
-                dt
-            },
-        );
+    let fence = universe(2, model, false).run(|ctx| {
+        let win = Win::allocate(ctx, 64, 1).unwrap();
+        win.fence().unwrap();
+        let t0 = ctx.now();
+        win.fence().unwrap();
+        let dt = ctx.now() - t0;
+        win.fence_assert(fompi::ASSERT_NOSUCCEED).unwrap();
+        ctx.barrier();
+        dt
+    });
     m.insert("fence_p2_ns".into(), fence[0]);
     // Notified put: consumer-side cost of one 8-byte `put_notify` landing
     // (producer's put retires, the notification record is matched by
     // `wait_notify`, and the consumer's clock joins the data's stamp).
-    let notified = Universe::new(2)
-        .node_size(1)
-        .seed(1)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(16)
-        .run(|ctx| {
-            let win = Win::allocate(ctx, 64, 1).unwrap();
-            win.lock_all().unwrap();
-            ctx.barrier();
-            let t0 = ctx.now();
-            let dt = if ctx.rank() == 0 {
-                win.put_notify(&7u64.to_le_bytes(), 1, 0, 1).unwrap();
-                0.0
-            } else {
-                win.wait_notify(0, 1).unwrap();
-                ctx.now() - t0
-            };
-            win.unlock_all().unwrap();
-            ctx.barrier();
-            dt
-        });
+    let notified = universe(2, model, false).notify_depth(16).run(|ctx| {
+        let win = Win::allocate(ctx, 64, 1).unwrap();
+        win.lock_all().unwrap();
+        ctx.barrier();
+        let t0 = ctx.now();
+        let dt = if ctx.rank() == 0 {
+            win.put_notify(&7u64.to_le_bytes(), 1, 0, 1).unwrap();
+            0.0
+        } else {
+            win.wait_notify(0, 1).unwrap();
+            ctx.now() - t0
+        };
+        win.unlock_all().unwrap();
+        ctx.barrier();
+        dt
+    });
     m.insert("put_notify_8_ns".into(), notified[1]);
     // One `msg::channel` round over a 1-slot ring: every send after the
     // first blocks on the previous credit, so producer time / rounds is
     // the steady-state notified put + credit-record pace.
     const CHAN_ROUNDS: usize = 4;
-    let chan = Universe::new(2)
-        .node_size(1)
-        .seed(1)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(16)
-        .run(|ctx| {
-            match channel(ctx, 0, 1, 1, 64).unwrap().unwrap() {
-                ChannelEnd::Sender(mut tx) => {
-                    let msg = [9u8; 64];
-                    ctx.barrier();
-                    let t0 = ctx.now();
-                    for _ in 0..CHAN_ROUNDS {
-                        tx.send(&msg).unwrap();
-                    }
-                    // Absorb the final credit so whole rounds are timed.
-                    while tx.credits() == 0 {
-                        tx.poll_credits().unwrap();
-                        std::thread::yield_now();
-                    }
-                    let dt = ctx.now() - t0;
-                    tx.close(ctx).unwrap();
-                    dt / CHAN_ROUNDS as f64
+    let chan = universe(2, model, false).notify_depth(16).run(|ctx| {
+        match channel(ctx, 0, 1, 1, 64).unwrap().unwrap() {
+            ChannelEnd::Sender(mut tx) => {
+                let msg = [9u8; 64];
+                ctx.barrier();
+                let t0 = ctx.now();
+                for _ in 0..CHAN_ROUNDS {
+                    tx.send(&msg).unwrap();
                 }
-                ChannelEnd::Receiver(mut rx) => {
-                    let mut buf = [0u8; 64];
-                    ctx.barrier();
-                    for _ in 0..CHAN_ROUNDS {
-                        rx.recv(&mut buf).unwrap();
-                    }
-                    rx.close(ctx).unwrap();
-                    0.0
+                // Absorb the final credit so whole rounds are timed.
+                while tx.credits() == 0 {
+                    tx.poll_credits().unwrap();
+                    std::thread::yield_now();
                 }
+                let dt = ctx.now() - t0;
+                tx.close(ctx).unwrap();
+                dt / CHAN_ROUNDS as f64
             }
-        });
+            ChannelEnd::Receiver(mut rx) => {
+                let mut buf = [0u8; 64];
+                ctx.barrier();
+                for _ in 0..CHAN_ROUNDS {
+                    rx.recv(&mut buf).unwrap();
+                }
+                rx.close(ctx).unwrap();
+                0.0
+            }
+        }
+    });
     m.insert("channel_round_64_ns".into(), chan[0]);
     // Remote-memory-channel twins. All three are timed on the *sending*
     // side (or a single fixed pairing), where virtual time is schedule-
@@ -314,13 +226,8 @@ fn collect() -> BTreeMap<String, f64> {
     // Fan-in over a 1-slot ring: strict data/credit alternation, so
     // producer time / rounds is the steady-state rmc round.
     const RMC_ROUNDS: usize = 4;
-    let fanin_run = Universe::new(2)
-        .node_size(1)
-        .seed(1)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(16)
-        .run(|ctx| match fompi_rmc::fanin(ctx, 0, &[1], 1, 64).unwrap().unwrap() {
+    let fanin_run = universe(2, model, false).notify_depth(16).run(|ctx| {
+        match fompi_rmc::fanin(ctx, 0, &[1], 1, 64).unwrap().unwrap() {
             FaninEnd::Producer(mut tx) => {
                 let msg = [3u8; 64];
                 ctx.barrier();
@@ -345,17 +252,13 @@ fn collect() -> BTreeMap<String, f64> {
                 rx.close(ctx).unwrap();
                 0.0
             }
-        });
+        }
+    });
     m.insert("rmc_fanin_round_64_ns".into(), fanin_run[1]);
     // Fan-out publish to 2 subscribers with rings sized to the burst, so
     // the publisher never blocks on credits: pure issue-side fan-out cost.
-    let fanout_run = Universe::new(3)
-        .node_size(1)
-        .seed(1)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(16)
-        .run(|ctx| {
+    let fanout_run =
+        universe(3, model, false).notify_depth(16).run(|ctx| {
             match fompi_rmc::fanout(ctx, 0, &[1, 2], RMC_ROUNDS, 64, LaggingPolicy::Block)
                 .unwrap()
                 .unwrap()
@@ -388,32 +291,29 @@ fn collect() -> BTreeMap<String, f64> {
     // One full RPC round with a single client: the server's probe order
     // has exactly one source, so the round time is deterministic.
     let rpc_cfg = RmcConfig { slots: 4, slot_bytes: 64, ..RmcConfig::default() };
-    let rpc_run = Universe::new(2)
-        .node_size(1)
-        .seed(1)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(16)
-        .run(move |ctx| match fompi_rmc::rpc(ctx, 0, &[1], &rpc_cfg).unwrap().unwrap() {
-            RpcEnd::Server(mut srv) => {
-                for _ in 0..RMC_ROUNDS {
-                    let req = srv.recv().unwrap();
-                    let rep = req.data.clone();
-                    srv.reply(&req, &rep).unwrap();
+    let rpc_run =
+        universe(2, model, false).notify_depth(16).run(move |ctx| {
+            match fompi_rmc::rpc(ctx, 0, &[1], &rpc_cfg).unwrap().unwrap() {
+                RpcEnd::Server(mut srv) => {
+                    for _ in 0..RMC_ROUNDS {
+                        let req = srv.recv().unwrap();
+                        let rep = req.data.clone();
+                        srv.reply(&req, &rep).unwrap();
+                    }
+                    srv.close(ctx).unwrap();
+                    0.0
                 }
-                srv.close(ctx).unwrap();
-                0.0
-            }
-            RpcEnd::Client(mut cl) => {
-                let req = [6u8; 64];
-                let mut rep = [0u8; 64];
-                let t0 = ctx.now();
-                for _ in 0..RMC_ROUNDS {
-                    cl.call(&req, &mut rep).unwrap();
+                RpcEnd::Client(mut cl) => {
+                    let req = [6u8; 64];
+                    let mut rep = [0u8; 64];
+                    let t0 = ctx.now();
+                    for _ in 0..RMC_ROUNDS {
+                        cl.call(&req, &mut rep).unwrap();
+                    }
+                    let dt = ctx.now() - t0;
+                    cl.close(ctx).unwrap();
+                    dt / RMC_ROUNDS as f64
                 }
-                let dt = ctx.now() - t0;
-                cl.close(ctx).unwrap();
-                dt / RMC_ROUNDS as f64
             }
         });
     m.insert("rpc_round_64_ns".into(), rpc_run[1]);
@@ -422,34 +322,32 @@ fn collect() -> BTreeMap<String, f64> {
     // 2-key transaction (lock-CAS x2, REPLACE accumulate x2, flush,
     // publish-CAS x2, flush) — read time excluded so the metric isolates
     // the commit protocol.
-    let txn = Universe::new(2).node_size(1).seed(1).faults(FaultPlan::disabled()).batch(false).run(
-        |ctx| {
-            let win = Win::allocate(ctx, 64, 1).unwrap();
-            VersionedCell::init_local(&win, 0, &7u64.to_le_bytes());
-            VersionedCell::init_local(&win, 16, &9u64.to_le_bytes());
-            ctx.barrier();
-            win.lock_all().unwrap();
-            let mut out = (0.0, 0.0);
-            if ctx.rank() == 0 {
-                let (a, b) = (VersionedCell::new(1, 0, 8), VersionedCell::new(1, 16, 8));
-                let mut buf = [0u8; 8];
-                let t0 = ctx.now();
-                a.read(&win, &mut buf).unwrap();
-                let read_ns = ctx.now() - t0;
-                let mut txn = Txn::begin(&win);
-                txn.read(a, &mut buf).unwrap();
-                txn.write(a, &1u64.to_le_bytes()).unwrap();
-                txn.read(b, &mut buf).unwrap();
-                txn.write(b, &2u64.to_le_bytes()).unwrap();
-                let t1 = ctx.now();
-                txn.commit().unwrap();
-                out = (read_ns, ctx.now() - t1);
-            }
-            win.unlock_all().unwrap();
-            ctx.barrier();
-            out
-        },
-    );
+    let txn = universe(2, model, false).run(|ctx| {
+        let win = Win::allocate(ctx, 64, 1).unwrap();
+        VersionedCell::init_local(&win, 0, &7u64.to_le_bytes());
+        VersionedCell::init_local(&win, 16, &9u64.to_le_bytes());
+        ctx.barrier();
+        win.lock_all().unwrap();
+        let mut out = (0.0, 0.0);
+        if ctx.rank() == 0 {
+            let (a, b) = (VersionedCell::new(1, 0, 8), VersionedCell::new(1, 16, 8));
+            let mut buf = [0u8; 8];
+            let t0 = ctx.now();
+            a.read(&win, &mut buf).unwrap();
+            let read_ns = ctx.now() - t0;
+            let mut txn = Txn::begin(&win);
+            txn.read(a, &mut buf).unwrap();
+            txn.write(a, &1u64.to_le_bytes()).unwrap();
+            txn.read(b, &mut buf).unwrap();
+            txn.write(b, &2u64.to_le_bytes()).unwrap();
+            let t1 = ctx.now();
+            txn.commit().unwrap();
+            out = (read_ns, ctx.now() - t1);
+        }
+        win.unlock_all().unwrap();
+        ctx.barrier();
+        out
+    });
     m.insert("txn_read_ns".into(), txn[0].0);
     m.insert("txn_commit_2key_ns".into(), txn[0].1);
     m
@@ -465,4 +363,40 @@ fn render_json(metrics: &BTreeMap<String, f64>) -> String {
     }
     s.push_str("}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn channel_and_fanin_rounds_are_bit_equal() {
+        // `msg::channel` and one-producer `rmc::fanin` are façades over the
+        // same lanes (`fompi::lane`), so their rounds are equal to the bit:
+        // an edit that makes one façade issue an extra op fails here by name
+        // instead of as two unrelated moves in the byte-diff.
+        let m = collect(&CostModel::default());
+        let (chan, fanin) = (m["channel_round_64_ns"], m["rmc_fanin_round_64_ns"]);
+        assert_eq!(chan.to_bits(), fanin.to_bits(), "channel {chan} ns != fan-in {fanin} ns");
+    }
+
+    #[test]
+    fn every_metric_moves_with_the_cost_model() {
+        // One more ns of inter-node injection must move every metric: a
+        // metric that ignores the model it is handed would stay put in the
+        // byte-diff through a real model change.
+        let base = collect(&CostModel::default());
+        let model = CostModel {
+            dmapp_inject_ns: CostModel::default().dmapp_inject_ns + 1.0,
+            ..CostModel::default()
+        };
+        let moved = collect(&model);
+        assert_eq!(base.len(), 17);
+        let unmoved: Vec<&str> = base
+            .iter()
+            .filter(|(k, v)| moved[*k].to_bits() == v.to_bits())
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert!(unmoved.is_empty(), "unmoved by dmapp_inject_ns + 1: {unmoved:?}");
+    }
 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 pub struct AgentSpec {
     /// Registry name (unique; names the agent in errors and tables).
     pub name: &'static str,
-    /// Binary file name, resolved relative to the fleet's `--bin-dir`.
+    /// Binary file name, resolved in the directory of the `fleet` binary.
     pub bin: &'static str,
     /// Argv template; each element may contain `{placeholder}`s.
     pub args: &'static [&'static str],

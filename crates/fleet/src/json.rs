@@ -1,9 +1,9 @@
 //! A minimal JSON reader for the fleet's own wire formats.
 //!
 //! The workspace is dependency-free by design, so the orchestrator parses
-//! agent metric lines (`fabric::metrics::MetricsSnapshot::to_json_line`)
-//! and fleet summaries with this ~150-line recursive-descent reader
-//! instead of serde. It accepts exactly the JSON the repo's tools emit:
+//! agent metric lines (`fabric::metrics::MetricsSnapshot::to_json_line`),
+//! and the tests read fleet summaries back, with this ~150-line
+//! recursive-descent reader instead of serde. It accepts exactly the JSON the repo's tools emit:
 //! objects, arrays, strings with the standard escapes, f64 numbers,
 //! `true`/`false`/`null`. Object key order is preserved so re-rendering
 //! stays deterministic.

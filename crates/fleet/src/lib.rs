@@ -17,25 +17,19 @@
 //! * [`merge`] — folding agent snapshots into the fleet summary:
 //!   per-configuration p50/p99/p999 plus exact fleet-wide distributions
 //!   (histogram merge is associative, so the merged tail is the true
-//!   union, not an average of quantiles). The summary is byte-stable and
-//!   CI byte-diffs it.
-//! * [`gate`] — the regression comparison shared with `perfgate`:
-//!   per-metric tolerances and the exit-code contract (0 pass, 2 metric
-//!   regressed, 3 baseline missing/unparseable).
+//!   union, not an average of quantiles). The summary is byte-stable, so
+//!   CI byte-diffs it: after a deliberate change, rerun the sweep, review
+//!   `git diff` and commit.
 //! * [`json`] — the dependency-free JSON reader the above are built on.
 //!
 //! The `fleet` binary in `fompi-bench` wires these together; see
 //! EXPERIMENTS.md § "Fleet sweeps".
 
 pub mod agent;
-pub mod gate;
 pub mod json;
 pub mod merge;
 pub mod procstat;
 
 pub use agent::{expand_argv, expand_template, parse_agent_json, AgentMetrics, AgentSpec};
-pub use gate::{
-    compare, fleet_tolerance, parse_flat_json, GateReport, EXIT_BASELINE, EXIT_REGRESSED,
-};
-pub use merge::{flatten_summary, merge_classes, render_summary, render_table, ConfigResult};
+pub use merge::{merge_classes, render_summary, render_table, ConfigResult};
 pub use procstat::{run_agent, AgentRun, Usage};

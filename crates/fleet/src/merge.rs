@@ -146,45 +146,11 @@ pub fn render_table(runs: &[ConfigResult]) -> String {
     out
 }
 
-/// Flatten a parsed fleet summary into gate metrics:
-/// `<agent>/p<ranks>/n<node_size>/<class>/<field>` per configuration plus
-/// `merged/<class>/<field>` for the fleet-wide distributions, where
-/// `<field>` ranges over `count`, `bytes`, `virtual_ns`, `p50`, `p99`,
-/// `p999`.
-pub fn flatten_summary(root: &crate::json::Json) -> Result<BTreeMap<String, f64>, String> {
-    use crate::json::Json;
-    let mut out = BTreeMap::new();
-    let mut add_classes = |prefix: &str, classes: &Json| -> Result<(), String> {
-        for c in classes.as_arr().ok_or(format!("{prefix}: classes is not an array"))? {
-            let name = c
-                .get("class")
-                .and_then(Json::as_str)
-                .ok_or(format!("{prefix}: class entry without a name"))?;
-            for field in ["count", "bytes", "virtual_ns", "p50", "p99", "p999"] {
-                let v = c
-                    .get(field)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("{prefix}/{name}: missing {field}"))?;
-                out.insert(format!("{prefix}/{name}/{field}"), v);
-            }
-        }
-        Ok(())
-    };
-    for cfg in root.get("configs").and_then(Json::as_arr).ok_or("summary: missing configs")? {
-        let agent = cfg.get("agent").and_then(Json::as_str).ok_or("config without agent")?;
-        let ranks = cfg.get("ranks").and_then(Json::as_u64).ok_or("config without ranks")?;
-        let node = cfg.get("node_size").and_then(Json::as_u64).ok_or("config without node_size")?;
-        let prefix = format!("{agent}/p{ranks}/n{node}");
-        add_classes(&prefix, cfg.get("classes").ok_or(format!("{prefix}: missing classes"))?)?;
-    }
-    add_classes("merged", root.get("merged").ok_or("summary: missing merged")?)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::{parse_agent_json, AgentMetrics};
+    use crate::json::{parse, Json};
     use crate::procstat::Usage;
     use fompi_fabric::telemetry::{HistSnapshot, Histogram};
     use EventKind::{Fence, Get, Put, TxnCommit};
@@ -223,6 +189,31 @@ mod tests {
         }
     }
 
+    /// The classes of the one config (`agent`, `ranks`, `node_size`) of a
+    /// parsed summary.
+    fn config<'a>(summary: &'a Json, agent: &str, ranks: u64, node_size: u64) -> &'a Json {
+        let matches: Vec<&Json> = summary
+            .get("configs")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|c| {
+                c.get("agent").and_then(Json::as_str) == Some(agent)
+                    && c.get("ranks").and_then(Json::as_u64) == Some(ranks)
+                    && c.get("node_size").and_then(Json::as_u64) == Some(node_size)
+            })
+            .collect();
+        assert_eq!(matches.len(), 1, "one config {agent}/p{ranks}/n{node_size}");
+        matches[0].get("classes").unwrap()
+    }
+
+    /// `field` of the row of `class` in a parsed `classes` array.
+    fn field(classes: &Json, class: &str, field: &str) -> f64 {
+        let mut rows = classes.as_arr().unwrap().iter();
+        let row = rows.find(|c| c.get("class").and_then(Json::as_str) == Some(class));
+        row.and_then(|c| c.get(field)).and_then(Json::as_f64).unwrap()
+    }
+
     #[test]
     fn merged_tail_is_the_union_not_an_average() {
         // One fast config, one slow: the merged p99 must come from the
@@ -238,33 +229,34 @@ mod tests {
     }
 
     #[test]
-    fn summary_is_independent_of_run_order_and_parses_flat() {
+    fn summary_is_independent_of_run_order_and_parses() {
         let a = run("a", "rma", 2, vec![class(Put, &[64, 128]), class(Fence, &[500])]);
         let b = run("b", "msg", 4, vec![class(Put, &[256])]);
         let fwd = render_summary(&[a.clone(), b.clone()]);
         let rev = render_summary(&[b, a]);
         assert_eq!(fwd, rev, "summary must not depend on registry order");
-        let parsed = crate::json::parse(&fwd).unwrap();
-        let flat = flatten_summary(&parsed).unwrap();
-        assert_eq!(flat["a/p2/n1/put/count"], 2.0);
-        assert_eq!(flat["b/p4/n1/put/count"], 1.0);
-        assert_eq!(flat["merged/put/count"], 3.0);
-        assert_eq!(flat["merged/fence/virtual_ns"], 500.0);
-        assert!(flat.contains_key("merged/put/p999"));
+        let parsed = parse(&fwd).unwrap();
+        assert_eq!(field(config(&parsed, "a", 2, 1), "put", "count"), 2.0);
+        assert_eq!(field(config(&parsed, "b", 4, 1), "put", "count"), 1.0);
+        let merged = parsed.get("merged").unwrap();
+        assert_eq!(field(merged, "put", "count"), 3.0);
+        assert_eq!(field(merged, "fence", "virtual_ns"), 500.0);
+        assert!(field(merged, "put", "p999") >= 256.0);
     }
 
     #[test]
     fn node_size_is_a_first_class_sweep_axis() {
         // Same agent, same ranks, different placement: the two sweep
-        // points must survive as distinct configs with distinct gate keys
-        // (a summary that collapsed them would silently gate only one).
+        // points must survive as distinct configs with their own values
+        // (a summary that collapsed them would silently pin only one).
         let n1 = run("a", "rma", 4, vec![class(Put, &[64])]);
         let mut n2 = run("a", "rma", 4, vec![class(Put, &[32])]);
         n2.node_size = 2;
         let text = render_summary(&[n2.clone(), n1.clone()]);
-        let flat = flatten_summary(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(flat["a/p4/n1/put/virtual_ns"], 64.0);
-        assert_eq!(flat["a/p4/n2/put/virtual_ns"], 32.0);
+        let parsed = parse(&text).unwrap();
+        assert_eq!(parsed.get("configs").and_then(Json::as_arr).unwrap().len(), 2);
+        assert_eq!(field(config(&parsed, "a", 4, 1), "put", "virtual_ns"), 64.0);
+        assert_eq!(field(config(&parsed, "a", 4, 2), "put", "virtual_ns"), 32.0);
         // Sort order: n1 before n2 regardless of input order.
         assert!(text.find("\"node_size\":1").unwrap() < text.find("\"node_size\":2").unwrap());
         let table = render_table(&[n2, n1]);

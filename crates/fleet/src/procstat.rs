@@ -116,7 +116,7 @@ pub fn run_agent(label: &str, cmd: &mut Command, timeout: Duration) -> Result<Ag
                     child.kill().ok();
                     child.wait().ok();
                     return Err(format!(
-                        "agent {label}: timed out after {}s (FLEET_TIMEOUT_SECS) and was killed",
+                        "agent {label}: timed out after {}s and was killed",
                         timeout.as_secs()
                     ));
                 }

@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint (fmt, clippy, knobs, symbols, bench) → test → determinism → perfgate → fleet → mc
+#   scripts/ci.sh             # the full gate: lint (fmt, clippy, knobs, symbols, bench) → test → determinism → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
 #   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
-#   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak and mc_summary: the protocol table's two runners)
-#   scripts/ci.sh perfgate    # virtual-time perf-regression gate
-#   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
+#   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak, mc_summary, perfgate and the fleet smoke sweep among them)
 #   scripts/ci.sh mc          # model checker: every table row exhaustively + mutation gate + replay
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh loc [--against <parent-checkout>] [file…]  # line counts per crate (or per file), code above / tests below each file's first #[cfg(test)]; --against: the delta to another checkout
@@ -15,10 +13,6 @@
 #   scripts/ci.sh pairs <parent-checkout> <change-checkout> [N=10] [workload…]  # alternating benchmark runs → results/BENCH_history.jsonl
 #   scripts/ci.sh nightly     # chaos fleet sweep + long collective-test counts + flake 40 + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
-#
-# Exit-code contract for the perf gates (perfgate and fleet --gate):
-#   2 = a gated metric regressed;  3 = baseline missing or unparseable.
-# This script translates both into a named failure line.
 #
 # The workspace is dependency-free by design, so everything runs --offline.
 set -euo pipefail
@@ -52,17 +46,6 @@ timing_summary() {
         total=$((total + STAGE_SECS[i]))
     done
     printf '  %-14s %4ds\n' total "$total"
-}
-
-# Translate a perf gate's exit code into a named failure (and propagate).
-explain_gate() { # explain_gate <label> <rc>
-    case "$2" in
-    0) ;;
-    2) echo "$1: FAILED — a gated metric regressed (exit 2)" >&2 ;;
-    3) echo "$1: FAILED — baseline missing or unparseable (exit 3); refresh or restore the baseline file" >&2 ;;
-    *) echo "$1: FAILED (exit $2)" >&2 ;;
-    esac
-    return "$2"
 }
 
 # ---------------------------------------------------------------- stages
@@ -128,7 +111,9 @@ stage_tests() {
 # The byte-diffed artifacts of the determinism stage, one row each:
 # `bin|args|files`. Every bin runs under the pinned environment at
 # FOMPI_SEED=1 and must rewrite its files byte-for-byte; a row with no
-# files is a bin that asserts its own invariant.
+# files is a bin that asserts its own invariant. Virtual time is exact, so
+# a pinned number has no tolerance: after a deliberate change, rerun the
+# row, review `git diff` (it names each moved value) and commit.
 #   drift.csv          deterministic classes only (post/start/wait go to
 #                      drift_sched.csv, which is restored, not diffed)
 #   fig6b … fig8       the simnet series and fig6b_real; the other `_real`
@@ -140,6 +125,8 @@ stage_tests() {
 #   kv_smoke.csv       schedule-independent outcomes of the KV store smoke
 #   scope_metrics.*    both exposition forms of the metrics snapshot
 #   scope --ablation   armed vs disarmed virtual clocks bit-identical
+#   perfgate.json      virtual ns of the primitives and the protocols above
+#   fleet_summary.json the process-based smoke sweep's stable agents
 DETERMINISM=(
     "reproduce|drift|results/drift.csv"
     "reproduce|fig6b fig6c fig7a fig7b fig7c fig8|results/fig6b.csv results/fig6b_real.csv results/fig6c.csv results/fig7a.csv results/fig7b.csv results/fig7c.csv results/fig8.csv"
@@ -149,6 +136,8 @@ DETERMINISM=(
     "kv_serve|--smoke|results/kv_smoke.csv"
     "scope||results/scope_metrics.prom results/scope_metrics.json"
     "scope|--ablation|"
+    "perfgate||results/perfgate.json"
+    "fleet|--smoke|results/fleet_summary.json"
 )
 
 unmoved() { # unmoved <what ran> <file>… — fail naming the first file that differs from its committed copy
@@ -164,6 +153,9 @@ unmoved() { # unmoved <what ran> <file>… — fail naming the first file that d
 }
 
 stage_determinism() {
+    # Every bench bin at once: the fleet row spawns the other bins as
+    # agents, and `cargo run --bin fleet` alone builds only the fleet.
+    cargo build --offline --release -q -p fompi-bench
     # The protocol table (crates/mc/src/programs.rs) and its two runners.
     # Chaos soak smoke: every program under seeded light/heavy fault plans
     # (the CSV depends on the seed count, so only the default two-seed run
@@ -200,46 +192,6 @@ stage_determinism() {
     # committed copies.
     git checkout -q -- results/drift_sched.csv results/fig6c_real.csv results/fig7a_real.csv \
         results/fig7b_real.csv results/fig7c_real.csv results/fig8_real.csv
-}
-
-stage_perfgate() {
-    # The fabric charges *virtual* time from a fixed cost model, so the
-    # perfgate metrics are bit-reproducible on any machine — a >1% delta
-    # is a genuine protocol/model change, never noise. On an intentional
-    # change, refresh the baseline in place and review `git diff`:
-    #   cargo run --release -p fompi-bench --bin perfgate
-    echo "== perfgate: virtual-time regression check (tolerance 1%) =="
-    local rc=0
-    "${SCRUB[@]}" FOMPI_SEED=1 \
-        cargo run --offline --release -q -p fompi-bench --bin perfgate -- \
-        --check results/perfgate_baseline.json || rc=$?
-    explain_gate perfgate "$rc"
-}
-
-stage_fleet() {
-    # Process-based cross-backend sweep: the orchestrator spawns the
-    # release agent binaries, so build them all first (cargo run --bin
-    # fleet alone would only build the orchestrator).
-    cargo build --offline --release -q -p fompi-bench
-    echo "== fleet smoke sweep: summary byte-diff =="
-    "${SCRUB[@]}" target/release/fleet --smoke >/dev/null
-    git diff --exit-code -- results/fleet_summary.json
-
-    echo "== fleet gate vs results/fleet_baseline.json =="
-    local rc=0
-    "${SCRUB[@]}" target/release/fleet --gate || rc=$?
-    explain_gate "fleet gate" "$rc"
-
-    # Gate self-test: a synthetic 10% slowdown must fail with exit 2 and
-    # name the regressed metrics — proof the gate can actually fire.
-    echo "== fleet gate self-test: synthetic 10% slowdown must exit 2 =="
-    rc=0
-    "${SCRUB[@]}" target/release/fleet --gate --slowdown 10 >/dev/null 2>&1 || rc=$?
-    if [[ "$rc" != 2 ]]; then
-        echo "fleet gate self-test: expected exit 2 on a synthetic slowdown, got $rc" >&2
-        return 1
-    fi
-    echo "fleet gate self-test: regression detected as expected."
 }
 
 stage_mc() {
@@ -499,8 +451,8 @@ stage_nightly() {
 }
 
 # ---------------------------------------------------------------- driver
-usage() {
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+usage() { # the header: every comment line after the shebang, up to the first other line
+    awk 'NR == 1 { next } !/^#/ { exit } { sub(/^# ?/, ""); print }' "$0"
 }
 
 mode="${1:-all}"
@@ -532,12 +484,6 @@ test)
 determinism)
     run_stage determinism stage_determinism
     ;;
-perfgate)
-    run_stage perfgate stage_perfgate
-    ;;
-fleet)
-    run_stage fleet stage_fleet
-    ;;
 mc)
     run_stage mc stage_mc
     ;;
@@ -565,8 +511,6 @@ all)
     run_stage bench stage_bench
     run_stage tests stage_tests
     run_stage determinism stage_determinism
-    run_stage perfgate stage_perfgate
-    run_stage fleet stage_fleet
     run_stage mc stage_mc
     timing_summary
     echo "CI gate passed."

@@ -18,37 +18,25 @@
 //! land in `results/kv_smoke.csv` for byte-diffing. Upserts are additive
 //! and transfers conserving, so those fields are the same for every
 //! thread interleaving; latency quantiles and abort counts are
-//! schedule-dependent and stay on stdout. The retry budget is effectively
-//! unbounded here (every transaction must eventually commit for the
-//! final table to be exact); set `FOMPI_TXN_RETRY` to serve with a real
-//! budget and shed load instead.
+//! schedule-dependent and stay on stdout. The serve and its checks are
+//! [`fompi_bench::fleet::kv_serve_run`], which the fleet's `kv-serve`
+//! agent runs at the smoke size with faults env-governed. The retry
+//! budget is effectively unbounded here (every transaction must
+//! eventually commit for the final table to be exact); set
+//! `FOMPI_TXN_RETRY` to serve with a real budget and shed load instead.
 
-use fompi_apps::kv::{conservation_check, serve, KvConfig, KvServeStats, KvStore};
+use fompi_apps::kv::KvConfig;
+use fompi_bench::fleet::{
+    kv_serve_run, kv_smoke_config, KvServed, KV_SMOKE_NODE_SIZE, KV_SMOKE_RANKS,
+};
 use fompi_fabric::telemetry::EventKind;
-use fompi_fabric::{metrics, FaultPlan};
+use fompi_fabric::FaultPlan;
 use fompi_runtime::Universe;
-use fompi_txn::RetryPolicy;
 
 fn main() {
-    // Fleet-agent mode: run the smoke-sized serve under the ambient fault
-    // plan (the chaos sweep arms `FOMPI_FAULTS`), print exactly one JSON
-    // metrics line, and write nothing under `results/`.
-    let agent_json = std::env::args().any(|a| a == "--agent-json");
-    let smoke = agent_json || std::env::args().any(|a| a == "--smoke");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let (p, node_size, cfg) = if smoke {
-        (
-            8usize,
-            4usize,
-            KvConfig {
-                buckets_per_rank: 512,
-                keyspace: 4096,
-                theta: 0.99,
-                warm_per_rank: 64,
-                ops_per_rank: 128,
-                seed: 7,
-                ..KvConfig::default()
-            },
-        )
+        (KV_SMOKE_RANKS, KV_SMOKE_NODE_SIZE, kv_smoke_config())
     } else {
         (
             64usize,
@@ -64,70 +52,18 @@ fn main() {
             },
         )
     };
-    // The job-wide policy: `FOMPI_TXN_RETRY` if set, else an effectively
-    // unbounded backoff so every operation commits (exactness over
-    // shedding — this driver asserts the final table).
-    let fallback = RetryPolicy::Backoff { budget: 1 << 20, base_ns: 400, cap_ns: 100_000 };
-    let mut universe = Universe::new(p).node_size(node_size).seed(cfg.seed).metrics(true);
-    if !agent_json {
-        // Agent mode leaves the fault layer env-governed so the fleet's
-        // chaos sweep can arm `FOMPI_FAULTS`; standalone runs pin it off.
-        universe = universe.faults(FaultPlan::disabled());
-    }
-    let (outs, fabric) = universe.launch(move |ctx| {
-        let store = KvStore::allocate(ctx, cfg);
-        let policy = match store.win.endpoint().fabric().txn_retry() {
-            Some(_) => RetryPolicy::for_win(&store.win),
-            None => fallback.clone(),
-        };
-        let stats = serve(ctx, &store, &policy);
-        let check = conservation_check(ctx, &store, &stats);
-        (stats, check)
-    });
-
-    let agg = outs.iter().fold(KvServeStats::default(), |mut a, (s, _)| {
-        a.reads += s.reads;
-        a.hits += s.hits;
-        a.upserts += s.upserts;
-        a.transfers += s.transfers;
-        a.time_ns = a.time_ns.max(s.time_ns);
-        a
-    });
-    let (violations, occupied, value_sum, content_hash) = outs[0].1;
-    assert!(outs.iter().all(|(_, c)| *c == outs[0].1), "ranks disagree on the global table digest");
-    assert_eq!(violations, 0, "conservation violated");
-    let txns = agg.reads + agg.upserts + agg.transfers;
-
-    // Snapshot only now, after quiescence: every rank thread has joined
-    // (the launch returned) and the conservation digest has been
-    // cross-checked, so the commit tail — retried transactions that
-    // landed after the fast ranks finished — is fully recorded. A
-    // snapshot taken before this point undercounts `txn_commit` and
-    // skews the smoke CSV's commit column low.
-    let snap = metrics::snapshot(&fabric);
-    let class = |kind: EventKind| snap.classes.iter().find(|c| c.kind == kind);
-    let commits = class(EventKind::TxnCommit).map_or(0, |c| c.count);
-    let aborts = class(EventKind::TxnAbort).map_or(0, |c| c.count);
-
-    if !agent_json {
-        print_report(smoke, p, &cfg, &agg, commits, aborts, txns, &snap, outs[0].1);
-    }
-
-    // The gate: work happened, and no value was minted or burned.
-    assert!(commits > 0, "no transaction committed");
-    assert_eq!(
-        commits,
-        (p * (cfg.warm_per_rank + cfg.ops_per_rank)) as u64,
-        "every issued operation must commit exactly once"
-    );
-
-    if agent_json {
-        println!("{}", snap.to_json_line());
-        return;
-    }
+    let universe = Universe::new(p)
+        .node_size(node_size)
+        .seed(cfg.seed)
+        .metrics(true)
+        .faults(FaultPlan::disabled());
+    let run = kv_serve_run(universe, cfg);
+    print_report(smoke, p, &cfg, &run);
 
     if smoke {
         // Schedule-independent fields only (see module docs).
+        let (violations, occupied, value_sum, content_hash) = run.digest;
+        let commits = count(&run, EventKind::TxnCommit);
         let csv = format!(
             "ranks,buckets_per_rank,keyspace,warm_per_rank,ops_per_rank,commits,occupied,value_sum,content_hash,violations\n\
              {p},{},{},{},{},{commits},{occupied},{value_sum},{content_hash},{violations}\n",
@@ -139,20 +75,15 @@ fn main() {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn print_report(
-    smoke: bool,
-    p: usize,
-    cfg: &KvConfig,
-    agg: &KvServeStats,
-    commits: u64,
-    aborts: u64,
-    txns: u64,
-    snap: &fompi_fabric::metrics::MetricsSnapshot,
-    digest: (u64, u64, u64, u64),
-) {
-    let class = |kind: EventKind| snap.classes.iter().find(|c| c.kind == kind);
-    let (_violations, occupied, value_sum, content_hash) = digest;
+/// Events of class `kind` in the serve's snapshot.
+fn count(run: &KvServed, kind: EventKind) -> u64 {
+    run.snap.classes.iter().find(|c| c.kind == kind).map_or(0, |c| c.count)
+}
+
+fn print_report(smoke: bool, p: usize, cfg: &KvConfig, run: &KvServed) {
+    let agg = &run.agg;
+    let (_violations, occupied, value_sum, content_hash) = run.digest;
+    let txns = agg.reads + agg.upserts + agg.transfers;
     println!(
         "== kv_serve: transactional KV store ({} mode) ==",
         if smoke { "smoke" } else { "full" }
@@ -162,17 +93,21 @@ fn print_report(
         p, cfg.warm_per_rank, cfg.ops_per_rank, cfg.keyspace, cfg.theta
     );
     println!(
-        "  committed txns : {commits} ({} reads, {} upserts, {} transfers; {} read hits)",
-        agg.reads, agg.upserts, agg.transfers, agg.hits
+        "  committed txns : {} ({} reads, {} upserts, {} transfers; {} read hits)",
+        count(run, EventKind::TxnCommit),
+        agg.reads,
+        agg.upserts,
+        agg.transfers,
+        agg.hits
     );
-    println!("  aborted attempts: {aborts} (schedule-dependent)");
+    println!("  aborted attempts: {} (schedule-dependent)", count(run, EventKind::TxnAbort));
     println!(
         "  throughput     : {:.1} txn/s virtual ({txns} txns in {:.3} ms)",
         txns as f64 / (agg.time_ns / 1e9),
         agg.time_ns / 1e6
     );
     for (label, kind) in [("txn_commit", EventKind::TxnCommit), ("txn_read", EventKind::TxnRead)] {
-        if let Some(c) = class(kind) {
+        if let Some(c) = run.snap.classes.iter().find(|c| c.kind == kind) {
             let [p50, p99, p999] = c.tails();
             println!("  {label:<10} lat : p50 {p50} ns, p99 {p99} ns, p999 {p999} ns");
         }

@@ -2,8 +2,7 @@
 //! over `fompi-rmc`, plus one RPC round-trip point.
 //!
 //! ```text
-//! cargo run --release -p fompi-bench --bin rmc_ablation                 # CSV ablation
-//! cargo run --release -p fompi-bench --bin rmc_ablation -- --agent-json # fleet agent: one JSON metrics line
+//! cargo run --release -p fompi-bench --bin rmc_ablation
 //! ```
 //!
 //! * **a1** — baseline latency: one producer, one consumer, a 1-slot
@@ -26,21 +25,18 @@
 //! byte-diffed by `scripts/ci.sh`. Consumer-side drain times under
 //! `ANY_SOURCE` join notification stamps in arrival order — schedule
 //! *dependent* — so, like `notify_ablation`'s app rows, they print but
-//! stay out of the gated CSV.
+//! stay out of the gated CSV. The fleet's `rmc-ablate` agent
+//! (`fompi_bench::fleet`) runs a2, a1 and rpc in one universe with the
+//! same payloads.
 
 use fompi::PaperModel;
-use fompi_fabric::rng::splitmix64;
-use fompi_fabric::{metrics_snapshot, FaultPlan};
+use fompi_bench::fleet::{
+    payload, RMC_BYTES as BYTES, RMC_MSGS as MSGS, RPC_REP as REP, RPC_REQ as REQ,
+};
+use fompi_fabric::FaultPlan;
 use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
 use fompi_runtime::Universe;
 
-/// Messages per sender in every scenario.
-const MSGS: usize = 16;
-/// Channel payload bytes (one cache-line-ish message).
-const BYTES: usize = 64;
-/// RPC request/reply payload bytes.
-const REQ: usize = 32;
-const REP: usize = 64;
 /// Ring slots of the RPC point.
 const RPC_SLOTS: usize = 4;
 
@@ -49,13 +45,6 @@ const RPC_SLOTS: usize = 4;
 /// enter the numbers.
 fn universe(p: usize) -> Universe {
     Universe::new(p).node_size(1).seed(1).faults(FaultPlan::disabled()).notify_depth(256)
-}
-
-/// Deterministic per-message payload.
-fn payload(source: u32, seq: usize) -> [u8; BYTES] {
-    let mut b = [0u8; BYTES];
-    b[..8].copy_from_slice(&splitmix64(((source as u64) << 32) ^ seq as u64).to_le_bytes());
-    b
 }
 
 /// a1: 1 producer → 1 consumer over a 1-slot ring. Returns the producer's
@@ -299,80 +288,7 @@ fn rpc_point() -> f64 {
     got[1] / MSGS as f64
 }
 
-/// Fleet-agent mode: one deterministic universe exercising the
-/// schedule-independent paths only (sized fan-out, 1-slot fan-in, one
-/// RPC client), metrics armed, faults env-governed so the chaos sweep can
-/// inject through `FOMPI_FAULTS`.
-fn agent() {
-    let (_, fabric) =
-        Universe::new(4).node_size(1).seed(11).notify_depth(256).metrics(true).launch(|ctx| {
-            // Phase 1: fan-out 0 → {1,2,3}, rings sized to the burst.
-            match fanout(ctx, 0, &[1, 2, 3], MSGS, BYTES, LaggingPolicy::Block).unwrap().unwrap() {
-                FanoutEnd::Publisher(mut tx) => {
-                    ctx.barrier();
-                    for seq in 0..MSGS {
-                        tx.publish(&payload(0, seq)).unwrap();
-                    }
-                    ctx.barrier();
-                    tx.close(ctx).unwrap();
-                }
-                FanoutEnd::Subscriber(mut rx) => {
-                    let mut buf = [0u8; BYTES];
-                    ctx.barrier();
-                    for _ in 0..MSGS {
-                        rx.recv(&mut buf).unwrap();
-                    }
-                    ctx.barrier();
-                    rx.close(ctx).unwrap();
-                }
-            }
-            // Phase 2: strict-alternation fan-in 1 → 0 plus an RPC client;
-            // ranks 2 and 3 pass through the collectives.
-            match fanin(ctx, 0, &[1], 1, BYTES).unwrap() {
-                Some(FaninEnd::Producer(mut tx)) => {
-                    for seq in 0..MSGS {
-                        tx.send(&payload(1, seq)).unwrap();
-                    }
-                    tx.close(ctx).unwrap();
-                }
-                Some(FaninEnd::Consumer(mut rx)) => {
-                    let mut buf = [0u8; BYTES];
-                    for _ in 0..MSGS {
-                        rx.recv(&mut buf).unwrap();
-                    }
-                    rx.close(ctx).unwrap();
-                }
-                None => {}
-            }
-            let cfg = RmcConfig { slots: 4, slot_bytes: REP.max(REQ), ..RmcConfig::default() };
-            match rpc(ctx, 0, &[1], &cfg).unwrap() {
-                Some(RpcEnd::Server(mut srv)) => {
-                    for _ in 0..MSGS {
-                        let req = srv.recv().unwrap();
-                        let rep = [0x7Fu8; REP];
-                        srv.reply(&req, &rep).unwrap();
-                    }
-                    srv.close(ctx).unwrap();
-                }
-                Some(RpcEnd::Client(mut cl)) => {
-                    let mut buf = [0u8; REP];
-                    for _ in 0..MSGS {
-                        cl.call(&[1u8; REQ], &mut buf).unwrap();
-                    }
-                    cl.close(ctx).unwrap();
-                }
-                None => {}
-            }
-            ctx.barrier();
-        });
-    println!("{}", metrics_snapshot(&fabric).to_json_line());
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--agent-json") {
-        agent();
-        return;
-    }
     let model = PaperModel::default();
     println!("== rmc ablation: WIND a1–a4 + rpc, {BYTES}-byte messages ==\n");
     let mut rows = vec!["scenario,p,slots,slot_bytes,msgs,delivered,dropped,ns,model_ns".into()];

@@ -6,7 +6,8 @@
 //! cargo run --release -p fompi-bench --bin scope -- --ablation # armed-vs-disarmed bit-identity gate
 //! ```
 //!
-//! The snapshot workload is built only from schedule-independent
+//! The snapshot workload ([`fompi_bench::fleet::scope_workload`], also
+//! the fleet's `scope` agent) is built only from schedule-independent
 //! primitives (a single-locker put epoch and a notified handoff), so two
 //! runs — on any machine — produce byte-identical Prometheus text and
 //! JSON lines. `scripts/ci.sh` regenerates both files under a pinned
@@ -18,76 +19,26 @@
 //! and asserts the per-rank virtual clocks are bit-identical: the
 //! observability plane may spend real time, never virtual time.
 
-use fompi::{LockType, Win};
-use fompi_fabric::{metrics_snapshot, FaultPlan, ProfileMode};
-use fompi_runtime::Universe;
+use fompi_bench::fleet::{scope_universe, scope_workload};
+use fompi_fabric::{metrics_snapshot, ProfileMode};
 use std::process::ExitCode;
-
-/// Notified messages per run (well under the sized notification ring).
-const ITEMS: usize = 32;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [] => snapshot_files(),
         [flag] if flag == "--ablation" => ablation(),
-        [flag] if flag == "--agent-json" => agent_json(),
         _ => {
-            eprintln!("usage: scope [--ablation | --agent-json]");
+            eprintln!("usage: scope [--ablation]");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Fleet-agent mode: run the same workload and print exactly one line —
-/// the JSON metrics snapshot — with no file writes (the orchestrator owns
-/// `results/`; a stray `scope_metrics.json` write here would clobber the
-/// byte-diffed copy).
-fn agent_json() -> ExitCode {
-    let (_clocks, fabric) = workload(universe().metrics(true));
-    println!("{}", metrics_snapshot(&fabric).to_json_line());
-    ExitCode::SUCCESS
-}
-
-/// The seeded workload every mode runs: rank 0 holds a shared lock on
-/// rank 1 and streams `ITEMS` notified 64-byte puts plus a locked put
-/// epoch; rank 1 consumes the notifications from its local ring. No
-/// contended AMO ever races (single locker, local ring polls), so the
-/// virtual timeline is schedule-independent.
-fn universe() -> Universe {
-    Universe::new(2)
-        .node_size(1)
-        .seed(7)
-        .faults(FaultPlan::disabled())
-        .batch(false)
-        .notify_depth(2 * ITEMS)
-}
-
-fn workload(u: Universe) -> (Vec<u64>, std::sync::Arc<fompi_fabric::Fabric>) {
-    u.launch(|ctx| {
-        let win = Win::allocate(ctx, 4096, 1).unwrap();
-        if ctx.rank() == 0 {
-            win.lock(LockType::Shared, 1).unwrap();
-            for i in 0..ITEMS {
-                win.put_notify(&[i as u8; 64], 1, i * 64, i as u32).unwrap();
-            }
-            win.put(&[0xA5u8; 256], 1, ITEMS * 64).unwrap();
-            win.flush(1).unwrap();
-            win.unlock(1).unwrap();
-        } else {
-            for i in 0..ITEMS as u32 {
-                win.wait_notify(0, i).unwrap();
-            }
-        }
-        ctx.barrier();
-        ctx.now().to_bits()
-    })
-}
-
 /// Default mode: run the workload with metrics armed and write both
 /// exposition forms under `results/`.
 fn snapshot_files() -> ExitCode {
-    let (_clocks, fabric) = workload(universe().metrics(true));
+    let (_clocks, fabric) = scope_workload(scope_universe().metrics(true));
     let snap = metrics_snapshot(&fabric);
     std::fs::create_dir_all("results").ok();
     std::fs::write("results/scope_metrics.prom", snap.to_prometheus())
@@ -104,8 +55,9 @@ fn snapshot_files() -> ExitCode {
 /// Overhead ablation: per-rank virtual clocks must be bit-identical with
 /// the plane fully armed and fully disarmed.
 fn ablation() -> ExitCode {
-    let (armed, fabric) = workload(universe().metrics(true).profile(ProfileMode::Full).trace(4096));
-    let (disarmed, _) = workload(universe());
+    let (armed, fabric) =
+        scope_workload(scope_universe().metrics(true).profile(ProfileMode::Full).trace(4096));
+    let (disarmed, _) = scope_workload(scope_universe());
     println!("== fompi-scope overhead ablation (virtual-time bit-identity) ==");
     println!("  profiled wall-clock samples: {}", fabric.profiler().total_count());
     for (rank, (a, d)) in armed.iter().zip(&disarmed).enumerate() {

@@ -2,16 +2,16 @@
 //! number of conflicting writers grows.
 //!
 //! ```text
-//! cargo run --release -p fompi-bench --bin txn_ablation                 # CSV ablation
-//! cargo run --release -p fompi-bench --bin txn_ablation -- --agent-json # fleet agent: one JSON metrics line
+//! cargo run --release -p fompi-bench --bin txn_ablation
 //! ```
 //!
-//! W logical writers contend for one remote versioned cell. Each round
-//! every writer snapshots the cell (versioned read) and stages an
-//! additive update, then the commits are attempted in round-robin order:
-//! the first CAS wins, every other writer loses validation, aborts,
-//! charges its policy backoff, re-snapshots and retries in the next
-//! sub-round. The writers are *deterministically interleaved on one
+//! W logical writers contend for one remote versioned cell
+//! ([`fompi_bench::fleet::contend`]; the fleet's `txn-ablate` agent runs
+//! it at W = 4). Each round every writer snapshots the cell (versioned
+//! read) and stages an additive update, then the commits are attempted
+//! in round-robin order: the first CAS wins, every other writer loses
+//! validation, aborts, charges its policy backoff, re-snapshots and
+//! retries in the next sub-round. The writers are *deterministically interleaved on one
 //! driver rank*, so the sub-round cascade — W commits and
 //! W·(W−1)/2 aborts per round, abort rate (W−1)/(W+1) — and every
 //! virtual-time latency are exact functions of the seed. The CSV is
@@ -23,106 +23,9 @@
 //! W → ∞ yet throughput never collapses to zero (sorted lock order means
 //! someone always wins each sub-round).
 
-use fompi::Win;
-use fompi_fabric::rng::Rng;
-use fompi_fabric::{metrics_snapshot, FaultPlan};
-use fompi_runtime::Universe;
-use fompi_txn::{RetryPolicy, Txn, TxnError, VersionedCell};
-
-const ROUNDS: usize = 32;
-const PAY: usize = 8;
-
-/// One contention point: mean commit latency (snapshot → publication,
-/// including retries and backoff) and the abort tally.
-struct Point {
-    writers: usize,
-    commits: u64,
-    aborts: u64,
-    mean_commit_ns: f64,
-    final_value: u64,
-}
-
-fn contend(writers: usize, agent: bool) -> (Point, std::sync::Arc<fompi_fabric::Fabric>) {
-    // Agent mode arms metrics and leaves the fault layer env-governed so
-    // the fleet's chaos sweep can inject through `FOMPI_FAULTS`; the CSV
-    // path pins faults off (the cascade asserts below are exact).
-    let mut universe = Universe::new(2).node_size(1).seed(11).metrics(agent);
-    if !agent {
-        universe = universe.faults(FaultPlan::disabled());
-    }
-    let (outs, fabric) = universe.launch(move |ctx| {
-        let win = Win::allocate(ctx, 16, 1).unwrap();
-        VersionedCell::init_local(&win, 0, &[0u8; PAY]);
-        ctx.barrier();
-        win.lock_all().unwrap();
-        let mut out = (0u64, 0u64, 0.0, 0u64);
-        if ctx.rank() == 0 {
-            let cell = VersionedCell::new(1, 0, PAY);
-            let policy = RetryPolicy::default();
-            let mut rng = Rng::seed_from_u64(99);
-            let (mut commits, mut aborts, mut total_ns) = (0u64, 0u64, 0.0);
-            // A writer's pending attempt: its staged delta, the
-            // virtual time its *first* snapshot started, its attempt
-            // count, and the ready-to-commit transaction.
-            let snapshot = |w: &mut Txn, delta: u64| -> Result<(), TxnError> {
-                let mut buf = [0u8; PAY];
-                w.read(cell, &mut buf)?;
-                let v = u64::from_le_bytes(buf).wrapping_add(delta);
-                w.write(cell, &v.to_le_bytes())
-            };
-            for round in 0..ROUNDS {
-                // Phase 1: every writer snapshots the same version.
-                let mut pending = Vec::new();
-                for wi in 0..writers {
-                    let delta = (round * writers + wi) as u64 + 1;
-                    let mut txn = Txn::begin(&win);
-                    snapshot(&mut txn, delta).unwrap();
-                    pending.push((delta, ctx.now(), 1u32, txn));
-                }
-                // Phase 2: round-robin commits; losers back off,
-                // re-snapshot and re-queue for the next sub-round.
-                while !pending.is_empty() {
-                    let mut next = Vec::new();
-                    for (delta, t0, attempt, txn) in pending {
-                        match txn.commit() {
-                            Ok(_) => {
-                                commits += 1;
-                                total_ns += ctx.now() - t0;
-                            }
-                            Err(e) if e.is_transient() => {
-                                aborts += 1;
-                                ctx.ep().charge(policy.backoff_ns(attempt, &mut rng));
-                                let mut retry = Txn::begin(&win);
-                                snapshot(&mut retry, delta).unwrap();
-                                next.push((delta, t0, attempt + 1, retry));
-                            }
-                            Err(e) => panic!("non-transient abort: {e}"),
-                        }
-                    }
-                    pending = next;
-                }
-            }
-            let mut buf = [0u8; PAY];
-            cell.read(&win, &mut buf).unwrap();
-            out = (commits, aborts, total_ns / commits as f64, u64::from_le_bytes(buf));
-        }
-        win.unlock_all().unwrap();
-        ctx.barrier();
-        out
-    });
-    let (commits, aborts, mean_commit_ns, final_value) = outs[0];
-    (Point { writers, commits, aborts, mean_commit_ns, final_value }, fabric)
-}
+use fompi_bench::fleet::{contend, TXN_ROUNDS as ROUNDS};
 
 fn main() {
-    // Fleet-agent mode: the driver-rank interleave makes even the
-    // abort cascade an exact function of the seed, so this bin is the
-    // fleet's *stable* txn-backend agent. One JSON line, no file writes.
-    if std::env::args().any(|a| a == "--agent-json") {
-        let (_, fabric) = contend(4, true);
-        println!("{}", metrics_snapshot(&fabric).to_json_line());
-        return;
-    }
     println!("== txn contention ablation: W writers, one hot cell ==\n");
     let mut rows =
         vec!["writers,rounds,commits,aborts,abort_rate,mean_commit_ns,final_value".to_string()];

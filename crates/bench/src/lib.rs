@@ -16,8 +16,12 @@
 //! * [`fence_latency`] / [`pscw_latency`] — real-mode points for 6b/6c;
 //! * [`fit_models`] — linear fits of the measured series against the
 //!   paper's §3 performance functions.
+//!
+//! [`fleet`] holds the cross-backend sweep's agents and its summary
+//! renderer (the `fleet` binary).
 
 pub mod drift;
+pub mod fleet;
 
 use fompi::{LockType, MpiOp, NumKind, Win};
 use fompi_msg::{Comm, MsgEngine, Win22};

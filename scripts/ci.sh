@@ -126,7 +126,7 @@ stage_tests() {
 #   scope_metrics.*    both exposition forms of the metrics snapshot
 #   scope --ablation   armed vs disarmed virtual clocks bit-identical
 #   perfgate.json      virtual ns of the primitives and the protocols above
-#   fleet_summary.json the process-based smoke sweep's stable agents
+#   fleet_summary.json the in-process smoke sweep's stable agents
 DETERMINISM=(
     "reproduce|drift|results/drift.csv"
     "reproduce|fig6b fig6c fig7a fig7b fig7c fig8|results/fig6b.csv results/fig6b_real.csv results/fig6c.csv results/fig7a.csv results/fig7b.csv results/fig7c.csv results/fig8.csv"
@@ -153,9 +153,6 @@ unmoved() { # unmoved <what ran> <file>… — fail naming the first file that d
 }
 
 stage_determinism() {
-    # Every bench bin at once: the fleet row spawns the other bins as
-    # agents, and `cargo run --bin fleet` alone builds only the fleet.
-    cargo build --offline --release -q -p fompi-bench
     # The protocol table (crates/mc/src/programs.rs) and its two runners.
     # Chaos soak smoke: every program under seeded light/heavy fault plans
     # (the CSV depends on the seed count, so only the default two-seed run
@@ -215,10 +212,14 @@ stage_loc() { # stage_loc [--against <parent-checkout>] [file…] — a scoreboa
         [[ -d ${2:-}/crates ]] || { echo "usage: scripts/ci.sh loc --against <parent-checkout> [file…]" >&2; return 1; }
         local parent=$2
         shift 2
-        awk 'FNR == 1 { next }
-            FNR == NR { code[$1] = $2; test[$1] = $3; next }
+        # A unit only the parent has (a deleted crate) reads 0 on this
+        # side, just above the total.
+        awk 'function row(u, c, t) { printf "  %-28s %7d -> %5d %7d -> %5d %+8d %+8d\n", u, code[u], c, test[u], t, c - code[u], t - test[u] }
+            FNR == 1 { next }
+            FNR == NR { code[$1] = $2; test[$1] = $3; order[++n] = $1; next }
             FNR == 2 { printf "  %-28s %16s %16s %8s %8s\n", "'"$( [[ $# -gt 0 ]] && echo file || echo crate)"'", "code", "tests", "Δcode", "Δtests" }
-            { printf "  %-28s %7d -> %5d %7d -> %5d %+8d %+8d\n", $1, code[$1], $2, test[$1], $3, $2 - code[$1], $3 - test[$1] }' \
+            $1 == "total" { for (i = 1; i <= n; i++) if (order[i] != "total" && !(order[i] in seen)) row(order[i], 0, 0) }
+            { seen[$1]; row($1, $2, $3) }' \
             <(cd "$parent" && stage_loc "$@") <(stage_loc "$@")
         return
     fi
@@ -431,9 +432,8 @@ stage_nightly() {
     # Chaos fleet sweep: every agent re-run under an armed seeded fault
     # plan; tail-latency-under-failure lands in results/fleet_chaos.json
     # (the workflow uploads it as the nightly artifact).
-    cargo build --offline --release -q -p fompi-bench
     echo "== fleet chaos sweep =="
-    "${SCRUB[@]}" target/release/fleet --chaos
+    "${SCRUB[@]}" cargo run --offline --release -q -p fompi-bench --bin fleet -- --chaos
 
     # The oversubscribed long counts of the collective engine's tests (a
     # futex sleep per round: too slow for the test tier's debug build).

@@ -22,8 +22,7 @@
 //! [`fompi_bench::fleet::kv_serve_run`], which the fleet's `kv-serve`
 //! agent runs at the smoke size with faults env-governed. The retry
 //! budget is effectively unbounded here (every transaction must
-//! eventually commit for the final table to be exact); set
-//! `FOMPI_TXN_RETRY` to serve with a real budget and shed load instead.
+//! eventually commit for the final table to be exact).
 
 use fompi_apps::kv::KvConfig;
 use fompi_bench::fleet::{

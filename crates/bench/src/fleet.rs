@@ -766,17 +766,13 @@ pub struct KvServed {
 /// Serve `cfg` on `universe` (metrics must be armed) and check the run:
 /// every rank agrees on the table digest, no value was minted or burned,
 /// and every issued operation committed exactly once. The retry policy is
-/// `FOMPI_TXN_RETRY` if set, else an effectively unbounded backoff, so
-/// every operation commits (exactness over shedding).
+/// an effectively unbounded backoff, so every operation commits
+/// (exactness over shedding).
 pub fn kv_serve_run(universe: Universe, cfg: KvConfig) -> KvServed {
     let p = universe.size();
-    let fallback = RetryPolicy::Backoff { budget: 1 << 20, base_ns: 400, cap_ns: 100_000 };
+    let policy = RetryPolicy::Backoff { budget: 1 << 20, base_ns: 400, cap_ns: 100_000 };
     let (outs, fabric) = universe.launch(move |ctx| {
         let store = KvStore::allocate(ctx, cfg);
-        let policy = match store.win.endpoint().fabric().txn_retry() {
-            Some(_) => RetryPolicy::for_win(&store.win),
-            None => fallback.clone(),
-        };
         let stats = serve(ctx, &store, &policy);
         let check = conservation_check(ctx, &store, &stats);
         (stats, check)

@@ -18,7 +18,7 @@
 //! latency.
 
 use crate::error::{FompiError, Result};
-use crate::meta::{off, DYN_ENTRY_BYTES};
+use crate::meta::{self, off, DYN_ENTRY_BYTES};
 use crate::win::{LocalRegion, RemoteRegions, Win, WinKind};
 use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{FabricError, SegKey, Segment};
@@ -68,7 +68,7 @@ impl Win {
             return Err(FompiError::InvalidEpoch("attach requires a dynamic window"));
         }
         let mut local = self.dyn_local.borrow_mut();
-        if local.len() >= self.shared.cfg.max_dyn_regions {
+        if local.len() >= meta::MAX_DYN_REGIONS {
             return Err(FompiError::RegionTableFull);
         }
         let seg = Segment::new(size.max(8));
@@ -88,7 +88,7 @@ impl Win {
         // (readers check the id first, so order matters).
         let idx = local.len();
         let ekey = self.meta_key(self.ep.rank());
-        let eoff = self.shared.cfg.dyn_entry_off(idx);
+        let eoff = meta::dyn_entry_off(idx);
         self.my_meta.write_u64(eoff, addr);
         self.my_meta.write_u64(eoff + 8, size as u64);
         self.my_meta.write_u64(eoff + 16, key.id);
@@ -113,7 +113,7 @@ impl Win {
         // Rewrite the table: the swapped-in entry moves to `idx`.
         if idx < local.len() {
             let moved = &local[idx];
-            let eoff = self.shared.cfg.dyn_entry_off(idx);
+            let eoff = meta::dyn_entry_off(idx);
             self.my_meta.write_u64(eoff, moved.addr);
             self.my_meta.write_u64(eoff + 8, moved.size as u64);
             self.my_meta.write_u64(eoff + 16, moved.key.id);
@@ -196,7 +196,7 @@ impl Win {
             let count = self.ep.read_sync(mkey, off::DYN_COUNT)? as usize;
             let mut buf = vec![0u8; count * DYN_ENTRY_BYTES];
             if count > 0 {
-                self.ep.get(mkey, self.shared.cfg.dyn_table_off(), &mut buf)?;
+                self.ep.get(mkey, off::DYN_TABLE, &mut buf)?;
             }
             // Re-read the id: if it moved while we copied, retry.
             let id_after = self.ep.read_sync(mkey, off::DYN_ID)?;

@@ -49,7 +49,7 @@ pub enum FompiError {
         /// Requested address.
         addr: u64,
     },
-    /// Too many attached regions (config `max_dyn_regions`).
+    /// Too many attached regions (`meta::MAX_DYN_REGIONS`).
     RegionTableFull,
     /// Shared-memory window requested across node boundaries.
     NotShareable,

@@ -21,9 +21,9 @@
 //! 160     MCS queue tail             (master only; §2.3's MCS remark)
 //! 176     MCS granted flag           (local spin target)
 //! 192     MCS successor link
-//! 208     notification counters      (notify_slots × 16 B, foMPI-NA ext.)
-//! ...     dynamic region table       (max_dyn_regions × 24 B: addr,size,key)
-//! table_end  PSCW matching pool      (pscw_pool × 16 B sync vars)
+//! 208     notification counters      (NOTIFY_SLOTS × 16 B, foMPI-NA ext.)
+//! 464     dynamic region table       (MAX_DYN_REGIONS × 24 B: addr,size,key)
+//! 2000    PSCW matching pool         (pscw_pool × 16 B sync vars)
 //! ```
 //!
 //! The pool element value packs `origin<<32 | next_idx`; index `NIL`
@@ -61,10 +61,19 @@ pub mod off {
     pub const MCS_FLAG: usize = 176;
     /// MCS lock: my queue node's successor link.
     pub const MCS_NEXT: usize = 192;
-    /// Start of the notified-access counters (notify_slots × 16 B), the
+    /// Start of the notified-access counters (`NOTIFY_SLOTS` × 16 B), the
     /// foMPI-NA extension: put + remote notification in one call.
     pub const NOTIFY_BASE: usize = 208;
+    /// Start of the dynamic region table, right after the counters.
+    pub const DYN_TABLE: usize = NOTIFY_BASE + super::NOTIFY_SLOTS * super::POOL_ELEM_BYTES;
 }
+
+/// Signal counters per rank for the slot-based notified-access extension
+/// ([`crate::win::Win::put_signal`]).
+pub const NOTIFY_SLOTS: usize = 16;
+
+/// Maximum simultaneously attached dynamic regions per rank.
+pub const MAX_DYN_REGIONS: usize = 64;
 
 /// Bytes per dynamic region table entry: `addr: u64, size: u64, key_id: u64`.
 pub const DYN_ENTRY_BYTES: usize = 24;
@@ -86,8 +95,6 @@ pub struct WinConfig {
     /// can be simultaneously outstanding toward one rank; the paper assumes
     /// `k ∈ O(log p)` neighbours (§2.3).
     pub pscw_pool: usize,
-    /// Maximum simultaneously attached dynamic regions per rank.
-    pub max_dyn_regions: usize,
     /// Route eligible accumulates through hardware AMOs (true = paper's
     /// DMAPP-accelerated path). Disable to force the lock fallback for all
     /// ops — needed when mixing ops that must stay mutually atomic.
@@ -101,9 +108,6 @@ pub struct WinConfig {
     /// [`crate::FompiError::PoolExhausted`] — the detector for programs
     /// whose PSCW fan-in exceeds `pscw_pool` in a dependency cycle.
     pub pool_retry_limit: u64,
-    /// Signal counters per rank for the slot-based notified-access
-    /// extension ([`crate::win::Win::put_signal`]).
-    pub notify_slots: usize,
     /// PSCW fast path: announce posts through an FAA ring cursor over the
     /// slot pool (one non-fetching-AMO-priced announcement per neighbour,
     /// matching the paper's Ppost = 350 ns·k) instead of the Figure-2c
@@ -116,47 +120,39 @@ impl Default for WinConfig {
     fn default() -> Self {
         Self {
             pscw_pool: 128,
-            max_dyn_regions: 64,
             hw_amo: true,
             dyn_notify: false,
             pool_retry_limit: 1_000_000,
-            notify_slots: 16,
             pscw_fast: false,
         }
     }
 }
 
+/// Byte offset of notification counter `slot`.
+pub fn notify_off(slot: usize) -> usize {
+    debug_assert!(slot < NOTIFY_SLOTS);
+    off::NOTIFY_BASE + slot * POOL_ELEM_BYTES
+}
+
+/// Byte offset of dynamic region entry `i`.
+pub fn dyn_entry_off(i: usize) -> usize {
+    debug_assert!(i < MAX_DYN_REGIONS);
+    off::DYN_TABLE + i * DYN_ENTRY_BYTES
+}
+
+/// Start of the PSCW matching pool, right after the region table.
+const POOL_BASE: usize = off::DYN_TABLE + MAX_DYN_REGIONS * DYN_ENTRY_BYTES;
+
 impl WinConfig {
-    /// Byte offset of notification counter `slot`.
-    pub fn notify_off(&self, slot: usize) -> usize {
-        debug_assert!(slot < self.notify_slots);
-        off::NOTIFY_BASE + slot * POOL_ELEM_BYTES
-    }
-
-    /// Start of the dynamic region table.
-    pub fn dyn_table_off(&self) -> usize {
-        off::NOTIFY_BASE + self.notify_slots * POOL_ELEM_BYTES
-    }
-
     /// Total bytes of the metadata segment under this configuration.
     pub fn meta_bytes(&self) -> usize {
-        self.dyn_table_off()
-            + self.max_dyn_regions * DYN_ENTRY_BYTES
-            + self.pscw_pool * POOL_ELEM_BYTES
+        POOL_BASE + self.pscw_pool * POOL_ELEM_BYTES
     }
 
     /// Byte offset of pool element `idx`.
     pub fn pool_off(&self, idx: u32) -> usize {
         debug_assert!((idx as usize) < self.pscw_pool);
-        self.dyn_table_off()
-            + self.max_dyn_regions * DYN_ENTRY_BYTES
-            + idx as usize * POOL_ELEM_BYTES
-    }
-
-    /// Byte offset of dynamic region entry `i`.
-    pub fn dyn_entry_off(&self, i: usize) -> usize {
-        debug_assert!(i < self.max_dyn_regions);
-        self.dyn_table_off() + i * DYN_ENTRY_BYTES
+        POOL_BASE + idx as usize * POOL_ELEM_BYTES
     }
 }
 
@@ -210,14 +206,16 @@ mod tests {
             off::MCS_FLAG,
             off::MCS_NEXT,
             off::NOTIFY_BASE,
-            cfg.dyn_table_off(),
-            cfg.notify_off(0),
+            off::DYN_TABLE,
+            notify_off(0),
         ] {
             assert_eq!(o % 8, 0);
         }
         assert_eq!(cfg.pool_off(0) % 8, 0);
         assert!(cfg.pool_off(cfg.pscw_pool as u32 - 1) + POOL_ELEM_BYTES <= cfg.meta_bytes());
-        assert!(cfg.dyn_entry_off(cfg.max_dyn_regions - 1) + DYN_ENTRY_BYTES <= cfg.pool_off(0));
+        assert!(dyn_entry_off(MAX_DYN_REGIONS - 1) + DYN_ENTRY_BYTES <= cfg.pool_off(0));
+        // The layout the header above draws, to the byte.
+        assert_eq!((off::DYN_TABLE, cfg.pool_off(0), cfg.meta_bytes()), (464, 2000, 4048));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * **Signals** ([`Win::put_signal`] / [`Win::signal_wait`] /
 //!   [`Win::signal_test`]): the original slot-counter scheme. The origin's
-//!   call delivers the data *and* bumps one of `notify_slots` monotonic
+//!   call delivers the data *and* bumps one of `NOTIFY_SLOTS` monotonic
 //!   counters in the target's window metadata; the target spins on its
 //!   local counter. No payload metadata travels with the signal — the
 //!   consumer must know from the slot number alone what arrived.
@@ -34,6 +34,7 @@
 
 use super::Frame;
 use crate::error::{FompiError, Result};
+use crate::meta;
 use crate::racecheck::acc_tag;
 use crate::win::Win;
 use fompi_fabric::shadow::AccessKind;
@@ -110,10 +111,10 @@ impl Win {
 
     /// Where signal counter `slot` lies in a rank's window metadata.
     fn signal_off(&self, slot: usize) -> Result<usize> {
-        if slot >= self.shared.cfg.notify_slots {
+        if slot >= meta::NOTIFY_SLOTS {
             return Err(FompiError::InvalidEpoch("signal slot out of range"));
         }
-        Ok(self.shared.cfg.notify_off(slot))
+        Ok(meta::notify_off(slot))
     }
 
     // ------------------------------------------- notifications (ring API)

@@ -45,16 +45,6 @@ pub struct Config {
     /// Tracing telemetry: `Some(events retained per rank)` arms it
     /// (`FOMPI_TELEMETRY`, capacity from `FOMPI_TELEMETRY_RING`).
     pub telemetry_ring: Option<usize>,
-    /// Transaction retry-policy spec (`FOMPI_TXN_RETRY`). Carried
-    /// verbatim: the `fompi-txn` layer owns the grammar (e.g.
-    /// `immediate:16`, `backoff:64:400:100000`) and rejects a malformed
-    /// spec when a policy is constructed, so the fabric stays ignorant of
-    /// transaction semantics.
-    pub txn_retry: Option<String>,
-    /// Remote-memory-channel tuning spec (`FOMPI_RMC`, e.g.
-    /// `slots=8,slot_bytes=256,lagging=drop`). Carried verbatim for the
-    /// `fompi-rmc` layer, like `txn_retry`.
-    pub rmc: Option<String>,
     /// Model-checker scheduling gate (see [`crate::mc`]); no environment
     /// form — only `fompi-mc` installs one.
     pub mc: Option<Arc<dyn McGate>>,
@@ -71,8 +61,6 @@ impl Default for Config {
             profile: ProfileMode::Off,
             metrics: false,
             telemetry_ring: None,
-            txn_retry: None,
-            rmc: None,
             mc: None,
         }
     }
@@ -144,7 +132,7 @@ impl std::error::Error for ConfigError {}
 impl Config {
     /// Every environment variable [`Config::from_env`] reads — the list
     /// anything that scrubs or documents the knobs goes by.
-    pub const VARS: [&'static str; 11] = [
+    pub const VARS: [&'static str; 9] = [
         "FOMPI_SEED",
         "FOMPI_FAULTS",
         "FOMPI_BATCH",
@@ -154,8 +142,6 @@ impl Config {
         "FOMPI_METRICS",
         "FOMPI_TELEMETRY",
         "FOMPI_TELEMETRY_RING",
-        "FOMPI_TXN_RETRY",
-        "FOMPI_RMC",
     ];
 
     /// The configuration the process environment asks for.
@@ -180,8 +166,6 @@ impl Config {
             profile: knob(&lookup, "FOMPI_PROFILE", d.profile, ProfileMode::parse)?,
             metrics: knob(&lookup, "FOMPI_METRICS", d.metrics, switch)?,
             telemetry_ring: knob(&lookup, "FOMPI_TELEMETRY", false, switch)?.then_some(ring),
-            txn_retry: knob(&lookup, "FOMPI_TXN_RETRY", None, carried)?,
-            rmc: knob(&lookup, "FOMPI_RMC", None, carried)?,
             mc: None,
         })
     }
@@ -228,11 +212,6 @@ fn count(v: &str) -> Result<usize, &'static str> {
     v.parse().ok().filter(|&n| n >= 1).ok_or("expected an integer >= 1")
 }
 
-/// A spec string whose grammar another layer owns.
-fn carried(v: &str) -> Result<Option<String>, std::convert::Infallible> {
-    Ok(Some(v.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,8 +233,6 @@ mod tests {
             "FOMPI_PROFILE" => c.profile.name().to_string(),
             "FOMPI_METRICS" => c.metrics.to_string(),
             "FOMPI_TELEMETRY" | "FOMPI_TELEMETRY_RING" => format!("{:?}", c.telemetry_ring),
-            "FOMPI_TXN_RETRY" => format!("{:?}", c.txn_retry),
-            "FOMPI_RMC" => format!("{:?}", c.rmc),
             other => panic!("no field for {other}"),
         }
     }
@@ -269,8 +246,7 @@ mod tests {
             _ => vec![],
         };
         // (variable, default, valid value, its rendering, typo, what the
-        // error must mention). The two spec strings have no typo the
-        // fabric could see: their own layers reject them.
+        // error must mention).
         let rows = [
             ("FOMPI_SEED", "0x1", "0x2A", "0x2a", "0xZZ", "0x-hex"),
             ("FOMPI_FAULTS", "jitter 0 seed 0", "heavy", "jitter 0.5 seed 1", "jittr=0.3", "key"),
@@ -281,8 +257,6 @@ mod tests {
             ("FOMPI_METRICS", "false", "true", "true", "yes", "0|false|off"),
             ("FOMPI_TELEMETRY", "None", "1", "Some(65536)", "of", "0|false|off"),
             ("FOMPI_TELEMETRY_RING", "Some(65536)", "4096", "Some(4096)", "4k", ">= 1"),
-            ("FOMPI_TXN_RETRY", "None", "immediate:16", "Some(\"immediate:16\")", "", ""),
-            ("FOMPI_RMC", "None", "slots=4", "Some(\"slots=4\")", "", ""),
         ];
         assert_eq!(rows.map(|r| r.0), Config::VARS, "one row per variable, in VARS order");
         for (var, default, valid, shown, typo, mention) in rows {
@@ -291,9 +265,6 @@ mod tests {
             assert_eq!(show(&set("").unwrap(), var), default, "{var} empty");
             assert_eq!(show(&set("  ").unwrap(), var), default, "{var} blank");
             assert_eq!(show(&set(valid).unwrap(), var), shown, "{var}={valid}");
-            if typo.is_empty() {
-                continue;
-            }
             let e = set(typo).err().unwrap_or_else(|| panic!("{var}={typo} must be rejected"));
             assert_eq!((e.var, e.value.as_str()), (var, typo));
             let text = e.to_string();

@@ -105,8 +105,6 @@ pub struct Fabric {
     notify: NotifyHub,
     shadow: Shadow,
     profiler: Profiler,
-    txn_retry: Option<String>,
-    rmc: Option<String>,
     mc: Option<Arc<dyn mc::McGate>>,
 }
 
@@ -168,8 +166,6 @@ impl Fabric {
             notify: NotifyHub::new(p, config.notify_depth),
             shadow,
             profiler: Profiler::new(config.profile),
-            txn_retry: config.txn_retry,
-            rmc: config.rmc,
             mc: config.mc,
         })
     }
@@ -240,18 +236,6 @@ impl Fabric {
     /// [`Config::racecheck`] arms it.
     pub fn shadow(&self) -> &Shadow {
         &self.shadow
-    }
-
-    /// The transaction retry-policy spec in force
-    /// ([`Config::txn_retry`]), if any.
-    pub fn txn_retry(&self) -> Option<&str> {
-        self.txn_retry.as_deref()
-    }
-
-    /// The remote-memory-channel tuning spec in force ([`Config::rmc`]),
-    /// if any.
-    pub fn rmc(&self) -> Option<&str> {
-        self.rmc.as_deref()
     }
 
     /// The installed model-checker gate ([`Config::mc`]), if any: once

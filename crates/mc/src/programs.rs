@@ -619,13 +619,7 @@ fn rmc_mesh(ctx: &mut RankCtx, s: &Shape, leak: bool) -> Verdict {
 /// it can queue behind another client's stalled call, or injected faults
 /// stretch its round trip past the deadline.
 fn rpc_timeout(ctx: &mut RankCtx, s: &Shape) -> Verdict {
-    let cfg = RmcConfig {
-        slots: 1,
-        slot_bytes: 8,
-        rpc_budget: 1,
-        rpc_timeout_ns: 100_000,
-        ..RmcConfig::default()
-    };
+    let cfg = RmcConfig { slots: 1, slot_bytes: 8, rpc_budget: 1, rpc_timeout_ns: 100_000 };
     let clients: Vec<u32> = (1..ctx.size() as u32).collect();
     let answer = |call: u64| if call % 2 == 1 { 77u64 } else { 99 };
     let even_may_time_out = clients.len() > 1 || ctx.fabric().faults().active();
@@ -673,7 +667,7 @@ fn txn_commit(ctx: &mut RankCtx, s: &Shape) -> Verdict {
     win.lock_all().txt()?;
     let me = ctx.rank();
     let cell = VersionedCell::new(0, me as usize * CELL, 8);
-    let policy = RetryPolicy::for_win(&win);
+    let policy = RetryPolicy::default();
     let mut rng = Rng::seed_from_u64(7 + me as u64);
     for _ in 0..s.epochs {
         fompi_txn::run(&win, &policy, &mut rng, |txn| {
@@ -771,7 +765,7 @@ fn txn_readonly(ctx: &mut RankCtx, s: &Shape, validated: bool) -> Verdict {
     if ctx.rank() == 1 {
         let mut rng = Rng::seed_from_u64(7);
         for _ in 0..s.epochs {
-            fompi_txn::run(&win, &RetryPolicy::for_win(&win), &mut rng, |txn| {
+            fompi_txn::run(&win, &RetryPolicy::default(), &mut rng, |txn| {
                 let (from, to) = (read_wide(txn, a)?, read_wide(txn, b)?);
                 txn.write(a, &wide(from.wrapping_sub(MOVED)))?;
                 txn.write(b, &wide(to.wrapping_add(MOVED)))

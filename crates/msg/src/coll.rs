@@ -321,14 +321,6 @@ impl IBarrier {
     }
 }
 
-/// Drain any stray messages with a given tag (test hygiene helper).
-pub fn drain_tag(comm: &Comm, tag: u32) {
-    while comm.iprobe(crate::queue::ANY_SOURCE, tag).is_some() {
-        let mut sink = vec![0u8; 1 << 16];
-        comm.recv(&mut sink, crate::queue::ANY_SOURCE, tag).ok();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,9 +25,10 @@
 //!   outstanding-request budgets, and timeouts surfaced as *transient*
 //!   errors (retryable, consistent with `FabricError` backpressure).
 //!
-//! Tuning rides the `FOMPI_RMC` environment knob (or
-//! `Universe::rmc(spec)`): the fabric carries the raw spec string, this
-//! crate owns the grammar — see [`RmcConfig::parse`].
+//! Tuning is per structure, at construction: [`fanin()`] and [`fanout()`]
+//! take their ring geometry (and the fan-out its [`LaggingPolicy`]) as
+//! arguments, [`mesh()`] and [`rpc()`] an [`RmcConfig`]. There is no
+//! job-wide knob.
 //!
 //! Telemetry: producers emit `rmc_send` spans, consumers `rmc_recv`, RPC
 //! callers `rpc_call`; each shares its causal flow id with the underlying
@@ -50,7 +51,6 @@ pub use rpc::{rpc, RpcClient, RpcEnd, RpcRequest, RpcServer};
 
 use fompi::lane::TxLane;
 use fompi::{Result, Win};
-use fompi_runtime::RankCtx;
 
 /// The notified put of one `rmc_send` span, in a causal flow of its own so
 /// the trace draws an arrow from the span into the consumer's matching
@@ -92,17 +92,14 @@ pub enum LaggingPolicy {
     Drop,
 }
 
-/// Parsed `FOMPI_RMC` tuning knobs. Every field has a default; the spec
-/// grammar is comma-separated `key=value` pairs, e.g.
-/// `slots=8,slot_bytes=256,lagging=drop,rpc_budget=4,rpc_timeout_ns=2000000`.
+/// Ring geometry and RPC budgets of one [`mesh()`] or [`rpc()`], passed
+/// to its constructor. Every field has a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RmcConfig {
     /// Ring slots per producer region / per subscriber ring.
     pub slots: usize,
     /// Payload capacity of one slot, bytes.
     pub slot_bytes: usize,
-    /// Fan-out behaviour when a subscriber lags.
-    pub lagging: LaggingPolicy,
     /// Maximum outstanding requests per RPC client.
     pub rpc_budget: usize,
     /// Virtual-time reply deadline: a reply whose notification stamp
@@ -113,102 +110,6 @@ pub struct RmcConfig {
 
 impl Default for RmcConfig {
     fn default() -> Self {
-        RmcConfig {
-            slots: 8,
-            slot_bytes: 256,
-            lagging: LaggingPolicy::Block,
-            rpc_budget: 4,
-            rpc_timeout_ns: 50_000_000,
-        }
-    }
-}
-
-impl RmcConfig {
-    /// Parse a spec string over the defaults. Unknown keys and malformed
-    /// values are errors — a typo in `FOMPI_RMC` must fail loudly, not
-    /// silently run with defaults.
-    pub fn parse(spec: &str) -> std::result::Result<RmcConfig, String> {
-        let mut cfg = RmcConfig::default();
-        for pair in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let (key, val) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("FOMPI_RMC entry {pair:?} is not key=value"))?;
-            let uint = |what: &str| {
-                val.parse::<u64>().map_err(|_| format!("FOMPI_RMC {what}={val:?} is not a number"))
-            };
-            match key.trim() {
-                "slots" => cfg.slots = uint("slots")? as usize,
-                "slot_bytes" => cfg.slot_bytes = uint("slot_bytes")? as usize,
-                "lagging" => {
-                    cfg.lagging = match val.trim() {
-                        "block" => LaggingPolicy::Block,
-                        "drop" => LaggingPolicy::Drop,
-                        other => {
-                            return Err(format!("FOMPI_RMC lagging={other:?} (want block or drop)"))
-                        }
-                    }
-                }
-                "rpc_budget" => cfg.rpc_budget = uint("rpc_budget")? as usize,
-                "rpc_timeout_ns" => cfg.rpc_timeout_ns = uint("rpc_timeout_ns")?,
-                other => return Err(format!("unknown FOMPI_RMC key {other:?}")),
-            }
-        }
-        if cfg.slots == 0 || cfg.slot_bytes == 0 {
-            return Err("FOMPI_RMC slots and slot_bytes must be nonzero".into());
-        }
-        if cfg.rpc_budget == 0 {
-            return Err("FOMPI_RMC rpc_budget must be nonzero".into());
-        }
-        Ok(cfg)
-    }
-
-    /// The config in force for this job: the fabric-carried `FOMPI_RMC` /
-    /// `Universe::rmc` spec parsed over the defaults. Panics on a
-    /// malformed spec (configuration errors are programmer errors).
-    pub fn from_ctx(ctx: &RankCtx) -> RmcConfig {
-        match ctx.fabric().rmc() {
-            Some(spec) => match RmcConfig::parse(spec) {
-                Ok(cfg) => cfg,
-                Err(e) => panic!("invalid FOMPI_RMC spec: {e}"),
-            },
-            None => RmcConfig::default(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_spec_round_trips() {
-        assert_eq!(RmcConfig::parse("").unwrap(), RmcConfig::default());
-        let cfg =
-            RmcConfig::parse("slots=16,slot_bytes=64,lagging=drop,rpc_budget=2,rpc_timeout_ns=99")
-                .unwrap();
-        assert_eq!(cfg.slots, 16);
-        assert_eq!(cfg.slot_bytes, 64);
-        assert_eq!(cfg.lagging, LaggingPolicy::Drop);
-        assert_eq!(cfg.rpc_budget, 2);
-        assert_eq!(cfg.rpc_timeout_ns, 99);
-    }
-
-    #[test]
-    fn malformed_specs_fail_loudly() {
-        for bad in
-            ["slots", "slots=x", "lagging=maybe", "rnaks=2", "slots=0", "rpc_budget=0", "a=1,b"]
-        {
-            assert!(RmcConfig::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn universe_spec_reaches_the_config() {
-        use fompi_runtime::Universe;
-        let got = Universe::new(2).node_size(1).rmc("slots=3,lagging=drop").run(|ctx| {
-            let cfg = RmcConfig::from_ctx(ctx);
-            (cfg.slots, cfg.lagging == LaggingPolicy::Drop)
-        });
-        assert!(got.iter().all(|&(s, d)| s == 3 && d));
+        RmcConfig { slots: 8, slot_bytes: 256, rpc_budget: 4, rpc_timeout_ns: 50_000_000 }
     }
 }

@@ -112,9 +112,8 @@ pub enum RpcEnd {
 
 /// Collectively build an RPC endpoint: `clients` call into `server`.
 /// Every rank of the universe must call; ranks that are neither get
-/// `None`. Ring geometry and budgets come from `cfg`
-/// ([`RmcConfig::from_ctx`] honours `FOMPI_RMC`); a zero-capacity ring is
-/// a typed error on every rank ([`Geometry::new`]).
+/// `None`. Ring geometry and budgets come from `cfg`; a zero-capacity ring
+/// is a typed error on every rank ([`Geometry::new`]).
 pub fn rpc(ctx: &RankCtx, server: u32, clients: &[u32], cfg: &RmcConfig) -> Result<Option<RpcEnd>> {
     let geom = Geometry::new(cfg.slots, cfg.slot_bytes)?;
     check_spokes(server, clients, "rpc client");

@@ -137,26 +137,6 @@ impl Universe {
         self
     }
 
-    /// Set the transaction retry-policy spec for the job, overriding
-    /// `FOMPI_TXN_RETRY`. The fabric carries the raw string; the
-    /// `fompi-txn` layer owns the grammar (`immediate[:budget]` or
-    /// `backoff[:budget[:base_ns[:cap_ns]]]`) and parses it when a policy
-    /// is constructed.
-    pub fn txn_retry(mut self, spec: &str) -> Self {
-        self.config.txn_retry = Some(spec.to_string());
-        self
-    }
-
-    /// Set the remote-memory-channel tuning spec for the job, overriding
-    /// `FOMPI_RMC`. The fabric carries the raw string; the `fompi-rmc`
-    /// layer owns the grammar (comma-separated `key=value` pairs such as
-    /// `slots=8,lagging=drop,rpc_budget=4`) and parses it when a channel
-    /// or RPC endpoint is constructed.
-    pub fn rmc(mut self, spec: &str) -> Self {
-        self.config.rmc = Some(spec.to_string());
-        self
-    }
-
     /// Install a model-checker scheduling gate (`fompi_fabric::mc`) for
     /// the job: every endpoint serializes its shared-state operations
     /// through it and the collective engine swaps its real barriers for
@@ -461,7 +441,6 @@ mod tests {
         let env = || {
             Config::from_vars(|var| match var {
                 "FOMPI_BATCH" => Some("on".to_string()),
-                "FOMPI_TXN_RETRY" => Some("immediate:4".to_string()),
                 _ => None,
             })
             .unwrap()
@@ -469,17 +448,10 @@ mod tests {
         let launch = |u: Universe| u.node_size(1).launch(|ctx| ctx.ep().batching());
         let (batching, fabric) = launch(Universe::with_config(2, env()));
         assert_eq!(batching, [true, true], "builder silent: the environment's batch=on");
-        assert_eq!(fabric.txn_retry(), Some("immediate:4"));
-        assert_eq!(fabric.rmc(), None, "unset everywhere means the rmc layer's defaults");
-        let (batching, fabric) = launch(
-            Universe::with_config(2, env())
-                .batch(false)
-                .txn_retry("backoff:8:200:50000")
-                .rmc("slots=4,lagging=drop"),
-        );
+        assert!(fabric.batch_default());
+        let (batching, fabric) = launch(Universe::with_config(2, env()).batch(false));
         assert_eq!(batching, [false, false], "the builder's batch(false) wins");
-        assert_eq!(fabric.txn_retry(), Some("backoff:8:200:50000"));
-        assert_eq!(fabric.rmc(), Some("slots=4,lagging=drop"));
+        assert!(!fabric.batch_default());
     }
 
     #[test]

@@ -7,21 +7,10 @@
 //! with capped exponential backoff and seeded jitter so symmetric
 //! conflicters desynchronize instead of livelocking. Backoff time is
 //! charged to the rank's *virtual* clock, so policies shape the modeled
-//! latency distribution deterministically.
-//!
-//! The `FOMPI_TXN_RETRY` environment knob (carried by the fabric, parsed
-//! here) selects the job-wide default:
-//!
-//! ```text
-//! immediate[:budget]
-//! backoff[:budget[:base_ns[:cap_ns]]]
-//! ```
-//!
-//! e.g. `immediate:16` or `backoff:64:400:100000`.
+//! latency distribution deterministically. A policy is a parameter of
+//! each call into the retry loop ([`crate::run`]), chosen by the caller.
 
-use fompi::win::Win;
 use fompi_fabric::rng::Rng;
-use fompi_fabric::Fabric;
 
 /// How a transaction retries after a transient failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +34,9 @@ pub enum RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// The job-wide default when `FOMPI_TXN_RETRY` is unset: backoff with
-    /// a 64-attempt budget, 400 ns base and 100 µs cap — aggressive
-    /// enough for hot keys, bounded enough to surface pathologies.
+    /// Backoff with a 64-attempt budget, 400 ns base and 100 µs cap —
+    /// aggressive enough for hot keys, bounded enough to surface
+    /// pathologies.
     fn default() -> Self {
         RetryPolicy::Backoff { budget: 64, base_ns: 400, cap_ns: 100_000 }
     }
@@ -78,89 +67,11 @@ impl RetryPolicy {
             }
         }
     }
-
-    /// Parse the `FOMPI_TXN_RETRY` grammar (see the module docs).
-    pub fn from_spec(spec: &str) -> Result<RetryPolicy, String> {
-        let mut parts = spec.trim().split(':');
-        let kind = parts.next().unwrap_or("");
-        let mut num = |what: &str, default: u64| -> Result<u64, String> {
-            match parts.next() {
-                None | Some("") => Ok(default),
-                Some(tok) => tok
-                    .parse::<u64>()
-                    .map_err(|_| format!("FOMPI_TXN_RETRY: bad {what} {tok:?} in {spec:?}")),
-            }
-        };
-        let policy = match kind {
-            "immediate" => RetryPolicy::Immediate { budget: num("budget", 64)? as u32 },
-            "backoff" => {
-                let d = RetryPolicy::default();
-                let (db, dbase, dcap) = match d {
-                    RetryPolicy::Backoff { budget, base_ns, cap_ns } => {
-                        (budget as u64, base_ns, cap_ns)
-                    }
-                    RetryPolicy::Immediate { .. } => unreachable!(),
-                };
-                RetryPolicy::Backoff {
-                    budget: num("budget", db)? as u32,
-                    base_ns: num("base_ns", dbase)?,
-                    cap_ns: num("cap_ns", dcap)?,
-                }
-            }
-            other => return Err(format!("FOMPI_TXN_RETRY: unknown policy {other:?} in {spec:?}")),
-        };
-        if let Some(extra) = parts.next() {
-            return Err(format!("FOMPI_TXN_RETRY: trailing field {extra:?} in {spec:?}"));
-        }
-        if policy.budget() == 0 {
-            return Err(format!("FOMPI_TXN_RETRY: budget must be >= 1 in {spec:?}"));
-        }
-        Ok(policy)
-    }
-
-    /// The policy the fabric carries (`FOMPI_TXN_RETRY` /
-    /// `Universe::txn_retry`), or the default when unset. A malformed
-    /// spec panics: it is launch-time configuration, and silently
-    /// substituting the default would hide the typo.
-    pub fn for_fabric(fabric: &Fabric) -> RetryPolicy {
-        match fabric.txn_retry() {
-            None => RetryPolicy::default(),
-            Some(spec) => match RetryPolicy::from_spec(spec) {
-                Ok(p) => p,
-                Err(e) => panic!("{e}"),
-            },
-        }
-    }
-
-    /// [`RetryPolicy::for_fabric`] via the window's endpoint.
-    pub fn for_win(win: &Win) -> RetryPolicy {
-        Self::for_fabric(win.endpoint().fabric())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_grammar_roundtrips() {
-        assert_eq!(RetryPolicy::from_spec("immediate"), Ok(RetryPolicy::Immediate { budget: 64 }));
-        assert_eq!(RetryPolicy::from_spec("immediate:3"), Ok(RetryPolicy::Immediate { budget: 3 }));
-        assert_eq!(RetryPolicy::from_spec("backoff"), Ok(RetryPolicy::default()));
-        assert_eq!(
-            RetryPolicy::from_spec("backoff:8:100:5000"),
-            Ok(RetryPolicy::Backoff { budget: 8, base_ns: 100, cap_ns: 5000 })
-        );
-        // Partial backoff specs fill the tail with defaults.
-        assert_eq!(
-            RetryPolicy::from_spec("backoff:8"),
-            Ok(RetryPolicy::Backoff { budget: 8, base_ns: 400, cap_ns: 100_000 })
-        );
-        for bad in ["", "exponential", "backoff:x", "immediate:1:2", "backoff:1:2:3:4", "backoff:0"]
-        {
-            assert!(RetryPolicy::from_spec(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
 
     #[test]
     fn backoff_grows_then_caps() {

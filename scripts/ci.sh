@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 # the seed explicitly where the bin wants one.
 SCRUB=(env -u FOMPI_SEED -u FOMPI_FAULTS -u FOMPI_BATCH -u FOMPI_NOTIFY_DEPTH
     -u FOMPI_RACECHECK -u FOMPI_PROFILE -u FOMPI_METRICS -u FOMPI_TELEMETRY
-    -u FOMPI_TELEMETRY_RING -u FOMPI_TXN_RETRY -u FOMPI_RMC -u FOMPI_MC_REPLAY)
+    -u FOMPI_TELEMETRY_RING -u FOMPI_MC_REPLAY)
 
 # ---------------------------------------------------------------- timing
 STAGE_NAMES=()
@@ -226,11 +226,15 @@ stage_loc() { # stage_loc [--against <parent-checkout>] [file…] — a scoreboa
     # Each file is split at its first `#[cfg(test)]` / `#[cfg(loom)]`
     # attribute (`#[cfg(all(test, loom))]` too): code above, tests below;
     # files under tests/ or benches/ are tests throughout. Without
-    # arguments: every crate, one row each. With files: one row per file.
-    local by=crate
+    # arguments: every crate, one row each. With files: one row per file,
+    # in the order given; a file this checkout lacks reads 0.
+    local by=crate f
     [[ $# -gt 0 ]] && by=file
-    { if [[ $# -gt 0 ]]; then printf '%s\n' "$@"; else find crates -name '*.rs' | sort; fi; } |
-        xargs awk -v by="$by" '
+    { if [[ $# -gt 0 ]]; then
+        for f in "$@"; do if [[ -f $f ]]; then printf '%s\n' "$f"; fi; done
+    else find crates -name '*.rs' | sort; fi; } |
+        xargs awk -v by="$by" -v named="$*" '
+            BEGIN { n = split(named, f, " "); for (i = 1; i <= n; i++) { order[i] = f[i]; code[f[i]] = test[f[i]] = 0 } }
             FNR == 1 {
                 split(FILENAME, part, "/")
                 unit = (by == "crate") ? part[2] : FILENAME

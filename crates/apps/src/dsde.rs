@@ -259,7 +259,7 @@ pub fn run_notified(ctx: &RankCtx, win: &Win, k: usize, seed: u64) -> DsdeResult
 // ----------------------------------------------------------------- RMC
 
 /// Protocol 6: remote memory channels — the same FAA-free scheme as
-/// [`run_notified`], but through the reusable [`fompi_rmc::mesh`]
+/// [`run_notified`], but through the reusable [`fompi_rmc::mesh()`]
 /// abstraction instead of a hand-rolled window layout. Each rank sends
 /// its `k` payloads over the all-to-all mesh, a barrier bounds the send
 /// phase, and the receiver drains until dry. Credits are returned by one

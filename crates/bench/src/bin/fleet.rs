@@ -31,9 +31,6 @@ use std::time::Duration;
 /// The chaos sweep's fault plan (seeded: deterministic injections).
 const CHAOS_PLAN: &str = "heavy,seed=5";
 
-/// Seed every sweep point runs with.
-const SEED: u64 = 1;
-
 /// The smoke sweep stops at this rank count; `--sweep`/`--chaos` run the
 /// registry's full rank lists.
 const SMOKE_MAX_RANKS: usize = 4;
@@ -79,7 +76,7 @@ fn run_sweep(mode: Mode) -> Result<Vec<ConfigResult>, String> {
                 for &node_size in spec.node_sizes {
                     hang.send(spec.label(ranks, node_size))
                         .expect("the watchdog outlives the sweep");
-                    runs.push(run_point(spec, ranks, node_size, SEED)?);
+                    runs.push(run_point(spec, ranks, node_size)?);
                 }
             }
         }

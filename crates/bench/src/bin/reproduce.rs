@@ -403,8 +403,6 @@ fn models() {
     );
     let p4 = bench::pscw_latency(4, 1);
     println!("  PSCW cycle : measured {p4:7.0} ns (k=2)   (paper {:.0} ns)", paper.pscw_round(2));
-    let p4f = bench::pscw_latency_cfg(4, 1, true);
-    println!("  PSCW cycle (pscw_fast FAA-ring variant): {p4f:7.0} ns (k=2)");
     write_csv(
         "models",
         "metric,measured,paper",

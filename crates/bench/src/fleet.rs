@@ -63,7 +63,13 @@ pub struct AgentSpec {
     /// for a fixed seed). Unstable agents still run in every sweep and
     /// appear in the table, but stay out of the byte-diffed summary.
     pub stable: bool,
+    /// Seed every point runs at: [`SEED`] for the swept agents, the seed
+    /// its universe is built with for a fixed-config agent.
+    pub seed: u64,
 }
+
+/// Seed the swept agents run at.
+pub const SEED: u64 = 1;
 
 impl AgentSpec {
     /// The name of one sweep point, `name-pP-nN`.
@@ -75,11 +81,11 @@ impl AgentSpec {
 /// Every agent of the fleet. The three neighbor backends sweep rank
 /// counts × node sizes (node_size 1 = all-inter-node, 2 = half the ring
 /// hops ride the XPMEM fast path); `scope`, `txn-ablate`, `rmc-ablate`
-/// and `kv-serve` run one fixed configuration and ignore their arguments
-/// (their grid names the configuration they run). `kv-serve`, `dsde` and
-/// `hashtable` are *unstable*: transactional abort/retry counts and
-/// `ANY_SOURCE` drain joins are schedule-dependent, so their metrics feed
-/// the table and the chaos sweep but never the summary.
+/// and `kv-serve` run one fixed configuration (their grid and seed name
+/// it). `kv-serve`, `dsde` and `hashtable` are *unstable*:
+/// transactional abort/retry counts and `ANY_SOURCE` drain joins are
+/// schedule-dependent, so their metrics feed the table and the chaos
+/// sweep but never the summary.
 pub const REGISTRY: &[AgentSpec] = &[
     AgentSpec {
         name: "bench-rma",
@@ -88,6 +94,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[2, 4, 8, 16],
         node_sizes: &[1, 2],
         stable: true,
+        seed: SEED,
     },
     AgentSpec {
         name: "bench-msg",
@@ -96,6 +103,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[2, 4, 8, 16],
         node_sizes: &[1, 2],
         stable: true,
+        seed: SEED,
     },
     AgentSpec {
         name: "bench-pgas",
@@ -104,6 +112,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[2, 4, 8, 16],
         node_sizes: &[1, 2],
         stable: true,
+        seed: SEED,
     },
     AgentSpec {
         name: "scope",
@@ -112,6 +121,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[2],
         node_sizes: &[1],
         stable: true,
+        seed: SCOPE_SEED,
     },
     AgentSpec {
         name: "txn-ablate",
@@ -120,6 +130,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[2],
         node_sizes: &[1],
         stable: true,
+        seed: CONTEND_SEED,
     },
     AgentSpec {
         name: "rmc-ablate",
@@ -128,6 +139,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[4],
         node_sizes: &[1],
         stable: true,
+        seed: 11,
     },
     AgentSpec {
         name: "kv-serve",
@@ -136,6 +148,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[KV_SMOKE_RANKS],
         node_sizes: &[KV_SMOKE_NODE_SIZE],
         stable: false,
+        seed: KV_SMOKE_SEED,
     },
     AgentSpec {
         name: "dsde",
@@ -144,6 +157,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[8],
         node_sizes: &[2],
         stable: false,
+        seed: SEED,
     },
     AgentSpec {
         name: "hashtable",
@@ -152,6 +166,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         ranks: &[8],
         node_sizes: &[2],
         stable: false,
+        seed: SEED,
     },
 ];
 
@@ -200,13 +215,8 @@ impl ConfigResult {
 /// Run one sweep point of `spec` in this process and snapshot its fabric.
 /// A panic anywhere in the agent (a rank's, re-raised by the launch, or
 /// its own post-run assert) is an error naming the point.
-pub fn run_point(
-    spec: &AgentSpec,
-    ranks: usize,
-    node_size: usize,
-    seed: u64,
-) -> Result<ConfigResult, String> {
-    let t0 = Instant::now();
+pub fn run_point(spec: &AgentSpec, ranks: usize, node_size: usize) -> Result<ConfigResult, String> {
+    let (seed, t0) = (spec.seed, Instant::now());
     let fabric = std::panic::catch_unwind(|| (spec.run)(ranks, node_size, seed)).map_err(|p| {
         let msg = p
             .downcast_ref::<&str>()
@@ -492,12 +502,15 @@ fn hashtable_inserts(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
 /// ring).
 const SCOPE_ITEMS: usize = 32;
 
-/// The scope workload's universe: two inter-node ranks, seed 7, faults
-/// and batching pinned off.
+/// The scope workload's seed.
+const SCOPE_SEED: u64 = 7;
+
+/// The scope workload's universe: two inter-node ranks, `SCOPE_SEED`,
+/// faults and batching pinned off.
 pub fn scope_universe() -> Universe {
     Universe::new(2)
         .node_size(1)
-        .seed(7)
+        .seed(SCOPE_SEED)
         .faults(FaultPlan::disabled())
         .batch(false)
         .notify_depth(2 * SCOPE_ITEMS)
@@ -553,6 +566,9 @@ pub struct TxnPoint {
     pub final_value: u64,
 }
 
+/// The seed of [`contend`]'s universe.
+const CONTEND_SEED: u64 = 11;
+
 /// `writers` logical writers contend for one remote versioned cell for
 /// [`TXN_ROUNDS`] rounds, deterministically interleaved on driver rank 0,
 /// so the abort cascade is an exact function of the seed. `agent` arms
@@ -560,7 +576,7 @@ pub struct TxnPoint {
 /// injects through `FOMPI_FAULTS`); otherwise faults are pinned off and
 /// the cascade is exact.
 pub fn contend(writers: usize, agent: bool) -> (TxnPoint, Arc<Fabric>) {
-    let mut universe = Universe::new(2).node_size(1).seed(11).metrics(agent);
+    let mut universe = Universe::new(2).node_size(1).seed(CONTEND_SEED).metrics(agent);
     if !agent {
         universe = universe.faults(FaultPlan::disabled());
     }
@@ -651,9 +667,9 @@ pub fn payload(source: u32, seq: usize) -> [u8; RMC_BYTES] {
 /// One deterministic universe exercising the schedule-independent rmc
 /// paths only (sized fan-out, 1-slot fan-in, one RPC client), metrics
 /// armed, faults env-governed.
-fn rmc_mix(_: usize, _: usize, _: u64) -> Arc<Fabric> {
+fn rmc_mix(_: usize, _: usize, seed: u64) -> Arc<Fabric> {
     let (_, fabric) =
-        Universe::new(4).node_size(1).seed(11).notify_depth(256).metrics(true).launch(|ctx| {
+        Universe::new(4).node_size(1).seed(seed).notify_depth(256).metrics(true).launch(|ctx| {
             // Phase 1: fan-out 0 → {1,2,3}, rings sized to the burst.
             match fanout(ctx, 0, &[1, 2, 3], RMC_MSGS, RMC_BYTES, LaggingPolicy::Block)
                 .unwrap()
@@ -727,6 +743,8 @@ fn rmc_mix(_: usize, _: usize, _: u64) -> Arc<Fabric> {
 pub const KV_SMOKE_RANKS: usize = 8;
 /// Node size of the smoke-sized serve.
 pub const KV_SMOKE_NODE_SIZE: usize = 4;
+/// Seed of the smoke-sized serve.
+const KV_SMOKE_SEED: u64 = 7;
 
 /// The smoke-sized serve's configuration (`kv_serve --smoke` and the
 /// fleet's `kv-serve` row).
@@ -737,7 +755,7 @@ pub fn kv_smoke_config() -> KvConfig {
         theta: 0.99,
         warm_per_rank: 64,
         ops_per_rank: 128,
-        seed: 7,
+        seed: KV_SMOKE_SEED,
         ..KvConfig::default()
     }
 }
@@ -956,8 +974,9 @@ mod tests {
             ranks: &[2],
             node_sizes: &[1],
             stable: true,
+            seed: SEED,
         };
-        let err = run_point(&spec, 2, 1, 1).unwrap_err();
+        let err = run_point(&spec, 2, 1).unwrap_err();
         assert!(err.starts_with("agent boom-p2-n1: panicked"), "{err}");
     }
 
@@ -966,7 +985,7 @@ mod tests {
         // The fleet folds the agent's own snapshot: the scope agent's
         // rows are those of the scope workload run directly.
         let spec = REGISTRY.iter().find(|s| s.name == "scope").unwrap();
-        let point = run_point(spec, 2, 1, 1).unwrap();
+        let point = run_point(spec, 2, 1).unwrap();
         let (_, fabric) = scope_workload(scope_universe().metrics(true));
         assert_eq!(point.classes, metrics::snapshot(&fabric).classes);
         assert!(point.faults.is_empty() && point.total_ops() > 0);

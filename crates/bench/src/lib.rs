@@ -430,28 +430,6 @@ pub fn fence_latency(p: usize, node_size: usize) -> f64 {
 }
 
 /// Real-mode PSCW ring latency at `p` ranks (figure 6c's small-p points).
-/// `fast` selects the FAA-ring announcement variant (`pscw_fast`), which
-/// matches the paper's Ppost = 350 ns·k cost class.
-pub fn pscw_latency_cfg(p: usize, node_size: usize, fast: bool) -> f64 {
-    let cfg = fompi::WinConfig { pscw_fast: fast, ..fompi::WinConfig::default() };
-    let times = Universe::new(p).node_size(node_size).run(move |ctx| {
-        let win = Win::allocate_cfg(ctx, 64, 1, cfg.clone()).unwrap();
-        let me = ctx.rank();
-        let pn = p as u32;
-        let g = Group::new([(me + pn - 1) % pn, (me + 1) % pn]);
-        ctx.barrier();
-        let t0 = ctx.now();
-        win.post(&g).unwrap();
-        win.start(&g).unwrap();
-        win.put(&[1u8; 8], (me + 1) % pn, 0).unwrap();
-        win.complete().unwrap();
-        win.wait().unwrap();
-        ctx.now() - t0
-    });
-    times.iter().cloned().fold(0.0, f64::max)
-}
-
-/// Real-mode PSCW ring latency at `p` ranks (figure 6c's small-p points).
 pub fn pscw_latency(p: usize, node_size: usize) -> f64 {
     let times = Universe::new(p).node_size(node_size).run(|ctx| {
         let win = Win::allocate(ctx, 64, 1).unwrap();

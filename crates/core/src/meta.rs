@@ -108,23 +108,11 @@ pub struct WinConfig {
     /// [`crate::FompiError::PoolExhausted`] — the detector for programs
     /// whose PSCW fan-in exceeds `pscw_pool` in a dependency cycle.
     pub pool_retry_limit: u64,
-    /// PSCW fast path: announce posts through an FAA ring cursor over the
-    /// slot pool (one non-fetching-AMO-priced announcement per neighbour,
-    /// matching the paper's Ppost = 350 ns·k) instead of the Figure-2c
-    /// CAS free-list/match-list pair. Requires that at most `pscw_pool`
-    /// announcements are outstanding per target at any time.
-    pub pscw_fast: bool,
 }
 
 impl Default for WinConfig {
     fn default() -> Self {
-        Self {
-            pscw_pool: 128,
-            hw_amo: true,
-            dyn_notify: false,
-            pool_retry_limit: 1_000_000,
-            pscw_fast: false,
-        }
+        Self { pscw_pool: 128, hw_amo: true, dyn_notify: false, pool_retry_limit: 1_000_000 }
     }
 }
 

@@ -2,8 +2,8 @@
 //! passive-target locks, and the flush family.
 //!
 //! What they share is here, once: an epoch call's check and frame
-//! ([`Win::require`], [`Win::enter`] / [`Win::leave`]) and how a rank waits
-//! — [`Win::spin_until`] on its own memory, [`Spin::lost`] after a lost
+//! (`Win::require`, `Win::enter` / `Win::leave`) and how a rank waits
+//! — `Win::spin_until` on its own memory, `Spin::lost` after a lost
 //! remote race. Nothing else under `sync/` knows the spin limit, the idle
 //! step or the model checker's parking hooks.
 

@@ -16,7 +16,7 @@
 //! in the high 32 bits; elements live in a fixed pool sized by
 //! `WinConfig::pscw_pool`, giving the O(k) memory bound.
 
-use super::{Frame, Spin};
+use super::Frame;
 use crate::error::{FompiError, Result};
 use crate::meta::{self, off};
 use crate::win::{AccessEpoch, ExposureEpoch, Win};
@@ -36,33 +36,9 @@ impl Win {
         // accesses land in the new generation.
         self.rc_acquire_own();
         let me = self.ep.rank();
-        if self.shared.cfg.pscw_fast {
-            // Fast path: one FAA ticket + one put per neighbour. The ring
-            // cursor lives in the MATCH_HEAD word; slots hold origin+1 (0 =
-            // free). Bounded-outstanding assumption: ≤ pscw_pool posts in
-            // flight per target (the paper's k ∈ O(log p)).
-            let pool = self.shared.cfg.pscw_pool as u64;
-            for target in group.iter() {
-                let mkey = self.meta_key(target);
-                let ticket = self.ep.amo_sync(mkey, off::MATCH_HEAD, AmoOp::Add, 1, 0)?;
-                let slot = (ticket % pool) as u32;
-                let soff = self.shared.cfg.pool_off(slot);
-                // Wait for the slot to be free (only when lapped).
-                let mut spin = Spin::new("a free PSCW announcement slot");
-                while self.ep.read_sync(mkey, soff)? != 0 {
-                    let misses = spin.miss();
-                    if misses > self.shared.cfg.pool_retry_limit {
-                        return Err(FompiError::PoolExhausted { target });
-                    }
-                    super::backoff_spin(&self.ep, misses);
-                }
-                self.ep.write_sync(mkey, soff, me as u64 + 1)?;
-            }
-        } else {
-            for target in group.iter() {
-                let idx = self.list_acquire_slot(target)?;
-                self.list_push(target, off::MATCH_HEAD, idx, me)?;
-            }
+        for target in group.iter() {
+            let idx = self.list_acquire_slot(target)?;
+            self.list_push(target, off::MATCH_HEAD, idx, me)?;
         }
         self.state.borrow_mut().exposure = ExposureEpoch::Pscw(group.clone());
         self.leave(frame, EventKind::Post, NO_TARGET);
@@ -82,22 +58,12 @@ impl Win {
         needed.extend(group.iter());
         // (An empty group has nothing to scan for, not even once.)
         if !group.is_empty() {
+            // Every post CASes (and re-tags) the match-list head.
             let what = "matching MPI_Win_post calls";
-            if self.shared.cfg.pscw_fast {
-                // Posts announce into slot words after their FAA ticket: no
-                // one word to park on yet (ROADMAP 4 b).
-                let scan = || {
-                    self.reap_matches_fast(&mut needed)?;
-                    Ok(needed.is_empty().then_some(()))
-                };
-                self.spin_until(what, scan, || false)?;
-            } else {
-                // Every post CASes (and re-tags) the match-list head.
-                self.wait_scan(self.meta_key(self.ep.rank()), off::MATCH_HEAD, what, || {
-                    let head = self.reap_matches(&mut needed)?;
-                    Ok((needed.is_empty(), head))
-                })?;
-            }
+            self.wait_scan(self.meta_key(self.ep.rank()), off::MATCH_HEAD, what, || {
+                let head = self.reap_matches(&mut needed)?;
+                Ok((needed.is_empty(), head))
+            })?;
         }
         let mut st = self.state.borrow_mut();
         st.unmatched = needed;
@@ -191,27 +157,6 @@ impl Win {
 
     // ---------------------------------------------------- protocol pieces
 
-    /// Fast-path scan: the pool is a slot array; consume announcements by
-    /// zeroing the slot (purely local operations).
-    fn reap_matches_fast(&self, needed: &mut Vec<u32>) -> Result<()> {
-        let me = self.ep.rank();
-        let mkey = self.meta_key(me);
-        for slot in 0..self.shared.cfg.pscw_pool as u32 {
-            if needed.is_empty() {
-                break;
-            }
-            let soff = self.shared.cfg.pool_off(slot);
-            let v = self.ep.read_sync(mkey, soff)?;
-            if v != 0 {
-                let origin = (v - 1) as u32;
-                if matched(needed, origin) {
-                    self.ep.write_sync(mkey, soff, 0)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Scan the local match list, unlinking and recycling every element
     /// whose origin is still `needed`. Only the owner unlinks, so interior
     /// updates are safe; head removal races only with new pushes and is
@@ -269,8 +214,9 @@ impl Win {
     }
 }
 
-/// Strike `origin` off the unmatched origins; whether it was on them.
-fn matched(needed: &mut Vec<u32>, origin: u32) -> bool {
-    let at = needed.iter().position(|&r| r == origin);
-    at.map(|i| needed.swap_remove(i)).is_some()
+/// Strike `origin` off the unmatched origins.
+fn matched(needed: &mut Vec<u32>, origin: u32) {
+    if let Some(i) = needed.iter().position(|&r| r == origin) {
+        needed.swap_remove(i);
+    }
 }

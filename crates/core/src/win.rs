@@ -370,23 +370,13 @@ impl Win {
     }
 
     fn init_meta(meta: &Segment, cfg: &WinConfig) {
-        if cfg.pscw_fast {
-            assert!(
-                !cfg.dyn_notify,
-                "pscw_fast repurposes the slot pool; dyn_notify needs the free list"
-            );
-            // Fast PSCW: the pool is a zeroed slot array (0 = free) and
-            // MATCH_HEAD is the FAA ring cursor starting at 0. The segment
-            // is allocated zeroed, so nothing to write.
-        } else {
-            // Free list: chain 0 → 1 → ... → n-1 → NIL.
-            for i in 0..cfg.pscw_pool {
-                let next = if i + 1 < cfg.pscw_pool { (i + 1) as u32 } else { meta::NIL };
-                meta.write_u64(cfg.pool_off(i as u32), meta::pack_elem(0, next));
-            }
-            meta.write_u64(off::FREE_HEAD, meta::pack_head(0, 0));
-            meta.write_u64(off::MATCH_HEAD, meta::pack_head(0, meta::NIL));
+        // Free list: chain 0 → 1 → ... → n-1 → NIL.
+        for i in 0..cfg.pscw_pool {
+            let next = if i + 1 < cfg.pscw_pool { (i + 1) as u32 } else { meta::NIL };
+            meta.write_u64(cfg.pool_off(i as u32), meta::pack_elem(0, next));
         }
+        meta.write_u64(off::FREE_HEAD, meta::pack_head(0, 0));
+        meta.write_u64(off::MATCH_HEAD, meta::pack_head(0, meta::NIL));
         meta.write_u64(off::READERS_HEAD, meta::pack_head(0, meta::NIL));
         meta.write_u64(off::INVAL_HEAD, meta::pack_head(0, meta::NIL));
         meta.write_u64(off::MCS_TAIL, 0);
@@ -527,10 +517,9 @@ impl Win {
     /// once every rank has closed its epochs — after a barrier — the
     /// completion counter, the lock words, the accumulate lock and (at the
     /// master) the global lock and MCS tail are zero, and the PSCW match
-    /// list is empty with every pool element back on the free list (with
-    /// `pscw_fast`, every announcement slot consumed; `MATCH_HEAD` is then
-    /// the monotonic ticket cursor). Anything left is a lost release, a
-    /// leaked pool element or an unconsumed completion.
+    /// list is empty with every pool element back on the free list.
+    /// Anything left is a lost release, a leaked pool element or an
+    /// unconsumed completion.
     pub fn metadata_residue(&self) -> Vec<(&'static str, u64, u64)> {
         let (seg, cfg) = (&self.my_meta, &self.shared.cfg);
         let mut residue = Vec::new();
@@ -546,22 +535,16 @@ impl Win {
             check("GLOBAL_LOCK", seg.read_u64(off::GLOBAL_LOCK), 0);
             check("MCS_TAIL", seg.read_u64(off::MCS_TAIL), 0);
         }
-        if cfg.pscw_fast {
-            for slot in 0..cfg.pscw_pool as u32 {
-                check("pool slot", seg.read_u64(cfg.pool_off(slot)), 0);
-            }
-        } else {
-            let (_, idx) = meta::unpack_head(seg.read_u64(off::MATCH_HEAD));
-            check("MATCH_HEAD index", idx as u64, meta::NIL as u64);
-            // Walk the Figure-2c free list: all pool elements must be home.
-            let (_, mut cur) = meta::unpack_head(seg.read_u64(off::FREE_HEAD));
-            let mut n = 0;
-            while cur != meta::NIL && n <= cfg.pscw_pool {
-                n += 1;
-                cur = meta::unpack_elem(seg.read_u64(cfg.pool_off(cur))).1;
-            }
-            check("free-list length", n as u64, cfg.pscw_pool as u64);
+        let (_, idx) = meta::unpack_head(seg.read_u64(off::MATCH_HEAD));
+        check("MATCH_HEAD index", idx as u64, meta::NIL as u64);
+        // Walk the Figure-2c free list: all pool elements must be home.
+        let (_, mut cur) = meta::unpack_head(seg.read_u64(off::FREE_HEAD));
+        let mut n = 0;
+        while cur != meta::NIL && n <= cfg.pscw_pool {
+            n += 1;
+            cur = meta::unpack_elem(seg.read_u64(cfg.pool_off(cur))).1;
         }
+        check("free-list length", n as u64, cfg.pscw_pool as u64);
         residue
     }
 

@@ -172,7 +172,7 @@ struct Priced {
 /// words, stamps, notification rings and the fabric's [`Counters`].
 ///
 /// Implicit-nonblocking completion horizons are tracked by a
-/// [`StripedHorizon`]: rank-private striped maxima that
+/// `StripedHorizon`: rank-private striped maxima that
 /// `flush_target`/`gsync` read without a hash lookup or a dynamic borrow,
 /// and that an op raises with a compare and a plain store. When issue-side
 /// batching is enabled

@@ -738,7 +738,7 @@ impl Shadow {
         self.tracked.load(Ordering::Relaxed)
     }
 
-    /// Retained violation records (first [`REPORT_CAP`]).
+    /// Retained violation records (first `REPORT_CAP`).
     pub fn violations(&self) -> Vec<RaceViolation> {
         self.reports.lock().clone()
     }
@@ -783,7 +783,7 @@ impl Shadow {
 /// Kind-level commutation: can two overlapping accesses of these kinds
 /// be reordered without changing any stored byte? Two reads commute;
 /// same-op (non-`MPI_NO_OP`) accumulates commute by the reduction-op
-/// algebra of MPI-3.0 §11.7.1 — the same carve-out [`classify`] grants
+/// algebra of MPI-3.0 §11.7.1 — the same carve-out `classify` grants
 /// them; every other combination involves an order-sensitive write.
 /// This is the shared kernel of the race checker's legality rules and
 /// the model checker's DPOR conflict relation ([`crate::mc`]); the

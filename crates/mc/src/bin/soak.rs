@@ -24,7 +24,7 @@
 //! otherwise: a contended protocol's count depends on the schedule). Any
 //! violation prints the reproducing seed and the process exits nonzero.
 
-use fompi_fabric::rng::root_seed_from_env;
+use fompi_fabric::rng::{root_seed_from_env, splitmix64};
 use fompi_fabric::FaultPlan;
 use fompi_mc::soak::{run_case, seeds};
 use fompi_mc::PROGRAMS;
@@ -60,6 +60,11 @@ fn env_knob(var: &str, default: u64, min: u64) -> u64 {
     })
 }
 
+/// A row name folded to a seed-stream key.
+fn name_key(name: &str) -> u64 {
+    name.bytes().fold(0, |h, b| splitmix64(h ^ u64::from(b)))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = root_seed_from_env(0xDEFA_17AB1E);
@@ -78,15 +83,15 @@ fn main() {
 
     let mut csv = String::from("proto,p,seeds,epochs,passes,violations,injected\n");
     let mut failed = false;
-    for (index, prog) in PROGRAMS.iter().enumerate() {
+    for prog in &PROGRAMS {
         if !args.is_empty() && !args.iter().any(|a| a == prog.name) {
             continue;
         }
         for p in RANKS {
             let (mut passes, mut violations, mut injected, mut ran) = (0, 0, 0u64, 0);
-            // Cell-specific stream so adding programs/rank counts never
-            // reshuffles another cell's seeds.
-            let cell_root = root ^ ((index as u64 + 1) << 32) ^ (p as u64);
+            // Cell-specific stream keyed by the row's name, so adding,
+            // moving or deleting rows never reshuffles another cell's seeds.
+            let cell_root = root ^ name_key(prog.name) ^ (p as u64);
             let mut batch = 0u64;
             loop {
                 for (i, &seed) in seeds(cell_root.wrapping_add(batch), per_cell).iter().enumerate()

@@ -24,7 +24,7 @@
 //! twins proving the checker catches the bug classes it claims to; only
 //! the checker runs them.
 
-use fompi::{FompiError, LockType, MpiOp, NumKind, Win, WinConfig};
+use fompi::{FompiError, LockType, MpiOp, NumKind, Win};
 use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
@@ -64,13 +64,10 @@ pub struct Program {
 const P2E2: Option<(usize, usize)> = Some((2, 2));
 
 /// Every well-formed program, in soak order. The soak derives each cell's
-/// seeds from the row index: keep rows where they are, append new ones.
-pub const PROGRAMS: [Program; 16] = [
+/// seeds from the row's name, so rows may move and go.
+pub const PROGRAMS: [Program; 15] = [
     Program { name: "fence", body: fence, mc: P2E2, stable: true },
-    Program { name: "pscw", body: |ctx, s| pscw(ctx, s, false), mc: P2E2, stable: true },
-    // The fast protocol announces into slot words after its FAA ticket:
-    // no one word for `Win::start` to park on (ROADMAP 4 b).
-    Program { name: "pscw_fast", body: |ctx, s| pscw(ctx, s, true), mc: None, stable: true },
+    Program { name: "pscw", body: pscw, mc: P2E2, stable: true },
     Program { name: "lock", body: lock, mc: P2E2, stable: false },
     Program { name: "lock_all", body: |ctx, s| lock_all(ctx, s, false), mc: P2E2, stable: true },
     Program { name: "mcs", body: mcs, mc: P2E2, stable: false },
@@ -219,12 +216,10 @@ fn fence(ctx: &mut RankCtx, s: &Shape) -> Verdict {
     Ok(h)
 }
 
-/// A PSCW ring over the Figure-2 matching lists, or with `fast` over the
-/// FAA-ring fast path.
-fn pscw(ctx: &mut RankCtx, s: &Shape, fast: bool) -> Verdict {
+/// A PSCW ring over the Figure-2 matching lists.
+fn pscw(ctx: &mut RankCtx, s: &Shape) -> Verdict {
     let p = ctx.size();
-    let cfg = WinConfig { pscw_fast: fast, ..WinConfig::default() };
-    let win = Win::allocate_cfg(ctx, p * 8, 1, cfg).txt()?;
+    let win = Win::allocate(ctx, p * 8, 1).txt()?;
     let me = ctx.rank();
     let (left, right) = neighbors(me, p);
     let (exposure, access) = (Group::new([left]), Group::new([right]));
@@ -819,20 +814,8 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique_and_soak_rows_keep_their_seed_streams() {
+    fn program_names_are_unique() {
         let mut names: Vec<_> = PROGRAMS.iter().chain(&MUTANTS).map(|p| p.name).collect();
-        let soak_order = [
-            "fence",
-            "pscw",
-            "pscw_fast",
-            "lock",
-            "lock_all",
-            "mcs",
-            "notify",
-            "flush",
-            "txn_transfer",
-        ];
-        assert_eq!(names[..9], soak_order);
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), PROGRAMS.len() + MUTANTS.len());

@@ -7,20 +7,20 @@
 //! primitives — `put_notify` for data, a data-less `notify` carrying a
 //! count for credits, passive-target epochs for lifetime. Four shapes:
 //!
-//! - [`fanin`] — MPMC fan-in: N producers append into per-producer slot
+//! - [`fanin`](mod@fanin) — MPMC fan-in: N producers append into per-producer slot
 //!   regions on one consumer rank. The notification record's `source`
 //!   field replaces any shared cursor, so the data path is FAA-free (the
 //!   same trick as the notified DSDE port); backpressure is per-producer
 //!   credit records.
-//! - [`fanout`] — one publisher multicasting to a subscriber set, with
+//! - [`fanout`](mod@fanout) — one publisher multicasting to a subscriber set, with
 //!   per-subscriber credit windows and a lagging-subscriber policy
 //!   ([`LaggingPolicy::Block`] vs [`LaggingPolicy::Drop`] with a
 //!   per-subscriber drop counter).
-//! - [`mesh`] — the all-to-all closure of fan-in: every rank produces
+//! - [`mesh`](mod@mesh) — the all-to-all closure of fan-in: every rank produces
 //!   toward every rank and consumes its own fan-in over one symmetric
 //!   window (the shape DSDE and halo exchanges need), with lazy credit
 //!   returns paid off the receive path, one record per source.
-//! - [`rpc`] — request/response with correlation tags carried in the
+//! - [`rpc`](mod@rpc) — request/response with correlation tags carried in the
 //!   notification records, per-endpoint reply channels, bounded
 //!   outstanding-request budgets, and timeouts surfaced as *transient*
 //!   errors (retryable, consistent with `FabricError` backpressure).

@@ -1,7 +1,7 @@
 //! All-to-all MPMC mesh: every rank is simultaneously a producer toward
 //! every other rank and the consumer of its own fan-in.
 //!
-//! Why a single structure instead of `p` [`crate::fanin`] channels: the
+//! Why a single structure instead of `p` [`crate::fanin()`] channels: the
 //! notification *ring* is per rank but the unmatched-record *stash* is per
 //! window, so two windows receiving concurrently on one rank would stash
 //! each other's records where the other window's wait can never find

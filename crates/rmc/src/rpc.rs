@@ -1,6 +1,6 @@
 //! One-sided RPC: request/response over remote memory channels.
 //!
-//! Requests fan in to the server exactly like [`crate::fanin`] — one
+//! Requests fan in to the server exactly like [`crate::fanin()`] — one
 //! private credit ring ([`fompi::lane`]; DESIGN.md, "Remote-memory
 //! rings") per client on the server's window copy — and each client's own
 //! copy holds its reply ring. The *correlation id* rides in the

@@ -17,7 +17,7 @@
 //!   reset: clocks only grow, so what epoch `k` left behind can never
 //!   exceed an entry clock of epoch `k + 2`.
 //! * **Waiting.** Spin for about what one park/unpark pair costs
-//!   ([`SPIN_BUDGET`]), then block on a mutex + condvar; when the job has
+//!   (`SPIN_BUDGET`), then block on a mutex + condvar; when the job has
 //!   more ranks than the machine has cores, block at once. The releaser
 //!   looks at a sleeper count first, so a release nobody sleeps through is
 //!   one store and no syscall.

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint (fmt, clippy, knobs, symbols, bench) → test → determinism → mc
+#   scripts/ci.sh             # the full gate: lint (fmt, clippy, doc, knobs, symbols, bench) → test → determinism → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + rustdoc -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak, mc_summary, perfgate and the fleet smoke sweep among them)
 #   scripts/ci.sh mc          # model checker: every table row exhaustively + mutation gate + replay
@@ -55,6 +55,12 @@ stage_fmt() {
 
 stage_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_doc() {
+    # Rustdoc's warnings (broken or ambiguous intra-doc links, links from
+    # public docs to private items) fail the gate like clippy's.
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 }
 
 stage_knobs() {
@@ -478,6 +484,7 @@ quick)
 lint)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage doc stage_doc
     run_stage knobs stage_knobs
     run_stage symbols stage_symbols
     run_stage bench stage_bench
@@ -510,6 +517,7 @@ nightly)
 all)
     run_stage fmt stage_fmt
     run_stage clippy stage_clippy
+    run_stage doc stage_doc
     run_stage knobs stage_knobs
     run_stage symbols stage_symbols
     run_stage bench stage_bench

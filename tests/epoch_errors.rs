@@ -2,7 +2,7 @@
 //! a typed error (MPI would abort; we assert the detection) and leave the
 //! window usable.
 
-use fompi::{FompiError, LockType, Win};
+use fompi::{FompiError, LockType, Win, WinConfig};
 use fompi_fabric::{CostModel, FaultKind, FaultPlan};
 use fompi_runtime::{Group, Universe};
 
@@ -186,6 +186,44 @@ fn double_post_without_wait_is_rejected() {
         bad
     });
     assert!(got.iter().all(|&b| b));
+}
+
+#[test]
+fn pscw_fan_in_beyond_the_pool_is_pool_exhausted() {
+    // 7 concurrent posters to rank 0 with 4 pool elements: nothing frees an
+    // element before rank 0 starts, so exactly 3 posts exhaust their
+    // retries and fail; the other 4 are matched and waited normally, and
+    // every element is back on the free list at the end.
+    let cfg = WinConfig { pscw_pool: 4, pool_retry_limit: 20_000, ..WinConfig::default() };
+    let got = Universe::new(8).node_size(4).model(CostModel::free()).run(move |ctx| {
+        let win = Win::allocate_cfg(ctx, 64, 1, cfg.clone()).unwrap();
+        ctx.barrier();
+        let mut posted = false;
+        let mut exhausted = false;
+        if ctx.rank() != 0 {
+            match win.post(&Group::new([0])) {
+                Ok(()) => posted = true,
+                Err(FompiError::PoolExhausted { target: 0 }) => exhausted = true,
+                Err(e) => panic!("rank {}: unexpected error {e}", ctx.rank()),
+            }
+        }
+        // Every post has returned before rank 0 consumes an announcement.
+        let flags = ctx.allgather(&[posted as u8]);
+        if ctx.rank() == 0 {
+            for peer in (1..8u32).filter(|&r| flags[r as usize][0] == 1) {
+                win.start(&Group::new([peer])).unwrap();
+                win.complete().unwrap();
+            }
+        } else if posted {
+            win.wait().unwrap();
+        }
+        ctx.barrier();
+        (exhausted, win.metadata_residue())
+    });
+    assert_eq!(got.iter().filter(|(exhausted, _)| *exhausted).count(), 3);
+    for (rank, (_, residue)) in got.iter().enumerate() {
+        assert!(residue.is_empty(), "rank {rank} metadata not at rest: {residue:?}");
+    }
 }
 
 #[test]

@@ -52,25 +52,27 @@ fn ring_pipeline_all_sync_modes() {
 #[test]
 fn pscw_many_epochs_reuse_pool() {
     // Repeated epochs must recycle matching-pool elements (free-storage
-    // management, Figure 2c).
+    // management, Figure 2c), and the last round's payload must land.
     let p = 6;
-    let rounds = 50;
+    let rounds = 50u8;
     let cfg = WinConfig { pscw_pool: 8, ..WinConfig::default() };
-    let ok = Universe::new(p).node_size(3).model(free()).run(move |ctx| {
+    let last = Universe::new(p).node_size(3).model(free()).run(move |ctx| {
         let win = Win::allocate_cfg(ctx, 64, 1, cfg.clone()).unwrap();
         let me = ctx.rank();
         let pn = p as u32;
         let g = Group::new([(me + pn - 1) % pn, (me + 1) % pn]);
-        for i in 0..rounds {
+        for i in 1..=rounds {
             win.post(&g).unwrap();
             win.start(&g).unwrap();
-            win.put(&[i as u8; 4], (me + 1) % pn, 0).unwrap();
+            win.put(&[i; 4], (me + 1) % pn, 0).unwrap();
             win.complete().unwrap();
             win.wait().unwrap();
         }
-        true
+        let mut b = [0u8; 4];
+        win.read_local(0, &mut b);
+        b
     });
-    assert!(ok.iter().all(|&b| b));
+    assert!(last.iter().all(|&b| b == [rounds; 4]), "last round's payload: {last:?}");
 }
 
 #[test]

@@ -120,13 +120,11 @@ enum Slot {
 }
 
 impl KvStore {
-    /// Allocate and zero this rank's volume. Collective; ends with a
+    /// Allocate this rank's volume: window memory starts zeroed, so every
+    /// cell is an empty version-0 cell already. Collective; ends with a
     /// barrier, so the store is servable (after `lock_all`) on return.
     pub fn allocate(ctx: &RankCtx, cfg: KvConfig) -> KvStore {
         let win = Win::allocate(ctx, cfg.buckets_per_rank * CELL, 1).expect("kv window");
-        for slot in 0..cfg.buckets_per_rank {
-            VersionedCell::init_local(&win, slot * CELL, &[0u8; PAYLOAD]);
-        }
         ctx.barrier();
         KvStore { win, cfg, p: ctx.size(), sets: RefCell::default() }
     }

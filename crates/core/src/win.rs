@@ -211,7 +211,8 @@ pub struct Win {
 impl Win {
     // ------------------------------------------------------------ creation
 
-    /// MPI_Win_allocate: symmetric-heap allocation, O(1) metadata.
+    /// MPI_Win_allocate: symmetric-heap allocation, O(1) metadata. The
+    /// window memory starts zeroed.
     pub fn allocate(ctx: &RankCtx, size: usize, disp_unit: usize) -> Result<Win> {
         Self::allocate_cfg(ctx, size, disp_unit, WinConfig::default())
     }

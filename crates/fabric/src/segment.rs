@@ -3,22 +3,37 @@
 //! A [`Segment`] is a fixed-size byte region that many threads access
 //! concurrently with no external synchronisation, exactly like memory
 //! behind an RDMA NIC. To keep this sound in Rust the storage is a slice of
-//! `AtomicU64` words:
+//! `AtomicU64` words, and every access is atomic at one of two grains:
 //!
-//! * bulk data moves through relaxed atomic loads/stores, word-at-a-time on
-//!   aligned spans and byte-at-a-time (via an `AtomicU8` view of the same
-//!   words) on the ragged edges;
-//! * 8-byte AMOs (§2.1) operate on the aligned `AtomicU64` directly.
+//! * **one aligned word** — an 8-byte [`Segment::read`] / [`Segment::write`]
+//!   at an 8-aligned offset, [`Segment::read_u64`] / [`Segment::write_u64`]
+//!   there, and every 8-byte AMO (§2.1, [`Segment::amo`]) — is one access to
+//!   the `AtomicU64`: a racing reader sees the old word or the new one,
+//!   never bytes of both;
+//! * **every other span** is *per-byte* atomic (the `AtomicPerByte`
+//!   semantics of Rust RFC 3301): each byte is read or written once, as by a
+//!   relaxed `AtomicU8` access, in no particular order. A reader racing a
+//!   multi-word write may see any mix of old and new bytes, even within a
+//!   word. One private pair of helpers, `copy_in` / `copy_out`, moves
+//!   these spans: a single `rep movsb` on x86_64 (outside Miri), and a
+//!   portable loop of relaxed byte loads/stores on the ragged edges and
+//!   word loads/stores in the aligned middle everywhere else.
 //!
 //! Racing accesses therefore produce nondeterministic *values* — which MPI
-//! declares an application error — but never UB. Mixing the byte view and
-//! the word view on the *same* word concurrently is the one de-facto
+//! declares an application error — but never UB. Mixing the byte grain and
+//! the word grain on the *same* word concurrently is the one de-facto
 //! (x86/aarch64-sound, formally unspecified) mixed-size-atomics pattern; it
 //! only occurs when an application races a put against an AMO on the same
-//! address, which MPI also forbids.
+//! address, which MPI also forbids. Completion is unaffected by the grain:
+//! a copy's stores are ordered before any later store of the same thread
+//! (on x86_64 the string stores too, Intel SDM §8.2.4.1), so the `Release`
+//! a flush, an unlock or a notification makes after a put publishes all of
+//! its bytes. DESIGN.md "The data path" has the argument and the numbers.
 
 use crate::amo::AmoOp;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+use std::sync::atomic::AtomicU8;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Remote descriptor for a registered segment: the "rkey" returned by
@@ -61,6 +76,8 @@ impl Segment {
         self.len == 0
     }
 
+    /// The byte at `off` as an atomic (the portable copy's ragged edges).
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     #[inline]
     fn byte(&self, off: usize) -> &AtomicU8 {
         debug_assert!(off < self.len);
@@ -78,61 +95,114 @@ impl Segment {
 
     /// How many bytes of a `len`-byte span at `off` lie before its first
     /// word boundary (the whole span, if it ends before one).
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     #[inline]
     fn ragged_head(off: usize, len: usize) -> usize {
         len.min(off.wrapping_neg() % 8)
     }
 
-    /// Write `src` at byte offset `off` (relaxed atomics; word-at-a-time on
-    /// the aligned middle).
+    /// Write `src` at byte offset `off`: one relaxed word store if the span
+    /// is one aligned word, a per-byte-atomic copy otherwise (module docs).
     pub fn write(&self, off: usize, src: &[u8]) {
         assert!(self.check(off, src.len()), "segment write out of bounds");
-        // One aligned word (the 8-byte put of the message-rate path) is the
-        // middle loop's single iteration, taken without the loop's set-up:
-        // that costs the 8-byte case about a nanosecond.
+        // One aligned word (the 8-byte put of the message-rate path) stays
+        // one store, atomic as a word, and skips the call into the copy.
         if let (true, Ok(word)) = (off.is_multiple_of(8), <[u8; 8]>::try_from(src)) {
             return self.words[off / 8].store(u64::from_le_bytes(word), Ordering::Relaxed);
         }
-        let (head, rest) = src.split_at(Self::ragged_head(off, src.len()));
-        let (body, tail) = rest.split_at(rest.len() & !7);
-        for (i, &b) in head.iter().enumerate() {
-            self.byte(off + i).store(b, Ordering::Relaxed);
-        }
-        // Aligned middle: the words are sliced once and zipped with whole
-        // chunks, so the loop is a load and a relaxed store per word with
-        // no index left to check.
-        let mid = off + head.len();
-        let words = &self.words[mid / 8..][..body.len() / 8];
-        for (w, chunk) in words.iter().zip(body.chunks_exact(8)) {
-            w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Relaxed);
-        }
-        let end = mid + body.len();
-        for (i, &b) in tail.iter().enumerate() {
-            self.byte(end + i).store(b, Ordering::Relaxed);
-        }
+        self.copy_in(off, src);
     }
 
     /// Read `dst.len()` bytes at offset `off` into `dst`: [`Segment::write`]
-    /// mirrored, one relaxed load per aligned word.
+    /// mirrored.
     pub fn read(&self, off: usize, dst: &mut [u8]) {
         assert!(self.check(off, dst.len()), "segment read out of bounds");
         if let (true, Ok(word)) = (off.is_multiple_of(8), <&mut [u8; 8]>::try_from(&mut *dst)) {
             *word = self.words[off / 8].load(Ordering::Relaxed).to_le_bytes();
             return;
         }
-        let (head, rest) = dst.split_at_mut(Self::ragged_head(off, dst.len()));
-        let (body, tail) = rest.split_at_mut(rest.len() & !7);
-        for (i, b) in head.iter_mut().enumerate() {
-            *b = self.byte(off + i).load(Ordering::Relaxed);
+        self.copy_out(off, dst);
+    }
+
+    /// Store `src` at `[off, off + src.len())`, which the caller has
+    /// bounds-checked: each byte once, per-byte atomic. Out of line, so the
+    /// lint stage can find its `rep movsb` in a release binary.
+    #[inline(never)]
+    fn copy_in(&self, off: usize, src: &[u8]) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: the caller checked `off + src.len() <= len <= 8 *
+        // words.len()`, so the destination stays inside the words'
+        // allocation, and stores through it are allowed (the words are
+        // `UnsafeCell`s). `src` cannot overlap it: no `&[u8]` over segment
+        // memory is ever made. The ABI clears DF on entry to an asm block,
+        // so `rep movsb` copies forward; it touches only rcx/rsi/rdi (all
+        // declared), no stack and no flags. Its byte stores act as relaxed
+        // `AtomicU8` stores, and without `nomem` the compiler orders them
+        // like any other memory access.
+        unsafe {
+            std::arch::asm!(
+                "rep movsb",
+                inout("rcx") src.len() => _,
+                inout("rdi") self.words.as_ptr().cast::<u8>().cast_mut().add(off) => _,
+                inout("rsi") src.as_ptr() => _,
+                options(nostack, preserves_flags),
+            );
         }
-        let mid = off + head.len();
-        let words = &self.words[mid / 8..][..body.len() / 8];
-        for (w, chunk) in words.iter().zip(body.chunks_exact_mut(8)) {
-            chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+        // The portable copy: ragged head bytes, one pre-sliced word loop
+        // (a relaxed store per word, no index left to check), ragged tail.
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        {
+            let (head, rest) = src.split_at(Self::ragged_head(off, src.len()));
+            let (body, tail) = rest.split_at(rest.len() & !7);
+            for (i, &b) in head.iter().enumerate() {
+                self.byte(off + i).store(b, Ordering::Relaxed);
+            }
+            let mid = off + head.len();
+            let words = &self.words[mid / 8..][..body.len() / 8];
+            for (w, chunk) in words.iter().zip(body.chunks_exact(8)) {
+                w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Relaxed);
+            }
+            let end = mid + body.len();
+            for (i, &b) in tail.iter().enumerate() {
+                self.byte(end + i).store(b, Ordering::Relaxed);
+            }
         }
-        let end = mid + body.len();
-        for (i, b) in tail.iter_mut().enumerate() {
-            *b = self.byte(end + i).load(Ordering::Relaxed);
+    }
+
+    /// Load `[off, off + dst.len())`, which the caller has bounds-checked,
+    /// into `dst`: [`Segment::copy_in`] mirrored.
+    #[inline(never)]
+    fn copy_out(&self, off: usize, dst: &mut [u8]) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: as in `copy_in`, with the roles swapped: the source is
+        // `[off, off + dst.len())` of the words' allocation (bounds checked
+        // by the caller), `dst` is an exclusive borrow of other memory, DF
+        // is clear, and the byte loads act as relaxed `AtomicU8` loads.
+        unsafe {
+            std::arch::asm!(
+                "rep movsb",
+                inout("rcx") dst.len() => _,
+                inout("rdi") dst.as_mut_ptr() => _,
+                inout("rsi") self.words.as_ptr().cast::<u8>().add(off) => _,
+                options(nostack, preserves_flags),
+            );
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        {
+            let (head, rest) = dst.split_at_mut(Self::ragged_head(off, dst.len()));
+            let (body, tail) = rest.split_at_mut(rest.len() & !7);
+            for (i, b) in head.iter_mut().enumerate() {
+                *b = self.byte(off + i).load(Ordering::Relaxed);
+            }
+            let mid = off + head.len();
+            let words = &self.words[mid / 8..][..body.len() / 8];
+            for (w, chunk) in words.iter().zip(body.chunks_exact_mut(8)) {
+                chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+            }
+            let end = mid + body.len();
+            for (i, b) in tail.iter_mut().enumerate() {
+                *b = self.byte(end + i).load(Ordering::Relaxed);
+            }
         }
     }
 

@@ -109,6 +109,17 @@ pub enum TxnError {
         /// The buffer's bytes.
         got: usize,
     },
+    /// A cell whose version word is not 8-byte aligned, or whose payload
+    /// is not a positive multiple of 8 bytes (payloads move as 8-byte
+    /// accumulate elements). Refused before any fabric op; not transient.
+    Layout {
+        /// Rank owning the cell.
+        target: u32,
+        /// Displacement of the cell's version word.
+        disp: usize,
+        /// The cell's payload bytes.
+        payload_len: usize,
+    },
     /// An underlying RMA error (epoch misuse, bounds, fabric faults).
     Fompi(FompiError),
 }
@@ -128,9 +139,10 @@ impl TxnError {
             TxnError::Conflict { .. }
             | TxnError::TornRead { .. }
             | TxnError::RetriesExhausted { .. } => true,
-            TxnError::BlindWrite { .. } | TxnError::Full { .. } | TxnError::PayloadSize { .. } => {
-                false
-            }
+            TxnError::BlindWrite { .. }
+            | TxnError::Full { .. }
+            | TxnError::PayloadSize { .. }
+            | TxnError::Layout { .. } => false,
             TxnError::Fompi(e) => e.is_transient(),
         }
     }
@@ -157,6 +169,11 @@ impl std::fmt::Display for TxnError {
             TxnError::PayloadSize { target, disp, expected, got } => write!(
                 f,
                 "payload buffer of {got} bytes for cell rank={target} disp={disp}, which holds {expected}"
+            ),
+            TxnError::Layout { target, disp, payload_len } => write!(
+                f,
+                "cell rank={target} disp={disp} with a {payload_len}-byte payload: the version \
+                 word must be 8-byte aligned and the payload a positive multiple of 8 bytes"
             ),
             TxnError::Fompi(e) => write!(f, "rma error in transaction: {e}"),
         }

@@ -133,11 +133,12 @@ impl<'w> Txn<'w> {
 
     /// Stage `payload` for `cell`. The cell must have been read by *this*
     /// transaction — the observed version is what commit validates — so a
-    /// blind write is rejected, and so is a payload that is not the cell's
+    /// blind write is rejected, and so are a cell that breaks the layout
+    /// rules ([`TxnError::Layout`]) and a payload that is not the cell's
     /// size ([`TxnError::PayloadSize`]). Restaging replaces the earlier
     /// payload.
     pub fn write(&mut self, cell: VersionedCell, payload: &[u8]) -> Result<()> {
-        cell.check_len(payload.len())?;
+        cell.check(payload.len())?;
         let sets = &mut self.sets;
         let Some(read) = sets.reads.iter().find(|r| r.cell == cell) else {
             return Err(TxnError::BlindWrite { target: cell.target, disp: cell.disp });

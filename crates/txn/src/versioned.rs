@@ -29,7 +29,8 @@ use fompi_fabric::telemetry::{EventKind, NO_FLOW};
 /// must be 8-byte aligned in the target's window — CAS requires it), the
 /// payload at `disp + 8`. Displacements are in window displacement units;
 /// the transactional structures use byte-addressed windows
-/// (`disp_unit = 1`).
+/// (`disp_unit = 1`). A cell that breaks either layout rule is refused by
+/// every operation on it with [`TxnError::Layout`], before any fabric op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionedCell {
     /// Rank owning the cell.
@@ -49,15 +50,11 @@ pub fn versions_consistent(v1: u64, v2: u64) -> bool {
 }
 
 impl VersionedCell {
-    /// A cell handle. Panics on a misaligned version word or a payload
-    /// that is not a multiple of 8 bytes — both are layout bugs, not
-    /// runtime conditions.
+    /// A cell handle. The layout is checked where the cell is used (a
+    /// read or a staged write), which refuses a misaligned version word or
+    /// a payload that is not a positive multiple of 8 bytes with
+    /// [`TxnError::Layout`].
     pub fn new(target: u32, disp: usize, payload_len: usize) -> VersionedCell {
-        assert!(disp.is_multiple_of(8), "version word at disp {disp} must be 8-byte aligned");
-        assert!(
-            payload_len > 0 && payload_len.is_multiple_of(8),
-            "payload of {payload_len} bytes must be a positive multiple of 8"
-        );
         VersionedCell { target, disp, payload_len }
     }
 
@@ -69,7 +66,9 @@ impl VersionedCell {
     /// Initialize this rank's *own* cell before any epoch opens: version
     /// zero (unlocked), payload as given. Local stores only — call it
     /// between allocation and the first barrier, like any window
-    /// initialization.
+    /// initialization. Window memory starts zeroed, and a zeroed cell is
+    /// already a valid version-0 cell with an all-zero payload: only a
+    /// cell that starts with another payload needs this.
     pub fn init_local(win: &Win, disp: usize, payload: &[u8]) {
         win.write_local(disp, &0u64.to_le_bytes());
         win.write_local(disp + 8, payload);
@@ -88,25 +87,29 @@ impl VersionedCell {
         Ok(win.compare_and_swap(desired, expect, self.target, self.disp)?)
     }
 
-    /// Refuse a payload buffer of `got` bytes unless it is this cell's
-    /// size ([`TxnError::PayloadSize`]); callers check before any fabric op.
-    pub(crate) fn check_len(&self, got: usize) -> Result<()> {
-        if got == self.payload_len {
-            return Ok(());
-        }
+    /// Refuse a cell that breaks the layout rules ([`TxnError::Layout`]),
+    /// then a payload buffer of `got` bytes unless it is this cell's size
+    /// ([`TxnError::PayloadSize`]); callers check before any fabric op.
+    pub(crate) fn check(&self, got: usize) -> Result<()> {
         let (target, disp, expected) = (self.target, self.disp, self.payload_len);
-        Err(TxnError::PayloadSize { target, disp, expected, got })
+        if !disp.is_multiple_of(8) || expected == 0 || !expected.is_multiple_of(8) {
+            return Err(TxnError::Layout { target, disp, payload_len: expected });
+        }
+        if got != expected {
+            return Err(TxnError::PayloadSize { target, disp, expected, got });
+        }
+        Ok(())
     }
 
     /// One versioned read: version fetch, atomic payload read, version
     /// re-check. On success returns the (even) version the payload is
     /// consistent with and records a `txn_read` telemetry span; a locked
     /// or moving version fails with [`TxnError::TornRead`] (transient —
-    /// retry, e.g. via [`crate::run`]). A `buf` that is not `payload_len`
-    /// bytes is refused with [`TxnError::PayloadSize`] before the first
-    /// fetch.
+    /// retry, e.g. via [`crate::run`]). A cell that breaks the layout
+    /// rules ([`TxnError::Layout`]) or a `buf` that is not `payload_len`
+    /// bytes ([`TxnError::PayloadSize`]) is refused before the first fetch.
     pub fn read(&self, win: &Win, buf: &mut [u8]) -> Result<u64> {
-        self.check_len(buf.len())?;
+        self.check(buf.len())?;
         let ep = win.endpoint();
         let t0 = ep.clock().now();
         let v1 = self.fetch_version(win)?;
@@ -218,9 +221,50 @@ mod tests {
         assert!(e.to_string().contains("rank=3"));
     }
 
+    /// Rank 0 uses `cell` on rank 1 every way a cell is used — a read, a
+    /// read inside a transaction, a staged write — and each use must be
+    /// refused with [`TxnError::Layout`] before any fabric op.
+    fn refused_before_any_fabric_op(disp: usize, payload_len: usize) {
+        uni(2).launch(|ctx| {
+            let win = fompi::Win::allocate(ctx, 64, 1).unwrap();
+            ctx.barrier();
+            win.lock_all().unwrap();
+            // Rank 1 issues nothing while rank 0 reads the job's counters.
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let cell = VersionedCell::new(1, disp, payload_len);
+                let refused = |e: TxnError| {
+                    assert!(
+                        matches!(e, TxnError::Layout { target: 1, disp: d, payload_len: l }
+                            if (d, l) == (disp, payload_len)),
+                        "{e:?}"
+                    );
+                    assert!(!e.is_transient(), "a retry uses the same cell");
+                    assert!(e.to_string().contains(&format!("disp={disp}")), "{e}");
+                };
+                let counters = ctx.fabric().counters();
+                let before = counters.snapshot();
+                let mut buf = vec![0u8; payload_len];
+                let mut txn = crate::Txn::begin(&win);
+                refused(cell.read(&win, &mut buf).unwrap_err());
+                refused(txn.read(cell, &mut buf).unwrap_err());
+                refused(txn.write(cell, &buf).unwrap_err());
+                assert_eq!(counters.snapshot().since(&before), Default::default());
+            }
+            ctx.barrier();
+            win.unlock_all().unwrap();
+            ctx.barrier();
+        });
+    }
+
     #[test]
-    #[should_panic(expected = "8-byte aligned")]
-    fn misaligned_version_word_is_a_layout_bug() {
-        VersionedCell::new(0, 4, 16);
+    fn a_misaligned_version_word_is_refused() {
+        refused_before_any_fabric_op(4, 16);
+    }
+
+    #[test]
+    fn a_payload_not_a_positive_multiple_of_8_is_refused() {
+        refused_before_any_fabric_op(8, 0);
+        refused_before_any_fabric_op(8, 12);
     }
 }

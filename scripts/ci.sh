@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh             # the full gate: lint (fmt, clippy, doc, knobs, symbols, bench) → test → determinism → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + rustdoc -D warnings + knob-list agreement + inlined-step symbols + the benchmark's own lint
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + rustdoc -D warnings + knob-list agreement + inlined-step symbols and the copy's rep movsb + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak, mc_summary, perfgate and the fleet smoke sweep among them)
 #   scripts/ci.sh mc          # model checker: every table row exhaustively + mutation gate + replay
@@ -96,6 +96,21 @@ stage_symbols() {
         echo "symbols: these steps of an op body / window call are out of line in target/release/perfgate:" >&2
         echo "$steps" >&2
         return 1
+    fi
+    # The other way round for the segment's bulk copy: on x86_64 both
+    # helpers must exist and be `rep movsb`, so a `cfg` slip cannot fall
+    # back to the word loop silently.
+    if [[ $(uname -m) == x86_64 ]]; then
+        local helper
+        for helper in copy_in copy_out; do
+            if ! objdump -d -C --no-show-raw-insn target/release/perfgate |
+                awk -v h="<fompi_fabric::segment::Segment::$helper>:" '
+                    $NF == h { body = 1; next } /^$/ { body = 0 } body && /rep movsb/ { found = 1 }
+                    END { exit !found }'; then
+                echo "symbols: Segment::$helper in target/release/perfgate has no rep movsb" >&2
+                return 1
+            fi
+        done
     fi
 }
 
@@ -401,9 +416,13 @@ stage_sanitize() {
     #     `!Sync` endpoint). Full-workspace soak under TSan is ~50x and
     #     times out CI.
     #   - Miri runs the same two targets (raw segment pointers, Vyukov
-    #     ring). `--test proptest_segment` is there for the byte-view
-    #     `unsafe` in segment.rs: only ragged edges reach it, which the
-    #     alignment sweep hits at every offset and the lib tests barely do.
+    #     ring). Miri cannot run inline assembly, so it runs the segment
+    #     copy's portable loop (`cfg(miri)`), not the `rep movsb` x86_64
+    #     runs natively: `--test proptest_segment` is there for that loop's
+    #     byte-view `unsafe`, which its span sweep hits at every offset.
+    #     TSan does not see inside the asm either: a race on a bulk span is
+    #     invisible to it, only the word and AMO accesses around it are
+    #     checked.
     #     The upper crates are safe Rust over these primitives — including
     #     fompi-mc, whose scheduler gate is std Mutex/Condvar only (its
     #     interleaving coverage comes from the mc stage, not sanitizers).

@@ -14,10 +14,11 @@
 //!   semantics of Rust RFC 3301): each byte is read or written once, as by a
 //!   relaxed `AtomicU8` access, in no particular order. A reader racing a
 //!   multi-word write may see any mix of old and new bytes, even within a
-//!   word. One private pair of helpers, `copy_in` / `copy_out`, moves
-//!   these spans: a single `rep movsb` on x86_64 (outside Miri), and a
-//!   portable loop of relaxed byte loads/stores on the ragged edges and
-//!   word loads/stores in the aligned middle everywhere else.
+//!   word. One pair of functions, `copy_in` / `copy_out`, moves these
+//!   spans, chosen once per target: a single `rep movsb` on x86_64
+//!   (outside Miri), and a portable loop of relaxed byte loads/stores on
+//!   the ragged edges and word loads/stores in the aligned middle
+//!   everywhere else.
 //!
 //! Racing accesses therefore produce nondeterministic *values* — which MPI
 //! declares an application error — but never UB. Mixing the byte grain and
@@ -31,10 +32,15 @@
 //! its bytes. DESIGN.md "The data path" has the argument and the numbers.
 
 use crate::amo::AmoOp;
-#[cfg(not(all(target_arch = "x86_64", not(miri))))]
-use std::sync::atomic::AtomicU8;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+// The copy of every span but one aligned word (module docs). Miri cannot
+// run assembly, so it takes the portable loop.
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+use portable as bulk;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+use rep_movsb as bulk;
 
 /// Remote descriptor for a registered segment: the "rkey" returned by
 /// memory registration, used by peers to address the memory.
@@ -76,29 +82,10 @@ impl Segment {
         self.len == 0
     }
 
-    /// The byte at `off` as an atomic (the portable copy's ragged edges).
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    #[inline]
-    fn byte(&self, off: usize) -> &AtomicU8 {
-        debug_assert!(off < self.len);
-        // SAFETY: `off < len <= words.len()*8`, so the pointer stays inside
-        // the allocation. AtomicU8 has size/align 1 and may alias any byte
-        // of an AtomicU64 (same in-memory representation as u8).
-        unsafe { &*(self.words.as_ptr().cast::<AtomicU8>().add(off)) }
-    }
-
     /// Bounds-check a `[off, off+len)` access.
     #[inline]
     pub fn check(&self, off: usize, len: usize) -> bool {
         off.checked_add(len).is_some_and(|end| end <= self.len)
-    }
-
-    /// How many bytes of a `len`-byte span at `off` lie before its first
-    /// word boundary (the whole span, if it ends before one).
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    #[inline]
-    fn ragged_head(off: usize, len: usize) -> usize {
-        len.min(off.wrapping_neg() % 8)
     }
 
     /// Write `src` at byte offset `off`: one relaxed word store if the span
@@ -110,7 +97,7 @@ impl Segment {
         if let (true, Ok(word)) = (off.is_multiple_of(8), <[u8; 8]>::try_from(src)) {
             return self.words[off / 8].store(u64::from_le_bytes(word), Ordering::Relaxed);
         }
-        self.copy_in(off, src);
+        bulk::copy_in(self, off, src);
     }
 
     /// Read `dst.len()` bytes at offset `off` into `dst`: [`Segment::write`]
@@ -121,89 +108,7 @@ impl Segment {
             *word = self.words[off / 8].load(Ordering::Relaxed).to_le_bytes();
             return;
         }
-        self.copy_out(off, dst);
-    }
-
-    /// Store `src` at `[off, off + src.len())`, which the caller has
-    /// bounds-checked: each byte once, per-byte atomic. Out of line, so the
-    /// lint stage can find its `rep movsb` in a release binary.
-    #[inline(never)]
-    fn copy_in(&self, off: usize, src: &[u8]) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: the caller checked `off + src.len() <= len <= 8 *
-        // words.len()`, so the destination stays inside the words'
-        // allocation, and stores through it are allowed (the words are
-        // `UnsafeCell`s). `src` cannot overlap it: no `&[u8]` over segment
-        // memory is ever made. The ABI clears DF on entry to an asm block,
-        // so `rep movsb` copies forward; it touches only rcx/rsi/rdi (all
-        // declared), no stack and no flags. Its byte stores act as relaxed
-        // `AtomicU8` stores, and without `nomem` the compiler orders them
-        // like any other memory access.
-        unsafe {
-            std::arch::asm!(
-                "rep movsb",
-                inout("rcx") src.len() => _,
-                inout("rdi") self.words.as_ptr().cast::<u8>().cast_mut().add(off) => _,
-                inout("rsi") src.as_ptr() => _,
-                options(nostack, preserves_flags),
-            );
-        }
-        // The portable copy: ragged head bytes, one pre-sliced word loop
-        // (a relaxed store per word, no index left to check), ragged tail.
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        {
-            let (head, rest) = src.split_at(Self::ragged_head(off, src.len()));
-            let (body, tail) = rest.split_at(rest.len() & !7);
-            for (i, &b) in head.iter().enumerate() {
-                self.byte(off + i).store(b, Ordering::Relaxed);
-            }
-            let mid = off + head.len();
-            let words = &self.words[mid / 8..][..body.len() / 8];
-            for (w, chunk) in words.iter().zip(body.chunks_exact(8)) {
-                w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Relaxed);
-            }
-            let end = mid + body.len();
-            for (i, &b) in tail.iter().enumerate() {
-                self.byte(end + i).store(b, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Load `[off, off + dst.len())`, which the caller has bounds-checked,
-    /// into `dst`: [`Segment::copy_in`] mirrored.
-    #[inline(never)]
-    fn copy_out(&self, off: usize, dst: &mut [u8]) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: as in `copy_in`, with the roles swapped: the source is
-        // `[off, off + dst.len())` of the words' allocation (bounds checked
-        // by the caller), `dst` is an exclusive borrow of other memory, DF
-        // is clear, and the byte loads act as relaxed `AtomicU8` loads.
-        unsafe {
-            std::arch::asm!(
-                "rep movsb",
-                inout("rcx") dst.len() => _,
-                inout("rdi") dst.as_mut_ptr() => _,
-                inout("rsi") self.words.as_ptr().cast::<u8>().add(off) => _,
-                options(nostack, preserves_flags),
-            );
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        {
-            let (head, rest) = dst.split_at_mut(Self::ragged_head(off, dst.len()));
-            let (body, tail) = rest.split_at_mut(rest.len() & !7);
-            for (i, b) in head.iter_mut().enumerate() {
-                *b = self.byte(off + i).load(Ordering::Relaxed);
-            }
-            let mid = off + head.len();
-            let words = &self.words[mid / 8..][..body.len() / 8];
-            for (w, chunk) in words.iter().zip(body.chunks_exact_mut(8)) {
-                chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
-            }
-            let end = mid + body.len();
-            for (i, b) in tail.iter_mut().enumerate() {
-                *b = self.byte(end + i).load(Ordering::Relaxed);
-            }
-        }
+        bulk::copy_out(self, off, dst);
     }
 
     /// The aligned 8-byte atomic word at byte offset `off` (must be
@@ -254,6 +159,124 @@ impl Segment {
             return;
         }
         self.write(off, &v.to_le_bytes());
+    }
+}
+
+/// The x86_64 copy: one `rep movsb` per span. Out of line, so the lint
+/// stage can find the instruction in a release binary.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod rep_movsb {
+    use super::Segment;
+
+    /// Store `src` at `[off, off + src.len())`, which the caller has
+    /// bounds-checked: each byte once, per-byte atomic.
+    #[inline(never)]
+    pub(super) fn copy_in(seg: &Segment, off: usize, src: &[u8]) {
+        // SAFETY: the caller checked `off + src.len() <= len <= 8 *
+        // words.len()`, so the destination stays inside the words'
+        // allocation, and stores through it are allowed (the words are
+        // `UnsafeCell`s). `src` cannot overlap it: no `&[u8]` over segment
+        // memory is ever made. The ABI clears DF on entry to an asm block,
+        // so `rep movsb` copies forward; it touches only rcx/rsi/rdi (all
+        // declared), no stack and no flags. Its byte stores act as relaxed
+        // `AtomicU8` stores, and without `nomem` the compiler orders them
+        // like any other memory access.
+        unsafe {
+            std::arch::asm!(
+                "rep movsb",
+                inout("rcx") src.len() => _,
+                inout("rdi") seg.words.as_ptr().cast::<u8>().cast_mut().add(off) => _,
+                inout("rsi") src.as_ptr() => _,
+                options(nostack, preserves_flags),
+            );
+        }
+    }
+
+    /// Load `[off, off + dst.len())`, which the caller has bounds-checked,
+    /// into `dst`: [`copy_in`] mirrored.
+    #[inline(never)]
+    pub(super) fn copy_out(seg: &Segment, off: usize, dst: &mut [u8]) {
+        // SAFETY: as in `copy_in`, with the roles swapped: the source is
+        // `[off, off + dst.len())` of the words' allocation (bounds checked
+        // by the caller), `dst` is an exclusive borrow of other memory, DF
+        // is clear, and the byte loads act as relaxed `AtomicU8` loads.
+        unsafe {
+            std::arch::asm!(
+                "rep movsb",
+                inout("rcx") dst.len() => _,
+                inout("rdi") dst.as_mut_ptr() => _,
+                inout("rsi") seg.words.as_ptr().cast::<u8>().add(off) => _,
+                options(nostack, preserves_flags),
+            );
+        }
+    }
+}
+
+/// The portable copy: relaxed byte accesses on the ragged edges, one
+/// relaxed word access per word of the aligned middle. x86_64 runs it only
+/// in this module's tests, at the sizes `tests/proptest_segment.rs` runs
+/// `rep movsb` at.
+#[cfg_attr(not(test), allow(dead_code))]
+mod portable {
+    use super::Segment;
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    /// The byte at `off` of `seg` as an atomic.
+    #[inline]
+    fn byte(seg: &Segment, off: usize) -> &AtomicU8 {
+        debug_assert!(off < seg.len);
+        // SAFETY: `off < len <= words.len()*8`, so the pointer stays inside
+        // the allocation. AtomicU8 has size/align 1 and may alias any byte
+        // of an AtomicU64 (same in-memory representation as u8).
+        unsafe { &*(seg.words.as_ptr().cast::<AtomicU8>().add(off)) }
+    }
+
+    /// How many bytes of a `len`-byte span at `off` lie before its first
+    /// word boundary (the whole span, if it ends before one).
+    #[inline]
+    fn ragged_head(off: usize, len: usize) -> usize {
+        len.min(off.wrapping_neg() % 8)
+    }
+
+    /// Store `src` at `[off, off + src.len())`, which the caller has
+    /// bounds-checked: ragged head bytes, one pre-sliced word loop (a
+    /// relaxed store per word, no index left to check), ragged tail.
+    #[inline]
+    pub(super) fn copy_in(seg: &Segment, off: usize, src: &[u8]) {
+        let (head, rest) = src.split_at(ragged_head(off, src.len()));
+        let (body, tail) = rest.split_at(rest.len() & !7);
+        for (i, &b) in head.iter().enumerate() {
+            byte(seg, off + i).store(b, Ordering::Relaxed);
+        }
+        let mid = off + head.len();
+        let words = &seg.words[mid / 8..][..body.len() / 8];
+        for (w, chunk) in words.iter().zip(body.chunks_exact(8)) {
+            w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Relaxed);
+        }
+        let end = mid + body.len();
+        for (i, &b) in tail.iter().enumerate() {
+            byte(seg, end + i).store(b, Ordering::Relaxed);
+        }
+    }
+
+    /// Load `[off, off + dst.len())`, which the caller has bounds-checked,
+    /// into `dst`: [`copy_in`] mirrored.
+    #[inline]
+    pub(super) fn copy_out(seg: &Segment, off: usize, dst: &mut [u8]) {
+        let (head, rest) = dst.split_at_mut(ragged_head(off, dst.len()));
+        let (body, tail) = rest.split_at_mut(rest.len() & !7);
+        for (i, b) in head.iter_mut().enumerate() {
+            *b = byte(seg, off + i).load(Ordering::Relaxed);
+        }
+        let mid = off + head.len();
+        let words = &seg.words[mid / 8..][..body.len() / 8];
+        for (w, chunk) in words.iter().zip(body.chunks_exact_mut(8)) {
+            chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+        }
+        let end = mid + body.len();
+        for (i, b) in tail.iter_mut().enumerate() {
+            *b = byte(seg, end + i).load(Ordering::Relaxed);
+        }
     }
 }
 
@@ -331,5 +354,64 @@ mod tests {
             }
         });
         assert_eq!(s.read_u64(0), 80_000);
+    }
+
+    /// The portable copy, which x86_64 runs nowhere else, against the copy
+    /// this target runs (`tests/proptest_segment.rs` checks that one
+    /// against a `Vec` model): every span `span_lens` sweeps there, up to
+    /// 8 KiB, at every offset mod 8, written by each into a segment of its
+    /// own leaves both segments equal, and reads back whole.
+    #[test]
+    fn the_portable_copy_agrees_with_the_target_copy() {
+        let max = if cfg!(miri) { 1024 } else { 8192 };
+        let (ours, theirs) = (Segment::new(max + 24), Segment::new(max + 24));
+        let (mut a, mut b) = (vec![0u8; max + 24], vec![0u8; max + 24]);
+        let pow2 = (7..14).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        for len in (0..=80).chain(pow2).filter(|&len| len <= max) {
+            for off in 8..16 {
+                let data: Vec<u8> = (0..len).map(|i| (i * 131 + off * 7 + len) as u8).collect();
+                portable::copy_in(&ours, off, &data);
+                bulk::copy_in(&theirs, off, &data);
+                bulk::copy_out(&ours, 0, &mut a);
+                bulk::copy_out(&theirs, 0, &mut b);
+                assert!(a == b, "portable write at off {off} len {len}");
+                let mut back = vec![0u8; len];
+                portable::copy_out(&ours, off, &mut back);
+                assert!(back == data, "portable read at off {off} len {len}");
+            }
+        }
+    }
+
+    /// The portable copy under a race (ThreadSanitizer sees its atomics; it
+    /// cannot see inside `rep movsb`): a 4 KiB `copy_out` racing
+    /// whole-span `copy_in` fills of 0xAA and 0x55 returns only those bytes.
+    #[test]
+    fn a_racing_portable_read_returns_only_written_bytes() {
+        use std::sync::atomic::AtomicBool;
+        const SPAN: usize = 4096;
+        const ROUNDS: usize = if cfg!(miri) { 4 } else { 20_000 };
+        let seg = Segment::new(SPAN);
+        portable::copy_in(&seg, 0, &[0xAA; SPAN]);
+        let (start, done) = (std::sync::Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let fills = [[0x55u8; SPAN], [0xAA; SPAN]];
+                start.wait();
+                for k in 0..ROUNDS {
+                    portable::copy_in(&seg, 0, &fills[k % 2]);
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            let mut buf = vec![0u8; SPAN];
+            let mut last = false;
+            while !last {
+                last = done.load(Ordering::Acquire);
+                portable::copy_out(&seg, 0, &mut buf);
+                if let Some(i) = buf.iter().position(|&b| b != 0xAA && b != 0x55) {
+                    panic!("byte {i} reads {:#04x}, which no write stored", buf[i]);
+                }
+            }
+        });
     }
 }

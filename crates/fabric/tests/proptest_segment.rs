@@ -62,6 +62,23 @@ fn segment_matches_vec_model() {
     }
 }
 
+/// Unaligned reads always reflect the latest writes, regardless of the
+/// alignment of either.
+#[test]
+fn unaligned_read_after_write() {
+    for case in 0..256u64 {
+        let mut rng = Rng::seed_from_u64(0xA11_6000 + case);
+        let off = rng.range(0, 200);
+        let mut data = vec![0u8; rng.range(1, 56)];
+        rng.fill_bytes(&mut data);
+        let seg = Segment::new(256);
+        seg.write(off, &data);
+        let mut out = vec![0u8; data.len()];
+        seg.read(off, &mut out);
+        assert_eq!(out, data, "case {case} off {off}");
+    }
+}
+
 /// Span lengths the copy tests sweep: every length to 80 (each mix of
 /// ragged head, aligned words and ragged tail), then both sides of each
 /// power of two up to `max`.

@@ -104,10 +104,10 @@ stage_symbols() {
         local helper
         for helper in copy_in copy_out; do
             if ! objdump -d -C --no-show-raw-insn target/release/perfgate |
-                awk -v h="<fompi_fabric::segment::Segment::$helper>:" '
+                awk -v h="<fompi_fabric::segment::rep_movsb::$helper>:" '
                     $NF == h { body = 1; next } /^$/ { body = 0 } body && /rep movsb/ { found = 1 }
                     END { exit !found }'; then
-                echo "symbols: Segment::$helper in target/release/perfgate has no rep movsb" >&2
+                echo "symbols: segment::rep_movsb::$helper in target/release/perfgate has no rep movsb" >&2
                 return 1
             fi
         done
@@ -420,9 +420,11 @@ stage_sanitize() {
     #     copy's portable loop (`cfg(miri)`), not the `rep movsb` x86_64
     #     runs natively: `--test proptest_segment` is there for that loop's
     #     byte-view `unsafe`, which its span sweep hits at every offset.
-    #     TSan does not see inside the asm either: a race on a bulk span is
-    #     invisible to it, only the word and AMO accesses around it are
-    #     checked.
+    #     TSan does not see inside the asm either: a race on a bulk span
+    #     through `Segment::read` / `write` is invisible to it. The lib
+    #     tests `the_portable_copy_*` / `a_racing_portable_read_*` call the
+    #     portable loop directly at full size, so TSan (and the test tier,
+    #     natively) still check it on x86_64.
     #     The upper crates are safe Rust over these primitives — including
     #     fompi-mc, whose scheduler gate is std Mutex/Condvar only (its
     #     interleaving coverage comes from the mc stage, not sanitizers).

@@ -520,6 +520,41 @@ mod tests {
         });
     }
 
+    /// A point read that finds its key at the home cell is one versioned
+    /// read, and that is one list: 4 AMOs (version, two payload words,
+    /// version), no flush, and the origin waits once — one AMO round trip
+    /// plus three injections.
+    #[test]
+    fn a_one_cell_get_waits_once() {
+        Universe::new(2).node_size(1).seed(3).faults(FaultPlan::disabled()).launch(|ctx| {
+            let store = KvStore::allocate(ctx, small_cfg());
+            let policy = RetryPolicy::default();
+            let mut rng = Rng::seed_from_u64(9);
+            store.win.lock_all().unwrap();
+            let key = (1..).find(|&k| store.owner_of(k) == 1).unwrap();
+            if ctx.rank() == 0 {
+                store.upsert(&policy, &mut rng, key, 77).unwrap();
+            }
+            // Rank 1 issues nothing while rank 0 reads the job's counters.
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let counters = ctx.fabric().counters();
+                let before = counters.snapshot();
+                let t0 = ctx.now();
+                assert_eq!(store.get(&policy, &mut rng, key).unwrap(), Some(77));
+                let d = counters.snapshot().since(&before);
+                assert_eq!((d.amos, d.flushes, d.gsyncs, d.puts, d.gets), (4, 0, 0, 0, 0));
+                let m = ctx.fabric().model();
+                let t = ctx.ep().transport_to(1);
+                let injected = (0..4).fold(t0, |now, _| now + m.inject(t));
+                assert_eq!(ctx.now(), injected + m.amo_latency(t), "one wait, for the last AMO");
+            }
+            ctx.barrier();
+            store.win.unlock_all().unwrap();
+            ctx.barrier();
+        });
+    }
+
     #[test]
     fn transfers_move_value_between_remote_keys() {
         let cfg = small_cfg();

@@ -317,11 +317,11 @@ fn collect(model: &CostModel) -> BTreeMap<String, f64> {
             }
         });
     m.insert("rpc_round_64_ns".into(), rpc_run[1]);
-    // Transaction-layer twins: one versioned read (two NO_OP version
-    // fetches bracketing a NO_OP payload fetch) and the commit phase of a
-    // 2-key transaction (lock-CAS x2, REPLACE accumulate x2, flush,
-    // publish-CAS x2, flush) — read time excluded so the metric isolates
-    // the commit protocol.
+    // Transaction-layer twins: one versioned read (one list of NO_OP
+    // fetches: the version, the payload, the version again) and the commit
+    // phase of a 2-key transaction (lock-CAS x2, REPLACE accumulate x2,
+    // flush, one list of 2 publish-CASes, flush) — read time excluded so
+    // the metric isolates the commit protocol.
     let txn = universe(2, model, false).run(|ctx| {
         let win = Win::allocate(ctx, 64, 1).unwrap();
         VersionedCell::init_local(&win, 0, &7u64.to_le_bytes());

@@ -22,12 +22,12 @@ use crate::error::{FompiError, Result};
 use crate::meta::off;
 use crate::op::{MpiOp, NumKind};
 use crate::perf::overhead;
-use crate::racecheck::{acc_tag, ACC_CAS};
+use crate::racecheck::{acc_tag, amo_tag, ACC_CAS};
 use crate::request::Request;
 use crate::sync::Spin;
 use crate::win::{AccessEpoch, Win};
 use fompi_fabric::shadow::AccessKind;
-use fompi_fabric::{AmoOp, SegKey};
+use fompi_fabric::{AmoOp, FetchAmo, SegKey};
 
 /// Where a communication call lands — the fabric location its prologue
 /// resolved — and what its epilogue tells the race checker about it.
@@ -301,13 +301,22 @@ impl Win {
                 _ => le_word(&origin[8 * i..8 * i + 8]),
             };
             // One element — all of `fetch_and_op` — is one blocking AMO; a
-            // longer span pipelines its elements and waits once.
+            // longer span is a list on consecutive words, pipelined with
+            // one wait.
             if result.len() == 8 {
                 let old = self.ep.amo(at.key, at.off, amo, operand(0), 0)?;
                 result.copy_from_slice(&old.to_le_bytes());
             } else {
-                let operands = (0..result.len() / 8).map(operand);
-                self.ep.amo_fetch_span(at.key, at.off, amo, operands, result)?;
+                let n = result.len() / 8;
+                let list = (0..n).map(|i| FetchAmo {
+                    at: 8 * i,
+                    op: amo,
+                    operand: operand(i),
+                    compare: 0,
+                });
+                self.ep.amo_fetch_list(at.key, at.off, 8 * n, list, |i, old| {
+                    result[8 * i..8 * i + 8].copy_from_slice(&old.to_le_bytes())
+                })?;
             }
         } else {
             let stores = op != MpiOp::NoOp;
@@ -372,6 +381,52 @@ impl Win {
         self.get_accumulate(origin, result, kind, op, target, target_disp)?;
         let h = fompi_fabric::NbHandle { t_complete: self.ep.clock().now() };
         Ok(Request::new(self.ep.clone(), h))
+    }
+
+    /// A list of 8-byte fetching AMOs on one target, issued back to back
+    /// and completed together — what MPI-3 gives a run of
+    /// `MPI_Fetch_and_op` / `MPI_Compare_and_swap` calls closed by one
+    /// flush. Element `i` acts on the word at byte `at` of the span
+    /// `[target_disp, target_disp + len)` (in displacement units for the
+    /// span's start, bytes inside it); `out(i, old)` receives the old value
+    /// of its word. The elements take effect in list order, each seeing
+    /// the ones before it ([`fompi_fabric::Endpoint::amo_fetch_list`],
+    /// DESIGN.md "The data path"), and the call returns when the last is
+    /// complete: one AMO round trip plus an injection per further element.
+    ///
+    /// The list is admitted and resolved once, and landed for the race
+    /// checker as one record per element — its own 8 bytes, as the
+    /// accumulate class of its op — since one record over the span would
+    /// mark the bytes between elements as accessed. It is refused,
+    /// before anything is applied, priced or counted, outside an access epoch
+    /// ([`FompiError::NoAccessEpoch`]), on a window built without hardware
+    /// AMOs ([`FompiError::NoHardwareAmo`]; there is no locked twin), when
+    /// empty ([`FompiError::BadAccumulate`]), when the span leaves the window,
+    /// and when an element is misaligned or outside the span
+    /// ([`FompiError::Fabric`]).
+    pub fn amo_fetch_list(
+        &self,
+        target: u32,
+        target_disp: usize,
+        len: usize,
+        list: impl Iterator<Item = FetchAmo> + Clone,
+        out: impl FnMut(usize, u64),
+    ) -> Result<()> {
+        self.admit(target, false)?;
+        if !self.shared.cfg.hw_amo {
+            return Err(FompiError::NoHardwareAmo);
+        }
+        if list.clone().next().is_none() {
+            return Err(FompiError::BadAccumulate("empty fetching AMO list"));
+        }
+        let at = self.resolve(target, target_disp, len)?;
+        self.ep.amo_fetch_list(at.key, at.off, len, list.clone(), out)?;
+        if at.rc.is_some() {
+            for e in list {
+                self.landed(&at, e.at, 8, AccessKind::Acc(amo_tag(e.op)));
+            }
+        }
+        Ok(())
     }
 
     /// MPI_Compare_and_swap on one 8-byte element. Always a hardware AMO.

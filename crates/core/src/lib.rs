@@ -56,6 +56,7 @@ pub mod win;
 
 pub use dtype::DataType;
 pub use error::{FompiError, Result};
+pub use fompi_fabric::FetchAmo;
 pub use meta::WinConfig;
 pub use op::{MpiOp, NumKind};
 pub use perf::PaperModel;

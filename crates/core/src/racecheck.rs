@@ -14,7 +14,7 @@ use crate::op::MpiOp;
 use crate::win::{AccessEpoch, LockType, Win, WinKind};
 use fompi_fabric::shadow::{AccessKind, LockCtx, RaceViolation, Shadow, ACC_NOOP};
 use fompi_fabric::telemetry::{Event, EventKind, Flavor};
-use fompi_fabric::Hooks;
+use fompi_fabric::{AmoOp, Hooks};
 
 /// Accumulate tag for compare-and-swap (never equal to an [`MpiOp`]
 /// discriminant, and not the [`ACC_NOOP`] carve-out).
@@ -26,6 +26,20 @@ pub(crate) fn acc_tag(op: MpiOp) -> u16 {
     match op {
         MpiOp::NoOp => ACC_NOOP,
         other => other as u16,
+    }
+}
+
+/// The shadow tag of a hardware AMO: that of the reduction op it
+/// implements ([`MpiOp::hw_amo`]), [`ACC_CAS`] for compare-and-swap.
+pub(crate) fn amo_tag(op: AmoOp) -> u16 {
+    match op {
+        AmoOp::Add => acc_tag(MpiOp::Sum),
+        AmoOp::And => acc_tag(MpiOp::Band),
+        AmoOp::Or => acc_tag(MpiOp::Bor),
+        AmoOp::Xor => acc_tag(MpiOp::Bxor),
+        AmoOp::Swap => acc_tag(MpiOp::Replace),
+        AmoOp::Fetch => acc_tag(MpiOp::NoOp),
+        AmoOp::Cas => ACC_CAS,
     }
 }
 

@@ -47,6 +47,33 @@ impl AmoOp {
     }
 }
 
+/// One element of a fetching-AMO list ([`crate::Endpoint::amo_fetch_list`]):
+/// the 8-byte AMO `op` on the word at byte `at` of the list's span, with
+/// its operand (a CAS's desired value) and a CAS's compare value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchAmo {
+    /// Byte offset of the word inside the span (a multiple of 8).
+    pub at: usize,
+    /// The operation.
+    pub op: AmoOp,
+    /// Its operand; a CAS's desired value.
+    pub operand: u64,
+    /// A CAS's compare value (ignored by the other operations).
+    pub compare: u64,
+}
+
+impl FetchAmo {
+    /// An atomic read of the word at `at`.
+    pub const fn read(at: usize) -> FetchAmo {
+        FetchAmo { at, op: AmoOp::Fetch, operand: 0, compare: 0 }
+    }
+
+    /// `CAS(expected → desired)` on the word at `at`.
+    pub const fn cas(at: usize, desired: u64, expected: u64) -> FetchAmo {
+        FetchAmo { at, op: AmoOp::Cas, operand: desired, compare: expected }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,7 @@
 //! two and leave with the new value dated by the old stamp: an early join,
 //! on some schedules only.
 
-use crate::amo::AmoOp;
+use crate::amo::{AmoOp, FetchAmo};
 use crate::batch::{Burst, BurstKind};
 use crate::clock::{bits_to_stamp, stamp_to_bits, Clock};
 use crate::config::Hooks;
@@ -857,46 +857,56 @@ impl Endpoint {
         Ok(old)
     }
 
-    /// Blocking fetching AMOs on consecutive words: the `i`-th operand is
-    /// applied at `off + 8 * i` and that word's old value lands, little
-    /// endian, in `old[8 * i..]` (`old` is 8 bytes per operand) — the
-    /// hardware path of a multi-element get_accumulate (§2.4).
+    /// Blocking fetching AMOs to one target, pipelined as one list: element
+    /// `i` applies its op to the word at `off + at` and hands that word's
+    /// old value to `out(i, old)`. The hardware path of a multi-element
+    /// get_accumulate (§2.4, consecutive words) and of a versioned read
+    /// (`[version, payload…, version]`).
     ///
-    /// The span is translated, checked (aligned, wholly in bounds — or
-    /// nothing is applied) and counted **once**. Each element is still its
-    /// own wire operation, priced, fault-drawn, announced to the model
-    /// checker, traced and profiled as [`Endpoint::amo`] does one; but the
-    /// elements pipeline at the injection rate and the origin waits once,
-    /// for the last of them (and, under faults, for an earlier one that
-    /// retires later still). One element costs what [`Endpoint::amo`] costs.
-    pub fn amo_fetch_span(
+    /// The span `[off, off + len)` is translated, checked (aligned, wholly in
+    /// bounds) and counted **once**, and every element is checked against it
+    /// (aligned, inside) before the first is applied: a refused list moves
+    /// nothing. Each element is still its own wire operation, priced,
+    /// fault-drawn, announced to the model checker, traced and profiled as
+    /// [`Endpoint::amo`] does one, and they take effect in list order (the
+    /// in-order assumption, DESIGN.md "The data path"); but they pipeline at
+    /// the injection rate and the origin waits once, for the last of them
+    /// (and, under faults, for an earlier one that retires later still).
+    /// One element costs what [`Endpoint::amo`] costs.
+    pub fn amo_fetch_list(
         &self,
         key: SegKey,
         off: usize,
-        op: AmoOp,
-        operands: impl ExactSizeIterator<Item = u64>,
-        old: &mut [u8],
+        len: usize,
+        list: impl Iterator<Item = FetchAmo> + Clone,
+        mut out: impl FnMut(usize, u64),
     ) -> Result<(), FabricError> {
-        let class = Op::Amo(op, true);
-        let n = operands.len();
-        assert_eq!(old.len(), 8 * n, "one fetched word per operand");
-        let seg = self.locate(key, off, old.len(), class)?;
+        let seg = self.locate(key, off, len, Op::Amo(AmoOp::Fetch, true))?;
+        let mut n = 0u64;
+        for e in list.clone() {
+            let at = off.saturating_add(e.at);
+            if e.at.checked_add(8).is_none_or(|end| end > len) {
+                return Err(FabricError::OutsideSpan { key, offset: at, lo: off, hi: off + len });
+            }
+            Self::word_aligned(key, at)?;
+            n += 1;
+        }
         // Completion of the elements before the last, then the last's own.
         let (mut earlier, mut done, mut wire) = (0.0f64, 0.0f64, 0.0f64);
-        for (i, (operand, out)) in operands.zip(old.chunks_exact_mut(8)).enumerate() {
-            let at = off + 8 * i;
+        for (i, e) in list.enumerate() {
+            let (class, at) = (Op::Amo(e.op, true), off + e.at);
             let wall = self.profile_start();
             self.announce(key, at, 8, class, "amo");
             earlier = earlier.max(done);
             let p = self.price(class, key.rank, 8, Some(Flavor::Blocking), None);
             (done, wire) = (p.t_complete, p.wire);
-            out.copy_from_slice(&seg.amo(at, op, operand, 0).to_le_bytes());
+            out(i, seg.amo(at, e.op, e.operand, e.compare));
             self.observe(class, Flavor::Blocking, key.rank, 8, (p.t_start, p.t_complete), wall);
         }
         // `advance(wire)`, not `join(done)`: see `amo`.
         self.clock.advance(wire);
         self.clock.join(earlier);
-        self.fabric.counters().amos.fetch_add(n as u64, Ordering::Relaxed);
+        self.fabric.counters().amos.fetch_add(n, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1005,7 +1015,7 @@ impl Endpoint {
         op: AmoOp,
         operand: u64,
     ) -> Result<(), FabricError> {
-        self.release(key, off, op, operand, "amo_release", None)
+        self.release(key, off, op, operand, "amo_release", None, NO_FLOW)
     }
 
     /// Like [`Endpoint::amo_sync_release`], but the notification is
@@ -1030,19 +1040,19 @@ impl Endpoint {
         // it so its horizon is part of what the release orders behind.
         self.drain_target(key.rank);
         let behind = Some(self.pending.horizon(key.rank));
-        self.release(key, off, op, operand, "amo_release_ord", behind)?;
         // Hand the in-scope flow to the signalled rank: a waiter that
         // observes this release picks it up via `take_signal_flow`, joining
         // the consumer's trace span to this producer's flow arrow.
-        let flow = self.cur_flow.get();
-        if flow != NO_FLOW {
-            self.fabric.telemetry().publish_signal_flow(key.rank, flow);
-        }
-        Ok(())
+        self.release(key, off, op, operand, "amo_release_ord", behind, self.cur_flow.get())
     }
 
     /// The non-fetching stamped AMO both releases are, complete no
-    /// earlier than `floor` if one is given.
+    /// earlier than `floor` if one is given. A `flow` other than
+    /// [`NO_FLOW`] is published to the target's signal-flow mailbox once
+    /// the span is accepted and before the AMO, so a waiter that sees the
+    /// signal finds its flow already there; a refused release publishes
+    /// nothing.
+    #[allow(clippy::too_many_arguments)]
     fn release(
         &self,
         key: SegKey,
@@ -1051,9 +1061,13 @@ impl Endpoint {
         operand: u64,
         label: &'static str,
         floor: Option<f64>,
+        flow: u64,
     ) -> Result<(), FabricError> {
         let class = Op::Amo(op, false);
         let seg = self.begin(key, off, 16, class, label)?;
+        if flow != NO_FLOW {
+            self.fabric.telemetry().publish_signal_flow(key.rank, flow);
+        }
         let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), floor);
         Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, 0));
         self.pending.note(key.rank, p.t_complete);
@@ -2501,28 +2515,27 @@ mod tests {
                     );
                 }
             }
-            // The fetching multi-element body: the elements pipeline, the
-            // origin waits for the last; one element is `amo`, to the bit.
+            // The fetching list body: the elements pipeline, the origin
+            // waits for the last; one element is `amo`, to the bit.
             for n in FETCH_SPANS {
                 pin(
-                    &format!("amo_fetch_span of {n}"),
+                    &format!("amo_fetch_list of {n}"),
                     node_size,
                     t,
                     &|ep, k, _| {
                         let seg = ep.fabric().resolve(k).unwrap();
                         (0..n)
                             .for_each(|i| seg.word(8 * i).store(10 * i as u64, Ordering::Relaxed));
-                        let mut old = vec![0u8; 8 * n];
-                        ep.amo_fetch_span(k, 0, AmoOp::Add, span_operands(n), &mut old).unwrap();
+                        let mut old = vec![0u64; n];
+                        let list = span_list(AmoOp::Add, n);
+                        ep.amo_fetch_list(k, 0, 8 * n, list, |i, w| old[i] = w).unwrap();
                         // Old values in element order; every operand applied.
-                        let old =
-                            old.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap()));
-                        assert!(old.eq((0..n).map(|i| 10 * i as u64)));
+                        assert!(old.into_iter().eq((0..n).map(|i| 10 * i as u64)));
                         assert!((0..n).all(|i| word_at(&seg, 8 * i) == 11 * i as u64 + 1));
                     },
                     &|x| match n {
                         1 => data_op(x, Amo, Blocking, 8, x.amo()),
-                        _ => fetch_span_bill(x, n),
+                        _ => fetch_list_bill(x, n),
                     },
                 );
             }
@@ -2532,12 +2545,18 @@ mod tests {
     const TRANSPORTS: [(usize, Transport); 2] = [(1, Transport::Dmapp), (2, Transport::Xpmem)];
     /// Element counts the multi-element body is pinned at (64 fills a burst).
     const SPANS: [usize; 4] = [1, 2, 8, 64];
-    /// Element counts the fetching multi-element body is pinned at.
+    /// Element counts the fetching list body is pinned at.
     const FETCH_SPANS: [usize; 3] = [1, 2, 8];
     const ONES: u64 = 0x0101_0101_0101_0101;
 
     fn span_operands(n: usize) -> impl ExactSizeIterator<Item = u64> {
         (0..n).map(|i| i as u64 + 1)
+    }
+
+    /// The fetching list get_accumulate's hardware path issues: `op` on
+    /// `n` consecutive words, with the operands of [`span_operands`].
+    fn span_list(op: AmoOp, n: usize) -> impl Iterator<Item = FetchAmo> + Clone {
+        (0..n).map(move |i| FetchAmo { at: 8 * i, op, operand: i as u64 + 1, compare: 0 })
     }
 
     /// Run one case on a fresh two-rank fabric whose origin clock reads
@@ -2615,9 +2634,9 @@ mod tests {
         Pinned { clock: now, pending, counters, events }
     }
 
-    /// What `amo_fetch_span` of `n` issued from `t0` leaves: an injection
+    /// What `amo_fetch_list` of `n` issued from `t0` leaves: an injection
     /// per element, then the wire latency of the last; nothing pending.
-    fn fetch_span_bill(x: &Terms, n: usize) -> Pinned {
+    fn fetch_list_bill(x: &Terms, n: usize) -> Pinned {
         let (mut now, mut events) = (x.t0, vec![]);
         for _ in 0..n {
             let t_start = now;
@@ -2680,12 +2699,12 @@ mod tests {
         }
     }
 
-    /// The fetching span under the same plan: one blocking draw per element
+    /// The fetching list under the same plan: one blocking draw per element
     /// (a fetch cannot retire late), the wait covers the last element and
     /// any earlier one a fault kept out longer, and the faults injected are
     /// those of that many one-element `amo` calls on a plane seeded alike.
     #[test]
-    fn a_faulted_fetch_span_bills_like_its_elements_one_by_one() {
+    fn a_faulted_fetch_list_bills_like_its_elements_one_by_one() {
         use crate::faults::{FaultPlan, Faults};
         for (node_size, t) in TRANSPORTS {
             for n in FETCH_SPANS {
@@ -2698,8 +2717,7 @@ mod tests {
                     (f.register(1, Segment::new(4096)), f, ep)
                 };
                 let (key, f, ep) = fabric();
-                ep.amo_fetch_span(key, 0, AmoOp::Add, span_operands(n), &mut vec![0; 8 * n])
-                    .unwrap();
+                ep.amo_fetch_list(key, 0, 8 * n, span_list(AmoOp::Add, n), |_, _| {}).unwrap();
 
                 let twin = Faults::new(2, plan.clone());
                 let m = f.model();
@@ -2715,7 +2733,7 @@ mod tests {
                     (done, wire) = (now + lat + extra, lat + extra);
                 }
                 now = (now + wire).max(earlier);
-                let ctx = format!("fetch span of {n} over {t:?}");
+                let ctx = format!("fetch list of {n} over {t:?}");
                 assert_eq!(ep.clock().now().to_bits(), now.to_bits(), "{ctx}: clock");
                 assert_eq!(ep.pending_for(1), 0.0, "{ctx}: nothing left pending");
                 assert_eq!(f.faults().total_injected(), twin.total_injected(), "{ctx}");
@@ -2767,19 +2785,62 @@ mod tests {
                 assert_eq!(*gate.0.lock().unwrap(), want, "span of {n}, batching {batch}");
             }
         }
-        // The fetching span likewise, each element order-observing.
+        // The fetching list likewise, each element order-observing.
         for n in FETCH_SPANS {
             let gate = Arc::new(Recorder::default());
             let f = fabric_with(Config { mc: Some(gate.clone()), ..Config::default() });
             let ep = Endpoint::new(f.clone(), 0);
             let key = f.register(1, Segment::new(4096));
-            ep.amo_fetch_span(key, 16, AmoOp::Xor, span_operands(n), &mut vec![0; 8 * n]).unwrap();
+            ep.amo_fetch_list(key, 16, 8 * n, span_list(AmoOp::Xor, n), |_, _| {}).unwrap();
             let obj = McObj::Seg { owner: 1, id: key.id };
             let want: Vec<Announced> = (0..n)
                 .map(|i| (obj, 16 + 8 * i, 24 + 8 * i, AccessKind::Acc(3), true, "amo"))
                 .collect();
-            assert_eq!(*gate.0.lock().unwrap(), want, "fetch span of {n}");
+            assert_eq!(*gate.0.lock().unwrap(), want, "fetch list of {n}");
         }
+    }
+
+    /// An ordered release hands the flow in scope to the signalled rank's
+    /// mailbox (once its span is accepted, before its AMO); a refused one
+    /// hands over nothing.
+    #[test]
+    fn only_an_accepted_release_publishes_its_flow() {
+        let f = fabric_with(Config { telemetry_ring: Some(8), ..Config::default() });
+        let ep = Endpoint::new(f.clone(), 0);
+        let key = f.register(1, Segment::new(64));
+        let prev = ep.flow_open();
+        let flow = ep.current_flow();
+        assert_ne!(flow, NO_FLOW, "tracing is armed, so the scope has a flow");
+        let refused = ep.amo_sync_release_ordered(key, 12, AmoOp::Add, 1);
+        assert_eq!(refused, Err(FabricError::Misaligned { key, offset: 12 }));
+        assert_eq!(f.telemetry().take_signal_flow(1), NO_FLOW, "a refused release");
+        ep.amo_sync_release_ordered(key, 0, AmoOp::Add, 1).unwrap();
+        assert_eq!(f.telemetry().take_signal_flow(1), flow);
+        ep.flow_close(prev);
+    }
+
+    /// The elements of one list take effect in list order, the assumption a
+    /// versioned read rests on (DESIGN.md "The data path"): each returns
+    /// its word as the elements before it left it, and the last, which
+    /// re-reads the first word, sees the effect of every earlier element.
+    #[test]
+    fn a_list_takes_effect_in_issue_order() {
+        let f = fabric_with(Config::default());
+        let ep = Endpoint::new(f.clone(), 0);
+        let key = f.register(1, Segment::new(64));
+        let list = [
+            FetchAmo { at: 0, op: AmoOp::Add, operand: 5, compare: 0 },
+            FetchAmo::cas(8, 7, 0),
+            FetchAmo::cas(0, 9, 5),
+            FetchAmo { at: 0, op: AmoOp::Xor, operand: 3, compare: 0 },
+            FetchAmo { at: 8, op: AmoOp::Swap, operand: 1, compare: 0 },
+            FetchAmo::read(0),
+        ];
+        let mut old = vec![];
+        ep.amo_fetch_list(key, 0, 16, list.into_iter(), |i, w| old.push((i, w))).unwrap();
+        assert_eq!(old, [(0, 0), (1, 0), (2, 5), (3, 9), (4, 7), (5, 9 ^ 3)]);
+        let seg = f.resolve(key).unwrap();
+        assert_eq!((word_at(&seg, 0), word_at(&seg, 8)), (9 ^ 3, 1));
     }
 
     /// A misaligned AMO or sync-variable access — through any entry point —
@@ -2819,14 +2880,30 @@ mod tests {
                 |key| FabricError::OutOfBounds { key, offset: LEN - 16, len: 24, seg_len: LEN },
             ),
             (
-                "amo_fetch_span, misaligned base",
-                |ep, k| ep.amo_fetch_span(k, 12, AmoOp::Add, span_operands(3), &mut [0; 24]),
+                "amo_fetch_list, misaligned base",
+                |ep, k| ep.amo_fetch_list(k, 12, 24, span_list(AmoOp::Add, 3), |_, _| {}),
                 misaligned_at_12,
             ),
             (
-                "amo_fetch_span, last element out of bounds",
-                |ep, k| ep.amo_fetch_span(k, LEN - 16, AmoOp::Add, span_operands(3), &mut [0; 24]),
+                "amo_fetch_list, span out of bounds",
+                |ep, k| ep.amo_fetch_list(k, LEN - 16, 24, span_list(AmoOp::Add, 3), |_, _| {}),
                 |key| FabricError::OutOfBounds { key, offset: LEN - 16, len: 24, seg_len: LEN },
+            ),
+            (
+                "amo_fetch_list, last element misaligned",
+                |ep, k| {
+                    let list = span_list(AmoOp::Add, 2).chain([FetchAmo::read(4)]);
+                    ep.amo_fetch_list(k, 8, 24, list, |_, _| {})
+                },
+                misaligned_at_12,
+            ),
+            (
+                "amo_fetch_list, last element outside its span",
+                |ep, k| {
+                    let list = span_list(AmoOp::Add, 2).chain([FetchAmo::read(16)]);
+                    ep.amo_fetch_list(k, 0, 16, list, |_, _| {})
+                },
+                |key| FabricError::OutsideSpan { key, offset: 16, lo: 0, hi: 16 },
             ),
         ];
         fn misaligned_at_12(key: SegKey) -> FabricError {

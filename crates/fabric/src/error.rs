@@ -34,6 +34,18 @@ pub enum FabricError {
         /// Requested offset.
         offset: usize,
     },
+    /// An element of a list op names a word outside the span `[lo, hi)`
+    /// the op was given. Nothing was issued.
+    OutsideSpan {
+        /// Offending key.
+        key: SegKey,
+        /// Offset of the element's word.
+        offset: usize,
+        /// Start of the span.
+        lo: usize,
+        /// End of the span.
+        hi: usize,
+    },
     /// Transient registration failure: the NIC's registration resources
     /// are momentarily exhausted. Retry after the hinted delay.
     SegmentBusy {
@@ -76,6 +88,10 @@ impl std::fmt::Display for FabricError {
             FabricError::Misaligned { key, offset } => {
                 write!(f, "AMO at offset {offset} of segment {key:?} is not 8-byte aligned")
             }
+            FabricError::OutsideSpan { key, offset, lo, hi } => write!(
+                f,
+                "list element at offset {offset} is outside the span [{lo}, {hi}) of segment {key:?}"
+            ),
             FabricError::SegmentBusy { retry_after_ns } => {
                 write!(f, "segment registration transiently busy (retry after {retry_after_ns} ns)")
             }

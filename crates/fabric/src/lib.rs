@@ -58,7 +58,7 @@ pub mod topology;
 mod translate;
 pub mod xpmem;
 
-pub use amo::AmoOp;
+pub use amo::{AmoOp, FetchAmo};
 pub use batch::{Burst, BurstKind};
 pub use clock::{Clock, StampCell};
 pub use config::{Config, ConfigError, Hooks};

@@ -24,12 +24,12 @@
 //! twins proving the checker catches the bug classes it claims to; only
 //! the checker runs them.
 
-use fompi::{FompiError, LockType, MpiOp, NumKind, Win};
+use fompi::{FetchAmo, FompiError, LockType, MpiOp, NumKind, Win};
 use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
 use fompi_runtime::{Group, RankCtx};
-use fompi_txn::{RetryPolicy, Txn, VersionedCell};
+use fompi_txn::{versions_consistent, RetryPolicy, Txn, VersionedCell};
 use std::fmt::Display;
 
 /// How large a runner makes a program.
@@ -82,14 +82,14 @@ pub const PROGRAMS: [Program; 15] = [
     Program { name: "txn_commit", body: txn_commit, mc: Some((2, 1)), stable: true },
     Program {
         name: "txn_readonly",
-        body: |ctx, s| txn_readonly(ctx, s, true),
+        body: |ctx, s| txn_readonly(ctx, s, Reader::Txn),
         mc: Some((2, 1)),
         stable: false,
     },
 ];
 
 /// The broken twins. Each must produce a replayable counterexample.
-pub const MUTANTS: [Program; 4] = [
+pub const MUTANTS: [Program; 5] = [
     Program {
         name: "mesh_credit_leak",
         body: |ctx, s| rmc_mesh(ctx, s, true),
@@ -99,7 +99,13 @@ pub const MUTANTS: [Program; 4] = [
     Program { name: "txn_lost_publish", body: txn_lost_publish, mc: P2E2, stable: false },
     Program {
         name: "txn_skip_first_validate",
-        body: |ctx, s| txn_readonly(ctx, s, false),
+        body: |ctx, s| txn_readonly(ctx, s, Reader::Unvalidated),
+        mc: Some((2, 1)),
+        stable: false,
+    },
+    Program {
+        name: "txn_refetch_first",
+        body: |ctx, s| txn_readonly(ctx, s, Reader::RefetchFirst),
         mc: Some((2, 1)),
         stable: false,
     },
@@ -714,8 +720,8 @@ fn txn_lost_publish(ctx: &mut RankCtx, _: &Shape) -> Verdict {
 }
 
 /// A cell with a two-word payload `[value | !value]`: its versioned read
-/// is a multi-element `get_accumulate`, so the fetching AMO span is on the
-/// explored path.
+/// is a four-element list, so the fetching AMO list is on the explored
+/// path.
 const WIDE: usize = 24;
 const WIDE_PAYLOAD: usize = 16;
 /// What cells A and B hold between them, before and after the transfers.
@@ -729,12 +735,46 @@ fn wide(value: u64) -> [u8; WIDE_PAYLOAD] {
     payload
 }
 
+/// The value of a payload that passed the version check: whole.
+fn whole(payload: &[u8]) -> u64 {
+    let value = le(payload);
+    assert_eq!(le(&payload[8..]), !value, "torn payload passed the version check");
+    value
+}
+
 fn read_wide(txn: &mut Txn, cell: VersionedCell) -> fompi_txn::Result<u64> {
     let mut payload = [0u8; WIDE_PAYLOAD];
     txn.read(cell, &mut payload)?;
-    let value = le(&payload);
-    assert_eq!(le(&payload[8..]), !value, "torn payload passed the version check");
-    Ok(value)
+    Ok(whole(&payload))
+}
+
+/// How [`txn_readonly`]'s readers read A, then B.
+#[derive(Clone, Copy, PartialEq)]
+enum Reader {
+    /// In a read-only transaction whose commit validates the snapshot.
+    Txn,
+    /// MUTANT `txn_skip_first_validate`: the transaction is never
+    /// committed, so nothing validates the snapshot.
+    Unvalidated,
+    /// MUTANT `txn_refetch_first`: each cell read by hand as the versioned
+    /// read's list with the version re-fetch issued before the payload,
+    /// `[version, version, payload…]`, the seqlock check kept.
+    RefetchFirst,
+}
+
+/// [`Reader::RefetchFirst`]'s read of `cell`: a read that passes the
+/// version check must hold a whole payload, as any other read does.
+fn refetch_first(win: &Win, cell: VersionedCell) -> Result<(), FompiError> {
+    let (mut v, mut payload) = ([0u64; 2], [0u8; WIDE_PAYLOAD]);
+    let list = [0, 0, 8, 16].map(FetchAmo::read).into_iter();
+    win.amo_fetch_list(cell.target, cell.disp, WIDE, list, |i, old| match i {
+        0 | 1 => v[i] = old,
+        _ => payload[8 * i - 16..8 * i - 8].copy_from_slice(&old.to_le_bytes()),
+    })?;
+    if versions_consistent(v[0], v[1]) {
+        whole(&payload);
+    }
+    Ok(())
 }
 
 /// Rank 1 moves value from cell A to cell B in two-key transactions
@@ -746,10 +786,12 @@ fn read_wide(txn: &mut Txn, cell: VersionedCell) -> fompi_txn::Result<u64> {
 /// its whole budget in a moment of wall clock.) The read-only commit rule
 /// under test: validate every cell but the one read last.
 ///
-/// MUTANT (`!validated`): the read-only commit validates nothing. With a
-/// whole transfer between the reader's two reads, A is old and B is new —
-/// the schedule the checker must find.
-fn txn_readonly(ctx: &mut RankCtx, s: &Shape, validated: bool) -> Verdict {
+/// MUTANTS ([`Reader`]): when nothing validates, a whole transfer between
+/// the reader's two reads leaves A old and B new — the schedule the
+/// checker must find; when a read's version is re-fetched before its
+/// payload, a transfer's payload write lands between the reader's payload
+/// words and the torn payload passes the version check.
+fn txn_readonly(ctx: &mut RankCtx, s: &Shape, reader: Reader) -> Verdict {
     let win = Win::allocate(ctx, 2 * WIDE, 1).txt()?;
     VersionedCell::init_local(&win, 0, &wide(HELD.0));
     VersionedCell::init_local(&win, WIDE, &wide(HELD.1));
@@ -769,9 +811,14 @@ fn txn_readonly(ctx: &mut RankCtx, s: &Shape, validated: bool) -> Verdict {
         }
     } else {
         for _ in 0..s.epochs {
+            if reader == Reader::RefetchFirst {
+                refetch_first(&win, a).txt()?;
+                refetch_first(&win, b).txt()?;
+                continue;
+            }
             let mut txn = Txn::begin(&win);
             let seen = read_wide(&mut txn, a).and_then(|x| Ok((x, read_wide(&mut txn, b)?)));
-            let accepted = !validated || txn.commit().is_ok();
+            let accepted = reader == Reader::Unvalidated || txn.commit().is_ok();
             if let (Ok((x, y)), true) = (seen, accepted) {
                 ensure(x.wrapping_add(y) == HELD.0 + HELD.1, || {
                     format!("accepted a snapshot that never existed: A={x} B={y}")

@@ -73,6 +73,14 @@ fn txn_skip_first_validate_panics_with_replayable_counterexample() {
     assert_rank0_violation("txn_skip_first_validate", "snapshot that never existed");
 }
 
+/// The versioned read relies on its list taking effect in order: with the
+/// version re-fetch issued before the payload, a read passes the seqlock
+/// check with a payload its version never held.
+#[test]
+fn txn_refetch_first_panics_with_replayable_counterexample() {
+    assert_rank0_violation("txn_refetch_first", "passed the version check");
+}
+
 /// Only the rest-state check can see a skipped `unlock_all`: the master's
 /// global lock word still counts one holder.
 #[test]

@@ -5,24 +5,25 @@
 //! seqlock-style 8-byte version word followed by the payload, both in
 //! ordinary window memory — and writes go through a CAS-based optimistic
 //! multi-key commit built purely from the MPI-3 one-sided primitives the
-//! paper accelerates (`compare_and_swap`, `accumulate`, `get_accumulate`,
-//! `flush`). No receiver-side CPU touches the data path.
+//! paper accelerates (`compare_and_swap`, `accumulate`, fetching atomics
+//! issued back to back and completed together — [`fompi::Win::amo_fetch_list`]
+//! — and `flush`). No receiver-side CPU touches the data path.
 //!
 //! ## Version-word protocol
 //!
 //! * An **even** version means the cell is unlocked; **odd** means a
 //!   commit holds it.
-//! * A [`read`](Txn::read) fetches the version, atomically reads the
-//!   payload, and re-fetches the version: if either fetch is odd or the
-//!   two differ, the read was torn and fails with
-//!   [`TxnError::TornRead`] (transient — retry).
+//! * A [`read`](Txn::read) is one pipelined list of fetching AMOs — the
+//!   version, the payload words, the version again — checked locally: if
+//!   either version is odd or the two differ, the read was torn and fails
+//!   with [`TxnError::TornRead`] (transient — retry).
 //! * A [`commit`](Txn::commit) sorts its write set by (rank,
 //!   displacement) — the global lock order that makes symmetric conflicts
 //!   deadlock-free — then per key CASes `v → v+1` where `v` is the
 //!   version observed at read time. The CAS *is* the validation: it fails
 //!   iff the cell changed or is locked. Payloads are then written with
-//!   accumulate(REPLACE), flushed, and each key is published with a CAS
-//!   `v+1 → v+2` and a final flush.
+//!   accumulate(REPLACE), flushed, and the keys are published with CASes
+//!   `v+1 → v+2`, one list per target, and a final flush.
 //! * On a lock conflict the already-locked prefix is rolled back
 //!   (`v+1 → v`) and the attempt aborts with [`TxnError::Conflict`].
 //! * A transaction that staged no write commits by re-checking the

@@ -3,23 +3,27 @@
 //! A [`Txn`] accumulates a read set (cells read through the versioned
 //! protocol, with the version each payload was consistent at) and a write
 //! set (staged payloads for cells already in the read set). [`Txn::commit`]
-//! then runs the four phases, all built from `compare_and_swap` /
-//! `accumulate` / `get_accumulate` + `flush`:
+//! then runs the four phases, built from `compare_and_swap`,
+//! `accumulate`, pipelined fetching-AMO lists ([`Win::amo_fetch_list`]:
+//! one wait per list) and `flush`:
 //!
 //! 1. **lock+validate** — write-set cells in global (rank, disp) order:
-//!    CAS `v → v+1` where `v` is the version observed at read time. The
-//!    CAS *is* the validation; a miss rolls back the locked prefix and
-//!    aborts with [`TxnError::Conflict`].
-//! 2. **validate reads** — read-only cells are re-fetched and must still
-//!    hold their observed version. A transaction with an **empty write
-//!    set** skips the cell it read last (see below).
+//!    CAS `v → v+1` where `v` is the version observed at read time, one
+//!    at a time (the order is what makes symmetric conflicts
+//!    deadlock-free). The CAS *is* the validation; a miss rolls back the
+//!    locked prefix and aborts with [`TxnError::Conflict`].
+//! 2. **validate reads** — the versions of the read-only cells are
+//!    re-fetched, one list per target, and must still hold their observed
+//!    values. A transaction with an **empty write set** skips the cell it
+//!    read last (see below).
 //! 3. **write** — staged payloads land via `accumulate(MPI_REPLACE)`,
 //!    fenced by one flush.
-//! 4. **publish** — per cell CAS `v+1 → v+2`, fenced by a final flush.
+//! 4. **publish** — CAS `v+1 → v+2` on every written cell, one list per
+//!    target with every old value checked, fenced by a final flush.
 //!
 //! A read-only transaction runs phase 2 alone — it has nothing in flight,
 //! so it issues no flush — and serialises at `t`, the second version fetch
-//! of its last [`Txn::read`]:
+//! in the list of its last [`Txn::read`]:
 //!
 //! * the cell read last held its observed version at `t` — that fetch is
 //!   the seqlock's own check;
@@ -43,7 +47,7 @@ use crate::retry::RetryPolicy;
 use crate::versioned::VersionedCell;
 use crate::{Result, TxnError};
 use fompi::win::Win;
-use fompi::{MpiOp, NumKind};
+use fompi::{FetchAmo, MpiOp, NumKind};
 use fompi_fabric::rng::Rng;
 use fompi_fabric::telemetry::{EventKind, NO_FLOW, NO_TARGET};
 
@@ -181,17 +185,23 @@ impl<'w> Txn<'w> {
             }
         }
         // Phase 2: validate read-only cells against their observed
-        // versions. Write-set cells were validated by the lock CAS, and a
+        // versions, one list per target, issued where the target first
+        // turns up. Write-set cells were validated by the lock CAS, and a
         // read-only transaction serialises at its last read, which needs
         // no second look.
         let read_only = sets.writes.is_empty();
-        for (i, r) in sets.reads.iter().enumerate() {
-            if sets.writes.iter().any(|w| w.cell == r.cell) || (read_only && i == self.last_read) {
+        let checked = sets.reads.iter().enumerate().filter(|&(i, r)| {
+            !(sets.writes.iter().any(|w| w.cell == r.cell) || (read_only && i == self.last_read))
+        });
+        for (first, (_, r)) in checked.clone().enumerate() {
+            let target = r.cell.target;
+            if checked.clone().take(first).any(|(_, e)| e.cell.target == target) {
                 continue;
             }
-            if r.cell.fetch_version(win)? != r.version {
+            let group = checked.clone().skip(first).map(|(_, e)| e);
+            if let Some(cell) = moved(win, target, group.filter(|e| e.cell.target == target))? {
                 self.rollback(sets.writes.len())?;
-                return Err(TxnError::Conflict { target: r.cell.target, disp: r.cell.disp });
+                return Err(TxnError::Conflict { target: cell.target, disp: cell.disp });
             }
         }
         let mut bytes = 0usize;
@@ -210,10 +220,16 @@ impl<'w> Txn<'w> {
                 bytes += payload.len();
             }
             win.flush_all()?;
-            // Phase 4: publish — the unlock CAS cannot miss (we hold v+1).
-            for w in &sets.writes {
-                let prev = w.cell.cas_version(win, w.version + 2, w.version + 1)?;
-                debug_assert_eq!(prev, w.version + 1, "lock word stolen while held");
+            // Phase 4: publish, one list per target (the write set is
+            // sorted by it) — the unlock CAS cannot miss (we hold v+1).
+            for group in sets.writes.chunk_by(|a, b| a.cell.target == b.cell.target) {
+                let (lo, hi) = (group[0].cell.disp, group[group.len() - 1].cell.disp + 8);
+                let list = group
+                    .iter()
+                    .map(|w| FetchAmo::cas(w.cell.disp - lo, w.version + 2, w.version + 1));
+                win.amo_fetch_list(group[0].cell.target, lo, hi - lo, list, |i, prev| {
+                    debug_assert_eq!(prev, group[i].version + 1, "lock word stolen while held")
+                })?;
             }
             win.flush_all()?;
         }
@@ -234,6 +250,23 @@ impl<'w> Txn<'w> {
         }
         Ok(())
     }
+}
+
+/// Re-fetch the versions of `reads`, every cell on `target`, as one list;
+/// the first cell whose version is not the one it was read at.
+fn moved<'a>(
+    win: &Win,
+    target: u32,
+    reads: impl Iterator<Item = &'a ReadEntry> + Clone,
+) -> Result<Option<VersionedCell>> {
+    let disps = reads.clone().map(|r| r.cell.disp);
+    let lo = disps.clone().min().unwrap_or_default();
+    let hi = disps.clone().max().map_or(lo, |d| d + 8);
+    let (mut seen, mut stale) = (reads, None);
+    win.amo_fetch_list(target, lo, hi - lo, disps.map(|d| FetchAmo::read(d - lo)), |_, v| {
+        stale = stale.or(seen.next().filter(|r| r.version != v).map(|r| r.cell));
+    })?;
+    Ok(stale)
 }
 
 /// Run `body` under `policy` until it commits, a non-transient error
@@ -501,6 +534,54 @@ mod tests {
         assert!(outs[1].unwrap() > 0.0);
         assert_eq!(fabric.telemetry().stats(EventKind::TxnAbort).count(), 3);
         assert_eq!(fabric.telemetry().stats(EventKind::TxnCommit).count(), 0);
+    }
+
+    /// Validation fetches the versions of a target's cells as one list, and
+    /// a conflict names the cell that moved, whichever list it was in.
+    #[test]
+    fn validation_covers_every_target_and_names_the_moved_cell() {
+        fn bump(win: &fompi::Win, c: VersionedCell) {
+            let mut txn = Txn::begin(win);
+            let v = read_u64(&mut txn, c).unwrap();
+            txn.write(c, &(v + 1).to_le_bytes()).unwrap();
+            txn.commit().unwrap();
+        }
+        Universe::new(2).node_size(1).seed(21).faults(FaultPlan::disabled()).launch(|ctx| {
+            let win = fompi::Win::allocate(ctx, 3 * CELL, 1).unwrap();
+            ctx.barrier();
+            win.lock_all().unwrap();
+            // Rank 1 issues nothing while rank 0 reads the job's counters.
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                // Read last, so never validated: (0, 2).
+                let cells = [cell(1, 2), cell(0, 0), cell(1, 0), cell(0, 2)];
+                let read_all = || {
+                    let mut txn = Txn::begin(&win);
+                    for &c in &cells {
+                        read_u64(&mut txn, c).unwrap();
+                    }
+                    txn
+                };
+                let counters = ctx.fabric().counters();
+                let txn = read_all();
+                let before = counters.snapshot();
+                txn.commit().unwrap();
+                assert_eq!(counters.snapshot().since(&before).amos, 3);
+                for moved in [cell(1, 0), cell(0, 0), cell(1, 2)] {
+                    let txn = read_all();
+                    bump(&win, moved);
+                    let e = txn.commit().unwrap_err();
+                    let (target, disp) = (moved.target, moved.disp);
+                    assert!(
+                        matches!(e, TxnError::Conflict { target: t, disp: d } if (t, d) == (target, disp)),
+                        "{e:?}"
+                    );
+                }
+            }
+            ctx.barrier();
+            win.unlock_all().unwrap();
+            ctx.barrier();
+        });
     }
 
     /// A read-only transaction serialises at its last read: commit looks

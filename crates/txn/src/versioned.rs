@@ -3,26 +3,29 @@
 //!
 //! A cell is an 8-byte **version word** followed by `payload_len` payload
 //! bytes, both in ordinary window memory. Even version = unlocked; odd =
-//! a commit holds the cell. Readers never lock: they fetch the version,
-//! atomically read the payload, re-fetch the version, and reject the read
-//! as *torn* if either fetch is odd or the two differ.
+//! a commit holds the cell. Readers never lock: a read is one pipelined
+//! list of fetching AMOs, `[version, payload…, version]`, and the read is
+//! rejected as *torn* if either version is odd or the two differ — the
+//! seqlock check, done locally once the list is back.
 //!
 //! A consistent read serialises at its second version fetch: the payload
 //! was read under an even version `v`, `v` still stood at that fetch, and
 //! no payload changes without the version moving on for good — so the
-//! bytes returned are the cell's contents at that instant. A read-only
-//! transaction is built on exactly this ([`crate::txn`]): its last read
-//! is its serialisation point, and commit re-checks only the others.
+//! bytes returned are the cell's contents at that instant. This needs the
+//! list's elements to take effect in list order (DESIGN.md "The data
+//! path"). A read-only transaction is built on exactly this
+//! ([`crate::txn`]): its last read is its serialisation point, and commit
+//! re-checks only the others.
 //!
-//! Every remote access is an accumulate-class op — version fetches are
-//! `MPI_NO_OP` fetch-and-ops, payload reads `MPI_NO_OP` get-accumulates,
-//! payload writes `MPI_REPLACE` accumulates, version transitions CAS — so
-//! the epoch-aware race checker sees only MPI-permitted same-op/no-op
-//! accumulate overlap, never put/get conflicts.
+//! Every remote access is an accumulate-class op — version and payload
+//! reads are `MPI_NO_OP` fetches, payload writes `MPI_REPLACE`
+//! accumulates, version transitions CAS — so the epoch-aware race checker
+//! sees only MPI-permitted same-op/no-op accumulate overlap, never put/get
+//! conflicts.
 
 use crate::{Result, TxnError};
 use fompi::win::Win;
-use fompi::{MpiOp, NumKind};
+use fompi::FetchAmo;
 use fompi_fabric::telemetry::{EventKind, NO_FLOW};
 
 /// One remote versioned cell: the version word lives at `disp` (which
@@ -74,13 +77,6 @@ impl VersionedCell {
         win.write_local(disp + 8, payload);
     }
 
-    /// Atomically fetch the version word.
-    pub(crate) fn fetch_version(&self, win: &Win) -> Result<u64> {
-        let mut b = [0u8; 8];
-        win.fetch_and_op(&[], &mut b, NumKind::U64, MpiOp::NoOp, self.target, self.disp)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Try the seqlock transition `expect → desired` on the version word;
     /// returns the previous value (success iff it equals `expect`).
     pub(crate) fn cas_version(&self, win: &Win, desired: u64, expect: u64) -> Result<u64> {
@@ -101,24 +97,28 @@ impl VersionedCell {
         Ok(())
     }
 
-    /// One versioned read: version fetch, atomic payload read, version
-    /// re-check. On success returns the (even) version the payload is
+    /// One versioned read, one window call: the list `[version,
+    /// payload…, version]` ([`Win::amo_fetch_list`]) — one AMO round trip
+    /// plus an injection per further word — then the seqlock check,
+    /// locally. On success returns the (even) version the payload is
     /// consistent with and records a `txn_read` telemetry span; a locked
     /// or moving version fails with [`TxnError::TornRead`] (transient —
     /// retry, e.g. via [`crate::run`]). A cell that breaks the layout
     /// rules ([`TxnError::Layout`]) or a `buf` that is not `payload_len`
-    /// bytes ([`TxnError::PayloadSize`]) is refused before the first fetch.
+    /// bytes ([`TxnError::PayloadSize`]) is refused before the list.
     pub fn read(&self, win: &Win, buf: &mut [u8]) -> Result<u64> {
         self.check(buf.len())?;
         let ep = win.endpoint();
         let t0 = ep.clock().now();
-        let v1 = self.fetch_version(win)?;
-        if v1 & 1 == 1 {
-            return Err(TxnError::TornRead { target: self.target, disp: self.disp });
-        }
-        // The payload, atomically, between the two version fetches.
-        win.get_accumulate(&[], buf, NumKind::U64, MpiOp::NoOp, self.target, self.disp + 8)?;
-        let v2 = self.fetch_version(win)?;
+        let words = self.payload_len / 8;
+        // Element `i` reads word `i` of the cell; the last reads word 0 again.
+        let list = (0..words + 2).map(|i| FetchAmo::read(8 * (i % (words + 1))));
+        let (mut v1, mut v2) = (0, 0);
+        win.amo_fetch_list(self.target, self.disp, self.footprint(), list, |i, old| match i {
+            0 => v1 = old,
+            i if i <= words => buf[8 * i - 8..8 * i].copy_from_slice(&old.to_le_bytes()),
+            _ => v2 = old,
+        })?;
         if !versions_consistent(v1, v2) {
             return Err(TxnError::TornRead { target: self.target, disp: self.disp });
         }

@@ -217,8 +217,9 @@ stage_mc() {
     # integration tests run every row with a model-checked instance to
     # exhaustion at the default bounds (zero violations, `complete=true`)
     # and are the *mutation* gate — the broken-credit-return,
-    # dropped-publish-CAS, unvalidated-read-only-commit and
-    # skipped-unlock_all mutants must each yield a counterexample that
+    # dropped-publish-CAS, unvalidated-read-only-commit, version-re-fetch-
+    # before-payload and skipped-unlock_all mutants must each yield a
+    # counterexample that
     # FOMPI_MC_REPLAY reproduces with its per-rank virtual clocks bit for
     # bit (in-process and out-of-process). results/mc_summary.csv is
     # byte-diffed by the determinism stage.
@@ -309,7 +310,9 @@ stage_pairs() { # stage_pairs <parent-checkout> <change-checkout> [N=10] [worklo
     # (workload, end-to-end metric) appended to results/BENCH_history.jsonl
     # and a median [q1, q3] table printed, with the change's quartile
     # distance as a share of its bound (over 100 %: the runs spread too
-    # widely to tell, exit 1). Workloads, metrics and bounds are read
+    # widely to tell, exit 1) and the rejection rule applied (a change
+    # median worse than the parent median by more than bound x the parent
+    # median: WORSE PAST THE BOUND, exit 1). Workloads, metrics and bounds are read
     # from the change's BENCHMARK.json. Give the two checkouts paths of the
     # same length (PR 14: the build directory alone moves put_duplex) and
     # leave both CPUs alone meanwhile: ~15 s a run, 35 min for the default.
@@ -390,16 +393,22 @@ stage_pairs() { # stage_pairs <parent-checkout> <change-checkout> [N=10] [worklo
                 # than the bound reads.
                 spread = pm ? (quantile("change", 0.75) - quantile("change", 0.25)) / (bound[m] * pm) : 0
                 if (spread > 1) wide[w] = 1
-                printf "  %-10s %-20s %12.5g [%10.5g, %10.5g] %12.5g [%10.5g, %10.5g] %+7.1f%% %3d/%d %6.0f%%%s%s\n", w, m, \
+                # The rejection rule: the change median worse than the
+                # parent median by more than bound x the parent median.
+                worse = pm ? (better[m] == "lower" ? cm - pm : pm - cm) / (bound[m] * pm) : 0
+                if (worse > 1) past[w] = 1
+                printf "  %-10s %-20s %12.5g [%10.5g, %10.5g] %12.5g [%10.5g, %10.5g] %+7.1f%% %3d/%d %6.0f%%%s%s%s\n", w, m, \
                     pm, quantile("parent", 0.25), quantile("parent", 0.75), \
                     cm, quantile("change", 0.25), quantile("change", 0.75), \
                     pm ? 100 * (cm - pm) / pm : 0, wins, cnt["parent"], 100 * spread, \
-                    (spread > 1 ? "  RUNS SPREAD PAST THE BOUND" : ""), (bad[w] ? "  FAILED OPS OR WRONG RESULT" : "")
+                    (spread > 1 ? "  RUNS SPREAD PAST THE BOUND" : ""), (worse > 1 ? "  WORSE PAST THE BOUND" : ""), \
+                    (bad[w] ? "  FAILED OPS OR WRONG RESULT" : "")
                 printf "{\"pr\": %d, \"commit\": \"%s\", \"workload\": \"%s\", \"seed\": %d, \"metric\": \"%s\", \"unit\": \"%s\", \"pairs\": %d, \"parent_median\": %s, \"change_median\": %s, \"change_wins\": %d}\n", \
                     pr, commit, w, seed, m, unit[m], cnt["parent"], num(pm), num(cm), wins >>history
             }
             for (w in bad) if (bad[w]) failed = 1 # the lookup in the table above creates empty entries
             for (w in wide) failed = 1
+            for (w in past) failed = 1
             exit failed
         }' "$raw/metrics" "$raw/runs"
 }

@@ -16,10 +16,13 @@
 
 use fompi::perf::overhead;
 use fompi::sync::lock::ASSERT_NOCHECK;
-use fompi::{DataType, FompiError, LockType, MpiOp, NumKind, Win, ANY_TAG, ASSERT_NOSUCCEED};
+use fompi::{
+    DataType, FetchAmo, FompiError, LockType, MpiOp, NumKind, Win, WinConfig, ANY_TAG,
+    ASSERT_NOSUCCEED,
+};
 use fompi_fabric::shadow::{AccessKind, LockCtx, RacecheckMode, ACC_NOOP};
 use fompi_fabric::telemetry::{EventKind, Flavor, NO_FLOW};
-use fompi_fabric::{CostModel, CounterSnapshot, Transport};
+use fompi_fabric::{CostModel, CounterSnapshot, FabricError, Transport};
 use fompi_runtime::{Group, RankCtx, Universe};
 
 const WIN_BYTES: usize = 256;
@@ -36,6 +39,8 @@ enum Kind {
     Allocate,
     Create,
     Dynamic,
+    /// Allocated, with `WinConfig::hw_amo` off.
+    Software,
 }
 
 /// A window of `kind` with `WIN_BYTES` of memory on rank 1, and the
@@ -44,6 +49,10 @@ fn window(ctx: &RankCtx, kind: Kind) -> (Win, usize) {
     match kind {
         Kind::Allocate => (Win::allocate(ctx, WIN_BYTES, 1).unwrap(), 0),
         Kind::Create => (Win::create(ctx, WIN_BYTES, 1).unwrap(), 0),
+        Kind::Software => {
+            let cfg = WinConfig { hw_amo: false, ..WinConfig::default() };
+            (Win::allocate_cfg(ctx, WIN_BYTES, 1, cfg).unwrap(), 0)
+        }
         Kind::Dynamic => {
             let win = Win::create_dynamic(ctx).unwrap();
             let addr = if ctx.rank() == 1 { win.attach(WIN_BYTES).unwrap() } else { 0 };
@@ -137,8 +146,8 @@ impl Sim<'_> {
         done
     }
 
-    /// `amo_fetch_span`: the elements pipeline, the origin waits for the last.
-    fn amo_fetch_span(&mut self, n: usize) {
+    /// `amo_fetch_list`: the elements pipeline, the origin waits for the last.
+    fn amo_fetch_list(&mut self, n: usize) {
         for _ in 0..n {
             self.data(EventKind::Amo, Flavor::Nonblocking, 8);
             self.spans.last_mut().unwrap().1 = Flavor::Blocking;
@@ -211,6 +220,12 @@ fn strided(elem: DataType) -> DataType {
 
 fn dense(elem: DataType) -> DataType {
     DataType::contiguous(2, elem)
+}
+
+/// A three-element list on a 16-byte span: read word 0, CAS word 1, read
+/// word 0 again.
+fn read_cas_read() -> std::array::IntoIter<FetchAmo, 3> {
+    [FetchAmo::read(0), FetchAmo::cas(8, 9, 0), FetchAmo::read(0)].into_iter()
 }
 
 const CALLS: &[Call] = &[
@@ -337,7 +352,7 @@ const CALLS: &[Call] = &[
         run: |w, at| w.get_accumulate(&two_u64(), &mut [0; 16], NumKind::U64, MpiOp::Sum, 1, at),
         bill: |s| {
             s.resolve();
-            s.amo_fetch_span(2);
+            s.amo_fetch_list(2);
             s.shadowed(0, 16, acc(MpiOp::Sum));
         },
     },
@@ -359,6 +374,18 @@ const CALLS: &[Call] = &[
             s.resolve();
             s.data(EventKind::Amo, Flavor::Blocking, 8);
             s.shadowed(0, 8, acc(MpiOp::Sum));
+        },
+    },
+    Call {
+        name: "amo_fetch_list",
+        run: |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+        bill: |s| {
+            s.resolve();
+            s.amo_fetch_list(3);
+            // Each element is an access of its own, of its own kind.
+            s.shadowed(0, 8, AccessKind::Acc(ACC_NOOP));
+            s.shadowed(8, 8, AccessKind::Acc(ACC_CAS));
+            s.shadowed(0, 8, AccessKind::Acc(ACC_NOOP));
         },
     },
     Call {
@@ -750,6 +777,98 @@ fn window_call_errors_keep_their_precedence() {
         assert_eq!(seen.result, Err(want), "{ctx}");
         assert_eq!(seen.counters, CounterSnapshot::default(), "{ctx}: a refusal counts nothing");
         assert!(spans.is_empty() && shadow.is_empty(), "{ctx}: a refusal leaves no trace");
+    }
+}
+
+/// Every misuse of a fetching AMO list is an error, refused before anything
+/// is applied, priced or counted: the clock, the counters, the trace and
+/// the race checker's shadow read as before the call.
+#[test]
+fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
+    type Refused = fn(&FompiError) -> bool;
+    type Row = (&'static str, Kind, fn(&Win, usize) -> fompi::Result<()>, bool, usize, Refused);
+    let rows: &[Row] = &[
+        (
+            "no access epoch",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+            false,
+            0,
+            |e| *e == FompiError::NoAccessEpoch { target: 1 },
+        ),
+        (
+            "a misaligned element",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, [0, 4].map(FetchAmo::read).into_iter(), |_, _| {}),
+            true,
+            0,
+            |e| matches!(e, FompiError::Fabric(FabricError::Misaligned { offset, .. }) if *offset == AT + 4),
+        ),
+        (
+            "a misaligned span",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+            true,
+            4,
+            |e| matches!(e, FompiError::Fabric(FabricError::Misaligned { offset, .. }) if *offset == AT + 4),
+        ),
+        (
+            "an element outside the span",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, [0, 16].map(FetchAmo::read).into_iter(), |_, _| {}),
+            true,
+            0,
+            |e| {
+                let (offset, lo, hi) = (AT + 16, AT, AT + 16);
+                matches!(e, FompiError::Fabric(FabricError::OutsideSpan { offset: o, lo: l, hi: h, .. })
+                    if (*o, *l, *h) == (offset, lo, hi))
+            },
+        ),
+        (
+            "a span past the window's end",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+            true,
+            WIN_BYTES - AT - 8,
+            |e| {
+                let (offset, len, win_size) = (WIN_BYTES - 8, 16, WIN_BYTES);
+                *e == FompiError::OutOfBounds { target: 1, offset, len, win_size }
+            },
+        ),
+        (
+            "an empty list",
+            Kind::Allocate,
+            |w, at| w.amo_fetch_list(1, at, 16, std::iter::empty(), |_, _| {}),
+            true,
+            0,
+            |e| *e == FompiError::BadAccumulate("empty fetching AMO list"),
+        ),
+        (
+            "a window without hardware AMOs",
+            Kind::Software,
+            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+            true,
+            0,
+            |e| *e == FompiError::NoHardwareAmo,
+        ),
+        (
+            "no access epoch beats no hardware AMOs",
+            Kind::Software,
+            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
+            false,
+            0,
+            |e| *e == FompiError::NoAccessEpoch { target: 1 },
+        ),
+    ];
+    for &(name, kind, run, epoch, skew, refused) in rows {
+        let (seen, spans, shadow) = observe(kind, run, skew, epoch, true);
+        match &seen.result {
+            Err(e) if refused(e) => {}
+            other => panic!("{name}: got {other:?}"),
+        }
+        assert_eq!(seen.t1, seen.t0, "{name}: a refusal is free");
+        assert_eq!(seen.counters, CounterSnapshot::default(), "{name}: a refusal counts nothing");
+        assert!(spans.is_empty() && shadow.is_empty(), "{name}: a refusal leaves no trace");
     }
 }
 

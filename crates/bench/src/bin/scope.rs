@@ -15,12 +15,12 @@
 //! contract `soak.csv` and `notify_ablation.csv` live under.
 //!
 //! `--ablation` reruns the workload with the whole plane armed (metrics +
-//! full wall-clock profiling + telemetry + flight recorder) and disarmed,
+//! telemetry + flight recorder) and disarmed,
 //! and asserts the per-rank virtual clocks are bit-identical: the
 //! observability plane may spend real time, never virtual time.
 
 use fompi_bench::fleet::{scope_universe, scope_workload};
-use fompi_fabric::{metrics_snapshot, ProfileMode};
+use fompi_fabric::metrics_snapshot;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -55,11 +55,10 @@ fn snapshot_files() -> ExitCode {
 /// Overhead ablation: per-rank virtual clocks must be bit-identical with
 /// the plane fully armed and fully disarmed.
 fn ablation() -> ExitCode {
-    let (armed, fabric) =
-        scope_workload(scope_universe().metrics(true).profile(ProfileMode::Full).trace(4096));
+    let (armed, fabric) = scope_workload(scope_universe().metrics(true).trace(4096));
     let (disarmed, _) = scope_workload(scope_universe());
     println!("== fompi-scope overhead ablation (virtual-time bit-identity) ==");
-    println!("  profiled wall-clock samples: {}", fabric.profiler().total_count());
+    println!("  armed run traced {} events", fabric.telemetry().events().len());
     for (rank, (a, d)) in armed.iter().zip(&disarmed).enumerate() {
         let (a_ns, d_ns) = (f64::from_bits(*a), f64::from_bits(*d));
         let ok = a == d;

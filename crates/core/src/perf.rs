@@ -164,24 +164,6 @@ impl PaperModel {
         self.inject() + self.acc_sum(8)
     }
 
-    /// Closed-form cost of one uncontended versioned read (`fompi-txn`):
-    /// one pipelined list of `s / 8 + 2` fetching AMOs (the version, the
-    /// payload words, the version again) waits for one AMO and injects the
-    /// rest — `PCAS + (s/8 + 1)·o`.
-    pub fn txn_read(&self, s: usize) -> f64 {
-        self.cas() + (s / 8 + 1) as f64 * self.inject()
-    }
-
-    /// Closed-form cost of one uncontended optimistic commit over `nkeys`
-    /// cells of `s` payload bytes each on one target: a lock CAS per key,
-    /// one at a time, an atomic payload write per key, the unlock CASes as
-    /// one pipelined list, and the two flushes that fence the write and
-    /// publication phases — `(k+1)·PCAS + (k−1)·o + k·Pacc,sum(s) + 2·Pflush`.
-    pub fn txn_commit(&self, nkeys: usize, s: usize) -> f64 {
-        let k = nkeys as f64;
-        (k + 1.0) * self.cas() + (k - 1.0) * self.inject() + k * self.acc_sum(s) + 2.0 * self.flush
-    }
-
     /// One fan-in message round over a remote-memory channel
     /// (`fompi-rmc`): because each producer owns a private slot region on
     /// the consumer (record `source` replaces any shared cursor), the data
@@ -295,24 +277,6 @@ mod tests {
         // … and stays ≥ flush + Pacc,sum once the put dominates the max.
         let gain_big = m.put_polled(1 << 20) - m.put_notified(1 << 20);
         assert!((gain_big - (m.flush + m.acc_sum(8))).abs() < 1e-6);
-    }
-
-    #[test]
-    fn txn_models_scale_with_keys_and_payload() {
-        let m = PaperModel::default();
-        // A versioned read waits for one AMO and injects three more (16
-        // payload bytes), well under three AMO round trips…
-        assert!((m.txn_read(16) - (m.cas() + 3.0 * m.inject())).abs() < 1e-9);
-        assert!(m.txn_read(16) < 3.0 * m.cas());
-        // …and a commit costs strictly more per extra key (lock + write +
-        // one more unlock in the list), by exactly PCAS + Pacc,sum(s) + o.
-        let s = 16;
-        let per_key = m.txn_commit(2, s) - m.txn_commit(1, s);
-        assert!((per_key - (m.cas() + m.acc_sum(s) + m.inject())).abs() < 1e-9);
-        assert!(m.txn_commit(4, s) > m.txn_commit(2, s));
-        // A 1-key commit still beats two separate commits (one flush pair
-        // amortized), which is the whole point of multi-key transactions.
-        assert!(m.txn_commit(2, s) < 2.0 * m.txn_commit(1, s));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! must never perturb the model).
 
 use fompi::win::{LockType, Win};
+use fompi_fabric::metrics_snapshot;
 use fompi_fabric::telemetry::perfetto::trace_json;
-use fompi_fabric::{metrics_snapshot, ProfileMode};
 use fompi_runtime::Universe;
 
 /// Parse every `"name":"flow"` record out of a Chrome-trace JSON line:
@@ -131,16 +131,15 @@ fn metrics_snapshots_are_byte_deterministic() {
 }
 
 /// The overhead ablation: the same seeded workload with the whole
-/// observability plane armed (metrics + full profiling + flight recorder)
-/// and with it disarmed must land on bit-identical virtual clocks.
-/// Wall-clock profiling and flow tracing may cost real time, never
-/// virtual time.
+/// observability plane armed (metrics + tracing + flight recorder) and
+/// with it disarmed must land on bit-identical virtual clocks. Flow
+/// tracing may cost real time, never virtual time.
 #[test]
 fn armed_observability_is_virtual_time_invisible() {
     let run = |armed: bool| {
         let mut u = Universe::new(2).node_size(1).seed(11).batch(true);
         if armed {
-            u = u.metrics(true).profile(ProfileMode::Full).trace(4096);
+            u = u.metrics(true).trace(4096);
         }
         u.run(|ctx| {
             let win = Win::allocate(ctx, 4096, 1).unwrap();

@@ -17,7 +17,6 @@
 use crate::faults::FaultPlan;
 use crate::mc::McGate;
 use crate::notify::DEFAULT_NOTIFY_DEPTH;
-use crate::profile::ProfileMode;
 use crate::rng::parse_u64;
 use crate::shadow::RacecheckMode;
 use crate::telemetry::DEFAULT_RING_CAP;
@@ -38,12 +37,11 @@ pub struct Config {
     pub notify_depth: usize,
     /// Race-checker mode (`FOMPI_RACECHECK`).
     pub racecheck: RacecheckMode,
-    /// Wall-clock profiler mode (`FOMPI_PROFILE`).
-    pub profile: ProfileMode,
     /// Metrics plane (`FOMPI_METRICS`).
     pub metrics: bool,
-    /// Tracing telemetry: `Some(events retained per rank)` arms it
-    /// (`FOMPI_TELEMETRY`, capacity from `FOMPI_TELEMETRY_RING`).
+    /// Tracing telemetry: `Some(events retained per rank)` arms it and
+    /// the flight recorder (`FOMPI_TELEMETRY`, capacity from
+    /// `FOMPI_TELEMETRY_RING`).
     pub telemetry_ring: Option<usize>,
     /// Model-checker scheduling gate (see [`crate::mc`]); no environment
     /// form — only `fompi-mc` installs one.
@@ -58,7 +56,6 @@ impl Default for Config {
             batch: false,
             notify_depth: DEFAULT_NOTIFY_DEPTH,
             racecheck: RacecheckMode::Off,
-            profile: ProfileMode::Off,
             metrics: false,
             telemetry_ring: None,
             mc: None,
@@ -75,17 +72,15 @@ impl Default for Config {
 pub struct Hooks(u8);
 
 impl Hooks {
-    /// The wall-clock profiler times ops ([`Config::profile`]).
-    pub const PROFILE: Hooks = Hooks(1 << 0);
     /// A model-checker gate schedules every shared access ([`Config::mc`]).
-    pub const MC: Hooks = Hooks(1 << 1);
+    pub const MC: Hooks = Hooks(1 << 0);
     /// The fault plan injects something ([`Config::faults`]).
-    pub const FAULTS: Hooks = Hooks(1 << 2);
-    /// Events are recorded: telemetry aggregates (tracing or metrics) or
-    /// the flight recorder (profiling).
-    pub const TRACE: Hooks = Hooks(1 << 3);
+    pub const FAULTS: Hooks = Hooks(1 << 1);
+    /// Events are recorded: telemetry aggregates (tracing or metrics) and,
+    /// with tracing, the flight recorder ([`Config::telemetry_ring`]).
+    pub const TRACE: Hooks = Hooks(1 << 2);
     /// The race checker records accesses ([`Config::racecheck`]).
-    pub const RACECHECK: Hooks = Hooks(1 << 4);
+    pub const RACECHECK: Hooks = Hooks(1 << 3);
 
     /// Is any plane of `planes` armed?
     #[inline]
@@ -107,6 +102,16 @@ impl std::ops::BitOr for Hooks {
     fn bitor(self, other: Hooks) -> Hooks {
         Hooks(self.0 | other.0)
     }
+}
+
+/// What the runtime's `Universe::profile` accepts. The fabric has one
+/// clock, virtual time; wall time is measured end to end, outside it, so
+/// there is no profiler to arm and `Off` is the only mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ProfileMode {
+    /// No wall-clock timing.
+    #[default]
+    Off,
 }
 
 /// A malformed `FOMPI_*` value: which variable, what it held, what its
@@ -132,13 +137,12 @@ impl std::error::Error for ConfigError {}
 impl Config {
     /// Every environment variable [`Config::from_env`] reads — the list
     /// anything that scrubs or documents the knobs goes by.
-    pub const VARS: [&'static str; 9] = [
+    pub const VARS: [&'static str; 8] = [
         "FOMPI_SEED",
         "FOMPI_FAULTS",
         "FOMPI_BATCH",
         "FOMPI_NOTIFY_DEPTH",
         "FOMPI_RACECHECK",
-        "FOMPI_PROFILE",
         "FOMPI_METRICS",
         "FOMPI_TELEMETRY",
         "FOMPI_TELEMETRY_RING",
@@ -163,7 +167,6 @@ impl Config {
             batch: knob(&lookup, "FOMPI_BATCH", d.batch, switch)?,
             notify_depth: knob(&lookup, "FOMPI_NOTIFY_DEPTH", d.notify_depth, count)?,
             racecheck: knob(&lookup, "FOMPI_RACECHECK", d.racecheck, RacecheckMode::parse)?,
-            profile: knob(&lookup, "FOMPI_PROFILE", d.profile, ProfileMode::parse)?,
             metrics: knob(&lookup, "FOMPI_METRICS", d.metrics, switch)?,
             telemetry_ring: knob(&lookup, "FOMPI_TELEMETRY", false, switch)?.then_some(ring),
             mc: None,
@@ -230,7 +233,6 @@ mod tests {
             "FOMPI_BATCH" => c.batch.to_string(),
             "FOMPI_NOTIFY_DEPTH" => c.notify_depth.to_string(),
             "FOMPI_RACECHECK" => format!("{:?}", c.racecheck),
-            "FOMPI_PROFILE" => c.profile.name().to_string(),
             "FOMPI_METRICS" => c.metrics.to_string(),
             "FOMPI_TELEMETRY" | "FOMPI_TELEMETRY_RING" => format!("{:?}", c.telemetry_ring),
             other => panic!("no field for {other}"),
@@ -253,7 +255,6 @@ mod tests {
             ("FOMPI_BATCH", "false", "on", "true", "yes", "1|true|on"),
             ("FOMPI_NOTIFY_DEPTH", "64", " 8 ", "8", "0", ">= 1"),
             ("FOMPI_RACECHECK", "Off", "panic", "Panic", "repotr", "report"),
-            ("FOMPI_PROFILE", "off", "sample", "sample", "fll", "sample"),
             ("FOMPI_METRICS", "false", "true", "true", "yes", "0|false|off"),
             ("FOMPI_TELEMETRY", "None", "1", "Some(65536)", "of", "0|false|off"),
             ("FOMPI_TELEMETRY_RING", "Some(65536)", "4096", "Some(4096)", "4k", ">= 1"),

@@ -55,7 +55,6 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Completion handle for an explicit-nonblocking operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -464,17 +463,6 @@ impl Endpoint {
 
     // ------------------------------------------------- the steps of an op
 
-    /// Open a wall-clock scope for [`crate::Profiler::finish`] to close
-    /// (`None` unless the profiler is armed and samples this op).
-    #[inline]
-    fn profile_start(&self) -> Option<Instant> {
-        if self.hooks.has(Hooks::PROFILE) {
-            self.fabric.profiler().start()
-        } else {
-            None
-        }
-    }
-
     /// Every op body on a segment starts here: ask for the counter line
     /// it will write, then [`Endpoint::span`].
     #[inline(always)] // a call here costs every op its `Result<Ref>` through memory
@@ -581,35 +569,12 @@ impl Endpoint {
         Priced { t_start, t_complete: floor.map_or(own, |f| own.max(f)), wire: lat + extra }
     }
 
-    /// Close an observable op: count it and [`Endpoint::observe`] it.
-    #[inline]
-    fn finish(
-        &self,
-        op: Op,
-        flavor: Flavor,
-        target: u32,
-        bytes: u64,
-        span: (f64, f64),
-        wall: Option<Instant>,
-    ) {
-        op.count(self.fabric.counters(), Some(bytes));
-        self.observe(op, flavor, target, bytes, span, wall);
-    }
-
-    /// Trace an op's span in the flow in scope and close its profiling
+    /// Close an observable op: count it and trace its span in the flow in
     /// scope.
     #[inline]
-    fn observe(
-        &self,
-        op: Op,
-        flavor: Flavor,
-        target: u32,
-        bytes: u64,
-        (t_start, t_end): (f64, f64),
-        wall: Option<Instant>,
-    ) {
-        self.trace(op.kind(), flavor, target, target, bytes, self.cur_flow.get(), t_start, t_end);
-        self.fabric.profiler().finish(op.kind(), wall);
+    fn finish(&self, op: Op, flavor: Flavor, target: u32, bytes: u64, (t0, t1): (f64, f64)) {
+        op.count(self.fabric.counters(), Some(bytes));
+        self.trace(op.kind(), flavor, target, target, bytes, self.cur_flow.get(), t0, t1);
     }
 
     /// Write a stamped cell: raise the stamp to `t_complete`, *then* apply
@@ -727,19 +692,10 @@ impl Endpoint {
     /// the completion horizon is accounted, and the span traced, when the
     /// burst retires. Faults are still drawn per op; the caller counts.
     #[inline(always)] // one call (`enqueue`) per batched op, not two
-    fn batched(
-        &self,
-        op: Op,
-        kind: BurstKind,
-        key: SegKey,
-        off: usize,
-        len: usize,
-        wall: Option<Instant>,
-    ) {
+    fn batched(&self, op: Op, kind: BurstKind, key: SegKey, off: usize, len: usize) {
         let lat = op.latency(self.fabric.model(), self.transport_to(key.rank), len);
         let extra = self.apply_faults(key.rank, lat, true);
         self.enqueue(key, kind, off, len, extra);
-        self.fabric.profiler().finish(op.kind(), wall);
     }
 
     // ----------------------------------------------------------------- put
@@ -751,11 +707,10 @@ impl Endpoint {
         src: &[u8],
         flavor: Flavor,
     ) -> Result<f64, FabricError> {
-        let wall = self.profile_start();
         let seg = self.begin(key, off, src.len(), Op::Put, "put")?;
         let p = self.price(Op::Put, key.rank, src.len(), Some(flavor), None);
         seg.write(off, src);
-        self.finish(Op::Put, flavor, key.rank, src.len() as u64, (p.t_start, p.t_complete), wall);
+        self.finish(Op::Put, flavor, key.rank, src.len() as u64, (p.t_start, p.t_complete));
         Ok(p.t_complete)
     }
 
@@ -781,12 +736,11 @@ impl Endpoint {
     /// the rendezvous-style unbatched path.
     pub fn put_implicit(&self, key: SegKey, off: usize, src: &[u8]) -> Result<(), FabricError> {
         if self.batch.get() && src.len() < self.fabric.model().dmapp_proto_change_bytes {
-            let wall = self.profile_start();
             self.begin(key, off, src.len(), Op::Put, "put")?.write(off, src);
             let c = self.fabric.counters();
             Op::Put.count(c, Some(src.len() as u64));
             c.batched_ops.fetch_add(1, Ordering::Relaxed);
-            self.batched(Op::Put, BurstKind::Put, key, off, src.len(), wall);
+            self.batched(Op::Put, BurstKind::Put, key, off, src.len());
             return Ok(());
         }
         let t = self.put_raw(key, off, src, Flavor::Implicit)?;
@@ -803,11 +757,10 @@ impl Endpoint {
         dst: &mut [u8],
         flavor: Flavor,
     ) -> Result<f64, FabricError> {
-        let wall = self.profile_start();
         let seg = self.begin(key, off, dst.len(), Op::Get, "get")?;
         let p = self.price(Op::Get, key.rank, dst.len(), Some(flavor), None);
         seg.read(off, dst);
-        self.finish(Op::Get, flavor, key.rank, dst.len() as u64, (p.t_start, p.t_complete), wall);
+        self.finish(Op::Get, flavor, key.rank, dst.len() as u64, (p.t_start, p.t_complete));
         Ok(p.t_complete)
     }
 
@@ -846,14 +799,13 @@ impl Endpoint {
         compare: u64,
     ) -> Result<u64, FabricError> {
         let class = Op::Amo(op, true);
-        let wall = self.profile_start();
         let seg = self.begin(key, off, 8, class, "amo")?;
         let p = self.price(class, key.rank, 8, Some(Flavor::Blocking), None);
         let old = seg.amo(off, op, operand, compare);
         // Not `join(t_complete)`: `now + (lat + extra)` and `now + lat +
         // extra` are the same bits only while `extra` is 0 (no faults).
         self.clock.advance(p.wire);
-        self.finish(class, Flavor::Blocking, key.rank, 8, (p.t_start, self.clock.now()), wall);
+        self.finish(class, Flavor::Blocking, key.rank, 8, (p.t_start, self.clock.now()));
         Ok(old)
     }
 
@@ -867,7 +819,7 @@ impl Endpoint {
     /// bounds) and counted **once**, and every element is checked against it
     /// (aligned, inside) before the first is applied: a refused list moves
     /// nothing. Each element is still its own wire operation, priced,
-    /// fault-drawn, announced to the model checker, traced and profiled as
+    /// fault-drawn, announced to the model checker and traced as
     /// [`Endpoint::amo`] does one, and they take effect in list order (the
     /// in-order assumption, DESIGN.md "The data path"); but they pipeline at
     /// the injection rate and the origin waits once, for the last of them
@@ -895,13 +847,13 @@ impl Endpoint {
         let (mut earlier, mut done, mut wire) = (0.0f64, 0.0f64, 0.0f64);
         for (i, e) in list.enumerate() {
             let (class, at) = (Op::Amo(e.op, true), off + e.at);
-            let wall = self.profile_start();
             self.announce(key, at, 8, class, "amo");
             earlier = earlier.max(done);
             let p = self.price(class, key.rank, 8, Some(Flavor::Blocking), None);
             (done, wire) = (p.t_complete, p.wire);
             out(i, seg.amo(at, e.op, e.operand, e.compare));
-            self.observe(class, Flavor::Blocking, key.rank, 8, (p.t_start, p.t_complete), wall);
+            let (flow, t) = (self.cur_flow.get(), key.rank);
+            self.trace(class.kind(), Flavor::Blocking, t, t, 8, flow, p.t_start, p.t_complete);
         }
         // `advance(wire)`, not `join(done)`: see `amo`.
         self.clock.advance(wire);
@@ -930,7 +882,7 @@ impl Endpoint {
     /// The span is translated, checked (aligned, wholly in bounds — or
     /// nothing is applied), counted and noted on the completion horizon
     /// **once**. Each element is still its own wire operation: priced,
-    /// fault-drawn, announced to the model checker, traced and profiled on
+    /// fault-drawn, announced to the model checker and traced on
     /// its own, in the order that many [`Endpoint::amo_implicit`] calls
     /// take them, so virtual time and every armed plane read the same to
     /// the bit; with batching on each element is enqueued on the burst.
@@ -949,17 +901,16 @@ impl Endpoint {
         let mut horizon = 0.0f64;
         for (i, operand) in operands.enumerate() {
             let at = off + 8 * i;
-            let wall = self.profile_start();
             self.announce(key, at, 8, class, "amo");
             // The memory effect is eager on both paths.
             seg.amo(at, op, operand, 0);
             if batch {
-                self.batched(class, BurstKind::Amo, key, at, 8, wall);
+                self.batched(class, BurstKind::Amo, key, at, 8);
             } else {
                 let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), None);
                 horizon = horizon.max(p.t_complete);
-                let span = (p.t_start, p.t_complete);
-                self.observe(class, Flavor::Implicit, key.rank, 8, span, wall);
+                let (flow, t) = (self.cur_flow.get(), key.rank);
+                self.trace(class.kind(), Flavor::Implicit, t, t, 8, flow, p.t_start, p.t_complete);
             }
         }
         self.pending.note(key.rank, horizon);
@@ -973,7 +924,7 @@ impl Endpoint {
 
     // ----------------------------------------------- stamped sync variables
     //
-    // Counted, but neither traced nor profiled: the sync layer's spans
+    // Counted, but not traced: the sync layer's spans
     // cover them. Each announces the full 16-byte cell (the stamp word is
     // part of it), so sync AMOs conflict with `read_sync`/`write_sync`.
 
@@ -1138,7 +1089,6 @@ impl Endpoint {
     /// Fault draws happen once per append, never inside the retry loop,
     /// preserving the per-seed determinism contract of [`crate::faults`].
     pub fn notify_append(&self, target: u32, tag: u32, bytes: u64) -> Result<(), FabricError> {
-        let wall = self.profile_start();
         // Ordered-class fencing: the notification trails the open burst.
         self.drain_target(target);
         let behind = Some(self.pending.horizon(target));
@@ -1198,7 +1148,7 @@ impl Endpoint {
             }
         }
         self.pending.note(target, t_complete);
-        self.finish(Op::Notify, Flavor::Implicit, target, bytes, (p.t_start, t_complete), wall);
+        self.finish(Op::Notify, Flavor::Implicit, target, bytes, (p.t_start, t_complete));
         Ok(())
     }
 
@@ -1349,7 +1299,6 @@ impl Endpoint {
     /// NIC's completion queue lags): the extra delay is charged after the
     /// pending horizon is joined.
     pub fn gsync(&self) {
-        let wall = self.profile_start();
         let t_start = self.clock.now();
         self.drain_all();
         self.clock.join(self.pending.global());
@@ -1359,7 +1308,6 @@ impl Endpoint {
         }
         self.fabric.counters().gsyncs.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Gsync, NO_TARGET, t_start);
-        self.fabric.profiler().finish(EventKind::Gsync, wall);
     }
 
     /// The completion horizon of implicit operations already issued to
@@ -1376,13 +1324,11 @@ impl Endpoint {
     /// remote completion, the substrate of `MPI_Win_flush(target)`).
     /// Retires the target's open burst, then joins its striped horizon.
     pub fn flush_target(&self, target: u32) {
-        let wall = self.profile_start();
         let t_start = self.clock.now();
         self.drain_target(target);
         self.clock.join(self.pending.horizon(target));
         self.fabric.counters().flushes.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Flush, target, t_start);
-        self.fabric.profiler().finish(EventKind::Flush, wall);
     }
 
     /// Local memory fence (x86 `mfence` analogue, charged per the model).
@@ -2939,25 +2885,25 @@ mod tests {
     #[test]
     fn each_knob_arms_exactly_its_hooks() {
         use crate::faults::FaultPlan;
-        use crate::{ProfileMode, RacecheckMode};
+        use crate::RacecheckMode;
         let d = Config::default;
         let table = [
             (d(), Hooks::default()),
             (Config { faults: FaultPlan::light(3), ..d() }, Hooks::FAULTS),
-            // Profiling arms the flight recorder, which records events.
-            (Config { profile: ProfileMode::Sample, ..d() }, Hooks::PROFILE | Hooks::TRACE),
             (Config { telemetry_ring: Some(8), ..d() }, Hooks::TRACE),
             (Config { metrics: true, ..d() }, Hooks::TRACE),
             (Config { racecheck: RacecheckMode::Report, ..d() }, Hooks::RACECHECK),
             (Config { mc: Some(Arc::new(Recorder::default())), ..d() }, Hooks::MC),
         ];
         for (config, want) in table {
+            let traced = config.telemetry_ring.is_some();
             let f = fabric_with(config);
             assert_eq!((f.hooks(), Endpoint::new(f.clone(), 0).hooks()), (want, want));
             // The byte says what the planes themselves were built as.
             assert_eq!(want.has(Hooks::FAULTS), f.faults().active());
             assert_eq!(want.has(Hooks::TRACE), f.telemetry().tracing());
-            assert_eq!(want.has(Hooks::PROFILE), f.profiler().mode() != ProfileMode::Off);
+            // Tracing, and nothing else, arms the flight recorder.
+            assert_eq!(f.telemetry().flight_enabled(), traced);
             assert_eq!(want.has(Hooks::RACECHECK), f.shadow().active());
             assert_eq!(want.has(Hooks::MC), f.mc_gate().is_some());
         }

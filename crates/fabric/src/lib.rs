@@ -47,7 +47,6 @@ pub mod faults;
 pub mod mc;
 pub mod metrics;
 pub mod notify;
-pub mod profile;
 pub mod rng;
 pub mod segment;
 pub mod shadow;
@@ -61,7 +60,7 @@ pub mod xpmem;
 pub use amo::{AmoOp, FetchAmo};
 pub use batch::{Burst, BurstKind};
 pub use clock::{Clock, StampCell};
-pub use config::{Config, ConfigError, Hooks};
+pub use config::{Config, ConfigError, Hooks, ProfileMode};
 pub use cost::{CostModel, Transport};
 pub use counters::{CounterSnapshot, Counters};
 pub use endpoint::{Endpoint, NbHandle};
@@ -70,7 +69,6 @@ pub use faults::{FaultKind, FaultParseError, FaultPlan, Faults};
 pub use mc::{McGate, McObj, McOp};
 pub use metrics::{snapshot as metrics_snapshot, MetricsSnapshot};
 pub use notify::{notify_match, NotifyHub, NotifyQueue, NotifyRecord, NOTIFY_ANY};
-pub use profile::{ProfileMode, Profiler};
 pub use segment::{SegKey, Segment};
 pub use shadow::{
     kinds_commute, AccessKind, AccessRecord, LockCtx, RaceClass, RaceViolation, RacecheckMode,
@@ -104,7 +102,6 @@ pub struct Fabric {
     batch_default: bool,
     notify: NotifyHub,
     shadow: Shadow,
-    profiler: Profiler,
     mc: Option<Arc<dyn mc::McGate>>,
 }
 
@@ -131,13 +128,12 @@ impl Fabric {
     pub fn with_config(p: usize, node_size: usize, model: CostModel, config: Config) -> Arc<Self> {
         // The metrics plane needs the telemetry aggregates (histograms
         // feed the quantiles), so arming it also enables them — the event
-        // rings stay at whatever capacity was chosen. A profiling run arms
-        // the flight recorder: a crash mid-profile should dump its last-N
-        // window.
+        // rings stay at whatever capacity was chosen. A traced run arms the
+        // flight recorder: a crash mid-trace should dump its last-N window.
         let telemetry = Telemetry::with_capacity(
             p,
             config.telemetry_ring.is_some() || config.metrics,
-            config.profile != ProfileMode::Off,
+            config.telemetry_ring.is_some(),
             config.telemetry_ring.unwrap_or(0),
         );
         let faults = Faults::new(p, config.faults);
@@ -150,8 +146,7 @@ impl Fabric {
             topo: Topology::new(p, node_size),
             // Read off the planes as built, so the byte cannot disagree
             // with them.
-            hooks: Hooks::PROFILE.when(config.profile != ProfileMode::Off)
-                | Hooks::MC.when(config.mc.is_some())
+            hooks: Hooks::MC.when(config.mc.is_some())
                 | Hooks::FAULTS.when(faults.active())
                 | Hooks::TRACE.when(telemetry.tracing())
                 | Hooks::RACECHECK.when(shadow.active()),
@@ -165,7 +160,6 @@ impl Fabric {
             batch_default: config.batch,
             notify: NotifyHub::new(p, config.notify_depth),
             shadow,
-            profiler: Profiler::new(config.profile),
             mc: config.mc,
         })
     }
@@ -210,12 +204,6 @@ impl Fabric {
     /// The fault-injection hub (inert unless a plan is armed).
     pub fn faults(&self) -> &Faults {
         &self.faults
-    }
-
-    /// The wall-clock profiler (inert unless [`Config::profile`] arms it,
-    /// which also arms the telemetry flight recorder).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Whether endpoints start with issue-side batching enabled (see

@@ -11,17 +11,17 @@
 //! snapshots from many jobs ([`HistSnapshot::merge`] is associative).
 //!
 //! A per-class row is a [`ClassMetrics`] wherever it appears — this
-//! snapshot, [`panic_summary`], the telemetry and wall-clock text reports,
-//! the fleet's merged summary — built by `ClassMetrics::rows` from a live
-//! [`OpStats`] table and printed as text by `class_table`.
+//! snapshot, [`panic_summary`], the telemetry text report, the fleet's
+//! merged summary — built by `ClassMetrics::rows` from the telemetry hub's
+//! live [`OpStats`] table and printed as text by `class_table`.
 //!
 //! ## Determinism contract
 //!
 //! Everything in a snapshot derives from **virtual time** and operation
 //! counts, so for a seeded, schedule-independent workload two runs (or two
 //! snapshots of one run at the same quiescent point) are byte-identical —
-//! CI diffs them like the soak CSVs. Wall-clock data ([`crate::profile`])
-//! is deliberately excluded; it lives in [`crate::profile::Profiler::report`].
+//! CI diffs them like the soak CSVs. The fabric reads no wall clock: wall
+//! time is measured end to end, outside it, by the repository benchmark.
 //!
 //! ## When to call
 //!
@@ -64,7 +64,7 @@ fn counter_rows(c: &CounterSnapshot) -> Vec<(&'static str, u64)> {
 const TAILS: [(&str, f64); 3] = [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)];
 
 /// One op class, frozen: the row of the metrics snapshot, the crash
-/// summary, both text reports and the fleet's merged summary.
+/// summary, the telemetry report and the fleet's merged summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassMetrics {
     /// The op class.
@@ -73,7 +73,7 @@ pub struct ClassMetrics {
     pub count: u64,
     /// Bytes moved.
     pub bytes: u64,
-    /// Total ns: virtual from the telemetry hub, wall from the profiler.
+    /// Total virtual ns, from the telemetry hub.
     pub total_ns: u64,
     /// Mergeable latency distribution; the tails are read off it
     /// ([`ClassMetrics::tails`]).
@@ -83,9 +83,9 @@ pub struct ClassMetrics {
 }
 
 impl ClassMetrics {
-    /// Freeze every class of a live per-class table (the telemetry hub's
-    /// or the profiler's, in [`EventKind::ALL`] order) that saw at least
-    /// one op. The one place a row is built; reads atomics only.
+    /// Freeze every class of the telemetry hub's live per-class table (in
+    /// [`EventKind::ALL`] order) that saw at least one op. The one place a
+    /// row is built; reads atomics only.
     pub(crate) fn rows(table: &[OpStats]) -> Vec<ClassMetrics> {
         EventKind::ALL
             .iter()
@@ -151,9 +151,8 @@ impl ClassMetrics {
     }
 }
 
-/// The per-class text table of every report — telemetry's, the
-/// wall-clock profile's and the crash summary's: a `== title ==` line, a
-/// header, one line per row.
+/// The per-class text table of every report — telemetry's and the crash
+/// summary's: a `== title ==` line, a header, one line per row.
 pub(crate) fn class_table(title: &str, rows: &[ClassMetrics]) -> String {
     let mut out = format!(
         "== {title} ==\n{:<12} {:>10} {:>14} {:>14} {:>12} {:>10} {:>10} {:>10}\n",

@@ -54,9 +54,8 @@ const STATE_AGGR: u8 = 1 << 0;
 /// State bit: flight recording ([`Telemetry::flight_enabled`]).
 const STATE_FLIGHT: u8 = 1 << 1;
 
-/// The live aggregates of one [`EventKind`], on either clock: the
-/// telemetry hub keeps one per class in virtual ns, the wall-clock
-/// [`crate::Profiler`] one per class in real ns. Read as frozen
+/// The live aggregates of one [`EventKind`] in virtual ns: the telemetry
+/// hub keeps one per class. Read as frozen
 /// [`crate::metrics::ClassMetrics`] rows.
 #[derive(Debug, Default)]
 pub struct OpStats {
@@ -155,8 +154,9 @@ impl WindowStats {
 /// points — same contract as [`EventRing`]).
 struct RankLocal {
     ring: EventRing,
-    /// Independent last-N window for the flight recorder: kept even when
-    /// the main ring is absent, dumped from the owning thread on a crash.
+    /// Independent last-N window for the flight recorder, dumped from the
+    /// owning thread on a crash: [`FLIGHT_CAP`] slots when armed, none
+    /// otherwise.
     flight: EventRing,
     wins: UnsafeCell<HashMap<u64, WindowStats>>,
     peers: UnsafeCell<Box<[PeerStats]>>,
@@ -183,8 +183,8 @@ impl Telemetry {
     /// Telemetry for `p` ranks with explicit state: `enabled` switches
     /// aggregate recording on; `flight` arms the flight recorder, which is
     /// independent of it — it keeps only the per-rank last-N window and
-    /// touches no aggregates, so the profiler can arm it without paying for
-    /// full telemetry; `ring_cap` slots per rank retain the raw event
+    /// touches no aggregates — and allocates its [`FLIGHT_CAP`] slots per
+    /// rank only when armed; `ring_cap` slots per rank retain the raw event
     /// stream (0 = aggregates only).
     pub fn with_capacity(p: usize, enabled: bool, flight: bool, ring_cap: usize) -> Self {
         Telemetry {
@@ -192,7 +192,7 @@ impl Telemetry {
             ranks: (0..p)
                 .map(|_| RankLocal {
                     ring: EventRing::new(ring_cap),
-                    flight: EventRing::new(FLIGHT_CAP),
+                    flight: EventRing::new(if flight { FLIGHT_CAP } else { 0 }),
                     wins: UnsafeCell::new(HashMap::new()),
                     peers: UnsafeCell::new(vec![PeerStats::default(); p].into_boxed_slice()),
                 })
@@ -551,6 +551,10 @@ mod tests {
         assert!(t.flight_events(1).is_empty());
         let off = Telemetry::with_capacity(2, false, false, 0);
         assert!(!off.flight_enabled() && !off.tracing());
+        assert!(
+            off.ranks.iter().all(|r| r.flight.capacity() == 0),
+            "a disarmed flight recorder allocates no slot"
+        );
         off.record(put_ev(0, 1, 7, 300, 90.0, 95.0));
         assert!(off.flight_events(0).is_empty(), "disarmed flight records nothing");
     }

@@ -68,9 +68,10 @@ impl Universe {
     }
 
     /// Force telemetry on with a per-rank event ring of `ring_cap` slots,
-    /// regardless of `FOMPI_TELEMETRY`. Inspect via the fabric returned by
-    /// [`Universe::launch`] (e.g. `fabric.telemetry().report()` or the
-    /// Perfetto exporter).
+    /// regardless of `FOMPI_TELEMETRY`. Also arms the flight recorder, so a
+    /// crashing run keeps its last-events black box. Inspect via the fabric
+    /// returned by [`Universe::launch`] (e.g. `fabric.telemetry().report()`
+    /// or the Perfetto exporter).
     pub fn trace(mut self, ring_cap: usize) -> Self {
         self.config.telemetry_ring = Some(ring_cap);
         self
@@ -118,12 +119,11 @@ impl Universe {
         self
     }
 
-    /// Arm the wall-clock profiler (`fompi_fabric::profile`) for the job,
-    /// overriding `FOMPI_PROFILE`. Any mode other than
-    /// [`ProfileMode::Off`] also arms the flight recorder, so a crashing
-    /// run keeps its last-events black box. Never touches virtual time.
-    pub fn profile(mut self, mode: ProfileMode) -> Self {
-        self.config.profile = mode;
+    /// A no-op, kept so that callers pinning every plane off still
+    /// compile: the fabric reads no wall clock, so [`ProfileMode::Off`] is
+    /// the only mode and there is nothing to arm. Wall time is measured end
+    /// to end, outside the job.
+    pub fn profile(self, _mode: ProfileMode) -> Self {
         self
     }
 
@@ -413,14 +413,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_builder_arms_profiler_and_flight() {
-        let (_out, fabric) =
-            Universe::new(2).node_size(1).profile(ProfileMode::Full).launch(|ctx| {
-                ctx.ep().put(ctx.fabric().register(0, fompi_fabric::Segment::new(64)), 0, &[1u8; 8])
-            });
-        assert_eq!(fabric.profiler().mode(), ProfileMode::Full);
-        assert!(fabric.telemetry().flight_enabled(), "profiling arms the flight recorder");
-        assert!(fabric.profiler().total_count() > 0, "full mode times every op");
+    fn trace_builder_arms_flight_and_profile_arms_nothing() {
+        let (_out, fabric) = Universe::new(2).node_size(1).trace(64).launch(|ctx| ctx.barrier());
+        assert!(fabric.telemetry().flight_enabled(), "tracing arms the flight recorder");
+        // Against a job without the call, so an ambient FOMPI_* cannot
+        // make the two differ.
+        let hooks = |u: Universe| u.node_size(1).launch(|ctx| ctx.barrier()).1.hooks();
+        let plain = hooks(Universe::new(2));
+        assert_eq!(
+            hooks(Universe::new(2).profile(ProfileMode::Off)),
+            plain,
+            "profile arms nothing"
+        );
     }
 
     #[test]

@@ -61,10 +61,6 @@ fn main() {
         println!("\n{}", snap.to_prometheus());
         println!("metrics json: {}", snap.to_json_line());
     }
-    // FOMPI_PROFILE=sample (or full) adds the wall-clock per-op profile.
-    if fabric.profiler().mode() != fompi_fabric::ProfileMode::Off {
-        println!("\n{}", fabric.profiler().report());
-    }
 
     let upc = Universe::new(p).node_size(4).run(|ctx| run_upc(ctx, &cfg));
     let r_upc = report("UPC atomics", &upc);

@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 # knobs so ambient shell state can't perturb a byte-diffed file, then pin
 # the seed explicitly where the bin wants one.
 SCRUB=(env -u FOMPI_SEED -u FOMPI_FAULTS -u FOMPI_BATCH -u FOMPI_NOTIFY_DEPTH
-    -u FOMPI_RACECHECK -u FOMPI_PROFILE -u FOMPI_METRICS -u FOMPI_TELEMETRY
+    -u FOMPI_RACECHECK -u FOMPI_METRICS -u FOMPI_TELEMETRY
     -u FOMPI_TELEMETRY_RING -u FOMPI_MC_REPLAY)
 
 # ---------------------------------------------------------------- timing
@@ -83,6 +83,15 @@ stage_knobs() {
 }
 
 stage_symbols() {
+    # The fabric and core keep one clock, virtual time: no wall-clock timer
+    # may come back into an op body unnoticed.
+    local timers
+    timers=$(grep -rn 'Instant' crates/fabric/src crates/core/src || true)
+    if [[ -n $timers ]]; then
+        echo "symbols: a wall-clock Instant in a virtual-time crate:" >&2
+        echo "$timers" >&2
+        return 1
+    fi
     # The steps an op body (fabric: begin / locate / span / price / finish,
     # the counter-line touch, the idle step of a wait) and a window call
     # (core: the prologue, epilogue, epoch frame and wait loops) are

@@ -300,6 +300,7 @@ pub fn rma_win_bytes(p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fompi_fabric::FaultPlan;
     use fompi_msg::MsgEngine;
     use fompi_runtime::Universe;
 
@@ -466,5 +467,24 @@ mod tests {
         let t_a2a = crate::max_time(&a2a.iter().map(|r| r.time_ns).collect::<Vec<_>>());
         let t_rma = crate::max_time(&rma.iter().map(|r| r.time_ns).collect::<Vec<_>>());
         assert!(t_rma < t_a2a, "RMA {t_rma} should beat alltoall {t_a2a}");
+    }
+
+    #[test]
+    fn notified_beats_the_fence_protocol() {
+        // One notified put per message and a local wait replace the
+        // fence-synchronised accumulate protocol's collective epochs.
+        let (p, k) = (8, 3);
+        let universe = || Universe::new(p).node_size(2).seed(1).faults(FaultPlan::disabled());
+        let fence = universe().run(move |ctx| {
+            let win = Win::allocate(ctx, rma_win_bytes(p), 1).expect("win");
+            run_rma(ctx, &win, k, 5)
+        });
+        let notified = universe().notify_depth(64).run(move |ctx| {
+            let win = Win::allocate(ctx, rma_win_bytes(p), 1).expect("win");
+            run_notified(ctx, &win, k, 5)
+        });
+        let t_fence = crate::max_time(&fence.iter().map(|r| r.time_ns).collect::<Vec<_>>());
+        let t_not = crate::max_time(&notified.iter().map(|r| r.time_ns).collect::<Vec<_>>());
+        assert!(t_not < t_fence, "notified {t_not} should beat the fence protocol {t_fence}");
     }
 }

@@ -16,21 +16,25 @@
 //! Metrics cover the §3 primitives at small and large sizes, with the
 //! issue-side batching layer both off and on (put bursts and
 //! hardware-AMO accumulate bursts), plus the notified-access paths: a
-//! single `put_notify`/`wait_notify` handoff and one `msg::channel`
-//! round (notified payload put forward, credit record back), the
-//! transaction layer's hot path: one versioned read and the commit
-//! phase of a 2-key transaction, and the remote-memory-channel layer:
-//! a steady-state fan-in round over a 1-slot ring, the publisher-side
-//! cost of a 2-subscriber fan-out publish, and one full single-client
-//! RPC round (request forward, correlated reply back). Every rmc
-//! metric is sender-side or single-pairing, so it stays deterministic
-//! (consumer `ANY_SOURCE` drains are schedule-dependent and excluded).
+//! single `put_notify`/`wait_notify` handoff, a per-item handoff under
+//! four synchronisation idioms (notified put, fence, PSCW, put + flush +
+//! polled signal) and one `msg::channel` round (notified payload put
+//! forward, credit record back); the transaction layer's hot path: one
+//! versioned read, the commit phase of a 2-key transaction and the mean
+//! commit under 1, 2 and 4 writers contending for one cell; and the
+//! remote-memory-channel layer: a steady-state fan-in round over a 1-slot
+//! ring, the per-send cost of 2, 4 and 8 producers into one consumer and
+//! of 4- and 8-rank meshes, and one full single-client RPC round (request
+//! forward, correlated reply back). Every rmc metric is sender-side or
+//! single-pairing, so it stays deterministic (consumer `ANY_SOURCE` drains
+//! are schedule-dependent and excluded).
 
 use fompi::{LockType, MpiOp, NumKind, Win};
+use fompi_bench::fleet::{contend, TXN_ROUNDS};
 use fompi_fabric::{CostModel, FaultPlan};
 use fompi_msg::channel::{channel, ChannelEnd};
-use fompi_rmc::{FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
-use fompi_runtime::{RankCtx, Universe};
+use fompi_rmc::{FaninEnd, RmcConfig, RpcEnd};
+use fompi_runtime::{Group, RankCtx, Universe};
 use fompi_txn::{Txn, VersionedCell};
 use std::collections::BTreeMap;
 
@@ -218,8 +222,8 @@ fn collect(model: &CostModel) -> BTreeMap<String, f64> {
         }
     });
     m.insert("channel_round_64_ns".into(), chan[0]);
-    // Remote-memory-channel twins. All three are timed on the *sending*
-    // side (or a single fixed pairing), where virtual time is schedule-
+    // Remote-memory-channel twins. All are timed on the *sending* side
+    // (or a single fixed pairing), where virtual time is schedule-
     // independent; consumer `ANY_SOURCE` drain clocks are max-joins in
     // arrival order and would not byte-stabilise.
     //
@@ -255,39 +259,6 @@ fn collect(model: &CostModel) -> BTreeMap<String, f64> {
         }
     });
     m.insert("rmc_fanin_round_64_ns".into(), fanin_run[1]);
-    // Fan-out publish to 2 subscribers with rings sized to the burst, so
-    // the publisher never blocks on credits: pure issue-side fan-out cost.
-    let fanout_run =
-        universe(3, model, false).notify_depth(16).run(|ctx| {
-            match fompi_rmc::fanout(ctx, 0, &[1, 2], RMC_ROUNDS, 64, LaggingPolicy::Block)
-                .unwrap()
-                .unwrap()
-            {
-                FanoutEnd::Publisher(mut tx) => {
-                    let msg = [4u8; 64];
-                    ctx.barrier();
-                    let t0 = ctx.now();
-                    for _ in 0..RMC_ROUNDS {
-                        assert_eq!(tx.publish(&msg).unwrap(), 2);
-                    }
-                    let dt = ctx.now() - t0;
-                    ctx.barrier();
-                    tx.close(ctx).unwrap();
-                    dt / RMC_ROUNDS as f64
-                }
-                FanoutEnd::Subscriber(mut rx) => {
-                    let mut buf = [0u8; 64];
-                    ctx.barrier();
-                    for _ in 0..RMC_ROUNDS {
-                        rx.recv(&mut buf).unwrap();
-                    }
-                    ctx.barrier();
-                    rx.close(ctx).unwrap();
-                    0.0
-                }
-            }
-        });
-    m.insert("rmc_fanout_publish_2sub_ns".into(), fanout_run[0]);
     // One full RPC round with a single client: the server's probe order
     // has exactly one source, so the round time is deterministic.
     let rpc_cfg = RmcConfig { slots: 4, slot_bytes: 64, ..RmcConfig::default() };
@@ -350,7 +321,191 @@ fn collect(model: &CostModel) -> BTreeMap<String, f64> {
     });
     m.insert("txn_read_ns".into(), txn[0].0);
     m.insert("txn_commit_2key_ns".into(), txn[0].1);
+    // W writers on one hot cell ([`contend`]): the cascade is exact, W
+    // commits and W(W-1)/2 aborts a round, and the final value is the sum
+    // of every additive delta whatever the commit order. Commit latency
+    // grows with W: each loser pays backoff, re-read and re-commit.
+    let mut prev = 0.0;
+    for w in [1usize, 2, 4] {
+        let (p, _) = contend(w, universe(2, model, false));
+        let n = (TXN_ROUNDS * w) as u64;
+        assert_eq!((p.commits, p.aborts), (n, n * (w as u64 - 1) / 2), "cascade at W={w}");
+        assert_eq!(p.final_value, n * (n + 1) / 2, "lost update at W={w}");
+        assert!(p.mean_commit_ns > prev, "commit latency must grow with contention (W={w})");
+        prev = p.mean_commit_ns;
+        m.insert(format!("txn_contend_w{w}_commit_ns"), p.mean_commit_ns);
+    }
+    // Per-item producer → consumer handoff of 8 bytes under four idioms;
+    // fusing the notification into the put must beat each of the other
+    // three.
+    let handoffs = HANDOFFS.map(|style| (style, handoff(model, style)));
+    let notified = handoffs[0].1;
+    for (style, ns) in handoffs {
+        assert!(style == "notified" || notified < ns, "notified ({notified}) vs {style} ({ns})");
+        m.insert(format!("handoff_8_{style}_ns"), ns);
+    }
+    for n in [2, 4, 8] {
+        m.insert(format!("rmc_fanin_{n}to1_send_ns"), fanin_send(model, n));
+    }
+    for p in [4, 8] {
+        m.insert(format!("rmc_mesh_p{p}_send_ns"), mesh_send(model, p));
+    }
     m
+}
+
+/// Items of one handoff run (well under the notification ring's depth).
+const ITEMS: usize = 64;
+/// The handoff idioms, notified first.
+const HANDOFFS: [&str; 4] = ["notified", "fence", "pscw", "amo_poll"];
+
+/// Consumer-side virtual ns per item when rank 0 hands [`ITEMS`] 8-byte
+/// items to rank 1, one synchronisation per item: a notified put, a fence,
+/// a PSCW epoch, or put + flush + a signal the consumer polls (the idiom
+/// `put_notify` replaces).
+fn handoff(model: &CostModel, style: &'static str) -> f64 {
+    let got = universe(2, model, false).notify_depth(2 * ITEMS).run(move |ctx| {
+        // One cell per item, then the polled signal's scratch word.
+        let win = Win::allocate(ctx, 8 * (ITEMS + 1), 1).unwrap();
+        let (me, mut buf) = (ctx.rank(), [0u8; 8]);
+        let item = |i: usize| (i as u64).to_le_bytes();
+        let dt = match style {
+            "notified" => {
+                win.lock_all().unwrap();
+                ctx.barrier();
+                let t0 = ctx.now();
+                for i in 0..ITEMS {
+                    if me == 0 {
+                        win.put_notify(&item(i), 1, i * 8, 7).unwrap();
+                    } else {
+                        win.wait_notify(0, 7).unwrap();
+                        win.read_local(i * 8, &mut buf);
+                    }
+                }
+                let dt = ctx.now() - t0;
+                win.unlock_all().unwrap();
+                dt
+            }
+            "fence" => {
+                win.fence().unwrap();
+                let t0 = ctx.now();
+                for i in 0..ITEMS {
+                    if me == 0 {
+                        win.put(&item(i), 1, i * 8).unwrap();
+                    }
+                    win.fence().unwrap();
+                    if me == 1 {
+                        win.read_local(i * 8, &mut buf);
+                    }
+                }
+                let dt = ctx.now() - t0;
+                win.fence().unwrap();
+                dt
+            }
+            "pscw" => {
+                ctx.barrier();
+                let t0 = ctx.now();
+                for i in 0..ITEMS {
+                    if me == 0 {
+                        win.start(&Group::new([1])).unwrap();
+                        win.put(&item(i), 1, i * 8).unwrap();
+                        win.complete().unwrap();
+                    } else {
+                        win.post(&Group::new([0])).unwrap();
+                        win.wait().unwrap();
+                        win.read_local(i * 8, &mut buf);
+                    }
+                }
+                ctx.now() - t0
+            }
+            "amo_poll" => {
+                win.lock_all().unwrap();
+                ctx.barrier();
+                let t0 = ctx.now();
+                for i in 0..ITEMS {
+                    if me == 0 {
+                        win.put(&item(i), 1, i * 8).unwrap();
+                        win.flush(1).unwrap();
+                        win.put_signal(&1u64.to_le_bytes(), 1, ITEMS * 8, 0).unwrap();
+                    } else {
+                        win.signal_wait(0, (i + 1) as u64).unwrap();
+                        win.read_local(i * 8, &mut buf);
+                    }
+                }
+                let dt = ctx.now() - t0;
+                win.unlock_all().unwrap();
+                dt
+            }
+            other => unreachable!("no handoff idiom {other}"),
+        };
+        ctx.barrier();
+        dt
+    });
+    got[1] / ITEMS as f64
+}
+
+/// Messages per sender of the rmc send-side rows.
+const RMC_MSGS: usize = 16;
+/// Payload bytes of one rmc message.
+const RMC_BYTES: usize = 64;
+
+/// `n` producers → rank 0 over rings sized so no producer waits for a
+/// credit: producer 1's virtual ns per send.
+fn fanin_send(model: &CostModel, n: usize) -> f64 {
+    let producers: Vec<u32> = (1..=n as u32).collect();
+    let got = universe(n + 1, model, false).notify_depth(256).run(move |ctx| {
+        let mut buf = [0u8; RMC_BYTES];
+        match fompi_rmc::fanin(ctx, 0, &producers, RMC_MSGS, RMC_BYTES).unwrap().unwrap() {
+            FaninEnd::Producer(mut tx) => {
+                ctx.barrier();
+                let t0 = ctx.now();
+                for _ in 0..RMC_MSGS {
+                    tx.send(&buf).unwrap();
+                }
+                let dt = ctx.now() - t0;
+                ctx.barrier();
+                tx.close(ctx).unwrap();
+                dt
+            }
+            FaninEnd::Consumer(mut rx) => {
+                ctx.barrier();
+                for _ in 0..n * RMC_MSGS {
+                    rx.recv(&mut buf).unwrap();
+                }
+                ctx.barrier();
+                rx.close(ctx).unwrap();
+                0.0
+            }
+        }
+    });
+    got[1] / RMC_MSGS as f64
+}
+
+/// A `p`-rank mesh in which every rank sends 4 messages to each of its two
+/// right-hand ring neighbours over 8-slot rings, so no send waits: rank
+/// 0's virtual ns per send.
+fn mesh_send(model: &CostModel, p: usize) -> f64 {
+    const PER_TARGET: usize = 4;
+    let cfg = RmcConfig { slots: 8, slot_bytes: RMC_BYTES, ..RmcConfig::default() };
+    let got = universe(p, model, false).notify_depth(256).run(move |ctx| {
+        let (me, mut buf) = (ctx.rank(), [0u8; RMC_BYTES]);
+        let mut m = fompi_rmc::mesh(ctx, &cfg).unwrap();
+        ctx.barrier();
+        let t0 = ctx.now();
+        for _ in 0..PER_TARGET {
+            for d in 1..=2 {
+                m.send((me + d) % p as u32, &buf).unwrap();
+            }
+        }
+        let dt = ctx.now() - t0;
+        for _ in 0..2 * PER_TARGET {
+            m.recv(&mut buf).unwrap();
+        }
+        m.flush_credits().unwrap();
+        ctx.barrier();
+        m.close(ctx).unwrap();
+        dt
+    });
+    got[0] / (2 * PER_TARGET) as f64
 }
 
 /// Flat sorted-key JSON. `f64` Display is the shortest round-trip
@@ -381,6 +536,17 @@ mod tests {
     }
 
     #[test]
+    fn protocol_rounds_keep_their_order_and_their_model_twin() {
+        // A fan-in round stays within 15 % of its closed form, and an RPC
+        // call — a request round plus a reply — cannot beat it.
+        let m = collect(&CostModel::default());
+        let (fanin, rpc) = (m["rmc_fanin_round_64_ns"], m["rpc_round_64_ns"]);
+        let twin = fompi::PaperModel::default().rmc_fanin_round(64, 1);
+        assert!((fanin / twin - 1.0).abs() < 0.15, "fan-in {fanin} ns vs model {twin} ns");
+        assert!(rpc > fanin, "rpc {rpc} ns vs fan-in {fanin} ns");
+    }
+
+    #[test]
     fn every_metric_moves_with_the_cost_model() {
         // One more ns of inter-node injection must move every metric: a
         // metric that ignores the model it is handed would stay put in the
@@ -391,7 +557,7 @@ mod tests {
             ..CostModel::default()
         };
         let moved = collect(&model);
-        assert_eq!(base.len(), 17);
+        assert_eq!(base.len(), 28);
         let unmoved: Vec<&str> = base
             .iter()
             .filter(|(k, v)| moved[*k].to_bits() == v.to_bits())

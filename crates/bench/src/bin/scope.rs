@@ -12,7 +12,7 @@
 //! runs — on any machine — produce byte-identical Prometheus text and
 //! JSON lines. `scripts/ci.sh` regenerates both files under a pinned
 //! environment and byte-diffs them against the committed copies, the same
-//! contract `soak.csv` and `notify_ablation.csv` live under.
+//! contract `soak.csv` and `perfgate.json` live under.
 //!
 //! `--ablation` reruns the workload with the whole plane armed (metrics +
 //! telemetry + flight recorder) and disarmed,

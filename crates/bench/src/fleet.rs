@@ -17,13 +17,12 @@
 //! * the sweep table ([`render_table`]) — every agent, stable or not,
 //!   with its wall-clock time.
 //!
-//! The workloads are shared with the bins that write a CSV of their own
-//! from them: [`scope_workload`] (`scope`), [`contend`] (`txn_ablation`),
-//! [`payload`] and the rmc constants (`rmc_ablation`) and [`kv_serve_run`]
-//! (`kv_serve`). Agents take `FOMPI_FAULTS` from the environment through
-//! `Universe::new` unless they pin faults off, so `fleet --chaos` arms a
-//! plan by setting it; fault draws are issue-side seeded, so even the
-//! chaos summary is deterministic.
+//! The workloads are shared with the bins that pin numbers of their own
+//! from them: [`scope_workload`] (`scope`), [`contend`] (`perfgate`) and
+//! [`kv_serve_run`] (`kv_serve`). Agents take `FOMPI_FAULTS` from the
+//! environment through `Universe::new` unless they pin faults off, so
+//! `fleet --chaos` arms a plan by setting it; fault draws are issue-side
+//! seeded, so even the chaos summary is deterministic.
 
 use fompi::{LockType, MpiOp, NumKind, Win};
 use fompi_apps::kv::{conservation_check, serve, KvConfig, KvServeStats, KvStore};
@@ -34,7 +33,7 @@ use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{Fabric, FaultPlan};
 use fompi_msg::channel::{channel, ChannelEnd};
 use fompi_pgas::SharedArray;
-use fompi_rmc::{fanin, fanout, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::Universe;
 use fompi_txn::{RetryPolicy, Txn, TxnError, VersionedCell};
 use std::collections::BTreeMap;
@@ -125,7 +124,7 @@ pub const REGISTRY: &[AgentSpec] = &[
     },
     AgentSpec {
         name: "txn-ablate",
-        run: |_, _, _| contend(4, true).1,
+        run: |_, _, _| contend(4, Universe::new(2).node_size(1).metrics(true)).1,
         backend: "txn",
         ranks: &[2],
         node_sizes: &[1],
@@ -136,7 +135,7 @@ pub const REGISTRY: &[AgentSpec] = &[
         name: "rmc-ablate",
         run: rmc_mix,
         backend: "rmc",
-        ranks: &[4],
+        ranks: &[2],
         node_sizes: &[1],
         stable: true,
         seed: 11,
@@ -544,9 +543,9 @@ pub fn scope_workload(u: Universe) -> (Vec<u64>, Arc<Fabric>) {
 }
 
 // ------------------------------------------------------------------
-// txn_ablation: W writers on one hot cell.
+// txn contention: W writers on one hot cell.
 
-/// Rounds of the contention ablation.
+/// Rounds of the contention workload.
 pub const TXN_ROUNDS: usize = 32;
 /// Payload bytes of the contended cell.
 const PAY: usize = 8;
@@ -570,17 +569,14 @@ pub struct TxnPoint {
 const CONTEND_SEED: u64 = 11;
 
 /// `writers` logical writers contend for one remote versioned cell for
-/// [`TXN_ROUNDS`] rounds, deterministically interleaved on driver rank 0,
-/// so the abort cascade is an exact function of the seed. `agent` arms
-/// metrics and leaves the fault layer env-governed (the chaos sweep
-/// injects through `FOMPI_FAULTS`); otherwise faults are pinned off and
-/// the cascade is exact.
-pub fn contend(writers: usize, agent: bool) -> (TxnPoint, Arc<Fabric>) {
-    let mut universe = Universe::new(2).node_size(1).seed(CONTEND_SEED).metrics(agent);
-    if !agent {
-        universe = universe.faults(FaultPlan::disabled());
-    }
-    let (outs, fabric) = universe.launch(move |ctx| {
+/// [`TXN_ROUNDS`] rounds, deterministically interleaved on driver rank 0
+/// of `universe` (two ranks, reseeded at the contention seed), so the
+/// abort cascade is an exact function of the seed: W commits and
+/// W·(W−1)/2 aborts per round. The fleet's agent arms metrics and leaves
+/// the fault layer env-governed (the chaos sweep injects through
+/// `FOMPI_FAULTS`); perfgate pins faults off.
+pub fn contend(writers: usize, universe: Universe) -> (TxnPoint, Arc<Fabric>) {
+    let (outs, fabric) = universe.seed(CONTEND_SEED).launch(move |ctx| {
         let win = Win::allocate(ctx, 16, 1).unwrap();
         VersionedCell::init_local(&win, 0, &[0u8; PAY]);
         ctx.barrier();
@@ -645,76 +641,50 @@ pub fn contend(writers: usize, agent: bool) -> (TxnPoint, Arc<Fabric>) {
 }
 
 // ------------------------------------------------------------------
-// rmc_ablation: the fleet mixes the ablation's schedule-independent
-// shapes in one universe.
+// rmc: the schedule-independent shapes in one universe.
 
-/// Messages per sender in every rmc scenario.
-pub const RMC_MSGS: usize = 16;
+/// Messages per sender in every rmc phase.
+const RMC_MSGS: usize = 16;
 /// Channel payload bytes (one cache-line-ish message).
-pub const RMC_BYTES: usize = 64;
+const RMC_BYTES: usize = 64;
 /// RPC request payload bytes.
-pub const RPC_REQ: usize = 32;
+const RPC_REQ: usize = 32;
 /// RPC reply payload bytes.
-pub const RPC_REP: usize = 64;
+const RPC_REP: usize = 64;
 
 /// Deterministic per-message payload.
-pub fn payload(source: u32, seq: usize) -> [u8; RMC_BYTES] {
+fn payload(source: u32, seq: usize) -> [u8; RMC_BYTES] {
     let mut b = [0u8; RMC_BYTES];
     b[..8].copy_from_slice(&splitmix64(((source as u64) << 32) ^ seq as u64).to_le_bytes());
     b
 }
 
 /// One deterministic universe exercising the schedule-independent rmc
-/// paths only (sized fan-out, 1-slot fan-in, one RPC client), metrics
-/// armed, faults env-governed.
+/// paths only (1-slot fan-in, one RPC client), metrics armed, faults
+/// env-governed.
 fn rmc_mix(_: usize, _: usize, seed: u64) -> Arc<Fabric> {
     let (_, fabric) =
-        Universe::new(4).node_size(1).seed(seed).notify_depth(256).metrics(true).launch(|ctx| {
-            // Phase 1: fan-out 0 → {1,2,3}, rings sized to the burst.
-            match fanout(ctx, 0, &[1, 2, 3], RMC_MSGS, RMC_BYTES, LaggingPolicy::Block)
-                .unwrap()
-                .unwrap()
-            {
-                FanoutEnd::Publisher(mut tx) => {
-                    ctx.barrier();
-                    for seq in 0..RMC_MSGS {
-                        tx.publish(&payload(0, seq)).unwrap();
-                    }
-                    ctx.barrier();
-                    tx.close(ctx).unwrap();
-                }
-                FanoutEnd::Subscriber(mut rx) => {
-                    let mut buf = [0u8; RMC_BYTES];
-                    ctx.barrier();
-                    for _ in 0..RMC_MSGS {
-                        rx.recv(&mut buf).unwrap();
-                    }
-                    ctx.barrier();
-                    rx.close(ctx).unwrap();
-                }
-            }
-            // Phase 2: strict-alternation fan-in 1 → 0 plus an RPC client;
-            // ranks 2 and 3 pass through the collectives.
-            match fanin(ctx, 0, &[1], 1, RMC_BYTES).unwrap() {
-                Some(FaninEnd::Producer(mut tx)) => {
+        Universe::new(2).node_size(1).seed(seed).notify_depth(256).metrics(true).launch(|ctx| {
+            // Strict-alternation fan-in 1 → 0, then rank 1 calls rank 0.
+            match fanin(ctx, 0, &[1], 1, RMC_BYTES).unwrap().unwrap() {
+                FaninEnd::Producer(mut tx) => {
                     for seq in 0..RMC_MSGS {
                         tx.send(&payload(1, seq)).unwrap();
                     }
                     tx.close(ctx).unwrap();
                 }
-                Some(FaninEnd::Consumer(mut rx)) => {
+                FaninEnd::Consumer(mut rx) => {
                     let mut buf = [0u8; RMC_BYTES];
                     for _ in 0..RMC_MSGS {
                         rx.recv(&mut buf).unwrap();
                     }
                     rx.close(ctx).unwrap();
                 }
-                None => {}
             }
             let cfg =
                 RmcConfig { slots: 4, slot_bytes: RPC_REP.max(RPC_REQ), ..RmcConfig::default() };
-            match rpc(ctx, 0, &[1], &cfg).unwrap() {
-                Some(RpcEnd::Server(mut srv)) => {
+            match rpc(ctx, 0, &[1], &cfg).unwrap().unwrap() {
+                RpcEnd::Server(mut srv) => {
                     for _ in 0..RMC_MSGS {
                         let req = srv.recv().unwrap();
                         let rep = [0x7Fu8; RPC_REP];
@@ -722,14 +692,13 @@ fn rmc_mix(_: usize, _: usize, seed: u64) -> Arc<Fabric> {
                     }
                     srv.close(ctx).unwrap();
                 }
-                Some(RpcEnd::Client(mut cl)) => {
+                RpcEnd::Client(mut cl) => {
                     let mut buf = [0u8; RPC_REP];
                     for _ in 0..RMC_MSGS {
                         cl.call(&[1u8; RPC_REQ], &mut buf).unwrap();
                     }
                     cl.close(ctx).unwrap();
                 }
-                None => {}
             }
             ctx.barrier();
         });

@@ -260,7 +260,7 @@ impl Win {
         op: MpiOp,
     ) -> Result<()> {
         let base = at.off + rel;
-        if let Some(amo) = self.hw_route(op, kind, base) {
+        if let Some(amo) = Self::hw_route(op, kind, base) {
             // DMAPP-accelerated path: one non-fetching AMO per element,
             // the whole span through one fabric op body.
             self.ep.amo_implicit_span(at.key, base, amo, origin.chunks_exact(8).map(le_word))?;
@@ -294,7 +294,7 @@ impl Win {
             return Err(FompiError::BadAccumulate("origin/result element mismatch"));
         }
         let at = self.resolve(target, target_disp, result.len())?;
-        if let Some(amo) = self.hw_route(op, kind, at.off) {
+        if let Some(amo) = Self::hw_route(op, kind, at.off) {
             // `NoOp` carries no origin data: its operand is ignored.
             let operand = |i: usize| match op {
                 MpiOp::NoOp => 0,
@@ -399,10 +399,9 @@ impl Win {
     /// accumulate class of its op — since one record over the span would
     /// mark the bytes between elements as accessed. It is refused,
     /// before anything is applied, priced or counted, outside an access epoch
-    /// ([`FompiError::NoAccessEpoch`]), on a window built without hardware
-    /// AMOs ([`FompiError::NoHardwareAmo`]; there is no locked twin), when
-    /// empty ([`FompiError::BadAccumulate`]), when the span leaves the window,
-    /// and when an element is misaligned or outside the span
+    /// ([`FompiError::NoAccessEpoch`]), when empty
+    /// ([`FompiError::BadAccumulate`]), when the span leaves the window, and
+    /// when an element is misaligned or outside the span
     /// ([`FompiError::Fabric`]).
     pub fn amo_fetch_list(
         &self,
@@ -413,9 +412,6 @@ impl Win {
         out: impl FnMut(usize, u64),
     ) -> Result<()> {
         self.admit(target, false)?;
-        if !self.shared.cfg.hw_amo {
-            return Err(FompiError::NoHardwareAmo);
-        }
         if list.clone().next().is_none() {
             return Err(FompiError::BadAccumulate("empty fetching AMO list"));
         }
@@ -453,12 +449,8 @@ impl Win {
     /// `None` for the locked fallback. Two protocols on one location do not
     /// exclude each other; neither the element count nor the entry point
     /// may pick.
-    fn hw_route(&self, op: MpiOp, kind: NumKind, base: usize) -> Option<AmoOp> {
-        if self.shared.cfg.hw_amo && base.is_multiple_of(8) {
-            op.hw_amo(kind)
-        } else {
-            None
-        }
+    fn hw_route(op: MpiOp, kind: NumKind, base: usize) -> Option<AmoOp> {
+        op.hw_amo(kind).filter(|_| base.is_multiple_of(8))
     }
 
     /// The bufferless fallback protocol (§2.4): lock the target's

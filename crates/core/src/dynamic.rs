@@ -8,14 +8,6 @@
 //! stale it fetches the whole table with one bulk get and re-resolves.
 //! This is exactly the paper's cached protocol — O(1) memory per region
 //! and one extra round trip only after attach/detach activity.
-//!
-//! With `WinConfig::dyn_notify` the §2.2 *optimised* variant runs instead:
-//! a peer that caches a target's table registers itself in the target's
-//! registered-readers list (the Figure-2c pool again); `detach` drains
-//! that list and pushes an invalidation into each reader's mailbox. A
-//! reader then only checks its **local** invalidation mailbox before each
-//! access — no remote id read — trading detach cost for communication
-//! latency.
 
 use crate::error::{FompiError, Result};
 use crate::meta::{self, off, DYN_ENTRY_BYTES};
@@ -121,16 +113,6 @@ impl Win {
         let ekey = self.meta_key(self.ep.rank());
         self.ep.write_sync(ekey, off::DYN_COUNT, local.len() as u64)?;
         self.ep.amo_sync(ekey, off::DYN_ID, fompi_fabric::AmoOp::Add, 1, 0)?;
-        if self.shared.cfg.dyn_notify {
-            // §2.2 optimised protocol: tell every registered reader to drop
-            // its cached copy of our table, then forget the reader list.
-            drop(local);
-            let me = self.ep.rank();
-            for reader in self.list_drain_local(off::READERS_HEAD)? {
-                let idx = self.list_acquire_slot(reader)?;
-                self.list_push(reader, off::INVAL_HEAD, idx, me)?;
-            }
-        }
         self.ep.fabric().deregister(removed.key);
         Ok(())
     }
@@ -158,9 +140,8 @@ impl Win {
     }
 
     /// Resolve `(target, addr, len)` against the cached remote region
-    /// table. Default protocol: check the remote id counter per access;
-    /// with `dyn_notify`, check only the local invalidation mailbox and
-    /// trust the cache otherwise (§2.2's optimised variant).
+    /// table: read the remote id counter per access, and refetch the table
+    /// only when it moved (§2.2).
     pub(crate) fn dyn_resolve(
         &self,
         target: u32,
@@ -168,28 +149,12 @@ impl Win {
         len: usize,
     ) -> Result<(SegKey, usize)> {
         let mkey = self.meta_key(target);
-        if self.shared.cfg.dyn_notify {
-            // Drain the local mailbox: each entry names a target whose
-            // cached table is stale.
-            for stale in self.list_drain_local(off::INVAL_HEAD)? {
-                self.dyn_cache.borrow_mut().remove(&stale);
-            }
-            {
-                let cache = self.dyn_cache.borrow();
-                if let Some(c) = cache.get(&target) {
-                    return Self::find_region(c, target, addr, len);
-                }
-            }
-        }
         let mut tries = 0;
         loop {
             let remote_id = self.ep.read_sync(mkey, off::DYN_ID)?;
-            if !self.shared.cfg.dyn_notify {
-                let cache = self.dyn_cache.borrow();
-                if let Some(c) = cache.get(&target) {
-                    if c.id == remote_id {
-                        return Self::find_region(c, target, addr, len);
-                    }
+            if let Some(c) = self.dyn_cache.borrow().get(&target) {
+                if c.id == remote_id {
+                    return Self::find_region(c, target, addr, len);
                 }
             }
             // Cache miss or stale: fetch count, then the table in one get.
@@ -220,12 +185,6 @@ impl Win {
             let entry = RemoteRegions { id: remote_id, regions };
             let out = Self::find_region(&entry, target, addr, len);
             self.dyn_cache.borrow_mut().insert(target, entry);
-            if self.shared.cfg.dyn_notify && target != self.ep.rank() {
-                // Register for detach notifications (first-time access or
-                // post-invalidation refresh).
-                let idx = self.list_acquire_slot(target)?;
-                self.list_push(target, off::READERS_HEAD, idx, self.ep.rank())?;
-            }
             return out;
         }
     }

@@ -42,9 +42,6 @@ pub enum FompiError {
     /// Operation/type combination not valid for accumulate
     /// (e.g. non-arithmetic type).
     BadAccumulate(&'static str),
-    /// A call that exists only as hardware AMOs ([`crate::Win::amo_fetch_list`])
-    /// on a window built without them (`WinConfig::hw_amo` off).
-    NoHardwareAmo,
     /// Dynamic-window address range not attached at the target.
     NotAttached {
         /// Target rank.
@@ -102,9 +99,6 @@ impl std::fmt::Display for FompiError {
                 "datatype signature mismatch: origin {origin_bytes} B vs target {target_bytes} B"
             ),
             FompiError::BadAccumulate(why) => write!(f, "invalid accumulate: {why}"),
-            FompiError::NoHardwareAmo => {
-                write!(f, "window has no hardware AMOs: a fetching AMO list needs them")
-            }
             FompiError::NotAttached { target, addr } => {
                 write!(f, "address {addr:#x} not attached at target {target}")
             }

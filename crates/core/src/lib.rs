@@ -403,44 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_notify_protocol_invalidates_cache() {
-        let cfg = WinConfig { dyn_notify: true, ..WinConfig::default() };
-        let got = Universe::new(2).node_size(1).run(move |ctx| {
-            let win = Win::create_dynamic_cfg(ctx, cfg.clone()).unwrap();
-            let addr = if ctx.rank() == 1 { win.attach(64).unwrap() } else { 0 };
-            let addrs = ctx.allgather(&addr.to_le_bytes());
-            let raddr = u64::from_le_bytes(addrs[1].as_slice().try_into().unwrap());
-            if ctx.rank() == 0 {
-                // First access populates the cache and registers us.
-                win.lock(LockType::Shared, 1).unwrap();
-                win.put(&[7u8; 8], 1, raddr as usize).unwrap();
-                win.flush(1).unwrap();
-                // Second access must be resolvable purely from cache —
-                // count remote gets to prove no id check happened.
-                let before = ctx.fabric().counters().snapshot();
-                win.put(&[8u8; 8], 1, raddr as usize + 8).unwrap();
-                let gets = ctx.fabric().counters().snapshot().since(&before).gets;
-                win.flush(1).unwrap();
-                win.unlock(1).unwrap();
-                ctx.barrier(); // let rank 1 detach + notify
-                ctx.barrier();
-                // Cache must now be invalidated: access fails cleanly.
-                win.lock(LockType::Shared, 1).unwrap();
-                let err = win.put(&[9u8; 4], 1, raddr as usize).is_err();
-                win.unlock(1).unwrap();
-                (gets, err)
-            } else {
-                ctx.barrier();
-                win.detach(raddr).unwrap();
-                ctx.barrier();
-                (0, true)
-            }
-        });
-        assert_eq!(got[0].0, 0, "cached access must not re-read the remote id");
-        assert!(got[0].1, "detached access must fail after notify");
-    }
-
-    #[test]
     fn raccumulate_and_rget_accumulate() {
         let got = Universe::new(3).node_size(1).run(|ctx| {
             let win = Win::allocate(ctx, 32, 1).unwrap();
@@ -564,14 +526,15 @@ mod tests {
     }
 
     /// `NoOp` never stores, on the locked fallback either: no put is
-    /// issued and the target bytes stay as they were.
+    /// issued and the target bytes stay as they were. Two classes reach the
+    /// fallback: a kind the NIC does not accelerate (`F64`), and an
+    /// accelerated kind on a misaligned span (`U64` at byte 4).
     #[test]
     fn a_noop_read_on_the_locked_fallback_issues_no_put() {
-        let software = WinConfig { hw_amo: false, ..WinConfig::default() };
-        for (kind, cfg) in [(NumKind::F64, WinConfig::default()), (NumKind::U64, software)] {
-            let planted = [1.5f64.to_le_bytes(), 2.5f64.to_le_bytes()].concat();
+        for (kind, at) in [(NumKind::F64, 0), (NumKind::U64, 4)] {
+            let planted: Vec<u8> = (1..=24).collect();
             Universe::new(2).node_size(1).run(|ctx| {
-                let win = Win::allocate_cfg(ctx, 16, 1, cfg.clone()).unwrap();
+                let win = Win::allocate(ctx, 24, 1).unwrap();
                 win.write_local(0, &planted);
                 win.lock_all().unwrap();
                 // Rank 1 issues nothing while rank 0 reads the counters.
@@ -580,8 +543,8 @@ mod tests {
                     let counters = ctx.fabric().counters();
                     let before = counters.snapshot();
                     let mut out = [0u8; 16];
-                    win.get_accumulate(&[], &mut out, kind, MpiOp::NoOp, 1, 0).unwrap();
-                    assert_eq!(out[..], planted[..]);
+                    win.get_accumulate(&[], &mut out, kind, MpiOp::NoOp, 1, at).unwrap();
+                    assert_eq!(out[..], planted[at..at + 16]);
                     let d = counters.snapshot().since(&before);
                     assert_eq!((d.puts, d.bytes_put), (0, 0), "{kind:?}: a read stored");
                     // The fallback it is: lock CAS, get, unlock swap.
@@ -590,7 +553,7 @@ mod tests {
                 ctx.barrier();
                 win.unlock_all().unwrap();
                 ctx.barrier();
-                let mut now = [0u8; 16];
+                let mut now = [0u8; 24];
                 win.read_local(0, &mut now);
                 assert_eq!(now[..], planted[..], "{kind:?}: target bytes moved");
             });

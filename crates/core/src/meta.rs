@@ -16,8 +16,7 @@
 //!                                     count; only used at the master rank)
 //!  96     dynamic-window id counter  (cache invalidation §2.2)
 //! 112     dynamic region count
-//! 128     registered-readers head    (notify protocol, §2.2 optimisation)
-//! 144     invalidation-list head     (notify protocol)
+//! 128     unused (2 words; later offsets stay put)
 //! 160     MCS queue tail             (master only; §2.3's MCS remark)
 //! 176     MCS granted flag           (local spin target)
 //! 192     MCS successor link
@@ -49,12 +48,7 @@ pub mod off {
     pub const DYN_ID: usize = 96;
     /// Dynamic-window region count.
     pub const DYN_COUNT: usize = 112;
-    /// Head of the registered-readers list (dynamic-window notify
-    /// protocol: the peers holding a cached copy of my region table, §2.2).
-    pub const READERS_HEAD: usize = 128;
-    /// Head of the invalidation list (targets whose cached tables I must
-    /// drop before my next access).
-    pub const INVAL_HEAD: usize = 144;
+    // 128 and 144 are unused; the offsets after them stay where they were.
     /// MCS lock: queue tail (master rank only).
     pub const MCS_TAIL: usize = 160;
     /// MCS lock: my queue node's granted flag.
@@ -95,15 +89,6 @@ pub struct WinConfig {
     /// can be simultaneously outstanding toward one rank; the paper assumes
     /// `k ∈ O(log p)` neighbours (§2.3).
     pub pscw_pool: usize,
-    /// Route eligible accumulates through hardware AMOs (true = paper's
-    /// DMAPP-accelerated path). Disable to force the lock fallback for all
-    /// ops — needed when mixing ops that must stay mutually atomic.
-    pub hw_amo: bool,
-    /// Dynamic windows: use the notify-based cache-invalidation protocol
-    /// (§2.2's optimised variant — readers register on the target and are
-    /// told to invalidate on detach) instead of the id-counter check per
-    /// access. Better communication latency, costlier detach.
-    pub dyn_notify: bool,
     /// Retries before a pool acquisition gives up with
     /// [`crate::FompiError::PoolExhausted`] — the detector for programs
     /// whose PSCW fan-in exceeds `pscw_pool` in a dependency cycle.
@@ -112,7 +97,7 @@ pub struct WinConfig {
 
 impl Default for WinConfig {
     fn default() -> Self {
-        Self { pscw_pool: 128, hw_amo: true, dyn_notify: false, pool_retry_limit: 1_000_000 }
+        Self { pscw_pool: 128, pool_retry_limit: 1_000_000 }
     }
 }
 
@@ -188,8 +173,6 @@ mod tests {
             off::GLOBAL_LOCK,
             off::DYN_ID,
             off::DYN_COUNT,
-            off::READERS_HEAD,
-            off::INVAL_HEAD,
             off::MCS_TAIL,
             off::MCS_FLAG,
             off::MCS_NEXT,

@@ -173,14 +173,6 @@ impl PaperModel {
         self.channel_round(s, slots)
     }
 
-    /// One fan-out publication of `s` bytes to `m` subscribers: the
-    /// publisher serializes `m` notified-put *injections* (2 each — data +
-    /// trailing notification AMO) but the wire latencies overlap, so one
-    /// `max(Pput(s), Pacc,sum(8))` term covers the whole subscriber set.
-    pub fn rmc_fanout_publish(&self, m: usize, s: usize) -> f64 {
-        2.0 * m as f64 * self.inject() + self.put(s).max(self.acc_sum(8))
-    }
-
     /// One RPC round trip (`fompi-rmc::rpc`) over rings of `slots`: the
     /// request rides a fan-in channel round to the server, the reply a
     /// notified put back. The reply ring returns no credits: the request
@@ -304,19 +296,6 @@ mod tests {
                 assert!((m.rmc_fanin_round(s, slots) - m.channel_round(s, slots)).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn rmc_fanout_overlaps_wire_latency() {
-        let m = PaperModel::default();
-        let s = 512;
-        // One subscriber degenerates to a plain notified put.
-        assert!((m.rmc_fanout_publish(1, s) - m.put_notified(s)).abs() < 1e-9);
-        // Each extra subscriber costs exactly two more injections…
-        let slope = m.rmc_fanout_publish(3, s) - m.rmc_fanout_publish(2, s);
-        assert!((slope - 2.0 * m.inject()).abs() < 1e-9);
-        // …which beats m sequential notified puts (the overlap win).
-        assert!(m.rmc_fanout_publish(8, s) < 8.0 * m.put_notified(s));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Shared one-sided intrusive-list operations (Figure 2c generalised).
 //!
-//! The PSCW matching list, the dynamic-window registered-readers list and
-//! the invalidation mailbox all use the same machinery: a per-rank pool of
-//! 16-byte elements managed by a remote Treiber free list, plus any number
-//! of tagged list heads that elements can be pushed onto with one-sided
-//! CAS sequences. Heads carry an ABA tag in the high 32 bits.
+//! The PSCW matching list's machinery: a per-rank pool of 16-byte
+//! elements managed by a remote Treiber free list, plus tagged list heads
+//! that elements can be pushed onto with one-sided CAS sequences. Heads
+//! carry an ABA tag in the high 32 bits.
 
 use super::Spin;
 use crate::error::{FompiError, Result};
@@ -79,43 +78,5 @@ impl Win {
     /// Return pool element `idx` to the *local* free list: a push onto it.
     pub(crate) fn list_free_local(&self, idx: u32) -> Result<()> {
         self.list_push(self.ep.rank(), off::FREE_HEAD, idx, 0)
-    }
-
-    /// Atomically take the whole local list at `head_off`, returning the
-    /// origins of its elements (elements are recycled). Concurrent pushers
-    /// retry against the tag bump, so no element is lost.
-    pub(crate) fn list_drain_local(&self, head_off: usize) -> Result<Vec<u32>> {
-        let me = self.ep.rank();
-        let mkey = self.meta_key(me);
-        let cfg = &self.shared.cfg;
-        let mut spin = Spin::new("a list-head CAS to win");
-        loop {
-            let h = self.ep.read_sync(mkey, head_off)?;
-            let (tag, idx) = meta::unpack_head(h);
-            if idx == meta::NIL {
-                return Ok(Vec::new());
-            }
-            let old = self.ep.amo_sync(
-                mkey,
-                head_off,
-                AmoOp::Cas,
-                meta::pack_head(tag.wrapping_add(1), meta::NIL),
-                h,
-            )?;
-            if old == h {
-                // The chain is now private: walk and recycle.
-                let mut origins = Vec::new();
-                let mut cur = idx;
-                while cur != meta::NIL {
-                    let ev = self.ep.read_sync(mkey, cfg.pool_off(cur))?;
-                    let (origin, next) = meta::unpack_elem(ev);
-                    origins.push(origin);
-                    self.list_free_local(cur)?;
-                    cur = next;
-                }
-                return Ok(origins);
-            }
-            super::backoff_spin(&self.ep, spin.miss().min(6));
-        }
     }
 }

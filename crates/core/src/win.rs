@@ -378,8 +378,6 @@ impl Win {
         }
         meta.write_u64(off::FREE_HEAD, meta::pack_head(0, 0));
         meta.write_u64(off::MATCH_HEAD, meta::pack_head(0, meta::NIL));
-        meta.write_u64(off::READERS_HEAD, meta::pack_head(0, meta::NIL));
-        meta.write_u64(off::INVAL_HEAD, meta::pack_head(0, meta::NIL));
         meta.write_u64(off::MCS_TAIL, 0);
         meta.write_u64(off::MCS_FLAG, 0);
         meta.write_u64(off::MCS_NEXT, 0);

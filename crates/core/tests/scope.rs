@@ -4,8 +4,8 @@
 //! must never perturb the model).
 
 use fompi::win::{LockType, Win};
-use fompi_fabric::metrics_snapshot;
 use fompi_fabric::telemetry::perfetto::trace_json;
+use fompi_fabric::{metrics_snapshot, RacecheckMode};
 use fompi_runtime::Universe;
 
 /// Parse every `"name":"flow"` record out of a Chrome-trace JSON line:
@@ -130,18 +130,15 @@ fn metrics_snapshots_are_byte_deterministic() {
     assert!(json_a.starts_with('{') && !json_a.contains('\n'), "one JSON line");
 }
 
-/// The overhead ablation: the same seeded workload with the whole
-/// observability plane armed (metrics + tracing + flight recorder) and
-/// with it disarmed must land on bit-identical virtual clocks. Flow
-/// tracing may cost real time, never virtual time.
+/// The overhead ablation: the same seeded workload with a diagnostic plane
+/// armed — metrics + tracing + flight recorder, or the race checker in
+/// report mode — and with everything disarmed must land on bit-identical
+/// virtual clocks. A plane may cost real time, never virtual time.
 #[test]
 fn armed_observability_is_virtual_time_invisible() {
-    let run = |armed: bool| {
-        let mut u = Universe::new(2).node_size(1).seed(11).batch(true);
-        if armed {
-            u = u.metrics(true).trace(4096);
-        }
-        u.run(|ctx| {
+    type Arm = fn(Universe) -> Universe;
+    let run = |arm: Arm| {
+        arm(Universe::new(2).node_size(1).seed(11).batch(true)).run(|ctx| {
             let win = Win::allocate(ctx, 4096, 1).unwrap();
             if ctx.rank() == 0 {
                 win.lock(LockType::Shared, 1).unwrap();
@@ -158,9 +155,12 @@ fn armed_observability_is_virtual_time_invisible() {
             ctx.now().to_bits()
         })
     };
-    assert_eq!(
-        run(true),
-        run(false),
-        "observability must not perturb virtual time (armed vs disarmed)"
-    );
+    let disarmed = run(|u| u.racecheck(RacecheckMode::Off));
+    let planes: [(&str, Arm); 2] = [
+        ("metrics + tracing", |u| u.racecheck(RacecheckMode::Off).metrics(true).trace(4096)),
+        ("race checker in report mode", |u| u.racecheck(RacecheckMode::Report)),
+    ];
+    for (armed, arm) in planes {
+        assert_eq!(run(arm), disarmed, "{armed} perturbed virtual time");
+    }
 }

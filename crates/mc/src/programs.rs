@@ -27,7 +27,7 @@
 use fompi::{FetchAmo, FompiError, LockType, MpiOp, NumKind, Win};
 use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_msg::channel::{channel, ChannelEnd};
-use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::{Group, RankCtx};
 use fompi_txn::{versions_consistent, RetryPolicy, Txn, VersionedCell};
 use std::fmt::Display;
@@ -65,7 +65,7 @@ const P2E2: Option<(usize, usize)> = Some((2, 2));
 
 /// Every well-formed program, in soak order. The soak derives each cell's
 /// seeds from the row's name, so rows may move and go.
-pub const PROGRAMS: [Program; 15] = [
+pub const PROGRAMS: [Program; 14] = [
     Program { name: "fence", body: fence, mc: P2E2, stable: true },
     Program { name: "pscw", body: pscw, mc: P2E2, stable: true },
     Program { name: "lock", body: lock, mc: P2E2, stable: false },
@@ -76,7 +76,6 @@ pub const PROGRAMS: [Program; 15] = [
     Program { name: "txn_transfer", body: txn_transfer, mc: P2E2, stable: true },
     Program { name: "msg_channel", body: msg_channel, mc: P2E2, stable: true },
     Program { name: "rmc_fanin", body: rmc_fanin, mc: Some((3, 1)), stable: false },
-    Program { name: "rmc_fanout", body: rmc_fanout, mc: Some((3, 2)), stable: true },
     Program { name: "rmc_mesh", body: |ctx, s| rmc_mesh(ctx, s, false), mc: P2E2, stable: true },
     Program { name: "rpc_timeout", body: rpc_timeout, mc: P2E2, stable: false },
     Program { name: "txn_commit", body: txn_commit, mc: Some((2, 1)), stable: true },
@@ -545,36 +544,6 @@ fn rmc_fanin(ctx: &mut RankCtx, s: &Shape) -> Verdict {
                 h = h.wrapping_add(splitmix64(((src as u64) << 32) ^ le(&buf)));
             }
             rx.close(ctx).txt()?;
-            Ok(h)
-        }
-    }
-}
-
-/// Rank 0 publishes to every other rank over one slot: each publish after
-/// the first blocks on every subscriber's credit. Each subscriber's edge
-/// is FIFO.
-fn rmc_fanout(ctx: &mut RankCtx, s: &Shape) -> Verdict {
-    let subscribers: Vec<u32> = (1..ctx.size() as u32).collect();
-    let message = |e: usize| 31 + e as u64;
-    let end = fanout(ctx, 0, &subscribers, 1, 8, LaggingPolicy::Block).txt()?;
-    match end.expect("every rank is an end") {
-        FanoutEnd::Publisher(mut px) => {
-            for e in 0..s.epochs {
-                px.publish(&message(e).to_le_bytes()).txt()?;
-            }
-            let dropped = px.dropped_total();
-            ensure(dropped == 0, || format!("a blocking fan-out dropped {dropped} messages"))?;
-            px.close(ctx).txt()?;
-            Ok(dropped)
-        }
-        FanoutEnd::Subscriber(mut sx) => {
-            let (mut h, mut buf) = (0, [0u8; 8]);
-            for e in 0..s.epochs {
-                sx.recv(&mut buf).txt()?;
-                ensure(le(&buf) == message(e), || format!("message {e} = {}", le(&buf)))?;
-                h = mix(h, le(&buf));
-            }
-            sx.close(ctx).txt()?;
             Ok(h)
         }
     }

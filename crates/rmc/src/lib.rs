@@ -5,17 +5,13 @@
 //! communications"; this crate builds those queues as a first-class
 //! programming model, layered *purely* on the existing one-sided
 //! primitives — `put_notify` for data, a data-less `notify` carrying a
-//! count for credits, passive-target epochs for lifetime. Four shapes:
+//! count for credits, passive-target epochs for lifetime. Three shapes:
 //!
 //! - [`fanin`](mod@fanin) — MPMC fan-in: N producers append into per-producer slot
 //!   regions on one consumer rank. The notification record's `source`
 //!   field replaces any shared cursor, so the data path is FAA-free (the
 //!   same trick as the notified DSDE port); backpressure is per-producer
 //!   credit records.
-//! - [`fanout`](mod@fanout) — one publisher multicasting to a subscriber set, with
-//!   per-subscriber credit windows and a lagging-subscriber policy
-//!   ([`LaggingPolicy::Block`] vs [`LaggingPolicy::Drop`] with a
-//!   per-subscriber drop counter).
 //! - [`mesh`](mod@mesh) — the all-to-all closure of fan-in: every rank produces
 //!   toward every rank and consumes its own fan-in over one symmetric
 //!   window (the shape DSDE and halo exchanges need), with lazy credit
@@ -25,10 +21,9 @@
 //!   outstanding-request budgets, and timeouts surfaced as *transient*
 //!   errors (retryable, consistent with `FabricError` backpressure).
 //!
-//! Tuning is per structure, at construction: [`fanin()`] and [`fanout()`]
-//! take their ring geometry (and the fan-out its [`LaggingPolicy`]) as
-//! arguments, [`mesh()`] and [`rpc()`] an [`RmcConfig`]. There is no
-//! job-wide knob.
+//! Tuning is per structure, at construction: [`fanin()`] takes its ring
+//! geometry as arguments, [`mesh()`] and [`rpc()`] an [`RmcConfig`].
+//! There is no job-wide knob.
 //!
 //! Telemetry: producers emit `rmc_send` spans, consumers `rmc_recv`, RPC
 //! callers `rpc_call`; each shares its causal flow id with the underlying
@@ -40,12 +35,10 @@
 //! structures with the same endpoints concurrently on one rank.
 
 pub mod fanin;
-pub mod fanout;
 pub mod mesh;
 pub mod rpc;
 
 pub use fanin::{fanin, FaninConsumer, FaninEnd, FaninProducer};
-pub use fanout::{fanout, FanoutEnd, Publisher, Subscriber};
 pub use mesh::{mesh, Mesh};
 pub use rpc::{rpc, RpcClient, RpcEnd, RpcRequest, RpcServer};
 
@@ -81,22 +74,11 @@ pub(crate) fn check_spokes(hub: u32, spokes: &[u32], what: &str) {
     assert!(distinct, "every {what} must be listed once");
 }
 
-/// What a publisher does when a subscriber has no free slots left.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaggingPolicy {
-    /// Wait for the lagging subscriber's credit (lossless; the slowest
-    /// subscriber paces the whole fan-out).
-    Block,
-    /// Skip the lagging subscriber and count the drop (lossy; fast
-    /// subscribers never wait for slow ones).
-    Drop,
-}
-
 /// Ring geometry and RPC budgets of one [`mesh()`] or [`rpc()`], passed
 /// to its constructor. Every field has a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RmcConfig {
-    /// Ring slots per producer region / per subscriber ring.
+    /// Ring slots per producer region.
     pub slots: usize,
     /// Payload capacity of one slot, bytes.
     pub slot_bytes: usize,

@@ -1,16 +1,16 @@
-//! End-to-end acceptance: fan-in, fan-out, mesh and RPC at 64 ranks,
+//! End-to-end acceptance: fan-in, mesh and RPC at 64 ranks,
 //! race checker panicking, all six fault classes armed.
 //!
 //! This is the scale point the subsystem is sized for — 63 producers
-//! appending to one consumer's notification ring, one publisher pacing 63
-//! subscriber rings, and a served RPC rank taking calls from a whole
-//! cabinet — with the fault layer injecting jitter, spikes, delayed
-//! completions, backpressure (including rejected issues), rank pauses
-//! and transient registration failures, and `FOMPI_RACECHECK=panic`
+//! appending to one consumer's notification ring, every rank exchanging
+//! with its ring neighbours over a mesh, and a served RPC rank taking
+//! calls from a whole cabinet — with the fault layer injecting jitter,
+//! spikes, delayed completions, backpressure (including rejected issues),
+//! rank pauses and transient registration failures, and `FOMPI_RACECHECK=panic`
 //! semantics turning any shadow-memory flag into an abort.
 
 use fompi_fabric::{FaultPlan, RacecheckMode};
-use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::Universe;
 
 const P: usize = 64;
@@ -62,29 +62,7 @@ fn sixty_four_ranks_end_to_end_racecheck_clean_under_all_fault_classes() {
                 None => unreachable!(),
             }
 
-            // Phase 2: fan-out — rank 0 multicasts to all 63 subscribers.
-            match fanout(ctx, 0, &producers, 2, BYTES, LaggingPolicy::Block).unwrap() {
-                Some(FanoutEnd::Publisher(mut tx)) => {
-                    for seq in 0..MSGS {
-                        assert_eq!(tx.publish(&payload(0, seq)).unwrap(), P - 1);
-                    }
-                    assert_eq!(tx.dropped_total(), 0);
-                    ctx.barrier();
-                    tx.close(ctx).unwrap();
-                }
-                Some(FanoutEnd::Subscriber(mut rx)) => {
-                    let mut buf = [0u8; BYTES];
-                    for seq in 0..MSGS {
-                        assert_eq!(rx.recv(&mut buf).unwrap(), BYTES);
-                        assert_eq!(buf, payload(0, seq), "multicast reorder at {me}");
-                    }
-                    ctx.barrier();
-                    rx.close(ctx).unwrap();
-                }
-                None => unreachable!(),
-            }
-
-            // Phase 3: mesh — every rank exchanges with its two ring
+            // Phase 2: mesh — every rank exchanges with its two ring
             // neighbours, then drains dry and lazily returns credits.
             let cfg = RmcConfig { slots: 4, slot_bytes: BYTES, ..RmcConfig::default() };
             let mut m = mesh(ctx, &cfg).unwrap();
@@ -109,7 +87,7 @@ fn sixty_four_ranks_end_to_end_racecheck_clean_under_all_fault_classes() {
             ctx.barrier();
             m.close(ctx).unwrap();
 
-            // Phase 4: RPC — rank 0 serves calls from every other rank.
+            // Phase 3: RPC — rank 0 serves calls from every other rank.
             let cfg = RmcConfig { slots: 2, slot_bytes: BYTES, ..RmcConfig::default() };
             match rpc(ctx, 0, &producers, &cfg).unwrap() {
                 Some(RpcEnd::Server(mut srv)) => {

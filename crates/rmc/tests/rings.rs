@@ -1,4 +1,4 @@
-//! One behaviour, every ring constructor. `msg::channel` and the four
+//! One behaviour, every ring constructor. `msg::channel` and the three
 //! `fompi-rmc` shapes are façades over the same lanes (`fompi::lane`), so
 //! the misuse contract and the fabric-op bill are checked once per
 //! behaviour with the constructor as an input, not once per file.
@@ -6,10 +6,9 @@
 use fompi::{lane, FompiError};
 use fompi_msg::channel::{channel, ChannelEnd, CREDIT_TAG};
 use fompi_rmc::fanin::FANIN_CREDIT_TAG;
-use fompi_rmc::fanout::FANOUT_CREDIT_TAG;
 use fompi_rmc::mesh::MESH_CREDIT_TAG;
 use fompi_rmc::rpc::REQ_CREDIT_TAG;
-use fompi_rmc::{fanin, fanout, mesh, rpc, FaninEnd, FanoutEnd, LaggingPolicy, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::{RankCtx, Universe};
 
 /// Rank 0 produces (publishes, calls), rank 1 consumes (subscribes, serves).
@@ -23,12 +22,9 @@ fn cfg(slots: usize, slot_bytes: usize) -> RmcConfig {
 #[test]
 fn zero_capacity_is_rejected_with_a_typed_error() {
     type Build = fn(&RankCtx, usize, usize) -> Option<FompiError>;
-    let shapes: [(&str, Build); 5] = [
+    let shapes: [(&str, Build); 4] = [
         ("channel", |ctx, s, b| channel(ctx, PRODUCER, CONSUMER, s, b).err()),
         ("fanin", |ctx, s, b| fanin(ctx, CONSUMER, &[PRODUCER], s, b).err()),
-        ("fanout", |ctx, s, b| {
-            fanout(ctx, PRODUCER, &[CONSUMER], s, b, LaggingPolicy::Block).err()
-        }),
         ("mesh", |ctx, s, b| mesh(ctx, &cfg(s, b)).err()),
         ("rpc", |ctx, s, b| rpc(ctx, CONSUMER, &[PRODUCER], &cfg(s, b)).err()),
     ];
@@ -54,7 +50,7 @@ fn zero_capacity_is_rejected_with_a_typed_error() {
 /// credits and returns what that absorbing call said.
 type StrayCredit = fn(&RankCtx, &dyn Fn()) -> fompi::Result<()>;
 
-const STRAY_CREDIT: [(&str, u32, StrayCredit); 5] = [
+const STRAY_CREDIT: [(&str, u32, StrayCredit); 4] = [
     ("channel", CREDIT_TAG, |ctx, forge| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
         ChannelEnd::Sender(mut tx) => {
             tx.send(b"one-----")?;
@@ -82,23 +78,6 @@ const STRAY_CREDIT: [(&str, u32, StrayCredit); 5] = [
                 forge();
                 ctx.barrier();
                 rx.close(ctx)
-            }
-        }
-    }),
-    ("fanout", FANOUT_CREDIT_TAG, |ctx, forge| {
-        match fanout(ctx, PRODUCER, &[CONSUMER], 1, 8, LaggingPolicy::Block)?.unwrap() {
-            FanoutEnd::Publisher(mut px) => {
-                px.publish(b"one-----")?;
-                ctx.barrier();
-                // Out of credits: the next publish absorbs what arrived.
-                let absorbed = px.publish(b"two-----").map(drop);
-                px.close(ctx).and(absorbed)
-            }
-            FanoutEnd::Subscriber(mut sx) => {
-                sx.recv(&mut [0u8; 8])?;
-                forge();
-                ctx.barrier();
-                sx.close(ctx)
             }
         }
     }),
@@ -252,7 +231,7 @@ type Missized = fn(&RankCtx) -> fompi::Result<Vec<FompiError>>;
 const LONG: &[u8; 8] = b"long----";
 const FITS: &[u8; 8] = b"fits----";
 
-const MISSIZED: [(&str, Missized); 5] = [
+const MISSIZED: [(&str, Missized); 4] = [
     ("channel", |ctx| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
         ChannelEnd::Sender(mut tx) => {
             let over = tx.send(&[0; 9]).unwrap_err();
@@ -279,22 +258,6 @@ const MISSIZED: [(&str, Missized); 5] = [
             let short = rx.recv(&mut buf[..4]).unwrap_err();
             assert_eq!((rx.recv(&mut buf)?, &buf), ((PRODUCER, 8), FITS));
             rx.close(ctx).map(|()| vec![short])
-        }
-    }),
-    ("fanout", |ctx| {
-        match fanout(ctx, PRODUCER, &[CONSUMER], 1, 8, LaggingPolicy::Block)?.unwrap() {
-            FanoutEnd::Publisher(mut px) => {
-                let over = px.publish(&[0; 9]).unwrap_err();
-                px.publish(LONG)?;
-                px.publish(FITS)?;
-                px.close(ctx).map(|()| vec![over])
-            }
-            FanoutEnd::Subscriber(mut sx) => {
-                let mut buf = [0u8; 8];
-                let short = sx.recv(&mut buf[..4]).unwrap_err();
-                assert_eq!((sx.recv(&mut buf)?, &buf), (8, FITS));
-                sx.close(ctx).map(|()| vec![short])
-            }
         }
     }),
     ("mesh", |ctx| {

@@ -161,6 +161,22 @@ mod tests {
     }
 
     #[test]
+    fn a_light_plan_perturbs_fence_and_pscw_and_never_speeds_them_up() {
+        // The live light plan, mirrored: jitter only ever adds time, and at
+        // 16k ranks the fence's O(p log p) perturbed ops make it show.
+        let (m, plan) = (CostModel::default(), fompi_fabric::FaultPlan::light(42));
+        for p in [64usize, 1024, 16_384] {
+            let t0 = vec![0.0; p];
+            let clean = max_of(&dissemination_barrier(&t0, &m, &mut Noise::off()));
+            let noisy = max_of(&dissemination_barrier(&t0, &m, &mut Noise::from_plan(&plan, 3)));
+            assert!(noisy >= clean && (p < 16_384 || noisy > clean), "fence at p={p}");
+            let clean = max_of(&pscw_ring(p, &m, &mut Noise::off()));
+            let noisy = max_of(&pscw_ring(p, &m, &mut Noise::from_plan(&plan, 5)));
+            assert!(noisy >= clean, "pscw at p={p}");
+        }
+    }
+
+    #[test]
     fn lock_constants_ordering() {
         let c = lock_costs(&CostModel::default());
         assert!(c.lock_excl > c.lock_shared);

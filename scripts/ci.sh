@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint (fmt, clippy, doc, knobs, symbols, bench) → test → determinism → mc
+#   scripts/ci.sh             # the full gate: lint (fmt, clippy, doc, knobs, bins, symbols, bench) → test → determinism → mc
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
-#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + rustdoc -D warnings + knob-list agreement + inlined-step symbols and the copy's rep movsb + the benchmark's own lint
+#   scripts/ci.sh lint        # fmt --check + clippy -D warnings + rustdoc -D warnings + knob-list agreement + every bench/mc binary run by a stage + inlined-step symbols and the copy's rep movsb + the benchmark's own lint
 #   scripts/ci.sh test        # workspace unit/integration tests
 #   scripts/ci.sh determinism # regenerate every byte-diffed results/ file and compare (soak, mc_summary, perfgate and the fleet smoke sweep among them)
 #   scripts/ci.sh mc          # model checker: every table row exhaustively + mutation gate + replay
@@ -82,6 +82,26 @@ stage_knobs() {
     fi
 }
 
+stage_bins() {
+    # Every binary of crates/bench and crates/mc runs in some stage: a row
+    # of DETERMINISM below, or soak / mc_summary, which stage_determinism
+    # runs itself. A binary no stage runs has asserts that guard nothing.
+    local ran=" soak mc_summary " row bin unrun=()
+    for row in "${DETERMINISM[@]}"; do
+        ran+="${row%%|*} "
+    done
+    for bin in $({
+        sed -n '/^\[\[bin\]\]/,/^name/s/^name = "\(.*\)"/\1/p' crates/bench/Cargo.toml crates/mc/Cargo.toml
+        for f in crates/bench/src/bin/*.rs crates/mc/src/bin/*.rs; do basename "$f" .rs; done
+    } | sort -u); do
+        [[ $ran == *" $bin "* ]] || unrun+=("$bin")
+    done
+    if ((${#unrun[@]})); then
+        echo "bins: no stage runs ${unrun[*]}: give each a DETERMINISM row or delete it" >&2
+        return 1
+    fi
+}
+
 stage_symbols() {
     # The fabric and core keep one clock, virtual time: no wall-clock timer
     # may come back into an op body unnoticed.
@@ -148,21 +168,16 @@ stage_tests() {
 #                      drift_sched.csv, which is restored, not diffed)
 #   fig6b … fig8       the simnet series and fig6b_real; the other `_real`
 #                      files depend on the schedule and are restored
-#   notify_ablation    micro-handoff and channel rows are schedule-independent
-#   rmc_ablation       sender-side or single fixed pairings only; ANY_SOURCE
-#                      drain times stay out of the file
-#   txn_ablation       interleaved on one driver rank: a function of the seed
 #   kv_smoke.csv       schedule-independent outcomes of the KV store smoke
 #   scope_metrics.*    both exposition forms of the metrics snapshot
 #   scope --ablation   armed vs disarmed virtual clocks bit-identical
 #   perfgate.json      virtual ns of the primitives and the protocols above
+#                      (sender-side or single fixed pairings only: ANY_SOURCE
+#                      drain times are schedule-dependent)
 #   fleet_summary.json the in-process smoke sweep's stable agents
 DETERMINISM=(
     "reproduce|drift|results/drift.csv"
     "reproduce|fig6b fig6c fig7a fig7b fig7c fig8|results/fig6b.csv results/fig6b_real.csv results/fig6c.csv results/fig7a.csv results/fig7b.csv results/fig7c.csv results/fig8.csv"
-    "notify_ablation||results/notify_ablation.csv"
-    "rmc_ablation||results/rmc_ablation.csv"
-    "txn_ablation||results/txn_ablation.csv"
     "kv_serve|--smoke|results/kv_smoke.csv"
     "scope||results/scope_metrics.prom results/scope_metrics.json"
     "scope|--ablation|"
@@ -525,6 +540,7 @@ lint)
     run_stage clippy stage_clippy
     run_stage doc stage_doc
     run_stage knobs stage_knobs
+    run_stage bins stage_bins
     run_stage symbols stage_symbols
     run_stage bench stage_bench
     ;;
@@ -558,6 +574,7 @@ all)
     run_stage clippy stage_clippy
     run_stage doc stage_doc
     run_stage knobs stage_knobs
+    run_stage bins stage_bins
     run_stage symbols stage_symbols
     run_stage bench stage_bench
     run_stage tests stage_tests

@@ -194,7 +194,7 @@ fn pscw_fan_in_beyond_the_pool_is_pool_exhausted() {
     // element before rank 0 starts, so exactly 3 posts exhaust their
     // retries and fail; the other 4 are matched and waited normally, and
     // every element is back on the free list at the end.
-    let cfg = WinConfig { pscw_pool: 4, pool_retry_limit: 20_000, ..WinConfig::default() };
+    let cfg = WinConfig { pscw_pool: 4, pool_retry_limit: 20_000 };
     let got = Universe::new(8).node_size(4).model(CostModel::free()).run(move |ctx| {
         let win = Win::allocate_cfg(ctx, 64, 1, cfg.clone()).unwrap();
         ctx.barrier();

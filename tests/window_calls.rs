@@ -17,8 +17,7 @@
 use fompi::perf::overhead;
 use fompi::sync::lock::ASSERT_NOCHECK;
 use fompi::{
-    DataType, FetchAmo, FompiError, LockType, MpiOp, NumKind, Win, WinConfig, ANY_TAG,
-    ASSERT_NOSUCCEED,
+    DataType, FetchAmo, FompiError, LockType, MpiOp, NumKind, Win, ANY_TAG, ASSERT_NOSUCCEED,
 };
 use fompi_fabric::shadow::{AccessKind, LockCtx, RacecheckMode, ACC_NOOP};
 use fompi_fabric::telemetry::{EventKind, Flavor, NO_FLOW};
@@ -39,8 +38,6 @@ enum Kind {
     Allocate,
     Create,
     Dynamic,
-    /// Allocated, with `WinConfig::hw_amo` off.
-    Software,
 }
 
 /// A window of `kind` with `WIN_BYTES` of memory on rank 1, and the
@@ -49,10 +46,6 @@ fn window(ctx: &RankCtx, kind: Kind) -> (Win, usize) {
     match kind {
         Kind::Allocate => (Win::allocate(ctx, WIN_BYTES, 1).unwrap(), 0),
         Kind::Create => (Win::create(ctx, WIN_BYTES, 1).unwrap(), 0),
-        Kind::Software => {
-            let cfg = WinConfig { hw_amo: false, ..WinConfig::default() };
-            (Win::allocate_cfg(ctx, WIN_BYTES, 1, cfg).unwrap(), 0)
-        }
         Kind::Dynamic => {
             let win = Win::create_dynamic(ctx).unwrap();
             let addr = if ctx.rank() == 1 { win.attach(WIN_BYTES).unwrap() } else { 0 };
@@ -786,11 +779,10 @@ fn window_call_errors_keep_their_precedence() {
 #[test]
 fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
     type Refused = fn(&FompiError) -> bool;
-    type Row = (&'static str, Kind, fn(&Win, usize) -> fompi::Result<()>, bool, usize, Refused);
+    type Row = (&'static str, fn(&Win, usize) -> fompi::Result<()>, bool, usize, Refused);
     let rows: &[Row] = &[
         (
             "no access epoch",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
             false,
             0,
@@ -798,7 +790,6 @@ fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
         ),
         (
             "a misaligned element",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, [0, 4].map(FetchAmo::read).into_iter(), |_, _| {}),
             true,
             0,
@@ -806,7 +797,6 @@ fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
         ),
         (
             "a misaligned span",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
             true,
             4,
@@ -814,7 +804,6 @@ fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
         ),
         (
             "an element outside the span",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, [0, 16].map(FetchAmo::read).into_iter(), |_, _| {}),
             true,
             0,
@@ -826,7 +815,6 @@ fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
         ),
         (
             "a span past the window's end",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
             true,
             WIN_BYTES - AT - 8,
@@ -837,31 +825,14 @@ fn a_fetching_amo_list_refuses_misuse_before_anything_moves() {
         ),
         (
             "an empty list",
-            Kind::Allocate,
             |w, at| w.amo_fetch_list(1, at, 16, std::iter::empty(), |_, _| {}),
             true,
             0,
             |e| *e == FompiError::BadAccumulate("empty fetching AMO list"),
         ),
-        (
-            "a window without hardware AMOs",
-            Kind::Software,
-            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
-            true,
-            0,
-            |e| *e == FompiError::NoHardwareAmo,
-        ),
-        (
-            "no access epoch beats no hardware AMOs",
-            Kind::Software,
-            |w, at| w.amo_fetch_list(1, at, 16, read_cas_read(), |_, _| {}),
-            false,
-            0,
-            |e| *e == FompiError::NoAccessEpoch { target: 1 },
-        ),
     ];
-    for &(name, kind, run, epoch, skew, refused) in rows {
-        let (seen, spans, shadow) = observe(kind, run, skew, epoch, true);
+    for &(name, run, epoch, skew, refused) in rows {
+        let (seen, spans, shadow) = observe(Kind::Allocate, run, skew, epoch, true);
         match &seen.result {
             Err(e) if refused(e) => {}
             other => panic!("{name}: got {other:?}"),

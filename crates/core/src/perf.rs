@@ -141,15 +141,6 @@ impl PaperModel {
         2.0 * self.inject() + self.put(s).max(self.acc_sum(8))
     }
 
-    /// The same producer-visible handoff with the pre-notified idiom the
-    /// paper's applications use (§4.4): put the data, then a *separately
-    /// flushed* flag AMO the consumer polls — the flush serializes the
-    /// data's wire latency before the flag update even starts:
-    /// `2·inject + Pflush + Pput(s) + Pacc,sum(8)`.
-    pub fn put_polled(&self, s: usize) -> f64 {
-        2.0 * self.inject() + self.flush + self.put(s) + self.acc_sum(8)
-    }
-
     /// One producer-consumer channel round over notified access
     /// (`msg::channel`) on a ring of `slots`: a notified put of the
     /// payload, plus its share of the credit flowing back — one bare
@@ -171,14 +162,6 @@ impl PaperModel {
     /// share of a credit record back.
     pub fn rmc_fanin_round(&self, s: usize, slots: usize) -> f64 {
         self.channel_round(s, slots)
-    }
-
-    /// One RPC round trip (`fompi-rmc::rpc`) over rings of `slots`: the
-    /// request rides a fan-in channel round to the server, the reply a
-    /// notified put back. The reply ring returns no credits: the request
-    /// itself proves its reply slot free.
-    pub fn rpc_round(&self, req: usize, rep: usize, slots: usize) -> f64 {
-        self.channel_round(req, slots) + self.put_notified(rep)
     }
 }
 
@@ -254,24 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn notified_put_beats_polled_flag_at_every_size() {
-        let m = PaperModel::default();
-        for s in [8usize, 64, 512, 4096, 1 << 16] {
-            assert!(
-                m.put_notified(s) < m.put_polled(s),
-                "notified access must beat the flush+flag idiom at s={s}"
-            );
-        }
-        // The win approaches flush + min(Pput, Pacc,sum) for small puts
-        // (overlap of the data and the notification) …
-        let gain_small = m.put_polled(8) - m.put_notified(8);
-        assert!((gain_small - (m.flush + m.put(8).min(m.acc_sum(8)))).abs() < 1e-9);
-        // … and stays ≥ flush + Pacc,sum once the put dominates the max.
-        let gain_big = m.put_polled(1 << 20) - m.put_notified(1 << 20);
-        assert!((gain_big - (m.flush + m.acc_sum(8))).abs() < 1e-6);
-    }
-
-    #[test]
     fn channel_round_is_put_plus_its_share_of_a_credit() {
         let m = PaperModel::default();
         let s = 256;
@@ -295,19 +260,6 @@ mod tests {
             for slots in [1, 8] {
                 assert!((m.rmc_fanin_round(s, slots) - m.channel_round(s, slots)).abs() < 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn rpc_round_is_a_request_round_plus_a_credit_free_reply() {
-        let m = PaperModel::default();
-        let (req, rep) = (64, 256);
-        for slots in [1, 4] {
-            // The reply is a bare notified put: no share of a credit.
-            let round = m.channel_round(req, slots) + m.put_notified(rep);
-            assert!((m.rpc_round(req, rep, slots) - round).abs() < 1e-9);
-            // An RPC always costs more than a one-way message of either size.
-            assert!(m.rpc_round(req, rep, slots) > m.channel_round(req.max(rep), slots));
         }
     }
 }

@@ -20,7 +20,6 @@ use crate::win::{EpochState, Win};
 use fompi_fabric::telemetry::EventKind;
 use fompi_fabric::{Endpoint, SegKey};
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 
 // ------------------------------------------------------- the epoch-call frame
 
@@ -51,20 +50,11 @@ impl Win {
     }
 
     /// Close the frame, the call's one exit: count it where its `kind` (a
-    /// constant of the call site) has a sync counter, trace its span.
+    /// constant of the call site) has a sync counter
+    /// ([`Endpoint::count_epoch`]), trace its span.
     #[inline]
     pub(crate) fn leave(&self, frame: Frame, kind: EventKind, target: u32) {
-        let c = self.ep.fabric().counters();
-        let counter = match kind {
-            EventKind::Fence => Some(&c.fences),
-            EventKind::Lock | EventKind::LockAll => Some(&c.locks),
-            EventKind::Unlock | EventKind::UnlockAll => Some(&c.unlocks),
-            EventKind::Flush | EventKind::FlushLocal => Some(&c.flushes),
-            _ => None,
-        };
-        if let Some(counter) = counter {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ep.count_epoch(kind);
         self.ep.trace_sync(kind, target, frame.t_start);
     }
 }

@@ -245,13 +245,9 @@ impl Win {
     /// MPI_Win_create: traditional window over "existing" memory of
     /// caller-chosen size; requires Ω(p) descriptor storage (two
     /// allgathers). Strongly discouraged by the paper; included for
-    /// completeness and the scalability comparison.
+    /// completeness and the scalability comparison. Takes the default
+    /// [`WinConfig`]: only [`Win::allocate_cfg`] accepts another.
     pub fn create(ctx: &RankCtx, size: usize, disp_unit: usize) -> Result<Win> {
-        Self::create_cfg(ctx, size, disp_unit, WinConfig::default())
-    }
-
-    /// [`Win::create`] with explicit tuning knobs.
-    pub fn create_cfg(ctx: &RankCtx, size: usize, disp_unit: usize, cfg: WinConfig) -> Result<Win> {
         let seg = Segment::new(size.max(8));
         let key = ctx.fabric().register(ctx.rank(), seg.clone());
         // First allgather: DMAPP descriptors of every rank (the XPMEM
@@ -276,7 +272,7 @@ impl Win {
         Self::finish(
             ctx,
             WinKind::Create,
-            cfg,
+            WinConfig::default(),
             KeyTable::Table(Arc::new(keys)),
             Some(seg),
             DispUnits::PerRank(Arc::new(disps)),
@@ -285,17 +281,12 @@ impl Win {
     }
 
     /// MPI_Win_create_dynamic: no initial memory; use
-    /// [`Win::attach`]/[`Win::detach`].
+    /// [`Win::attach`]/[`Win::detach`]. Takes the default [`WinConfig`].
     pub fn create_dynamic(ctx: &RankCtx) -> Result<Win> {
-        Self::create_dynamic_cfg(ctx, WinConfig::default())
-    }
-
-    /// [`Win::create_dynamic`] with explicit tuning knobs.
-    pub fn create_dynamic_cfg(ctx: &RankCtx, cfg: WinConfig) -> Result<Win> {
         Self::finish(
             ctx,
             WinKind::Dynamic,
-            cfg,
+            WinConfig::default(),
             KeyTable::None,
             None,
             DispUnits::Uniform(1),
@@ -549,7 +540,7 @@ impl Win {
 
     /// Free the window (collective). Consumes the handle. Notifications
     /// still queued for this rank — stashed or in the ring — are dropped
-    /// and counted ([`fompi_fabric::Counters::notify_dropped`]): like
+    /// and counted ([`fompi_fabric::Endpoint::count_dropped`]): like
     /// `MPI_Win_free` with unmatched foMPI-NA notifications, the records
     /// do not outlive the window they synchronised. Returns the
     /// [`Win::metadata_residue`] read right after the collective's first
@@ -571,10 +562,7 @@ impl Win {
             for _ in 0..stashed {
                 self.ep.trace_sync(fompi_fabric::telemetry::EventKind::NotifyDrop, self.rank(), t0);
             }
-            ctx.fabric()
-                .counters()
-                .notify_dropped
-                .fetch_add(stashed, std::sync::atomic::Ordering::Relaxed);
+            self.ep.count_dropped(stashed);
         }
         self.ep.notify_drop_all();
         if let Ok(key) = self.data_key(self.rank()) {

@@ -1,4 +1,4 @@
-//! Global operation counters.
+//! Operation counters.
 //!
 //! Used by tests and benchmarks to assert the *message complexity* claims of
 //! the paper (e.g. PSCW issues O(k) messages in post/complete and zero in
@@ -6,88 +6,88 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters of fabric activity.
+/// Monotonic counters of fabric activity, summed over the job when a
+/// snapshot is taken.
 ///
-/// One instance is shared by every rank of the job, so each increment is a
-/// read-modify-write on a line the other ranks write too, and the layout
-/// decides how many such lines an operation touches. It is pinned
-/// (`repr(C)`, line-aligned, padded) as one line per class of operation,
-/// so that every fabric op writes exactly one line:
+/// Every rank owns a block of counters for every class of operation but
+/// synchronisation, and an operation writes the block of the endpoint
+/// that issues it: a line no other core writes, so two ranks issuing at
+/// once do not pass a counter line back and forth. Synchronisation keeps
+/// one line that the whole job shares:
 ///
-/// | line | counts | written by |
+/// | block | counts | written by |
 /// |---|---|---|
-/// | 0 put | `puts`, `bytes_put`, `notify_posts` | puts, `write_sync`, notified appends |
-/// | 1 get | `gets`, `bytes_get` | gets, a remote `read_sync` |
-/// | 2 sync | `amos`, `gsyncs`, `flushes`, `fences`, `locks`, `unlocks` | AMOs, completion, epoch calls |
-/// | 3 rare | `notify_consumed`, `notify_overflows`, `notify_dropped`, `batched_ops`, `batch_flushes`, `batch_splits` | consumers, backpressure, bursts |
+/// | rank r's (one per rank, 128-byte aligned) | `puts`, `bytes_put`, `notify_posts`, `gets`, `bytes_get`, `notify_consumed`, `notify_overflows`, `notify_dropped`, `batched_ops`, `batch_flushes`, `batch_splits` | rank r's puts, gets, notified appends, consumers, backpressure and bursts |
+/// | sync (one, shared, 128-byte aligned) | `amos`, `gsyncs`, `flushes`, `fences`, `locks`, `unlocks` | every rank's AMOs, completion and epoch calls |
 ///
-/// An AMO's volume is not stored: every AMO moves 8 bytes, so
+/// The sync line is shared on purpose: folding it too makes the AMO-bound
+/// `kv_txn` benchmark fast enough that its harness keeps many more
+/// latency samples, and its peak RSS crosses the benchmark's 10 % bound
+/// (DESIGN.md, "What is left on shared lines"). It is its own aligned
+/// struct, so the blocks' pointer, which every operation reads, never
+/// sits on a line that operations write.
+///
+/// A snapshot is O(p) relaxed loads; no operation takes one. An AMO's
+/// volume is not stored: every AMO moves 8 bytes, so
 /// [`CounterSnapshot::bytes_amo`] is `8 × amos` when the snapshot is
-/// taken. Nothing that an operation only *reads* (topology, cost model,
-/// registry generation) can land on a counter line. Left to the compiler,
-/// `puts` shared its line with read-mostly fields of [`crate::Fabric`]:
-/// an operation then took two or three line transfers depending on how
-/// the ranks interleaved, and the rate of a contended put spread half
-/// again as widely from one second to the next (EXPERIMENTS.md,
-/// "Translate once, not per op").
-#[derive(Debug, Default)]
-#[repr(C, align(64))]
+/// taken. Every write is in `crate::endpoint`.
+#[derive(Debug)]
 pub struct Counters {
-    // ---- line 0: puts
-    /// Number of put operations issued.
-    pub puts: AtomicU64,
-    /// Total bytes moved by puts.
-    pub bytes_put: AtomicU64,
-    /// Notification records appended by notified puts/AMOs
-    /// (see [`crate::notify`]).
-    pub notify_posts: AtomicU64,
-    _put_pad: [u64; 5],
-    // ---- line 1: gets
-    /// Number of get operations issued.
-    pub gets: AtomicU64,
-    /// Total bytes moved by gets.
-    pub bytes_get: AtomicU64,
-    _get_pad: [u64; 6],
-    // ---- line 2: AMOs and synchronisation
-    /// Number of AMOs issued.
-    pub amos: AtomicU64,
-    /// Number of gsync (bulk completion) calls.
-    pub gsyncs: AtomicU64,
-    /// Number of per-target flushes (`flush_target` at the fabric layer —
-    /// the substrate of `MPI_Win_flush`).
-    pub flushes: AtomicU64,
-    /// Number of `MPI_Win_fence` epochs entered (counted by the sync layer).
-    pub fences: AtomicU64,
-    /// Number of lock acquisitions (`MPI_Win_lock` / `lock_all`).
-    pub locks: AtomicU64,
-    /// Number of lock releases (`MPI_Win_unlock` / `unlock_all`).
-    pub unlocks: AtomicU64,
-    _sync_pad: [u64; 2],
-    // ---- line 3: consumers and the rare paths
-    /// Notification records popped by a consumer.
-    pub notify_consumed: AtomicU64,
-    /// Notified appends that found the target ring full at least once
-    /// (modelled as injection backpressure).
-    pub notify_overflows: AtomicU64,
-    /// Un-consumed notification records discarded (window free).
-    pub notify_dropped: AtomicU64,
-    /// Operations issued through the batching layer (members of bursts,
-    /// including each burst's first op — see [`crate::batch`]).
-    pub batched_ops: AtomicU64,
-    /// Injection bursts retired (by drain or coalescing stop).
-    pub batch_flushes: AtomicU64,
-    /// Bursts retired specifically because coalescing stopped (next op
-    /// non-adjacent / different kind / would cross the protocol change).
-    pub batch_splits: AtomicU64,
+    pub(crate) sync: SyncLine,
+    ranks: Box<[RankCounters]>,
 }
 
-/// The line of [`Counters`] an operation on a segment writes, which
-/// [`Counters::touch`] asks for ahead of the increment.
-#[derive(Clone, Copy)]
-pub(crate) enum Line {
-    Put,
-    Get,
-    Sync,
+/// The counters of every class but synchronisation, for one rank: written
+/// only by that rank's endpoints, and alone on its lines.
+#[derive(Debug, Default)]
+#[repr(C, align(128))]
+pub(crate) struct RankCounters {
+    /// Put operations issued.
+    pub(crate) puts: AtomicU64,
+    /// Bytes moved by puts.
+    pub(crate) bytes_put: AtomicU64,
+    /// Notification records appended by notified puts/AMOs
+    /// (see [`crate::notify`]).
+    pub(crate) notify_posts: AtomicU64,
+    /// Get operations issued.
+    pub(crate) gets: AtomicU64,
+    /// Bytes moved by gets.
+    pub(crate) bytes_get: AtomicU64,
+    /// Notification records popped by a consumer.
+    pub(crate) notify_consumed: AtomicU64,
+    /// Notified appends that found the target ring full at least once
+    /// (modelled as injection backpressure).
+    pub(crate) notify_overflows: AtomicU64,
+    /// Un-consumed notification records discarded (window free).
+    pub(crate) notify_dropped: AtomicU64,
+    /// Operations issued through the batching layer (members of bursts,
+    /// including each burst's first op — see [`crate::batch`]).
+    pub(crate) batched_ops: AtomicU64,
+    /// Injection bursts retired (by drain or coalescing stop).
+    pub(crate) batch_flushes: AtomicU64,
+    /// Bursts retired specifically because coalescing stopped (next op
+    /// non-adjacent / different kind / would cross the protocol change).
+    pub(crate) batch_splits: AtomicU64,
+}
+
+/// The synchronisation counters, shared by the job on one line of their
+/// own.
+#[derive(Debug, Default)]
+#[repr(C, align(128))]
+pub(crate) struct SyncLine {
+    /// AMOs issued.
+    pub(crate) amos: AtomicU64,
+    /// gsync (bulk completion) calls.
+    pub(crate) gsyncs: AtomicU64,
+    /// Per-target flushes (`flush_target` at the fabric layer — the
+    /// substrate of `MPI_Win_flush`).
+    pub(crate) flushes: AtomicU64,
+    /// `MPI_Win_fence` epochs entered (counted by the sync layer).
+    pub(crate) fences: AtomicU64,
+    /// Lock acquisitions (`MPI_Win_lock` / `lock_all`).
+    pub(crate) locks: AtomicU64,
+    /// Lock releases (`MPI_Win_unlock` / `unlock_all`).
+    pub(crate) unlocks: AtomicU64,
 }
 
 /// A point-in-time copy of [`Counters`].
@@ -133,45 +133,67 @@ pub struct CounterSnapshot {
 }
 
 impl Counters {
-    /// Ask for `line` ahead of the increment. An operation calls this
-    /// first and counts itself last; the line's transfer from the rank
-    /// that counted last then overlaps the translation and cost
+    /// Zeroed counters for a job of `p` ranks.
+    pub(crate) fn new(p: usize) -> Self {
+        Self { sync: SyncLine::default(), ranks: (0..p).map(|_| RankCounters::default()).collect() }
+    }
+
+    /// Rank `r`'s block.
+    #[inline(always)]
+    pub(crate) fn rank(&self, r: u32) -> &RankCounters {
+        &self.ranks[r as usize]
+    }
+
+    /// Ask for the shared sync line ahead of an AMO's increment. An AMO
+    /// calls this first and counts itself last; the line's transfer from
+    /// the rank that counted last then overlaps the translation and cost
     /// arithmetic in between instead of stalling the increment for its
     /// whole length.
     #[inline(always)]
-    pub(crate) fn touch(&self, line: Line) {
-        let first = match line {
-            Line::Put => &self.puts,
-            Line::Get => &self.gets,
-            Line::Sync => &self.amos,
-        };
+    pub(crate) fn touch(&self) {
         // `black_box`: the compiler may delete a relaxed load nobody reads.
-        std::hint::black_box(first.load(Ordering::Relaxed));
+        std::hint::black_box(self.sync.amos.load(Ordering::Relaxed));
     }
 
-    /// Take a snapshot.
+    /// Take a snapshot: the sync line plus the sum of every rank's block.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let amos = self.amos.load(Ordering::Relaxed);
-        CounterSnapshot {
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
+        let s = &self.sync;
+        let amos = load(&s.amos);
+        let mut snap = CounterSnapshot {
             amos,
-            bytes_put: self.bytes_put.load(Ordering::Relaxed),
-            bytes_get: self.bytes_get.load(Ordering::Relaxed),
             bytes_amo: 8 * amos,
-            gsyncs: self.gsyncs.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            locks: self.locks.load(Ordering::Relaxed),
-            unlocks: self.unlocks.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            batch_flushes: self.batch_flushes.load(Ordering::Relaxed),
-            batch_splits: self.batch_splits.load(Ordering::Relaxed),
-            notify_posts: self.notify_posts.load(Ordering::Relaxed),
-            notify_consumed: self.notify_consumed.load(Ordering::Relaxed),
-            notify_overflows: self.notify_overflows.load(Ordering::Relaxed),
-            notify_dropped: self.notify_dropped.load(Ordering::Relaxed),
+            gsyncs: load(&s.gsyncs),
+            flushes: load(&s.flushes),
+            fences: load(&s.fences),
+            locks: load(&s.locks),
+            unlocks: load(&s.unlocks),
+            ..CounterSnapshot::default()
+        };
+        for r in self.ranks.iter() {
+            r.add_to(&mut snap);
         }
+        snap
+    }
+}
+
+fn load(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
+}
+
+impl RankCounters {
+    /// Add this block's counts to `snap`.
+    pub(crate) fn add_to(&self, snap: &mut CounterSnapshot) {
+        snap.puts += load(&self.puts);
+        snap.bytes_put += load(&self.bytes_put);
+        snap.notify_posts += load(&self.notify_posts);
+        snap.gets += load(&self.gets);
+        snap.bytes_get += load(&self.bytes_get);
+        snap.notify_consumed += load(&self.notify_consumed);
+        snap.notify_overflows += load(&self.notify_overflows);
+        snap.notify_dropped += load(&self.notify_dropped);
+        snap.batched_ops += load(&self.batched_ops);
+        snap.batch_flushes += load(&self.batch_flushes);
+        snap.batch_splits += load(&self.batch_splits);
     }
 }
 
@@ -216,59 +238,56 @@ impl CounterSnapshot {
 mod tests {
     use super::*;
 
-    /// The layout the type's comment promises: each class of operation
-    /// has its counters on one line of its own.
+    fn bump(c: &AtomicU64, n: u64) {
+        c.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The layout the type's comment promises: a rank's block fills its
+    /// own 128-byte lines, the six sync counters sit together on one
+    /// line that nothing else shares, and the blocks' pointer is not on
+    /// that line.
     #[test]
-    fn each_op_class_writes_one_line() {
-        use std::mem::{align_of, offset_of};
-        assert_eq!(align_of::<Counters>(), 64);
-        let classes = [
-            (
-                "put",
-                vec![
-                    offset_of!(Counters, puts),
-                    offset_of!(Counters, bytes_put),
-                    offset_of!(Counters, notify_posts),
-                ],
-            ),
-            ("get", vec![offset_of!(Counters, gets), offset_of!(Counters, bytes_get)]),
-            (
-                "sync",
-                vec![
-                    offset_of!(Counters, amos),
-                    offset_of!(Counters, gsyncs),
-                    offset_of!(Counters, flushes),
-                    offset_of!(Counters, fences),
-                    offset_of!(Counters, locks),
-                    offset_of!(Counters, unlocks),
-                ],
-            ),
-            (
-                "rare",
-                vec![
-                    offset_of!(Counters, notify_consumed),
-                    offset_of!(Counters, notify_overflows),
-                    offset_of!(Counters, notify_dropped),
-                    offset_of!(Counters, batched_ops),
-                    offset_of!(Counters, batch_flushes),
-                    offset_of!(Counters, batch_splits),
-                ],
-            ),
+    fn rank_blocks_and_the_sync_line_are_alone_on_their_lines() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!((align_of::<RankCounters>(), size_of::<RankCounters>()), (128, 128));
+        assert_eq!((align_of::<SyncLine>(), size_of::<SyncLine>()), (128, 128));
+        let sync = [
+            offset_of!(SyncLine, amos),
+            offset_of!(SyncLine, gsyncs),
+            offset_of!(SyncLine, flushes),
+            offset_of!(SyncLine, fences),
+            offset_of!(SyncLine, locks),
+            offset_of!(SyncLine, unlocks),
         ];
-        for (line, (class, fields)) in classes.iter().enumerate() {
-            for &off in fields {
-                assert_eq!(off / 64, line, "a {class} counter left line {line}");
-            }
+        assert!(sync.iter().all(|off| off / 64 == 0), "a sync counter left line 0");
+        let line = |off: usize| off / 128;
+        assert_ne!(line(offset_of!(Counters, ranks)), line(offset_of!(Counters, sync)));
+        let c = Counters::new(3);
+        for r in 0..3 {
+            assert_eq!(std::ptr::from_ref(c.rank(r)) as usize % 128, 0, "rank {r}'s block");
         }
     }
 
     #[test]
+    fn a_snapshot_sums_every_rank_and_the_sync_line() {
+        let c = Counters::new(3);
+        bump(&c.rank(0).puts, 3);
+        bump(&c.rank(2).puts, 4);
+        bump(&c.rank(1).bytes_get, 16);
+        bump(&c.rank(2).batch_splits, 1);
+        bump(&c.sync.amos, 2);
+        let s = c.snapshot();
+        assert_eq!((s.puts, s.bytes_get, s.batch_splits, s.amos), (7, 16, 1, 2));
+        assert_eq!(s.total_ops(), 9);
+    }
+
+    #[test]
     fn snapshot_and_diff() {
-        let c = Counters::default();
-        c.puts.fetch_add(3, Ordering::Relaxed);
-        c.bytes_put.fetch_add(24, Ordering::Relaxed);
+        let c = Counters::new(2);
+        bump(&c.rank(0).puts, 3);
+        bump(&c.rank(0).bytes_put, 24);
         let a = c.snapshot();
-        c.gets.fetch_add(2, Ordering::Relaxed);
+        bump(&c.rank(1).gets, 2);
         let b = c.snapshot();
         let d = b.since(&a);
         assert_eq!(d.puts, 0);
@@ -278,10 +297,10 @@ mod tests {
 
     #[test]
     fn since_saturates_instead_of_underflowing() {
-        let c = Counters::default();
-        c.amos.fetch_add(5, Ordering::Relaxed);
+        let c = Counters::new(1);
+        bump(&c.sync.amos, 5);
         let later = c.snapshot();
-        c.amos.fetch_add(1, Ordering::Relaxed);
+        bump(&c.sync.amos, 1);
         let even_later = c.snapshot();
         // Reversed order: "later - even_later" would underflow with plain
         // subtraction; saturating gives 0.
@@ -291,17 +310,17 @@ mod tests {
 
     #[test]
     fn sync_layer_counters_roundtrip() {
-        let c = Counters::default();
-        c.fences.fetch_add(2, Ordering::Relaxed);
-        c.locks.fetch_add(4, Ordering::Relaxed);
-        c.unlocks.fetch_add(4, Ordering::Relaxed);
-        c.flushes.fetch_add(1, Ordering::Relaxed);
+        let c = Counters::new(1);
+        bump(&c.sync.fences, 2);
+        bump(&c.sync.locks, 4);
+        bump(&c.sync.unlocks, 4);
+        bump(&c.sync.flushes, 1);
         // A lock is one or two AMOs; their volume is derived, not stored.
-        c.amos.fetch_add(2, Ordering::Relaxed);
+        bump(&c.sync.amos, 2);
         let s = c.snapshot();
         assert_eq!((s.fences, s.locks, s.unlocks, s.flushes), (2, 4, 4, 1));
         assert_eq!((s.bytes_amo, s.total_bytes()), (16, 16));
-        c.amos.fetch_add(1, Ordering::Relaxed);
+        bump(&c.sync.amos, 1);
         assert_eq!(c.snapshot().since(&s).bytes_amo, 8);
     }
 }

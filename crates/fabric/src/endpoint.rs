@@ -41,7 +41,7 @@ use crate::batch::{Burst, BurstKind};
 use crate::clock::{bits_to_stamp, stamp_to_bits, Clock};
 use crate::config::Hooks;
 use crate::cost::{CostModel, Transport};
-use crate::counters::{Counters, Line};
+use crate::counters::RankCounters;
 use crate::error::FabricError;
 use crate::mc::{McObj, McOp};
 use crate::notify::NotifyRecord;
@@ -96,34 +96,6 @@ impl Op {
         }
     }
 
-    /// The line of [`Counters`] this class writes.
-    #[inline(always)]
-    fn line(self) -> Line {
-        match self {
-            Op::Put | Op::Notify => Line::Put,
-            Op::Get => Line::Get,
-            Op::Amo(..) => Line::Sync,
-        }
-    }
-
-    /// Count one operation and, where the class keeps a volume, its
-    /// payload (`None` from a stamped put or read: they count none). An
-    /// AMO's volume is derived (8 bytes each, [`Counters::snapshot`]), so
-    /// it writes the shared counters once, not twice.
-    #[inline]
-    fn count(self, c: &Counters, payload: Option<u64>) {
-        let (ops, volume) = match self {
-            Op::Put => (&c.puts, Some(&c.bytes_put)),
-            Op::Get => (&c.gets, Some(&c.bytes_get)),
-            Op::Amo(..) => (&c.amos, None),
-            Op::Notify => (&c.notify_posts, None),
-        };
-        ops.fetch_add(1, Ordering::Relaxed);
-        if let (Some(volume), Some(bytes)) = (volume, payload) {
-            volume.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
     /// Model-checker vocabulary: the access kind plus whether the op must
     /// be treated as order-observing. For an AMO that is the reduction tag
     /// and the fetch bit: same-op `Add`/`And`/`Or`/`Xor` commute; `Swap`
@@ -168,7 +140,8 @@ struct Priced {
 /// — so the state an op keeps here (clock, completion horizons, open
 /// bursts, translations) is plain `Cell`s and `RefCell`s that no other core
 /// can observe. Only what another rank really reads is atomic: segment
-/// words, stamps, notification rings and the fabric's [`Counters`].
+/// words, stamps, notification rings and the fabric's
+/// [`Counters`](crate::Counters).
 ///
 /// Implicit-nonblocking completion horizons are tracked by a
 /// `StripedHorizon`: rank-private striped maxima that
@@ -349,6 +322,30 @@ impl Endpoint {
         self.trace_span(kind, target, t_start, self.clock.now());
     }
 
+    /// Count an epoch call of `kind` on the job's sync line, where the
+    /// kind has a counter (fence, lock, unlock, flush; a constant of the
+    /// caller's call site). The sync layer's calls count themselves here
+    /// when they leave.
+    #[inline]
+    pub fn count_epoch(&self, kind: EventKind) {
+        let c = &self.fabric.counters().sync;
+        let counter = match kind {
+            EventKind::Fence => &c.fences,
+            EventKind::Lock | EventKind::LockAll => &c.locks,
+            EventKind::Unlock | EventKind::UnlockAll => &c.unlocks,
+            EventKind::Flush | EventKind::FlushLocal => &c.flushes,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count `n` notification records this rank discarded unconsumed —
+    /// from its ring ([`Endpoint::notify_drop_all`]) or from a window's
+    /// own stash of records it popped but never matched.
+    pub fn count_dropped(&self, n: u64) {
+        self.block().notify_dropped.fetch_add(n, Ordering::Relaxed);
+    }
+
     // ------------------------------------------------------- causal flows
 
     /// Open a causal flow scope: operations issued until the matching
@@ -463,8 +460,14 @@ impl Endpoint {
 
     // ------------------------------------------------- the steps of an op
 
-    /// Every op body on a segment starts here: ask for the counter line
-    /// it will write, then [`Endpoint::span`].
+    /// Every op body on a segment starts here. An AMO first asks for the
+    /// shared sync counter line it will write; then `key` is translated and
+    /// the span `[off, off + len)` checked — in bounds, and word-aligned for
+    /// an AMO, which is refused here as an error before anything is
+    /// priced, counted, announced or written ([`Segment::word`]'s assert
+    /// stays as the internal invariant). The segment is borrowed from this
+    /// endpoint's translation cache, so the borrow must end before the next
+    /// operation (every caller drops it on return).
     #[inline(always)] // a call here costs every op its `Result<Ref>` through memory
     fn locate(
         &self,
@@ -473,28 +476,11 @@ impl Endpoint {
         len: usize,
         op: Op,
     ) -> Result<Ref<'_, Segment>, FabricError> {
-        // First thing an op does, so the counter line's transfer overlaps
-        // all the rest ([`Counters::touch`]: `put_duplex`'s steadiness, PR 16).
-        self.fabric.counters().touch(op.line());
-        self.span(key, off, len, op)
-    }
-
-    /// Translate `key` and check the span `[off, off + len)` — in bounds,
-    /// and word-aligned for an AMO, which is refused here as an error
-    /// before anything is priced, counted, announced or written
-    /// ([`Segment::word`]'s assert stays as the internal invariant). The
-    /// segment is borrowed from this endpoint's translation cache, so the
-    /// borrow must end before the next operation (every caller drops it on
-    /// return).
-    #[inline(always)]
-    fn span(
-        &self,
-        key: SegKey,
-        off: usize,
-        len: usize,
-        op: Op,
-    ) -> Result<Ref<'_, Segment>, FabricError> {
         if matches!(op, Op::Amo(..)) {
+            // First thing an AMO does, so the sync line's transfer overlaps
+            // all the rest (`Counters::touch`). Every other class counts on
+            // this rank's own block, which no other core writes.
+            self.fabric.counters().touch();
             Self::word_aligned(key, off)?;
         }
         let seg = self.translations.lookup(&self.fabric, key)?;
@@ -569,11 +555,37 @@ impl Endpoint {
         Priced { t_start, t_complete: floor.map_or(own, |f| own.max(f)), wire: lat + extra }
     }
 
+    /// This endpoint's counter block: what its puts, gets, notifications
+    /// and bursts write.
+    #[inline(always)]
+    fn block(&self) -> &RankCounters {
+        self.fabric.counters().rank(self.rank)
+    }
+
+    /// Count one operation and, where the class keeps a volume, its
+    /// payload (`None` from a stamped put or read: they count none). An
+    /// AMO counts on the job's shared sync line and its volume is derived
+    /// (8 bytes each, [`Counters::snapshot`](crate::Counters::snapshot));
+    /// every other class counts on this endpoint's own block.
+    #[inline]
+    fn count(&self, op: Op, payload: Option<u64>) {
+        let (ops, volume) = match op {
+            Op::Amo(..) => (&self.fabric.counters().sync.amos, None),
+            Op::Put => (&self.block().puts, Some(&self.block().bytes_put)),
+            Op::Get => (&self.block().gets, Some(&self.block().bytes_get)),
+            Op::Notify => (&self.block().notify_posts, None),
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
+        if let (Some(volume), Some(bytes)) = (volume, payload) {
+            volume.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
     /// Close an observable op: count it and trace its span in the flow in
     /// scope.
     #[inline]
     fn finish(&self, op: Op, flavor: Flavor, target: u32, bytes: u64, (t0, t1): (f64, f64)) {
-        op.count(self.fabric.counters(), Some(bytes));
+        self.count(op, Some(bytes));
         self.trace(op.kind(), flavor, target, target, bytes, self.cur_flow.get(), t0, t1);
     }
 
@@ -675,7 +687,7 @@ impl Endpoint {
         };
         let t_complete = self.clock.now() + wire + b.extra_ns;
         self.pending.note(target, t_complete);
-        let c = self.fabric.counters();
+        let c = self.block();
         c.batch_flushes.fetch_add(1, Ordering::Relaxed);
         if how == EventKind::BatchSplit {
             c.batch_splits.fetch_add(1, Ordering::Relaxed);
@@ -737,9 +749,8 @@ impl Endpoint {
     pub fn put_implicit(&self, key: SegKey, off: usize, src: &[u8]) -> Result<(), FabricError> {
         if self.batch.get() && src.len() < self.fabric.model().dmapp_proto_change_bytes {
             self.begin(key, off, src.len(), Op::Put, "put")?.write(off, src);
-            let c = self.fabric.counters();
-            Op::Put.count(c, Some(src.len() as u64));
-            c.batched_ops.fetch_add(1, Ordering::Relaxed);
+            self.count(Op::Put, Some(src.len() as u64));
+            self.block().batched_ops.fetch_add(1, Ordering::Relaxed);
             self.batched(Op::Put, BurstKind::Put, key, off, src.len());
             return Ok(());
         }
@@ -858,7 +869,7 @@ impl Endpoint {
         // `advance(wire)`, not `join(done)`: see `amo`.
         self.clock.advance(wire);
         self.clock.join(earlier);
-        self.fabric.counters().amos.fetch_add(n, Ordering::Relaxed);
+        self.fabric.counters().sync.amos.fetch_add(n, Ordering::Relaxed);
         Ok(())
     }
 
@@ -914,10 +925,9 @@ impl Endpoint {
             }
         }
         self.pending.note(key.rank, horizon);
-        let c = self.fabric.counters();
-        c.amos.fetch_add(n as u64, Ordering::Relaxed);
+        self.fabric.counters().sync.amos.fetch_add(n as u64, Ordering::Relaxed);
         if batch {
-            c.batched_ops.fetch_add(n as u64, Ordering::Relaxed);
+            self.block().batched_ops.fetch_add(n as u64, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -949,7 +959,7 @@ impl Endpoint {
         let p = self.price(class, key.rank, 8, None, None);
         let old = Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, compare));
         self.clock.join(p.t_complete);
-        class.count(self.fabric.counters(), None);
+        self.count(class, None);
         Ok(old)
     }
 
@@ -1022,28 +1032,22 @@ impl Endpoint {
         let p = self.price(class, key.rank, 8, Some(Flavor::Implicit), floor);
         Self::publish(&seg, off, p.t_complete, || seg.amo(off, op, operand, 0));
         self.pending.note(key.rank, p.t_complete);
-        class.count(self.fabric.counters(), None);
+        self.count(class, None);
         Ok(())
     }
 
     /// Read a 16-byte sync variable; joins the clock with `stamp +
     /// latency` so waiting loops accrue honest time. Returns the value. A
-    /// local read is free and uncounted, and touches no counter line; no
-    /// read draws faults (it polls). Like an AMO, refused
-    /// ([`FabricError::Misaligned`]) off a word boundary.
+    /// local read is free and uncounted; no read draws faults (it polls).
+    /// Like an AMO, refused ([`FabricError::Misaligned`]) off a word
+    /// boundary.
     pub fn read_sync(&self, key: SegKey, off: usize) -> Result<u64, FabricError> {
         Self::word_aligned(key, off)?;
-        let local = key.rank == self.rank;
-        let seg = if local {
-            self.span(key, off, 16, Op::Get)?
-        } else {
-            self.locate(key, off, 16, Op::Get)?
-        };
-        self.announce(key, off, 16, Op::Get, "read_sync");
-        let lat = if local {
+        let seg = self.begin(key, off, 16, Op::Get, "read_sync")?;
+        let lat = if key.rank == self.rank {
             0.0
         } else {
-            Op::Get.count(self.fabric.counters(), None);
+            self.count(Op::Get, None);
             self.price(Op::Get, key.rank, 8, None, None).wire
         };
         let v = seg.word(off).load(Ordering::Acquire);
@@ -1063,7 +1067,7 @@ impl Endpoint {
         let p = self.price(Op::Put, key.rank, 8, Some(Flavor::Implicit), None);
         Self::publish(&seg, off, p.t_complete, || seg.word(off).store(value, Ordering::Release));
         self.pending.note(key.rank, p.t_complete);
-        Op::Put.count(self.fabric.counters(), None);
+        self.count(Op::Put, None);
         Ok(())
     }
 
@@ -1119,7 +1123,7 @@ impl Endpoint {
                 // Overflow → backpressure. Charge the stall once (no extra RNG
                 // draws: the magnitude comes straight from the armed plan), then
                 // retry while the consumer drains.
-                self.fabric.counters().notify_overflows.fetch_add(1, Ordering::Relaxed);
+                self.block().notify_overflows.fetch_add(1, Ordering::Relaxed);
                 let plan = self.fabric.faults().plan();
                 let stall = if plan.bp_ns > 0.0 { plan.bp_ns } else { Self::NOTIFY_BP_NS };
                 let t0 = self.clock.now();
@@ -1241,7 +1245,7 @@ impl Endpoint {
         // emptiness is itself order-sensitive (it decides a retry).
         self.mc_ring(self.rank, AccessKind::Get, "notify-poll");
         let rec = self.fabric.notify().queue(self.rank).try_pop()?;
-        self.fabric.counters().notify_consumed.fetch_add(1, Ordering::Relaxed);
+        self.block().notify_consumed.fetch_add(1, Ordering::Relaxed);
         Some(rec)
     }
 
@@ -1282,7 +1286,7 @@ impl Endpoint {
             );
         }
         if n > 0 {
-            self.fabric.counters().notify_dropped.fetch_add(n, Ordering::Relaxed);
+            self.count_dropped(n);
         }
         n
     }
@@ -1306,7 +1310,7 @@ impl Endpoint {
         if extra > 0.0 {
             self.clock.advance(extra);
         }
-        self.fabric.counters().gsyncs.fetch_add(1, Ordering::Relaxed);
+        self.fabric.counters().sync.gsyncs.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Gsync, NO_TARGET, t_start);
     }
 
@@ -1327,7 +1331,7 @@ impl Endpoint {
         let t_start = self.clock.now();
         self.drain_target(target);
         self.clock.join(self.pending.horizon(target));
-        self.fabric.counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.fabric.counters().sync.flushes.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Flush, target, t_start);
     }
 
@@ -2933,5 +2937,221 @@ mod tests {
         let d = f.counters().snapshot().since(&before);
         assert_eq!((d.puts, d.gets, d.amos), (1, 1, 1));
         assert_eq!((d.bytes_put, d.bytes_get), (100, 50));
+    }
+
+    // ------------------------------------------------ per-rank counter blocks
+
+    /// Rank `r`'s counter block, as a snapshot with the sync fields zero.
+    fn block(f: &Fabric, r: u32) -> CounterSnapshot {
+        let mut snap = CounterSnapshot::default();
+        f.counters().rank(r).add_to(&mut snap);
+        snap
+    }
+
+    /// An op issued by rank `r` writes rank `r`'s counter block and, if it
+    /// is an AMO or a completion, the job's shared sync line: never another
+    /// rank's block.
+    #[test]
+    fn an_op_moves_only_its_own_ranks_block_and_the_sync_line() {
+        type Run = fn(&Endpoint, SegKey);
+        // (entry point, writes the issuer's block, writes the sync line)
+        let ops: &[(&str, Run, bool, bool)] = &[
+            ("put", |ep, k| ep.put(k, 0, &[1; 8]).unwrap(), true, false),
+            (
+                "put_nb",
+                |ep, k| {
+                    ep.put_nb(k, 0, &[1; 8]).unwrap();
+                },
+                true,
+                false,
+            ),
+            ("put_implicit", |ep, k| ep.put_implicit(k, 0, &[1; 8]).unwrap(), true, false),
+            (
+                "put_implicit batched, retired",
+                |ep, k| {
+                    ep.set_batching(true);
+                    ep.put_implicit(k, 0, &[1; 8]).unwrap();
+                    ep.put_implicit(k, 64, &[1; 8]).unwrap();
+                    ep.pending_for(k.rank);
+                },
+                true,
+                false,
+            ),
+            ("get", |ep, k| ep.get(k, 0, &mut [0; 8]).unwrap(), true, false),
+            ("get_implicit", |ep, k| ep.get_implicit(k, 0, &mut [0; 8]).unwrap(), true, false),
+            (
+                "remote read_sync",
+                |ep, k| {
+                    ep.read_sync(k, 0).unwrap();
+                },
+                true,
+                false,
+            ),
+            ("write_sync", |ep, k| ep.write_sync(k, 0, 1).unwrap(), true, false),
+            (
+                "amo",
+                |ep, k| {
+                    ep.amo(k, 0, AmoOp::Add, 1, 0).unwrap();
+                },
+                false,
+                true,
+            ),
+            ("amo_implicit", |ep, k| ep.amo_implicit(k, 0, AmoOp::Add, 1).unwrap(), false, true),
+            (
+                "amo_implicit batched",
+                |ep, k| {
+                    ep.set_batching(true);
+                    ep.amo_implicit(k, 0, AmoOp::Add, 1).unwrap();
+                },
+                true,
+                true,
+            ),
+            (
+                "amo_fetch_list",
+                |ep, k| ep.amo_fetch_list(k, 0, 16, span_list(AmoOp::Add, 2), |_, _| ()).unwrap(),
+                false,
+                true,
+            ),
+            (
+                "amo_sync",
+                |ep, k| {
+                    ep.amo_sync(k, 0, AmoOp::Add, 1, 0).unwrap();
+                },
+                false,
+                true,
+            ),
+            (
+                "amo_sync_release",
+                |ep, k| ep.amo_sync_release(k, 0, AmoOp::Add, 1).unwrap(),
+                false,
+                true,
+            ),
+            ("put_notified", |ep, k| ep.put_notified(k, 0, &[1; 8], 5).unwrap(), true, false),
+            (
+                "notify_append to itself, then notify_pop",
+                |ep, _| {
+                    ep.notify_append(ep.rank(), 5, 0).unwrap();
+                    ep.notify_pop().unwrap();
+                },
+                true,
+                false,
+            ),
+            (
+                "notify_drop_all",
+                |ep, _| {
+                    ep.notify_append(ep.rank(), 5, 0).unwrap();
+                    assert_eq!(ep.notify_drop_all(), 1);
+                },
+                true,
+                false,
+            ),
+            ("count_dropped", |ep, _| ep.count_dropped(3), true, false),
+            ("flush_target", |ep, k| ep.flush_target(k.rank), false, true),
+            ("gsync", |ep, _| ep.gsync(), false, true),
+            ("count_epoch(Fence)", |ep, _| ep.count_epoch(EventKind::Fence), false, true),
+        ];
+        let none = CounterSnapshot::default();
+        for &(name, run, own, sync) in ops {
+            for r in 0..3u32 {
+                let f = Fabric::with_config(3, 1, CostModel::default(), Config::default());
+                let key = f.register((r + 1) % 3, Segment::new(4096));
+                let ep = Endpoint::new(f.clone(), r);
+                let (before, total) = ([0, 1, 2].map(|q| block(&f, q)), f.counters().snapshot());
+                run(&ep, key);
+                let ctx = format!("{name} issued by rank {r}");
+                for q in (0..3).filter(|&q| q != r) {
+                    assert_eq!(block(&f, q), before[q as usize], "{ctx} moved rank {q}'s block");
+                }
+                let moved = block(&f, r).since(&before[r as usize]);
+                let on_sync = f.counters().snapshot().since(&total).since(&moved);
+                assert_eq!(moved != none, own, "{ctx}: its own block");
+                assert_eq!(on_sync != none, sync, "{ctx}: the sync line");
+            }
+        }
+    }
+
+    /// Four ranks issue known numbers of puts, gets, notified puts, AMOs
+    /// and flushes at once, in two phases a barrier apart: the snapshot
+    /// taken between the barriers is the exact total of every phase so far,
+    /// and `since` the total of one phase.
+    #[test]
+    fn concurrent_ranks_count_exact_totals_phase_by_phase() {
+        const P: u32 = 4;
+        // Per rank and phase: puts, gets, notified puts, AMOs, flushes.
+        const PHASES: [[u64; 5]; 2] = [[2000, 1000, 48, 600, 30], [300, 1500, 16, 900, 70]];
+        let f = Fabric::with_config(P as usize, 2, CostModel::default(), Config::default());
+        let keys: Vec<_> = (0..P).map(|r| f.register(r, Segment::new(4096))).collect();
+        let barrier = std::sync::Barrier::new(P as usize);
+        let snaps = std::thread::scope(|s| {
+            let ranks: Vec<_> = (0..P)
+                .map(|r| {
+                    let (f, keys, barrier) = (&f, &keys, &barrier);
+                    s.spawn(move || {
+                        let ep = Endpoint::new(f.clone(), r);
+                        let key = keys[((r + 1) % P) as usize];
+                        let mut snaps = vec![f.counters().snapshot()];
+                        barrier.wait();
+                        for [puts, gets, notified, amos, flushes] in PHASES {
+                            for i in 0..puts {
+                                ep.put_implicit(key, 8 * (i as usize % 64), &[1; 8]).unwrap();
+                            }
+                            for _ in 0..gets {
+                                ep.get_implicit(key, 0, &mut [0; 8]).unwrap();
+                            }
+                            for _ in 0..notified {
+                                ep.put_notified(key, 512, &[2; 8], 9).unwrap();
+                            }
+                            for i in 0..amos {
+                                if i % 2 == 0 {
+                                    ep.amo(key, 1024, AmoOp::Add, 1, 0).unwrap();
+                                } else {
+                                    ep.amo_implicit(key, 1024, AmoOp::Add, 1).unwrap();
+                                }
+                            }
+                            for _ in 0..flushes {
+                                ep.flush_target(key.rank);
+                            }
+                            // This rank's ring holds what its one producer
+                            // notified this phase.
+                            let mut popped = 0;
+                            while popped < notified {
+                                match ep.notify_pop() {
+                                    Some(_) => popped += 1,
+                                    None => std::thread::yield_now(),
+                                }
+                            }
+                            barrier.wait();
+                            snaps.push(f.counters().snapshot());
+                            barrier.wait();
+                        }
+                        snaps
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+        });
+        let want = |[puts, gets, notified, amos, flushes]: [u64; 5]| {
+            let n = P as u64;
+            CounterSnapshot {
+                puts: n * (puts + notified),
+                bytes_put: n * 8 * (puts + notified),
+                gets: n * gets,
+                bytes_get: n * 8 * gets,
+                amos: n * amos,
+                bytes_amo: n * 8 * amos,
+                flushes: n * flushes,
+                notify_posts: n * notified,
+                notify_consumed: n * notified,
+                ..CounterSnapshot::default()
+            }
+        };
+        for (phase, counts) in PHASES.into_iter().enumerate() {
+            for (r, snaps) in snaps.iter().enumerate() {
+                let got = snaps[phase + 1].since(&snaps[phase]);
+                assert_eq!(got, want(counts), "phase {phase}, read by rank {r}");
+            }
+        }
+        let total = std::array::from_fn(|i| PHASES[0][i] + PHASES[1][i]);
+        assert_eq!(f.counters().snapshot(), want(total), "after the join");
     }
 }

@@ -154,7 +154,7 @@ impl Fabric {
             segs: RwLock::new(HashMap::new()),
             seg_generation: RegistryGeneration::default(),
             next_id: AtomicU64::new(1),
-            counters: Counters::default(),
+            counters: Counters::new(p),
             telemetry,
             faults,
             batch_default: config.batch,
@@ -191,7 +191,8 @@ impl Fabric {
         self.spins
     }
 
-    /// Global operation counters (for scalability assertions in tests).
+    /// The job's operation counters, summed over its ranks when a
+    /// snapshot is taken (for scalability assertions in tests).
     pub fn counters(&self) -> &Counters {
         &self.counters
     }

@@ -416,7 +416,7 @@ mod tests {
             t_end: 2900.0,
             ..Event::default()
         });
-        f.counters().puts.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        f.counters().rank(0).puts.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
         f
     }
 

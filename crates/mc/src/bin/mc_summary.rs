@@ -5,7 +5,7 @@
 //! prints one result line, which combined with `FOMPI_MC_REPLAY` gives an
 //! out-of-process replay entry point.
 
-use fompi_mc::{check, find, McConfig, McResult, Program, MUTANTS, PROGRAMS};
+use fompi_mc::{check, find, McConfig, McResult, Program, MUTANTS, PROGRAMS, THREE_RANKS};
 
 /// Collapse a violation message onto one CSV-safe line.
 fn csv_safe(s: &str) -> String {
@@ -30,7 +30,7 @@ fn row(prog: &Program, p: usize, r: &McResult) -> String {
 fn write_summary() {
     let cfg = McConfig::default();
     let mut csv = String::from("model,p,schedules,aborted,steps,complete,violation,schedule\n");
-    for prog in PROGRAMS.iter().chain(&MUTANTS) {
+    for prog in PROGRAMS.iter().chain(&THREE_RANKS).chain(&MUTANTS) {
         let Some((p, _)) = prog.mc else { continue };
         let line = row(prog, p, &check(prog, &cfg));
         println!("{} -> {}", prog.name, line.split(',').skip(2).collect::<Vec<_>>().join(","));

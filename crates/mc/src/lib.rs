@@ -43,7 +43,7 @@ pub mod soak;
 
 pub use dpor::Found;
 pub use gate::{McAbort, SchedGate, Stop};
-pub use programs::{find, Program, Shape, MUTANTS, PROGRAMS};
+pub use programs::{find, Program, Shape, MUTANTS, PROGRAMS, THREE_RANKS};
 
 use dpor::{Bounds, RunOutcome};
 use fompi_fabric::mc::{McGate, McOp};

@@ -87,6 +87,23 @@ pub const PROGRAMS: [Program; 14] = [
     },
 ];
 
+/// The paper's protocols again, at three ranks and one epoch: a third rank
+/// is the smallest job where two origins race for one target while a
+/// bystander's epoch interleaves. Only the checker runs them (the soak
+/// already runs every row of [`PROGRAMS`] at 4 and 6 ranks).
+pub const THREE_RANKS: [Program; 7] = [
+    Program { name: "fence_p3", body: fence, mc: P3E1, stable: true },
+    Program { name: "pscw_p3", body: pscw, mc: P3E1, stable: true },
+    Program { name: "lock_p3", body: lock, mc: P3E1, stable: false },
+    Program { name: "lock_all_p3", body: |ctx, s| lock_all(ctx, s, false), mc: P3E1, stable: true },
+    Program { name: "mcs_p3", body: mcs, mc: P3E1, stable: false },
+    Program { name: "notify_p3", body: notify, mc: P3E1, stable: true },
+    Program { name: "flush_p3", body: flush, mc: P3E1, stable: true },
+];
+
+/// The instance of [`THREE_RANKS`].
+const P3E1: Option<(usize, usize)> = Some((3, 1));
+
 /// The broken twins. Each must produce a replayable counterexample.
 pub const MUTANTS: [Program; 5] = [
     Program {
@@ -116,9 +133,9 @@ pub const MUTANTS: [Program; 5] = [
     },
 ];
 
-/// Look a program up by name across both lists.
+/// Look a program up by name across the three lists.
 pub fn find(name: &str) -> Option<Program> {
-    PROGRAMS.iter().chain(&MUTANTS).find(|p| p.name == name).copied()
+    PROGRAMS.iter().chain(&THREE_RANKS).chain(&MUTANTS).find(|p| p.name == name).copied()
 }
 
 // ------------------------------------------------------------------ helpers

@@ -4,17 +4,17 @@
 //! in-process and through the `FOMPI_MC_REPLAY` environment knob — must
 //! reproduce the violation *and* the per-rank virtual clocks bit-for-bit.
 
-use fompi_mc::{check, find, replay, Found, McConfig, Program, Shape, PROGRAMS};
+use fompi_mc::{check, find, replay, Found, McConfig, Program, Shape, PROGRAMS, THREE_RANKS};
 
 fn program(name: &str) -> Program {
     find(name).unwrap_or_else(|| panic!("unknown program {name}"))
 }
 
-/// Exhaustive default-bound run of every row: complete, violation-free,
-/// with a reference digest established.
+/// Exhaustive default-bound run of every row, the three-rank ones too:
+/// complete, violation-free, with a reference digest established.
 #[test]
 fn every_program_is_exhaustively_clean() {
-    for prog in PROGRAMS.iter().filter(|p| p.mc.is_some()) {
+    for prog in PROGRAMS.iter().chain(&THREE_RANKS).filter(|p| p.mc.is_some()) {
         let name = prog.name;
         let r = check(prog, &McConfig::default());
         assert!(r.complete, "{name}: exploration hit a bound (a wait is free-spinning?)");

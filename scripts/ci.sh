@@ -112,15 +112,16 @@ stage_symbols() {
         echo "$timers" >&2
         return 1
     fi
-    # The steps an op body (fabric: begin / locate / span / price / finish,
-    # the counter-line touch, the idle step of a wait) and a window call
+    # The steps an op body (fabric: begin / locate / price / finish, the
+    # rank's counter block and the sync-line touch, the idle step of a
+    # wait) and a window call
     # (core: the prologue, epilogue, epoch frame and wait loops) are
     # composed of cost nothing only if they are inlined into it: no symbol
     # of theirs may exist in a release binary that links both crates.
     cargo build --offline --release -q -p fompi-bench --bin perfgate
     local steps
     steps=$(nm -C target/release/perfgate | grep -E \
-        'fompi_fabric::endpoint::Endpoint::(begin|locate|span|price|finish|idle)(::|$)|fompi_fabric::counters::Counters::touch(::|$)|fompi::.*Win>::(admit|resolve|begin|landed|require|enter|leave|spin_until|wait_word|wait_ring|wait_scan)(::|$)' || true)
+        'fompi_fabric::endpoint::Endpoint::(begin|locate|price|finish|block|idle)(::|$)|fompi_fabric::counters::Counters::(touch|rank)(::|$)|fompi::.*Win>::(admit|resolve|begin|landed|require|enter|leave|spin_until|wait_word|wait_ring|wait_scan)(::|$)' || true)
     if [[ -n $steps ]]; then
         echo "symbols: these steps of an op body / window call are out of line in target/release/perfgate:" >&2
         echo "$steps" >&2

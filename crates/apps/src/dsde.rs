@@ -256,41 +256,6 @@ pub fn run_notified(ctx: &RankCtx, win: &Win, k: usize, seed: u64) -> DsdeResult
     DsdeResult { time_ns, received }
 }
 
-// ----------------------------------------------------------------- RMC
-
-/// Protocol 6: remote memory channels — the same FAA-free scheme as
-/// [`run_notified`], but through the reusable [`fompi_rmc::mesh()`]
-/// abstraction instead of a hand-rolled window layout. Each rank sends
-/// its `k` payloads over the all-to-all mesh, a barrier bounds the send
-/// phase, and the receiver drains until dry. Credits are returned by one
-/// [`fompi_rmc::Mesh::flush_credits`] *after* the drain — one
-/// count-carrying record per source — so the timed critical path is
-/// identical to the hand-rolled protocol —
-/// what the channel substrate charges for its generality is deferred off
-/// the round, and the `time_ns` comparison in the tests holds it to that.
-pub fn run_rmc(ctx: &RankCtx, mesh: &mut fompi_rmc::Mesh, k: usize, seed: u64) -> DsdeResult {
-    let p = ctx.size();
-    let me = ctx.rank();
-    let targets = pick_targets(me, p, k, seed);
-    ctx.barrier();
-    let t0 = ctx.now();
-    for &t in &targets {
-        mesh.send(t, &payload(me, t).to_le_bytes()).expect("rmc send");
-    }
-    ctx.barrier();
-    let mut received = Vec::new();
-    let mut buf = [0u8; 8];
-    while let Some((_, len)) = mesh.try_recv(&mut buf).expect("rmc drain") {
-        debug_assert_eq!(len, 8);
-        received.push(u64::from_le_bytes(buf));
-    }
-    let time_ns = ctx.now() - t0;
-    check_received(me, &received);
-    mesh.flush_credits().expect("rmc credits");
-    ctx.barrier();
-    DsdeResult { time_ns, received }
-}
-
 /// Window size needed by [`run_rma`] for up to `p` senders of one message
 /// each (worst case: every rank targets me).
 pub fn rma_win_bytes(p: usize) -> usize {
@@ -378,64 +343,6 @@ mod tests {
         });
         conservation(&got.iter().map(|(a, _)| a.clone()).collect::<Vec<_>>(), p, k);
         conservation(&got.iter().map(|(_, b)| b.clone()).collect::<Vec<_>>(), p, k);
-    }
-
-    #[test]
-    fn rmc_delivers_everything() {
-        let (p, k) = (6, 3);
-        let got = Universe::new(p).node_size(2).run(move |ctx| {
-            let cfg = fompi_rmc::RmcConfig { slots: 2, slot_bytes: 8, ..Default::default() };
-            let mut m = fompi_rmc::mesh(ctx, &cfg).expect("mesh");
-            let r = run_rmc(ctx, &mut m, k, 31);
-            m.close(ctx).expect("close");
-            r
-        });
-        conservation(&got, p, k);
-        for (rank, r) in got.iter().enumerate() {
-            check_received(rank as u32, &r.received);
-        }
-    }
-
-    #[test]
-    fn rmc_repeated_rounds_recycle_credits() {
-        // More rounds than slots: later rounds depend on the batched
-        // credit returns of earlier ones.
-        let (p, k) = (4, 2);
-        let got = Universe::new(p).node_size(2).run(move |ctx| {
-            let cfg = fompi_rmc::RmcConfig { slots: 2, slot_bytes: 8, ..Default::default() };
-            let mut m = fompi_rmc::mesh(ctx, &cfg).expect("mesh");
-            let rs: Vec<DsdeResult> = (0..5).map(|r| run_rmc(ctx, &mut m, k, r)).collect();
-            m.close(ctx).expect("close");
-            rs
-        });
-        for round in 0..5 {
-            conservation(&got.iter().map(|rs| rs[round].clone()).collect::<Vec<_>>(), p, k);
-        }
-    }
-
-    #[test]
-    fn rmc_matches_notified_time() {
-        // The channel abstraction must not tax the critical path: same
-        // FAA-free scheme, same virtual time as the hand-rolled protocol
-        // (the batched credit returns sit outside the timed region).
-        let (p, k) = (8, 3);
-        let notified = Universe::new(p).node_size(2).run(move |ctx| {
-            let win = Win::allocate(ctx, rma_win_bytes(p), 1).expect("win");
-            run_notified(ctx, &win, k, 13)
-        });
-        let rmc = Universe::new(p).node_size(2).run(move |ctx| {
-            let cfg = fompi_rmc::RmcConfig { slots: 2, slot_bytes: 8, ..Default::default() };
-            let mut m = fompi_rmc::mesh(ctx, &cfg).expect("mesh");
-            let r = run_rmc(ctx, &mut m, k, 13);
-            m.close(ctx).expect("close");
-            r
-        });
-        let t_not = crate::max_time(&notified.iter().map(|r| r.time_ns).collect::<Vec<_>>());
-        let t_rmc = crate::max_time(&rmc.iter().map(|r| r.time_ns).collect::<Vec<_>>());
-        assert!(
-            t_rmc <= t_not * 1.05,
-            "RMC mesh ({t_rmc}) must match the hand-rolled notified protocol ({t_not})"
-        );
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! versioned read, the commit phase of a 2-key transaction and the mean
 //! commit under 1, 2 and 4 writers contending for one cell; and the
 //! remote-memory-channel layer: a steady-state fan-in round over a 1-slot
-//! ring, the per-send cost of 2, 4 and 8 producers into one consumer and
-//! of 4- and 8-rank meshes, and one full single-client RPC round (request
-//! forward, correlated reply back). Every rmc metric is sender-side or
-//! single-pairing, so it stays deterministic (consumer `ANY_SOURCE` drains
-//! are schedule-dependent and excluded).
+//! ring, the per-send cost of 2, 4 and 8 producers into one consumer, and
+//! one full single-client RPC round (request forward, correlated reply
+//! back). Every rmc metric is sender-side or single-pairing, so it stays
+//! deterministic (consumer `ANY_SOURCE` drains are schedule-dependent and
+//! excluded).
 
 use fompi::{LockType, MpiOp, NumKind, Win};
 use fompi_bench::fleet::{contend, TXN_ROUNDS};
@@ -347,9 +347,6 @@ fn collect(model: &CostModel) -> BTreeMap<String, f64> {
     for n in [2, 4, 8] {
         m.insert(format!("rmc_fanin_{n}to1_send_ns"), fanin_send(model, n));
     }
-    for p in [4, 8] {
-        m.insert(format!("rmc_mesh_p{p}_send_ns"), mesh_send(model, p));
-    }
     m
 }
 
@@ -480,34 +477,6 @@ fn fanin_send(model: &CostModel, n: usize) -> f64 {
     got[1] / RMC_MSGS as f64
 }
 
-/// A `p`-rank mesh in which every rank sends 4 messages to each of its two
-/// right-hand ring neighbours over 8-slot rings, so no send waits: rank
-/// 0's virtual ns per send.
-fn mesh_send(model: &CostModel, p: usize) -> f64 {
-    const PER_TARGET: usize = 4;
-    let cfg = RmcConfig { slots: 8, slot_bytes: RMC_BYTES, ..RmcConfig::default() };
-    let got = universe(p, model, false).notify_depth(256).run(move |ctx| {
-        let (me, mut buf) = (ctx.rank(), [0u8; RMC_BYTES]);
-        let mut m = fompi_rmc::mesh(ctx, &cfg).unwrap();
-        ctx.barrier();
-        let t0 = ctx.now();
-        for _ in 0..PER_TARGET {
-            for d in 1..=2 {
-                m.send((me + d) % p as u32, &buf).unwrap();
-            }
-        }
-        let dt = ctx.now() - t0;
-        for _ in 0..2 * PER_TARGET {
-            m.recv(&mut buf).unwrap();
-        }
-        m.flush_credits().unwrap();
-        ctx.barrier();
-        m.close(ctx).unwrap();
-        dt
-    });
-    got[0] / (2 * PER_TARGET) as f64
-}
-
 /// Flat sorted-key JSON. `f64` Display is the shortest round-trip
 /// representation, so output is byte-stable for identical inputs.
 fn render_json(metrics: &BTreeMap<String, f64>) -> String {
@@ -557,7 +526,7 @@ mod tests {
             ..CostModel::default()
         };
         let moved = collect(&model);
-        assert_eq!(base.len(), 28);
+        assert_eq!(base.len(), 26);
         let unmoved: Vec<&str> = base
             .iter()
             .filter(|(k, v)| moved[*k].to_bits() == v.to_bits())

@@ -152,7 +152,7 @@ pub const REGISTRY: &[AgentSpec] = &[
     AgentSpec {
         name: "dsde",
         run: dsde_round,
-        backend: "rmc",
+        backend: "rma",
         ranks: &[8],
         node_sizes: &[2],
         stable: false,
@@ -463,21 +463,20 @@ fn pgas(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
     fabric
 }
 
-/// One DSDE round over the remote-memory-channel mesh: each rank sends to
-/// `k = min(3, p - 1)` random targets and drains until dry. Draining
-/// `ANY_SOURCE` joins latencies in arrival order: unstable.
+/// One notified-access DSDE round: each rank sends to `k = min(3, p - 1)`
+/// random targets with one `put_notify` each and drains until dry.
+/// Draining `ANY_SOURCE` joins latencies in arrival order: unstable.
 fn dsde_round(p: usize, node_size: usize, seed: u64) -> Arc<Fabric> {
     let k = 3.min(p - 1);
-    let cfg = RmcConfig { slots: 4, slot_bytes: 8, ..RmcConfig::default() };
     let (_, fabric) = neighbor_universe(p, node_size, seed, 256).launch(move |ctx| {
-        let mut m = fompi_rmc::mesh(ctx, &cfg).expect("mesh");
-        let r = dsde::run_rmc(ctx, &mut m, k, seed);
+        let win = Win::allocate(ctx, dsde::rma_win_bytes(p), 1).expect("dsde window");
+        let r = dsde::run_notified(ctx, &win, k, seed);
         let sent_to_me = (0..p as u32)
             .flat_map(|s| dsde::pick_targets(s, p, k, seed))
             .filter(|&t| t == ctx.rank())
             .count();
         assert_eq!(r.received.len(), sent_to_me, "dsde round lost messages");
-        m.close(ctx).expect("mesh close");
+        win.free(ctx);
     });
     fabric
 }

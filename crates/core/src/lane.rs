@@ -11,9 +11,11 @@
 //! "Remote-memory rings", has the picture, the three invariants and what
 //! each façade adds.
 //!
-//! The lanes hold that protocol and nothing else. Which record to match
-//! and when to wait for a credit, where rings lie in the window, and
-//! tracing belong to the façade that owns the lanes.
+//! The lanes hold that protocol and nothing else, its one repayment
+//! policy included: a consumer repays at half the ring
+//! ([`RxLane::take_and_credit`]). Which record to match and when to wait
+//! for a credit, where rings lie in the window, and tracing belong to the
+//! façade that owns the lanes.
 
 use crate::{FompiError, Notification, Result, Win};
 use fompi_runtime::RankCtx;
@@ -126,7 +128,7 @@ impl TxLane {
 
     /// One nonblocking matching pass: absorb a credit record if one has
     /// arrived.
-    pub fn try_credit(&mut self, win: &Win, credit_tag: u32) -> Result<bool> {
+    fn try_credit(&mut self, win: &Win, credit_tag: u32) -> Result<bool> {
         match win.test_notify(self.peer, credit_tag)? {
             Some(rec) => self.book(&rec).map(|()| true),
             None => Ok(false),
@@ -216,18 +218,9 @@ impl RxLane {
         self.tail
     }
 
-    /// Copy the message announced by the matched data record `rec` out of
-    /// the next slot into `buf`; returns its length. The record's stamp
-    /// has joined our clock, which fences the ring read: the payload is
-    /// visible. The slot is owed to the producer until
-    /// [`RxLane::flush_credits`].
-    ///
-    /// A payload longer than `buf` (or than a slot: a forged record) is a
-    /// typed error with MPI's truncation semantics: the record is matched,
-    /// so its message is consumed and lost, the cursor moves past it, and
-    /// its slot is owed exactly as after a success — a refused message
-    /// still frees its slot, or a one-slot ring would never move again.
-    pub fn take(&mut self, win: &Win, rec: &Notification, buf: &mut [u8]) -> Result<usize> {
+    /// Copy the message out of the next slot; the slot is owed to the
+    /// producer until [`RxLane::flush_credits`].
+    fn take(&mut self, win: &Win, rec: &Notification, buf: &mut [u8]) -> Result<usize> {
         let len = rec.bytes as usize;
         let cell = self.geom.cell(self.base, self.tail);
         self.tail += 1;
@@ -239,8 +232,17 @@ impl RxLane {
         Ok(len)
     }
 
-    /// [`RxLane::take`], then repay the whole debt once it reaches half the
-    /// ring, rounded up. For consumers that keep no debt of their own.
+    /// Copy the message announced by the matched data record `rec` out of
+    /// the next slot into `buf` and return its length, then repay the
+    /// whole debt once it reaches half the ring, rounded up. The record's
+    /// stamp has joined our clock, which fences the ring read: the payload
+    /// is visible.
+    ///
+    /// A payload longer than `buf` (or than a slot: a forged record) is a
+    /// typed error with MPI's truncation semantics: the record is matched,
+    /// so its message is consumed and lost, the cursor moves past it, and
+    /// its slot is owed exactly as after a success — a refused message
+    /// still frees its slot, or a one-slot ring would never move again.
     ///
     /// Repaying earlier — say, before blocking for the next message — is
     /// never needed for progress: a producer out of credits still has at
@@ -265,7 +267,7 @@ impl RxLane {
 
     /// Hand every owed slot back with one data-less notification whose
     /// record carries the count. Nothing is sent when nothing is owed.
-    pub fn flush_credits(&mut self, win: &Win, credit_tag: u32) -> Result<()> {
+    fn flush_credits(&mut self, win: &Win, credit_tag: u32) -> Result<()> {
         if self.owed > 0 {
             win.notify(self.peer, credit_tag, self.owed)?;
             self.owed = 0;

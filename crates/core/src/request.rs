@@ -36,11 +36,6 @@ impl Request {
         }
         self.done
     }
-
-    /// Virtual completion time (for benchmarking overlap).
-    pub fn completion_time(&self) -> f64 {
-        self.h.t_complete
-    }
 }
 
 /// Wait on a set of requests (MPI_Waitall).

@@ -24,10 +24,11 @@
 //! twins proving the checker catches the bug classes it claims to; only
 //! the checker runs them.
 
+use fompi::lane::{self, Geometry, RxLane, TxLane};
 use fompi::{FetchAmo, FompiError, LockType, MpiOp, NumKind, Win};
 use fompi_fabric::rng::{splitmix64, Rng};
-use fompi_msg::channel::{channel, ChannelEnd};
-use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
+use fompi_msg::channel::{channel, ChannelEnd, CREDIT_TAG, DATA_TAG};
+use fompi_rmc::{fanin, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::{Group, RankCtx};
 use fompi_txn::{versions_consistent, RetryPolicy, Txn, VersionedCell};
 use std::fmt::Display;
@@ -65,7 +66,7 @@ const P2E2: Option<(usize, usize)> = Some((2, 2));
 
 /// Every well-formed program, in soak order. The soak derives each cell's
 /// seeds from the row's name, so rows may move and go.
-pub const PROGRAMS: [Program; 14] = [
+pub const PROGRAMS: [Program; 13] = [
     Program { name: "fence", body: fence, mc: P2E2, stable: true },
     Program { name: "pscw", body: pscw, mc: P2E2, stable: true },
     Program { name: "lock", body: lock, mc: P2E2, stable: false },
@@ -76,7 +77,6 @@ pub const PROGRAMS: [Program; 14] = [
     Program { name: "txn_transfer", body: txn_transfer, mc: P2E2, stable: true },
     Program { name: "msg_channel", body: msg_channel, mc: P2E2, stable: true },
     Program { name: "rmc_fanin", body: rmc_fanin, mc: Some((3, 1)), stable: false },
-    Program { name: "rmc_mesh", body: |ctx, s| rmc_mesh(ctx, s, false), mc: P2E2, stable: true },
     Program { name: "rpc_timeout", body: rpc_timeout, mc: P2E2, stable: false },
     Program { name: "txn_commit", body: txn_commit, mc: Some((2, 1)), stable: true },
     Program {
@@ -106,12 +106,7 @@ const P3E1: Option<(usize, usize)> = Some((3, 1));
 
 /// The broken twins. Each must produce a replayable counterexample.
 pub const MUTANTS: [Program; 5] = [
-    Program {
-        name: "mesh_credit_leak",
-        body: |ctx, s| rmc_mesh(ctx, s, true),
-        mc: P2E2,
-        stable: false,
-    },
+    Program { name: "lane_credit_leak", body: lane_credit_leak, mc: P2E2, stable: false },
     Program { name: "txn_lost_publish", body: txn_lost_publish, mc: P2E2, stable: false },
     Program {
         name: "txn_skip_first_validate",
@@ -529,6 +524,46 @@ fn msg_channel(ctx: &mut RankCtx, s: &Shape) -> Verdict {
     }
 }
 
+/// MUTANT: [`msg_channel`]'s ring (rank 0 to the last rank, one slot, one
+/// message an epoch, the channel's tags) built straight from
+/// `fompi::lane`, whose consumer takes round 0's message past its
+/// `RxLane`, with a raw `wait_notify` and `read_local`: that slot is never
+/// owed, so never repaid. The producer's round-1 send waits forever for
+/// the credit while the consumer waits for round 1's message, and the
+/// checker must report a global deadlock. Taking every message through the
+/// lane, as the channel does, is the clean twin.
+fn lane_credit_leak(ctx: &mut RankCtx, s: &Shape) -> Verdict {
+    let consumer = ctx.size() as u32 - 1;
+    let message = |e: usize| 11 * (e as u64 + 1);
+    let geom = Geometry::new(1, 8).txt()?;
+    let win = lane::open(ctx, geom.ring_bytes()).txt()?;
+    let mut h = 0;
+    if ctx.rank() == 0 {
+        let mut tx = TxLane::new(consumer, 0, geom);
+        for e in 0..s.epochs {
+            if tx.credits() == 0 {
+                tx.wait_credit(&win, CREDIT_TAG).txt()?;
+            }
+            tx.put(&win, &message(e).to_le_bytes(), DATA_TAG).txt()?;
+        }
+    } else if ctx.rank() == consumer {
+        let (mut rx, mut buf) = (RxLane::new(0, 0, geom), [0u8; 8]);
+        for e in 0..s.epochs {
+            let rec = win.wait_notify(0, DATA_TAG).txt()?;
+            if e == 0 {
+                // BUG under test: the slot is read past the lane.
+                win.read_local(geom.cell(0, 0), &mut buf);
+            } else {
+                rx.take_and_credit(&win, &rec, &mut buf, CREDIT_TAG).txt()?;
+            }
+            ensure(le(&buf) == message(e), || format!("message {e} = {}", le(&buf)))?;
+            h = mix(h, le(&buf));
+        }
+    }
+    lane::close(win, ctx).txt()?;
+    Ok(h)
+}
+
 /// Message `e` of fan-in producer `rank`.
 fn fanin_message(rank: u32, e: usize) -> u64 {
     ((rank as u64 + 1) * 7) | ((e as u64) << 32)
@@ -564,36 +599,6 @@ fn rmc_fanin(ctx: &mut RankCtx, s: &Shape) -> Verdict {
             Ok(h)
         }
     }
-}
-
-/// Every rank sends one message a round to its right neighbour over a
-/// one-slot mesh: round r+1's send needs round r's *lazily flushed*
-/// credit, so the batched credit-return path is what the checker
-/// interleaves.
-///
-/// MUTANT (`leak`): the round-0 credit return is dropped. Every round-1
-/// send then waits forever for a credit nobody will flush — the checker
-/// must report a global deadlock.
-fn rmc_mesh(ctx: &mut RankCtx, s: &Shape, leak: bool) -> Verdict {
-    let mut m = mesh(ctx, &RmcConfig { slots: 1, slot_bytes: 8, ..RmcConfig::default() }).txt()?;
-    let me = ctx.rank();
-    let (left, right) = neighbors(me, ctx.size());
-    let (mut h, mut buf) = (0u64, [0u8; 8]);
-    for round in 0..s.epochs as u64 {
-        m.send(right, &(((me as u64) << 8) | round).to_le_bytes()).txt()?;
-        let (src, _) = m.recv(&mut buf).txt()?;
-        let want = ((left as u64) << 8) | round;
-        ensure(src == left && le(&buf) == want, || {
-            format!("round {round}: {:#x} from rank {src}, want {want:#x} from {left}", le(&buf))
-        })?;
-        h = h.wrapping_add(splitmix64(((src as u64) << 32) ^ le(&buf)));
-        // BUG under test (mutant): round 0's slot is never credited back.
-        if !leak || round > 0 {
-            m.flush_credits().txt()?;
-        }
-    }
-    m.close(ctx).txt()?;
-    Ok(h)
 }
 
 /// Request/response with a virtual-time deadline: rank 0 serves every

@@ -43,8 +43,8 @@ fn replayed_counterexample(name: &str) -> Found {
 }
 
 #[test]
-fn mesh_credit_leak_deadlocks_with_replayable_counterexample() {
-    match replayed_counterexample("mesh_credit_leak") {
+fn lane_credit_leak_deadlocks_with_replayable_counterexample() {
+    match replayed_counterexample("lane_credit_leak") {
         Found::Deadlock { detail } => {
             assert!(detail.contains("wait-notify"), "deadlock detail names the waits: {detail}")
         }
@@ -90,7 +90,7 @@ fn unlock_all_skipped_is_caught_by_the_rest_state() {
 
 #[test]
 fn counterexamples_are_deterministic_across_explorations() {
-    let prog = program("mesh_credit_leak");
+    let prog = program("lane_credit_leak");
     let a = check(&prog, &McConfig::default()).counterexample.unwrap();
     let b = check(&prog, &McConfig::default()).counterexample.unwrap();
     assert_eq!(a.schedule, b.schedule);
@@ -100,9 +100,9 @@ fn counterexamples_are_deterministic_across_explorations() {
 
 #[test]
 fn replay_env_knob_round_trips_out_of_process() {
-    let cx = check(&program("mesh_credit_leak"), &McConfig::default()).counterexample.unwrap();
+    let cx = check(&program("lane_credit_leak"), &McConfig::default()).counterexample.unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_mc_summary"))
-        .args(["--model", "mesh_credit_leak"])
+        .args(["--model", "lane_credit_leak"])
         .env("FOMPI_MC_REPLAY", &cx.schedule)
         .output()
         .expect("spawning mc_summary");
@@ -116,7 +116,7 @@ fn replay_env_knob_round_trips_out_of_process() {
 
 #[test]
 fn replay_rejects_malformed_schedules() {
-    let prog = program("rmc_mesh");
+    let prog = program("msg_channel");
     let bad = std::panic::catch_unwind(|| replay(&prog, "0.1.0"));
     assert!(bad.is_err(), "missing mc1: prefix must fail loudly");
     let oob = std::panic::catch_unwind(|| replay(&prog, "mc1:0.7"));
@@ -126,11 +126,11 @@ fn replay_rejects_malformed_schedules() {
 #[test]
 fn preemption_budget_prunes_but_stays_sound() {
     let cfg = McConfig { max_preemptions: Some(0), ..McConfig::default() };
-    let r = check(&program("rmc_mesh"), &cfg);
+    let r = check(&program("mcs"), &cfg);
     assert!(r.counterexample.is_none(), "bounding must not invent violations");
     assert!(r.pruned > 0, "a zero-preemption budget must prune something");
     assert!(!r.complete, "a pruned exploration must not claim completeness");
-    let exhaustive = check(&program("rmc_mesh"), &McConfig::default());
+    let exhaustive = check(&program("mcs"), &McConfig::default());
     assert!(r.schedules < exhaustive.schedules);
 }
 

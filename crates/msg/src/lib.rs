@@ -96,12 +96,6 @@ impl Comm {
         }
     }
 
-    /// Override the cost constants.
-    pub fn with_costs(mut self, costs: MsgCosts) -> Comm {
-        self.costs = costs;
-        self
-    }
-
     /// This rank.
     pub fn rank(&self) -> u32 {
         self.rank

@@ -5,24 +5,20 @@
 //! communications"; this crate builds those queues as a first-class
 //! programming model, layered *purely* on the existing one-sided
 //! primitives — `put_notify` for data, a data-less `notify` carrying a
-//! count for credits, passive-target epochs for lifetime. Three shapes:
+//! count for credits, passive-target epochs for lifetime. Two shapes:
 //!
 //! - [`fanin`](mod@fanin) — MPMC fan-in: N producers append into per-producer slot
 //!   regions on one consumer rank. The notification record's `source`
 //!   field replaces any shared cursor, so the data path is FAA-free (the
 //!   same trick as the notified DSDE port); backpressure is per-producer
 //!   credit records.
-//! - [`mesh`](mod@mesh) — the all-to-all closure of fan-in: every rank produces
-//!   toward every rank and consumes its own fan-in over one symmetric
-//!   window (the shape DSDE and halo exchanges need), with lazy credit
-//!   returns paid off the receive path, one record per source.
 //! - [`rpc`](mod@rpc) — request/response with correlation tags carried in the
 //!   notification records, per-endpoint reply channels, bounded
 //!   outstanding-request budgets, and timeouts surfaced as *transient*
 //!   errors (retryable, consistent with `FabricError` backpressure).
 //!
 //! Tuning is per structure, at construction: [`fanin()`] takes its ring
-//! geometry as arguments, [`mesh()`] and [`rpc()`] an [`RmcConfig`].
+//! geometry as arguments, [`rpc()`] an [`RmcConfig`].
 //! There is no job-wide knob.
 //!
 //! Telemetry: producers emit `rmc_send` spans, consumers `rmc_recv`, RPC
@@ -35,11 +31,9 @@
 //! structures with the same endpoints concurrently on one rank.
 
 pub mod fanin;
-pub mod mesh;
 pub mod rpc;
 
 pub use fanin::{fanin, FaninConsumer, FaninEnd, FaninProducer};
-pub use mesh::{mesh, Mesh};
 pub use rpc::{rpc, RpcClient, RpcEnd, RpcRequest, RpcServer};
 
 use fompi::lane::TxLane;
@@ -74,11 +68,11 @@ pub(crate) fn check_spokes(hub: u32, spokes: &[u32], what: &str) {
     assert!(distinct, "every {what} must be listed once");
 }
 
-/// Ring geometry and RPC budgets of one [`mesh()`] or [`rpc()`], passed
-/// to its constructor. Every field has a default.
+/// Ring geometry and budgets of one [`rpc()`], passed to its
+/// constructor. Every field has a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RmcConfig {
-    /// Ring slots per producer region.
+    /// Ring slots per client, in each direction.
     pub slots: usize,
     /// Payload capacity of one slot, bytes.
     pub slot_bytes: usize,

@@ -1,16 +1,15 @@
-//! End-to-end acceptance: fan-in, mesh and RPC at 64 ranks,
+//! End-to-end acceptance: fan-in and RPC at 64 ranks,
 //! race checker panicking, all six fault classes armed.
 //!
 //! This is the scale point the subsystem is sized for — 63 producers
-//! appending to one consumer's notification ring, every rank exchanging
-//! with its ring neighbours over a mesh, and a served RPC rank taking
+//! appending to one consumer's notification ring and a served RPC rank taking
 //! calls from a whole cabinet — with the fault layer injecting jitter,
 //! spikes, delayed completions, backpressure (including rejected issues),
 //! rank pauses and transient registration failures, and `FOMPI_RACECHECK=panic`
 //! semantics turning any shadow-memory flag into an abort.
 
 use fompi_fabric::{FaultPlan, RacecheckMode};
-use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::Universe;
 
 const P: usize = 64;
@@ -62,32 +61,7 @@ fn sixty_four_ranks_end_to_end_racecheck_clean_under_all_fault_classes() {
                 None => unreachable!(),
             }
 
-            // Phase 2: mesh — every rank exchanges with its two ring
-            // neighbours, then drains dry and lazily returns credits.
-            let cfg = RmcConfig { slots: 4, slot_bytes: BYTES, ..RmcConfig::default() };
-            let mut m = mesh(ctx, &cfg).unwrap();
-            let targets = [(me + 1) % P as u32, (me + P as u32 - 1) % P as u32];
-            for seq in 0..MSGS {
-                for &t in &targets {
-                    m.send(t, &payload(me, seq)).unwrap();
-                }
-            }
-            let mut buf = [0u8; BYTES];
-            let mut next = vec![0usize; P];
-            for _ in 0..2 * MSGS {
-                let (src, len) = m.recv(&mut buf).unwrap();
-                assert_eq!(len, BYTES);
-                assert!(targets.contains(&src), "mesh message from non-neighbour {src}");
-                let seq = next[src as usize];
-                assert_eq!(buf, payload(src, seq), "mesh reorder from {src}");
-                next[src as usize] = seq + 1;
-            }
-            assert!(m.try_recv(&mut buf).unwrap().is_none(), "mesh not dry");
-            m.flush_credits().unwrap();
-            ctx.barrier();
-            m.close(ctx).unwrap();
-
-            // Phase 3: RPC — rank 0 serves calls from every other rank.
+            // Phase 2: RPC — rank 0 serves calls from every other rank.
             let cfg = RmcConfig { slots: 2, slot_bytes: BYTES, ..RmcConfig::default() };
             match rpc(ctx, 0, &producers, &cfg).unwrap() {
                 Some(RpcEnd::Server(mut srv)) => {

@@ -1,4 +1,4 @@
-//! One behaviour, every ring constructor. `msg::channel` and the three
+//! One behaviour, every ring constructor. `msg::channel` and the two
 //! `fompi-rmc` shapes are façades over the same lanes (`fompi::lane`), so
 //! the misuse contract and the fabric-op bill are checked once per
 //! behaviour with the constructor as an input, not once per file.
@@ -6,9 +6,8 @@
 use fompi::{lane, FompiError};
 use fompi_msg::channel::{channel, ChannelEnd, CREDIT_TAG};
 use fompi_rmc::fanin::FANIN_CREDIT_TAG;
-use fompi_rmc::mesh::MESH_CREDIT_TAG;
 use fompi_rmc::rpc::REQ_CREDIT_TAG;
-use fompi_rmc::{fanin, mesh, rpc, FaninEnd, RmcConfig, RpcEnd};
+use fompi_rmc::{fanin, rpc, FaninEnd, RmcConfig, RpcEnd};
 use fompi_runtime::{RankCtx, Universe};
 
 /// Rank 0 produces (publishes, calls), rank 1 consumes (subscribes, serves).
@@ -22,10 +21,9 @@ fn cfg(slots: usize, slot_bytes: usize) -> RmcConfig {
 #[test]
 fn zero_capacity_is_rejected_with_a_typed_error() {
     type Build = fn(&RankCtx, usize, usize) -> Option<FompiError>;
-    let shapes: [(&str, Build); 4] = [
+    let shapes: [(&str, Build); 3] = [
         ("channel", |ctx, s, b| channel(ctx, PRODUCER, CONSUMER, s, b).err()),
         ("fanin", |ctx, s, b| fanin(ctx, CONSUMER, &[PRODUCER], s, b).err()),
-        ("mesh", |ctx, s, b| mesh(ctx, &cfg(s, b)).err()),
         ("rpc", |ctx, s, b| rpc(ctx, CONSUMER, &[PRODUCER], &cfg(s, b)).err()),
     ];
     // Both degenerate shapes, rejected on every rank before any
@@ -50,7 +48,7 @@ fn zero_capacity_is_rejected_with_a_typed_error() {
 /// credits and returns what that absorbing call said.
 type StrayCredit = fn(&RankCtx, &dyn Fn()) -> fompi::Result<()>;
 
-const STRAY_CREDIT: [(&str, u32, StrayCredit); 4] = [
+const STRAY_CREDIT: [(&str, u32, StrayCredit); 3] = [
     ("channel", CREDIT_TAG, |ctx, forge| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
         ChannelEnd::Sender(mut tx) => {
             tx.send(b"one-----")?;
@@ -80,21 +78,6 @@ const STRAY_CREDIT: [(&str, u32, StrayCredit); 4] = [
                 rx.close(ctx)
             }
         }
-    }),
-    ("mesh", MESH_CREDIT_TAG, |ctx, forge| {
-        let mut m = mesh(ctx, &cfg(1, 8))?;
-        let absorbed = if ctx.rank() == PRODUCER {
-            m.send(CONSUMER, b"one-----")?;
-            ctx.barrier();
-            m.send(CONSUMER, b"two-----")
-        } else {
-            m.recv(&mut [0u8; 8])?;
-            m.flush_credits()?;
-            forge();
-            ctx.barrier();
-            Ok(())
-        };
-        m.close(ctx).and(absorbed)
     }),
     ("rpc", REQ_CREDIT_TAG, |ctx, forge| {
         match rpc(ctx, CONSUMER, &[PRODUCER], &cfg(1, 8))?.unwrap() {
@@ -231,7 +214,7 @@ type Missized = fn(&RankCtx) -> fompi::Result<Vec<FompiError>>;
 const LONG: &[u8; 8] = b"long----";
 const FITS: &[u8; 8] = b"fits----";
 
-const MISSIZED: [(&str, Missized); 4] = [
+const MISSIZED: [(&str, Missized); 3] = [
     ("channel", |ctx| match channel(ctx, PRODUCER, CONSUMER, 1, 8)?.unwrap() {
         ChannelEnd::Sender(mut tx) => {
             let over = tx.send(&[0; 9]).unwrap_err();
@@ -259,22 +242,6 @@ const MISSIZED: [(&str, Missized); 4] = [
             assert_eq!((rx.recv(&mut buf)?, &buf), ((PRODUCER, 8), FITS));
             rx.close(ctx).map(|()| vec![short])
         }
-    }),
-    ("mesh", |ctx| {
-        let mut m = mesh(ctx, &cfg(1, 8))?;
-        let seen = if ctx.rank() == PRODUCER {
-            let over = m.send(CONSUMER, &[0; 9]).unwrap_err();
-            m.send(CONSUMER, LONG)?;
-            m.send(CONSUMER, FITS)?;
-            over
-        } else {
-            let mut buf = [0u8; 8];
-            let short = m.recv(&mut buf[..4]).unwrap_err();
-            m.flush_credits()?;
-            assert_eq!((m.recv(&mut buf)?, &buf), ((PRODUCER, 8), FITS));
-            short
-        };
-        m.close(ctx).map(|()| vec![seen])
     }),
     // The short receive of an RPC is the client's reply buffer, and the
     // server can oversize a reply as the client can a request.

@@ -241,12 +241,12 @@ stage_mc() {
     # Exhaustive interleaving model checker over the protocol table. The
     # integration tests run every row with a model-checked instance to
     # exhaustion at the default bounds (zero violations, `complete=true`)
-    # and are the *mutation* gate — the broken-credit-return,
-    # dropped-publish-CAS, unvalidated-read-only-commit, version-re-fetch-
-    # before-payload and skipped-unlock_all mutants must each yield a
-    # counterexample that
-    # FOMPI_MC_REPLAY reproduces with its per-rank virtual clocks bit for
-    # bit (in-process and out-of-process). results/mc_summary.csv is
+    # and are the *mutation* gate — the slot-taken-past-the-lane credit
+    # leak (lane_credit_leak), dropped-publish-CAS, unvalidated-read-only-
+    # commit, version-re-fetch-before-payload and skipped-unlock_all
+    # mutants must each yield a counterexample that FOMPI_MC_REPLAY
+    # reproduces with its per-rank virtual clocks bit for bit (in-process
+    # and out-of-process). results/mc_summary.csv is
     # byte-diffed by the determinism stage.
     echo "== mc: exhaustive table + mutation gate (fompi-mc tests) =="
     "${SCRUB[@]}" cargo test --offline --release -q -p fompi-mc
@@ -465,10 +465,9 @@ stage_sanitize() {
     #   - Loom models are cfg-gated (`--cfg loom`) and need loom as a
     #     local dev-dependency; the workspace is dependency-free, so they
     #     run on developer machines, not here. Current models: the notify
-    #     ring (fompi-fabric), the mesh batched credit return
-    #     (fompi-rmc, `cargo test -p fompi-rmc ... loom_`), and the
-    #     collectives' arrive / release / park rendezvous (fompi-runtime;
-    #     written for PR 14 without loom at hand — not yet run once).
+    #     ring (fompi-fabric) and the collectives' arrive / release / park
+    #     rendezvous (fompi-runtime; written for PR 14 without loom at
+    #     hand — not yet run once).
     if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
         echo "sanitize: no nightly toolchain installed; skipping (rustup toolchain install nightly)"
         return 0

@@ -5,70 +5,57 @@
 //! cargo run --release -p fompi-bench --bin reproduce fig6b ...  # subset
 //! ```
 //!
+//! A name that is not a section exits 2 and lists the sections.
+//!
 //! Small-p points: real execution of the live implementations (virtual
 //! time). Large-p series: `fompi-simnet`. CSVs land in `results/`.
 
-use fompi::PaperModel;
 use fompi_apps::{dsde, fft, hashtable, milc};
 use fompi_bench as bench;
-use fompi_bench::Layer;
+use fompi_bench::{Layer, ModelRow};
 use fompi_msg::{Comm, MsgEngine};
 use fompi_runtime::Universe;
 use fompi_simnet::figures as sim;
 use std::fmt::Write as _;
 use std::fs;
 
+/// The sections, in the order they run; `reproduce` with no argument
+/// runs them all.
+const SECTIONS: &[(&str, fn())] = &[
+    ("fig4a", || fig4(false, false, "fig4a", "Figure 4a: inter-node Put latency [us]")),
+    ("fig4b", || fig4(true, false, "fig4b", "Figure 4b: inter-node Get latency [us]")),
+    ("fig4c", || fig4(false, true, "fig4c", "Figure 4c: intra-node Put latency [us]")),
+    ("fig5a", fig5a),
+    ("fig5b", || fig5rate(false, "fig5b", "Figure 5b: message rate inter-node [M msgs/s]")),
+    ("fig5c", || fig5rate(true, "fig5c", "Figure 5c: message rate intra-node [M msgs/s]")),
+    ("fig6a", fig6a),
+    ("fig6b", fig6b),
+    ("fig6c", fig6c),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("fig7c", fig7c),
+    ("fig8", fig8),
+    ("models", models),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    if let Some(bad) = args.iter().find(|a| SECTIONS.iter().all(|(name, _)| name != a)) {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "invalid section `{bad}`: no such section; the sections are {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
     fs::create_dir_all("results").ok();
     println!("== foMPI-rs reproduction harness ==");
     println!("   (virtual-time measurements; shapes comparable to the paper,");
     println!("    absolute values calibrated to Blue Waters constants)\n");
-    if want("fig4a") {
-        fig4(false, false, "fig4a", "Figure 4a: inter-node Put latency [us]");
-    }
-    if want("fig4b") {
-        fig4(true, false, "fig4b", "Figure 4b: inter-node Get latency [us]");
-    }
-    if want("fig4c") {
-        fig4(false, true, "fig4c", "Figure 4c: intra-node Put latency [us]");
-    }
-    if want("fig5a") {
-        fig5a();
-    }
-    if want("fig5b") {
-        fig5rate(false, "fig5b", "Figure 5b: message rate inter-node [M msgs/s]");
-    }
-    if want("fig5c") {
-        fig5rate(true, "fig5c", "Figure 5c: message rate intra-node [M msgs/s]");
-    }
-    if want("fig6a") {
-        fig6a();
-    }
-    if want("fig6b") {
-        fig6b();
-    }
-    if want("fig6c") {
-        fig6c();
-    }
-    if want("fig7a") {
-        fig7a();
-    }
-    if want("fig7b") {
-        fig7b();
-    }
-    if want("fig7c") {
-        fig7c();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("models") {
-        models();
-    }
-    if want("drift") {
-        drift();
+    for (name, run) in SECTIONS {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            run();
+        }
     }
     println!("\nCSV series written to results/");
 }
@@ -371,72 +358,27 @@ fn fig8() {
 }
 
 fn models() {
-    println!("--- Section 3 performance models: measured vs paper ---");
-    let paper = PaperModel::default();
-    let (pb, pbyte) = bench::fit_models(false);
-    let (gb, gbyte) = bench::fit_models(true);
-    println!(
-        "  Pput  : measured {pb:7.0} + {pbyte:.3} ns/B   (paper {:.0} + {:.2} ns/B)",
-        paper.cost.dmapp_put_base_ns, paper.cost.dmapp_put_byte_ns
-    );
-    println!(
-        "  Pget  : measured {gb:7.0} + {gbyte:.3} ns/B   (paper {:.0} + {:.2} ns/B)",
-        paper.cost.dmapp_get_base_ns, paper.cost.dmapp_get_byte_ns
-    );
-    let (excl, shared, all, unlock, flush, sync) = bench::lock_constants();
-    println!("  Plock,excl : measured {excl:7.0} ns   (paper {:.0} ns)", paper.lock_excl);
-    println!("  Plock,shrd : measured {shared:7.0} ns   (paper {:.0} ns)", paper.lock_shared);
-    println!("  Plock_all  : measured {all:7.0} ns   (paper {:.0} ns)", paper.lock_shared);
-    println!("  Punlock    : measured {unlock:7.0} ns   (paper {:.0} ns)", paper.unlock);
-    println!("  Pflush     : measured {flush:7.0} ns   (paper {:.0} ns)", paper.flush);
-    println!("  Psync      : measured {sync:7.0} ns   (paper {:.0} ns)", paper.cost.sync_ns);
-    // Fence constant: fit t = c · log2 p.
-    let mut cs = Vec::new();
-    for p in [4usize, 8, 16, 32] {
-        let t = bench::fence_latency(p, 1);
-        cs.push(t / (p as f64).log2());
-    }
-    let c = cs.iter().sum::<f64>() / cs.len() as f64;
-    println!(
-        "  Pfence     : measured {c:7.0} ns * log2(p)   (paper {:.0} ns * log2(p))",
-        paper.fence_log
-    );
-    let p4 = bench::pscw_latency(4, 1);
-    println!("  PSCW cycle : measured {p4:7.0} ns (k=2)   (paper {:.0} ns)", paper.pscw_round(2));
-    write_csv(
-        "models",
-        "metric,measured,paper",
-        &[
-            format!("put_base_ns,{pb},{}", paper.cost.dmapp_put_base_ns),
-            format!("put_byte_ns,{pbyte},{}", paper.cost.dmapp_put_byte_ns),
-            format!("get_base_ns,{gb},{}", paper.cost.dmapp_get_base_ns),
-            format!("get_byte_ns,{gbyte},{}", paper.cost.dmapp_get_byte_ns),
-            format!("lock_excl_ns,{excl},{}", paper.lock_excl),
-            format!("lock_shared_ns,{shared},{}", paper.lock_shared),
-            format!("lock_all_ns,{all},{}", paper.lock_shared),
-            format!("unlock_ns,{unlock},{}", paper.unlock),
-            format!("flush_ns,{flush},{}", paper.flush),
-            format!("sync_ns,{sync},{}", paper.cost.sync_ns),
-            format!("fence_log_ns,{c},{}", paper.fence_log),
-            format!("pscw_k2_ns,{p4},{}", paper.pscw_round(2)),
-        ],
-    );
-    println!();
-}
-
-fn drift() {
-    println!("--- Model drift: telemetry-observed costs vs §3 closed forms (p=4) ---");
-    let mut rows = bench::drift::collect(4);
-    // Batched-path coverage: the same drift discipline applied to the
-    // issue-side batching layer's closed form (put_batched / batch_flush).
-    rows.extend(bench::drift::collect_batched(4));
-    print!("{}", bench::drift::render(&rows));
-    // Split the table: deterministic classes feed the CI determinism gate
-    // (drift.csv must regenerate byte-identically); partner-waiting
-    // classes vary with thread scheduling and live apart.
-    let (sched, det): (Vec<_>, Vec<_>) =
-        rows.into_iter().partition(|r| bench::drift::is_schedule_dependent(r.class));
-    write_csv("drift", bench::drift::csv_header(), &bench::drift::csv_rows(&det));
-    write_csv("drift_sched", bench::drift::csv_header(), &bench::drift::csv_rows(&sched));
+    println!("--- Section 3 performance models: measured vs paper [ns; ns/B for *_byte_ns] ---");
+    let rows = bench::models();
+    let (pinned, unpinned): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r.pinned);
+    println!("{:<15} {:>5} {:>12} {:>12} {:>7}", "class", "ops", "measured", "paper", "ratio");
+    let print = |r: &&ModelRow| {
+        println!(
+            "{:<15} {:>5} {:>12.2} {:>12.2} {:>7.2}",
+            r.class,
+            r.ops,
+            r.measured,
+            r.paper,
+            r.ratio()
+        )
+    };
+    pinned.iter().for_each(print);
+    println!("  schedule-dependent (ROADMAP 3), not pinned:");
+    unpinned.iter().for_each(print);
+    let csv: Vec<String> = pinned
+        .iter()
+        .map(|r| format!("{},{},{},{},{}", r.class, r.ops, r.measured, r.paper, r.ratio()))
+        .collect();
+    write_csv("models", "class,ops,measured,paper,ratio", &csv);
     println!();
 }

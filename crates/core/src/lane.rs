@@ -85,7 +85,7 @@ impl Geometry {
     /// of this ring a producer holds. Past `slots` it fails loudly: `peer`
     /// freed a slot that was never filled (a stray or duplicated credit),
     /// and absorbing it would let a later burst overrun the ring.
-    pub fn book_credit(&self, credits: &mut u64, count: u64, peer: u32) -> Result<()> {
+    fn book_credit(&self, credits: &mut u64, count: u64, peer: u32) -> Result<()> {
         if count > self.slots as u64 - *credits {
             return Err(FompiError::StrayCredit { peer });
         }

@@ -1,10 +1,11 @@
 //! The paper's closed-form performance models, as code.
 //!
 //! §3 reports parametrized cost functions for every critical foMPI call,
-//! measured on Blue Waters. The benchmark harness prints them next to our
-//! measured constants (`results/models.csv`), its drift report holds every
-//! traced op class to them, and users can do what §6 suggests — e.g. pick
-//! Fence vs PSCW by testing `fence(p) > post(k) + complete(k) + start() + wait()`.
+//! measured on Blue Waters. The benchmark harness prints them next to the
+//! same costs measured on this implementation, one row per constant or
+//! call with their ratio (`results/models.csv`), and users can do what §6
+//! suggests — e.g. pick Fence vs PSCW by testing
+//! `fence(p) > post(k) + complete(k) + start() + wait()`.
 //!
 //! The hardware terms (Pput, Pget, PCAS, o, g, Psync) are the live fabric's
 //! [`CostModel`], the table `fompi-simnet` prices from too; only the paper's

@@ -205,56 +205,6 @@ impl Comm {
             }
         }
     }
-
-    /// Gather equal-sized contributions at `root` (MPI_Gather). `recv` is
-    /// only written at the root (must hold `p * send.len()` bytes there).
-    pub fn gather(&self, send: &[u8], recv: &mut [u8], root: u32) {
-        let p = self.size;
-        if self.rank == root {
-            assert_eq!(recv.len(), p * send.len());
-            let me = self.rank as usize;
-            recv[me * send.len()..(me + 1) * send.len()].copy_from_slice(send);
-            for _ in 0..p - 1 {
-                let block = send.len();
-                let mut tmp = vec![0u8; block];
-                let st = self
-                    .recv(&mut tmp, crate::queue::ANY_SOURCE, COLL_TAG + 400)
-                    .expect("gather recv");
-                recv[st.src as usize * block..(st.src as usize + 1) * block].copy_from_slice(&tmp);
-            }
-        } else {
-            self.send(send, root, COLL_TAG + 400).expect("gather send");
-        }
-    }
-
-    /// Inclusive prefix sum over u64 (MPI_Scan with MPI_SUM): rank r
-    /// receives the sum of contributions from ranks 0..=r.
-    pub fn scan_sum_u64(&self, v: u64) -> u64 {
-        let p = self.size as u32;
-        let me = self.rank;
-        let mut acc = v;
-        let mut dist = 1;
-        // Hillis-Steele: receive from me-dist, send to me+dist.
-        while dist < p {
-            let mut reqs = None;
-            if me + dist < p {
-                reqs = Some(
-                    self.isend(&acc.to_le_bytes(), me + dist, COLL_TAG + 500 + dist)
-                        .expect("scan send"),
-                );
-            }
-            if me >= dist {
-                let mut b = [0u8; 8];
-                self.recv(&mut b, me - dist, COLL_TAG + 500 + dist).expect("scan recv");
-                acc = acc.wrapping_add(u64::from_le_bytes(b));
-            }
-            if let Some(r) = reqs {
-                r.wait(self.ep());
-            }
-            dist *= 2;
-        }
-        acc
-    }
 }
 
 /// Nonblocking dissemination barrier (MPI_Ibarrier), the core of the NBX
@@ -424,27 +374,6 @@ mod tests {
                 buf
             });
             assert!(got.iter().all(|b| b == &[9, 8, 7]), "root {root}");
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root() {
-        let got = run(4, |c| {
-            let mine = [c.rank() as u8 * 3; 2];
-            let mut recv = vec![0u8; if c.rank() == 1 { 8 } else { 0 }];
-            c.gather(&mine, &mut recv, 1);
-            recv
-        });
-        assert_eq!(got[1], vec![0, 0, 3, 3, 6, 6, 9, 9]);
-        assert!(got[0].is_empty());
-    }
-
-    #[test]
-    fn scan_prefix_sums() {
-        let got = run(6, |c| c.scan_sum_u64(c.rank() as u64 + 1));
-        // rank r gets 1+2+...+(r+1).
-        for (r, v) in got.iter().enumerate() {
-            assert_eq!(*v, ((r + 1) * (r + 2) / 2) as u64);
         }
     }
 

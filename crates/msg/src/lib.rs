@@ -43,9 +43,8 @@ use fompi_runtime::RankCtx;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Software cost constants for the messaging layer (ns). Defaults model
-/// Cray MPI on Gemini (§3.1: MPI-1 small-message latency ≈ 2–3 µs where
-/// the raw put costs ≈ 1 µs).
+/// Software cost constants for the messaging layer (ns); the values are
+/// [`MSG_COSTS`].
 #[derive(Debug, Clone)]
 pub struct MsgCosts {
     /// Per-call software overhead (argument checking, protocol selection).
@@ -61,23 +60,21 @@ pub struct MsgCosts {
     pub agent_ns: f64,
 }
 
-impl Default for MsgCosts {
-    fn default() -> Self {
-        Self {
-            sw_ns: 400.0,
-            match_ns: 300.0,
-            eager_threshold: 8192,
-            header_bytes: 32,
-            agent_ns: 7_000.0,
-        }
-    }
-}
+/// Cray MPI on Gemini (§3.1: MPI-1 small-message latency ≈ 2–3 µs where
+/// the raw put costs ≈ 1 µs): what every [`Comm`] and [`Win22`] call
+/// charges, and what `fompi-simnet` prices the MPI baselines from.
+pub const MSG_COSTS: MsgCosts = MsgCosts {
+    sw_ns: 400.0,
+    match_ns: 300.0,
+    eager_threshold: 8192,
+    header_bytes: 32,
+    agent_ns: 7_000.0,
+};
 
 /// A communicator handle: one per rank, bound to the shared [`MsgEngine`].
 pub struct Comm {
     pub(crate) ep: Rc<Endpoint>,
     pub(crate) engine: Arc<MsgEngine>,
-    pub(crate) costs: MsgCosts,
     pub(crate) rank: u32,
     pub(crate) size: usize,
 }
@@ -87,13 +84,7 @@ impl Comm {
     /// same rank count).
     pub fn attach(ctx: &RankCtx, engine: &Arc<MsgEngine>) -> Comm {
         assert_eq!(engine.size(), ctx.size(), "engine sized for a different universe");
-        Comm {
-            ep: ctx.ep_rc(),
-            engine: engine.clone(),
-            costs: MsgCosts::default(),
-            rank: ctx.rank(),
-            size: ctx.size(),
-        }
+        Comm { ep: ctx.ep_rc(), engine: engine.clone(), rank: ctx.rank(), size: ctx.size() }
     }
 
     /// This rank.

@@ -9,7 +9,7 @@
 //! Figures 4–8 exercises real protocol differences.
 
 use crate::queue::{tag_match, Completion, Payload, Posted, PullInfo, RecvSlot, Unexpected};
-use crate::Comm;
+use crate::{Comm, MSG_COSTS};
 use fompi_fabric::{Endpoint, Segment};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -92,15 +92,15 @@ impl Comm {
         let m = self.ep.fabric().model();
         self.ep.charge(m.inject(t));
         self.ep.clock().now()
-            + m.put_latency(t, bytes + self.costs.header_bytes)
-            + self.costs.match_ns
+            + m.put_latency(t, bytes + MSG_COSTS.header_bytes)
+            + MSG_COSTS.match_ns
     }
 
     /// MPI_Send (standard mode): eager below the threshold (completes
     /// locally), rendezvous above (blocks until the receiver pulled).
     pub fn send(&self, data: &[u8], dst: u32, tag: u32) -> Result<(), String> {
-        self.ep.charge(self.costs.sw_ns);
-        if data.len() <= self.costs.eager_threshold {
+        self.ep.charge(MSG_COSTS.sw_ns);
+        if data.len() <= MSG_COSTS.eager_threshold {
             self.send_eager(data, dst, tag);
             Ok(())
         } else {
@@ -115,7 +115,7 @@ impl Comm {
     /// so completion implies the receive was matched (the property NBX
     /// termination detection relies on).
     pub fn ssend(&self, data: &[u8], dst: u32, tag: u32) -> Result<(), String> {
-        self.ep.charge(self.costs.sw_ns);
+        self.ep.charge(MSG_COSTS.sw_ns);
         let fin = self.send_rndv(data, dst, tag);
         let st = fin.wait();
         self.ep.clock().join(st.stamp);
@@ -124,8 +124,8 @@ impl Comm {
 
     /// MPI_Isend.
     pub fn isend(&self, data: &[u8], dst: u32, tag: u32) -> Result<SendRequest, String> {
-        self.ep.charge(self.costs.sw_ns);
-        if data.len() <= self.costs.eager_threshold {
+        self.ep.charge(MSG_COSTS.sw_ns);
+        if data.len() <= MSG_COSTS.eager_threshold {
             self.send_eager(data, dst, tag);
             Ok(SendRequest { fin: None })
         } else {
@@ -135,7 +135,7 @@ impl Comm {
 
     /// MPI_Issend (nonblocking synchronous).
     pub fn issend(&self, data: &[u8], dst: u32, tag: u32) -> Result<SendRequest, String> {
-        self.ep.charge(self.costs.sw_ns);
+        self.ep.charge(MSG_COSTS.sw_ns);
         Ok(SendRequest { fin: Some(self.send_rndv(data, dst, tag)) })
     }
 
@@ -211,7 +211,7 @@ impl Comm {
 
     /// MPI_Recv (blocking).
     pub fn recv(&self, buf: &mut [u8], src: u32, tag: u32) -> Result<Status, String> {
-        self.ep.charge(self.costs.sw_ns + self.costs.match_ns);
+        self.ep.charge(MSG_COSTS.sw_ns + MSG_COSTS.match_ns);
         let cell;
         {
             let q = self.engine.q(self.rank);
@@ -242,7 +242,7 @@ impl Comm {
         src: u32,
         tag: u32,
     ) -> Result<RecvRequest<'b>, String> {
-        self.ep.charge(self.costs.sw_ns + self.costs.match_ns);
+        self.ep.charge(MSG_COSTS.sw_ns + MSG_COSTS.match_ns);
         let q = self.engine.q(self.rank);
         let mut inner = q.inner.lock();
         let cell = Completion::new();
@@ -290,7 +290,7 @@ impl Comm {
 
     /// MPI_Iprobe: nonblocking check for a matching unexpected message.
     pub fn iprobe(&self, src: u32, tag: u32) -> Option<Status> {
-        self.ep.charge(self.costs.match_ns);
+        self.ep.charge(MSG_COSTS.match_ns);
         let q = self.engine.q(self.rank);
         let inner = q.inner.lock();
         inner.unexpected.iter().find(|u| tag_match(src, tag, u.src, u.tag)).map(|u| Status {

@@ -8,7 +8,7 @@
 //! operation pays the messaging software path plus an agent charge, and
 //! synchronisation costs a full round trip per target.
 
-use crate::MsgCosts;
+use crate::MSG_COSTS;
 use fompi_fabric::{SegKey, Segment};
 use fompi_runtime::RankCtx;
 use std::rc::Rc;
@@ -21,7 +21,6 @@ pub struct Win22 {
     id: u64,
     size: usize,
     seg: Arc<Segment>,
-    costs: MsgCosts,
 }
 
 impl Win22 {
@@ -44,14 +43,7 @@ impl Win22 {
             }
         };
         ctx.barrier();
-        Win22 {
-            ep: ctx.ep_rc(),
-            coll: ctx.coll_arc(),
-            id,
-            size: size.max(8),
-            seg,
-            costs: MsgCosts::default(),
-        }
+        Win22 { ep: ctx.ep_rc(), coll: ctx.coll_arc(), id, size: size.max(8), seg }
     }
 
     fn key(&self, target: u32) -> SegKey {
@@ -61,7 +53,7 @@ impl Win22 {
     /// Software path of one emulated active-message RMA op: messaging
     /// overhead + matching + target-agent processing.
     fn charge_agent_path(&self) {
-        self.ep.charge(self.costs.sw_ns + self.costs.match_ns + self.costs.agent_ns);
+        self.ep.charge(MSG_COSTS.sw_ns + MSG_COSTS.match_ns + MSG_COSTS.agent_ns);
     }
 
     /// One-sided put: header + payload through the messaging path, applied
@@ -80,20 +72,6 @@ impl Win22 {
         self.ep.get_implicit(self.key(target), offset, dst).expect("win22 get failed");
     }
 
-    /// Accumulate (sum of u64 elements) through the agent.
-    pub fn accumulate_sum_u64(&self, origin: &[u64], target: u32, offset: usize) {
-        self.charge_agent_path();
-        for (i, v) in origin.iter().enumerate() {
-            self.seg_apply_add(target, offset + i * 8, *v);
-        }
-    }
-
-    fn seg_apply_add(&self, target: u32, off: usize, v: u64) {
-        self.ep
-            .amo_implicit(self.key(target), off, fompi_fabric::AmoOp::Add, v)
-            .expect("win22 accumulate failed");
-    }
-
     /// MPI-2.2 fence: flush + heavyweight barrier (the implementation the
     /// paper measures is "relatively untuned": extra collective overhead
     /// per fence).
@@ -101,7 +79,7 @@ impl Win22 {
         self.ep.gsync();
         // Untuned implementations add an alltoall-like counter exchange to
         // know how many ops target each rank.
-        self.ep.charge(self.costs.agent_ns);
+        self.ep.charge(MSG_COSTS.agent_ns);
         self.coll.barrier(&self.ep);
         self.coll.barrier(&self.ep);
     }
@@ -174,20 +152,6 @@ mod tests {
             dt
         });
         assert!(times[0] > 7_000.0, "agent path too cheap: {} ns", times[0]);
-    }
-
-    #[test]
-    fn accumulate_sums() {
-        let got = Universe::new(3).node_size(3).run(|ctx| {
-            let win = Win22::allocate(ctx, 32);
-            win.fence();
-            win.accumulate_sum_u64(&[ctx.rank() as u64 + 1], 0, 0);
-            win.fence();
-            let mut b = [0u8; 8];
-            win.read_local(0, &mut b);
-            u64::from_le_bytes(b)
-        });
-        assert_eq!(got[0], 6);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fabric's [`CostModel`]. Each layer's software path is read from the crate
 //! that charges it: [`sw_fompi`] from `fompi::perf::overhead`, [`sw_upc`] /
 //! [`sw_caf`] from `fompi_pgas::PgasCosts`, [`sw_mpi1`] / [`sw_mpi22`] from
-//! `fompi_msg::MsgCosts`. [`Torus3D`] adds per-link occupancy (the paper's
+//! `fompi_msg::MSG_COSTS`. [`Torus3D`] adds per-link occupancy (the paper's
 //! "different job layouts in the Gemini torus"), [`Noise`] OS detours or a
 //! mirrored live fault plan.
 
@@ -14,7 +14,7 @@ use fompi::perf::overhead;
 use fompi_fabric::cost::{CostModel, Transport::Dmapp};
 use fompi_fabric::rng::{splitmix64, Rng};
 use fompi_fabric::FaultPlan;
-use fompi_msg::MsgCosts;
+use fompi_msg::MSG_COSTS;
 use fompi_pgas::PgasCosts;
 
 /// foMPI's per-call software path: the 173-instruction put / get fast path.
@@ -34,20 +34,19 @@ pub fn sw_caf() -> f64 {
 
 /// Cray MPI-1's per-message software path: call overhead plus tag matching.
 pub fn sw_mpi1() -> f64 {
-    let c = MsgCosts::default();
-    c.sw_ns + c.match_ns
+    MSG_COSTS.sw_ns + MSG_COSTS.match_ns
 }
 
 /// Cray MPI-2.2 one-sided's per-op software agent.
 pub fn sw_mpi22() -> f64 {
-    MsgCosts::default().agent_ns
+    MSG_COSTS.agent_ns
 }
 
 /// An MPI-1 small-message half round trip (send → matched receive): one
 /// injection, the MPI-1 software path and a put of the payload with its
 /// envelope.
 pub fn mpi1_msg(m: &CostModel, bytes: usize) -> f64 {
-    m.inject(Dmapp) + sw_mpi1() + m.put_latency(Dmapp, bytes + MsgCosts::default().header_bytes)
+    m.inject(Dmapp) + sw_mpi1() + m.put_latency(Dmapp, bytes + MSG_COSTS.header_bytes)
 }
 
 /// A 3-D torus with per-link occupancy (wormhole-ish approximation:

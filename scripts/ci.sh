@@ -165,8 +165,9 @@ stage_tests() {
 # files is a bin that asserts its own invariant. Virtual time is exact, so
 # a pinned number has no tolerance: after a deliberate change, rerun the
 # row, review `git diff` (it names each moved value) and commit.
-#   drift.csv          deterministic classes only (post/start/wait go to
-#                      drift_sched.csv, which is restored, not diffed)
+#   models.csv         the paper-vs-ours table of §3 costs; its rows that
+#                      wait on a partner rank (post, start, wait, the PSCW
+#                      cycle) are printed, not written
 #   fig6b … fig8       the simnet series and fig6b_real; the other `_real`
 #                      files depend on the schedule and are restored
 #   kv_smoke.csv       schedule-independent outcomes of the KV store smoke
@@ -177,7 +178,7 @@ stage_tests() {
 #                      drain times are schedule-dependent)
 #   fleet_summary.json the in-process smoke sweep's stable agents
 DETERMINISM=(
-    "reproduce|drift|results/drift.csv"
+    "reproduce|models|results/models.csv"
     "reproduce|fig6b fig6c fig7a fig7b fig7c fig8|results/fig6b.csv results/fig6b_real.csv results/fig6c.csv results/fig7a.csv results/fig7b.csv results/fig7c.csv results/fig8.csv"
     "kv_serve|--smoke|results/kv_smoke.csv"
     "scope||results/scope_metrics.prom results/scope_metrics.json"
@@ -229,11 +230,9 @@ stage_determinism() {
         # shellcheck disable=SC2086
         unmoved "$bin${args:+ $args}" $files
     done
-    # drift_sched.csv holds the schedule-dependent classes `reproduce
-    # drift` also writes, and the figure row's other `_real` series wait on
-    # partner ranks (ROADMAP item 3): not reproducible, so restore the
-    # committed copies.
-    git checkout -q -- results/drift_sched.csv results/fig6c_real.csv results/fig7a_real.csv \
+    # The figure row's other `_real` series wait on partner ranks (ROADMAP
+    # item 3): not reproducible, so restore the committed copies.
+    git checkout -q -- results/fig6c_real.csv results/fig7a_real.csv \
         results/fig7b_real.csv results/fig7c_real.csv results/fig8_real.csv
 }
 
